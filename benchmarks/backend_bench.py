@@ -31,10 +31,10 @@ def _time(fn, repeat=3):
 
 
 def bench_coverage(reps: int, backend: str):
-    x, wf, a_v, b, sv = _coverage_pieces(DEFAULT_COVERAGE_X, np.eye(5), [1.0, 0.0])
+    fixture, a_v, b, sv = _coverage_pieces(DEFAULT_COVERAGE_X, np.eye(5), [1.0, 0.0])
     tstar = t_quantile(StudentT(3.0), 0.975)
     args = (
-        42, 0, reps, x, wf.inv_root, _kernels.ETA_NORMAL, 0.0,
+        42, 0, reps, fixture.X, fixture.w_inv_root, _kernels.ETA_NORMAL, 0.0,
         _kernels.THETA_GAUSSIAN, np.zeros(2), np.full(2, 10.0),
         np.empty(0), np.empty(0), a_v, b, np.array([1.0, 0.0]), sv, tstar, 3.0,
     )
@@ -42,8 +42,8 @@ def bench_coverage(reps: int, backend: str):
 
 
 def bench_pivot(reps: int, backend: str):
-    x, wf, a_v, b, sv = _coverage_pieces(DEFAULT_PIVOT_X, np.eye(4), [1.0])
-    args = (7, 0, reps, wf.inv_root, _kernels.ETA_STUDENT_T, 3.0, a_v, b, sv, 3.0)
+    fixture, a_v, b, sv = _coverage_pieces(DEFAULT_PIVOT_X, np.eye(4), [1.0])
+    args = (7, 0, reps, fixture.w_inv_root, _kernels.ETA_STUDENT_T, 3.0, a_v, b, sv, 3.0)
     return _time(lambda: _kernels.pivot_tstats(*args, force_backend=backend))
 
 

@@ -46,7 +46,6 @@ class SpdFactor:
     inv_root: np.ndarray
     inverse: np.ndarray
     log_det: float
-    eigenvalues: np.ndarray
 
 
 def spd_factor(w, name: str = "W") -> SpdFactor:
@@ -77,7 +76,6 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
         inv_root=0.5 * (inv_root + inv_root.T),
         inverse=0.5 * (inverse + inverse.T),
         log_det=float(np.sum(np.log(vals))),
-        eigenvalues=vals,
     )
 
 
@@ -91,7 +89,11 @@ def check_full_column_rank(x: np.ndarray, name: str = "X") -> None:
         )
 
 
+def cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of SPD ``a``, in the form ``cho_solve`` takes."""
+    return scipy.linalg.cho_factor(a, lower=True)
+
+
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for SPD ``a`` by Cholesky factorization."""
-    c, low = scipy.linalg.cho_factor(a, lower=True)
-    return scipy.linalg.cho_solve((c, low), b)
+    return scipy.linalg.cho_solve(cholesky(a), b)

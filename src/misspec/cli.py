@@ -324,7 +324,5 @@ def main(argv=None) -> int:
         return _fail(1, f"i/o error: {exc}")
 
 
-cli_main = main
-
 if __name__ == "__main__":
     sys.exit(main())

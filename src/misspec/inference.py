@@ -20,13 +20,7 @@ import numpy as np
 
 from misspec import _linalg
 from misspec.errors import InputError, JustIdentifiedError
-from misspec.model import (
-    ModelInstance,
-    j_noise_floor,
-    objective,
-    pseudo_true,
-    sigma_v,
-)
+from misspec.model import ModelInstance, objective, pseudo_true, sigma_v
 from misspec.special import StudentT, t_quantile
 
 __all__ = [
@@ -155,7 +149,7 @@ def confidence_interval(model: ModelInstance, cfg: InferenceConfig) -> Interval:
     """
     pt, sv = _ci_ingredients(model, cfg)
     center = float(cfg.v @ pt.theta_w)
-    if pt.j_stat <= j_noise_floor(model):
+    if pt.j_stat <= pt.noise_floor:
         return Interval.point(center)
     kp = model.k - model.p
     tstar = t_quantile(StudentT(kp), 0.5 * (1.0 + cfg.level))
@@ -171,7 +165,7 @@ def pivotal_t_stat(model: ModelInstance, theta_true, cfg: InferenceConfig) -> fl
     """
     theta_true = _linalg.as_vector(theta_true, model.p, "theta_true")
     pt, sv = _ci_ingredients(model, cfg)
-    if pt.j_stat <= j_noise_floor(model):
+    if pt.j_stat <= pt.noise_floor:
         raise InputError("pivotal t statistic is undefined when J = 0")
     kp = model.k - model.p
     num = float(cfg.v @ pt.theta_w) - float(cfg.v @ theta_true)

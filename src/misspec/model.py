@@ -11,13 +11,19 @@ population J-statistic.  ``decompose_eta`` splits the whitened residual into
 the detectable component (orthogonal to the whitened Jacobian, driving J) and
 the undetectable component (inside its span, driving the gap between true and
 pseudo-true parameters).
+
+Since Q(theta) = J + (theta - theta_W)' H (theta - theta_W) with H = X'WX,
+every estimand depends on the data only through the fit (theta_W, J, H), which
+``pseudo_true`` computes once per model and caches on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from misspec import _linalg
 from misspec.errors import InputError, NumericalError
@@ -39,13 +45,14 @@ class ModelInstance:
 
     Construction validates all invariants: W symmetric positive definite,
     X full column rank, k >= p.  Instances are immutable and all operations
-    on them are pure functions.
+    on them are pure functions; the fit is computed on first use.
     """
 
     Y: np.ndarray
     X: np.ndarray
     W: np.ndarray
     _w_factor: _linalg.SpdFactor = field(init=False, repr=False, compare=False)
+    _fit: PseudoTrueResult | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         x = _linalg.as_matrix(self.X, "X")
@@ -80,18 +87,29 @@ class ModelInstance:
     def w_inv_root(self) -> np.ndarray:
         return self._w_factor.inv_root
 
-    def hessian(self) -> np.ndarray:
-        """X'WX, one half of the second derivative of the objective."""
-        return self.X.T @ self.W @ self.X
-
 
 @dataclass(frozen=True)
 class PseudoTrueResult:
-    """Minimizer of the weighted objective together with the minimized value."""
+    """Minimizer and minimized value of the objective, with H = X'WX and its factor.
+
+    ``cholesky`` is H's lower Cholesky factor as ``scipy.linalg.cho_solve``
+    takes it; ``noise_floor`` is the scale below which J is float noise.
+    """
 
     theta_w: np.ndarray
     j_stat: float
     hessian: np.ndarray
+    cholesky: tuple[np.ndarray, bool]
+    noise_floor: float
+
+    def solve(self, b) -> np.ndarray:
+        """H^{-1} b, from the cached factor."""
+        return scipy.linalg.cho_solve(self.cholesky, b)
+
+    @cached_property
+    def hessian_inv(self) -> np.ndarray:
+        """H^{-1}, computed once from the cached factor."""
+        return _readonly(self.solve(np.eye(self.theta_w.shape[0])))
 
 
 @dataclass(frozen=True)
@@ -128,26 +146,39 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
     The linear system in X'WX is solved by Cholesky factorization rather than
     explicit inversion.  The minimized objective is clamped to zero when it is
     within float noise below zero (exact-fit case); a substantially negative
-    value raises :class:`NumericalError`.
+    value raises :class:`NumericalError`.  Computed once per model and cached.
     """
-    h = model.hessian()
-    theta_w = _linalg.spd_solve(h, model.X.T @ (model.W @ model.Y))
+    if model._fit is not None:
+        return model._fit
+    h = model.X.T @ model.W @ model.X
+    chol = _linalg.cholesky(h)
+    chol[0].setflags(write=False)
+    theta_w = scipy.linalg.cho_solve(chol, model.X.T @ (model.W @ model.Y))
     j = objective(model, theta_w)
+    noise_floor = J_CLAMP_RTOL * (1.0 + float(model.Y @ model.W @ model.Y))
     if j < 0.0:
-        y_scale = float(model.Y @ model.W @ model.Y)
-        if j > -J_CLAMP_RTOL * (1.0 + y_scale):
+        if j > -noise_floor:
             j = 0.0
         else:
             raise NumericalError(
                 f"minimized objective is negative beyond float noise: {j:.3e}"
             )
-    return PseudoTrueResult(theta_w=_readonly(theta_w), j_stat=j, hessian=_readonly(h))
+    fit = PseudoTrueResult(
+        theta_w=_readonly(theta_w),
+        j_stat=j,
+        hessian=_readonly(h),
+        cholesky=chol,
+        noise_floor=noise_floor,
+    )
+    object.__setattr__(model, "_fit", fit)
+    return fit
 
 
 def decompose_eta(model: ModelInstance, theta) -> EtaDecomposition:
     """Split the whitened residual at ``theta`` into span and orthogonal parts.
 
     eta_perp is invariant to ``theta``; its squared length is the J-statistic.
+    Computed apart from the cached fit, so that the two can check each other.
     """
     eta_tilde = model.w_root @ implied_eta(model, theta)
     x_tilde = model.w_root @ model.X
@@ -162,14 +193,9 @@ def decompose_eta(model: ModelInstance, theta) -> EtaDecomposition:
     )
 
 
-def j_noise_floor(model: ModelInstance) -> float:
-    """Scale below which a computed J-statistic is float noise from an exact fit."""
-    return J_CLAMP_RTOL * (1.0 + float(model.Y @ model.W @ model.Y))
-
-
 def sigma_v(model: ModelInstance, v) -> float:
     """sqrt(v' (X'WX)^{-1} v), the Hessian-transformed length of v."""
     v = _linalg.as_vector(v, model.p, "v")
     if not np.any(v != 0.0):
         raise InputError("v must be nonzero")
-    return float(np.sqrt(v @ _linalg.spd_solve(model.hessian(), v)))
+    return float(np.sqrt(v @ pseudo_true(model).solve(v)))

@@ -17,7 +17,7 @@ import numpy as np
 from misspec import _kernels, _linalg
 from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
-from misspec.model import ModelInstance, pseudo_true
+from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
     GridSpec,
     ThetaPrior,
@@ -97,34 +97,29 @@ class SweepTrace:
 def _coverage_pieces(x, w, v):
     """Precompute the projection quantities the kernels consume.
 
-    a_v maps Y to v'theta_W; B maps Y to Y'BY = J; both depend only on (X, W).
+    a_v maps Y to v'theta_W; B maps Y to Y'BY = J; both depend only on (X, W),
+    so they come from the fit of the validated fixture with Y = 0.
     """
     x = _linalg.as_matrix(x, "X")
-    wf = _linalg.spd_factor(w, "W")
-    _linalg.check_full_column_rank(x, "X")
-    k, p = x.shape
-    if k <= p:
+    fixture = ModelInstance(Y=np.zeros(x.shape[0]), X=x, W=w)
+    if fixture.k <= fixture.p:
         raise JustIdentifiedError(
             "coverage and pivotality require an over-identified fixture (k > p)"
         )
-    v = _linalg.as_vector(v, p, "v")
-    h = x.T @ wf.matrix @ x
-    a = _linalg.spd_solve(h, x.T @ wf.matrix)  # theta_W = A Y
-    a_v = a.T @ v
-    root_x = wf.root @ x
-    m = root_x @ _linalg.spd_solve(root_x.T @ root_x, root_x.T)
-    b = wf.root @ (np.eye(k) - m) @ wf.root
+    v = _linalg.as_vector(v, fixture.p, "v")
+    xtw = fixture.X.T @ fixture.W
+    a = pseudo_true(fixture).solve(xtw)  # theta_W = A Y
+    b = fixture.W - xtw.T @ a
     b = 0.5 * (b + b.T)
-    sv = math.sqrt(float(v @ _linalg.spd_solve(h, v)))
-    return x, wf, a_v, b, sv
+    return fixture, a.T @ v, b, sigma_v(fixture, v)
 
 
-def _eta_kernel_args(eta_prior: ScaledPrior, w_factor) -> tuple[np.ndarray, int, float]:
+def _eta_kernel_args(eta_prior: ScaledPrior, fixture) -> tuple[np.ndarray, int, float]:
     if not eta_prior.proper:
         raise ImproperPriorError("Monte Carlo runs require a proper radial prior")
-    if not np.allclose(eta_prior.W, w_factor.matrix, rtol=1e-10, atol=1e-12):
+    if not np.allclose(eta_prior.W, fixture.W, rtol=1e-10, atol=1e-12):
         raise InputError("eta prior weighting matrix must match the fixture W")
-    mix = math.sqrt(eta_prior.c) * w_factor.inv_root
+    mix = math.sqrt(eta_prior.c) * fixture.w_inv_root
     if isinstance(eta_prior.family, StudentTRadial):
         return mix, _kernels.ETA_STUDENT_T, float(eta_prior.family.dof)
     return mix, _kernels.ETA_NORMAL, 0.0
@@ -189,9 +184,9 @@ def run_coverage(
         raise InputError(f"reps must be positive, got {reps}")
     if reps < 100:
         warnings.warn(f"coverage estimate from only {reps} replications", stacklevel=2)
-    x, wf, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
-    k, p = x.shape
-    mix, eta_code, nu = _eta_kernel_args(eta_prior, wf)
+    fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
+    k, p = fixture.k, fixture.p
+    mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
     theta_code, mean, sd, tab_grid, tab_cdf = _theta_kernel_args(theta_prior, p)
     tstar = t_quantile(StudentT(k - p), 0.5 * (1.0 + cfg.level))
     hits = 0
@@ -200,7 +195,7 @@ def run_coverage(
             seed,
             lo,
             hi,
-            x,
+            fixture.X,
             mix,
             eta_code,
             nu,
@@ -265,12 +260,12 @@ def run_pivotality(
     """
     if reps < 1:
         raise InputError(f"reps must be positive, got {reps}")
-    x, wf, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
-    k, p = x.shape
+    fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
+    k, p = fixture.k, fixture.p
     if negative_control:
         mix, eta_code, nu = np.eye(k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
     else:
-        mix, eta_code, nu = _eta_kernel_args(eta_prior, wf)
+        mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
     tstats = _kernels.pivot_tstats(
         seed, 0, reps, mix, eta_code, nu, a_v, b, sv, float(k - p)
     )
@@ -315,9 +310,7 @@ def run_concentration(
     c_grid = _linalg.as_vector(c_grid, None, "c_grid")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     pt = pseudo_true(model)
-    lam_max = float(
-        np.max(np.linalg.eigvalsh(_linalg.spd_solve(pt.hessian, np.eye(model.p))))
-    )
+    lam_max = float(np.max(np.linalg.eigvalsh(pt.hessian_inv)))
     metrics: dict[str, list[float]] = {f"mass_outside_{eps:g}": [] for eps in eps_list}
     metrics["posterior_sd"] = []
     action_names = (
@@ -384,9 +377,7 @@ def run_contamination(
     c_grid = _linalg.as_vector(c_grid, None, "c_grid")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     pt = pseudo_true(model)
-    lam_max = float(
-        np.max(np.linalg.eigvalsh(_linalg.spd_solve(pt.hessian, np.eye(model.p))))
-    )
+    lam_max = float(np.max(np.linalg.eigvalsh(pt.hessian_inv)))
     wide = 12.0 * _family_sd_estimate(
         contaminant.family, contaminant.c, pt.j_stat, lam_max, model.k, model.p
     )

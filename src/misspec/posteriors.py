@@ -23,7 +23,7 @@ from misspec.errors import (
     InputError,
     NumericalError,
 )
-from misspec.model import ModelInstance, j_noise_floor, pseudo_true
+from misspec.model import ModelInstance, pseudo_true
 from misspec.priors import ContaminatedPrior, PowerLawRadial, ScaledPrior
 from misspec.special import StudentT, t_cdf
 
@@ -177,7 +177,7 @@ def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
     if not c > 0.0:
         raise InputError(f"prior scale c must be positive, got {c}")
     pt = pseudo_true(model)
-    cov = c * _linalg.spd_solve(pt.hessian, np.eye(model.p))
+    cov = c * pt.hessian_inv
     return ClosedFormPosterior(kind="gaussian", center=pt.theta_w, scale=cov)
 
 
@@ -190,13 +190,13 @@ def t_limit_posterior(model: ModelInstance, dof_tilde: float) -> ClosedFormPoste
     if not dof_tilde > 0.0:
         raise InputError(f"dof_tilde must be positive, got {dof_tilde}")
     pt = pseudo_true(model)
-    if pt.j_stat <= j_noise_floor(model):
+    if pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
             "t-limit posterior requires a positive J-statistic (the limit "
             "formula presumes a detectable misspecification)"
         )
     nu = dof_tilde + model.k - model.p
-    scale = pt.j_stat * _linalg.spd_solve(nu * pt.hessian, np.eye(model.p))
+    scale = pt.j_stat / nu * pt.hessian_inv
     return ClosedFormPosterior(kind="student_t", center=pt.theta_w, scale=scale, dof=nu)
 
 
@@ -210,11 +210,11 @@ def powerlaw_posterior(model: ModelInstance, alpha: float) -> ClosedFormPosterio
     if not nu > 0.0:
         raise InputError(f"power-law posterior requires 2*alpha - p > 0, got {nu}")
     pt = pseudo_true(model)
-    if pt.j_stat <= j_noise_floor(model):
+    if pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
             "power-law posterior requires a positive J-statistic"
         )
-    scale = pt.j_stat * _linalg.spd_solve(nu * pt.hessian, np.eye(model.p))
+    scale = pt.j_stat / nu * pt.hessian_inv
     return ClosedFormPosterior(kind="student_t", center=pt.theta_w, scale=scale, dof=nu)
 
 
@@ -313,7 +313,7 @@ def _normalize_grid(axes: tuple[np.ndarray, ...], logu: np.ndarray) -> GridPoste
 def _default_halfwidths(model: ModelInstance, prior) -> np.ndarray:
     """Half-widths for default grid bounds around the pseudo-true value."""
     pt = pseudo_true(model)
-    hinv = _linalg.spd_solve(pt.hessian, np.eye(model.p))
+    hinv = pt.hessian_inv
     sig_max = math.sqrt(float(np.max(np.linalg.eigvalsh(hinv))))
     j = pt.j_stat
     kp = model.k - model.p
@@ -392,12 +392,12 @@ def grid_posterior(
     if prior.k != model.k:
         raise InputError(f"prior dimension {prior.k} does not match model k={model.k}")
     base = prior.base if isinstance(prior, ContaminatedPrior) else prior
-    if isinstance(base.family, PowerLawRadial):
-        if pseudo_true(model).j_stat <= j_noise_floor(model):
-            raise DegenerateLimitError(
-                "power-law grid posterior requires a positive J-statistic"
-            )
-    theta_w = pseudo_true(model).theta_w
+    pt = pseudo_true(model)
+    if isinstance(base.family, PowerLawRadial) and pt.j_stat <= pt.noise_floor:
+        raise DegenerateLimitError(
+            "power-law grid posterior requires a positive J-statistic"
+        )
+    theta_w = pt.theta_w
     axes = _resolve_axes(model, prior, spec, theta_w)
     if not _axes_cover(axes, theta_w):
         warnings.warn(
@@ -433,10 +433,6 @@ def grid_posterior(
     return _normalize_grid(axes, logu)
 
 
-def _gaussian_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def mass_outside_ball(
     post: GridPosterior | ClosedFormPosterior,
     center,
@@ -467,15 +463,15 @@ def mass_outside_ball(
         scale = 1.0 if norm_matrix is None else math.sqrt(float(np.asarray(norm_matrix).reshape(())))
         radius = eps / scale
         m = float(post.center[0])
+        s = math.sqrt(post.scale[0, 0])
         lo, hi = center[0] - radius, center[0] + radius
         if post.kind == "gaussian":
-            sd = math.sqrt(post.scale[0, 0])
-            cdf = lambda x: _gaussian_cdf((x - m) / sd)
+            cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
         else:
-            s = math.sqrt(post.scale[0, 0])
             dist = StudentT(float(post.dof))
-            cdf = lambda x: float(t_cdf(dist, (x - m) / s))
-        return min(max(cdf(lo) + 1.0 - cdf(hi), 0.0), 1.0)
+            cdf = lambda x: float(t_cdf(dist, x))
+        # Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
+        return min(max(cdf((lo - m) / s) + cdf((m - hi) / s), 0.0), 1.0)
     if post.p == 2:
         # Densify on an internal grid wide enough to capture the tails.
         sds = post.marginal_sd()

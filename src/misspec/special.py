@@ -2,8 +2,8 @@
 
 Log-gamma and the regularized incomplete beta are thin validated wrappers over
 the standard library and SciPy; the t CDF is built on the incomplete beta and
-the t quantile inverts it by exponential bracketing plus bisection, so the
-CDF/quantile pair is consistent by construction.
+the t quantile is SciPy's ``stdtrit``, evaluated in the lower tail so that
+neither is formed as 1 - tail.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 import scipy.special
 
 from misspec.errors import DomainError
-
-_BISECT_WIDTH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,27 +71,12 @@ def t_cdf(dist: StudentT, x):
 def t_quantile(dist: StudentT, q: float) -> float:
     """Quantile of the Student-t distribution for q in (0, 1).
 
-    Solves ``t_cdf(x) = q`` by doubling an upper bracket and bisecting it to
-    width 1e-12.  Robustness is preferred over speed: quantiles are computed
-    once per confidence interval.
+    Inverts the lower tail min(q, 1 - q) and reflects, so both tails keep
+    full relative accuracy.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"t_quantile requires q in (0, 1), got {q}")
     if q == 0.5:
         return 0.0
-    # Work in the upper tail and reflect.
-    upper = max(q, 1.0 - q)
-    hi = 1.0
-    while t_cdf(dist, hi) < upper:
-        hi *= 2.0
-        if hi > 1e300:
-            raise DomainError(f"quantile bracket overflow for q={q}, dof={dist.dof}")
-    lo = 0.0
-    while hi - lo > _BISECT_WIDTH * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if t_cdf(dist, mid) < upper:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = -float(scipy.special.stdtrit(dist.dof, min(q, 1.0 - q)))
     return x if q > 0.5 else -x

@@ -3,6 +3,15 @@ import pytest
 
 from misspec.model import ModelInstance
 
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # Reproducible property tests, with no per-example time limit.
+    settings.register_profile("misspec", derandomize=True, deadline=None)
+    settings.load_profile("misspec")
+
 _acceptance_lines = []
 
 

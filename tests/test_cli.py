@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import misspec
 from misspec.cli import main
 
 
@@ -243,11 +245,15 @@ class TestUsageErrors:
 
 
 def test_console_entry_point_runs():
+    # The child imports the same package as this suite, installed or not.
+    src = os.path.dirname(os.path.dirname(misspec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "misspec.cli", "tails", "--radial", "normal",
          "--a", "2", "--tau", "1", "--c", "1e-4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("a,tau,c,ratio")

@@ -214,3 +214,53 @@ def test_internal_consistency_error_is_reachable(monkeypatch):
     monkeypatch.setattr(model_mod, "objective", lambda _m, _t: -1.0)
     with pytest.raises(NumericalError):
         model_mod.pseudo_true(m)
+
+
+class TestFitOnce:
+    """Every estimand of a model reuses the one Cholesky factor of X'WX."""
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        from misspec import _linalg
+
+        calls = []
+        factor = _linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return factor(a)
+
+        monkeypatch.setattr(_linalg, "cholesky", counting)
+        return calls
+
+    def test_analyze(self, factorizations):
+        from misspec.inference import InferenceConfig, analyze
+
+        m = ModelInstance(Y=[1.0, 1.0, 4.0], X=[[1.0], [1.0], [1.0]], W=np.eye(3))
+        analyze(m, InferenceConfig(v=[1.0]), (1.0, 2.0, 3.0))
+        assert len(factorizations) == 1
+
+    def test_concentration_sweep(self, factorizations):
+        from misspec.montecarlo import run_concentration
+        from misspec.priors import NormalRadial
+
+        m = ModelInstance(Y=[1.0, 1.0, 4.0], X=[[1.0], [1.0], [1.0]], W=np.eye(3))
+        run_concentration(m, NormalRadial(), [1e-2, 1e-1, 1.0], [0.1], grid_points=101)
+        assert len(factorizations) == 1
+
+    def test_coverage(self, factorizations):
+        from misspec.inference import InferenceConfig
+        from misspec.montecarlo import DEFAULT_COVERAGE_X, run_coverage
+        from misspec.posteriors import ThetaPrior
+        from misspec.priors import NormalRadial, ScaledPrior
+
+        w = np.eye(5)
+        run_coverage(
+            DEFAULT_COVERAGE_X, w, ThetaPrior.gaussian([0.0, 0.0], 10.0),
+            ScaledPrior(family=NormalRadial(), c=1.0, W=w),
+            InferenceConfig(v=[1.0, 0.0]), reps=100, seed=1,
+        )
+        assert len(factorizations) == 1
+
+    def test_fit_is_cached(self, canon_model):
+        assert pseudo_true(canon_model) is pseudo_true(canon_model)

@@ -113,10 +113,10 @@ class TestBackends:
     def test_coverage_backends_bit_identical(self):
         from misspec.montecarlo import _coverage_pieces
 
-        x, wf, a_v, b, sv = _coverage_pieces(DEFAULT_COVERAGE_X, W5, CFG.v)
-        mix = wf.inv_root
+        fixture, a_v, b, sv = _coverage_pieces(DEFAULT_COVERAGE_X, W5, CFG.v)
+        mix = fixture.w_inv_root
         args = (
-            99, 0, 400, x, mix, _kernels.ETA_NORMAL, 0.0,
+            99, 0, 400, fixture.X, mix, _kernels.ETA_NORMAL, 0.0,
             _kernels.THETA_GAUSSIAN, np.zeros(2), np.full(2, 10.0),
             np.empty(0), np.empty(0), a_v, b, CFG.v, sv, 3.18, 3.0,
         )
@@ -128,12 +128,13 @@ class TestBackends:
     def test_pivot_backends_bit_identical(self):
         from misspec.montecarlo import _coverage_pieces
 
-        x, wf, a_v, b, sv = _coverage_pieces(DEFAULT_PIVOT_X, np.eye(4), [1.0])
+        fixture, a_v, b, sv = _coverage_pieces(DEFAULT_PIVOT_X, np.eye(4), [1.0])
+        mix = fixture.w_inv_root
         for code, nu in ((_kernels.ETA_NORMAL, 0.0), (_kernels.ETA_STUDENT_T, 3.0),
                          (_kernels.ETA_SHIFTED_EXPONENTIAL, 0.0)):
-            jit = _kernels.pivot_tstats(5, 0, 300, wf.inv_root, code, nu, a_v, b, sv, 3.0,
+            jit = _kernels.pivot_tstats(5, 0, 300, mix, code, nu, a_v, b, sv, 3.0,
                                         force_backend="numba")
-            py = _kernels.pivot_tstats(5, 0, 300, wf.inv_root, code, nu, a_v, b, sv, 3.0,
+            py = _kernels.pivot_tstats(5, 0, 300, mix, code, nu, a_v, b, sv, 3.0,
                                        force_backend="numpy")
             assert np.array_equal(jit, py)
 

@@ -251,6 +251,20 @@ class TestMassOutsideBall:
         expect = 2.0 * (1.0 - t_cdf_quad(1.3 / s, post.dof))
         assert_allclose(mass_outside_ball(post, post.center, 1.3), expect, atol=1e-9)
 
+    def test_gaussian_far_tail_keeps_relative_accuracy(self, canon_model):
+        post = normal_posterior(canon_model, 0.5)
+        sd = posterior_sd(post)[0]
+        for z in (3.0, 8.0, 10.0, 20.0):
+            mass = mass_outside_ball(post, post.center, z * sd)
+            assert_allclose(mass, math.erfc(z / math.sqrt(2.0)), rtol=1e-12)
+
+    def test_cauchy_far_tail_keeps_relative_accuracy(self, canon_model):
+        post = powerlaw_posterior(canon_model, 1.0)  # p = 1, so dof = 1
+        s = math.sqrt(post.scale[0, 0])
+        for z in (1e4, 1e8):
+            mass = mass_outside_ball(post, post.center, z * s)
+            assert_allclose(mass, 2.0 / math.pi * math.atan(1.0 / z), rtol=1e-12)
+
     def test_concentration_sweep_monotone(self, canon_model):
         masses = [
             mass_outside_ball(normal_posterior(canon_model, c), [1.0], 0.25)

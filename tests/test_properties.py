@@ -1,0 +1,106 @@
+"""Property tests of the fit and the estimands built on it, over random models.
+
+Models come from ``oracles.random_model_arrays`` (generic, well-conditioned);
+the hypothesis profile registered in ``conftest.py`` makes runs reproducible.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
+
+from misspec.inference import (
+    InferenceConfig,
+    analyze,
+    confidence_interval,
+    identified_set_projection,
+)
+from misspec.model import ModelInstance, pseudo_true, sigma_v
+from misspec.posteriors import normal_posterior, t_limit_posterior
+from oracles import random_model_arrays
+
+# (k, p) with k > p, so the confidence interval is defined.
+shapes = st.sampled_from([(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _model(seed, shape):
+    y, x, w = random_model_arrays(np.random.default_rng(seed), *shape)
+    return ModelInstance(Y=y, X=x, W=w)
+
+
+def _cfg(model, seed, level=0.95):
+    return InferenceConfig(v=np.random.default_rng(seed + 1).standard_normal(model.p), level=level)
+
+
+@given(seeds, shapes, st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_ci_shifts_with_y_along_x(seed, shape, shift):
+    m = _model(seed, shape)
+    cfg = _cfg(m, seed)
+    b = np.asarray(shift[: m.p])
+    moved = ModelInstance(Y=m.Y + m.X @ b, X=m.X, W=m.W)
+    ci, ci_moved = confidence_interval(m, cfg), confidence_interval(moved, cfg)
+    scale = 1.0 + np.abs(m.Y).sum() + np.abs(m.X @ b).sum()
+    assert_allclose(ci_moved.lower, ci.lower + cfg.v @ b, rtol=0, atol=1e-10 * scale)
+    assert_allclose(ci_moved.upper, ci.upper + cfg.v @ b, rtol=0, atol=1e-10 * scale)
+    assert_allclose(ci_moved.half_width(), ci.half_width(), rtol=1e-8)
+
+
+@given(seeds, shapes, st.floats(1e-3, 1e3), st.sampled_from([0.8, 0.9, 0.95, 0.99]))
+def test_ci_invariant_to_weight_scale(seed, shape, s, level):
+    m = _model(seed, shape)
+    cfg = _cfg(m, seed, level)
+    ci = confidence_interval(m, cfg)
+    ci_scaled = confidence_interval(ModelInstance(Y=m.Y, X=m.X, W=s * m.W), cfg)
+    assert_allclose([ci_scaled.lower, ci_scaled.upper], [ci.lower, ci.upper], rtol=1e-9, atol=1e-12)
+
+
+@given(seeds, shapes, st.sampled_from([0.0, 1e-8, 1.0]))
+def test_j_nonnegative(seed, shape, resid_scale):
+    # Y = X b + resid_scale * noise reaches the exact-fit case at scale 0.
+    rng = np.random.default_rng(seed)
+    y, x, w = random_model_arrays(rng, *shape)
+    m = ModelInstance(Y=x @ rng.standard_normal(shape[1]) + resid_scale * y, X=x, W=w)
+    assert pseudo_true(m).j_stat >= 0.0
+
+
+@given(seeds, shapes, st.lists(st.floats(0.0, 10.0), min_size=2, max_size=6))
+def test_identified_sets_nested_in_d(seed, shape, multipliers):
+    m = _model(seed, shape)
+    cfg = _cfg(m, seed)
+    root_j = np.sqrt(pseudo_true(m).j_stat)
+    # Multipliers near 1 put d^2 inside the singleton band around J.
+    ds = sorted(root_j * f for f in multipliers + [1.0])
+    sets = [identified_set_projection(m, cfg, d) for d in ds]
+    for small, big in zip(sets, sets[1:]):
+        if small.empty:
+            continue
+        assert not big.empty
+        assert big.lower <= small.lower and small.upper <= big.upper
+
+
+@given(seeds, shapes)
+def test_estimands_match_fresh_model(seed, shape):
+    # Whatever was computed (and cached) first, a model answers exactly as a
+    # newly built equal model does.
+    m = _model(seed, shape)
+    cfg = _cfg(m, seed)
+    ds = (0.5, 2.0, 5.0)
+    sv = sigma_v(m, cfg.v)
+    cov = normal_posterior(m, 0.3).scale
+    report = analyze(m, cfg, ds)
+    fresh = _model(seed, shape)
+    fresh_report = analyze(fresh, cfg, ds)
+    assert_array_equal(normal_posterior(fresh, 0.3).scale, cov)
+    assert sigma_v(fresh, cfg.v) == sv
+    assert_array_equal(fresh_report.theta_w, report.theta_w)
+    assert fresh_report.j_stat == report.j_stat
+    assert fresh_report.sigma_v == sv
+    # repr compares floats exactly, and empty intervals (NaN bounds) as equal.
+    assert repr(fresh_report.ci) == repr(report.ci)
+    assert repr(fresh_report.identified_sets) == repr(report.identified_sets)
+    assert_array_equal(t_limit_posterior(fresh, 3.0).scale, t_limit_posterior(m, 3.0).scale)
+    assert pseudo_true(m) is pseudo_true(m)

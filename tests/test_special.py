@@ -100,6 +100,14 @@ class TestTQuantile:
             for q in (0.005, 0.025, 0.5, 0.975, 0.995):
                 assert abs(t_cdf(dist, t_quantile(dist, q)) - q) < 1e-9
 
+    def test_deep_tail_round_trip(self):
+        # The CDF at the computed quantile must reproduce q to near machine
+        # precision even where q itself is tiny.
+        for dof in (0.5, 1.0, 3.0, 30.0, 1e4):
+            dist = StudentT(dof)
+            for q in (1e-10, 1e-6):
+                assert abs(t_cdf(dist, t_quantile(dist, q)) / q - 1.0) < 1e-12
+
     def test_large_dof_normal_limit(self):
         assert abs(t_quantile(StudentT(10_000.0), 0.975) - 1.95996) < 5e-3
         assert abs(
