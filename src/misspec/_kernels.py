@@ -1,10 +1,13 @@
-"""Hot Monte Carlo replication kernels with a numba/numpy backend switch.
+"""Monte Carlo replication kernels, batched across replications with numpy.
 
-The replication loops dominate the runtime of the coverage and pivotality
-experiments, so they are written once in scalar numpy style and compiled with
-``numba.njit`` when available.  Setting the environment variable
-``MISSPEC_NUMBA=0`` (or numba being missing) selects the interpreted fallback,
-which executes the identical source and produces bit-identical results.
+A kernel computes replications ``[rep_start, rep_stop)`` in blocks of at most
+``_BLOCK`` replications, so memory stays bounded whatever the rep count.
+Within a block every quantity is an array over replications, and every
+projection (X theta + eta, a_v'Y, Y'BY) is a loop over its coefficients with
+one vector operation per coefficient, accumulated in the order of a scalar
+loop over one replication.  No BLAS product is used, since it would reorder
+the sums; with the libm draws of ``_rng`` the results are bit-identical to
+the scalar reference kept in the tests.
 
 Per-replication draw order is fixed: theta components first (coverage only),
 then the misspecification vector; the t radial family draws its chi-square
@@ -13,8 +16,6 @@ mixing variable before the normal vector.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from misspec._rng import (
@@ -22,8 +23,7 @@ from misspec._rng import (
     next_exponential,
     next_normal,
     next_u01,
-    register_jitable,
-    stream_state,
+    stream_states,
 )
 
 ETA_NORMAL = 0
@@ -33,42 +33,66 @@ ETA_SHIFTED_EXPONENTIAL = 2
 THETA_GAUSSIAN = 0
 THETA_TABULATED = 1
 
-_ENV_FLAG = "MISSPEC_NUMBA"
+_BLOCK = 4096
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(_ENV_FLAG, "1").strip().lower() not in ("0", "false", "off")
+def backend() -> str:
+    """Kernel implementation in use (there is one)."""
+    return "numpy"
 
 
-@register_jitable
-def _draw_eta(state, eta_code, nu_tilde, eta_mix, work):
-    """Draw eta into ``work[k:2k]`` (using ``work[:k]`` as scratch).
+def _blocks(seed, rep_start, rep_stop):
+    """(offset from rep_start, stream states) per block of replications."""
+    for lo in range(rep_start, rep_stop, _BLOCK):
+        yield lo - rep_start, stream_states(seed, lo, min(lo + _BLOCK, rep_stop))
+
+
+def _dot(coef, rows):
+    """sum_i coef[i] * rows[i], accumulated in index order from 0.0."""
+    acc = np.zeros(rows[0].shape)
+    for c, row in zip(coef, rows):
+        acc += c * row
+    return acc
+
+
+def _quad_form(b_mat, y):
+    """y'B y per replication: sum_i y_i * (sum_j B_ij y_j)."""
+    return _dot(y, [_dot(row, y) for row in b_mat])
+
+
+def _draw_eta(state, eta_code, nu_tilde, eta_mix):
+    """eta per replication, shape (k, n).
 
     eta = eta_mix z (scaled) for the elliptical families; the shifted
-    exponential control writes independent asymmetric coordinates directly.
+    exponential control draws independent asymmetric coordinates directly.
     """
     k = eta_mix.shape[0]
     if eta_code == ETA_SHIFTED_EXPONENTIAL:
-        for i in range(k):
-            e, state = next_exponential(state)
-            work[i + k] = e - 1.0
-        return state
+        return np.array([next_exponential(state) - 1.0 for _ in range(k)])
     scale = 1.0
     if eta_code == ETA_STUDENT_T:
-        w, state = next_chisquare(state, nu_tilde)
-        scale = np.sqrt(nu_tilde / w)
-    for i in range(k):
-        z, state = next_normal(state)
-        work[i] = z
-    for i in range(k):
-        acc = 0.0
-        for j in range(k):
-            acc += eta_mix[i, j] * work[j]
-        work[i + k] = acc * scale
-    return state
+        scale = np.sqrt(nu_tilde / next_chisquare(state, nu_tilde))
+    z = [next_normal(state) for _ in range(k)]
+    return np.array([_dot(row, z) * scale for row in eta_mix])
 
 
-def _coverage_hits(
+def _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf):
+    """theta per replication, shape (p, n)."""
+    if theta_code == THETA_GAUSSIAN:
+        return np.array([m + s * next_normal(state) for m, s in zip(theta_mean, theta_sd)])
+    u = next_u01(state)
+    idx = np.searchsorted(tab_cdf, u)
+    inner = np.clip(idx, 1, tab_cdf.shape[0] - 1)
+    lo, hi = tab_cdf[inner - 1], tab_cdf[inner]
+    frac = np.zeros(u.shape)
+    np.divide(u - lo, hi - lo, out=frac, where=hi > lo)
+    theta = tab_grid[inner - 1] + frac * (tab_grid[inner] - tab_grid[inner - 1])
+    theta[idx <= 0] = tab_grid[0]
+    theta[idx >= tab_cdf.shape[0]] = tab_grid[-1]
+    return theta[None, :]
+
+
+def coverage_hits(
     seed,
     rep_start,
     rep_stop,
@@ -87,7 +111,7 @@ def _coverage_hits(
     sigma_v,
     tstar,
     km_p,
-):
+) -> int:
     """Count replications whose interval covers v'theta.
 
     Per replication: draw theta from its prior and eta from the radial prior,
@@ -95,56 +119,21 @@ def _coverage_hits(
     J-scaled half-width.  v'theta_W = a_v'Y and J = Y'B Y for precomputed
     projection matrices.
     """
-    k = x_mat.shape[0]
-    p = x_mat.shape[1]
-    theta = np.empty(p)
-    work = np.empty(2 * k)
     hits = 0
-    for rep in range(rep_start, rep_stop):
-        state = stream_state(seed, rep)
-        if theta_code == THETA_GAUSSIAN:
-            for j in range(p):
-                z, state = next_normal(state)
-                theta[j] = theta_mean[j] + theta_sd[j] * z
-        else:
-            u, state = next_u01(state)
-            idx = np.searchsorted(tab_cdf, u)
-            if idx <= 0:
-                theta[0] = tab_grid[0]
-            elif idx >= tab_cdf.shape[0]:
-                theta[0] = tab_grid[-1]
-            else:
-                lo, hi = tab_cdf[idx - 1], tab_cdf[idx]
-                frac = 0.0 if hi <= lo else (u - lo) / (hi - lo)
-                theta[0] = tab_grid[idx - 1] + frac * (tab_grid[idx] - tab_grid[idx - 1])
-        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work)
-        # y = X theta + eta, stored in the first half of the work buffer
-        for i in range(k):
-            acc = work[i + k]
-            for j in range(p):
-                acc += x_mat[i, j] * theta[j]
-            work[i] = acc
-        num = 0.0
-        for i in range(k):
-            num += a_v[i] * work[i]
-        jstat = 0.0
-        for i in range(k):
-            acc = 0.0
-            for j in range(k):
-                acc += b_mat[i, j] * work[j]
-            jstat += work[i] * acc
-        if jstat < 0.0:
-            jstat = 0.0
-        target = 0.0
-        for j in range(p):
-            target += v[j] * theta[j]
+    for _, state in _blocks(seed, rep_start, rep_stop):
+        theta = _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf)
+        y = _draw_eta(state, eta_code, nu_tilde, eta_mix)
+        for i, row in enumerate(x_mat):
+            for c, theta_j in zip(row, theta):
+                y[i] += c * theta_j
+        jstat = _quad_form(b_mat, y)
+        jstat[jstat < 0.0] = 0.0
         hw = tstar * np.sqrt(jstat / km_p) * sigma_v
-        if abs(num - target) <= hw:
-            hits += 1
+        hits += int(np.count_nonzero(np.abs(_dot(a_v, y) - _dot(v, theta)) <= hw))
     return hits
 
 
-def _pivot_tstats(
+def pivot_tstats(
     seed,
     rep_start,
     rep_stop,
@@ -155,70 +144,17 @@ def _pivot_tstats(
     b_mat,
     sigma_v,
     km_p,
-):
+) -> np.ndarray:
     """Pivotal t statistics per replication; theta-free by construction.
 
     With Y = X theta + eta the statistic reduces to a_v'eta over the
     studentizer built from eta'B eta, so only eta is drawn.
     """
-    k = b_mat.shape[0]
     out = np.empty(rep_stop - rep_start)
-    work = np.empty(2 * k)
-    for rep in range(rep_start, rep_stop):
-        state = stream_state(seed, rep)
-        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work)
-        num = 0.0
-        for i in range(k):
-            num += a_v[i] * work[i + k]
-        jstat = 0.0
-        for i in range(k):
-            acc = 0.0
-            for j in range(k):
-                acc += b_mat[i, j] * work[j + k]
-            jstat += work[i + k] * acc
-        out[rep - rep_start] = num / np.sqrt(jstat / km_p * sigma_v * sigma_v)
+    for offset, state in _blocks(seed, rep_start, rep_stop):
+        eta = _draw_eta(state, eta_code, nu_tilde, eta_mix)
+        jstat = _quad_form(b_mat, eta)
+        out[offset : offset + state.size] = _dot(a_v, eta) / np.sqrt(
+            jstat / km_p * sigma_v * sigma_v
+        )
     return out
-
-
-_PY_IMPLS = {
-    "coverage_hits": _coverage_hits,
-    "pivot_tstats": _pivot_tstats,
-}
-
-_JIT_IMPLS: dict = {}
-NUMBA_AVAILABLE = False
-if _numba_requested():
-    try:
-        import numba
-
-        _JIT_IMPLS = {
-            name: numba.njit(cache=True)(impl) for name, impl in _PY_IMPLS.items()
-        }
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        _JIT_IMPLS = {}
-        NUMBA_AVAILABLE = False
-
-
-def backend() -> str:
-    """Active kernel backend: 'numba' or 'numpy'."""
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-def _call(name: str, *args, force_backend: str | None = None):
-    use = force_backend or backend()
-    if use == "numba":
-        if not _JIT_IMPLS:
-            raise RuntimeError("numba backend requested but not available")
-        return _JIT_IMPLS[name](*args)
-    # Interpreted uint64 scalar arithmetic wraps as intended but warns.
-    with np.errstate(over="ignore"):
-        return _PY_IMPLS[name](*args)
-
-
-def coverage_hits(*args, force_backend: str | None = None) -> int:
-    return int(_call("coverage_hits", *args, force_backend=force_backend))
-
-
-def pivot_tstats(*args, force_backend: str | None = None) -> np.ndarray:
-    return _call("pivot_tstats", *args, force_backend=force_backend)

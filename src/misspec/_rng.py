@@ -1,13 +1,19 @@
-"""Counter-based random streams for reproducible, order-independent replication.
+"""Counter-based random streams, batched across replications.
 
 Each Monte Carlo replication owns a splitmix64 stream whose initial state is a
 64-bit hash mix of (master seed, replication index), so results do not depend
-on how replications are scheduled across workers.  All helpers are plain
-scalar code decorated with ``register_jitable``: they run interpreted under
-the numpy backend and compile inside the jitted kernels under numba.
+on how replications are split into blocks or workers.  A block of
+replications is a ``uint64`` state array (numpy array arithmetic wraps
+silently).  Every draw takes the state array and a selection of it (all of
+it, a boolean mask or an index array), advances the selected states in place
+and returns one value per selected replication.  Rejection samplers retry
+only the replications that rejected, so each replication consumes exactly
+the draws it would if its stream were run on its own.
 
-uint64 arithmetic relies on wraparound; the interpreted path must run inside
-``np.errstate(over='ignore')`` (the kernel dispatcher does this).
+The draws are bit-identical to evaluating one stream at a time with Python
+floats: ``log`` and ``cos`` come from libm through ``math`` (numpy's SIMD
+loops may differ from libm in the last ulp), and every expression keeps the
+scalar evaluation order.
 """
 
 from __future__ import annotations
@@ -15,14 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-try:
-    from numba.extending import register_jitable
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    def register_jitable(func=None, **kwargs):
-        if func is None:
-            return lambda f: f
-        return func
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -32,71 +30,83 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _U53 = 0.5**53
+_TWO_PI = 2.0 * math.pi
+
+_ALL = slice(None)
 
 
-@register_jitable
-def mix64(z):
+def _libm(fn):
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+
+    return apply
+
+
+_log = _libm(math.log)
+_cos = _libm(math.cos)
+
+
+def mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _S30)) * _MIX1
     z = (z ^ (z >> _S27)) * _MIX2
     return z ^ (z >> _S31)
 
 
-@register_jitable
-def stream_state(seed, rep):
-    """Initial stream state for replication ``rep`` under ``seed``."""
-    h = mix64(np.uint64(seed) + _GOLDEN)
-    return mix64(h ^ (np.uint64(rep) * _MIX2 + _GOLDEN))
+def stream_states(seed: int, rep_start: int, rep_stop: int) -> np.ndarray:
+    """Initial stream states of replications ``[rep_start, rep_stop)``."""
+    h = mix64(np.array([seed], dtype=np.uint64) + _GOLDEN)
+    reps = np.arange(rep_start, rep_stop, dtype=np.uint64)
+    return mix64(h ^ (reps * _MIX2 + _GOLDEN))
 
 
-@register_jitable
-def next_u01(state):
-    """Uniform draw in (0, 1] (top 53 bits), plus advanced state."""
-    state = state + _GOLDEN
-    u = (float(mix64(state) >> _S11) + 1.0) * _U53
-    return u, state
+def next_u01(state: np.ndarray, sel=_ALL) -> np.ndarray:
+    """Uniform draws in (0, 1] (top 53 bits)."""
+    s = state[sel] + _GOLDEN
+    state[sel] = s
+    return ((mix64(s) >> _S11).astype(np.float64) + 1.0) * _U53
 
 
-@register_jitable
-def next_normal(state):
-    """Standard normal draw via Box-Muller (two uniforms per draw)."""
-    u1, state = next_u01(state)
-    u2, state = next_u01(state)
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2), state
+def next_normal(state: np.ndarray, sel=_ALL) -> np.ndarray:
+    """Standard normal draws via Box-Muller (two uniforms per draw)."""
+    u1 = next_u01(state, sel)
+    u2 = next_u01(state, sel)
+    return np.sqrt(-2.0 * _log(u1)) * _cos(_TWO_PI * u2)
 
 
-@register_jitable
-def next_exponential(state):
-    """Unit-rate exponential draw."""
-    u, state = next_u01(state)
-    return -math.log(u), state
+def next_exponential(state: np.ndarray, sel=_ALL) -> np.ndarray:
+    """Unit-rate exponential draws."""
+    return -_log(next_u01(state, sel))
 
 
-@register_jitable
-def next_gamma(state, shape):
-    """Gamma(shape, 1) draw by Marsaglia-Tsang squeeze, boosted for shape < 1."""
-    boost = 1.0
+def next_gamma(state: np.ndarray, shape: float, sel=_ALL) -> np.ndarray:
+    """Gamma(shape, 1) draws by Marsaglia-Tsang squeeze, boosted for shape < 1."""
+    idx = np.arange(state.size)[sel]
+    boost = np.ones(idx.size)
     a = shape
     if a < 1.0:
-        u, state = next_u01(state)
-        boost = u ** (1.0 / a)
+        inv = 1.0 / a
+        boost = np.array([u**inv for u in next_u01(state, idx).tolist()])
         a = a + 1.0
     d = a - 1.0 / 3.0
     cc = 1.0 / math.sqrt(9.0 * d)
-    while True:
-        x, state = next_normal(state)
+    out = np.empty(idx.size)
+    pending = np.arange(idx.size)
+    while pending.size:
+        x = next_normal(state, idx[pending])
         t = 1.0 + cc * x
-        if t <= 0.0:
-            continue
+        drew = t > 0.0
+        retry = pending[~drew]
+        pending, x, t = pending[drew], x[drew], t[drew]
         v = t * t * t
-        u, state = next_u01(state)
+        u = next_u01(state, idx[pending])
         x2 = x * x
-        if u < 1.0 - 0.0331 * x2 * x2:
-            return boost * d * v, state
-        if math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
-            return boost * d * v, state
+        done = u < 1.0 - 0.0331 * x2 * x2
+        slow = np.flatnonzero(~done)
+        done[slow] = _log(u[slow]) < 0.5 * x2[slow] + d * (1.0 - v[slow] + _log(v[slow]))
+        out[pending[done]] = boost[pending[done]] * d * v[done]
+        pending = np.concatenate([retry, pending[~done]])
+    return out
 
 
-@register_jitable
-def next_chisquare(state, dof):
-    g, state = next_gamma(state, 0.5 * dof)
-    return 2.0 * g, state
+def next_chisquare(state: np.ndarray, dof: float, sel=_ALL) -> np.ndarray:
+    return 2.0 * next_gamma(state, 0.5 * dof, sel)

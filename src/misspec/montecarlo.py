@@ -2,8 +2,8 @@
 
 Replications use counter-based per-replication random streams (a 64-bit hash
 mix of the master seed and the replication index), so hit counts are identical
-whether the replication range is executed in one pass or split across chunks
-or workers; the reduction is a plain order-independent sum.
+however the replication range is split into blocks or workers; the reduction
+is a plain order-independent sum.
 """
 
 from __future__ import annotations
@@ -156,10 +156,11 @@ def _theta_kernel_args(theta_prior: ThetaPrior, p: int):
     )
 
 
-def _chunk_ranges(reps: int, chunk_size: int | None):
-    if chunk_size is None or chunk_size >= reps:
-        return [(0, reps)]
-    return [(lo, min(lo + chunk_size, reps)) for lo in range(0, reps, chunk_size)]
+def _check_run(reps, seed) -> None:
+    if reps < 1:
+        raise InputError(f"reps must be positive, got {reps}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def run_coverage(
@@ -170,7 +171,6 @@ def run_coverage(
     cfg: InferenceConfig,
     reps: int = 20_000,
     seed: int = 0,
-    chunk_size: int | None = None,
 ) -> CoverageResult:
     """Estimate the ex-ante coverage of the J-scaled interval for v'theta.
 
@@ -180,8 +180,7 @@ def run_coverage(
     (and any proper theta prior) the expected coverage equals the nominal
     level exactly; the Monte Carlo estimate carries binomial noise.
     """
-    if reps < 1:
-        raise InputError(f"reps must be positive, got {reps}")
+    _check_run(reps, seed)
     if reps < 100:
         warnings.warn(f"coverage estimate from only {reps} replications", stacklevel=2)
     fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
@@ -189,28 +188,26 @@ def run_coverage(
     mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
     theta_code, mean, sd, tab_grid, tab_cdf = _theta_kernel_args(theta_prior, p)
     tstar = t_quantile(StudentT(k - p), 0.5 * (1.0 + cfg.level))
-    hits = 0
-    for lo, hi in _chunk_ranges(reps, chunk_size):
-        hits += _kernels.coverage_hits(
-            seed,
-            lo,
-            hi,
-            fixture.X,
-            mix,
-            eta_code,
-            nu,
-            theta_code,
-            mean,
-            sd,
-            tab_grid,
-            tab_cdf,
-            a_v,
-            b,
-            cfg.v,
-            sv,
-            tstar,
-            float(k - p),
-        )
+    hits = _kernels.coverage_hits(
+        seed,
+        0,
+        reps,
+        fixture.X,
+        mix,
+        eta_code,
+        nu,
+        theta_code,
+        mean,
+        sd,
+        tab_grid,
+        tab_cdf,
+        a_v,
+        b,
+        cfg.v,
+        sv,
+        tstar,
+        float(k - p),
+    )
     coverage = hits / reps
     config = {
         "k": k,
@@ -258,8 +255,7 @@ def run_pivotality(
     shifted-exponential coordinates, which breaks rotation invariance and
     should push the KS distance above its critical value.
     """
-    if reps < 1:
-        raise InputError(f"reps must be positive, got {reps}")
+    _check_run(reps, seed)
     fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
     k, p = fixture.k, fixture.p
     if negative_control:

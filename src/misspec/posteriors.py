@@ -335,13 +335,25 @@ def _default_halfwidths(model: ModelInstance, prior) -> np.ndarray:
     return np.full(model.p, max(hw, floor))
 
 
+# The CLI's default p=2 grid is the largest allowed: a grid of N points
+# builds an (N, k) eta array before anything is evaluated.
+_MAX_GRID_POINTS = 2001**2
+
+
+def _check_grid_size(n_points: list[int]) -> None:
+    if math.prod(n_points) > _MAX_GRID_POINTS:
+        raise GridError(f"grid of {n_points} points exceeds {_MAX_GRID_POINTS} points in total")
+
+
 def _resolve_axes(
     model: ModelInstance, prior, spec: GridSpec, theta_w: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     if spec.axes is not None:
         if len(spec.axes) != model.p:
             raise GridError(f"need {model.p} axes, got {len(spec.axes)}")
-        return tuple(_validate_axis(a, f"axis {i}") for i, a in enumerate(spec.axes))
+        axes = tuple(_validate_axis(a, f"axis {i}") for i, a in enumerate(spec.axes))
+        _check_grid_size([a.size for a in axes])
+        return axes
     if spec.bounds is not None:
         bounds = [(float(lo), float(hi)) for lo, hi in spec.bounds]
         if len(bounds) != model.p:
@@ -357,6 +369,7 @@ def _resolve_axes(
         n_points = [int(n) for n in spec.points]
     if len(n_points) != model.p or any(n < 2 for n in n_points):
         raise GridError(f"bad grid point counts {n_points}")
+    _check_grid_size(n_points)
     axes = []
     for (lo, hi), n in zip(bounds, n_points):
         if not (hi > lo):

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
 
 from misspec import _linalg
 from misspec.errors import (
@@ -303,6 +302,8 @@ def _log_tail_integral(prior: ScaledPrior, cut: float) -> float:
 
     def integrand(t: float) -> float:
         return math.exp(log_integrand(t) - offset)
+
+    import scipy.integrate  # slow to import, and only the tail quadrature uses it
 
     total = 0.0
     err_sum = 0.0

@@ -4,6 +4,10 @@ Everything here deliberately avoids the code paths under test: CDFs come from
 adaptive quadrature of density formulas, quantiles from root-bracketing on
 those quadrature CDFs, and normalizers from radial integrals.  Expected
 values frozen in the tests were produced by these routines.
+
+The scalar Monte Carlo reference at the end of the file evaluates the
+counter-based streams and the replication loops one replication and one
+coefficient at a time; the batched kernels must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -91,3 +95,203 @@ def random_model_arrays(rng: np.random.Generator, k: int, p: int):
     y = rng.standard_normal(k) * 2.0
     w = random_spd(rng, k)
     return y, x, w
+
+
+# --- Scalar Monte Carlo reference -------------------------------------------
+#
+# One splitmix64 stream per replication, hashed from (seed, rep), evaluated
+# with numpy uint64 scalars (whose wraparound warns, hence the errstate in the
+# public entry points) and libm through ``math``.  Draw order per
+# replication: theta components (coverage only), then eta; the t family draws
+# its chi-square mixing variable before the normal vector.
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S30 = np.uint64(30)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
+_S11 = np.uint64(11)
+_U53 = 0.5**53
+
+ETA_NORMAL, ETA_STUDENT_T, ETA_SHIFTED_EXPONENTIAL = 0, 1, 2
+THETA_GAUSSIAN = 0
+
+
+def mix64(z):
+    z = (z ^ (z >> _S30)) * _MIX1
+    z = (z ^ (z >> _S27)) * _MIX2
+    return z ^ (z >> _S31)
+
+
+def stream_state(seed, rep):
+    """Initial stream state for replication ``rep`` under ``seed``."""
+    h = mix64(np.uint64(seed) + _GOLDEN)
+    return mix64(h ^ (np.uint64(rep) * _MIX2 + _GOLDEN))
+
+
+def next_u01(state):
+    """Uniform draw in (0, 1] (top 53 bits), plus advanced state."""
+    state = state + _GOLDEN
+    u = (float(mix64(state) >> _S11) + 1.0) * _U53
+    return u, state
+
+
+def next_normal(state):
+    """Standard normal draw via Box-Muller (two uniforms per draw)."""
+    u1, state = next_u01(state)
+    u2, state = next_u01(state)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2), state
+
+
+def next_exponential(state):
+    """Unit-rate exponential draw."""
+    u, state = next_u01(state)
+    return -math.log(u), state
+
+
+def next_gamma(state, shape):
+    """Gamma(shape, 1) draw by Marsaglia-Tsang squeeze, boosted for shape < 1."""
+    boost = 1.0
+    a = shape
+    if a < 1.0:
+        u, state = next_u01(state)
+        boost = u ** (1.0 / a)
+        a = a + 1.0
+    d = a - 1.0 / 3.0
+    cc = 1.0 / math.sqrt(9.0 * d)
+    while True:
+        x, state = next_normal(state)
+        t = 1.0 + cc * x
+        if t <= 0.0:
+            continue
+        v = t * t * t
+        u, state = next_u01(state)
+        x2 = x * x
+        if u < 1.0 - 0.0331 * x2 * x2:
+            return boost * d * v, state
+        if math.log(u) < 0.5 * x2 + d * (1.0 - v + math.log(v)):
+            return boost * d * v, state
+
+
+def next_chisquare(state, dof):
+    g, state = next_gamma(state, 0.5 * dof)
+    return 2.0 * g, state
+
+
+def scalar_draws(draw, seed, rep_start, rep_stop, count=1, **kwargs):
+    """``count`` successive draws per replication, shape (count, reps)."""
+    out = np.empty((count, rep_stop - rep_start))
+    with np.errstate(over="ignore"):
+        for rep in range(rep_start, rep_stop):
+            state = stream_state(seed, rep)
+            for i in range(count):
+                out[i, rep - rep_start], state = draw(state, **kwargs)
+    return out
+
+
+def _draw_eta(state, eta_code, nu_tilde, eta_mix, work):
+    """Draw eta into ``work[k:2k]`` (using ``work[:k]`` as scratch)."""
+    k = eta_mix.shape[0]
+    if eta_code == ETA_SHIFTED_EXPONENTIAL:
+        for i in range(k):
+            e, state = next_exponential(state)
+            work[i + k] = e - 1.0
+        return state
+    scale = 1.0
+    if eta_code == ETA_STUDENT_T:
+        w, state = next_chisquare(state, nu_tilde)
+        scale = np.sqrt(nu_tilde / w)
+    for i in range(k):
+        z, state = next_normal(state)
+        work[i] = z
+    for i in range(k):
+        acc = 0.0
+        for j in range(k):
+            acc += eta_mix[i, j] * work[j]
+        work[i + k] = acc * scale
+    return state
+
+
+def _coverage_hits(
+    seed, rep_start, rep_stop, x_mat, eta_mix, eta_code, nu_tilde, theta_code,
+    theta_mean, theta_sd, tab_grid, tab_cdf, a_v, b_mat, v, sigma_v, tstar, km_p,
+):
+    k = x_mat.shape[0]
+    p = x_mat.shape[1]
+    theta = np.empty(p)
+    work = np.empty(2 * k)
+    hits = 0
+    for rep in range(rep_start, rep_stop):
+        state = stream_state(seed, rep)
+        if theta_code == THETA_GAUSSIAN:
+            for j in range(p):
+                z, state = next_normal(state)
+                theta[j] = theta_mean[j] + theta_sd[j] * z
+        else:
+            u, state = next_u01(state)
+            idx = np.searchsorted(tab_cdf, u)
+            if idx <= 0:
+                theta[0] = tab_grid[0]
+            elif idx >= tab_cdf.shape[0]:
+                theta[0] = tab_grid[-1]
+            else:
+                lo, hi = tab_cdf[idx - 1], tab_cdf[idx]
+                frac = 0.0 if hi <= lo else (u - lo) / (hi - lo)
+                theta[0] = tab_grid[idx - 1] + frac * (tab_grid[idx] - tab_grid[idx - 1])
+        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work)
+        for i in range(k):
+            acc = work[i + k]
+            for j in range(p):
+                acc += x_mat[i, j] * theta[j]
+            work[i] = acc
+        num = 0.0
+        for i in range(k):
+            num += a_v[i] * work[i]
+        jstat = 0.0
+        for i in range(k):
+            acc = 0.0
+            for j in range(k):
+                acc += b_mat[i, j] * work[j]
+            jstat += work[i] * acc
+        if jstat < 0.0:
+            jstat = 0.0
+        target = 0.0
+        for j in range(p):
+            target += v[j] * theta[j]
+        hw = tstar * np.sqrt(jstat / km_p) * sigma_v
+        if abs(num - target) <= hw:
+            hits += 1
+    return hits
+
+
+def _pivot_tstats(seed, rep_start, rep_stop, eta_mix, eta_code, nu_tilde, a_v, b_mat, sigma_v, km_p):
+    k = b_mat.shape[0]
+    out = np.empty(rep_stop - rep_start)
+    work = np.empty(2 * k)
+    for rep in range(rep_start, rep_stop):
+        state = stream_state(seed, rep)
+        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work)
+        num = 0.0
+        for i in range(k):
+            num += a_v[i] * work[i + k]
+        jstat = 0.0
+        for i in range(k):
+            acc = 0.0
+            for j in range(k):
+                acc += b_mat[i, j] * work[j + k]
+            jstat += work[i + k] * acc
+        out[rep - rep_start] = num / np.sqrt(jstat / km_p * sigma_v * sigma_v)
+    return out
+
+
+def scalar_coverage_hits(*args):
+    """Reference for ``_kernels.coverage_hits`` (same positional arguments)."""
+    with np.errstate(over="ignore"):
+        return _coverage_hits(*args)
+
+
+def scalar_pivot_tstats(*args):
+    """Reference for ``_kernels.pivot_tstats`` (same positional arguments)."""
+    with np.errstate(over="ignore"):
+        return _pivot_tstats(*args)

@@ -139,6 +139,23 @@ class TestPivot:
         assert ctrl["ks"] > ctrl["threshold_1pct"]
 
 
+class TestSeedRange:
+    @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_one_json_line(self, cmd, seed, capsys):
+        code, out, err = _run([cmd, "--reps", "200", "--seed", str(seed)], capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["code"] == 1 and "seed" in payload["message"]
+
+    @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
+    def test_largest_seed_runs(self, cmd, capsys):
+        code, out, err = _run([cmd, "--reps", "200", "--seed", str(2**64 - 1)], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["seed"] == 2**64 - 1
+
+
 class TestSweepCommands:
     def test_concentration_csv(self, canon_file, capsys):
         code, out, _ = _run(
@@ -257,3 +274,15 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("a,tau,c,ratio")
+
+
+def test_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(misspec.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, misspec; print('scipy.integrate' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

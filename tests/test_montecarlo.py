@@ -9,6 +9,9 @@ from misspec.montecarlo import (
     DEFAULT_COVERAGE_X,
     DEFAULT_PIVOT_X,
     SweepTrace,
+    _coverage_pieces,
+    _eta_kernel_args,
+    _theta_kernel_args,
     ks_statistic,
     run_concentration,
     run_contamination,
@@ -23,6 +26,8 @@ from misspec.priors import (
     ScaledPrior,
     StudentTRadial,
 )
+from misspec.special import StudentT, t_quantile
+from oracles import random_model_arrays, scalar_coverage_hits, scalar_pivot_tstats
 
 W5 = np.eye(5)
 CFG = InferenceConfig(v=[1.0, 0.0], level=0.95)
@@ -42,13 +47,17 @@ class TestCoverage:
         assert_allclose(a.std_err, np.sqrt(a.coverage * (1 - a.coverage) / a.reps))
 
     def test_chunk_schedule_independence(self):
-        full = run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=4000, seed=11)
-        for chunk in (1, 7, 333, 4000):
-            split = run_coverage(
-                DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG,
-                reps=4000, seed=11, chunk_size=chunk,
-            )
-            assert split.hits == full.hits
+        # Counter-based streams: any split of the replication range gives the
+        # same per-replication results, so hits sum and t statistics concatenate.
+        args = _coverage_args(DEFAULT_COVERAGE_X, W5, CFG, GAUSS_PRIOR, _normal_prior())
+        full = _kernels.coverage_hits(11, 0, 4000, *args)
+        piv = _pivot_args(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4))
+        full_t = _kernels.pivot_tstats(11, 0, 4000, *piv)
+        for cuts in ((0, 4000), (0, 1, 8, 341, 4000), (0, 2999, 3000, 4000)):
+            ranges = list(zip(cuts, cuts[1:]))
+            assert sum(_kernels.coverage_hits(11, lo, hi, *args) for lo, hi in ranges) == full
+            split_t = np.concatenate([_kernels.pivot_tstats(11, lo, hi, *piv) for lo, hi in ranges])
+            assert np.array_equal(split_t, full_t)
 
     def test_seed_changes_draws(self):
         a = run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=2000, seed=1)
@@ -93,6 +102,14 @@ class TestCoverage:
             run_coverage(np.eye(2), np.eye(2), ThetaPrior.gaussian([0.0, 0.0], 1.0),
                          _normal_prior(k=2), InferenceConfig(v=[1.0, 0.0]), reps=200, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "3"])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=200, seed=seed)
+        with pytest.raises(InputError, match="seed"):
+            run_pivotality(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4),
+                           InferenceConfig(v=[1.0]), reps=200, seed=seed)
+
     def test_small_reps_warns(self):
         with pytest.warns(UserWarning, match="replications"):
             run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=50, seed=0)
@@ -108,35 +125,84 @@ class TestCoverage:
             assert abs(res.coverage - level) <= 3.0 * se
 
 
-class TestBackends:
-    @pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba backend unavailable")
-    def test_coverage_backends_bit_identical(self):
-        from misspec.montecarlo import _coverage_pieces
+def _dense_fixture():
+    """k=12, p=3 fixture with a dense SPD weighting matrix."""
+    rng = np.random.default_rng(12)
+    _, x, w = random_model_arrays(rng, 12, 3)
+    return x, w, InferenceConfig(v=rng.standard_normal(3), level=0.95)
 
-        fixture, a_v, b, sv = _coverage_pieces(DEFAULT_COVERAGE_X, W5, CFG.v)
-        mix = fixture.w_inv_root
-        args = (
-            99, 0, 400, fixture.X, mix, _kernels.ETA_NORMAL, 0.0,
-            _kernels.THETA_GAUSSIAN, np.zeros(2), np.full(2, 10.0),
-            np.empty(0), np.empty(0), a_v, b, CFG.v, sv, 3.18, 3.0,
-        )
-        jit = _kernels.coverage_hits(*args, force_backend="numba")
-        py = _kernels.coverage_hits(*args, force_backend="numpy")
-        assert jit == py
 
-    @pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba backend unavailable")
-    def test_pivot_backends_bit_identical(self):
-        from misspec.montecarlo import _coverage_pieces
+def _coverage_args(x, w, cfg, theta_prior, eta_prior):
+    """coverage_hits arguments after (seed, rep_start, rep_stop)."""
+    fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
+    k, p = fixture.k, fixture.p
+    mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
+    tstar = t_quantile(StudentT(k - p), 0.5 * (1.0 + cfg.level))
+    return (fixture.X, mix, eta_code, nu, *_theta_kernel_args(theta_prior, p),
+            a_v, b, cfg.v, sv, tstar, float(k - p))
 
-        fixture, a_v, b, sv = _coverage_pieces(DEFAULT_PIVOT_X, np.eye(4), [1.0])
-        mix = fixture.w_inv_root
-        for code, nu in ((_kernels.ETA_NORMAL, 0.0), (_kernels.ETA_STUDENT_T, 3.0),
-                         (_kernels.ETA_SHIFTED_EXPONENTIAL, 0.0)):
-            jit = _kernels.pivot_tstats(5, 0, 300, mix, code, nu, a_v, b, sv, 3.0,
-                                        force_backend="numba")
-            py = _kernels.pivot_tstats(5, 0, 300, mix, code, nu, a_v, b, sv, 3.0,
-                                       force_backend="numpy")
-            assert np.array_equal(jit, py)
+
+def _pivot_args(x, w, eta_prior, control=False):
+    """pivot_tstats arguments after (seed, rep_start, rep_stop)."""
+    fixture, a_v, b, sv = _coverage_pieces(x, w, np.eye(x.shape[1])[0])
+    if control:
+        mix, eta_code, nu = np.eye(fixture.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
+    else:
+        mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
+    return mix, eta_code, nu, a_v, b, sv, float(fixture.k - fixture.p)
+
+
+# t:1 has chi-square shape 1/2 < 1, the boosted branch of the gamma sampler.
+FAMILIES = {"normal": NormalRadial(), "t:3": StudentTRadial(3.0), "t:1": StudentTRadial(1.0)}
+
+
+class TestKernelOracle:
+    """The batched kernels equal the scalar reference in ``oracles`` exactly."""
+
+    @pytest.mark.parametrize("family", [*FAMILIES, "control"])
+    @pytest.mark.parametrize("fixture", ["k4", "k12"])
+    def test_pivot_tstats(self, family, fixture):
+        if fixture == "k4":
+            x, w, reps = DEFAULT_PIVOT_X, np.eye(4), 400
+        else:
+            (x, w, _), reps = _dense_fixture(), 150
+        prior = ScaledPrior(family=FAMILIES.get(family, NormalRadial()), c=2.0, W=w)
+        args = (5, 0, reps, *_pivot_args(x, w, prior, control=family == "control"))
+        assert np.array_equal(_kernels.pivot_tstats(*args), scalar_pivot_tstats(*args))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("fixture", ["k5", "k12", "tabulated"])
+    def test_coverage_hits(self, family, fixture):
+        if fixture == "k5":
+            x, w, cfg, theta, reps = DEFAULT_COVERAGE_X, W5, CFG, GAUSS_PRIOR, 400
+        elif fixture == "k12":
+            x, w, cfg = _dense_fixture()
+            theta, reps = ThetaPrior.gaussian([0.5, -1.0, 2.0], [1.0, 3.0, 0.5]), 150
+        else:
+            x, w, cfg, reps = np.array([[1.0], [0.5], [-0.5]]), np.eye(3), InferenceConfig(v=[1.0]), 400
+            theta = ThetaPrior.tabulated(
+                lambda t: float(np.exp(-abs(float(np.atleast_1d(t)[0]) - 1.0))),
+                grid=np.linspace(-6.0, 6.0, 401),
+            )
+        eta = ScaledPrior(family=FAMILIES[family], c=0.5, W=w)
+        # A low level and a small prior scale keep hits well away from 0 and reps.
+        cfg = InferenceConfig(v=cfg.v, level=0.5)
+        args = (8, 0, reps, *_coverage_args(x, w, cfg, theta, eta))
+        hits = _kernels.coverage_hits(*args)
+        assert hits == scalar_coverage_hits(*args)
+        assert 0 < hits < reps
+
+    def test_rep_range_crossing_a_block(self):
+        lo, hi = _kernels._BLOCK - 150, _kernels._BLOCK + 150
+        cov = (3, lo, hi, *_coverage_args(DEFAULT_COVERAGE_X, W5, CFG, GAUSS_PRIOR,
+                                          ScaledPrior(StudentTRadial(3.0), 1.0, W5)))
+        assert _kernels.coverage_hits(*cov) == scalar_coverage_hits(*cov)
+        piv = (3, lo, hi, *_pivot_args(DEFAULT_PIVOT_X, np.eye(4),
+                                       ScaledPrior(StudentTRadial(1.0), 1.0, np.eye(4))))
+        assert np.array_equal(_kernels.pivot_tstats(*piv), scalar_pivot_tstats(*piv))
+
+    def test_backend_name(self):
+        assert _kernels.backend() == "numpy"
 
 
 class TestPivotality:
@@ -159,8 +225,6 @@ class TestPivotality:
 
     def test_ks_statistic_on_known_sample(self):
         # Uniform-quantile t draws give a tiny KS distance by construction.
-        from misspec.special import StudentT, t_quantile
-
         qs = (np.arange(1, 201) - 0.5) / 200
         samples = np.array([t_quantile(StudentT(3.0), q) for q in qs])
         assert ks_statistic(samples, 3.0) <= 0.5 / 200 + 1e-12

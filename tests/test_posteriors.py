@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from misspec.errors import (
     DegenerateLimitError,
+    GridError,
     InputError,
     NumericalError,
 )
@@ -193,6 +194,16 @@ class TestGridPosterior:
         assert_allclose(grid_mean, cf.center, atol=1e-6)
         assert_allclose(np.sum(post.weights), 1.0, atol=1e-10)
         assert np.max(np.abs(post.sd() - cf.marginal_sd())) < 1e-3
+
+    def test_total_grid_size_capped(self):
+        # Just above 2001**2 points, the CLI's default p=2 grid.
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        m = ModelInstance(Y=[1.0, 2.0, 2.0], X=x, W=np.eye(3))
+        prior = ScaledPrior(family=NormalRadial(), c=0.8, W=np.eye(3))
+        axes = [np.linspace(-5.0, 5.0, 2002), np.linspace(-5.0, 5.0, 2001)]
+        for spec in (GridSpec(points=(2002, 2001)), GridSpec(axes=axes)):
+            with pytest.raises(GridError, match="exceeds"):
+                grid_posterior(m, prior, None, spec)
 
     def test_p_too_large(self):
         x = np.eye(3)

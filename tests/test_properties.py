@@ -49,6 +49,16 @@ def test_ci_shifts_with_y_along_x(seed, shape, shift):
     assert_allclose(ci_moved.half_width(), ci.half_width(), rtol=1e-8)
 
 
+@given(seeds, shapes, st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+def test_j_invariant_to_y_along_x(seed, shape, shift):
+    # B = W - WX(X'WX)^{-1}X'W annihilates X, so J = Y'BY ignores Y -> Y + Xb.
+    m = _model(seed, shape)
+    b = np.asarray(shift[: m.p])
+    moved = ModelInstance(Y=m.Y + m.X @ b, X=m.X, W=m.W)
+    scale = (1.0 + np.abs(m.Y).sum() + np.abs(m.X @ b).sum()) ** 2
+    assert_allclose(pseudo_true(moved).j_stat, pseudo_true(m).j_stat, rtol=0, atol=1e-10 * scale)
+
+
 @given(seeds, shapes, st.floats(1e-3, 1e3), st.sampled_from([0.8, 0.9, 0.95, 0.99]))
 def test_ci_invariant_to_weight_scale(seed, shape, s, level):
     m = _model(seed, shape)

@@ -1,16 +1,13 @@
 import numpy as np
+import pytest
 import scipy.stats
 
+import oracles
 from misspec import _rng
 
 
 def _draws(fn, n, seed=123, **kwargs):
-    out = np.empty(n)
-    with np.errstate(over="ignore"):
-        for rep in range(n):
-            state = _rng.stream_state(seed, rep)
-            out[rep], _ = fn(state, **kwargs)
-    return out
+    return fn(_rng.stream_states(seed, 0, n), **kwargs)
 
 
 def _ks_pvalue_ok(samples, cdf):
@@ -47,17 +44,62 @@ def test_chisquare_distribution_all_shape_regimes():
 
 
 def test_streams_are_reproducible_and_distinct():
-    with np.errstate(over="ignore"):
-        s_a = _rng.stream_state(9, 4)
-        s_b = _rng.stream_state(9, 4)
-        assert s_a == s_b
-        states = {int(_rng.stream_state(seed, rep)) for seed in range(50) for rep in range(50)}
+    assert np.array_equal(_rng.stream_states(9, 4, 5), _rng.stream_states(9, 0, 10)[4:5])
+    states = {int(s) for seed in range(50) for s in _rng.stream_states(seed, 0, 50)}
     assert len(states) == 2500
 
 
 def test_draws_advance_the_state():
+    state = _rng.stream_states(1, 0, 1)
+    start = state.copy()
+    u1 = _rng.next_u01(state)
+    u2 = _rng.next_u01(state)
+    assert state[0] != start[0]
+    assert u1[0] != u2[0]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+def test_stream_states_equal_scalar(seed):
     with np.errstate(over="ignore"):
-        state = _rng.stream_state(1, 0)
-        u1, state1 = _rng.next_u01(state)
-        u2, _ = _rng.next_u01(state1)
-    assert u1 != u2
+        expected = [oracles.stream_state(seed, rep) for rep in [*range(1000, 1200), 2**40 + 3]]
+    got = np.concatenate([_rng.stream_states(seed, 1000, 1200), _rng.stream_states(seed, 2**40 + 3, 2**40 + 4)])
+    assert np.array_equal(got, np.array(expected, dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("next_u01", {}),
+        ("next_normal", {}),
+        ("next_exponential", {}),
+        ("next_gamma", {"shape": 0.35}),
+        ("next_gamma", {"shape": 1.0}),
+        ("next_gamma", {"shape": 4.5}),
+        ("next_chisquare", {"dof": 0.7}),
+        ("next_chisquare", {"dof": 3.0}),
+    ],
+)
+def test_draws_equal_scalar(name, kwargs):
+    # Three successive draws per replication, so the states after a draw
+    # (including rejection retries) are compared too.
+    n = 3000
+    state = _rng.stream_states(42, 0, n)
+    got = np.array([getattr(_rng, name)(state, **kwargs) for _ in range(3)])
+    expected = oracles.scalar_draws(getattr(oracles, name), 42, 0, n, count=3, **kwargs)
+    assert np.array_equal(got, expected)
+
+
+def test_masked_draws_advance_only_the_selection():
+    n = 500
+    state = _rng.stream_states(5, 0, n)
+    odd = np.arange(n) % 2 == 1
+    _rng.next_gamma(state, 0.4, odd)
+    got = _rng.next_normal(state)
+    first = oracles.scalar_draws(oracles.next_normal, 5, 0, n)[0]
+    assert np.array_equal(got[~odd], first[~odd])
+    expected = np.empty(n)
+    with np.errstate(over="ignore"):
+        for rep in np.flatnonzero(odd):
+            _, s = oracles.next_gamma(oracles.stream_state(5, rep), 0.4)
+            expected[rep], _ = oracles.next_normal(s)
+    assert np.array_equal(got[odd], expected[odd])
