@@ -55,8 +55,8 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
     smallest eigenvalue does not exceed ``SPD_RTOL`` times the largest.
     """
     w = as_matrix(w, name)
-    if w.shape[0] != w.shape[1]:
-        raise ModelValidationError(f"{name} must be square, got shape {w.shape}")
+    if w.shape[0] != w.shape[1] or w.shape[0] == 0:
+        raise ModelValidationError(f"{name} must be square and nonempty, got shape {w.shape}")
     if not np.allclose(w, w.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(w).max())):
         raise ModelValidationError(f"{name} must be symmetric")
     w = 0.5 * (w + w.T)
@@ -77,6 +77,12 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
         inverse=0.5 * (inverse + inverse.T),
         log_det=float(np.sum(np.log(vals))),
     )
+
+
+def check_same_weight(w: np.ndarray, reference: np.ndarray, name: str, ref_name: str) -> None:
+    """Require the weighting matrix ``w`` to equal ``reference`` up to float noise."""
+    if w.shape != reference.shape or not np.allclose(w, reference, rtol=1e-10, atol=1e-12):
+        raise InputError(f"{name} weighting matrix must match the {ref_name} W")
 
 
 def check_full_column_rank(x: np.ndarray, name: str = "X") -> None:

@@ -117,8 +117,7 @@ def _coverage_pieces(x, w, v):
 def _eta_kernel_args(eta_prior: ScaledPrior, fixture) -> tuple[np.ndarray, int, float]:
     if not eta_prior.proper:
         raise ImproperPriorError("Monte Carlo runs require a proper radial prior")
-    if not np.allclose(eta_prior.W, fixture.W, rtol=1e-10, atol=1e-12):
-        raise InputError("eta prior weighting matrix must match the fixture W")
+    _linalg.check_same_weight(eta_prior.W, fixture.W, "eta prior", "fixture")
     mix = math.sqrt(eta_prior.c) * fixture.w_inv_root
     if isinstance(eta_prior.family, StudentTRadial):
         return mix, _kernels.ETA_STUDENT_T, float(eta_prior.family.dof)
@@ -387,10 +386,9 @@ def run_contamination(
     metrics: dict[str, list[float]] = {"tv_to_contaminant": []}
     for eps in eps_list:
         metrics[f"mass_outside_{eps:g}"] = []
-    contam_fn = contaminant.density_function()
     for c in c_grid:
         base = ScaledPrior(family=base_family, c=float(c), W=model.W)
-        prior = ContaminatedPrior(base=base, contaminant_density=contam_fn, phi=phi)
+        prior = ContaminatedPrior(base=base, contaminant=contaminant, phi=phi)
         post = grid_posterior(model, prior, theta_prior, spec)
         metrics["tv_to_contaminant"].append(tv_distance(post, contam_post))
         for eps in eps_list:
@@ -411,6 +409,8 @@ def run_tails(
 
     Returns an array with columns (a, tau, c, ratio).
     """
+    if k < 1:
+        raise InputError(f"dimension k must be positive, got {k}")
     w = np.eye(k) if w is None else np.asarray(w, dtype=np.float64)
     rows = []
     for c in np.atleast_1d(c_list):

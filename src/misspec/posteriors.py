@@ -250,21 +250,32 @@ class GridPosterior:
 
     def points(self) -> np.ndarray:
         """All grid points as an (m, p) array in row-major axis order."""
-        if self.p == 1:
-            return self.axes[0][:, None]
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _grid_points(self.axes)
+
+    def _marginals(self) -> list[np.ndarray]:
+        """Per-axis marginal weights, each summing to one."""
+        dims = range(self.p)
+        return [self.weights.sum(axis=tuple(j for j in dims if j != i)) for i in dims]
 
     def mean(self) -> np.ndarray:
-        pts = self.points()
-        return pts.T @ self.weights.ravel()
+        return np.array([m @ a for m, a in zip(self._marginals(), self.axes)])
 
     def sd(self) -> np.ndarray:
-        pts = self.points()
-        w = self.weights.ravel()
-        mu = pts.T @ w
-        var = (pts * pts).T @ w - mu * mu
-        return np.sqrt(np.maximum(var, 0.0))
+        # The centred second moment: E[theta^2] - mean^2 cancels when sd << |mean|.
+        return np.sqrt([m @ (a - m @ a) ** 2 for m, a in zip(self._marginals(), self.axes)])
+
+
+def _grid_points(axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """All points of the grid on ``axes`` as an (m, p) array in row-major order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _axes_quadform(m: np.ndarray, axes: tuple[np.ndarray, ...], center) -> np.ndarray:
+    """(theta - center)' M (theta - center) at every grid point, broadcast over the axes."""
+    d = np.ix_(*(a - c0 for a, c0 in zip(axes, center)))
+    p = len(d)
+    return sum(m[i, j] * d[i] * d[j] for i in range(p) for j in range(p))
 
 
 def _trapz_weights(axis: np.ndarray) -> np.ndarray:
@@ -335,8 +346,7 @@ def _default_halfwidths(model: ModelInstance, prior) -> np.ndarray:
     return np.full(model.p, max(hw, floor))
 
 
-# The CLI's default p=2 grid is the largest allowed: a grid of N points
-# builds an (N, k) eta array before anything is evaluated.
+# The CLI's default p=2 grid is the largest allowed.
 _MAX_GRID_POINTS = 2001**2
 
 
@@ -391,9 +401,11 @@ def grid_posterior(
     """Numerical posterior for theta on a grid (p in {1, 2}).
 
     Pointwise, log posterior = log theta-prior + log prior density of the
-    implied moment Y - X theta; the result is normalized by the trapezoidal
-    rule.  If the supplied bounds exclude the pseudo-true value the grid is
-    expanded once with a warning, then a :class:`GridError` is raised.
+    implied moment Y - X theta, which the prior sees only through
+    Q(theta) = J + (theta - theta_W)' H (theta - theta_W) from the cached fit;
+    the result is normalized by the trapezoidal rule.  If the supplied bounds
+    exclude the pseudo-true value the grid is expanded once with a warning,
+    then a :class:`GridError` is raised.
     """
     if model.p > 2:
         raise InputError(
@@ -402,9 +414,8 @@ def grid_posterior(
         )
     theta_prior = theta_prior or ThetaPrior.flat()
     spec = spec or GridSpec()
-    if prior.k != model.k:
-        raise InputError(f"prior dimension {prior.k} does not match model k={model.k}")
     base = prior.base if isinstance(prior, ContaminatedPrior) else prior
+    _linalg.check_same_weight(base.W, model.W, "prior", "model")
     pt = pseudo_true(model)
     if isinstance(base.family, PowerLawRadial) and pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
@@ -427,22 +438,8 @@ def grid_posterior(
         if not _axes_cover(axes, theta_w):
             raise GridError("grid cannot be expanded to cover the pseudo-true value")
 
-    if len(axes) == 1:
-        pts = axes[0][:, None]
-        shape = (axes[0].size,)
-    else:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        shape = (axes[0].size, axes[1].size)
-
-    etas = model.Y[None, :] - pts @ model.X.T
-    if isinstance(prior, ContaminatedPrior):
-        log_prior_eta = prior.log_density(etas)
-    else:
-        log_prior_eta = prior.log_density(
-            etas, allow_unnormalized=not prior.proper
-        )
-    logu = (theta_prior.log_density(pts) + log_prior_eta).reshape(shape)
+    q = pt.j_stat + _axes_quadform(pt.hessian, axes, theta_w)
+    logu = theta_prior.log_density(_grid_points(axes)).reshape(q.shape) + prior.log_radial(q)
     return _normalize_grid(axes, logu)
 
 
@@ -460,16 +457,11 @@ def mass_outside_ball(
     """
     if not eps > 0.0:
         raise InputError(f"ball radius must be positive, got {eps}")
-    center = _linalg.as_vector(center, None, "center")
+    center = _linalg.as_vector(center, post.p, "center")
     if isinstance(post, GridPosterior):
-        pts = post.points()
-        d = pts - center[None, :]
-        if norm_matrix is None:
-            dist2 = np.sum(d * d, axis=1)
-        else:
-            m = _linalg.spd_factor(norm_matrix, "norm_matrix").matrix
-            dist2 = np.einsum("ni,ij,nj->n", d, m, d)
-        out = float(np.sum(post.weights.ravel()[dist2 > eps * eps]))
+        m = np.eye(post.p) if norm_matrix is None else norm_matrix
+        dist2 = _axes_quadform(_linalg.spd_factor(m, "norm_matrix").matrix, post.axes, center)
+        out = float(np.sum(post.weights[dist2 > eps * eps]))
         return min(max(out, 0.0), 1.0)
 
     if post.p == 1:
@@ -496,9 +488,7 @@ def mass_outside_ball(
             np.linspace(c0 - 12.0 * s, c0 + 12.0 * s, 401)
             for c0, s in zip(post.center, sds)
         )
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        dens = post.density(pts).reshape(axes[0].size, axes[1].size)
+        dens = post.density(_grid_points(axes)).reshape(axes[0].size, axes[1].size)
         grid = GridPosterior(
             axes=axes,
             log_unnormalized=np.log(np.maximum(dens, 1e-300)),
@@ -544,8 +534,8 @@ def bayes_action_grid(
                 vals = np.asarray(loss(a, pts), dtype=np.float64)
                 if vals.shape == (pts.shape[0],):
                     return float(vals @ w)
-            except Exception:  # noqa: BLE001 - fall back to pointwise calls
-                pass
+            except (TypeError, ValueError, Warning):
+                pass  # a pointwise loss rejects the (m, p) array; call it per point
         return float(np.array([float(loss(a, pt)) for pt in pts]) @ w)
 
     risks = np.array([_risk(float(a)) for a in acts])

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -202,32 +201,27 @@ class ScaledPrior:
             + self.family.log_ball_integral(self.k)
         )
 
+    def log_radial(self, q):
+        """Log density at quadratic form q = eta' W eta, for a scalar or an array.
+
+        Normalized for proper families; the unnormalized log f(q / c) for the
+        improper power law.
+        """
+        logf = self.family.log_f(q / self.c, self.k)
+        return logf - self.log_normalizer() if self.proper else logf
+
     def log_density(self, etas, *, allow_unnormalized: bool = False):
         """Log prior density at one eta or a batch of etas.
 
         For the improper power-law family this is the unnormalized log f and
         must be requested explicitly via ``allow_unnormalized``.
         """
-        q = self.quadform(etas)
-        logf = self.family.log_f(q / self.c, self.k)
-        if self.proper:
-            return logf - self.log_normalizer()
-        if not allow_unnormalized:
+        if not (self.proper or allow_unnormalized):
             raise ImproperPriorError(
                 f"{self.family.spec_string()} prior is improper; pass "
                 "allow_unnormalized=True for the unnormalized density"
             )
-        return logf
-
-    def density_function(self) -> Callable[[np.ndarray], float]:
-        """Normalized density as a plain callable (for contaminant building)."""
-        if not self.proper:
-            raise ImproperPriorError("cannot build a density function for an improper prior")
-
-        def _density(eta: np.ndarray) -> float:
-            return float(np.exp(self.log_density(eta)))
-
-        return _density
+        return self.log_radial(self.quadform(etas))
 
 
 def density(prior: ScaledPrior, eta, *, allow_unnormalized: bool = False) -> float:
@@ -351,38 +345,37 @@ def tail_ratio(prior: ScaledPrior, a: float, tau: float) -> float:
 
 @dataclass(frozen=True)
 class ContaminatedPrior:
-    """Mixture (1 - phi) * scaled prior + phi * fixed full-support contaminant.
+    """Mixture (1 - phi) * base prior + phi * contaminant prior.
 
-    The contaminant density must be a normalized density on k-space; this is
-    the caller's responsibility (built-in contaminants are spot-checked by
-    quadrature in the test suite).
+    Both components are proper scaled priors with the same W, so the mixture
+    is again a function of eta' W eta.
     """
 
     base: ScaledPrior
-    contaminant_density: Callable[[np.ndarray], float]
+    contaminant: ScaledPrior
     phi: float
 
     def __post_init__(self):
         if not (0.0 < self.phi < 1.0):
             raise InputError(f"contamination weight phi must be in (0, 1), got {self.phi}")
-        if not self.base.proper:
-            raise ImproperPriorError("contamination base prior must be proper")
+        if not (self.base.proper and self.contaminant.proper):
+            raise ImproperPriorError("contamination base and contaminant priors must be proper")
+        _linalg.check_same_weight(self.contaminant.W, self.base.W, "contaminant", "base prior")
 
     @property
     def k(self) -> int:
         return self.base.k
 
-    def log_density(self, etas) -> np.ndarray:
-        """Log mixture density for one eta or a batch, stable at tiny base scale."""
-        etas = np.asarray(etas, dtype=np.float64)
-        single = etas.ndim == 1
-        batch = etas[None, :] if single else etas
-        base_ld = self.base.log_density(batch)
-        contam = np.array([float(self.contaminant_density(e)) for e in batch])
-        with np.errstate(divide="ignore"):
-            contam_ld = np.log(contam)
-        out = np.logaddexp(math.log1p(-self.phi) + base_ld, math.log(self.phi) + contam_ld)
-        return out[0] if single else out
+    def log_radial(self, q):
+        """Log mixture density at q = eta' W eta, stable at tiny base scale."""
+        return np.logaddexp(
+            math.log1p(-self.phi) + self.base.log_radial(q),
+            math.log(self.phi) + self.contaminant.log_radial(q),
+        )
+
+    def log_density(self, etas):
+        """Log mixture density for one eta or a batch."""
+        return self.log_radial(self.base.quadform(etas))
 
 
 def mixture_density(prior: ContaminatedPrior, eta) -> float:

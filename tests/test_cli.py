@@ -190,6 +190,14 @@ class TestSweepCommands:
         ratios = [float(ln.split(",")[3]) for ln in lines[1:]]
         assert all(abs(r - 0.125) < 0.005 for r in ratios)
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_tails_nonpositive_k_is_one_json_line(self, k, capsys):
+        code, out, err = _run(["tails", "--radial", "t:3", "--k", k], capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["code"] == 1 and "k must be positive" in payload["message"]
+
     def test_numerical_error_exit_code(self, capsys):
         code, _, err = _run(
             ["tails", "--radial", "normal", "--a", "2", "--tau", "1e6", "--c", "1e-310"],

@@ -129,6 +129,12 @@ class TestValidation:
         with pytest.raises(InputError, match="k >= p"):
             ModelInstance(Y=[1.0], X=[[1.0, 0.0]], W=np.eye(1))
 
+    def test_empty_w_rejected(self):
+        from misspec._linalg import spd_factor
+
+        with pytest.raises(ModelValidationError, match="nonempty"):
+            spd_factor(np.zeros((0, 0)))
+
     def test_near_singular_w_caught(self):
         w = np.diag([1.0, 1e-14])
         with pytest.raises(ModelValidationError):
@@ -217,7 +223,8 @@ def test_internal_consistency_error_is_reachable(monkeypatch):
 
 
 class TestFitOnce:
-    """Every estimand of a model reuses the one Cholesky factor of X'WX."""
+    """Every estimand of a model reuses the one fit: one Cholesky factor of
+    X'WX, and no grid posterior re-forms the residuals Y - X theta."""
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
@@ -264,3 +271,20 @@ class TestFitOnce:
 
     def test_fit_is_cached(self, canon_model):
         assert pseudo_true(canon_model) is pseudo_true(canon_model)
+
+    def test_grid_sweeps_form_no_etas(self, monkeypatch):
+        from misspec.montecarlo import run_concentration, run_contamination
+        from misspec.priors import NormalRadial, ScaledPrior
+
+        def no_etas(self, etas):
+            raise AssertionError("a grid path evaluated eta' W eta on etas")
+
+        monkeypatch.setattr(ScaledPrior, "quadform", no_etas)
+        m1 = ModelInstance(Y=[1.0, 1.0, 4.0], X=[[1.0], [1.0], [1.0]], W=np.eye(3))
+        m2 = ModelInstance(
+            Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
+        )
+        run_concentration(m1, NormalRadial(), [1e-2, 1.0], [0.1], grid_points=101)
+        run_concentration(m2, NormalRadial(), [1e-2, 1.0], [0.1], grid_points=51)
+        contaminant = ScaledPrior(family=NormalRadial(), c=4.0, W=m1.W)
+        run_contamination(m1, NormalRadial(), contaminant, 0.01, [1e-6, 1e-2], grid_points=201)

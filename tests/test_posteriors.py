@@ -205,6 +205,28 @@ class TestGridPosterior:
             with pytest.raises(GridError, match="exceeds"):
                 grid_posterior(m, prior, None, spec)
 
+    def test_sd_keeps_precision_at_tiny_c(self):
+        # sd is about 1e-4 while theta_W is about (11.3, 7.9): E[theta^2] - mean^2
+        # would cancel most of the digits.
+        m = ModelInstance(
+            Y=[9.0, 11.0, 10.5, 30.0],
+            X=[[1.0, 0.5], [1.0, -0.5], [0.3, 1.0], [1.0, 2.0]],
+            W=np.eye(4),
+        )
+        c = 1e-8
+        exact = normal_posterior(m, c).marginal_sd()
+        bounds = [(t - 18.0 * s, t + 18.0 * s) for t, s in zip(pseudo_true(m).theta_w, exact)]
+        prior = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(4))
+        post = grid_posterior(m, prior, None, GridSpec(bounds=bounds, points=201))
+        assert_allclose(post.sd(), exact, rtol=1e-7)
+
+    def test_prior_weight_must_match_model(self, canon_model):
+        spec = GridSpec(bounds=[(-1.0, 3.0)], points=101)
+        for w in (2.0 * np.eye(2), np.eye(3)):
+            prior = ScaledPrior(family=NormalRadial(), c=0.5, W=w)
+            with pytest.raises(InputError, match="prior weighting matrix"):
+                grid_posterior(canon_model, prior, None, spec)
+
     def test_p_too_large(self):
         x = np.eye(3)
         m = ModelInstance(Y=[1.0, 2.0, 3.0], X=x, W=np.eye(3))
@@ -321,6 +343,18 @@ class TestBayesActions:
         # Constant loss makes every action exactly tied.
         assert bayes_action_grid(post, [1.25, 0.75, 2.0], lambda a, th: 1.0) == 0.75
 
+    def test_loss_errors_are_not_hidden(self, canon_model):
+        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
+
+        def loss(a, th):
+            th = np.asarray(th)
+            if th.ndim == 2:
+                raise RuntimeError("vectorized loss broke")
+            return (a - th[0]) ** 2
+
+        with pytest.raises(RuntimeError, match="vectorized loss broke"):
+            bayes_action_grid(post, [0.5, 1.0], loss)
+
     def test_empty_actions(self, canon_model):
         post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
         with pytest.raises(InputError):
@@ -357,14 +391,13 @@ class TestTvDistance:
 class TestFragility:
     def test_contaminated_posterior_collapses_to_contaminant(self, canon_model):
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
-        fn = contam.density_function()
         axis = np.linspace(1.0 - 12.0, 1.0 + 12.0, 2001)
         spec = GridSpec(axes=[axis])
         pure = grid_posterior(canon_model, contam, None, spec)
         tvs = []
         for c in (1.0, 1e-2, 1e-6):
             base = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-            mixed = ContaminatedPrior(base=base, contaminant_density=fn, phi=0.01)
+            mixed = ContaminatedPrior(base=base, contaminant=contam, phi=0.01)
             post = grid_posterior(canon_model, mixed, None, spec)
             tvs.append(tv_distance(post, pure))
         assert tvs[0] > 0.1  # base component still visible at c = 1
@@ -373,7 +406,6 @@ class TestFragility:
 
     def test_exact_fit_concentrates_despite_contamination(self, exactfit_model):
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
-        fn = contam.density_function()
         c = 1e-6
         sd = math.sqrt(c / 2.0)
         axis = np.unique(np.concatenate([
@@ -381,7 +413,7 @@ class TestFragility:
             np.linspace(3.0 - 12 * sd, 3.0 + 12 * sd, 801),
         ]))
         base = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-        mixed = ContaminatedPrior(base=base, contaminant_density=fn, phi=0.01)
+        mixed = ContaminatedPrior(base=base, contaminant=contam, phi=0.01)
         post = grid_posterior(exactfit_model, mixed, None, GridSpec(axes=[axis]))
         assert mass_outside_ball(post, [3.0], 0.05) < 0.01
 

@@ -227,32 +227,41 @@ class TestTailRatio:
 class TestContaminated:
     def test_phi_bounds(self):
         base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
-        fn = base.density_function()
         for phi in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(InputError):
-                ContaminatedPrior(base=base, contaminant_density=fn, phi=phi)
+                ContaminatedPrior(base=base, contaminant=base, phi=phi)
 
     def test_improper_base_rejected(self):
         base = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(1))
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(1))
         with pytest.raises(ImproperPriorError):
-            ContaminatedPrior(base=base, contaminant_density=lambda e: 1.0, phi=0.5)
+            ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
+
+    def test_improper_contaminant_rejected(self):
+        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
+        contam = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(1))
+        with pytest.raises(ImproperPriorError):
+            ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
+
+    def test_contaminant_weight_must_match_base(self):
+        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
+        for w in (2.0 * np.eye(2), np.eye(3)):
+            contam = ScaledPrior(family=NormalRadial(), c=4.0, W=w)
+            with pytest.raises(InputError, match="contaminant weighting matrix"):
+                ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
 
     def test_small_phi_near_base(self):
         base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(1))
         eta = np.array([0.3])
         for phi in (1e-6, 1e-9):
-            mixed = ContaminatedPrior(
-                base=base, contaminant_density=contam.density_function(), phi=phi
-            )
+            mixed = ContaminatedPrior(base=base, contaminant=contam, phi=phi)
             assert abs(mixture_density(mixed, eta) - density(base, eta)) < 2.0 * phi
 
     def test_two_normal_mixture_value(self):
         base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(1))
-        mixed = ContaminatedPrior(
-            base=base, contaminant_density=contam.density_function(), phi=0.5
-        )
+        mixed = ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
         expected = 0.5 * (1.0 / math.sqrt(2.0 * math.pi)) * (1.0 + 0.5)
         assert_allclose(mixture_density(mixed, [0.0]), expected, rtol=1e-12)
 
@@ -260,8 +269,7 @@ class TestContaminated:
         # Quadrature spot-check of the normalization promised by callers.
         k = 2
         contam = ScaledPrior(family=StudentTRadial(3.0), c=2.0, W=np.eye(k))
-        fn = contam.density_function()
         mass = radial_normalizer_quad(
-            lambda u: fn(np.array([math.sqrt(u), 0.0])), k
+            lambda u: density(contam, np.array([math.sqrt(u), 0.0])), k
         )
         assert_allclose(mass, 1.0, rtol=1e-8)

@@ -1,7 +1,8 @@
 """Property tests of the fit and the estimands built on it, over random models.
 
-Models come from ``oracles.random_model_arrays`` (generic, well-conditioned);
-the hypothesis profile registered in ``conftest.py`` makes runs reproducible.
+Models come from ``oracles.random_model_arrays`` (generic, well-conditioned),
+or with W from ``oracles.random_spd`` near the SPD tolerance; the hypothesis
+profile registered in ``conftest.py`` makes runs reproducible.
 """
 
 import numpy as np
@@ -19,8 +20,9 @@ from misspec.inference import (
     identified_set_projection,
 )
 from misspec.model import ModelInstance, pseudo_true, sigma_v
-from misspec.posteriors import normal_posterior, t_limit_posterior
-from oracles import random_model_arrays
+from misspec.posteriors import GridSpec, grid_posterior, normal_posterior, t_limit_posterior
+from misspec.priors import NormalRadial, ScaledPrior
+from oracles import random_model_arrays, random_spd
 
 # (k, p) with k > p, so the confidence interval is defined.
 shapes = st.sampled_from([(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
@@ -114,3 +116,19 @@ def test_estimands_match_fresh_model(seed, shape):
     assert repr(fresh_report.identified_sets) == repr(report.identified_sets)
     assert_array_equal(t_limit_posterior(fresh, 3.0).scale, t_limit_posterior(m, 3.0).scale)
     assert pseudo_true(m) is pseudo_true(m)
+
+
+@given(seeds, st.sampled_from([(3, 1), (5, 1), (4, 2), (6, 2)]), st.sampled_from([1e-4, 1.0]))
+def test_normal_grid_matches_closed_form_near_spd_tolerance(seed, shape, c):
+    # spread 11 puts the condition number of W up to about 4e9, near SPD_RTOL.
+    rng = np.random.default_rng(seed)
+    y, x, _ = random_model_arrays(rng, *shape)
+    m = ModelInstance(Y=y, X=x, W=random_spd(rng, shape[0], spread=11.0))
+    theta_w = pseudo_true(m).theta_w
+    sd = normal_posterior(m, c).marginal_sd()
+    bounds = [(t - 12.0 * s, t + 12.0 * s) for t, s in zip(theta_w, sd)]
+    prior = ScaledPrior(family=NormalRadial(), c=c, W=m.W)
+    post = grid_posterior(m, prior, None, GridSpec(bounds=bounds, points=201))
+    assert np.all(np.abs(post.mean() - theta_w) <= 1e-9 * sd)
+    if m.p == 1:
+        assert_allclose(post.sd(), sd, rtol=1e-7)
