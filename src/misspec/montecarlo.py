@@ -34,7 +34,7 @@ from misspec.priors import (
     RadialFamily,
     ScaledPrior,
     StudentTRadial,
-    tail_ratio,
+    _tail_ratio,
 )
 from misspec.special import StudentT, t_cdf, t_quantile
 
@@ -402,22 +402,18 @@ def run_contamination(
     )
 
 
-def run_tails(
-    family: RadialFamily, a_list, tau_list, c_list, k: int = 2, w=None
-) -> np.ndarray:
-    """Tabulate conditional radial tail ratios over (a, tau, c).
+def run_tails(family: RadialFamily, a_list, tau_list, c_list, k: int = 2) -> np.ndarray:
+    """Tabulate conditional radial tail ratios over (a, tau, c) in dimension k.
 
-    Returns an array with columns (a, tau, c, ratio).
+    The ratio does not depend on W, so no weight matrix is formed.  Returns
+    an array with columns (a, tau, c, ratio).
     """
     if k < 1:
         raise InputError(f"dimension k must be positive, got {k}")
-    w = np.eye(k) if w is None else np.asarray(w, dtype=np.float64)
-    rows = []
-    for c in np.atleast_1d(c_list):
-        prior = ScaledPrior(family=family, c=float(c), W=w)
-        for a in np.atleast_1d(a_list):
-            for tau in np.atleast_1d(tau_list):
-                rows.append(
-                    (float(a), float(tau), float(c), tail_ratio(prior, float(a), float(tau)))
-                )
+    rows = [
+        (a, tau, c, _tail_ratio(family, k, c, a, tau))
+        for c in map(float, np.atleast_1d(c_list))
+        for a in map(float, np.atleast_1d(a_list))
+        for tau in map(float, np.atleast_1d(tau_list))
+    ]
     return np.array(rows)

@@ -439,7 +439,9 @@ def grid_posterior(
             raise GridError("grid cannot be expanded to cover the pseudo-true value")
 
     q = pt.j_stat + _axes_quadform(pt.hessian, axes, theta_w)
-    logu = theta_prior.log_density(_grid_points(axes)).reshape(q.shape) + prior.log_radial(q)
+    logu = prior.log_radial(q)
+    if theta_prior.kind != "flat":
+        logu = logu + theta_prior.log_density(_grid_points(axes)).reshape(q.shape)
     return _normalize_grid(axes, logu)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from misspec import _linalg
+from misspec import _linalg, special
 from misspec.errors import (
     ImproperPriorError,
     InputError,
@@ -55,13 +55,13 @@ class RadialFamily:
         """Log of the radial profile at u >= 0, in ambient dimension k."""
         raise NotImplementedError
 
-    def log_f_from_log(self, log_u: float, k: int) -> float:
-        """Log profile evaluated from log(u), overflow-safe for huge u."""
-        raise NotImplementedError
-
     def log_ball_integral(self, k: int) -> float:
         """Log of the whitened normalizer integral of f(u'u) over k-space."""
         raise ImproperPriorError(f"{self.spec_string()} prior has no finite normalizer")
+
+    def log_tail(self, s: float, k: int) -> float:
+        """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k."""
+        raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -76,11 +76,12 @@ class NormalRadial(RadialFamily):
     def log_f(self, u, k: int):
         return -0.5 * np.asarray(u, dtype=np.float64)
 
-    def log_f_from_log(self, log_u: float, k: int) -> float:
-        return -math.inf if log_u > 700.0 else -0.5 * math.exp(log_u)
-
     def log_ball_integral(self, k: int) -> float:
         return 0.5 * k * math.log(2.0 * math.pi)
+
+    def log_tail(self, s: float, k: int) -> float:
+        # S is chi-square with k degrees of freedom.
+        return special.log_gammaincc(0.5 * k, 0.5 * s)
 
     def spec_string(self) -> str:
         return "normal"
@@ -101,11 +102,6 @@ class StudentTRadial(RadialFamily):
         u = np.asarray(u, dtype=np.float64)
         return -0.5 * (self.dof + k) * np.log1p(u / self.dof)
 
-    def log_f_from_log(self, log_u: float, k: int) -> float:
-        z = log_u - math.log(self.dof)
-        log1p_term = z if z > 35.0 else math.log1p(math.exp(z))
-        return -0.5 * (self.dof + k) * log1p_term
-
     def log_ball_integral(self, k: int) -> float:
         nu = self.dof
         return (
@@ -113,6 +109,10 @@ class StudentTRadial(RadialFamily):
             - math.lgamma(0.5 * (nu + k))
             + 0.5 * k * math.log(nu * math.pi)
         )
+
+    def log_tail(self, s: float, k: int) -> float:
+        # S / k is F(k, dof), whose survival function is an incomplete beta.
+        return special.log_betainc(0.5 * self.dof, 0.5 * k, self.dof / (self.dof + s))
 
     def spec_string(self) -> str:
         return f"t:{self.dof:g}"
@@ -133,9 +133,6 @@ class PowerLawRadial(RadialFamily):
         u = np.asarray(u, dtype=np.float64)
         with np.errstate(divide="ignore"):
             return -self.alpha * np.log(u)
-
-    def log_f_from_log(self, log_u: float, k: int) -> float:
-        return -self.alpha * log_u
 
     def spec_string(self) -> str:
         return f"powerlaw:{self.alpha:g}"
@@ -253,94 +250,35 @@ def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
     return scale * z @ prior._w_factor.inv_root
 
 
-def _radial2_log_unnorm(prior: ScaledPrior, s) -> np.ndarray:
-    """Log density (unnormalized) of s = ||eta||_W^2 / c: s^{k/2-1} f(s)."""
-    s = np.asarray(s, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        return (0.5 * prior.k - 1.0) * np.log(s) + prior.family.log_f(s, prior.k)
-
-
-def _log_tail_integral(prior: ScaledPrior, cut: float) -> float:
-    """Log of the integral of s^{k/2-1} f(s) over (cut, infinity).
-
-    Substituting s = cut * exp(t) turns polynomially decaying tails into
-    exponentially decaying integrands; the t range is then covered by
-    geometrically growing panels, each refined by adaptive Gauss-Kronrod
-    quadrature.  The panel layout resolves thin-tailed profiles (mass in a
-    narrow boundary layer above the cut) as well as heavy tails (mass spread
-    over many octaves).  Everything is max-subtracted in log space so ratios
-    of tail masses stay meaningful even when the absolute masses underflow.
-    """
-    log_cut = math.log(cut)
-    half_k = 0.5 * prior.k
-
-    def log_integrand(t: float) -> float:
-        # log of s^{k/2-1} f(s) ds/dt at s = cut e^t; the jacobian is s itself
-        log_s = log_cut + t
-        return half_k * log_s + prior.family.log_f_from_log(log_s, prior.k)
-
-    # The transformed integrand peaks at or below s ~ k for the built-in
-    # families; this range covers the mode plus 60 nats of decay beyond it.
-    t_max = 60.0
-    if cut < prior.k + 3.0:
-        t_max += math.log((prior.k + 3.0) / cut)
-    bounds = [0.0]
-    step = 1e-12
-    while bounds[-1] < t_max:
-        bounds.append(min(step, t_max))
-        step *= 2.0
-    values = [log_integrand(t) for t in bounds]
-    offset = max(values)
-    if not math.isfinite(offset):
-        raise NumericalError(f"radial tail integrand degenerate at cut {cut:.3e}")
-
-    def integrand(t: float) -> float:
-        return math.exp(log_integrand(t) - offset)
-
-    import scipy.integrate  # slow to import, and only the tail quadrature uses it
-
-    total = 0.0
-    err_sum = 0.0
-    for (a, b), (va, vb) in zip(zip(bounds, bounds[1:]), zip(values, values[1:])):
-        mid = log_integrand(0.5 * (a + b))
-        if max(va, vb, mid) - offset < -100.0:
-            continue
-        val, err = scipy.integrate.quad(integrand, a, b, limit=100)
-        total += val
-        err_sum += err
-    if not (math.isfinite(total) and total > 0.0):
-        raise NumericalError(
-            f"radial tail quadrature failed at cut {cut:.3e}: value {total}"
-        )
-    if err_sum > 1e-6 * total:
-        raise NumericalError(
-            f"radial tail quadrature did not converge at cut {cut:.3e}: "
-            f"value {total:.3e}, error estimate {err_sum:.3e}"
-        )
-    return offset + math.log(total)
+def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) -> float:
+    """Pr{||eta||_W >= a tau | ||eta||_W >= tau} for ``family`` at scale c in dimension k."""
+    if not a > 1.0:
+        raise InputError(f"tail_ratio requires a > 1, got {a}")
+    if not tau > 0.0:
+        raise InputError(f"tail_ratio requires tau > 0, got {tau}")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise InputError(f"prior scale c must be positive, got {c}")
+    s_lo = tau * tau / c
+    s_hi = a * a * s_lo
+    if not math.isfinite(s_hi):
+        raise NumericalError(f"radial tail cut {s_hi:.3e} is not finite")
+    log_lower = family.log_tail(s_lo, k)
+    if log_lower == -math.inf:
+        raise NumericalError(f"radial tail probability above {s_lo:.3e} is zero")
+    return min(math.exp(family.log_tail(s_hi, k) - log_lower), 1.0)
 
 
 def tail_ratio(prior: ScaledPrior, a: float, tau: float) -> float:
     """Conditional radial tail probability Pr{||eta||_W >= a tau | ||eta||_W >= tau}.
 
-    Evaluated by adaptive quadrature of the radial survival function in the
-    standardized variable s = ||eta||_W^2 / c.  For the normal family this
-    tends to 0 as c -> 0; for the t family with dof it tends to a^(-dof),
-    independent of tau.
+    Closed form in the standardized variable s = ||eta||_W^2 / c, which is
+    chi-square with k degrees of freedom for the normal family and k times an
+    F(k, dof) variable for the t family.  The ratio of the two survival
+    probabilities is taken in log space, so it stays accurate where both
+    underflow.  For the normal family it tends to 0 as c -> 0; for the t
+    family with dof it tends to a^(-dof), independent of tau.
     """
-    if not prior.proper:
-        raise ImproperPriorError("tail_ratio requires a proper radial prior")
-    if not a > 1.0:
-        raise InputError(f"tail_ratio requires a > 1, got {a}")
-    if not tau > 0.0:
-        raise InputError(f"tail_ratio requires tau > 0, got {tau}")
-    s_lo = tau * tau / prior.c
-    s_hi = a * a * s_lo
-    log_upper = _log_tail_integral(prior, s_hi)
-    log_lower = _log_tail_integral(prior, s_lo)
-    diff = log_upper - log_lower
-    ratio = 0.0 if diff < -745.0 else math.exp(diff)
-    return min(max(ratio, 0.0), 1.0)
+    return _tail_ratio(prior.family, prior.k, prior.c, a, tau)
 
 
 @dataclass(frozen=True)

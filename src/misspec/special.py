@@ -3,18 +3,21 @@
 Log-gamma and the regularized incomplete beta are thin validated wrappers over
 the standard library and SciPy; the t CDF is built on the incomplete beta and
 the t quantile is SciPy's ``stdtrit``, evaluated in the lower tail so that
-neither is formed as 1 - tail.
+neither is formed as 1 - tail.  The log incomplete gamma and beta functions
+stay accurate where the functions themselves underflow.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
-from misspec.errors import DomainError
+from misspec.errors import DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -80,3 +83,61 @@ def t_quantile(dist: StudentT, q: float) -> float:
         return 0.0
     x = -float(scipy.special.stdtrit(dist.dof, min(q, 1.0 - q)))
     return x if q > 0.5 else -x
+
+
+def _log_continued_fraction(b0: float, terms) -> float:
+    """Log of b0 + a1 / (b1 + a2 / (b2 + ...)) > 0, for b0 > 0 and terms (a_n, b_n).
+
+    Modified Lentz's method, stopped once a step changes the value by less
+    than the working precision.
+    """
+    f, c, d = b0, b0, 0.0
+    for a_n, b_n in itertools.islice(terms, 10_000):
+        d = b_n + a_n * d
+        d = 1.0 / (d if d != 0.0 else 1e-300)
+        c = b_n + a_n / c
+        c = c if c != 0.0 else 1e-300
+        f *= c * d
+        if abs(c * d - 1.0) < sys.float_info.epsilon:
+            return math.log(f)
+    raise NumericalError("continued fraction did not converge")
+
+
+def log_gammaincc(a: float, x: float) -> float:
+    """Log of the regularized upper incomplete gamma function Q(a, x).
+
+    SciPy's ``gammaincc`` where it is a normal float.  It underflows only for
+    x > a + 1, and there log Q = -x + a log x - lgamma(a) - log CF, with the
+    continued fraction CF = (x + 1 - a) - 1(1 - a) / ((x + 3 - a) - 2(2 - a) / ...).
+    """
+    if not (a > 0.0 and x >= 0.0):
+        raise DomainError(f"log_gammaincc requires a > 0 and x >= 0, got a={a}, x={x}")
+    q = float(scipy.special.gammaincc(a, x))
+    if q >= sys.float_info.min or not a + 1.0 < x < math.inf:
+        return math.log(q) if q > 0.0 else -math.inf
+    terms = ((-n * (n - a), x + 2.0 * n + 1.0 - a) for n in itertools.count(1))
+    # x is subtracted last: it dominates, and the other terms keep their precision.
+    return (a * math.log(x) - math.lgamma(a) - _log_continued_fraction(x + 1.0 - a, terms)) - x
+
+
+def log_betainc(a: float, b: float, x: float) -> float:
+    """Log of the regularized incomplete beta function I_x(a, b).
+
+    SciPy's ``betainc`` where it is a normal float.  It underflows only for
+    x < (a + 1) / (a + b + 2), and there log I = a log x + b log(1 - x) - log a
+    - log B(a, b) - log CF, with the continued fraction CF = 1 + d_1 / (1 + d_2 / ...).
+    """
+    if not (a > 0.0 and b > 0.0 and 0.0 <= x <= 1.0):
+        raise DomainError(f"log_betainc requires a, b > 0 and x in [0, 1], got {a}, {b}, {x}")
+    v = float(scipy.special.betainc(a, b, x))
+    if v >= sys.float_info.min or not 0.0 < x < (a + 1.0) / (a + b + 2.0):
+        return math.log(v) if v > 0.0 else -math.inf
+
+    def terms():
+        for m in itertools.count():
+            if m:
+                yield m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)), 1.0
+            yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)), 1.0
+
+    log_prefactor = a * math.log(x) + b * math.log1p(-x) - math.log(a) - scipy.special.betaln(a, b)
+    return float(log_prefactor) - _log_continued_fraction(1.0, terms())

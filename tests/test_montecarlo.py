@@ -280,6 +280,24 @@ class TestSweeps:
         assert table.shape == (2, 4)
         assert np.max(np.abs(table[:, 3] - 0.125)) < 0.005
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_normal_tail_below_underflow_is_zero(self, k):
+        table = run_tails(NormalRadial(), [4.0], [10.0], [1e-6], k=k)
+        assert table.tolist() == [[4.0, 10.0, 1e-6, 0.0]]
+
+    def test_tails_form_no_weight_matrix(self):
+        # A k x k matrix at this k would need 8 TB.
+        for family in (NormalRadial(), StudentTRadial(3.0)):
+            table = run_tails(family, [2.0], [1.0], [1e-4], k=10**6)
+            assert table.shape == (1, 4) and np.all(np.isfinite(table))
+
+    def test_tails_validate_scale(self):
+        for c in (0.0, -1.0, np.inf):
+            with pytest.raises(InputError):
+                run_tails(NormalRadial(), [2.0], [1.0], [c])
+        with pytest.raises(ImproperPriorError):
+            run_tails(PowerLawRadial(2.0), [2.0], [1.0], [1.0])
+
     def test_sweep_trace_validation(self):
         with pytest.raises(InputError):
             SweepTrace(axis_name="c", axis=[2.0, 1.0], metrics={})

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
 from misspec.errors import ImproperPriorError, InputError, NumericalError
@@ -222,6 +223,43 @@ class TestTailRatio:
         prior = ScaledPrior(family=NormalRadial(), c=1e-310, W=np.eye(2))
         with pytest.raises(NumericalError):
             tail_ratio(prior, 2.0, 1e6)
+
+    def test_zero_lower_tail_raises_numerical(self):
+        # dof / (dof + s) underflows to 0, so the conditioning event has no mass.
+        prior = ScaledPrior(family=StudentTRadial(1e-20), c=1.0, W=np.eye(2))
+        with pytest.raises(NumericalError):
+            tail_ratio(prior, 1.0001, 1e154)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e-2, 1.0])
+    @pytest.mark.parametrize("a", [1.0 + 1e-7, 1.5, 4.0])
+    @pytest.mark.parametrize("tau", [1.0, 10.0])
+    def test_k2_exact_forms(self, c, a, tau):
+        # In two dimensions s = ||eta||_W^2 / c has survival exp(-s/2) under
+        # the normal family and (1 + s/dof)^(-dof/2) under t:dof.
+        s_lo = tau * tau / c
+        s_hi = a * a * s_lo
+        normal = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
+        assert_allclose(tail_ratio(normal, a, tau), math.exp(-0.5 * (s_hi - s_lo)), rtol=1e-8)
+        for nu in (1.0, 3.0, 1000.0):
+            prior = ScaledPrior(family=StudentTRadial(nu), c=c, W=np.eye(2))
+            exact = ((nu + s_lo) / (nu + s_hi)) ** (0.5 * nu)
+            assert_allclose(tail_ratio(prior, a, tau), exact, rtol=1e-8)
+
+    def test_normal_k1_is_two_sided_normal_tail(self):
+        for s in [1e-4, 1.0, 30.0, 1e3, 1e4, 1e8]:
+            expected = math.log(2.0) + float(scipy.special.log_ndtr(-math.sqrt(s)))
+            assert_allclose(NormalRadial().log_tail(s, 1), expected, rtol=1e-13)
+
+    def test_t1000_where_betainc_underflows(self):
+        family = StudentTRadial(1000.0)
+        for s in [1e4, 1e6, 1e12]:
+            assert scipy.special.betainc(500.0, 1.0, 1000.0 / (1000.0 + s)) == 0.0
+            exact = 500.0 * math.log(1000.0 / (1000.0 + s))
+            assert_allclose(family.log_tail(s, 2), exact, rtol=1e-13)
+
+    def test_improper_family_has_no_tail(self):
+        with pytest.raises(ImproperPriorError):
+            PowerLawRadial(3.0).log_tail(1.0, 2)
 
 
 class TestContaminated:

@@ -21,7 +21,8 @@ from misspec.inference import (
 )
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import GridSpec, grid_posterior, normal_posterior, t_limit_posterior
-from misspec.priors import NormalRadial, ScaledPrior
+from misspec.montecarlo import run_tails
+from misspec.priors import NormalRadial, ScaledPrior, StudentTRadial
 from oracles import random_model_arrays, random_spd
 
 # (k, p) with k > p, so the confidence interval is defined.
@@ -132,3 +133,19 @@ def test_normal_grid_matches_closed_form_near_spd_tolerance(seed, shape, c):
     assert np.all(np.abs(post.mean() - theta_w) <= 1e-9 * sd)
     if m.p == 1:
         assert_allclose(post.sd(), sd, rtol=1e-7)
+
+
+@given(
+    st.one_of(st.just(NormalRadial()), st.floats(0.5, 100.0).map(StudentTRadial)),
+    st.integers(1, 20),
+    st.floats(-12.0, 2.0),
+    st.floats(-3.0, 3.0),
+    st.floats(1e-9, 10.0),
+    st.floats(0.0, 1.0),
+)
+def test_tail_ratio_is_a_probability_decreasing_in_a(family, k, log10_c, log10_tau, da, step):
+    a = 1.0 + da
+    table = run_tails(family, [a, a * (1.0 + step)], [10.0**log10_tau], [10.0**log10_c], k=k)
+    r_near, r_far = table[:, 3]
+    # Exactly non-increasing in a; two a one ulp apart may swap by rounding.
+    assert 0.0 <= r_far <= r_near * (1.0 + 1e-12) and r_near <= 1.0

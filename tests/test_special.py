@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
 from misspec.errors import DomainError
-from misspec.special import StudentT, log_gamma, reg_inc_beta, t_cdf, t_quantile
+from misspec.special import (
+    StudentT,
+    log_betainc,
+    log_gamma,
+    log_gammaincc,
+    reg_inc_beta,
+    t_cdf,
+    t_quantile,
+)
 from oracles import normal_quantile_bisect, t_cdf_quad, t_quantile_quad
 
 
@@ -123,3 +132,51 @@ class TestTQuantile:
             t_quantile(StudentT(2.0), 0.0)
         with pytest.raises(DomainError):
             t_quantile(StudentT(2.0), 1.0)
+
+
+class TestLogIncomplete:
+    @pytest.fixture
+    def underflowing_library(self, monkeypatch):
+        """Library values as if they had underflowed, so the continued fractions run."""
+        library = (scipy.special.gammaincc, scipy.special.betainc)
+        monkeypatch.setattr(scipy.special, "gammaincc", lambda a, x: 0.0)
+        monkeypatch.setattr(scipy.special, "betainc", lambda a, b, x: 0.0)
+        return library
+
+    def test_gamma_continued_fraction_matches_library(self, underflowing_library):
+        gammaincc, _ = underflowing_library
+        for a in (0.5, 1.0, 2.5, 5.0):
+            for x in np.geomspace(a + 1.5, 700.0, 12):
+                assert_allclose(log_gammaincc(a, x), math.log(gammaincc(a, x)), rtol=1e-14)
+
+    def test_beta_continued_fraction_matches_library(self, underflowing_library):
+        _, betainc = underflowing_library
+        for a in (0.5, 1.5, 2.5, 50.0):
+            for b in (0.5, 1.0, 2.5):
+                for x in np.geomspace(1e-4, 0.99 * (a + 1.0) / (a + b + 2.0), 8):
+                    assert_allclose(log_betainc(a, b, x), math.log(betainc(a, b, x)), rtol=1e-14)
+
+    def test_finite_where_library_underflows(self):
+        assert scipy.special.gammaincc(2.5, 1e4) == 0.0
+        leading = -1e4 + 1.5 * math.log(1e4) - math.lgamma(2.5)
+        assert_allclose(log_gammaincc(2.5, 1e4), leading, rtol=1e-6)
+        assert scipy.special.betainc(50.0, 2.5, 1e-8) == 0.0
+        assert_allclose(
+            log_betainc(50.0, 2.5, 1e-8),
+            50.0 * math.log(1e-8) - math.log(50.0) - scipy.special.betaln(50.0, 2.5),
+            rtol=1e-8,
+        )
+
+    def test_library_value_elsewhere(self):
+        assert log_gammaincc(2.5, 3.0) == math.log(scipy.special.gammaincc(2.5, 3.0))
+        assert log_betainc(2.5, 1.5, 0.9) == math.log(scipy.special.betainc(2.5, 1.5, 0.9))
+        assert log_gammaincc(2.5, 0.0) == 0.0 and log_gammaincc(2.5, math.inf) == -math.inf
+        assert log_betainc(2.5, 1.5, 1.0) == 0.0 and log_betainc(2.5, 1.5, 0.0) == -math.inf
+
+    def test_domain(self):
+        for a, x in [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, math.nan)]:
+            with pytest.raises(DomainError):
+                log_gammaincc(a, x)
+        for a, b, x in [(0.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 1.5), (1.0, 1.0, -0.1)]:
+            with pytest.raises(DomainError):
+                log_betainc(a, b, x)
