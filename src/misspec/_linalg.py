@@ -1,11 +1,16 @@
-"""Shared dense linear-algebra helpers: SPD checks, symmetric roots, solves."""
+"""Shared dense linear-algebra helpers: SPD checks, symmetric roots, solves.
+
+Numpy only.  Validation reads eigenvalues alone; the eigenvector-derived
+factors of a weighting matrix are computed lazily, on first use.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from misspec.errors import InputError, ModelValidationError
 
@@ -34,49 +39,75 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def check_finite(a: np.ndarray, name: str) -> None:
+    """Reject NaN and infinite entries, naming the input."""
+    if not np.isfinite(a).all():
+        raise ModelValidationError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class SpdFactor:
-    """Eigendecomposition-derived factors of a symmetric positive definite matrix.
+    """A validated symmetric positive definite matrix and its lazy factors.
 
     ``root`` is the unique symmetric PSD square root, ``inv_root`` its inverse.
+    All four factors come from one eigendecomposition of ``matrix``, computed
+    on first use of any of them and cached.
     """
 
     matrix: np.ndarray
-    root: np.ndarray
-    inv_root: np.ndarray
-    inverse: np.ndarray
-    log_det: float
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.matrix)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        vals, vecs = self._eigh
+        return _symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
+
+    @cached_property
+    def inv_root(self) -> np.ndarray:
+        vals, vecs = self._eigh
+        return _symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        vals, vecs = self._eigh
+        return _symmetrize((vecs / vals) @ vecs.T)
+
+    @cached_property
+    def log_det(self) -> float:
+        return float(np.sum(np.log(self._eigh[0])))
+
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.T)
 
 
 def spd_factor(w, name: str = "W") -> SpdFactor:
-    """Validate that ``w`` is symmetric positive definite and factor it.
+    """Validate that ``w`` is finite, symmetric and positive definite.
 
-    Raises :class:`ModelValidationError` if the matrix is not symmetric or its
-    smallest eigenvalue does not exceed ``SPD_RTOL`` times the largest.
+    Raises :class:`ModelValidationError` if the matrix has a NaN or infinite
+    entry, is not symmetric, or its smallest eigenvalue does not exceed
+    ``SPD_RTOL`` times the largest.  Returns the symmetrised matrix; its
+    factors are left to the first use.
     """
     w = as_matrix(w, name)
     if w.shape[0] != w.shape[1] or w.shape[0] == 0:
         raise ModelValidationError(f"{name} must be square and nonempty, got shape {w.shape}")
-    if not np.allclose(w, w.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(w).max())):
+    scale = float(np.abs(w).max())
+    if not math.isfinite(scale):
+        raise ModelValidationError(f"{name} must be finite")
+    if not (np.abs(w - w.T).max() <= 1e-8 * (1.0 + scale)):
         raise ModelValidationError(f"{name} must be symmetric")
-    w = 0.5 * (w + w.T)
-    vals, vecs = np.linalg.eigh(w)
+    w = _symmetrize(w)
+    vals = np.linalg.eigvalsh(w)
     if vals[0] <= SPD_RTOL * max(vals[-1], 0.0):
         raise ModelValidationError(
             f"{name} is not positive definite: smallest eigenvalue {vals[0]:.3e} "
             f"vs largest {vals[-1]:.3e}"
         )
-    sq = np.sqrt(vals)
-    root = (vecs * sq) @ vecs.T
-    inv_root = (vecs / sq) @ vecs.T
-    inverse = (vecs / vals) @ vecs.T
-    return SpdFactor(
-        matrix=w,
-        root=0.5 * (root + root.T),
-        inv_root=0.5 * (inv_root + inv_root.T),
-        inverse=0.5 * (inverse + inverse.T),
-        log_det=float(np.sum(np.log(vals))),
-    )
+    return SpdFactor(matrix=w)
 
 
 def check_same_weight(w: np.ndarray, reference: np.ndarray, name: str, ref_name: str) -> None:
@@ -95,11 +126,41 @@ def check_full_column_rank(x: np.ndarray, name: str = "X") -> None:
         )
 
 
-def cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
+def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of SPD ``a``, in the form ``cho_solve`` takes."""
-    return scipy.linalg.cho_factor(a, lower=True)
+    return np.linalg.cholesky(a)
+
+
+def cho_solve(lower: np.ndarray, b) -> np.ndarray:
+    """Solve ``L L' x = b`` from the lower Cholesky factor ``L``.
+
+    ``b`` is a vector or a matrix with one right-hand side per column.  Each
+    column is solved by forward, then back substitution: an entry is
+    multiplied by the reciprocal diagonal, then its multiples are subtracted
+    from the entries not yet solved.  The loops run on Python floats, which
+    round exactly as numpy's float64 operations do and, at the small p of
+    these models, cost less than one numpy call per row.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = lower.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise InputError(f"right-hand side must have {n} rows, got shape {b.shape}")
+    low = lower.tolist()
+    inv_diag = [1.0 / low[i][i] for i in range(n)]
+    cols = b.reshape(n, -1).T.tolist()
+    for x in cols:
+        for i in range(n):
+            xi = x[i] = x[i] * inv_diag[i]
+            for j in range(i + 1, n):
+                x[j] -= low[j][i] * xi
+        for i in range(n - 1, -1, -1):
+            xi = x[i] = x[i] * inv_diag[i]
+            row = low[i]
+            for j in range(i):
+                x[j] -= row[j] * xi
+    return np.array(cols).T.reshape(b.shape)
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for SPD ``a`` by Cholesky factorization."""
-    return scipy.linalg.cho_solve(cholesky(a), b)
+    return cho_solve(cholesky(a), b)

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from misspec import _linalg
 from misspec.errors import InputError, NumericalError
@@ -43,9 +42,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class ModelInstance:
     """Observable triple (Y, X, W) of a linear minimum-distance problem.
 
-    Construction validates all invariants: W symmetric positive definite,
-    X full column rank, k >= p.  Instances are immutable and all operations
-    on them are pure functions; the fit is computed on first use.
+    Construction validates all invariants: every entry finite, W symmetric
+    positive definite, X full column rank, k >= p.  Instances are immutable
+    and all operations on them are pure functions; W's square roots and the
+    fit are computed on first use.
     """
 
     Y: np.ndarray
@@ -57,6 +57,8 @@ class ModelInstance:
     def __post_init__(self):
         x = _linalg.as_matrix(self.X, "X")
         y = _linalg.as_vector(self.Y, x.shape[0], "Y")
+        _linalg.check_finite(y, "Y")
+        _linalg.check_finite(x, "X")
         wf = _linalg.spd_factor(self.W, "W")
         if wf.matrix.shape[0] != x.shape[0]:
             raise InputError(
@@ -92,19 +94,20 @@ class ModelInstance:
 class PseudoTrueResult:
     """Minimizer and minimized value of the objective, with H = X'WX and its factor.
 
-    ``cholesky`` is H's lower Cholesky factor as ``scipy.linalg.cho_solve``
-    takes it; ``noise_floor`` is the scale below which J is float noise.
+    ``cholesky`` is H's lower Cholesky factor, a read-only ndarray with zeros
+    above the diagonal; ``noise_floor`` is the scale below which J is float
+    noise.
     """
 
     theta_w: np.ndarray
     j_stat: float
     hessian: np.ndarray
-    cholesky: tuple[np.ndarray, bool]
+    cholesky: np.ndarray
     noise_floor: float
 
     def solve(self, b) -> np.ndarray:
         """H^{-1} b, from the cached factor."""
-        return scipy.linalg.cho_solve(self.cholesky, b)
+        return _linalg.cho_solve(self.cholesky, b)
 
     @cached_property
     def hessian_inv(self) -> np.ndarray:
@@ -152,8 +155,8 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
         return model._fit
     h = model.X.T @ model.W @ model.X
     chol = _linalg.cholesky(h)
-    chol[0].setflags(write=False)
-    theta_w = scipy.linalg.cho_solve(chol, model.X.T @ (model.W @ model.Y))
+    chol.setflags(write=False)
+    theta_w = _linalg.cho_solve(chol, model.X.T @ (model.W @ model.Y))
     j = objective(model, theta_w)
     noise_floor = J_CLAMP_RTOL * (1.0 + float(model.Y @ model.W @ model.Y))
     if j < 0.0:

@@ -99,6 +99,26 @@ class TestAnalyze:
         assert json.loads(out_path.read_text())["j_stat"] == 2
 
 
+class TestNonFiniteModel:
+    # json.load reads the NaN and Infinity tokens that json.dumps writes.
+    CASES = {
+        "nan-Y": ('"Y": [NaN, 2.0], "X": [[1.0], [1.0]], "W": [[1.0, 0.0], [0.0, 1.0]]', "Y"),
+        "nan-X": ('"Y": [0.0, 2.0], "X": [[1.0], [NaN]], "W": [[1.0, 0.0], [0.0, 1.0]]', "X"),
+        "inf-W": ('"Y": [0.0, 2.0], "X": [[1.0], [1.0]], "W": [[Infinity, 0.0], [0.0, 1.0]]', "W"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("command", [["analyze"], ["concentration", "--c-grid", "1e-2"]])
+    def test_one_json_line(self, case, command, tmp_path, capsys):
+        fields, name = self.CASES[case]
+        path = tmp_path / "model.json"
+        path.write_text('{"k": 2, "p": 1, ' + fields + "}")
+        code, out, err = _run([command[0], "--model", str(path), *command[1:]], capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line) == {"code": 1, "message": f"{name} must be finite"}
+
+
 class TestCoverage:
     def test_byte_identical_reruns(self, tmp_path):
         paths = [str(tmp_path / f"c{i}.json") for i in (1, 2)]
@@ -298,3 +318,22 @@ def test_import_leaves_out_scipy_integrate():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["False", "False"]
+
+
+def test_import_leaves_out_scipy_linalg():
+    src = os.path.dirname(os.path.dirname(misspec.__file__))
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys, misspec; from misspec import cli; "
+         "cli.main(['analyze', '--model', 'm2.json', '--out', os.devnull]); "
+         "cli.main(['coverage', '--reps', '1000', '--out', os.devnull]); "
+         "cli.main(['concentration', '--model', 'm1.json', '--c-grid', '1e-2', "
+         "'--grid-points', '101', '--out', os.devnull]); "
+         "print('scipy.linalg' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        cwd=golden,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stdout.split() == ["False"]

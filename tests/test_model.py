@@ -129,6 +129,29 @@ class TestValidation:
         with pytest.raises(InputError, match="k >= p"):
             ModelInstance(Y=[1.0], X=[[1.0, 0.0]], W=np.eye(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["Y", "X", "W"])
+    def test_non_finite_rejected(self, name, bad):
+        arrays = {"Y": np.zeros(3), "X": np.ones((3, 1)), "W": np.eye(3)}
+        arrays[name][-1] = bad
+        with pytest.raises(ModelValidationError, match=f"^{name} must be finite$"):
+            ModelInstance(**arrays)
+
+    def test_non_finite_weight_rejected_by_other_consumers(self):
+        from misspec.inference import LocalExperiment
+        from misspec.priors import NormalRadial, ScaledPrior
+        from misspec.scenarios import IVScenario
+
+        w = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ModelValidationError, match="Sigma must be finite"):
+            LocalExperiment(Gamma_L=np.ones((2, 1)), Sigma=w, mu=np.zeros(2),
+                            K=np.ones(1), W_L=np.eye(2))
+        with pytest.raises(ModelValidationError, match="z_cov must be finite"):
+            IVScenario(k=2, theta_ate=1.0, beta_vec=np.ones(2),
+                       first_stage=np.ones(2), z_cov=w)
+        with pytest.raises(ModelValidationError, match="W must be finite"):
+            ScaledPrior(family=NormalRadial(), c=1.0, W=w)
+
     def test_empty_w_rejected(self):
         from misspec._linalg import spd_factor
 
