@@ -57,11 +57,10 @@ from misspec.posteriors import (
     ThetaPrior,
     bayes_action_grid,
     bayes_action_quadratic,
+    closed_form_posterior,
     grid_posterior,
     mass_outside_ball,
     normal_posterior,
-    powerlaw_posterior,
-    t_limit_posterior,
     tv_distance,
 )
 from misspec.priors import (

@@ -51,6 +51,7 @@ class InferenceConfig:
 
     def __post_init__(self):
         v = _linalg.as_vector(self.v, None, "v")
+        _linalg.check_finite(v, "v")
         if not np.any(v != 0.0):
             raise InputError("v must be nonzero")
         if not (0.0 < self.level < 1.0):
@@ -180,7 +181,7 @@ def identified_set_projection(
     Empty when d^2 falls below J (the data reject the bound), a single point
     at d^2 = J, and otherwise an interval of half-width sigma_v sqrt(d^2 - J).
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise InputError(f"norm bound d must be nonnegative, got {d}")
     pt = pseudo_true(model)
     sv = sigma_v(model, cfg.v)
@@ -197,7 +198,7 @@ def identified_set_projection(
 
 def identified_set_membership(model: ModelInstance, theta, d: float) -> bool:
     """Whether theta satisfies Q(theta) <= d^2 (with a relative tolerance)."""
-    if d < 0.0:
+    if not d >= 0.0:
         raise InputError(f"norm bound d must be nonnegative, got {d}")
     d2 = d * d
     return objective(model, theta) <= d2 + 1e-12 * (1.0 + d2)

@@ -114,6 +114,11 @@ class PseudoTrueResult:
         """H^{-1}, computed once from the cached factor."""
         return _readonly(self.solve(np.eye(self.theta_w.shape[0])))
 
+    @cached_property
+    def lam_max(self) -> float:
+        """Largest eigenvalue of H^{-1}, computed once."""
+        return float(np.max(np.linalg.eigvalsh(self.hessian_inv)))
+
 
 @dataclass(frozen=True)
 class EtaDecomposition:

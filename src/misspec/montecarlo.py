@@ -22,6 +22,7 @@ from misspec.posteriors import (
     GridSpec,
     ThetaPrior,
     bayes_action_quadratic,
+    check_point_counts,
     grid_posterior,
     mass_outside_ball,
     posterior_sd,
@@ -29,8 +30,6 @@ from misspec.posteriors import (
 )
 from misspec.priors import (
     ContaminatedPrior,
-    NormalRadial,
-    PowerLawRadial,
     RadialFamily,
     ScaledPrior,
     StudentTRadial,
@@ -267,24 +266,15 @@ def run_pivotality(
     return ks_statistic(tstats, k - p)
 
 
-def _family_sd_estimate(
-    family: RadialFamily, c: float, j: float, lam_max: float, k: int, p: int
-) -> float:
-    """Rough posterior scale used to size sweep grids."""
-    if isinstance(family, NormalRadial):
-        return math.sqrt(c * lam_max)
-    if isinstance(family, StudentTRadial):
-        nu = family.dof + k - p
-        base = (c * family.dof + j) * lam_max / nu
-    elif isinstance(family, PowerLawRadial):
-        nu = 2.0 * family.alpha - p
-        if nu <= 0.0 or j <= 0.0:
-            raise InputError("power-law sweeps require 2*alpha > p and J > 0")
-        base = j * lam_max / nu
-    else:
-        raise InputError(f"unsupported radial family {family!r}")
-    factor = nu / (nu - 2.0) if nu > 2.0 else 4.0
-    return math.sqrt(base * factor)
+def _family_sd_estimate(family: RadialFamily, c: float, model: ModelInstance) -> float:
+    """Rough posterior sd along H^{-1}'s top axis, used to size sweep grids."""
+    pt = pseudo_true(model)
+    dof, spread = family.posterior_shape(c, pt.j_stat, model.k, model.p)
+    if dof is None:
+        return math.sqrt(spread * pt.lam_max)
+    # Where the t variance is infinite (dof <= 2), take twice the scale's root.
+    factor = dof / (dof - 2.0) if dof > 2.0 else 4.0
+    return math.sqrt(spread * pt.lam_max / dof * factor)
 
 
 def run_concentration(
@@ -305,7 +295,6 @@ def run_concentration(
     c_grid = _linalg.as_vector(c_grid, None, "c_grid")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     pt = pseudo_true(model)
-    lam_max = float(np.max(np.linalg.eigvalsh(pt.hessian_inv)))
     metrics: dict[str, list[float]] = {f"mass_outside_{eps:g}": [] for eps in eps_list}
     metrics["posterior_sd"] = []
     action_names = (
@@ -317,7 +306,7 @@ def run_concentration(
         metrics[name] = []
     for c in c_grid:
         prior = ScaledPrior(family=family, c=float(c), W=model.W)
-        sd_est = _family_sd_estimate(family, float(c), pt.j_stat, lam_max, model.k, model.p)
+        sd_est = _family_sd_estimate(family, float(c), model)
         bounds = [(tw - 12.0 * sd_est, tw + 12.0 * sd_est) for tw in pt.theta_w]
         post = grid_posterior(
             model, prior, theta_prior, GridSpec(bounds=bounds, points=grid_points)
@@ -369,17 +358,12 @@ def run_contamination(
     """
     if model.p != 1:
         raise InputError("contamination sweeps are implemented for p = 1")
+    check_point_counts(grid_points, 1, "grid_points")
     c_grid = _linalg.as_vector(c_grid, None, "c_grid")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     pt = pseudo_true(model)
-    lam_max = float(np.max(np.linalg.eigvalsh(pt.hessian_inv)))
-    wide = 12.0 * _family_sd_estimate(
-        contaminant.family, contaminant.c, pt.j_stat, lam_max, model.k, model.p
-    )
-    cores = [
-        10.0 * _family_sd_estimate(base_family, float(c), pt.j_stat, lam_max, model.k, model.p)
-        for c in c_grid
-    ]
+    wide = 12.0 * _family_sd_estimate(contaminant.family, contaminant.c, model)
+    cores = [10.0 * _family_sd_estimate(base_family, float(c), model) for c in c_grid]
     axis = _composite_axis(float(pt.theta_w[0]), wide, cores, grid_points, 401)
     spec = GridSpec(axes=[axis])
     contam_post = grid_posterior(model, contaminant, theta_prior, spec)

@@ -1,10 +1,11 @@
 """Posterior distributions for theta under rotation-invariant misspecification priors.
 
-Closed forms cover the normal radial family (Gaussian posterior), the small-c
-limit of the t radial family, and the power-law family (both Student-t
-posteriors).  Numerical posteriors are computed on one- or two-dimensional
-grids in log space with max-subtraction before exponentiation, since the
-radial profile evaluated at Q/c underflows catastrophically for small c.
+``closed_form_posterior`` is exact under a flat theta prior for every radial
+family: Gaussian for the normal family, Student-t for the power law and for
+the t family at every c, with c = 0 its small-c limit.  Numerical posteriors
+are computed on one- or two-dimensional grids in log space with
+max-subtraction before exponentiation, since the radial profile evaluated at
+Q/c underflows catastrophically for small c.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from misspec.errors import (
     NumericalError,
 )
 from misspec.model import ModelInstance, pseudo_true
-from misspec.priors import ContaminatedPrior, PowerLawRadial, ScaledPrior
+from misspec.priors import ContaminatedPrior, NormalRadial, RadialFamily, ScaledPrior
 from misspec.special import StudentT, t_cdf
 
 __all__ = [
@@ -32,9 +33,8 @@ __all__ = [
     "ClosedFormPosterior",
     "GridSpec",
     "GridPosterior",
+    "closed_form_posterior",
     "normal_posterior",
-    "t_limit_posterior",
-    "powerlaw_posterior",
     "grid_posterior",
     "mass_outside_ball",
     "bayes_action_quadratic",
@@ -67,8 +67,10 @@ class ThetaPrior:
     def gaussian(mean, sd) -> "ThetaPrior":
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         sd = np.broadcast_to(np.asarray(sd, dtype=np.float64), mean.shape).copy()
-        if np.any(sd <= 0.0):
-            raise InputError("Gaussian theta prior requires positive sd")
+        if not np.isfinite(mean).all():
+            raise InputError("Gaussian theta prior requires a finite mean")
+        if not (np.isfinite(sd).all() and np.all(sd > 0.0)):
+            raise InputError("Gaussian theta prior requires a positive finite sd")
         return ThetaPrior(kind="gaussian", mean=mean, sd=sd)
 
     @staticmethod
@@ -169,53 +171,35 @@ class ClosedFormPosterior:
         return np.sqrt(diag * nu / (nu - 2.0))
 
 
+def closed_form_posterior(
+    model: ModelInstance, family: RadialFamily, c: float
+) -> ClosedFormPosterior:
+    """Exact posterior under ``family`` at prior scale c, with a flat theta prior.
+
+    Centred at theta_W, with the shape of ``family.posterior_shape``; c = 0
+    is the small-c limit.  Where the scale is J alone, J must be positive.
+    """
+    if not (c >= 0.0 and math.isfinite(c)):
+        raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
+    pt = pseudo_true(model)
+    dof, spread = family.posterior_shape(c, pt.j_stat, model.k, model.p)
+    if dof is None:
+        if not spread > 0.0:
+            raise InputError(f"prior scale c must be positive, got {c}")
+        cov = spread * pt.hessian_inv
+        return ClosedFormPosterior(kind="gaussian", center=pt.theta_w, scale=cov)
+    if (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
+        raise DegenerateLimitError(
+            f"{family.spec_string()} posterior at c = {c:g} requires a positive "
+            "J-statistic (its scale is J alone)"
+        )
+    scale = spread / dof * pt.hessian_inv
+    return ClosedFormPosterior(kind="student_t", center=pt.theta_w, scale=scale, dof=dof)
+
+
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
-    """Posterior under the normal radial prior and a flat theta prior.
-
-    Gaussian, centered at the pseudo-true value, covariance c (X'WX)^{-1}.
-    """
-    if not c > 0.0:
-        raise InputError(f"prior scale c must be positive, got {c}")
-    pt = pseudo_true(model)
-    cov = c * pt.hessian_inv
-    return ClosedFormPosterior(kind="gaussian", center=pt.theta_w, scale=cov)
-
-
-def t_limit_posterior(model: ModelInstance, dof_tilde: float) -> ClosedFormPosterior:
-    """Small-c limit posterior under the t radial prior with ``dof_tilde``.
-
-    Student-t with dof = dof_tilde + k - p, centered at the pseudo-true value,
-    scale matrix J (dof X'WX)^{-1}.  Requires a strictly positive J.
-    """
-    if not dof_tilde > 0.0:
-        raise InputError(f"dof_tilde must be positive, got {dof_tilde}")
-    pt = pseudo_true(model)
-    if pt.j_stat <= pt.noise_floor:
-        raise DegenerateLimitError(
-            "t-limit posterior requires a positive J-statistic (the limit "
-            "formula presumes a detectable misspecification)"
-        )
-    nu = dof_tilde + model.k - model.p
-    scale = pt.j_stat / nu * pt.hessian_inv
-    return ClosedFormPosterior(kind="student_t", center=pt.theta_w, scale=scale, dof=nu)
-
-
-def powerlaw_posterior(model: ModelInstance, alpha: float) -> ClosedFormPosterior:
-    """Posterior under the power-law radial prior; identical for every scale c.
-
-    Student-t with dof = 2 alpha - p, centered at the pseudo-true value,
-    scale matrix J (dof X'WX)^{-1}.  Requires a strictly positive J.
-    """
-    nu = 2.0 * alpha - model.p
-    if not nu > 0.0:
-        raise InputError(f"power-law posterior requires 2*alpha - p > 0, got {nu}")
-    pt = pseudo_true(model)
-    if pt.j_stat <= pt.noise_floor:
-        raise DegenerateLimitError(
-            "power-law posterior requires a positive J-statistic"
-        )
-    scale = pt.j_stat / nu * pt.hessian_inv
-    return ClosedFormPosterior(kind="student_t", center=pt.theta_w, scale=scale, dof=nu)
+    """Gaussian posterior N(theta_W, c (X'WX)^{-1}) under the normal radial prior."""
+    return closed_form_posterior(model, NormalRadial(), c)
 
 
 @dataclass(frozen=True)
@@ -324,20 +308,16 @@ def _normalize_grid(axes: tuple[np.ndarray, ...], logu: np.ndarray) -> GridPoste
 def _default_halfwidths(model: ModelInstance, prior) -> np.ndarray:
     """Half-widths for default grid bounds around the pseudo-true value."""
     pt = pseudo_true(model)
-    hinv = pt.hessian_inv
-    sig_max = math.sqrt(float(np.max(np.linalg.eigvalsh(hinv))))
+    sig_max = math.sqrt(pt.lam_max)
     j = pt.j_stat
     kp = model.k - model.p
     hw = 12.0 * math.sqrt(j / kp) * sig_max if (kp > 0 and j > 0.0) else 0.0
     base = prior.base if isinstance(prior, ContaminatedPrior) else prior
-    family = base.family
-    if isinstance(family, PowerLawRadial):
-        floor = 0.0
-    else:
+    floor = 0.0
+    if base.proper:
         # Scale floor so that J = 0 or k = p fixtures still get a usable grid.
-        dof = getattr(family, "dof", None)
-        spread = base.c * dof + j if dof is not None else base.c
-        floor = 20.0 * math.sqrt(spread * max(np.diag(hinv).max(), 0.0))
+        _, spread = base.family.posterior_shape(base.c, j, model.k, model.p)
+        floor = 20.0 * math.sqrt(spread * max(np.diag(pt.hessian_inv).max(), 0.0))
     if max(hw, floor) <= 0.0:
         raise GridError(
             "cannot infer default grid bounds (J = 0 with an improper prior); "
@@ -353,6 +333,16 @@ _MAX_GRID_POINTS = 2001**2
 def _check_grid_size(n_points: list[int]) -> None:
     if math.prod(n_points) > _MAX_GRID_POINTS:
         raise GridError(f"grid of {n_points} points exceeds {_MAX_GRID_POINTS} points in total")
+
+
+def check_point_counts(points, p: int, name: str = "grid point counts") -> list[int]:
+    """Per-axis point counts: p integers >= 2 whose product is within the cap."""
+    counts = [points] * p if np.isscalar(points) else list(points)
+    if len(counts) != p or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in counts):
+        raise GridError(f"{name} must be {p} integer(s) >= 2, got {points!r}")
+    counts = [int(n) for n in counts]
+    _check_grid_size(counts)
+    return counts
 
 
 def _resolve_axes(
@@ -371,15 +361,8 @@ def _resolve_axes(
     else:
         hws = _default_halfwidths(model, prior)
         bounds = [(tw - hw, tw + hw) for tw, hw in zip(theta_w, hws)]
-    if spec.points is None:
-        n_points = [2001 if model.p == 1 else 201] * model.p
-    elif np.isscalar(spec.points):
-        n_points = [int(spec.points)] * model.p
-    else:
-        n_points = [int(n) for n in spec.points]
-    if len(n_points) != model.p or any(n < 2 for n in n_points):
-        raise GridError(f"bad grid point counts {n_points}")
-    _check_grid_size(n_points)
+    points = (2001 if model.p == 1 else 201) if spec.points is None else spec.points
+    n_points = check_point_counts(points, model.p)
     axes = []
     for (lo, hi), n in zip(bounds, n_points):
         if not (hi > lo):
@@ -417,9 +400,9 @@ def grid_posterior(
     base = prior.base if isinstance(prior, ContaminatedPrior) else prior
     _linalg.check_same_weight(base.W, model.W, "prior", "model")
     pt = pseudo_true(model)
-    if isinstance(base.family, PowerLawRadial) and pt.j_stat <= pt.noise_floor:
+    if not base.proper and pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
-            "power-law grid posterior requires a positive J-statistic"
+            f"{base.family.spec_string()} grid posterior requires a positive J-statistic"
         )
     theta_w = pt.theta_w
     axes = _resolve_axes(model, prior, spec, theta_w)

@@ -63,6 +63,14 @@ class RadialFamily:
         """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k."""
         raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
 
+    def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
+        """(dof, spread) of the posterior under a flat theta prior, with H = X'WX.
+
+        Gaussian with covariance spread H^{-1} if dof is None, else Student-t
+        with scale matrix spread / dof H^{-1}.
+        """
+        raise NotImplementedError
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -82,6 +90,9 @@ class NormalRadial(RadialFamily):
     def log_tail(self, s: float, k: int) -> float:
         # S is chi-square with k degrees of freedom.
         return special.log_gammaincc(0.5 * k, 0.5 * s)
+
+    def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
+        return None, c
 
     def spec_string(self) -> str:
         return "normal"
@@ -114,6 +125,10 @@ class StudentTRadial(RadialFamily):
         # S / k is F(k, dof), whose survival function is an incomplete beta.
         return special.log_betainc(0.5 * self.dof, 0.5 * k, self.dof / (self.dof + s))
 
+    def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
+        # Exact at every c; as c -> 0 the scale shrinks only to J / dof' H^{-1}.
+        return self.dof + k - p, c * self.dof + j
+
     def spec_string(self) -> str:
         return f"t:{self.dof:g}"
 
@@ -133,6 +148,12 @@ class PowerLawRadial(RadialFamily):
         u = np.asarray(u, dtype=np.float64)
         with np.errstate(divide="ignore"):
             return -self.alpha * np.log(u)
+
+    def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
+        nu = 2.0 * self.alpha - p
+        if not nu > 0.0:
+            raise InputError(f"power-law posterior requires 2*alpha - p > 0, got {nu}")
+        return nu, j
 
     def spec_string(self) -> str:
         return f"powerlaw:{self.alpha:g}"

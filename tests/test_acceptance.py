@@ -36,10 +36,9 @@ from misspec.montecarlo import (
 from misspec.posteriors import (
     GridSpec,
     ThetaPrior,
+    closed_form_posterior,
     grid_posterior,
     normal_posterior,
-    powerlaw_posterior,
-    t_limit_posterior,
 )
 from misspec.posteriors import _grid_cell_weights
 from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
@@ -119,7 +118,7 @@ def test_criterion_3_grid_vs_closed_form(acceptance_report):
 
         # t radial at c = 1e-8 against the t-limit closed form on the same
         # (trapezoid-renormalized) support.
-        limit = t_limit_posterior(CANON, 3.0)
+        limit = closed_form_posterior(CANON, StudentTRadial(3.0), 0.0)
         sd_t = math.sqrt(limit.scale[0, 0] * limit.dof / (limit.dof - 2.0))
         spec_t = GridSpec(bounds=[(1.0 - 8 * sd_t, 1.0 + 8 * sd_t)], points=2001)
         post_t = grid_posterior(
@@ -195,11 +194,11 @@ def test_criterion_6_identified_set_geometry(acceptance_report):
 
 def test_criterion_7_closed_form_limit_formulas(acceptance_report):
     with _criterion(7, "closed form posterior formulas", 1.0, report=acceptance_report):
-        tl = t_limit_posterior(CANON, 3.0)
+        tl = closed_form_posterior(CANON, StudentTRadial(3.0), 0.0)
         assert tl.dof == 3.0 + 2 - 1
         assert_allclose(tl.center, [1.0], atol=1e-12)
         assert_allclose(tl.scale, [[0.25]], rtol=1e-12)
-        pl = powerlaw_posterior(CANON, 3.0)
+        pl = closed_form_posterior(CANON, PowerLawRadial(3.0), 1.0)
         assert pl.dof == 2.0 * 3.0 - 1
         assert_allclose(pl.scale, [[0.2]], rtol=1e-12)
 

@@ -119,6 +119,39 @@ class TestNonFiniteModel:
         assert json.loads(line) == {"code": 1, "message": f"{name} must be finite"}
 
 
+class TestNonFiniteInputs:
+    # (argv, a word the message must contain to name the bad input)
+    CASES = {
+        "analyze-v": (["analyze", "--model", "{m2}", "--v", "nan,1"], "v must be finite"),
+        "analyze-d": (["analyze", "--model", "{m2}", "--v", "1,1", "--d", "nan"], "norm bound d"),
+        "pivot-v": (["pivot", "--v", "nan", "--reps", "200"], "v must be finite"),
+        "coverage-sd-nan": (["coverage", "--reps", "1000", "--theta-sd", "nan"], "sd"),
+        "coverage-sd-inf": (["coverage", "--reps", "1000", "--theta-sd", "inf"], "sd"),
+        "coverage-mean": (["coverage", "--reps", "1000", "--theta-mean", "nan,0"], "mean"),
+        "contaminate-points-neg": (
+            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
+             "--grid-points", "-5"],
+            "grid_points",
+        ),
+        "contaminate-points-1": (
+            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
+             "--grid-points", "1"],
+            "grid_points",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_json_line(self, case, capsys):
+        argv, word = self.CASES[case]
+        golden = os.path.join(os.path.dirname(__file__), "golden")
+        paths = {k: os.path.join(golden, f"{k}.json") for k in ("m1", "m2")}
+        code, out, err = _run([a.format(**paths) for a in argv], capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["code"] == 1 and word in payload["message"]
+
+
 class TestCoverage:
     def test_byte_identical_reruns(self, tmp_path):
         paths = [str(tmp_path / f"c{i}.json") for i in (1, 2)]

@@ -158,6 +158,12 @@ class TestIdentifiedSet:
         with pytest.raises(InputError):
             identified_set_projection(canon_model, CFG, -1.0)
 
+    def test_nan_d_rejected_by_name(self, canon_model):
+        with pytest.raises(InputError, match="norm bound d"):
+            identified_set_projection(canon_model, CFG, math.nan)
+        with pytest.raises(InputError, match="norm bound d"):
+            identified_set_membership(canon_model, [1.0], math.nan)
+
 
 class TestAdapters:
     def test_finite_sample_identical_to_population(self, mean3_model):
@@ -210,6 +216,9 @@ class TestTypesAndReport:
             InferenceConfig(v=[0.0, 0.0])
         with pytest.raises(InputError):
             InferenceConfig(v=[1.0], level=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError, match="v must be finite"):
+                InferenceConfig(v=[bad, 1.0])
 
     def test_interval_invariants(self):
         with pytest.raises(InputError):

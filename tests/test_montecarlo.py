@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from misspec import _kernels
-from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
+from misspec.errors import GridError, ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.montecarlo import (
     DEFAULT_COVERAGE_X,
@@ -245,13 +245,17 @@ class TestSweeps:
             assert_allclose(b / a, np.sqrt(10.0), rtol=0.05)
 
     def test_concentration_student_sd_stabilizes(self, canon_model):
-        from misspec.posteriors import posterior_sd, t_limit_posterior
+        from misspec.posteriors import closed_form_posterior, posterior_sd
 
         trace = run_concentration(canon_model, StudentTRadial(3.0), [1e-8, 1e-6, 1e-4], [0.1])
         sds = trace.metrics["posterior_sd"]
         assert np.max(np.abs(sds - sds[0])) < 0.01 * sds[0]
-        limit_sd = posterior_sd(t_limit_posterior(canon_model, 3.0))[0]
+        limit_sd = posterior_sd(closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0))[0]
         assert abs(sds[0] - limit_sd) < 0.03 * limit_sd
+
+    def test_concentration_grid_points_not_truncated(self, canon_model):
+        with pytest.raises(GridError, match="integer"):
+            run_concentration(canon_model, NormalRadial(), [0.5], [0.1], grid_points=3.7)
 
     def test_concentration_powerlaw_flat(self, canon_model):
         trace = run_concentration(canon_model, PowerLawRadial(3.0), [1e-4, 1e-2, 1.0], [0.1])
@@ -268,6 +272,13 @@ class TestSweeps:
         trace0 = run_contamination(exactfit_model, NormalRadial(), contam, 0.01,
                                    [1e-6], eps_list=[0.05])
         assert trace0.metrics["mass_outside_0.05"][0] < 0.01
+
+    @pytest.mark.parametrize("points", [-5, 0, 1, 401.0, True, 2001**2 + 1])
+    def test_contamination_grid_points_validated(self, canon_model, points):
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        with pytest.raises(GridError):
+            run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2],
+                              grid_points=points)
 
     def test_phi_half_same_limit(self, canon_model):
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))

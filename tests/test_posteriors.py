@@ -17,12 +17,11 @@ from misspec.posteriors import (
     ThetaPrior,
     bayes_action_grid,
     bayes_action_quadratic,
+    closed_form_posterior,
     grid_posterior,
     mass_outside_ball,
     normal_posterior,
     posterior_sd,
-    powerlaw_posterior,
-    t_limit_posterior,
     tv_distance,
 )
 from misspec.posteriors import _grid_cell_weights
@@ -60,7 +59,7 @@ class TestNormalPosterior:
 
 class TestTLimitPosterior:
     def test_canonical(self, canon_model):
-        post = t_limit_posterior(canon_model, 3.0)
+        post = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
         assert post.dof == 4.0
         assert_allclose(post.center, [1.0], atol=1e-14)
         assert_allclose(post.scale, [[0.25]], rtol=1e-14)
@@ -70,42 +69,49 @@ class TestTLimitPosterior:
         x = np.ones((6, 1))
         y = np.array([1.0, -1.0, 2.0, 0.0, 3.0, 1.0])
         m = ModelInstance(Y=y, X=x, W=np.eye(6))
-        assert t_limit_posterior(m, 3.0).dof == 8.0
+        assert closed_form_posterior(m, StudentTRadial(3.0), 0.0).dof == 8.0
 
     def test_scale_grows_with_j(self, canon_model):
-        base = t_limit_posterior(canon_model, 3.0)
+        base = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
         pt = pseudo_true(canon_model)
         resid = canon_model.Y - canon_model.X @ pt.theta_w
         doubled = ModelInstance(
             Y=canon_model.X @ pt.theta_w + 2.0 * resid, X=canon_model.X, W=canon_model.W
         )
-        quad = t_limit_posterior(doubled, 3.0)
+        quad = closed_form_posterior(doubled, StudentTRadial(3.0), 0.0)
         assert_allclose(quad.scale, 4.0 * base.scale, rtol=1e-12)
 
     def test_degenerate_j(self, exactfit_model):
         with pytest.raises(DegenerateLimitError):
-            t_limit_posterior(exactfit_model, 3.0)
+            closed_form_posterior(exactfit_model, StudentTRadial(3.0), 0.0)
+
+    def test_positive_c_needs_no_positive_j(self, exactfit_model):
+        # At c > 0 the scale is c dof + J, not J alone, even where it rounds to J.
+        pt = pseudo_true(exactfit_model)
+        assert 1e-300 * 3.0 + pt.j_stat == pt.j_stat
+        post = closed_form_posterior(exactfit_model, StudentTRadial(3.0), 1e-300)
+        assert post.dof == 4.0 and np.all(np.isfinite(post.scale))
 
 
 class TestPowerLawPosterior:
     def test_canonical(self, canon_model):
-        post = powerlaw_posterior(canon_model, 3.0)
+        post = closed_form_posterior(canon_model, PowerLawRadial(3.0), 1.0)
         assert post.dof == 5.0
         assert_allclose(post.scale, [[0.2]], rtol=1e-14)
 
     def test_half_k_matches_ci_kernel(self, canon_model):
         # alpha = k/2 yields dof = k - p and scale J (X'WX)^{-1} / (k - p).
-        post = powerlaw_posterior(canon_model, 1.0)
+        post = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)
         assert post.dof == 1.0
         assert_allclose(post.scale, [[2.0 * 0.5 / 1.0]], rtol=1e-14)
 
     def test_parameter_guard(self, canon_model):
         with pytest.raises(InputError):
-            powerlaw_posterior(canon_model, 0.4)
+            closed_form_posterior(canon_model, PowerLawRadial(0.4), 1.0)
 
     def test_degenerate_j(self, exactfit_model):
         with pytest.raises(DegenerateLimitError):
-            powerlaw_posterior(exactfit_model, 3.0)
+            closed_form_posterior(exactfit_model, PowerLawRadial(3.0), 1.0)
 
 
 class TestGridPosterior:
@@ -117,7 +123,7 @@ class TestGridPosterior:
 
     def test_t_grid_matches_limit_at_tiny_c(self, canon_model):
         prior = ScaledPrior(family=StudentTRadial(3.0), c=1e-8, W=np.eye(2))
-        limit = t_limit_posterior(canon_model, 3.0)
+        limit = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
         sd = math.sqrt(limit.scale[0, 0] * limit.dof / (limit.dof - 2.0))
         post = _grid_for(canon_model, prior, sd=sd)
         oracle = limit.density(post.points())
@@ -135,6 +141,15 @@ class TestGridPosterior:
             for c in (1.0, 100.0)
         ]
         assert np.max(np.abs(posts[0].density - posts[1].density)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "mean, sd, name",
+        [([0.0], math.nan, "sd"), ([0.0], math.inf, "sd"), ([0.0], -1.0, "sd"),
+         ([math.nan, 0.0], 1.0, "mean"), ([0.0, -math.inf], 1.0, "mean")],
+    )
+    def test_gaussian_theta_prior_rejects_nonfinite(self, mean, sd, name):
+        with pytest.raises(InputError, match=f"requires a (positive )?finite {name}"):
+            ThetaPrior.gaussian(mean, sd)
 
     def test_gaussian_theta_prior_conjugate(self, canon_model):
         # Normal radial x Gaussian prior: precision h/c + 1/s0^2 in closed form.
@@ -204,6 +219,14 @@ class TestGridPosterior:
         for spec in (GridSpec(points=(2002, 2001)), GridSpec(axes=axes)):
             with pytest.raises(GridError, match="exceeds"):
                 grid_posterior(m, prior, None, spec)
+
+    @pytest.mark.parametrize("points", [2.9, 1, (201, 3.5), (201,)])
+    def test_point_counts_not_truncated(self, points):
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        m = ModelInstance(Y=[1.0, 2.0, 2.0], X=x, W=np.eye(3))
+        prior = ScaledPrior(family=NormalRadial(), c=0.8, W=np.eye(3))
+        with pytest.raises(GridError, match="integer"):
+            grid_posterior(m, prior, None, GridSpec(points=points))
 
     def test_sd_keeps_precision_at_tiny_c(self):
         # sd is about 1e-4 while theta_W is about (11.3, 7.9): E[theta^2] - mean^2
@@ -277,7 +300,7 @@ class TestMassOutsideBall:
         assert_allclose(a, b, rtol=1e-12)
 
     def test_student_closed_form(self, canon_model):
-        post = t_limit_posterior(canon_model, 3.0)
+        post = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
         from oracles import t_cdf_quad
 
         s = math.sqrt(post.scale[0, 0])
@@ -292,7 +315,7 @@ class TestMassOutsideBall:
             assert_allclose(mass, math.erfc(z / math.sqrt(2.0)), rtol=1e-12)
 
     def test_cauchy_far_tail_keeps_relative_accuracy(self, canon_model):
-        post = powerlaw_posterior(canon_model, 1.0)  # p = 1, so dof = 1
+        post = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)  # p = 1, so dof = 1
         s = math.sqrt(post.scale[0, 0])
         for z in (1e4, 1e8):
             mass = mass_outside_ball(post, post.center, z * s)
@@ -317,7 +340,7 @@ class TestBayesActions:
         assert_allclose(bayes_action_quadratic(post), [1.0], atol=1e-10)
 
     def test_t_posterior_mean_requires_dof(self, canon_model):
-        post = powerlaw_posterior(canon_model, 1.0)  # dof exactly 1
+        post = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)  # dof exactly 1
         with pytest.raises(InputError):
             bayes_action_quadratic(post)
 
@@ -421,7 +444,7 @@ class TestFragility:
 def test_posterior_sd_helpers(canon_model):
     cf = normal_posterior(canon_model, 0.5)
     assert_allclose(posterior_sd(cf), [0.5])
-    tl = t_limit_posterior(canon_model, 3.0)
+    tl = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
     assert_allclose(posterior_sd(tl), [math.sqrt(0.25 * 2.0)])
-    pl = powerlaw_posterior(canon_model, 1.0)
+    pl = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)
     assert np.isinf(posterior_sd(pl)[0])

@@ -20,9 +20,15 @@ from misspec.inference import (
     identified_set_projection,
 )
 from misspec.model import ModelInstance, pseudo_true, sigma_v
-from misspec.posteriors import GridSpec, grid_posterior, normal_posterior, t_limit_posterior
+from misspec.posteriors import (
+    GridSpec,
+    closed_form_posterior,
+    grid_posterior,
+    normal_posterior,
+)
+from misspec.posteriors import _grid_cell_weights
 from misspec.montecarlo import run_tails
-from misspec.priors import NormalRadial, ScaledPrior, StudentTRadial
+from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
 from oracles import random_model_arrays, random_spd
 
 # (k, p) with k > p, so the confidence interval is defined.
@@ -115,7 +121,10 @@ def test_estimands_match_fresh_model(seed, shape):
     # repr compares floats exactly, and empty intervals (NaN bounds) as equal.
     assert repr(fresh_report.ci) == repr(report.ci)
     assert repr(fresh_report.identified_sets) == repr(report.identified_sets)
-    assert_array_equal(t_limit_posterior(fresh, 3.0).scale, t_limit_posterior(m, 3.0).scale)
+    t3 = StudentTRadial(3.0)
+    assert_array_equal(
+        closed_form_posterior(fresh, t3, 0.0).scale, closed_form_posterior(m, t3, 0.0).scale
+    )
     assert pseudo_true(m) is pseudo_true(m)
 
 
@@ -133,6 +142,32 @@ def test_normal_grid_matches_closed_form_near_spd_tolerance(seed, shape, c):
     assert np.all(np.abs(post.mean() - theta_w) <= 1e-9 * sd)
     if m.p == 1:
         assert_allclose(post.sd(), sd, rtol=1e-7)
+
+
+@given(
+    seeds,
+    st.sampled_from([(2, 1), (4, 1), (3, 2), (5, 2)]),
+    st.one_of(
+        st.floats(1.0, 30.0).map(StudentTRadial),
+        # 2 alpha - p > 0 for p <= 2.
+        st.floats(1.25, 10.0).map(PowerLawRadial),
+    ),
+    st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+)
+def test_t_and_powerlaw_grids_match_closed_form(seed, shape, family, c):
+    # The grid density is the exact posterior up to the grid's normalizer.
+    rng = np.random.default_rng(seed)
+    y, x, _ = random_model_arrays(rng, *shape)
+    m = ModelInstance(Y=y, X=x, W=random_spd(rng, shape[0]))
+    cf = closed_form_posterior(m, family, c)
+    half = 12.0 * np.sqrt(np.diag(cf.scale))
+    bounds = [(t - h, t + h) for t, h in zip(cf.center, half)]
+    points = 401 if m.p == 1 else 101
+    prior = ScaledPrior(family=family, c=c, W=m.W)
+    post = grid_posterior(m, prior, None, GridSpec(bounds=bounds, points=points))
+    oracle = cf.density(post.points()).reshape(post.density.shape)
+    oracle /= np.sum(_grid_cell_weights(post.axes) * oracle)
+    assert np.max(np.abs(post.density - oracle)) <= 1e-9 * np.max(oracle)
 
 
 @given(
