@@ -177,46 +177,65 @@ def _cmd_tails(args) -> int:
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"cannot parse JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return data
+
+
+def _param(params: dict, name: str, convert, kind: str):
+    """``convert(params[name])``; a missing or malformed field is an InputError naming it."""
+    try:
+        raw = params[name]
+    except KeyError as exc:
+        raise InputError(f"{kind} scenario params missing field {exc}") from exc
+    try:
+        return convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{kind} scenario params field {name!r} is malformed: {exc}") from exc
+
+
+def _floats(raw) -> np.ndarray:
+    return np.asarray(raw, dtype=np.float64)
+
+
+def _pair(raw) -> tuple[float, float]:
+    x1, x2 = (float(t) for t in raw)
+    return x1, x2
+
+
+# Converters of the optional dgp fields; an absent field keeps the IVDgpParams default.
+_DGP_FIELDS = {"c0": float, "c": _floats, "delta": float, "theta_bar": float}
 
 
 def _cmd_scenario(args) -> int:
     params = _load_json(args.params)
     if args.kind == "iv":
-        try:
-            scenario = IVScenario(
-                k=int(params["k"]),
-                theta_ate=float(params["theta_ate"]),
-                beta_vec=np.asarray(params["beta_vec"], dtype=np.float64),
-                first_stage=np.asarray(params["first_stage"], dtype=np.float64),
-                z_cov=np.asarray(params["z_cov"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise InputError(f"iv scenario params missing field {exc}") from exc
+        scenario = IVScenario(
+            k=_param(params, "k", int, "iv"),
+            theta_ate=_param(params, "theta_ate", float, "iv"),
+            beta_vec=_param(params, "beta_vec", _floats, "iv"),
+            first_stage=_param(params, "first_stage", _floats, "iv"),
+            z_cov=_param(params, "z_cov", _floats, "iv"),
+        )
         if args.sample is None:
             model = iv_population_model(scenario)
         else:
-            dgp_raw = params.get("dgp", {})
+            dgp_raw = _param(params, "dgp", dict, "iv") if "dgp" in params else {}
             dgp = IVDgpParams(
-                c0=float(dgp_raw.get("c0", 0.0)),
-                c=np.asarray(dgp_raw["c"], dtype=np.float64) if "c" in dgp_raw else 0.5,
-                delta=float(dgp_raw.get("delta", 1.0)),
-                theta_bar=float(dgp_raw.get("theta_bar", 1.0)),
+                **{f: _param(dgp_raw, f, cv, "iv") for f, cv in _DGP_FIELDS.items() if f in dgp_raw}
             )
             yn, xn, wn = iv_sample(scenario, args.sample, dgp, seed=args.seed)
             model = ModelInstance(Y=yn, X=xn, W=wn)
     else:
-        try:
-            scenario = LogitScenario(
-                support=np.asarray(params["support"], dtype=np.float64),
-                probs=np.asarray(params["probs"], dtype=np.float64),
-                cond_means=np.asarray(params["cond_means"], dtype=np.float64),
-                x_star=(float(params["x_star"][0]), float(params["x_star"][1])),
-            )
-        except KeyError as exc:
-            raise InputError(f"logit scenario params missing field {exc}") from exc
+        scenario = LogitScenario(
+            support=_param(params, "support", _floats, "logit"),
+            probs=_param(params, "probs", _floats, "logit"),
+            cond_means=_param(params, "cond_means", _floats, "logit"),
+            x_star=_param(params, "x_star", _pair, "logit"),
+        )
         model = logit_population_model(scenario)
     _write(serialize.dumps(serialize.model_to_dict(model)) + "\n", args.out)
     return 0

@@ -181,8 +181,8 @@ def identified_set_projection(
     Empty when d^2 falls below J (the data reject the bound), a single point
     at d^2 = J, and otherwise an interval of half-width sigma_v sqrt(d^2 - J).
     """
-    if not d >= 0.0:
-        raise InputError(f"norm bound d must be nonnegative, got {d}")
+    if not (d >= 0.0 and math.isfinite(d)):
+        raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
     pt = pseudo_true(model)
     sv = sigma_v(model, cfg.v)
     center = float(cfg.v @ pt.theta_w)
@@ -198,8 +198,8 @@ def identified_set_projection(
 
 def identified_set_membership(model: ModelInstance, theta, d: float) -> bool:
     """Whether theta satisfies Q(theta) <= d^2 (with a relative tolerance)."""
-    if not d >= 0.0:
-        raise InputError(f"norm bound d must be nonnegative, got {d}")
+    if not (d >= 0.0 and math.isfinite(d)):
+        raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
     d2 = d * d
     return objective(model, theta) <= d2 + 1e-12 * (1.0 + d2)
 

@@ -76,18 +76,25 @@ class CoverageResult:
     config: dict = field(default_factory=dict)
 
 
+def _sweep_axis(values, name: str) -> np.ndarray:
+    """A sweep axis of prior scales: nonempty, finite, positive and strictly increasing."""
+    axis = _linalg.as_vector(values, None, name)
+    increasing = axis.size >= 1 and np.all(np.diff(axis) > 0.0)
+    if not (increasing and axis[0] > 0.0 and math.isfinite(axis[-1])):
+        raise InputError(f"{name} must be finite, positive and strictly increasing")
+    return axis
+
+
 @dataclass(frozen=True)
 class SweepTrace:
-    """Metrics recorded along a strictly increasing sweep axis."""
+    """Metrics recorded along a positive, strictly increasing sweep axis."""
 
     axis_name: str
     axis: np.ndarray
     metrics: dict[str, np.ndarray]
 
     def __post_init__(self):
-        axis = _linalg.as_vector(self.axis, None, "axis")
-        if axis.size < 1 or not np.all(np.diff(axis) > 0.0):
-            raise InputError("sweep axis must be strictly increasing")
+        axis = _sweep_axis(self.axis, f"sweep axis {self.axis_name}")
         metrics = {k: _linalg.as_vector(v, axis.size, k) for k, v in self.metrics.items()}
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "metrics", metrics)
@@ -126,28 +133,13 @@ def _eta_kernel_args(eta_prior: ScaledPrior, fixture) -> tuple[np.ndarray, int, 
 def _theta_kernel_args(theta_prior: ThetaPrior, p: int):
     empty = np.empty(0)
     if theta_prior.kind == "gaussian":
-        mean = np.asarray(theta_prior.mean, dtype=np.float64)
-        sd = np.asarray(theta_prior.sd, dtype=np.float64)
-        if mean.shape[0] != p:
-            raise InputError(f"theta prior dimension {mean.shape[0]} != p={p}")
-        return _kernels.THETA_GAUSSIAN, mean, sd, empty, empty
+        if theta_prior.mean.shape[0] != p:
+            raise InputError(f"theta prior dimension {theta_prior.mean.shape[0]} != p={p}")
+        return _kernels.THETA_GAUSSIAN, theta_prior.mean, theta_prior.sd, empty, empty
     if theta_prior.kind == "tabulated":
         if p != 1:
             raise InputError("tabulated theta priors support p = 1 only")
-        if theta_prior.grid is None:
-            raise InputError(
-                "sampling from a tabulated theta prior requires its grid"
-            )
-        grid = theta_prior.grid
-        dens = np.array([float(theta_prior.density_fn(np.array([t]))) for t in grid])
-        if np.any(dens < 0.0):
-            raise InputError("tabulated theta prior density must be nonnegative")
-        cdf = np.zeros(grid.size)
-        cdf[1:] = np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))
-        if cdf[-1] <= 0.0:
-            raise InputError("tabulated theta prior has zero mass on its grid")
-        cdf /= cdf[-1]
-        return _kernels.THETA_TABULATED, np.zeros(1), np.ones(1), grid, cdf
+        return _kernels.THETA_TABULATED, np.zeros(1), np.ones(1), theta_prior.grid, theta_prior.cdf
     raise InputError(
         "coverage runs require a proper theta prior (gaussian or tabulated); "
         "the flat prior is only meaningful on a truncated grid"
@@ -283,16 +275,15 @@ def run_concentration(
     c_grid,
     eps_list,
     grid_points: int = 2001,
-    theta_prior: ThetaPrior | None = None,
 ) -> SweepTrace:
     """Posterior concentration diagnostics along a grid of prior scales c.
 
-    For each c the numerical posterior is evaluated on a grid sized to the
-    family's posterior scale, and the trace records mass outside each
-    epsilon-ball around the pseudo-true value, the posterior sd, and the
+    For each c the posterior under a flat theta prior is evaluated on a grid
+    sized to the family's posterior scale, and the trace records mass outside
+    each epsilon-ball around the pseudo-true value, the posterior sd, and the
     quadratic-loss Bayes action.
     """
-    c_grid = _linalg.as_vector(c_grid, None, "c_grid")
+    c_grid = _sweep_axis(c_grid, "c_grid")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     pt = pseudo_true(model)
     metrics: dict[str, list[float]] = {f"mass_outside_{eps:g}": [] for eps in eps_list}
@@ -308,9 +299,7 @@ def run_concentration(
         prior = ScaledPrior(family=family, c=float(c), W=model.W)
         sd_est = _family_sd_estimate(family, float(c), model)
         bounds = [(tw - 12.0 * sd_est, tw + 12.0 * sd_est) for tw in pt.theta_w]
-        post = grid_posterior(
-            model, prior, theta_prior, GridSpec(bounds=bounds, points=grid_points)
-        )
+        post = grid_posterior(model, prior, spec=GridSpec(bounds=bounds, points=grid_points))
         for eps in eps_list:
             metrics[f"mass_outside_{eps:g}"].append(
                 mass_outside_ball(post, pt.theta_w, eps)
@@ -345,7 +334,6 @@ def run_contamination(
     c_grid,
     eps_list=(0.05,),
     grid_points: int = 1601,
-    theta_prior: ThetaPrior | None = None,
 ) -> SweepTrace:
     """Fragility diagnostics: contaminated posterior versus the pure contaminant.
 
@@ -359,21 +347,21 @@ def run_contamination(
     if model.p != 1:
         raise InputError("contamination sweeps are implemented for p = 1")
     check_point_counts(grid_points, 1, "grid_points")
-    c_grid = _linalg.as_vector(c_grid, None, "c_grid")
+    c_grid = _sweep_axis(c_grid, "c_grid")
     eps_list = [float(e) for e in np.atleast_1d(eps_list)]
     pt = pseudo_true(model)
     wide = 12.0 * _family_sd_estimate(contaminant.family, contaminant.c, model)
     cores = [10.0 * _family_sd_estimate(base_family, float(c), model) for c in c_grid]
     axis = _composite_axis(float(pt.theta_w[0]), wide, cores, grid_points, 401)
     spec = GridSpec(axes=[axis])
-    contam_post = grid_posterior(model, contaminant, theta_prior, spec)
+    contam_post = grid_posterior(model, contaminant, spec=spec)
     metrics: dict[str, list[float]] = {"tv_to_contaminant": []}
     for eps in eps_list:
         metrics[f"mass_outside_{eps:g}"] = []
     for c in c_grid:
         base = ScaledPrior(family=base_family, c=float(c), W=model.W)
         prior = ContaminatedPrior(base=base, contaminant=contaminant, phi=phi)
-        post = grid_posterior(model, prior, theta_prior, spec)
+        post = grid_posterior(model, prior, spec=spec)
         metrics["tv_to_contaminant"].append(tv_distance(post, contam_post))
         for eps in eps_list:
             metrics[f"mass_outside_{eps:g}"].append(

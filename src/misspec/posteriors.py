@@ -2,7 +2,9 @@
 
 ``closed_form_posterior`` is exact under a flat theta prior for every radial
 family: Gaussian for the normal family, Student-t for the power law and for
-the t family at every c, with c = 0 its small-c limit.  Numerical posteriors
+the t family at every c, with c = 0 its small-c limit.  A closed form is
+Gaussian iff its dof is None, and its density is the matching radial
+profile (normal or t) normalized in dimension p.  Numerical posteriors
 are computed on one- or two-dimensional grids in log space with
 max-subtraction before exponentiation, since the radial profile evaluated at
 Q/c underflows catastrophically for small c.
@@ -25,7 +27,13 @@ from misspec.errors import (
     NumericalError,
 )
 from misspec.model import ModelInstance, pseudo_true
-from misspec.priors import ContaminatedPrior, NormalRadial, RadialFamily, ScaledPrior
+from misspec.priors import (
+    ContaminatedPrior,
+    NormalRadial,
+    RadialFamily,
+    ScaledPrior,
+    StudentTRadial,
+)
 from misspec.special import StudentT, t_cdf
 
 __all__ = [
@@ -58,6 +66,7 @@ class ThetaPrior:
     sd: np.ndarray | None = None
     density_fn: Callable[[np.ndarray], float] | None = None
     grid: np.ndarray | None = None
+    cdf: np.ndarray | None = None
 
     @staticmethod
     def flat() -> "ThetaPrior":
@@ -74,16 +83,20 @@ class ThetaPrior:
         return ThetaPrior(kind="gaussian", mean=mean, sd=sd)
 
     @staticmethod
-    def tabulated(
-        density_fn: Callable[[np.ndarray], float], grid=None
-    ) -> "ThetaPrior":
-        """Tabulated density; ``grid`` (p=1 support points) enables sampling."""
-        g = None
-        if grid is not None:
-            g = np.asarray(grid, dtype=np.float64)
-            if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0.0):
-                raise InputError("tabulated prior grid must be strictly increasing")
-        return ThetaPrior(kind="tabulated", density_fn=density_fn, grid=g)
+    def tabulated(density_fn: Callable[[np.ndarray], float], grid) -> "ThetaPrior":
+        """Density tabulated on the p=1 support points ``grid``, with its trapezoid CDF."""
+        g = np.asarray(grid, dtype=np.float64)
+        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0.0):
+            raise InputError("tabulated prior grid must be strictly increasing")
+        dens = np.array([float(density_fn(np.array([t]))) for t in g])
+        if np.any(dens < 0.0):
+            raise InputError("tabulated theta prior density must be nonnegative")
+        cdf = np.zeros(g.size)
+        cdf[1:] = np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(g))
+        if not cdf[-1] > 0.0:
+            raise InputError("tabulated theta prior has zero mass on its grid")
+        cdf /= cdf[-1]
+        return ThetaPrior(kind="tabulated", density_fn=density_fn, grid=g, cdf=cdf)
 
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Log prior density at an (m, p) array of theta points."""
@@ -109,28 +122,25 @@ class ThetaPrior:
 
 @dataclass(frozen=True)
 class ClosedFormPosterior:
-    """Gaussian or Student-t posterior descriptor.
+    """Gaussian (``dof`` None) or Student-t posterior descriptor.
 
-    ``scale`` is the covariance matrix for the Gaussian kind and the Student-t
-    scale matrix (not the covariance) for the t kind.
+    ``scale`` is the covariance matrix of a Gaussian and the scale matrix (not
+    the covariance) of a Student-t.
     """
 
-    kind: str
     center: np.ndarray
     scale: np.ndarray
     dof: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "student_t"):
-            raise InputError(f"unknown posterior kind {self.kind!r}")
         center = _linalg.as_vector(self.center, None, "center")
         sf = _linalg.spd_factor(self.scale, "scale")
         if sf.matrix.shape[0] != center.shape[0]:
             raise InputError("posterior center and scale dimensions disagree")
-        if self.kind == "student_t" and not (self.dof is not None and self.dof > 0):
-            raise InputError("student_t posterior requires positive dof")
+        family = NormalRadial() if self.dof is None else StudentTRadial(self.dof)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", sf.matrix)
+        object.__setattr__(self, "_family", family)
         object.__setattr__(self, "_scale_factor", sf)
 
     @property
@@ -142,33 +152,21 @@ class ClosedFormPosterior:
         pts = np.asarray(points, dtype=np.float64)
         single = pts.ndim == 1
         pts = pts[None, :] if single else pts
-        sf = self.__dict__["_scale_factor"]
+        sf, family = self.__dict__["_scale_factor"], self.__dict__["_family"]
         d = pts - self.center[None, :]
         q = np.einsum("ni,ij,nj->n", d, sf.inverse, d)
-        p = self.p
-        if self.kind == "gaussian":
-            logdens = -0.5 * q - 0.5 * (p * math.log(2.0 * math.pi) + sf.log_det)
-        else:
-            nu = float(self.dof)
-            logdens = (
-                math.lgamma(0.5 * (nu + p))
-                - math.lgamma(0.5 * nu)
-                - 0.5 * p * math.log(nu * math.pi)
-                - 0.5 * sf.log_det
-                - 0.5 * (nu + p) * np.log1p(q / nu)
-            )
+        logdens = family.log_f(q, self.p) - family.log_ball_integral(self.p) - 0.5 * sf.log_det
         out = np.exp(logdens)
         return float(out[0]) if single else out
 
     def marginal_sd(self) -> np.ndarray:
         """Marginal standard deviations (infinite for t with dof <= 2)."""
         diag = np.diag(self.scale)
-        if self.kind == "gaussian":
+        if self.dof is None:
             return np.sqrt(diag)
-        nu = float(self.dof)
-        if nu <= 2.0:
+        if self.dof <= 2.0:
             return np.full(self.p, np.inf)
-        return np.sqrt(diag * nu / (nu - 2.0))
+        return np.sqrt(diag * self.dof / (self.dof - 2.0))
 
 
 def closed_form_posterior(
@@ -186,15 +184,13 @@ def closed_form_posterior(
     if dof is None:
         if not spread > 0.0:
             raise InputError(f"prior scale c must be positive, got {c}")
-        cov = spread * pt.hessian_inv
-        return ClosedFormPosterior(kind="gaussian", center=pt.theta_w, scale=cov)
+        return ClosedFormPosterior(center=pt.theta_w, scale=spread * pt.hessian_inv)
     if (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
             f"{family.spec_string()} posterior at c = {c:g} requires a positive "
             "J-statistic (its scale is J alone)"
         )
-    scale = spread / dof * pt.hessian_inv
-    return ClosedFormPosterior(kind="student_t", center=pt.theta_w, scale=scale, dof=dof)
+    return ClosedFormPosterior(center=pt.theta_w, scale=spread / dof * pt.hessian_inv, dof=dof)
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
@@ -224,7 +220,6 @@ class GridPosterior:
     """
 
     axes: tuple[np.ndarray, ...]
-    log_unnormalized: np.ndarray
     density: np.ndarray
     weights: np.ndarray
 
@@ -297,12 +292,7 @@ def _normalize_grid(axes: tuple[np.ndarray, ...], logu: np.ndarray) -> GridPoste
     if not (total > 0.0 and math.isfinite(total)):
         raise NumericalError("grid posterior normalizer is not finite")
     dens = dens / total
-    return GridPosterior(
-        axes=axes,
-        log_unnormalized=logu,
-        density=dens,
-        weights=cell * dens,
-    )
+    return GridPosterior(axes=axes, density=dens, weights=cell * dens)
 
 
 def _default_halfwidths(model: ModelInstance, prior) -> np.ndarray:
@@ -455,7 +445,7 @@ def mass_outside_ball(
         m = float(post.center[0])
         s = math.sqrt(post.scale[0, 0])
         lo, hi = center[0] - radius, center[0] + radius
-        if post.kind == "gaussian":
+        if post.dof is None:
             cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
         else:
             dist = StudentT(float(post.dof))
@@ -474,12 +464,7 @@ def mass_outside_ball(
             for c0, s in zip(post.center, sds)
         )
         dens = post.density(_grid_points(axes)).reshape(axes[0].size, axes[1].size)
-        grid = GridPosterior(
-            axes=axes,
-            log_unnormalized=np.log(np.maximum(dens, 1e-300)),
-            density=dens,
-            weights=_grid_cell_weights(axes) * dens,
-        )
+        grid = GridPosterior(axes=axes, density=dens, weights=_grid_cell_weights(axes) * dens)
         return mass_outside_ball(grid, center, eps, norm_matrix)
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
@@ -488,7 +473,7 @@ def bayes_action_quadratic(post: GridPosterior | ClosedFormPosterior) -> np.ndar
     """Posterior mean, the Bayes action under quadratic loss."""
     if isinstance(post, GridPosterior):
         return post.mean()
-    if post.kind == "student_t" and float(post.dof) <= 1.0:
+    if post.dof is not None and post.dof <= 1.0:
         raise InputError(
             f"posterior mean does not exist for t posterior with dof={post.dof}"
         )

@@ -107,7 +107,7 @@ class StudentTRadial(RadialFamily):
 
     def __post_init__(self):
         if not (self.dof > 0.0 and math.isfinite(self.dof)):
-            raise InputError(f"t radial dof must be positive, got {self.dof}")
+            raise InputError(f"t radial dof must be positive and finite, got {self.dof}")
 
     def log_f(self, u, k: int):
         u = np.asarray(u, dtype=np.float64)

@@ -124,6 +124,11 @@ class TestNonFiniteInputs:
     CASES = {
         "analyze-v": (["analyze", "--model", "{m2}", "--v", "nan,1"], "v must be finite"),
         "analyze-d": (["analyze", "--model", "{m2}", "--v", "1,1", "--d", "nan"], "norm bound d"),
+        "analyze-d-inf": (["analyze", "--model", "{m2}", "--v", "1,1", "--d", "inf"], "norm bound d"),
+        "concentration-c-decreasing": (
+            ["concentration", "--model", "{m2}", "--c-grid", "1e-2,1e-4"], "c_grid"
+        ),
+        "concentration-c-zero": (["concentration", "--model", "{m2}", "--c-grid", "1e-2,0"], "c_grid"),
         "pivot-v": (["pivot", "--v", "nan", "--reps", "200"], "v must be finite"),
         "coverage-sd-nan": (["coverage", "--reps", "1000", "--theta-sd", "nan"], "sd"),
         "coverage-sd-inf": (["coverage", "--reps", "1000", "--theta-sd", "inf"], "sd"),
@@ -301,6 +306,50 @@ class TestScenario:
         model = json.loads(out)
         assert model["k"] == 3 and model["p"] == 2
         assert_allclose(model["W"], np.diag([1 / 3, 1 / 3, 1 / 3]), atol=1e-15)
+
+    IV = {"k": 2, "theta_ate": 1.0, "beta_vec": [1.0, 1.0], "first_stage": [0.2, 0.2],
+          "z_cov": [[1.0, 0.0], [0.0, 1.0]]}
+    LOGIT = {"support": [-1.0, 0.0, 1.0], "probs": [0.25, 0.25, 0.5],
+             "cond_means": [0.2, 0.5, 0.9], "x_star": [-2.0, 2.0]}
+
+    @pytest.mark.parametrize(
+        "kind, params, field",
+        [
+            ("iv", {**IV, "theta_ate": "one"}, "theta_ate"),
+            ("iv", {**IV, "dgp": {"delta": "x"}}, "delta"),
+            ("logit", {**LOGIT, "x_star": 5}, "x_star"),
+            ("iv", {**IV, "dgp": 5}, "dgp"),
+        ],
+    )
+    def test_malformed_params_field_is_one_json_line(self, kind, params, field, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code, out, err = _run(["scenario", kind, "--params", str(path), "--sample", "200"], capsys)
+        assert code == 1 and out == ""
+        (line,) = err.splitlines()
+        payload = json.loads(line)
+        assert payload["code"] == 1 and repr(field) in payload["message"]
+
+    def test_absent_dgp_fields_take_the_dataclass_defaults(self, tmp_path, capsys):
+        from misspec.scenarios import IVDgpParams
+
+        d = IVDgpParams()
+        explicit = {"c0": d.c0, "c": d.c, "delta": d.delta, "theta_bar": d.theta_bar}
+        outs = []
+        for dgp in ({}, explicit):
+            path = tmp_path / "iv.json"
+            path.write_text(json.dumps({**self.IV, "dgp": dgp}))
+            code, out, _ = _run(["scenario", "iv", "--params", str(path), "--sample", "500"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_params_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "params.json"
+        path.write_text("[1, 2]")
+        code, out, err = _run(["scenario", "logit", "--params", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert "JSON object" in json.loads(err)["message"]
 
     def test_missing_params_field(self, tmp_path, capsys):
         params = tmp_path / "iv.json"

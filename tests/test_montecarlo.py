@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from misspec import _kernels
+from misspec import _kernels, montecarlo
 from misspec.errors import GridError, ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.montecarlo import (
@@ -32,6 +32,10 @@ from oracles import random_model_arrays, scalar_coverage_hits, scalar_pivot_tsta
 W5 = np.eye(5)
 CFG = InferenceConfig(v=[1.0, 0.0], level=0.95)
 GAUSS_PRIOR = ThetaPrior.gaussian([0.0, 0.0], 10.0)
+
+
+def _laplace_at_one(t):
+    return float(np.exp(-abs(float(np.atleast_1d(t)[0]) - 1.0)))
 
 
 def _normal_prior(c=1.0, k=5):
@@ -83,6 +87,11 @@ class TestCoverage:
         )
         assert abs(res.coverage - 0.9) < 4.0 * res.std_err + 1e-9
 
+    def test_tabulated_theta_prior_needs_p_one(self):
+        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
+        with pytest.raises(InputError, match="p = 1"):
+            run_coverage(DEFAULT_COVERAGE_X, W5, prior, _normal_prior(), CFG, reps=200, seed=0)
+
     def test_improper_eta_prior_rejected(self):
         improper = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=W5)
         with pytest.raises(ImproperPriorError):
@@ -123,6 +132,33 @@ class TestCoverage:
             )
             se = np.sqrt(level * (1.0 - level) / 20_000)
             assert abs(res.coverage - level) <= 3.0 * se
+
+
+class TestTabulatedThetaPrior:
+    @pytest.mark.parametrize("grid", [[0.0, 0.0, 1.0], [1.0, 0.0], [0.0]])
+    def test_grid_must_increase(self, grid):
+        with pytest.raises(InputError, match="strictly increasing"):
+            ThetaPrior.tabulated(_laplace_at_one, grid=grid)
+
+    def test_negative_density_rejected(self):
+        with pytest.raises(InputError, match="nonnegative"):
+            ThetaPrior.tabulated(lambda t: float(t[0]), grid=np.linspace(-1.0, 1.0, 5))
+
+    def test_zero_mass_rejected(self):
+        with pytest.raises(InputError, match="zero mass"):
+            ThetaPrior.tabulated(lambda t: 0.0, grid=np.linspace(-1.0, 1.0, 5))
+
+    def test_table_built_once(self):
+        calls = []
+        prior = ThetaPrior.tabulated(
+            lambda t: calls.append(t) or _laplace_at_one(t), grid=np.linspace(-6.0, 6.0, 401)
+        )
+        x = np.array([[1.0], [0.5], [-0.5]])
+        for _ in range(2):
+            run_coverage(x, np.eye(3), prior, _normal_prior(k=3), InferenceConfig(v=[1.0]),
+                         reps=200, seed=0)
+        assert len(calls) == 401
+        assert prior.cdf[0] == 0.0 and prior.cdf[-1] == 1.0 and np.all(np.diff(prior.cdf) > 0.0)
 
 
 def _dense_fixture():
@@ -256,6 +292,20 @@ class TestSweeps:
     def test_concentration_grid_points_not_truncated(self, canon_model):
         with pytest.raises(GridError, match="integer"):
             run_concentration(canon_model, NormalRadial(), [0.5], [0.1], grid_points=3.7)
+
+    @pytest.mark.parametrize(
+        "c_grid", [[1e-2, 1e-4], [1e-2, 0.0], [-1.0, 1.0], [1e-2, np.inf], [np.nan], []]
+    )
+    def test_c_grid_checked_before_any_posterior(self, canon_model, c_grid, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a posterior was built before the c grid was checked")
+
+        monkeypatch.setattr(montecarlo, "grid_posterior", fail)
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        with pytest.raises(InputError, match="c_grid"):
+            run_concentration(canon_model, NormalRadial(), c_grid, [0.1])
+        with pytest.raises(InputError, match="c_grid"):
+            run_contamination(canon_model, NormalRadial(), contam, 0.01, c_grid)
 
     def test_concentration_powerlaw_flat(self, canon_model):
         trace = run_concentration(canon_model, PowerLawRadial(3.0), [1e-4, 1e-2, 1.0], [0.1])

@@ -43,7 +43,7 @@ def _grid_for(model, prior, sd, points=2001, theta_prior=None, width=8.0):
 class TestNormalPosterior:
     def test_canonical(self, canon_model):
         post = normal_posterior(canon_model, 0.5)
-        assert post.kind == "gaussian"
+        assert post.dof is None
         assert_allclose(post.center, [1.0])
         assert_allclose(post.scale, [[0.25]])
 
@@ -91,6 +91,12 @@ class TestTLimitPosterior:
         assert 1e-300 * 3.0 + pt.j_stat == pt.j_stat
         post = closed_form_posterior(exactfit_model, StudentTRadial(3.0), 1e-300)
         assert post.dof == 4.0 and np.all(np.isfinite(post.scale))
+
+    @pytest.mark.parametrize("dof", [math.inf, 0.0])
+    def test_dof_must_be_positive_and_finite(self, dof):
+        # An infinite dof used to give a NaN density and sd.
+        with pytest.raises(InputError, match="dof"):
+            ClosedFormPosterior(center=[1.0], scale=[[0.25]], dof=dof)
 
 
 class TestPowerLawPosterior:
@@ -260,11 +266,11 @@ class TestGridPosterior:
 
 class TestMassOutsideBall:
     def test_wide_ball_trivial(self):
-        post = ClosedFormPosterior(kind="gaussian", center=[1.0], scale=[[0.25]])
+        post = ClosedFormPosterior(center=[1.0], scale=[[0.25]])
         assert mass_outside_ball(post, [1.0], 10.0) < 1e-10
 
     def test_two_sigma_ball(self):
-        post = ClosedFormPosterior(kind="gaussian", center=[1.0], scale=[[0.25]])
+        post = ClosedFormPosterior(center=[1.0], scale=[[0.25]])
         expect = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(1.96 / math.sqrt(2.0))))
         assert_allclose(mass_outside_ball(post, [1.0], 0.98), expect, rtol=1e-10)
 
@@ -332,7 +338,7 @@ class TestMassOutsideBall:
 
 class TestBayesActions:
     def test_gaussian_mean(self):
-        post = ClosedFormPosterior(kind="gaussian", center=[2.5], scale=[[1.0]])
+        post = ClosedFormPosterior(center=[2.5], scale=[[1.0]])
         assert_allclose(bayes_action_quadratic(post), [2.5])
 
     def test_grid_symmetric_about_pseudo_true(self, canon_model):
