@@ -2,12 +2,15 @@
 
 A kernel computes replications ``[rep_start, rep_stop)`` in blocks of at most
 ``_BLOCK`` replications, so memory stays bounded whatever the rep count.
-Within a block every quantity is an array over replications, and every
-projection (X theta + eta, a_v'Y, Y'BY) is a loop over its coefficients with
-one vector operation per coefficient, accumulated in the order of a scalar
-loop over one replication.  No BLAS product is used, since it would reorder
-the sums; with the libm draws of ``_rng`` the results are bit-identical to
-the scalar reference kept in the tests.
+Within a block every quantity is an array over replications.  A vector
+projection (a_v'Y, v'theta) is a loop over its coefficients with one vector
+operation each; a matrix projection (eta_mix z, X theta, B Y) is a loop over
+the columns of the matrix with one (rows, n) operation each.  Either way
+every element is accumulated in the order of a scalar loop over one
+replication.  No BLAS product is used, since it would reorder the sums; with
+the libm draws of ``_rng`` (``log`` and ``cos`` from compiled loops over the
+C library functions, see its docstring) the results are bit-identical to the
+scalar reference kept in the tests.
 
 Per-replication draw order is fixed: theta components first (coverage only),
 then the misspecification vector; the t radial family draws its chi-square
@@ -21,7 +24,7 @@ import numpy as np
 from misspec._rng import (
     next_chisquare,
     next_exponential,
-    next_normal,
+    next_normals,
     next_u01,
     stream_states,
 )
@@ -55,9 +58,22 @@ def _dot(coef, rows):
     return acc
 
 
+def _matvec(mat, z, acc=None):
+    """acc + mat z per replication, shape (rows of mat, n).
+
+    One vector operation per column of ``mat``, so each row is accumulated
+    as ``_dot`` would (from 0.0 when ``acc`` is None).
+    """
+    if acc is None:
+        acc = np.zeros((mat.shape[0], z.shape[1]))
+    for col, z_j in zip(mat.T, z):
+        acc += col[:, None] * z_j
+    return acc
+
+
 def _quad_form(b_mat, y):
     """y'B y per replication: sum_i y_i * (sum_j B_ij y_j)."""
-    return _dot(y, [_dot(row, y) for row in b_mat])
+    return _dot(y, _matvec(b_mat, y))
 
 
 def _draw_eta(state, eta_code, nu_tilde, eta_mix):
@@ -72,14 +88,13 @@ def _draw_eta(state, eta_code, nu_tilde, eta_mix):
     scale = 1.0
     if eta_code == ETA_STUDENT_T:
         scale = np.sqrt(nu_tilde / next_chisquare(state, nu_tilde))
-    z = [next_normal(state) for _ in range(k)]
-    return np.array([_dot(row, z) * scale for row in eta_mix])
+    return _matvec(eta_mix, next_normals(state, k)) * scale
 
 
 def _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf):
     """theta per replication, shape (p, n)."""
     if theta_code == THETA_GAUSSIAN:
-        return np.array([m + s * next_normal(state) for m, s in zip(theta_mean, theta_sd)])
+        return theta_mean[:, None] + theta_sd[:, None] * next_normals(state, theta_mean.shape[0])
     u = next_u01(state)
     idx = np.searchsorted(tab_cdf, u)
     inner = np.clip(idx, 1, tab_cdf.shape[0] - 1)
@@ -122,10 +137,7 @@ def coverage_hits(
     hits = 0
     for _, state in _blocks(seed, rep_start, rep_stop):
         theta = _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf)
-        y = _draw_eta(state, eta_code, nu_tilde, eta_mix)
-        for i, row in enumerate(x_mat):
-            for c, theta_j in zip(row, theta):
-                y[i] += c * theta_j
+        y = _matvec(x_mat, theta, acc=_draw_eta(state, eta_code, nu_tilde, eta_mix))
         jstat = _quad_form(b_mat, y)
         jstat[jstat < 0.0] = 0.0
         hw = tstar * np.sqrt(jstat / km_p) * sigma_v

@@ -8,19 +8,26 @@ silently).  Every draw takes the state array and a selection of it (all of
 it, a boolean mask or an index array), advances the selected states in place
 and returns one value per selected replication.  Rejection samplers retry
 only the replications that rejected, so each replication consumes exactly
-the draws it would if its stream were run on its own.
+the draws it would if its stream were run on its own.  splitmix64 advances
+by a constant, so the next ``count`` states of a stream are ``s + j * GOLDEN``
+for j = 1..count, and ``next_normals`` draws a whole (count, n) block of
+normals in one array operation.
 
 The draws are bit-identical to evaluating one stream at a time with Python
-floats: ``log`` and ``cos`` come from libm through ``math`` (numpy's SIMD
-loops may differ from libm in the last ulp), and every expression keeps the
-scalar evaluation order.
+floats, which take ``log`` and ``cos`` from libm through ``math``.  So do the
+array loops here: ``log`` is ``scipy.special.xlogy(1.0, x)``, SciPy's compiled
+loop over the C library ``log`` (and ``1.0 * log(x)`` is exact), and ``cos``
+is ``np.cos``, whose float64 loop on the tested builds is the C library
+``cos`` (numpy does not promise this).  ``np.log`` is not used: its SIMD loop
+differs from libm in the last ulp on about 0.35% of inputs.
+``tests/test_rng.py`` checks both loops against ``math`` element for element.
+Every expression keeps the scalar evaluation order.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+import scipy.special
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -30,20 +37,17 @@ _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _U53 = 0.5**53
-_TWO_PI = 2.0 * math.pi
+_TWO_PI = 2.0 * np.pi
 
 _ALL = slice(None)
 
 
-def _libm(fn):
-    def apply(x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
-
-    return apply
+def _log(x: np.ndarray) -> np.ndarray:
+    """Elementwise libm ``log``."""
+    return scipy.special.xlogy(1.0, x)
 
 
-_log = _libm(math.log)
-_cos = _libm(math.cos)
+_cos = np.cos
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -59,18 +63,31 @@ def stream_states(seed: int, rep_start: int, rep_stop: int) -> np.ndarray:
     return mix64(h ^ (reps * _MIX2 + _GOLDEN))
 
 
+def _next_uniforms(state: np.ndarray, count: int, sel=_ALL) -> np.ndarray:
+    """``count`` successive uniform draws in (0, 1] (top 53 bits), shape (count, n)."""
+    s = state[sel] + np.arange(1, count + 1, dtype=np.uint64)[:, None] * _GOLDEN
+    state[sel] = s[-1]
+    return ((mix64(s) >> _S11).astype(np.float64) + 1.0) * _U53
+
+
 def next_u01(state: np.ndarray, sel=_ALL) -> np.ndarray:
     """Uniform draws in (0, 1] (top 53 bits)."""
-    s = state[sel] + _GOLDEN
-    state[sel] = s
-    return ((mix64(s) >> _S11).astype(np.float64) + 1.0) * _U53
+    return _next_uniforms(state, 1, sel)[0]
+
+
+def next_normals(state: np.ndarray, count: int, sel=_ALL) -> np.ndarray:
+    """``count`` successive standard normal draws, shape (count, n).
+
+    Box-Muller on two successive uniforms per draw, so the block equals
+    ``count`` calls of ``next_normal`` and leaves the states where they would.
+    """
+    u = _next_uniforms(state, 2 * count, sel)
+    return np.sqrt(-2.0 * _log(u[0::2])) * _cos(_TWO_PI * u[1::2])
 
 
 def next_normal(state: np.ndarray, sel=_ALL) -> np.ndarray:
     """Standard normal draws via Box-Muller (two uniforms per draw)."""
-    u1 = next_u01(state, sel)
-    u2 = next_u01(state, sel)
-    return np.sqrt(-2.0 * _log(u1)) * _cos(_TWO_PI * u2)
+    return next_normals(state, 1, sel)[0]
 
 
 def next_exponential(state: np.ndarray, sel=_ALL) -> np.ndarray:
@@ -88,7 +105,7 @@ def next_gamma(state: np.ndarray, shape: float, sel=_ALL) -> np.ndarray:
         boost = np.array([u**inv for u in next_u01(state, idx).tolist()])
         a = a + 1.0
     d = a - 1.0 / 3.0
-    cc = 1.0 / math.sqrt(9.0 * d)
+    cc = 1.0 / np.sqrt(9.0 * d)
     out = np.empty(idx.size)
     pending = np.arange(idx.size)
     while pending.size:

@@ -197,6 +197,15 @@ def _param(params: dict, name: str, convert, kind: str):
         raise InputError(f"{kind} scenario params field {name!r} is malformed: {exc}") from exc
 
 
+def _integer(raw) -> int:
+    """An integral JSON number (``int`` alone would truncate 2.7 to 2)."""
+    if isinstance(raw, bool) or not (
+        isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def _floats(raw) -> np.ndarray:
     return np.asarray(raw, dtype=np.float64)
 
@@ -214,7 +223,7 @@ def _cmd_scenario(args) -> int:
     params = _load_json(args.params)
     if args.kind == "iv":
         scenario = IVScenario(
-            k=_param(params, "k", int, "iv"),
+            k=_param(params, "k", _integer, "iv"),
             theta_ate=_param(params, "theta_ate", float, "iv"),
             beta_vec=_param(params, "beta_vec", _floats, "iv"),
             first_stage=_param(params, "first_stage", _floats, "iv"),

@@ -269,6 +269,23 @@ def _family_sd_estimate(family: RadialFamily, c: float, model: ModelInstance) ->
     return math.sqrt(spread * pt.lam_max / dof * factor)
 
 
+def _mass_outside_names(eps_list) -> dict[str, float]:
+    """Metric name ``mass_outside_<eps:g>`` -> eps, for the sweeps' eps values.
+
+    Two eps values that print alike would share one name, so they are an
+    InputError naming both.
+    """
+    names: dict[str, float] = {}
+    for eps in map(float, np.atleast_1d(eps_list)):
+        name = f"mass_outside_{eps:g}"
+        if name in names:
+            raise InputError(
+                f"eps values {names[name]!r} and {eps!r} both give the metric {name!r}"
+            )
+        names[name] = eps
+    return names
+
+
 def run_concentration(
     model: ModelInstance,
     family: RadialFamily,
@@ -284,9 +301,9 @@ def run_concentration(
     quadratic-loss Bayes action.
     """
     c_grid = _sweep_axis(c_grid, "c_grid")
-    eps_list = [float(e) for e in np.atleast_1d(eps_list)]
+    eps_names = _mass_outside_names(eps_list)
     pt = pseudo_true(model)
-    metrics: dict[str, list[float]] = {f"mass_outside_{eps:g}": [] for eps in eps_list}
+    metrics: dict[str, list[float]] = {name: [] for name in eps_names}
     metrics["posterior_sd"] = []
     action_names = (
         ["bayes_action"]
@@ -300,10 +317,8 @@ def run_concentration(
         sd_est = _family_sd_estimate(family, float(c), model)
         bounds = [(tw - 12.0 * sd_est, tw + 12.0 * sd_est) for tw in pt.theta_w]
         post = grid_posterior(model, prior, spec=GridSpec(bounds=bounds, points=grid_points))
-        for eps in eps_list:
-            metrics[f"mass_outside_{eps:g}"].append(
-                mass_outside_ball(post, pt.theta_w, eps)
-            )
+        for name, eps in eps_names.items():
+            metrics[name].append(mass_outside_ball(post, pt.theta_w, eps))
         metrics["posterior_sd"].append(float(np.max(posterior_sd(post))))
         action = bayes_action_quadratic(post)
         for name, val in zip(action_names, np.atleast_1d(action)):
@@ -348,7 +363,7 @@ def run_contamination(
         raise InputError("contamination sweeps are implemented for p = 1")
     check_point_counts(grid_points, 1, "grid_points")
     c_grid = _sweep_axis(c_grid, "c_grid")
-    eps_list = [float(e) for e in np.atleast_1d(eps_list)]
+    eps_names = _mass_outside_names(eps_list)
     pt = pseudo_true(model)
     wide = 12.0 * _family_sd_estimate(contaminant.family, contaminant.c, model)
     cores = [10.0 * _family_sd_estimate(base_family, float(c), model) for c in c_grid]
@@ -356,17 +371,14 @@ def run_contamination(
     spec = GridSpec(axes=[axis])
     contam_post = grid_posterior(model, contaminant, spec=spec)
     metrics: dict[str, list[float]] = {"tv_to_contaminant": []}
-    for eps in eps_list:
-        metrics[f"mass_outside_{eps:g}"] = []
+    metrics.update((name, []) for name in eps_names)
     for c in c_grid:
         base = ScaledPrior(family=base_family, c=float(c), W=model.W)
         prior = ContaminatedPrior(base=base, contaminant=contaminant, phi=phi)
         post = grid_posterior(model, prior, spec=spec)
         metrics["tv_to_contaminant"].append(tv_distance(post, contam_post))
-        for eps in eps_list:
-            metrics[f"mass_outside_{eps:g}"].append(
-                mass_outside_ball(post, pt.theta_w, eps)
-            )
+        for name, eps in eps_names.items():
+            metrics[name].append(mass_outside_ball(post, pt.theta_w, eps))
     return SweepTrace(
         axis_name="c",
         axis=c_grid,

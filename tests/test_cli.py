@@ -143,6 +143,15 @@ class TestNonFiniteInputs:
              "--grid-points", "1"],
             "grid_points",
         ),
+        "concentration-eps-alike": (
+            ["concentration", "--model", "{m1}", "--c-grid", "1e-2", "--eps", "0.1,0.1"],
+            "'mass_outside_0.1'",
+        ),
+        "contaminate-eps-alike": (
+            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
+             "--eps", "0.1,0.1000001"],
+            "'mass_outside_0.1'",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -319,6 +328,10 @@ class TestScenario:
             ("iv", {**IV, "dgp": {"delta": "x"}}, "delta"),
             ("logit", {**LOGIT, "x_star": 5}, "x_star"),
             ("iv", {**IV, "dgp": 5}, "dgp"),
+            ("iv", {**IV, "k": 2.7}, "k"),
+            ("iv", {**IV, "k": "2"}, "k"),
+            ("iv", {**IV, "k": True}, "k"),
+            ("iv", {**IV, "k": math.inf}, "k"),
         ],
     )
     def test_malformed_params_field_is_one_json_line(self, kind, params, field, tmp_path, capsys):
@@ -329,6 +342,16 @@ class TestScenario:
         (line,) = err.splitlines()
         payload = json.loads(line)
         assert payload["code"] == 1 and repr(field) in payload["message"]
+
+    def test_integral_float_k_is_k(self, tmp_path, capsys):
+        outs = []
+        for k in (2, 2.0):
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps({**self.IV, "k": k}))
+            code, out, _ = _run(["scenario", "iv", "--params", str(path)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_absent_dgp_fields_take_the_dataclass_defaults(self, tmp_path, capsys):
         from misspec.scenarios import IVDgpParams

@@ -307,6 +307,21 @@ class TestSweeps:
         with pytest.raises(InputError, match="c_grid"):
             run_contamination(canon_model, NormalRadial(), contam, 0.01, c_grid)
 
+    @pytest.mark.parametrize("eps_list", [[0.1, 0.1], [0.05, 0.1, 0.1000001]])
+    def test_eps_printing_alike_rejected_before_any_posterior(self, canon_model, eps_list, monkeypatch):
+        # Each eps names the metric mass_outside_<eps:g>; two that print alike
+        # would collide in the trace.
+        def fail(*args, **kwargs):
+            raise AssertionError("a posterior was built before the eps values were checked")
+
+        monkeypatch.setattr(montecarlo, "grid_posterior", fail)
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        match = r"eps values 0\.1 and 0\.1(000001)? both give the metric 'mass_outside_0\.1'"
+        with pytest.raises(InputError, match=match):
+            run_concentration(canon_model, NormalRadial(), [1e-2], eps_list)
+        with pytest.raises(InputError, match=match):
+            run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2], eps_list)
+
     def test_concentration_powerlaw_flat(self, canon_model):
         trace = run_concentration(canon_model, PowerLawRadial(3.0), [1e-4, 1e-2, 1.0], [0.1])
         sds = trace.metrics["posterior_sd"]

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from misspec import _rng
@@ -103,3 +107,52 @@ def test_masked_draws_advance_only_the_selection():
             _, s = oracles.next_gamma(oracles.stream_state(5, rep), 0.4)
             expected[rep], _ = oracles.next_normal(s)
     assert np.array_equal(got[odd], expected[odd])
+
+
+def test_log_and_cos_loops_are_libm():
+    # The draws are bit-identical to the scalar oracle only if the array loops
+    # behind _rng._log and _rng._cos return what math.log/math.cos do on this
+    # machine: on Box-Muller uniforms, on 2 pi times them, and on the
+    # squeeze's v = t**3, t = 1 + cc * x, near 1 for small cc.
+    state = _rng.stream_states(2024, 0, 2**20)
+    u = _rng.next_u01(state)
+    t = 1.0 + 2.0 ** -(2 + np.arange(u.size) % 40) * _rng.next_normal(state)
+    v = (t * t * t)[t > 0.0]
+    for fn, ref, x in [(_rng._log, math.log, u), (_rng._cos, math.cos, 2.0 * math.pi * u), (_rng._log, math.log, v)]:
+        expected = np.array([ref(e) for e in x.tolist()])
+        assert np.array_equal(fn(x), expected)
+
+
+@settings(max_examples=60)
+@given(
+    count=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+    shape=st.sampled_from([None, 0.35, 1.0, 4.5]),
+    mask=st.lists(st.booleans(), min_size=1, max_size=30),
+)
+def test_normal_block_equals_successive_draws(count, seed, shape, mask):
+    # States first advanced on a masked subset: by a rejection (gamma) draw,
+    # or by a single normal draw when shape is None.
+    mask = np.array(mask)
+    state = _rng.stream_states(seed, 0, mask.size)
+    if shape is None:
+        _rng.next_normal(state, mask)
+    else:
+        _rng.next_gamma(state, shape, mask)
+    successive = state.copy()
+    block = _rng.next_normals(state, count)
+    assert block.shape == (count, mask.size)
+    assert np.array_equal(block, np.array([_rng.next_normal(successive) for _ in range(count)]))
+    assert np.array_equal(state, successive)
+    expected = np.empty((count, mask.size))
+    final = []
+    with np.errstate(over="ignore"):
+        for rep, advanced in enumerate(mask):
+            s = oracles.stream_state(seed, rep)
+            if advanced:
+                _, s = oracles.next_normal(s) if shape is None else oracles.next_gamma(s, shape)
+            for i in range(count):
+                expected[i, rep], s = oracles.next_normal(s)
+            final.append(s)
+    assert np.array_equal(block, expected)
+    assert np.array_equal(state, np.array(final, dtype=np.uint64))
