@@ -10,7 +10,6 @@ and 2 on numerical failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -59,21 +58,23 @@ def _write(text: str, out: str | None) -> None:
 
 def _default_v(p: int, raw: str | None) -> np.ndarray:
     if raw is None:
-        v = np.zeros(p)
-        v[0] = 1.0
-        return v
+        return np.eye(p)[0]
     vals = _csv_floats(raw, "v")
     if len(vals) != p:
         raise InputError(f"--v must have {p} entries, got {len(vals)}")
     return np.asarray(vals)
 
 
-def _fixture(args, default_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(X, W) for simulation fixtures: from a model file or the built-in table."""
-    if getattr(args, "model", None):
+def _mc_inputs(args, default_x: np.ndarray) -> tuple:
+    """(X, W, cfg, eta prior) of a coverage or pivot run; (X, W) from --model or (default_x, I)."""
+    if args.model:
         m = serialize.load_model(args.model)
-        return np.asarray(m.X), np.asarray(m.W)
-    return default_x.copy(), np.eye(default_x.shape[0])
+        x, w = np.asarray(m.X), np.asarray(m.W)
+    else:
+        x, w = default_x.copy(), np.eye(default_x.shape[0])
+    cfg = InferenceConfig(v=_default_v(x.shape[1], args.v), level=args.level)
+    eta_prior = ScaledPrior(family=parse_radial(args.radial), c=args.c, W=w)
+    return x, w, cfg, eta_prior
 
 
 def _cmd_analyze(args) -> int:
@@ -86,16 +87,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    x, w = _fixture(args, montecarlo.DEFAULT_COVERAGE_X)
-    p = x.shape[1]
-    cfg = InferenceConfig(v=_default_v(p, args.v), level=args.level)
-    mean = (
-        np.zeros(p)
-        if args.theta_mean is None
-        else np.asarray(_csv_floats(args.theta_mean, "theta-mean"))
-    )
+    x, w, cfg, eta_prior = _mc_inputs(args, montecarlo.DEFAULT_COVERAGE_X)
+    mean = np.zeros(x.shape[1])
+    if args.theta_mean is not None:
+        mean = _csv_floats(args.theta_mean, "theta-mean")
     theta_prior = ThetaPrior.gaussian(mean, args.theta_sd)
-    eta_prior = ScaledPrior(family=parse_radial(args.radial), c=args.c, W=w)
     result = montecarlo.run_coverage(
         x, w, theta_prior, eta_prior, cfg, reps=args.reps, seed=args.seed
     )
@@ -104,10 +100,7 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_pivot(args) -> int:
-    x, w = _fixture(args, montecarlo.DEFAULT_PIVOT_X)
-    p = x.shape[1]
-    cfg = InferenceConfig(v=_default_v(p, args.v), level=args.level)
-    eta_prior = ScaledPrior(family=parse_radial(args.radial), c=args.c, W=w)
+    x, w, cfg, eta_prior = _mc_inputs(args, montecarlo.DEFAULT_PIVOT_X)
     ks = montecarlo.run_pivotality(
         x,
         w,
@@ -120,7 +113,7 @@ def _cmd_pivot(args) -> int:
     payload = {
         "ks": ks,
         "threshold_1pct": 1.63 / np.sqrt(args.reps),
-        "dof": x.shape[0] - p,
+        "dof": x.shape[0] - x.shape[1],
         "reps": args.reps,
         "seed": args.seed,
         "radial": args.radial,
@@ -174,17 +167,6 @@ def _cmd_tails(args) -> int:
     return 0
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse JSON from {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path} must hold a JSON object")
-    return data
-
-
 def _param(params: dict, name: str, convert, kind: str):
     """``convert(params[name])``; a missing or malformed field is an InputError naming it."""
     try:
@@ -195,15 +177,6 @@ def _param(params: dict, name: str, convert, kind: str):
         return convert(raw)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{kind} scenario params field {name!r} is malformed: {exc}") from exc
-
-
-def _integer(raw) -> int:
-    """An integral JSON number (``int`` alone would truncate 2.7 to 2)."""
-    if isinstance(raw, bool) or not (
-        isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    ):
-        raise ValueError(f"expected an integer, got {raw!r}")
-    return int(raw)
 
 
 def _floats(raw) -> np.ndarray:
@@ -220,10 +193,10 @@ _DGP_FIELDS = {"c0": float, "c": _floats, "delta": float, "theta_bar": float}
 
 
 def _cmd_scenario(args) -> int:
-    params = _load_json(args.params)
+    params = serialize._load_json(args.params)
     if args.kind == "iv":
         scenario = IVScenario(
-            k=_param(params, "k", _integer, "iv"),
+            k=_param(params, "k", serialize._integer, "iv"),
             theta_ate=_param(params, "theta_ate", float, "iv"),
             beta_vec=_param(params, "beta_vec", _floats, "iv"),
             first_stage=_param(params, "first_stage", _floats, "iv"),
@@ -344,8 +317,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except NumericalError as exc:
         return _fail(2, str(exc))
-    except InputError as exc:
-        return _fail(1, str(exc))
     except MisspecError as exc:
         return _fail(1, str(exc))
     except OSError as exc:

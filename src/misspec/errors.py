@@ -1,9 +1,10 @@
 """Exception hierarchy for the misspec package.
 
 Validation problems (bad inputs, invalid models, improper priors) derive from
-:class:`InputError`; breakdowns of the numerics themselves (quadrature failure,
-internal inconsistencies) derive from :class:`NumericalError`.  The CLI maps
-the former to exit code 1 and the latter to exit code 2.
+:class:`InputError`; breakdowns of the numerics themselves (a continued
+fraction that does not converge, a minimized objective negative beyond float
+noise) derive from :class:`NumericalError`.  The CLI maps the former to exit
+code 1 and the latter to exit code 2.
 """
 
 

@@ -100,57 +100,78 @@ class SweepTrace:
         object.__setattr__(self, "metrics", metrics)
 
 
-def _coverage_pieces(x, w, v):
-    """Precompute the projection quantities the kernels consume.
+# Replications per run, at most; checked before any per-replication array exists.
+_MAX_REPS = 10**7
 
-    a_v maps Y to v'theta_W; B maps Y to Y'BY = J; both depend only on (X, W),
-    so they come from the fit of the validated fixture with Y = 0.
+
+def _check_run(reps, seed) -> None:
+    if isinstance(reps, bool) or not (isinstance(reps, (int, np.integer)) and 1 <= reps <= _MAX_REPS):
+        raise InputError(f"reps must be an integer in [1, {_MAX_REPS}], got {reps!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False) -> tuple:
+    """``pivot_tstats`` arguments after (seed, rep_start, rep_stop).
+
+    Validates the fixture (X, W) once, as a model with Y = 0.  a_v maps Y to
+    v'theta_W and B maps Y to Y'BY = J; both depend only on (X, W), so they
+    come from that model's cached fit, as does sigma_v.  The negative control
+    draws shifted exponentials and ignores ``eta_prior``.
     """
     x = _linalg.as_matrix(x, "X")
     fixture = ModelInstance(Y=np.zeros(x.shape[0]), X=x, W=w)
-    if fixture.k <= fixture.p:
+    k, p = fixture.k, fixture.p
+    if k <= p:
         raise JustIdentifiedError(
             "coverage and pivotality require an over-identified fixture (k > p)"
         )
-    v = _linalg.as_vector(v, fixture.p, "v")
+    v = _linalg.as_vector(v, p, "v")
+    sv = sigma_v(fixture, v)
     xtw = fixture.X.T @ fixture.W
     a = pseudo_true(fixture).solve(xtw)  # theta_W = A Y
-    b = fixture.W - xtw.T @ a
-    b = 0.5 * (b + b.T)
-    return fixture, a.T @ v, b, sigma_v(fixture, v)
+    b = _linalg._symmetrize(fixture.W - xtw.T @ a)
+    if negative_control:
+        mix, eta_code, nu = np.eye(k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
+    else:
+        if not eta_prior.proper:
+            raise ImproperPriorError("Monte Carlo runs require a proper radial prior")
+        _linalg.check_same_weight(eta_prior.W, fixture.W, "eta prior", "fixture")
+        mix = math.sqrt(eta_prior.c) * fixture.w_inv_root
+        if isinstance(eta_prior.family, StudentTRadial):
+            eta_code, nu = _kernels.ETA_STUDENT_T, float(eta_prior.family.dof)
+        else:
+            eta_code, nu = _kernels.ETA_NORMAL, 0.0
+    return mix, eta_code, nu, a.T @ v, b, sv, float(k - p)
 
 
-def _eta_kernel_args(eta_prior: ScaledPrior, fixture) -> tuple[np.ndarray, int, float]:
-    if not eta_prior.proper:
-        raise ImproperPriorError("Monte Carlo runs require a proper radial prior")
-    _linalg.check_same_weight(eta_prior.W, fixture.W, "eta prior", "fixture")
-    mix = math.sqrt(eta_prior.c) * fixture.w_inv_root
-    if isinstance(eta_prior.family, StudentTRadial):
-        return mix, _kernels.ETA_STUDENT_T, float(eta_prior.family.dof)
-    return mix, _kernels.ETA_NORMAL, 0.0
+def _coverage_args(
+    x, w, theta_prior: ThetaPrior, eta_prior: ScaledPrior, cfg: InferenceConfig
+) -> tuple:
+    """``coverage_hits`` arguments after (seed, rep_start, rep_stop).
 
-
-def _theta_kernel_args(theta_prior: ThetaPrior, p: int):
+    The ``_pivot_args`` tuple, extended with X, the theta prior's code and
+    tables, v and the t critical value t*.
+    """
+    x = _linalg.as_matrix(x, "X")
+    mix, eta_code, nu, a_v, b, sv, km_p = _pivot_args(x, w, eta_prior, cfg.v)
+    p = x.shape[1]
     empty = np.empty(0)
     if theta_prior.kind == "gaussian":
         if theta_prior.mean.shape[0] != p:
             raise InputError(f"theta prior dimension {theta_prior.mean.shape[0]} != p={p}")
-        return _kernels.THETA_GAUSSIAN, theta_prior.mean, theta_prior.sd, empty, empty
-    if theta_prior.kind == "tabulated":
+        theta = (_kernels.THETA_GAUSSIAN, theta_prior.mean, theta_prior.sd, empty, empty)
+    elif theta_prior.kind == "tabulated":
         if p != 1:
             raise InputError("tabulated theta priors support p = 1 only")
-        return _kernels.THETA_TABULATED, np.zeros(1), np.ones(1), theta_prior.grid, theta_prior.cdf
-    raise InputError(
-        "coverage runs require a proper theta prior (gaussian or tabulated); "
-        "the flat prior is only meaningful on a truncated grid"
-    )
-
-
-def _check_run(reps, seed) -> None:
-    if reps < 1:
-        raise InputError(f"reps must be positive, got {reps}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        theta = (_kernels.THETA_TABULATED, empty, empty, theta_prior.grid, theta_prior.cdf)
+    else:
+        raise InputError(
+            "coverage runs require a proper theta prior (gaussian or tabulated); "
+            "the flat prior is only meaningful on a truncated grid"
+        )
+    tstar = t_quantile(StudentT(km_p), 0.5 * (1.0 + cfg.level))
+    return (x, mix, eta_code, nu, *theta, a_v, b, cfg.v, sv, tstar, km_p)
 
 
 def run_coverage(
@@ -173,31 +194,9 @@ def run_coverage(
     _check_run(reps, seed)
     if reps < 100:
         warnings.warn(f"coverage estimate from only {reps} replications", stacklevel=2)
-    fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
-    k, p = fixture.k, fixture.p
-    mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
-    theta_code, mean, sd, tab_grid, tab_cdf = _theta_kernel_args(theta_prior, p)
-    tstar = t_quantile(StudentT(k - p), 0.5 * (1.0 + cfg.level))
-    hits = _kernels.coverage_hits(
-        seed,
-        0,
-        reps,
-        fixture.X,
-        mix,
-        eta_code,
-        nu,
-        theta_code,
-        mean,
-        sd,
-        tab_grid,
-        tab_cdf,
-        a_v,
-        b,
-        cfg.v,
-        sv,
-        tstar,
-        float(k - p),
-    )
+    args = _coverage_args(x, w, theta_prior, eta_prior, cfg)
+    hits = _kernels.coverage_hits(seed, 0, reps, *args)
+    k, p = args[0].shape
     coverage = hits / reps
     config = {
         "k": k,
@@ -246,16 +245,9 @@ def run_pivotality(
     should push the KS distance above its critical value.
     """
     _check_run(reps, seed)
-    fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
-    k, p = fixture.k, fixture.p
-    if negative_control:
-        mix, eta_code, nu = np.eye(k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
-    else:
-        mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
-    tstats = _kernels.pivot_tstats(
-        seed, 0, reps, mix, eta_code, nu, a_v, b, sv, float(k - p)
-    )
-    return ks_statistic(tstats, k - p)
+    args = _pivot_args(x, w, eta_prior, cfg.v, negative_control)
+    tstats = _kernels.pivot_tstats(seed, 0, reps, *args)
+    return ks_statistic(tstats, args[-1])  # dof k - p, the last argument
 
 
 def _family_sd_estimate(family: RadialFamily, c: float, model: ModelInstance) -> float:

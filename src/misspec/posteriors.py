@@ -433,15 +433,19 @@ def mass_outside_ball(
     if not eps > 0.0:
         raise InputError(f"ball radius must be positive, got {eps}")
     center = _linalg.as_vector(center, post.p, "center")
+    if norm_matrix is None:
+        norm = np.eye(post.p)
+    else:
+        norm = _linalg.spd_factor(norm_matrix, "norm_matrix").matrix
+        if norm.shape[0] != post.p:
+            raise InputError(f"norm_matrix must be {post.p}x{post.p}, got shape {norm.shape}")
     if isinstance(post, GridPosterior):
-        m = np.eye(post.p) if norm_matrix is None else norm_matrix
-        dist2 = _axes_quadform(_linalg.spd_factor(m, "norm_matrix").matrix, post.axes, center)
+        dist2 = _axes_quadform(norm, post.axes, center)
         out = float(np.sum(post.weights[dist2 > eps * eps]))
         return min(max(out, 0.0), 1.0)
 
     if post.p == 1:
-        scale = 1.0 if norm_matrix is None else math.sqrt(float(np.asarray(norm_matrix).reshape(())))
-        radius = eps / scale
+        radius = eps / math.sqrt(norm[0, 0])
         m = float(post.center[0])
         s = math.sqrt(post.scale[0, 0])
         lo, hi = center[0] - radius, center[0] + radius
@@ -465,7 +469,7 @@ def mass_outside_ball(
         )
         dens = post.density(_grid_points(axes)).reshape(axes[0].size, axes[1].size)
         grid = GridPosterior(axes=axes, density=dens, weights=_grid_cell_weights(axes) * dens)
-        return mass_outside_ball(grid, center, eps, norm_matrix)
+        return mass_outside_ball(grid, center, eps, norm)
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
 

@@ -73,6 +73,27 @@ def model_to_dict(model: ModelInstance) -> dict:
     }
 
 
+def _load_json(path: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``; anything else is an InputError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot parse JSON from {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return data
+
+
+def _integer(raw) -> int:
+    """An integral JSON number (``int`` alone would truncate 2.7 to 2)."""
+    if isinstance(raw, bool) or not (
+        isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    ):
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return int(raw)
+
+
 def model_from_dict(data: dict) -> ModelInstance:
     """Build a validated model from its JSON object form.
 
@@ -85,10 +106,9 @@ def model_from_dict(data: dict) -> ModelInstance:
     if missing:
         raise InputError(f"model JSON is missing fields: {', '.join(missing)}")
     try:
-        k = int(data["k"])
-        p = int(data["p"])
-    except (TypeError, ValueError) as exc:
-        raise InputError("model JSON fields k and p must be integers") from exc
+        k, p = _integer(data["k"]), _integer(data["p"])
+    except ValueError as exc:
+        raise InputError(f"model JSON fields k and p must be integers: {exc}") from exc
     if k < 1 or p < 1:
         raise InputError(f"model JSON requires positive dimensions, got k={k}, p={p}")
     y = np.asarray(data["Y"], dtype=np.float64)
@@ -104,12 +124,7 @@ def model_from_dict(data: dict) -> ModelInstance:
 
 
 def load_model(path: str) -> ModelInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"cannot parse model JSON from {path}: {exc}") from exc
-    return model_from_dict(data)
+    return model_from_dict(_load_json(path))
 
 
 def interval_to_dict(iv: Interval) -> dict:

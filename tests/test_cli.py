@@ -47,6 +47,16 @@ def _run(args, capsys):
     return code, out.out, out.err
 
 
+def _error(args, capsys, code=1) -> str:
+    """The message of the one JSON line on stderr that ``args`` must exit ``code`` with."""
+    status, out, err = _run(args, capsys)
+    assert status == code and out == ""
+    (line,) = err.splitlines()
+    payload = json.loads(line)
+    assert payload["code"] == code
+    return payload["message"]
+
+
 class TestAnalyze:
     def test_canonical_report(self, canon_file, capsys):
         code, out, err = _run(
@@ -67,28 +77,18 @@ class TestAnalyze:
         assert_allclose(sets[2]["upper"], 1.0 + math.sqrt(2.0))
 
     def test_just_identified_exit_code(self, just_identified_file, capsys):
-        code, out, err = _run(
-            ["analyze", "--model", just_identified_file, "--v", "1,0", "--level", "0.9"],
-            capsys,
-        )
-        assert code == 1
-        payload = json.loads(err)
-        assert payload["code"] == 1
-        assert "just-identified" in payload["message"]
+        argv = ["analyze", "--model", just_identified_file, "--v", "1,0", "--level", "0.9"]
+        assert "just-identified" in _error(argv, capsys)
 
     def test_missing_file(self, capsys):
-        code, _, err = _run(["analyze", "--model", "/nonexistent.json"], capsys)
-        assert code == 1
-        assert json.loads(err)["code"] == 1
+        _error(["analyze", "--model", "/nonexistent.json"], capsys)
 
     def test_invalid_model_reports_invariant(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"k": 2, "p": 1, "Y": [0.0, 1.0],
                                    "X": [[1.0], [1.0]],
                                    "W": [[1.0, 0.0], [0.0, -1.0]]}))
-        code, _, err = _run(["analyze", "--model", str(bad)], capsys)
-        assert code == 1
-        assert "positive definite" in json.loads(err)["message"]
+        assert "positive definite" in _error(["analyze", "--model", str(bad)], capsys)
 
     def test_output_file(self, canon_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -113,10 +113,8 @@ class TestNonFiniteModel:
         fields, name = self.CASES[case]
         path = tmp_path / "model.json"
         path.write_text('{"k": 2, "p": 1, ' + fields + "}")
-        code, out, err = _run([command[0], "--model", str(path), *command[1:]], capsys)
-        assert code == 1 and out == ""
-        (line,) = err.splitlines()
-        assert json.loads(line) == {"code": 1, "message": f"{name} must be finite"}
+        message = _error([command[0], "--model", str(path), *command[1:]], capsys)
+        assert message == f"{name} must be finite"
 
 
 class TestNonFiniteInputs:
@@ -147,23 +145,38 @@ class TestNonFiniteInputs:
             ["concentration", "--model", "{m1}", "--c-grid", "1e-2", "--eps", "0.1,0.1"],
             "'mass_outside_0.1'",
         ),
+        "coverage-reps-zero": (["coverage", "--reps", "0"], "reps"),
+        "pivot-reps-huge": (["pivot", "--reps", "10000000000000"], "reps"),
         "contaminate-eps-alike": (
             ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
              "--eps", "0.1,0.1000001"],
             "'mass_outside_0.1'",
         ),
+        "model-not-utf8": (["analyze", "--model", "{latin1}"], "cannot parse JSON"),
+        "coverage-model-not-utf8": (["coverage", "--model", "{latin1}"], "cannot parse JSON"),
+        "params-not-utf8": (["scenario", "iv", "--params", "{latin1}"], "cannot parse JSON"),
+        "model-k-overflow": (["analyze", "--model", "{k_overflow}"], "got inf"),
+        "model-k-fraction": (["analyze", "--model", "{k_fraction}"], "got 2.7"),
+        "model-p-bool": (["pivot", "--model", "{p_bool}"], "got True"),
+    }
+    # Input files written per test; the rest of each model is the canonical one.
+    ARRAYS = '"Y": [0.0, 2.0], "X": [[1.0], [1.0]], "W": [[1.0, 0.0], [0.0, 1.0]]}'
+    FILES = {
+        "latin1": b'{"k": 2, "p": 1, "Y": "\xff"}',
+        "k_overflow": ('{"k": 1e999999, "p": 1, ' + ARRAYS).encode(),
+        "k_fraction": ('{"k": 2.7, "p": 1, ' + ARRAYS).encode(),
+        "p_bool": ('{"k": 2, "p": true, ' + ARRAYS).encode(),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_one_json_line(self, case, capsys):
+    def test_one_json_line(self, case, tmp_path, capsys):
         argv, word = self.CASES[case]
         golden = os.path.join(os.path.dirname(__file__), "golden")
         paths = {k: os.path.join(golden, f"{k}.json") for k in ("m1", "m2")}
-        code, out, err = _run([a.format(**paths) for a in argv], capsys)
-        assert code == 1 and out == ""
-        (line,) = err.splitlines()
-        payload = json.loads(line)
-        assert payload["code"] == 1 and word in payload["message"]
+        for name, content in self.FILES.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_bytes(content)
+        assert word in _error([a.format(**paths) for a in argv], capsys)
 
 
 class TestCoverage:
@@ -210,11 +223,7 @@ class TestSeedRange:
     @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_is_one_json_line(self, cmd, seed, capsys):
-        code, out, err = _run([cmd, "--reps", "200", "--seed", str(seed)], capsys)
-        assert code == 1 and out == ""
-        (line,) = err.splitlines()
-        payload = json.loads(line)
-        assert payload["code"] == 1 and "seed" in payload["message"]
+        assert "seed" in _error([cmd, "--reps", "200", "--seed", str(seed)], capsys)
 
     @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
     def test_largest_seed_runs(self, cmd, capsys):
@@ -259,19 +268,11 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_tails_nonpositive_k_is_one_json_line(self, k, capsys):
-        code, out, err = _run(["tails", "--radial", "t:3", "--k", k], capsys)
-        assert code == 1 and out == ""
-        (line,) = err.splitlines()
-        payload = json.loads(line)
-        assert payload["code"] == 1 and "k must be positive" in payload["message"]
+        assert "k must be positive" in _error(["tails", "--radial", "t:3", "--k", k], capsys)
 
     def test_numerical_error_exit_code(self, capsys):
-        code, _, err = _run(
-            ["tails", "--radial", "normal", "--a", "2", "--tau", "1e6", "--c", "1e-310"],
-            capsys,
-        )
-        assert code == 2
-        assert json.loads(err)["code"] == 2
+        argv = ["tails", "--radial", "normal", "--a", "2", "--tau", "1e6", "--c", "1e-310"]
+        _error(argv, capsys, code=2)
 
 
 class TestScenario:
@@ -337,11 +338,7 @@ class TestScenario:
     def test_malformed_params_field_is_one_json_line(self, kind, params, field, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params))
-        code, out, err = _run(["scenario", kind, "--params", str(path), "--sample", "200"], capsys)
-        assert code == 1 and out == ""
-        (line,) = err.splitlines()
-        payload = json.loads(line)
-        assert payload["code"] == 1 and repr(field) in payload["message"]
+        assert repr(field) in _error(["scenario", kind, "--params", str(path), "--sample", "200"], capsys)
 
     def test_integral_float_k_is_k(self, tmp_path, capsys):
         outs = []
@@ -370,16 +367,12 @@ class TestScenario:
     def test_params_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text("[1, 2]")
-        code, out, err = _run(["scenario", "logit", "--params", str(path)], capsys)
-        assert code == 1 and out == ""
-        assert "JSON object" in json.loads(err)["message"]
+        assert "JSON object" in _error(["scenario", "logit", "--params", str(path)], capsys)
 
     def test_missing_params_field(self, tmp_path, capsys):
         params = tmp_path / "iv.json"
         params.write_text(json.dumps({"k": 2}))
-        code, _, err = _run(["scenario", "iv", "--params", str(params)], capsys)
-        assert code == 1
-        assert "missing field" in json.loads(err)["message"]
+        assert "missing field" in _error(["scenario", "iv", "--params", str(params)], capsys)
 
 
 class TestUsageErrors:

@@ -9,9 +9,8 @@ from misspec.montecarlo import (
     DEFAULT_COVERAGE_X,
     DEFAULT_PIVOT_X,
     SweepTrace,
-    _coverage_pieces,
-    _eta_kernel_args,
-    _theta_kernel_args,
+    _coverage_args,
+    _pivot_args,
     ks_statistic,
     run_concentration,
     run_contamination,
@@ -42,6 +41,15 @@ def _normal_prior(c=1.0, k=5):
     return ScaledPrior(family=NormalRadial(), c=c, W=np.eye(k))
 
 
+def _both_runs_reject(match, reps=200, seed=0):
+    """Both runs on their default fixtures raise an InputError matching ``match``."""
+    with pytest.raises(InputError, match=match):
+        run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=reps, seed=seed)
+    with pytest.raises(InputError, match=match):
+        run_pivotality(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4), InferenceConfig(v=[1.0]),
+                       reps=reps, seed=seed)
+
+
 class TestCoverage:
     def test_deterministic(self):
         a = run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=500, seed=3)
@@ -53,9 +61,9 @@ class TestCoverage:
     def test_chunk_schedule_independence(self):
         # Counter-based streams: any split of the replication range gives the
         # same per-replication results, so hits sum and t statistics concatenate.
-        args = _coverage_args(DEFAULT_COVERAGE_X, W5, CFG, GAUSS_PRIOR, _normal_prior())
+        args = _coverage_args(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG)
         full = _kernels.coverage_hits(11, 0, 4000, *args)
-        piv = _pivot_args(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4))
+        piv = _pivot_args(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4), [1.0])
         full_t = _kernels.pivot_tstats(11, 0, 4000, *piv)
         for cuts in ((0, 4000), (0, 1, 8, 341, 4000), (0, 2999, 3000, 4000)):
             ranges = list(zip(cuts, cuts[1:]))
@@ -77,10 +85,7 @@ class TestCoverage:
         # prior on a k=3, p=1 fixture must land in the binomial band too.
         x = np.array([[1.0], [0.5], [-0.5]])
         w = np.eye(3)
-        grid = np.linspace(-6.0, 6.0, 4001)
-        prior = ThetaPrior.tabulated(
-            lambda t: float(np.exp(-abs(float(np.atleast_1d(t)[0]) - 1.0))), grid=grid
-        )
+        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 4001))
         res = run_coverage(
             x, w, prior, _normal_prior(k=3), InferenceConfig(v=[1.0], level=0.9),
             reps=5000, seed=5,
@@ -113,11 +118,16 @@ class TestCoverage:
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "3"])
     def test_seed_outside_uint64_rejected(self, seed):
-        with pytest.raises(InputError, match="seed"):
-            run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=200, seed=seed)
-        with pytest.raises(InputError, match="seed"):
-            run_pivotality(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4),
-                           InferenceConfig(v=[1.0]), reps=200, seed=seed)
+        _both_runs_reject("seed", seed=seed)
+
+    @pytest.mark.parametrize("reps", [0, -1, 150.5, 200.0, True, "200", montecarlo._MAX_REPS + 1, 10**13])
+    def test_reps_outside_range_rejected_before_the_kernel(self, reps, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a kernel ran before reps was checked")
+
+        monkeypatch.setattr(_kernels, "coverage_hits", fail)
+        monkeypatch.setattr(_kernels, "pivot_tstats", fail)
+        _both_runs_reject("reps", reps=reps)
 
     def test_small_reps_warns(self):
         with pytest.warns(UserWarning, match="replications"):
@@ -168,26 +178,6 @@ def _dense_fixture():
     return x, w, InferenceConfig(v=rng.standard_normal(3), level=0.95)
 
 
-def _coverage_args(x, w, cfg, theta_prior, eta_prior):
-    """coverage_hits arguments after (seed, rep_start, rep_stop)."""
-    fixture, a_v, b, sv = _coverage_pieces(x, w, cfg.v)
-    k, p = fixture.k, fixture.p
-    mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
-    tstar = t_quantile(StudentT(k - p), 0.5 * (1.0 + cfg.level))
-    return (fixture.X, mix, eta_code, nu, *_theta_kernel_args(theta_prior, p),
-            a_v, b, cfg.v, sv, tstar, float(k - p))
-
-
-def _pivot_args(x, w, eta_prior, control=False):
-    """pivot_tstats arguments after (seed, rep_start, rep_stop)."""
-    fixture, a_v, b, sv = _coverage_pieces(x, w, np.eye(x.shape[1])[0])
-    if control:
-        mix, eta_code, nu = np.eye(fixture.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
-    else:
-        mix, eta_code, nu = _eta_kernel_args(eta_prior, fixture)
-    return mix, eta_code, nu, a_v, b, sv, float(fixture.k - fixture.p)
-
-
 # t:1 has chi-square shape 1/2 < 1, the boosted branch of the gamma sampler.
 FAMILIES = {"normal": NormalRadial(), "t:3": StudentTRadial(3.0), "t:1": StudentTRadial(1.0)}
 
@@ -203,7 +193,7 @@ class TestKernelOracle:
         else:
             (x, w, _), reps = _dense_fixture(), 150
         prior = ScaledPrior(family=FAMILIES.get(family, NormalRadial()), c=2.0, W=w)
-        args = (5, 0, reps, *_pivot_args(x, w, prior, control=family == "control"))
+        args = (5, 0, reps, *_pivot_args(x, w, prior, np.eye(x.shape[1])[0], family == "control"))
         assert np.array_equal(_kernels.pivot_tstats(*args), scalar_pivot_tstats(*args))
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -216,26 +206,43 @@ class TestKernelOracle:
             theta, reps = ThetaPrior.gaussian([0.5, -1.0, 2.0], [1.0, 3.0, 0.5]), 150
         else:
             x, w, cfg, reps = np.array([[1.0], [0.5], [-0.5]]), np.eye(3), InferenceConfig(v=[1.0]), 400
-            theta = ThetaPrior.tabulated(
-                lambda t: float(np.exp(-abs(float(np.atleast_1d(t)[0]) - 1.0))),
-                grid=np.linspace(-6.0, 6.0, 401),
-            )
+            theta = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
         eta = ScaledPrior(family=FAMILIES[family], c=0.5, W=w)
         # A low level and a small prior scale keep hits well away from 0 and reps.
         cfg = InferenceConfig(v=cfg.v, level=0.5)
-        args = (8, 0, reps, *_coverage_args(x, w, cfg, theta, eta))
+        args = (8, 0, reps, *_coverage_args(x, w, theta, eta, cfg))
         hits = _kernels.coverage_hits(*args)
         assert hits == scalar_coverage_hits(*args)
         assert 0 < hits < reps
 
     def test_rep_range_crossing_a_block(self):
         lo, hi = _kernels._BLOCK - 150, _kernels._BLOCK + 150
-        cov = (3, lo, hi, *_coverage_args(DEFAULT_COVERAGE_X, W5, CFG, GAUSS_PRIOR,
-                                          ScaledPrior(StudentTRadial(3.0), 1.0, W5)))
+        cov = (3, lo, hi, *_coverage_args(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR,
+                                          ScaledPrior(StudentTRadial(3.0), 1.0, W5), CFG))
         assert _kernels.coverage_hits(*cov) == scalar_coverage_hits(*cov)
         piv = (3, lo, hi, *_pivot_args(DEFAULT_PIVOT_X, np.eye(4),
-                                       ScaledPrior(StudentTRadial(1.0), 1.0, np.eye(4))))
+                                       ScaledPrior(StudentTRadial(1.0), 1.0, np.eye(4)), [1.0]))
         assert np.array_equal(_kernels.pivot_tstats(*piv), scalar_pivot_tstats(*piv))
+
+    def test_runs_pass_the_builders_tuples(self, monkeypatch):
+        seen = []
+        for name in ("coverage_hits", "pivot_tstats"):
+            kernel = getattr(_kernels, name)
+            monkeypatch.setattr(_kernels, name, lambda *a, _kernel=kernel: seen.append(a) or _kernel(*a))
+        x, w, cfg = _dense_fixture()
+        theta = ThetaPrior.gaussian([0.5, -1.0, 2.0], [1.0, 3.0, 0.5])
+        eta = ScaledPrior(StudentTRadial(3.0), 0.5, w)
+        run_coverage(x, w, theta, eta, cfg, reps=150, seed=4)
+        run_pivotality(x, w, eta, cfg, reps=150, seed=4)
+        run_pivotality(x, w, eta, cfg, reps=150, seed=4, negative_control=True)
+        expected = [
+            (4, 0, 150, *_coverage_args(x, w, theta, eta, cfg)),
+            (4, 0, 150, *_pivot_args(x, w, eta, cfg.v)),
+            (4, 0, 150, *_pivot_args(x, w, eta, cfg.v, negative_control=True)),
+        ]
+        assert [len(args) for args in seen] == [len(args) for args in expected]
+        for got, want in zip(seen, expected):
+            assert all(type(g) is type(e) and np.array_equal(g, e) for g, e in zip(got, want))
 
     def test_backend_name(self):
         assert _kernels.backend() == "numpy"

@@ -305,6 +305,15 @@ class TestMassOutsideBall:
         b = mass_outside_ball(cf, [1.0], 0.98 / math.sqrt(h[0, 0]))
         assert_allclose(a, b, rtol=1e-12)
 
+    @pytest.mark.parametrize("m", [[[0.0]], [[-1.0]], [[math.nan]], [[1.0, 0.0], [0.0, 1.0]]], ids=str)
+    @pytest.mark.parametrize("grid", [False, True], ids=["closed_form", "grid"])
+    def test_bad_norm_matrix_rejected(self, canon_model, grid, m):
+        post = normal_posterior(canon_model, 0.5)
+        if grid:
+            post = _grid_for(canon_model, ScaledPrior(NormalRadial(), 0.5, np.eye(2)), sd=0.5, points=201)
+        with pytest.raises(InputError, match="norm_matrix"):
+            mass_outside_ball(post, [1.0], 0.5, norm_matrix=m)
+
     def test_student_closed_form(self, canon_model):
         post = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
         from oracles import t_cdf_quad
