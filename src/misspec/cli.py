@@ -58,7 +58,9 @@ def _write(text: str, out: str | None) -> None:
 
 def _default_v(p: int, raw: str | None) -> np.ndarray:
     if raw is None:
-        return np.eye(p)[0]
+        v = np.zeros(p)
+        v[0] = 1.0
+        return v
     vals = _csv_floats(raw, "v")
     if len(vals) != p:
         raise InputError(f"--v must have {p} entries, got {len(vals)}")
@@ -88,9 +90,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_coverage(args) -> int:
     x, w, cfg, eta_prior = _mc_inputs(args, montecarlo.DEFAULT_COVERAGE_X)
-    mean = np.zeros(x.shape[1])
-    if args.theta_mean is not None:
-        mean = _csv_floats(args.theta_mean, "theta-mean")
+    p = x.shape[1]
+    mean = (
+        np.zeros(p)
+        if args.theta_mean is None
+        else np.asarray(_csv_floats(args.theta_mean, "theta-mean"))
+    )
     theta_prior = ThetaPrior.gaussian(mean, args.theta_sd)
     result = montecarlo.run_coverage(
         x, w, theta_prior, eta_prior, cfg, reps=args.reps, seed=args.seed
@@ -101,6 +106,7 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_pivot(args) -> int:
     x, w, cfg, eta_prior = _mc_inputs(args, montecarlo.DEFAULT_PIVOT_X)
+    p = x.shape[1]
     ks = montecarlo.run_pivotality(
         x,
         w,
@@ -113,7 +119,7 @@ def _cmd_pivot(args) -> int:
     payload = {
         "ks": ks,
         "threshold_1pct": 1.63 / np.sqrt(args.reps),
-        "dof": x.shape[0] - x.shape[1],
+        "dof": x.shape[0] - p,
         "reps": args.reps,
         "seed": args.seed,
         "radial": args.radial,
@@ -223,6 +229,18 @@ def _cmd_scenario(args) -> int:
     return 0
 
 
+def _add_run_flags(sp: argparse.ArgumentParser, reps: int) -> None:
+    """The flags coverage and pivot share: those _mc_inputs reads, reps, seed and out."""
+    sp.add_argument("--model", default=None, help="model JSON supplying (X, W)")
+    sp.add_argument("--v", default=None)
+    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--radial", default="normal")
+    sp.add_argument("--c", type=float, default=1.0)
+    sp.add_argument("--reps", type=int, default=reps)
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--out", default=None)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="misspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -236,28 +254,14 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("coverage", help="Monte Carlo average-coverage experiment")
-    sp.add_argument("--model", default=None, help="model JSON supplying (X, W)")
-    sp.add_argument("--v", default=None)
-    sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--radial", default="normal")
-    sp.add_argument("--c", type=float, default=1.0)
+    _add_run_flags(sp, reps=20_000)
     sp.add_argument("--theta-sd", dest="theta_sd", type=float, default=10.0)
     sp.add_argument("--theta-mean", dest="theta_mean", default=None)
-    sp.add_argument("--reps", type=int, default=20_000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_coverage)
 
     sp = sub.add_parser("pivot", help="pivotal t-statistic KS experiment")
-    sp.add_argument("--model", default=None)
-    sp.add_argument("--v", default=None)
-    sp.add_argument("--level", type=float, default=0.95)
-    sp.add_argument("--radial", default="normal")
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--reps", type=int, default=10_000)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_run_flags(sp, reps=10_000)
     sp.add_argument("--negative-control", action="store_true")
-    sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_pivot)
 
     sp = sub.add_parser("concentration", help="posterior concentration sweep over c")

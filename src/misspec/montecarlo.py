@@ -100,13 +100,15 @@ class SweepTrace:
         object.__setattr__(self, "metrics", metrics)
 
 
-# Replications per run, at most; checked before any per-replication array exists.
-_MAX_REPS = 10**7
+# Replications per pivotality run, at most: ``pivot_tstats`` returns one
+# float64 per replication (80 MB at the cap).  ``coverage_hits`` works by
+# block, so coverage runs have no cap.
+_MAX_PIVOT_REPS = 10**7
 
 
 def _check_run(reps, seed) -> None:
-    if isinstance(reps, bool) or not (isinstance(reps, (int, np.integer)) and 1 <= reps <= _MAX_REPS):
-        raise InputError(f"reps must be an integer in [1, {_MAX_REPS}], got {reps!r}")
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise InputError(f"reps must be a positive integer, got {reps!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -153,8 +155,8 @@ def _coverage_args(
     The ``_pivot_args`` tuple, extended with X, the theta prior's code and
     tables, v and the t critical value t*.
     """
-    x = _linalg.as_matrix(x, "X")
     mix, eta_code, nu, a_v, b, sv, km_p = _pivot_args(x, w, eta_prior, cfg.v)
+    x = _linalg.as_matrix(x, "X")
     p = x.shape[1]
     empty = np.empty(0)
     if theta_prior.kind == "gaussian":
@@ -196,7 +198,7 @@ def run_coverage(
         warnings.warn(f"coverage estimate from only {reps} replications", stacklevel=2)
     args = _coverage_args(x, w, theta_prior, eta_prior, cfg)
     hits = _kernels.coverage_hits(seed, 0, reps, *args)
-    k, p = args[0].shape
+    k, p = _linalg.as_matrix(x, "X").shape
     coverage = hits / reps
     config = {
         "k": k,
@@ -245,9 +247,12 @@ def run_pivotality(
     should push the KS distance above its critical value.
     """
     _check_run(reps, seed)
+    if reps > _MAX_PIVOT_REPS:
+        raise InputError(f"pivotality runs take at most {_MAX_PIVOT_REPS} reps, got {reps}")
     args = _pivot_args(x, w, eta_prior, cfg.v, negative_control)
     tstats = _kernels.pivot_tstats(seed, 0, reps, *args)
-    return ks_statistic(tstats, args[-1])  # dof k - p, the last argument
+    k, p = _linalg.as_matrix(x, "X").shape
+    return ks_statistic(tstats, k - p)
 
 
 def _family_sd_estimate(family: RadialFamily, c: float, model: ModelInstance) -> float:
@@ -315,11 +320,7 @@ def run_concentration(
         action = bayes_action_quadratic(post)
         for name, val in zip(action_names, np.atleast_1d(action)):
             metrics[name].append(float(val))
-    return SweepTrace(
-        axis_name="c",
-        axis=c_grid,
-        metrics={k: np.array(v) for k, v in metrics.items()},
-    )
+    return SweepTrace(axis_name="c", axis=c_grid, metrics=metrics)
 
 
 def _composite_axis(
@@ -371,11 +372,7 @@ def run_contamination(
         metrics["tv_to_contaminant"].append(tv_distance(post, contam_post))
         for name, eps in eps_names.items():
             metrics[name].append(mass_outside_ball(post, pt.theta_w, eps))
-    return SweepTrace(
-        axis_name="c",
-        axis=c_grid,
-        metrics={k: np.array(v) for k, v in metrics.items()},
-    )
+    return SweepTrace(axis_name="c", axis=c_grid, metrics=metrics)
 
 
 def run_tails(family: RadialFamily, a_list, tau_list, c_list, k: int = 2) -> np.ndarray:

@@ -53,7 +53,7 @@ def _error(args, capsys, code=1) -> str:
     assert status == code and out == ""
     (line,) = err.splitlines()
     payload = json.loads(line)
-    assert payload["code"] == code
+    assert payload.keys() == {"code", "message"} and payload["code"] == code
     return payload["message"]
 
 
@@ -158,6 +158,7 @@ class TestNonFiniteInputs:
         "model-k-overflow": (["analyze", "--model", "{k_overflow}"], "got inf"),
         "model-k-fraction": (["analyze", "--model", "{k_fraction}"], "got 2.7"),
         "model-p-bool": (["pivot", "--model", "{p_bool}"], "got True"),
+        "model-k-string": (["analyze", "--model", "{k_string}"], "got '2'"),
     }
     # Input files written per test; the rest of each model is the canonical one.
     ARRAYS = '"Y": [0.0, 2.0], "X": [[1.0], [1.0]], "W": [[1.0, 0.0], [0.0, 1.0]]}'
@@ -166,6 +167,7 @@ class TestNonFiniteInputs:
         "k_overflow": ('{"k": 1e999999, "p": 1, ' + ARRAYS).encode(),
         "k_fraction": ('{"k": 2.7, "p": 1, ' + ARRAYS).encode(),
         "p_bool": ('{"k": 2, "p": true, ' + ARRAYS).encode(),
+        "k_string": ('{"k": "2", "p": 1, ' + ARRAYS).encode(),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -387,51 +389,42 @@ class TestUsageErrors:
         assert "usage:" in err
 
 
-def test_console_entry_point_runs():
-    # The child imports the same package as this suite, installed or not.
+def _child(argv, cwd=None):
+    """Run ``python *argv`` in a child that imports the same package as this suite."""
     src = os.path.dirname(os.path.dirname(misspec.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "misspec.cli", "tails", "--radial", "normal",
-         "--a", "2", "--tau", "1", "--c", "1e-4"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_console_entry_point_runs():
+    proc = _child(["-m", "misspec.cli", "tails", "--radial", "normal",
+                   "--a", "2", "--tau", "1", "--c", "1e-4"])
     assert proc.returncode == 0
     assert proc.stdout.startswith("a,tau,c,ratio")
 
 
 def test_import_leaves_out_scipy_integrate():
-    src = os.path.dirname(os.path.dirname(misspec.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c",
+    proc = _child(
+        ["-c",
          "import os, sys, misspec; print('scipy.integrate' in sys.modules); "
          "from misspec import cli; "
          "cli.main(['tails', '--radial', 't:3', '--out', os.devnull]); "
          "cli.main(['tails', '--radial', 'normal', '--out', os.devnull]); "
          "print('scipy.integrate' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["False", "False"]
 
 
 def test_import_leaves_out_scipy_linalg():
-    src = os.path.dirname(os.path.dirname(misspec.__file__))
-    golden = os.path.join(os.path.dirname(__file__), "golden")
-    proc = subprocess.run(
-        [sys.executable, "-c",
+    proc = _child(
+        ["-c",
          "import os, sys, misspec; from misspec import cli; "
          "cli.main(['analyze', '--model', 'm2.json', '--out', os.devnull]); "
          "cli.main(['coverage', '--reps', '1000', '--out', os.devnull]); "
          "cli.main(['concentration', '--model', 'm1.json', '--c-grid', '1e-2', "
          "'--grid-points', '101', '--out', os.devnull]); "
          "print('scipy.linalg' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        cwd=golden,
-        env={**os.environ, "PYTHONPATH": src},
+        cwd=os.path.join(os.path.dirname(__file__), "golden"),
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["False"]

@@ -41,6 +41,10 @@ def _normal_prior(c=1.0, k=5):
     return ScaledPrior(family=NormalRadial(), c=c, W=np.eye(k))
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called before its inputs were checked")
+
+
 def _both_runs_reject(match, reps=200, seed=0):
     """Both runs on their default fixtures raise an InputError matching ``match``."""
     with pytest.raises(InputError, match=match):
@@ -120,14 +124,23 @@ class TestCoverage:
     def test_seed_outside_uint64_rejected(self, seed):
         _both_runs_reject("seed", seed=seed)
 
-    @pytest.mark.parametrize("reps", [0, -1, 150.5, 200.0, True, "200", montecarlo._MAX_REPS + 1, 10**13])
+    @pytest.mark.parametrize("reps", [0, -1, 150.5, 200.0, True, "200"])
     def test_reps_outside_range_rejected_before_the_kernel(self, reps, monkeypatch):
-        def fail(*args):
-            raise AssertionError("a kernel ran before reps was checked")
-
-        monkeypatch.setattr(_kernels, "coverage_hits", fail)
-        monkeypatch.setattr(_kernels, "pivot_tstats", fail)
+        monkeypatch.setattr(_kernels, "coverage_hits", _must_not_run)
+        monkeypatch.setattr(_kernels, "pivot_tstats", _must_not_run)
         _both_runs_reject("reps", reps=reps)
+
+    @pytest.mark.parametrize("reps", [montecarlo._MAX_PIVOT_REPS + 1, 10**13])
+    def test_only_pivotality_caps_reps(self, reps, monkeypatch):
+        # pivot_tstats allocates one float64 per replication; coverage_hits
+        # counts block by block, so a coverage run of any size is accepted.
+        monkeypatch.setattr(_kernels, "pivot_tstats", _must_not_run)
+        monkeypatch.setattr(_kernels, "coverage_hits", lambda *args: 0)
+        res = run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=reps, seed=0)
+        assert res.reps == reps and res.config["reps"] == reps
+        with pytest.raises(InputError, match="at most"):
+            run_pivotality(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4), InferenceConfig(v=[1.0]),
+                           reps=reps, seed=0)
 
     def test_small_reps_warns(self):
         with pytest.warns(UserWarning, match="replications"):
@@ -304,10 +317,7 @@ class TestSweeps:
         "c_grid", [[1e-2, 1e-4], [1e-2, 0.0], [-1.0, 1.0], [1e-2, np.inf], [np.nan], []]
     )
     def test_c_grid_checked_before_any_posterior(self, canon_model, c_grid, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a posterior was built before the c grid was checked")
-
-        monkeypatch.setattr(montecarlo, "grid_posterior", fail)
+        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         with pytest.raises(InputError, match="c_grid"):
             run_concentration(canon_model, NormalRadial(), c_grid, [0.1])
@@ -318,10 +328,7 @@ class TestSweeps:
     def test_eps_printing_alike_rejected_before_any_posterior(self, canon_model, eps_list, monkeypatch):
         # Each eps names the metric mass_outside_<eps:g>; two that print alike
         # would collide in the trace.
-        def fail(*args, **kwargs):
-            raise AssertionError("a posterior was built before the eps values were checked")
-
-        monkeypatch.setattr(montecarlo, "grid_posterior", fail)
+        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         match = r"eps values 0\.1 and 0\.1(000001)? both give the metric 'mass_outside_0\.1'"
         with pytest.raises(InputError, match=match):
