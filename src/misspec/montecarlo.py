@@ -4,10 +4,23 @@ Replications use counter-based per-replication random streams (a 64-bit hash
 mix of the master seed and the replication index), so hit counts are identical
 however the replication range is split into blocks or workers; the reduction
 is a plain order-independent sum.
+
+What a coverage or pivotality run needs of its fixture (X, W) alone -- the
+validated Y = 0 model, its fit, the projections A = H^{-1}X'W and
+B = W - WXA, and W's inverse root -- is memoised in a small LRU cache keyed
+on the shapes and bytes of the float64 X and W.  A key made of the contents
+is safe: equal arrays share an entry, an array changed in place is a new
+key, a fixture that fails validation raises on every call, and the cached
+arrays are read-only.
+
+``ks_statistic`` evaluates the t CDF exactly at every 8th order statistic and
+brackets it in between, evaluating a segment in full only where its bound
+could beat the largest exact term; the result equals the full evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -113,38 +126,90 @@ def _check_run(reps, seed) -> None:
         raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
-def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False) -> tuple:
-    """``pivot_tstats`` arguments after (seed, rep_start, rep_stop).
+# Smallest t dof a Monte Carlo run accepts.  The t family scales eta by
+# sqrt(dof / w) with w ~ chi2(dof) = 2 Gamma(dof/2), and for a shape
+# a = dof/2 < 1 the gamma draw is u^(1/a) Gamma(a + 1), u uniform on (0, 1].
+# A replication stops being finite once w falls below about 2^-1022: w
+# underflows, or eta'B eta, of order dof/w, overflows.  Up to O(1) factors,
+# which move that exponent by a few units, this is u^(2/dof) < 2^-1022, i.e.
+# u < 2^(-511 dof), with probability 2^(-511 dof) (about e^(-354 dof)).  A
+# replication stays finite with probability at least 1 - 2^-53 only for
+# dof >= 53/511, about 0.104.
+_MIN_T_DOF = 53.0 / 511.0
 
-    Validates the fixture (X, W) once, as a model with Y = 0.  a_v maps Y to
-    v'theta_W and B maps Y to Y'BY = J; both depend only on (X, W), so they
-    come from that model's cached fit, as does sigma_v.  The negative control
-    draws shifted exponentials and ignores ``eta_prior``.
+
+@dataclass(frozen=True)
+class _Fixture:
+    """A validated Monte Carlo fixture and its Y-free projections.
+
+    ``model`` is (Y = 0, X, W).  A = H^{-1}X'W maps Y to theta_W, and
+    B = W - WXA maps Y to Y'BY = J; both are read-only, as are the model's
+    arrays.  W's inverse root is computed on first use and kept on ``model``.
     """
-    x = _linalg.as_matrix(x, "X")
-    fixture = ModelInstance(Y=np.zeros(x.shape[0]), X=x, W=w)
-    k, p = fixture.k, fixture.p
-    if k <= p:
+
+    model: ModelInstance
+    a: np.ndarray
+    b: np.ndarray
+
+
+@functools.lru_cache(maxsize=8)
+def _fixture_from_bytes(x_shape, x_bytes, w_shape, w_bytes) -> _Fixture:
+    x = np.frombuffer(x_bytes).reshape(x_shape)
+    w = np.frombuffer(w_bytes).reshape(w_shape)
+    model = ModelInstance(Y=np.zeros(x_shape[0]), X=x, W=w)
+    if model.k <= model.p:
         raise JustIdentifiedError(
             "coverage and pivotality require an over-identified fixture (k > p)"
         )
-    v = _linalg.as_vector(v, p, "v")
-    sv = sigma_v(fixture, v)
-    xtw = fixture.X.T @ fixture.W
-    a = pseudo_true(fixture).solve(xtw)  # theta_W = A Y
-    b = _linalg._symmetrize(fixture.W - xtw.T @ a)
+    xtw = model.X.T @ model.W
+    a = pseudo_true(model).solve(xtw)  # theta_W = A Y
+    b = _linalg._symmetrize(model.W - xtw.T @ a)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return _Fixture(model=model, a=a, b=b)
+
+
+def _fixture(x, w) -> _Fixture:
+    """The fixture for (X, W), memoised on the shapes and bytes of their float64 forms.
+
+    The key is the arrays' contents, not their identity, so equal arrays share
+    one validation and factorisation, and a caller's array changed in place
+    is a new key.  Validation errors propagate and are not cached.
+    """
+    x = _linalg.as_matrix(x, "X")
+    w = np.asarray(w, dtype=np.float64)
+    return _fixture_from_bytes(x.shape, x.tobytes(), w.shape, w.tobytes())
+
+
+def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False) -> tuple:
+    """``pivot_tstats`` arguments after (seed, rep_start, rep_stop).
+
+    (X, W) is validated and factored once per distinct fixture (see
+    ``_fixture``); here only v and the eta prior are checked.  a_v = A'v maps
+    Y to v'theta_W.  The negative control draws shifted exponentials and
+    ignores ``eta_prior``.
+    """
+    fixture = _fixture(x, w)
+    model = fixture.model
+    v = _linalg.as_vector(v, model.p, "v")
+    sv = sigma_v(model, v)
     if negative_control:
-        mix, eta_code, nu = np.eye(k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
+        mix, eta_code, nu = np.eye(model.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
     else:
         if not eta_prior.proper:
             raise ImproperPriorError("Monte Carlo runs require a proper radial prior")
-        _linalg.check_same_weight(eta_prior.W, fixture.W, "eta prior", "fixture")
-        mix = math.sqrt(eta_prior.c) * fixture.w_inv_root
+        _linalg.check_same_weight(eta_prior.W, model.W, "eta prior", "fixture")
+        mix = math.sqrt(eta_prior.c) * model.w_inv_root
         if isinstance(eta_prior.family, StudentTRadial):
             eta_code, nu = _kernels.ETA_STUDENT_T, float(eta_prior.family.dof)
+            if nu < _MIN_T_DOF:
+                raise InputError(
+                    f"Monte Carlo runs need a t dof of at least {_MIN_T_DOF:.4g}, "
+                    f"below which replications overflow; got {nu:g}"
+                )
         else:
             eta_code, nu = _kernels.ETA_NORMAL, 0.0
-    return mix, eta_code, nu, a.T @ v, b, sv, float(k - p)
+    return mix, eta_code, nu, fixture.a.T @ v, fixture.b, sv, float(model.k - model.p)
 
 
 def _coverage_args(
@@ -156,7 +221,7 @@ def _coverage_args(
     tables, v and the t critical value t*.
     """
     mix, eta_code, nu, a_v, b, sv, km_p = _pivot_args(x, w, eta_prior, cfg.v)
-    x = _linalg.as_matrix(x, "X")
+    x = _fixture(x, w).model.X
     p = x.shape[1]
     empty = np.empty(0)
     if theta_prior.kind == "gaussian":
@@ -221,13 +286,44 @@ def run_coverage(
     )
 
 
+_KS_STRIDE = 8
+# How far the computed CDF may step back between increasing arguments:
+# betainc is accurate to far fewer than 1e-12 / 2^-53 (about 4500) ulps.
+_KS_SLACK = 1e-12
+
+
 def ks_statistic(samples: np.ndarray, dof: float) -> float:
-    """Kolmogorov-Smirnov distance between samples and the t CDF with ``dof``."""
+    """Kolmogorov-Smirnov distance between samples and the t CDF with ``dof``.
+
+    The distance is the largest term max(i/n - F_i, F_i - (i-1)/n) over the
+    sorted samples, F_i the t CDF at the i-th.  F is evaluated exactly at every
+    ``_KS_STRIDE``-th sample and the last; F is monotone, so between two such
+    knots every F_i lies in the knots' [F_lo, F_hi], which bounds the terms of
+    that segment.  Only segments whose bound could beat the largest exact term
+    are evaluated in full.  The CDF is elementwise, so the result equals the
+    full evaluation bit for bit; a NaN sample makes it NaN.
+    """
     s = np.sort(np.asarray(samples, dtype=np.float64))
     n = s.size
-    f = t_cdf(StudentT(dof), s)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+    if n == 0:
+        raise InputError("the KS statistic needs at least one sample")
+    dist = StudentT(dof)
+
+    def terms(idx, f):
+        return np.maximum((idx + 1) / n - f, f - idx / n)
+
+    knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    f_knots = t_cdf(dist, s[knots])
+    best = np.max(terms(knots, f_knots))
+    # For knots lo < j < hi (0-based), F_lo <= F_j <= F_hi bounds the terms
+    # by (j + 1)/n - F_lo <= hi/n - F_lo and F_hi - j/n <= F_hi - (lo + 1)/n.
+    lo, hi = knots[:-1], knots[1:]
+    bound = np.maximum(hi / n - f_knots[:-1], f_knots[1:] - (lo + 1) / n)
+    inner = np.flatnonzero(np.repeat(bound > best - _KS_SLACK, _KS_STRIDE))
+    inner = inner[(inner % _KS_STRIDE != 0) & (inner < n - 1)]
+    if inner.size:
+        best = max(best, np.max(terms(inner, t_cdf(dist, s[inner]))))
+    return float(best)
 
 
 def run_pivotality(

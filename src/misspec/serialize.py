@@ -94,6 +94,14 @@ def _integer(raw) -> int:
     return int(raw)
 
 
+def _float_array(data: dict, name: str) -> np.ndarray:
+    """``data[name]`` as a float64 array; a non-numeric or ragged one is an InputError."""
+    try:
+        return np.asarray(data[name], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"model JSON field {name} must be a numeric array: {exc}") from exc
+
+
 def model_from_dict(data: dict) -> ModelInstance:
     """Build a validated model from its JSON object form.
 
@@ -111,9 +119,7 @@ def model_from_dict(data: dict) -> ModelInstance:
         raise InputError(f"model JSON fields k and p must be integers: {exc}") from exc
     if k < 1 or p < 1:
         raise InputError(f"model JSON requires positive dimensions, got k={k}, p={p}")
-    y = np.asarray(data["Y"], dtype=np.float64)
-    x = np.asarray(data["X"], dtype=np.float64)
-    w = np.asarray(data["W"], dtype=np.float64)
+    y, x, w = (_float_array(data, name) for name in ("Y", "X", "W"))
     if y.shape != (k,):
         raise InputError(f"Y must be an array of length k={k}, got shape {y.shape}")
     if x.shape != (k, p):

@@ -295,3 +295,21 @@ def scalar_pivot_tstats(*args):
     """Reference for ``_kernels.pivot_tstats`` (same positional arguments)."""
     with np.errstate(over="ignore"):
         return _pivot_tstats(*args)
+
+
+# --- Kolmogorov-Smirnov reference --------------------------------------------
+
+
+def ks_statistic_full(samples, dof):
+    """KS distance from the t CDF evaluated at every sorted sample.
+
+    Uses the package's ``t_cdf``, which is elementwise, so that the bracketed
+    ``montecarlo.ks_statistic`` must equal this bit for bit.
+    """
+    from misspec.special import StudentT, t_cdf
+
+    s = np.sort(np.asarray(samples, dtype=np.float64))
+    n = s.size
+    f = t_cdf(StudentT(dof), s)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

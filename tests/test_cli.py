@@ -221,6 +221,28 @@ class TestPivot:
         assert ctrl["ks"] > ctrl["threshold_1pct"]
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
+    def test_tiny_t_dof_names_the_minimum(self, cmd, capsys):
+        # Below about dof 0.1 the chi-square mixing draw underflows or eta'B eta
+        # overflows in a share of replications, so the run is refused.
+        message = _error([cmd, "--reps", "2000", "--radial", "t:0.001"], capsys)
+        assert "at least 0.1037" in message
+
+    @pytest.mark.parametrize(
+        "field, arrays",
+        [
+            ("Y", '"Y": ["a", 1], "X": [[1.0], [1.0]], "W": [[1.0, 0.0], [0.0, 1.0]]'),
+            ("X", '"Y": [0.0, 2.0], "X": [[1.0], [1.0, 2]], "W": [[1.0, 0.0], [0.0, 1.0]]'),
+        ],
+    )
+    def test_malformed_model_array_names_the_field(self, field, arrays, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"k": 2, "p": 1, ' + arrays + "}")
+        message = _error(["analyze", "--model", str(path)], capsys)
+        assert message.startswith(f"model JSON field {field} must be a numeric array")
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
     @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -278,19 +278,32 @@ class TestFitOnce:
         run_concentration(m, NormalRadial(), [1e-2, 1e-1, 1.0], [0.1], grid_points=101)
         assert len(factorizations) == 1
 
-    def test_coverage(self, factorizations):
+    def test_coverage(self, factorizations, monkeypatch):
+        from misspec import montecarlo
         from misspec.inference import InferenceConfig
         from misspec.montecarlo import DEFAULT_COVERAGE_X, run_coverage
         from misspec.posteriors import ThetaPrior
         from misspec.priors import NormalRadial, ScaledPrior
 
+        # A fresh fixture is factored once; a second run on equal arrays
+        # reuses the memoised fixture and factors and decomposes nothing.
+        montecarlo._fixture_from_bytes.cache_clear()
         w = np.eye(5)
-        run_coverage(
-            DEFAULT_COVERAGE_X, w, ThetaPrior.gaussian([0.0, 0.0], 10.0),
-            ScaledPrior(family=NormalRadial(), c=1.0, W=w),
-            InferenceConfig(v=[1.0, 0.0]), reps=100, seed=1,
-        )
+        theta = ThetaPrior.gaussian([0.0, 0.0], 10.0)
+        eta = ScaledPrior(family=NormalRadial(), c=1.0, W=w)
+        cfg = InferenceConfig(v=[1.0, 0.0])
+        run_coverage(DEFAULT_COVERAGE_X, w, theta, eta, cfg, reps=100, seed=1)
         assert len(factorizations) == 1
+
+        decompositions = []
+        for name in ("eigvalsh", "eigh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, *r, _fn=fn, **k: decompositions.append(a) or _fn(a, *r, **k)
+            )
+        factorizations.clear()
+        run_coverage(DEFAULT_COVERAGE_X.copy(), w.copy(), theta, eta, cfg, reps=100, seed=1)
+        assert factorizations == [] and decompositions == []
 
     def test_fit_is_cached(self, canon_model):
         assert pseudo_true(canon_model) is pseudo_true(canon_model)

@@ -26,7 +26,12 @@ from misspec.priors import (
     StudentTRadial,
 )
 from misspec.special import StudentT, t_quantile
-from oracles import random_model_arrays, scalar_coverage_hits, scalar_pivot_tstats
+from oracles import (
+    ks_statistic_full,
+    random_model_arrays,
+    scalar_coverage_hits,
+    scalar_pivot_tstats,
+)
 
 W5 = np.eye(5)
 CFG = InferenceConfig(v=[1.0, 0.0], level=0.95)
@@ -261,6 +266,45 @@ class TestKernelOracle:
         assert _kernels.backend() == "numpy"
 
 
+class TestFixtureMemo:
+    """(X, W) is validated and factored once per distinct content."""
+
+    def test_equal_arrays_share_one_fixture(self):
+        x, w, _ = _dense_fixture()
+        assert montecarlo._fixture(x, w) is montecarlo._fixture(x.copy(), w.copy())
+
+    def test_arrays_changed_in_place_are_refit(self):
+        x, w, cfg = _dense_fixture()
+        theta = ThetaPrior.gaussian([0.5, -1.0, 2.0], [1.0, 3.0, 0.5])
+        stale_b = _pivot_args(x, w, ScaledPrior(StudentTRadial(3.0), 0.5, w), cfg.v)[4]
+        x[0, 0] += 0.5
+        w *= 2.0
+        eta = ScaledPrior(StudentTRadial(3.0), 0.5, w.copy())
+        assert not np.array_equal(_pivot_args(x, w, eta, cfg.v)[4], stale_b)
+        got = (run_coverage(x, w, theta, eta, cfg, reps=300, seed=4),
+               run_pivotality(x, w, eta, cfg, reps=300, seed=4))
+        montecarlo._fixture_from_bytes.cache_clear()
+        x, w = x.copy(), w.copy()
+        assert got == (run_coverage(x, w, theta, eta, cfg, reps=300, seed=4),
+                       run_pivotality(x, w, eta, cfg, reps=300, seed=4))
+
+    def test_invalid_weight_raises_on_every_call(self):
+        w = np.eye(4)
+        w[0, 0] = -1.0
+        misses = montecarlo._fixture_from_bytes.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(InputError, match="positive definite"):
+                _pivot_args(DEFAULT_PIVOT_X, w, _normal_prior(k=4), [1.0])
+        assert montecarlo._fixture_from_bytes.cache_info().misses == misses + 2
+
+    def test_cached_arrays_are_read_only(self):
+        fixture = montecarlo._fixture(DEFAULT_COVERAGE_X, W5)
+        for arr in (fixture.a, fixture.b, fixture.model.X, fixture.model.W):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+
 class TestPivotality:
     def test_normal_radial_pivotal(self):
         ks = run_pivotality(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4),
@@ -278,6 +322,35 @@ class TestPivotality:
                             InferenceConfig(v=[1.0]), reps=4000, seed=2,
                             negative_control=True)
         assert ks > 1.63 / np.sqrt(4000)
+
+    def test_ks_evaluates_the_cdf_on_few_samples(self, monkeypatch):
+        # Counts evaluated points, never time: at most a quarter of 2000.
+        evaluated = []
+        cdf = montecarlo.t_cdf
+        monkeypatch.setattr(
+            montecarlo, "t_cdf", lambda dist, x: evaluated.append(np.size(x)) or cdf(dist, x)
+        )
+        for seed in range(3):
+            evaluated.clear()
+            run_pivotality(DEFAULT_PIVOT_X, np.eye(4), _normal_prior(k=4),
+                           InferenceConfig(v=[1.0]), reps=2000, seed=seed)
+            assert 0 < sum(evaluated) <= 0.25 * 2000
+
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_ks_bracket_is_tight_at_segment_edges(self, edge):
+        # Samples at t quantiles u_i, 64 of them (knots every 8th).  A run of ties
+        # puts the largest term, 7.5/64, next to knot 8 or 16, where it equals
+        # that bound of its segment while the segment's other bound is below the
+        # runner-up term, 7/64, held by knot 40.
+        u = (np.arange(64) + 0.5) / 64
+        if edge == "low":  # i/n - F_i at the segment's last interior sample
+            u[8:16], u[16], u[34:41] = u[8], 12 / 64, 34 / 64
+        else:  # F_i - (i-1)/n at the segment's first interior sample
+            u[8], u[9:17], u[40:48] = 9.5 / 64, u[16], 47 / 64
+        samples = [t_quantile(StudentT(3.0), q) for q in u]
+        ks = ks_statistic(samples, 3.0)
+        assert ks == ks_statistic_full(samples, 3.0)
+        assert abs(ks - 7.5 / 64) < 1e-12
 
     def test_ks_statistic_on_known_sample(self):
         # Uniform-quantile t draws give a tiny KS distance by construction.

@@ -27,9 +27,9 @@ from misspec.posteriors import (
     normal_posterior,
 )
 from misspec.posteriors import _grid_cell_weights
-from misspec.montecarlo import run_tails
+from misspec.montecarlo import ks_statistic, run_tails
 from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
-from oracles import random_model_arrays, random_spd
+from oracles import ks_statistic_full, random_model_arrays, random_spd
 
 # (k, p) with k > p, so the confidence interval is defined.
 shapes = st.sampled_from([(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
@@ -184,3 +184,25 @@ def test_tail_ratio_is_a_probability_decreasing_in_a(family, k, log10_c, log10_t
     r_near, r_far = table[:, 3]
     # Exactly non-increasing in a; two a one ulp apart may swap by rounding.
     assert 0.0 <= r_far <= r_near * (1.0 + 1e-12) and r_near <= 1.0
+
+
+@given(
+    seeds,
+    st.integers(1, 5000),
+    st.sampled_from([1.0, 3.0, 5.5]),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([None, 2, 0, -1]),
+    st.sampled_from([(0, 0, 0), (1, 0, 0), (0, 3, 0), (2, 2, 0), (0, 0, 1), (1, 1, 5)]),
+)
+def test_bracketed_ks_equals_full_evaluation(seed, n, dof, log10_scale, decimals, extremes):
+    # Exact equality with the CDF at every sample, over sizes that are and are
+    # not multiples of the knot stride, heavy ties (rounded samples), and
+    # +inf, -inf and NaN entries.
+    rng = np.random.default_rng(seed)
+    s = rng.standard_t(dof, n) * 10.0**log10_scale
+    if decimals is not None:
+        s = np.round(s, decimals)
+    for value, count in zip((np.inf, -np.inf, np.nan), extremes):
+        s[rng.integers(0, n, size=count)] = value
+    got, want = ks_statistic(s, dof), ks_statistic_full(s, dof)
+    assert got == want or (np.isnan(got) and np.isnan(want))
