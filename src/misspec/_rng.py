@@ -29,6 +29,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.special
 
+from misspec.errors import InputError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -54,6 +56,12 @@ def mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _S30)) * _MIX1
     z = (z ^ (z >> _S27)) * _MIX2
     return z ^ (z >> _S31)
+
+
+def check_seed(seed) -> None:
+    """Refuse a master seed that is not an integer in [0, 2**64); a bool is refused."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def stream_states(seed: int, rep_start: int, rep_stop: int) -> np.ndarray:

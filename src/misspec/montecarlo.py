@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from misspec import _kernels, _linalg
+from misspec import _kernels, _linalg, _rng
 from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, pseudo_true, sigma_v
@@ -45,7 +45,7 @@ from misspec.priors import (
     ContaminatedPrior,
     RadialFamily,
     ScaledPrior,
-    StudentTRadial,
+    _kernel_eta_args,
     _tail_ratio,
 )
 from misspec.special import StudentT, t_cdf, t_quantile
@@ -122,20 +122,7 @@ _MAX_PIVOT_REPS = 10**7
 def _check_run(reps, seed) -> None:
     if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
         raise InputError(f"reps must be a positive integer, got {reps!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-
-
-# Smallest t dof a Monte Carlo run accepts.  The t family scales eta by
-# sqrt(dof / w) with w ~ chi2(dof) = 2 Gamma(dof/2), and for a shape
-# a = dof/2 < 1 the gamma draw is u^(1/a) Gamma(a + 1), u uniform on (0, 1].
-# A replication stops being finite once w falls below about 2^-1022: w
-# underflows, or eta'B eta, of order dof/w, overflows.  Up to O(1) factors,
-# which move that exponent by a few units, this is u^(2/dof) < 2^-1022, i.e.
-# u < 2^(-511 dof), with probability 2^(-511 dof) (about e^(-354 dof)).  A
-# replication stays finite with probability at least 1 - 2^-53 only for
-# dof >= 53/511, about 0.104.
-_MIN_T_DOF = 53.0 / 511.0
+    _rng.check_seed(seed)
 
 
 @dataclass(frozen=True)
@@ -196,19 +183,8 @@ def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False)
     if negative_control:
         mix, eta_code, nu = np.eye(model.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
     else:
-        if not eta_prior.proper:
-            raise ImproperPriorError("Monte Carlo runs require a proper radial prior")
+        mix, eta_code, nu = _kernel_eta_args(eta_prior, model.w_inv_root)
         _linalg.check_same_weight(eta_prior.W, model.W, "eta prior", "fixture")
-        mix = math.sqrt(eta_prior.c) * model.w_inv_root
-        if isinstance(eta_prior.family, StudentTRadial):
-            eta_code, nu = _kernels.ETA_STUDENT_T, float(eta_prior.family.dof)
-            if nu < _MIN_T_DOF:
-                raise InputError(
-                    f"Monte Carlo runs need a t dof of at least {_MIN_T_DOF:.4g}, "
-                    f"below which replications overflow; got {nu:g}"
-                )
-        else:
-            eta_code, nu = _kernels.ETA_NORMAL, 0.0
     return mix, eta_code, nu, fixture.a.T @ v, fixture.b, sv, float(model.k - model.p)
 
 
@@ -365,11 +341,14 @@ def _family_sd_estimate(family: RadialFamily, c: float, model: ModelInstance) ->
 def _mass_outside_names(eps_list) -> dict[str, float]:
     """Metric name ``mass_outside_<eps:g>`` -> eps, for the sweeps' eps values.
 
-    Two eps values that print alike would share one name, so they are an
-    InputError naming both.
+    Each eps is a ball radius and must be positive; two eps values that
+    print alike would share one name.  Either is an InputError, raised before
+    any posterior is built.
     """
     names: dict[str, float] = {}
     for eps in map(float, np.atleast_1d(eps_list)):
+        if not eps > 0.0:
+            raise InputError(f"ball radius must be positive, got {eps}")
         name = f"mass_outside_{eps:g}"
         if name in names:
             raise InputError(
@@ -450,6 +429,8 @@ def run_contamination(
     """
     if model.p != 1:
         raise InputError("contamination sweeps are implemented for p = 1")
+    if not (base_family.proper and contaminant.proper):
+        raise ImproperPriorError("contamination base and contaminant priors must be proper")
     check_point_counts(grid_points, 1, "grid_points")
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)

@@ -282,8 +282,9 @@ def _validate_axis(axis, name: str) -> np.ndarray:
 
 
 def _normalize_grid(axes: tuple[np.ndarray, ...], logu: np.ndarray) -> GridPosterior:
-    logu = np.where(np.isnan(logu), -np.inf, logu)
-    peak = float(np.max(logu))
+    peak = float(np.max(logu))  # NaN if any point is NaN
+    if math.isnan(peak):
+        raise NumericalError("grid log posterior is NaN at some grid point")
     if not math.isfinite(peak):
         raise NumericalError("posterior mass underflowed everywhere on the grid")
     cell = _grid_cell_weights(axes)

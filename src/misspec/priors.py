@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from misspec import _linalg, special
+from misspec import _kernels, _linalg, _rng, special
 from misspec.errors import (
     ImproperPriorError,
     InputError,
@@ -251,24 +251,55 @@ def density(prior: ScaledPrior, eta, *, allow_unnormalized: bool = False) -> flo
     return float(np.exp(prior.log_density(eta, allow_unnormalized=allow_unnormalized)))
 
 
-def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
-    """Draw ``n`` misspecification vectors from a proper scaled prior.
+# Smallest t dof the kernels' eta draw accepts.  The t family scales eta by
+# sqrt(dof / w) with w ~ chi2(dof) = 2 Gamma(dof/2), and for a shape
+# a = dof/2 < 1 the gamma draw is u^(1/a) Gamma(a + 1), u uniform on (0, 1].
+# A replication stops being finite once w falls below about 2^-1022: w
+# underflows, or eta'B eta, of order dof/w, overflows.  Up to O(1) factors,
+# which move that exponent by a few units, this is u^(2/dof) < 2^-1022, i.e.
+# u < 2^(-511 dof), with probability 2^(-511 dof) (about e^(-354 dof)).  A
+# replication stays finite with probability at least 1 - 2^-53 only for
+# dof >= 53/511, about 0.104.
+_MIN_T_DOF = 53.0 / 511.0
 
-    Normal: eta = sqrt(c) W^{-1/2} z for standard normal z.  Student-t with
-    dof: the same z divided by sqrt(w/dof) for an independent chi-square w
-    (z is drawn first, then w).  Deterministic given the seed.
+
+def _kernel_eta_args(prior: ScaledPrior, w_inv_root: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The kernels' eta-draw arguments (eta_mix, eta_code, nu) for a proper prior.
+
+    eta_mix = sqrt(c) W^{-1/2}, with ``w_inv_root`` = W^{-1/2} from the
+    caller's cached factor of W.
     """
     if not prior.proper:
-        raise ImproperPriorError("cannot sample from an improper radial prior")
+        raise ImproperPriorError("cannot draw eta from an improper radial prior")
+    mix = math.sqrt(prior.c) * w_inv_root
+    if not isinstance(prior.family, StudentTRadial):
+        return mix, _kernels.ETA_NORMAL, 0.0
+    nu = float(prior.family.dof)
+    if nu < _MIN_T_DOF:
+        raise InputError(
+            f"eta draws need a t dof of at least {_MIN_T_DOF:.4g}, "
+            f"below which replications overflow; got {nu:g}"
+        )
+    return mix, _kernels.ETA_STUDENT_T, nu
+
+
+def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
+    """Draw ``n`` misspecification vectors from a proper scaled prior, shape (n, k).
+
+    The draws come from the Monte Carlo kernels' counter-based streams: row i
+    is the eta that replication i of a pivotality run with seed ``rng_seed``
+    and this prior draws.  Normal: eta = sqrt(c) W^{-1/2} z for standard
+    normal z.  Student-t with dof: a chi-square w is drawn first, then z, and
+    eta is scaled by sqrt(dof / w).  The seed is an integer in [0, 2**64).
+    """
+    mix, eta_code, nu = _kernel_eta_args(prior, prior._w_factor.inv_root)
+    _rng.check_seed(rng_seed)
     if n <= 0:
         raise InputError(f"sample size must be positive, got {n}")
-    rng = np.random.default_rng(rng_seed)
-    z = rng.standard_normal((n, prior.k))
-    scale = math.sqrt(prior.c)
-    if isinstance(prior.family, StudentTRadial):
-        w = rng.chisquare(prior.family.dof, size=n)
-        z = z * np.sqrt(prior.family.dof / w)[:, None]
-    return scale * z @ prior._w_factor.inv_root
+    out = np.empty((n, prior.k))
+    for offset, state in _kernels._blocks(rng_seed, 0, n):
+        out[offset : offset + state.size] = _kernels._draw_eta(state, eta_code, nu, mix).T
+    return out
 
 
 def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) -> float:

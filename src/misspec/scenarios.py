@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from misspec import _linalg
+from misspec import _linalg, _rng
 from misspec.errors import DomainError, InputError, ResampleRequiredError
 from misspec.model import ModelInstance
 
@@ -93,6 +93,12 @@ def iv_population_model(s: IVScenario) -> ModelInstance:
     return ModelInstance(Y=y, X=x, W=w)
 
 
+# iv_sample holds at most n (2k + 5) float64 values at once (the instrument
+# draws twice over while they are rotated, or Z next to the per-observation
+# vectors), so a sample is refused above 2**26 of them: 512 MiB.
+_MAX_SAMPLE_VALUES = 2**26
+
+
 def iv_sample(
     s: IVScenario, n: int, dgp: IVDgpParams | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,10 +108,15 @@ def iv_sample(
     X_i = 1{c0 + c'Z_i + U_i > 0}, the unit effect is theta_bar + delta U_i,
     and the outcome is X_i times the unit effect plus standard normal noise.
     Returns Yn = mean(Z_i Y_i), Xn = mean(Z_i X_i) as a k-by-1 matrix, and
-    Wn = inverse of mean(Z_i Z_i').  Deterministic given the seed.
+    Wn = inverse of mean(Z_i Z_i').  Deterministic given the seed, an integer
+    in [0, 2**64).
     """
     if n < s.k + 2:
         raise InputError(f"sample size must be at least k+2={s.k + 2}, got {n}")
+    max_n = _MAX_SAMPLE_VALUES // (2 * s.k + 5)
+    if n > max_n:
+        raise InputError(f"sample size must be at most {max_n} for k={s.k}, got {n}")
+    _rng.check_seed(seed)
     dgp = dgp or IVDgpParams()
     cvec = _dgp_c_vector(dgp, s.k)
     rng = np.random.default_rng(seed)

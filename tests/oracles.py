@@ -285,6 +285,18 @@ def _pivot_tstats(seed, rep_start, rep_stop, eta_mix, eta_code, nu_tilde, a_v, b
     return out
 
 
+def scalar_etas(seed, n, eta_code, nu_tilde, eta_mix):
+    """Reference for ``priors.sample_eta``: the eta of replications 0..n-1, shape (n, k)."""
+    k = eta_mix.shape[0]
+    out = np.empty((n, k))
+    work = np.empty(2 * k)
+    with np.errstate(over="ignore"):
+        for rep in range(n):
+            _draw_eta(stream_state(seed, rep), eta_code, nu_tilde, eta_mix, work)
+            out[rep] = work[k:]
+    return out
+
+
 def scalar_coverage_hits(*args):
     """Reference for ``_kernels.coverage_hits`` (same positional arguments)."""
     with np.errstate(over="ignore"):

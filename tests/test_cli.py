@@ -388,6 +388,24 @@ class TestScenario:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def _sample_argv(self, tmp_path, *flags):
+        path = tmp_path / "iv.json"
+        path.write_text(json.dumps(self.IV))
+        return ["scenario", "iv", "--params", str(path), "--sample", *flags]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_sample_seed_is_one_json_line(self, seed, tmp_path, capsys):
+        assert "seed" in _error(self._sample_argv(tmp_path, "100", "--seed", str(seed)), capsys)
+
+    def test_largest_sample_seed_runs(self, tmp_path, capsys):
+        code, out, err = _run(self._sample_argv(tmp_path, "100", "--seed", str(2**64 - 1)), capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["k"] == 2
+
+    def test_oversized_sample_is_one_json_line(self, tmp_path, capsys):
+        message = _error(self._sample_argv(tmp_path, "100000000000"), capsys)
+        assert "sample size" in message and "100000000000" in message
+
     def test_params_must_be_an_object(self, tmp_path, capsys):
         path = tmp_path / "params.json"
         path.write_text("[1, 2]")

@@ -1,7 +1,8 @@
 """Golden CLI outputs: each reference command's stdout, byte for byte.
 
-Every file in ``tests/golden`` other than the two model files is the stdout of
-one command below, run in that directory.  The test never writes a file; to
+Every file in ``tests/golden`` other than the JSON input files (models and
+scenario parameters) is the stdout of one command below, run in that
+directory.  The test never writes a file; to
 regenerate one, run its command there, e.g.
 
     cd tests/golden
@@ -42,6 +43,8 @@ COMMANDS = {
     "contaminate_m1.out": "contaminate --model m1.json --phi 0.01 --c-grid 1e-6,1e-2 --contaminant-c 4",
     "tails_t3.out": "tails --radial t:3 --a 1.5,2,4 --tau 1,10 --c 1e-6",
     "tails_normal_k5.out": "tails --radial normal --k 5 --a 1.5,2,4 --tau 1,10 --c 1e-6,1e-2,1",
+    "scenario_iv.out": "scenario iv --params iv.json",
+    "scenario_logit.out": "scenario logit --params logit.json",
 }
 
 
@@ -57,5 +60,5 @@ def test_stdout_matches_golden(name, capsys, monkeypatch):
 
 
 def test_every_golden_file_has_a_command():
-    files = set(os.listdir(GOLDEN_DIR)) - {"m1.json", "m2.json"}
+    files = {name for name in os.listdir(GOLDEN_DIR) if not name.endswith(".json")}
     assert files == set(COMMANDS)

@@ -409,6 +409,24 @@ class TestSweeps:
         with pytest.raises(InputError, match=match):
             run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2], eps_list)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
+    def test_nonpositive_eps_rejected_before_any_posterior(self, canon_model, eps, monkeypatch):
+        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        with pytest.raises(InputError, match="ball radius must be positive"):
+            run_concentration(canon_model, NormalRadial(), [1e-2], [0.1, eps])
+        with pytest.raises(InputError, match="ball radius must be positive"):
+            run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2], [0.1, eps])
+
+    def test_improper_contamination_rejected_before_any_posterior(self, canon_model, monkeypatch):
+        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
+        proper = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        improper = ScaledPrior(family=PowerLawRadial(2.0), c=4.0, W=np.eye(2))
+        with pytest.raises(ImproperPriorError):
+            run_contamination(canon_model, NormalRadial(), improper, 0.01, [1e-2])
+        with pytest.raises(ImproperPriorError):
+            run_contamination(canon_model, PowerLawRadial(2.0), proper, 0.01, [1e-2])
+
     def test_concentration_powerlaw_flat(self, canon_model):
         trace = run_concentration(canon_model, PowerLawRadial(3.0), [1e-4, 1e-2, 1.0], [0.1])
         sds = trace.metrics["posterior_sd"]

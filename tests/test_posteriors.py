@@ -193,6 +193,17 @@ class TestGridPosterior:
         with pytest.raises(NumericalError):
             _normalize_grid((np.linspace(0.0, 1.0, 5),), np.full(5, -np.inf))
 
+    def test_nan_theta_density_raises(self, canon_model):
+        # A tabulated density that is NaN off its table makes the log
+        # posterior NaN there; that is an error, not zero mass.
+        theta = ThetaPrior.tabulated(
+            lambda t: math.exp(-abs(t[0])) if abs(t[0]) <= 2.0 else math.nan,
+            grid=np.linspace(-2.0, 2.0, 81),
+        )
+        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
+        with pytest.raises(NumericalError, match="NaN"):
+            _grid_for(canon_model, prior, 1.0, points=201, theta_prior=theta)
+
     def test_powerlaw_needs_positive_j(self, exactfit_model):
         prior = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(2))
         with pytest.raises(DegenerateLimitError):

@@ -18,7 +18,15 @@ from misspec.priors import (
     sample_eta,
     tail_ratio,
 )
-from oracles import radial_cdf_grid, radial_normalizer_quad, random_spd
+from misspec._linalg import spd_factor
+from oracles import (
+    ETA_NORMAL,
+    ETA_STUDENT_T,
+    radial_cdf_grid,
+    radial_normalizer_quad,
+    random_spd,
+    scalar_etas,
+)
 
 
 class TestParse:
@@ -178,6 +186,27 @@ class TestSampling:
         prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
         with pytest.raises(InputError):
             sample_eta(prior, 1, 0)
+
+    @pytest.mark.parametrize(
+        "family, code, nu", [(NormalRadial(), ETA_NORMAL, 0.0), (StudentTRadial(3.0), ETA_STUDENT_T, 3.0)]
+    )
+    def test_rows_are_the_kernel_replications(self, family, code, nu):
+        # n crosses the kernels' 4096-replication block boundary.
+        w = random_spd(np.random.default_rng(8), 3)
+        prior = ScaledPrior(family=family, c=1.7, W=w)
+        mix = math.sqrt(1.7) * spd_factor(w).inv_root
+        assert np.array_equal(sample_eta(prior, 12, 4099), scalar_etas(12, 4099, code, nu, mix))
+
+    def test_tiny_t_dof_rejected(self):
+        prior = ScaledPrior(family=StudentTRadial(0.05), c=1.0, W=np.eye(2))
+        with pytest.raises(InputError, match="at least 0.1037"):
+            sample_eta(prior, 1, 10)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.0])
+    def test_seed_outside_range_rejected(self, seed):
+        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
+        with pytest.raises(InputError, match="seed"):
+            sample_eta(prior, seed, 10)
 
 
 class TestTailRatio:

@@ -143,6 +143,17 @@ class TestIVSample:
         with pytest.raises(InputError):
             iv_sample(_iv_scenario(), 4)
 
+    def test_oversized_sample_rejected_before_drawing(self, monkeypatch):
+        # 10**11 draws would need about 8 TB; the cap is checked before numpy is asked.
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(InputError, match="sample size must be at most .* got 100000000000"):
+            iv_sample(_iv_scenario(), 10**11)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    def test_seed_outside_range_rejected(self, seed):
+        with pytest.raises(InputError, match="seed"):
+            iv_sample(_iv_scenario(), 100, seed=seed)
+
     def test_degenerate_sample_raises(self):
         # A huge negative threshold means nobody takes treatment: Xn = 0.
         dgp = IVDgpParams(c0=-60.0, c=0.5, delta=0.0, theta_bar=1.0)
