@@ -28,6 +28,7 @@ from misspec._rng import (
     next_u01,
     stream_states,
 )
+from misspec.errors import NumericalError
 
 ETA_NORMAL = 0
 ETA_STUDENT_T = 1
@@ -132,16 +133,25 @@ def coverage_hits(
     Per replication: draw theta from its prior and eta from the radial prior,
     form Y = X theta + eta, and check |v'theta_W(Y) - v'theta| against the
     J-scaled half-width.  v'theta_W = a_v'Y and J = Y'B Y for precomputed
-    projection matrices.
+    projection matrices.  A replication whose J or centre v'theta_W - v'theta
+    overflows raises ``NumericalError`` instead of counting as a miss.
     """
     hits = 0
-    for _, state in _blocks(seed, rep_start, rep_stop):
-        theta = _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf)
-        y = _matvec(x_mat, theta, acc=_draw_eta(state, eta_code, nu_tilde, eta_mix))
-        jstat = _quad_form(b_mat, y)
-        jstat[jstat < 0.0] = 0.0
-        hw = tstar * np.sqrt(jstat / km_p) * sigma_v
-        hits += int(np.count_nonzero(np.abs(_dot(a_v, y) - _dot(v, theta)) <= hw))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offset, state in _blocks(seed, rep_start, rep_stop):
+            theta = _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf)
+            y = _matvec(x_mat, theta, acc=_draw_eta(state, eta_code, nu_tilde, eta_mix))
+            jstat = _quad_form(b_mat, y)
+            centre = _dot(a_v, y) - _dot(v, theta)
+            bad = ~(np.isfinite(jstat) & np.isfinite(centre))
+            if bad.any():
+                raise NumericalError(
+                    f"J or the interval centre is not finite in replication "
+                    f"{rep_start + offset + int(np.argmax(bad))}"
+                )
+            jstat[jstat < 0.0] = 0.0
+            hw = tstar * np.sqrt(jstat / km_p) * sigma_v
+            hits += int(np.count_nonzero(np.abs(centre) <= hw))
     return hits
 
 

@@ -21,13 +21,13 @@ is ``np.cos``, whose float64 loop on the tested builds is the C library
 ``cos`` (numpy does not promise this).  ``np.log`` is not used: its SIMD loop
 differs from libm in the last ulp on about 0.35% of inputs.
 ``tests/test_rng.py`` checks both loops against ``math`` element for element.
-Every expression keeps the scalar evaluation order.
+Every expression keeps the scalar evaluation order.  ``scipy.special`` is
+imported on first use, by ``_log``, so importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.special
 
 from misspec.errors import InputError
 
@@ -46,6 +46,8 @@ _ALL = slice(None)
 
 def _log(x: np.ndarray) -> np.ndarray:
     """Elementwise libm ``log``."""
+    import scipy.special
+
     return scipy.special.xlogy(1.0, x)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from misspec import _kernels, _linalg, _rng
-from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
+from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError, NumericalError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
@@ -45,7 +45,7 @@ from misspec.priors import (
     ContaminatedPrior,
     RadialFamily,
     ScaledPrior,
-    _kernel_eta_args,
+    _kernel_eta_code,
     _tail_ratio,
 )
 from misspec.special import StudentT, t_cdf, t_quantile
@@ -173,8 +173,10 @@ def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False)
 
     (X, W) is validated and factored once per distinct fixture (see
     ``_fixture``); here only v and the eta prior are checked.  a_v = A'v maps
-    Y to v'theta_W.  The negative control draws shifted exponentials and
-    ignores ``eta_prior``.
+    Y to v'theta_W.  The t statistic does not depend on the scale of eta, so
+    eta is drawn at c = 1 (eta_mix = W^{-1/2}) whatever ``eta_prior.c``: a
+    huge or tiny c could only overflow or underflow eta'B eta.  The negative
+    control draws shifted exponentials and ignores ``eta_prior``.
     """
     fixture = _fixture(x, w)
     model = fixture.model
@@ -183,7 +185,8 @@ def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False)
     if negative_control:
         mix, eta_code, nu = np.eye(model.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
     else:
-        mix, eta_code, nu = _kernel_eta_args(eta_prior, model.w_inv_root)
+        eta_code, nu = _kernel_eta_code(eta_prior.family)
+        mix = model.w_inv_root
         _linalg.check_same_weight(eta_prior.W, model.W, "eta prior", "fixture")
     return mix, eta_code, nu, fixture.a.T @ v, fixture.b, sv, float(model.k - model.p)
 
@@ -193,10 +196,12 @@ def _coverage_args(
 ) -> tuple:
     """``coverage_hits`` arguments after (seed, rep_start, rep_stop).
 
-    The ``_pivot_args`` tuple, extended with X, the theta prior's code and
-    tables, v and the t critical value t*.
+    The ``_pivot_args`` tuple with eta_mix scaled to sqrt(c) W^{-1/2},
+    extended with X, the theta prior's code and tables, v and the t critical
+    value t*.
     """
     mix, eta_code, nu, a_v, b, sv, km_p = _pivot_args(x, w, eta_prior, cfg.v)
+    mix = math.sqrt(eta_prior.c) * mix
     x = _fixture(x, w).model.X
     p = x.shape[1]
     empty = np.empty(0)
@@ -232,13 +237,23 @@ def run_coverage(
     set Y = X theta + eta, and record whether the interval built from
     (Y, X, W) covers v'theta.  Under any proper rotation-invariant eta prior
     (and any proper theta prior) the expected coverage equals the nominal
-    level exactly; the Monte Carlo estimate carries binomial noise.
+    level exactly; the Monte Carlo estimate carries binomial noise.  A
+    replication whose J or interval centre overflows raises
+    ``NumericalError`` naming c and the theta prior's scale.
     """
     _check_run(reps, seed)
     if reps < 100:
         warnings.warn(f"coverage estimate from only {reps} replications", stacklevel=2)
     args = _coverage_args(x, w, theta_prior, eta_prior, cfg)
-    hits = _kernels.coverage_hits(seed, 0, reps, *args)
+    try:
+        hits = _kernels.coverage_hits(seed, 0, reps, *args)
+    except NumericalError as exc:
+        theta_scale = (
+            f"theta sd {np.max(theta_prior.sd):g}"
+            if theta_prior.kind == "gaussian"
+            else "a tabulated theta prior"
+        )
+        raise NumericalError(f"{exc} (eta prior c={eta_prior.c:g}, {theta_scale})") from None
     k, p = _linalg.as_matrix(x, "X").shape
     coverage = hits / reps
     config = {

@@ -263,39 +263,37 @@ def density(prior: ScaledPrior, eta, *, allow_unnormalized: bool = False) -> flo
 _MIN_T_DOF = 53.0 / 511.0
 
 
-def _kernel_eta_args(prior: ScaledPrior, w_inv_root: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The kernels' eta-draw arguments (eta_mix, eta_code, nu) for a proper prior.
-
-    eta_mix = sqrt(c) W^{-1/2}, with ``w_inv_root`` = W^{-1/2} from the
-    caller's cached factor of W.
-    """
-    if not prior.proper:
+def _kernel_eta_code(family: RadialFamily) -> tuple[int, float]:
+    """The kernels' eta-draw code and t dof (eta_code, nu) for a proper family."""
+    if not family.proper:
         raise ImproperPriorError("cannot draw eta from an improper radial prior")
-    mix = math.sqrt(prior.c) * w_inv_root
-    if not isinstance(prior.family, StudentTRadial):
-        return mix, _kernels.ETA_NORMAL, 0.0
-    nu = float(prior.family.dof)
+    if not isinstance(family, StudentTRadial):
+        return _kernels.ETA_NORMAL, 0.0
+    nu = float(family.dof)
     if nu < _MIN_T_DOF:
         raise InputError(
             f"eta draws need a t dof of at least {_MIN_T_DOF:.4g}, "
             f"below which replications overflow; got {nu:g}"
         )
-    return mix, _kernels.ETA_STUDENT_T, nu
+    return _kernels.ETA_STUDENT_T, nu
 
 
 def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
     """Draw ``n`` misspecification vectors from a proper scaled prior, shape (n, k).
 
     The draws come from the Monte Carlo kernels' counter-based streams: row i
-    is the eta that replication i of a pivotality run with seed ``rng_seed``
-    and this prior draws.  Normal: eta = sqrt(c) W^{-1/2} z for standard
-    normal z.  Student-t with dof: a chi-square w is drawn first, then z, and
-    eta is scaled by sqrt(dof / w).  The seed is an integer in [0, 2**64).
+    is drawn from the stream of replication i of a run with seed ``rng_seed``,
+    so at c = 1 it is bit for bit the eta that replication i of a pivotality
+    run with this family and W draws (pivotality runs draw at c = 1 whatever
+    the prior's scale).  Normal: eta = sqrt(c) W^{-1/2} z for standard normal
+    z.  Student-t with dof: a chi-square w is drawn first, then z, and eta is
+    scaled by sqrt(dof / w).  The seed is an integer in [0, 2**64).
     """
-    mix, eta_code, nu = _kernel_eta_args(prior, prior._w_factor.inv_root)
+    eta_code, nu = _kernel_eta_code(prior.family)
     _rng.check_seed(rng_seed)
     if n <= 0:
         raise InputError(f"sample size must be positive, got {n}")
+    mix = math.sqrt(prior.c) * prior._w_factor.inv_root
     out = np.empty((n, prior.k))
     for offset, state in _kernels._blocks(rng_seed, 0, n):
         out[offset : offset + state.size] = _kernels._draw_eta(state, eta_code, nu, mix).T

@@ -5,6 +5,10 @@ the standard library and SciPy; the t CDF is built on the incomplete beta and
 the t quantile is SciPy's ``stdtrit``, evaluated in the lower tail so that
 neither is formed as 1 - tail.  The log incomplete gamma and beta functions
 stay accurate where the functions themselves underflow.
+
+``scipy.special`` is imported on first use, inside the functions that call
+it, so importing this module (and ``misspec``) does not load it; commands
+that never evaluate these functions never pay for it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from misspec.errors import DomainError, NumericalError
 
@@ -48,6 +51,8 @@ def reg_inc_beta(x, a: float, b: float):
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError("reg_inc_beta requires x in [0, 1]")
+    import scipy.special
+
     out = scipy.special.betainc(a, b, arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
@@ -62,6 +67,8 @@ def t_cdf(dist: StudentT, x):
     arr = np.asarray(x, dtype=np.float64)
     scalar = np.isscalar(x) or arr.ndim == 0
     arr = np.atleast_1d(arr)
+    import scipy.special
+
     # I_{nu/(nu + x^2)}(nu/2, 1/2) is twice the upper tail mass at |x|.
     z = nu / (nu + arr * arr)
     tail = 0.5 * scipy.special.betainc(0.5 * nu, 0.5, z)
@@ -81,6 +88,8 @@ def t_quantile(dist: StudentT, q: float) -> float:
         raise DomainError(f"t_quantile requires q in (0, 1), got {q}")
     if q == 0.5:
         return 0.0
+    import scipy.special
+
     x = -float(scipy.special.stdtrit(dist.dof, min(q, 1.0 - q)))
     return x if q > 0.5 else -x
 
@@ -112,6 +121,8 @@ def log_gammaincc(a: float, x: float) -> float:
     """
     if not (a > 0.0 and x >= 0.0):
         raise DomainError(f"log_gammaincc requires a > 0 and x >= 0, got a={a}, x={x}")
+    import scipy.special
+
     q = float(scipy.special.gammaincc(a, x))
     if q >= sys.float_info.min or not a + 1.0 < x < math.inf:
         return math.log(q) if q > 0.0 else -math.inf
@@ -129,6 +140,8 @@ def log_betainc(a: float, b: float, x: float) -> float:
     """
     if not (a > 0.0 and b > 0.0 and 0.0 <= x <= 1.0):
         raise DomainError(f"log_betainc requires a, b > 0 and x in [0, 1], got {a}, {b}, {x}")
+    import scipy.special
+
     v = float(scipy.special.betainc(a, b, x))
     if v >= sys.float_info.min or not 0.0 < x < (a + 1.0) / (a + b + 2.0):
         return math.log(v) if v > 0.0 else -math.inf

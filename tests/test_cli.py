@@ -207,6 +207,26 @@ class TestCoverage:
         assert code == 0
         assert json.loads(out)["config"]["k"] == 2
 
+    @pytest.mark.parametrize(
+        "flags, c, theta_sd",
+        [
+            (["--c", "1e308", "--radial", "t:3"], "1e+308", "10"),
+            (["--theta-sd", "1e200"], "1", "1e+200"),
+            (["--theta-sd", "1e308"], "1", "1e+308"),
+        ],
+    )
+    def test_overflowing_replication_is_a_numerical_error(self, flags, c, theta_sd, capsys):
+        # Counted as misses, these replications would report a coverage far
+        # from the nominal level with exit 0.
+        message = _error(["coverage", "--reps", "2000", *flags], capsys, code=2)
+        assert "not finite" in message
+        assert f"c={c}," in message and f"theta sd {theta_sd})" in message
+
+    def test_huge_finite_scale_still_runs(self, capsys):
+        code, out, err = _run(["coverage", "--reps", "2000", "--c", "1e300"], capsys)
+        assert code == 0 and err == ""
+        assert abs(json.loads(out)["coverage"] - 0.95) < 0.02
+
 
 class TestPivot:
     def test_default_and_negative_control(self, capsys):
@@ -219,6 +239,16 @@ class TestPivot:
         )
         ctrl = json.loads(out)
         assert ctrl["ks"] > ctrl["threshold_1pct"]
+
+    def test_ks_does_not_depend_on_the_prior_scale(self, capsys):
+        # The t statistic is scale-free, so eta is drawn at c = 1; drawn at
+        # c = 1e308, eta'B eta would overflow.
+        ks = []
+        for c in ("1", "1e308", "1e-320"):
+            code, out, err = _run(["pivot", "--reps", "2000", "--c", c], capsys)
+            assert code == 0 and err == ""
+            ks.append(json.loads(out)["ks"])
+        assert ks[0] < 0.036 and ks == [ks[0]] * 3
 
 
 class TestRejectedInputs:
@@ -468,3 +498,30 @@ def test_import_leaves_out_scipy_linalg():
         cwd=os.path.join(os.path.dirname(__file__), "golden"),
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["False"]
+
+
+_GRID_AND_SCENARIO_RUNS = [
+    ["concentration", "--model", "m1.json", "--c-grid", "1e-2,1"],
+    ["concentration", "--model", "m1.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
+    ["concentration", "--model", "m1.json", "--radial", "powerlaw:2", "--c-grid", "1e-2,1"],
+    ["concentration", "--model", "m2.json", "--c-grid", "1e-2,1", "--grid-points", "101"],
+    ["contaminate", "--model", "m1.json", "--phi", "0.01", "--c-grid", "1e-6,1e-2",
+     "--contaminant-c", "4"],
+    ["scenario", "iv", "--params", "iv.json"],
+    ["scenario", "iv", "--params", "iv.json", "--sample", "100"],
+    ["scenario", "logit", "--params", "logit.json"],
+]
+
+
+def test_grid_and_scenario_commands_leave_out_scipy_special():
+    proc = _child(
+        ["-c",
+         "import os, sys, misspec; from misspec import cli; "
+         "print('scipy.special' in sys.modules); "
+         f"codes = [cli.main(argv + ['--out', os.devnull]) for argv in {_GRID_AND_SCENARIO_RUNS!r}]; "
+         "print(codes == [0] * len(codes), 'scipy.special' in sys.modules); "
+         "cli.main(['analyze', '--model', 'm1.json', '--out', os.devnull]); "
+         "print('scipy.special' in sys.modules)"],
+        cwd=os.path.join(os.path.dirname(__file__), "golden"),
+    )
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "True", "False", "True"]

@@ -3,7 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from misspec import _kernels, montecarlo
-from misspec.errors import GridError, ImproperPriorError, InputError, JustIdentifiedError
+from misspec.errors import (
+    GridError,
+    ImproperPriorError,
+    InputError,
+    JustIdentifiedError,
+    NumericalError,
+)
 from misspec.inference import InferenceConfig
 from misspec.montecarlo import (
     DEFAULT_COVERAGE_X,
@@ -187,6 +193,13 @@ class TestTabulatedThetaPrior:
                          reps=200, seed=0)
         assert len(calls) == 401
         assert prior.cdf[0] == 0.0 and prior.cdf[-1] == 1.0 and np.all(np.diff(prior.cdf) > 0.0)
+
+    def test_overflowing_replication_names_the_scales(self):
+        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
+        eta = ScaledPrior(family=StudentTRadial(1.0), c=1e308, W=np.eye(3))
+        with pytest.raises(NumericalError, match=r"c=1e\+308, a tabulated theta prior"):
+            run_coverage(np.array([[1.0], [0.5], [-0.5]]), np.eye(3), prior, eta,
+                         InferenceConfig(v=[1.0]), reps=200, seed=0)
 
 
 def _dense_fixture():
