@@ -3,18 +3,18 @@
 A kernel computes replications ``[rep_start, rep_stop)`` in blocks of at most
 ``_BLOCK`` replications, so memory stays bounded whatever the rep count.
 Within a block every quantity is an array over replications.  A vector
-projection (a_v'Y, v'theta) is a loop over its coefficients with one vector
-operation each; a matrix projection (eta_mix z, X theta, B Y) is a loop over
-the columns of the matrix with one (rows, n) operation each.  Either way
-every element is accumulated in the order of a scalar loop over one
-replication.  No BLAS product is used, since it would reorder the sums; with
-the libm draws of ``_rng`` (``log`` and ``cos`` from compiled loops over the
-C library functions, see its docstring) the results are bit-identical to the
-scalar reference kept in the tests.
+projection (a_v'eta) is a loop over its coefficients with one vector
+operation each; a matrix projection (eta_mix z, B eta) is a loop over the
+columns of the matrix with one (rows, n) operation each.  Either way every
+element is accumulated in the order of a scalar loop over one replication.
+No BLAS product is used, since it would reorder the sums; with the libm
+draws of ``_rng`` (``log`` and ``cos`` from compiled loops over the C library
+functions, see its docstring) the eta draws and t statistics are
+bit-identical to the scalar reference kept in the tests.
 
-Per-replication draw order is fixed: theta components first (coverage only),
-then the misspecification vector; the t radial family draws its chi-square
-mixing variable before the normal vector.
+Per-replication draw order is fixed: theta components first (coverage only,
+and skipped rather than drawn), then the misspecification vector; the t
+radial family draws its chi-square mixing variable before the normal vector.
 """
 
 from __future__ import annotations
@@ -25,17 +25,13 @@ from misspec._rng import (
     next_chisquare,
     next_exponential,
     next_normals,
-    next_u01,
+    skip_uniforms,
     stream_states,
 )
-from misspec.errors import NumericalError
 
 ETA_NORMAL = 0
 ETA_STUDENT_T = 1
 ETA_SHIFTED_EXPONENTIAL = 2
-
-THETA_GAUSSIAN = 0
-THETA_TABULATED = 1
 
 _BLOCK = 4096
 
@@ -59,14 +55,13 @@ def _dot(coef, rows):
     return acc
 
 
-def _matvec(mat, z, acc=None):
-    """acc + mat z per replication, shape (rows of mat, n).
+def _matvec(mat, z):
+    """mat z per replication, shape (rows of mat, n).
 
     One vector operation per column of ``mat``, so each row is accumulated
-    as ``_dot`` would (from 0.0 when ``acc`` is None).
+    from 0.0 as ``_dot`` would.
     """
-    if acc is None:
-        acc = np.zeros((mat.shape[0], z.shape[1]))
+    acc = np.zeros((mat.shape[0], z.shape[1]))
     for col, z_j in zip(mat.T, z):
         acc += col[:, None] * z_j
     return acc
@@ -92,66 +87,41 @@ def _draw_eta(state, eta_code, nu_tilde, eta_mix):
     return _matvec(eta_mix, next_normals(state, k)) * scale
 
 
-def _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf):
-    """theta per replication, shape (p, n)."""
-    if theta_code == THETA_GAUSSIAN:
-        return theta_mean[:, None] + theta_sd[:, None] * next_normals(state, theta_mean.shape[0])
-    u = next_u01(state)
-    idx = np.searchsorted(tab_cdf, u)
-    inner = np.clip(idx, 1, tab_cdf.shape[0] - 1)
-    lo, hi = tab_cdf[inner - 1], tab_cdf[inner]
-    frac = np.zeros(u.shape)
-    np.divide(u - lo, hi - lo, out=frac, where=hi > lo)
-    theta = tab_grid[inner - 1] + frac * (tab_grid[inner] - tab_grid[inner - 1])
-    theta[idx <= 0] = tab_grid[0]
-    theta[idx >= tab_cdf.shape[0]] = tab_grid[-1]
-    return theta[None, :]
+def _eta_projections(eta, a_v, b_mat):
+    """(a_v'eta, eta'B eta) per replication: the t statistic's centre and J."""
+    return _dot(a_v, eta), _quad_form(b_mat, eta)
 
 
 def coverage_hits(
     seed,
     rep_start,
     rep_stop,
-    x_mat,
+    theta_draws,
     eta_mix,
     eta_code,
     nu_tilde,
-    theta_code,
-    theta_mean,
-    theta_sd,
-    tab_grid,
-    tab_cdf,
     a_v,
     b_mat,
-    v,
     sigma_v,
     tstar,
     km_p,
 ) -> int:
     """Count replications whose interval covers v'theta.
 
-    Per replication: draw theta from its prior and eta from the radial prior,
-    form Y = X theta + eta, and check |v'theta_W(Y) - v'theta| against the
-    J-scaled half-width.  v'theta_W = a_v'Y and J = Y'B Y for precomputed
-    projection matrices.  A replication whose J or centre v'theta_W - v'theta
-    overflows raises ``NumericalError`` instead of counting as a miss.
+    With Y = X theta + eta, A X = I and B X = 0, the interval centre
+    v'theta_W(Y) - v'theta is a_v'eta and J = Y'B Y is eta'B eta, so the
+    interval covers v'theta iff |a_v'eta| <= t* sqrt(J / (k - p)) sigma_v:
+    the pivotal t statistic of eta is at most t* in size.  Neither theta nor
+    the scale of eta enters, so each stream skips the ``theta_draws``
+    uniforms of its theta draw and draws eta with ``eta_mix`` as given.
     """
     hits = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for offset, state in _blocks(seed, rep_start, rep_stop):
-            theta = _draw_theta(state, theta_code, theta_mean, theta_sd, tab_grid, tab_cdf)
-            y = _matvec(x_mat, theta, acc=_draw_eta(state, eta_code, nu_tilde, eta_mix))
-            jstat = _quad_form(b_mat, y)
-            centre = _dot(a_v, y) - _dot(v, theta)
-            bad = ~(np.isfinite(jstat) & np.isfinite(centre))
-            if bad.any():
-                raise NumericalError(
-                    f"J or the interval centre is not finite in replication "
-                    f"{rep_start + offset + int(np.argmax(bad))}"
-                )
-            jstat[jstat < 0.0] = 0.0
-            hw = tstar * np.sqrt(jstat / km_p) * sigma_v
-            hits += int(np.count_nonzero(np.abs(centre) <= hw))
+    for _, state in _blocks(seed, rep_start, rep_stop):
+        skip_uniforms(state, theta_draws)
+        eta = _draw_eta(state, eta_code, nu_tilde, eta_mix)
+        centre, jstat = _eta_projections(eta, a_v, b_mat)
+        hw = tstar * np.sqrt(np.maximum(jstat, 0.0) / km_p) * sigma_v
+        hits += int(np.count_nonzero(np.abs(centre) <= hw))
     return hits
 
 
@@ -175,8 +145,6 @@ def pivot_tstats(
     out = np.empty(rep_stop - rep_start)
     for offset, state in _blocks(seed, rep_start, rep_stop):
         eta = _draw_eta(state, eta_code, nu_tilde, eta_mix)
-        jstat = _quad_form(b_mat, eta)
-        out[offset : offset + state.size] = _dot(a_v, eta) / np.sqrt(
-            jstat / km_p * sigma_v * sigma_v
-        )
+        centre, jstat = _eta_projections(eta, a_v, b_mat)
+        out[offset : offset + state.size] = centre / np.sqrt(jstat / km_p * sigma_v * sigma_v)
     return out

@@ -39,6 +39,12 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def binade_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v 2^-e, e), with e bringing max |v_i| into [0.5, 1): exact short of subnormals."""
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    return np.ldexp(v, -e), e
+
+
 def check_finite(a: np.ndarray, name: str) -> None:
     """Reject NaN and infinite entries, naming the input."""
     if not np.isfinite(a).all():

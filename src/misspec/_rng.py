@@ -66,6 +66,16 @@ def check_seed(seed) -> None:
         raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+# Float64 values a sampler may hold at once: 2**26, 512 MiB.
+MAX_SAMPLE_VALUES = 2**26
+
+
+def check_positive_int(value, name: str) -> None:
+    """Refuse a count that is not a positive integer; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+
+
 def stream_states(seed: int, rep_start: int, rep_stop: int) -> np.ndarray:
     """Initial stream states of replications ``[rep_start, rep_stop)``."""
     h = mix64(np.array([seed], dtype=np.uint64) + _GOLDEN)
@@ -78,6 +88,12 @@ def _next_uniforms(state: np.ndarray, count: int, sel=_ALL) -> np.ndarray:
     s = state[sel] + np.arange(1, count + 1, dtype=np.uint64)[:, None] * _GOLDEN
     state[sel] = s[-1]
     return ((mix64(s) >> _S11).astype(np.float64) + 1.0) * _U53
+
+
+def skip_uniforms(state: np.ndarray, count: int) -> None:
+    """Advance every stream past ``count`` uniform draws without making them."""
+    # An array product wraps silently; one of numpy uint64 scalars warns.
+    state += np.full(1, count, dtype=np.uint64) * _GOLDEN
 
 
 def next_u01(state: np.ndarray, sel=_ALL) -> np.ndarray:

@@ -202,8 +202,12 @@ def decompose_eta(model: ModelInstance, theta) -> EtaDecomposition:
 
 
 def sigma_v(model: ModelInstance, v) -> float:
-    """sqrt(v' (X'WX)^{-1} v), the Hessian-transformed length of v."""
+    """sqrt(v' (X'WX)^{-1} v), the Hessian-transformed length of v.
+
+    Formed for v scaled exactly by a power of two, so it is finite wherever the result is.
+    """
     v = _linalg.as_vector(v, model.p, "v")
     if not np.any(v != 0.0):
         raise InputError("v must be nonzero")
-    return float(np.sqrt(v @ pseudo_true(model).solve(v)))
+    u, e = _linalg.binade_scaled(v)
+    return float(np.ldexp(np.sqrt(u @ pseudo_true(model).solve(u)), e))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from misspec import _kernels, _linalg, _rng
-from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError, NumericalError
+from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
@@ -120,8 +120,7 @@ _MAX_PIVOT_REPS = 10**7
 
 
 def _check_run(reps, seed) -> None:
-    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise InputError(f"reps must be a positive integer, got {reps!r}")
+    _rng.check_positive_int(reps, "reps")
     _rng.check_seed(seed)
 
 
@@ -175,12 +174,13 @@ def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False)
     ``_fixture``); here only v and the eta prior are checked.  a_v = A'v maps
     Y to v'theta_W.  The t statistic does not depend on the scale of eta, so
     eta is drawn at c = 1 (eta_mix = W^{-1/2}) whatever ``eta_prior.c``: a
-    huge or tiny c could only overflow or underflow eta'B eta.  The negative
-    control draws shifted exponentials and ignores ``eta_prior``.
+    huge or tiny c could only overflow or underflow eta'B eta.  Likewise v is
+    scaled exactly by a power of two, so that a huge v cannot overflow a_v'eta.
+    The negative control draws shifted exponentials and ignores ``eta_prior``.
     """
     fixture = _fixture(x, w)
     model = fixture.model
-    v = _linalg.as_vector(v, model.p, "v")
+    v, _ = _linalg.binade_scaled(_linalg.as_vector(v, model.p, "v"))
     sv = sigma_v(model, v)
     if negative_control:
         mix, eta_code, nu = np.eye(model.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
@@ -196,30 +196,26 @@ def _coverage_args(
 ) -> tuple:
     """``coverage_hits`` arguments after (seed, rep_start, rep_stop).
 
-    The ``_pivot_args`` tuple with eta_mix scaled to sqrt(c) W^{-1/2},
-    extended with X, the theta prior's code and tables, v and the t critical
-    value t*.
+    The uniforms a replication's theta draw takes (2p for a Gaussian prior,
+    1 for a tabulated one), then the ``_pivot_args`` tuple with t* before k - p.
     """
     mix, eta_code, nu, a_v, b, sv, km_p = _pivot_args(x, w, eta_prior, cfg.v)
-    mix = math.sqrt(eta_prior.c) * mix
-    x = _fixture(x, w).model.X
-    p = x.shape[1]
-    empty = np.empty(0)
+    p = _fixture(x, w).model.p
     if theta_prior.kind == "gaussian":
         if theta_prior.mean.shape[0] != p:
             raise InputError(f"theta prior dimension {theta_prior.mean.shape[0]} != p={p}")
-        theta = (_kernels.THETA_GAUSSIAN, theta_prior.mean, theta_prior.sd, empty, empty)
+        theta_draws = 2 * p
     elif theta_prior.kind == "tabulated":
         if p != 1:
             raise InputError("tabulated theta priors support p = 1 only")
-        theta = (_kernels.THETA_TABULATED, empty, empty, theta_prior.grid, theta_prior.cdf)
+        theta_draws = 1
     else:
         raise InputError(
             "coverage runs require a proper theta prior (gaussian or tabulated); "
             "the flat prior is only meaningful on a truncated grid"
         )
     tstar = t_quantile(StudentT(km_p), 0.5 * (1.0 + cfg.level))
-    return (x, mix, eta_code, nu, *theta, a_v, b, cfg.v, sv, tstar, km_p)
+    return (theta_draws, mix, eta_code, nu, a_v, b, sv, tstar, km_p)
 
 
 def run_coverage(
@@ -235,25 +231,17 @@ def run_coverage(
 
     Per replication: draw theta from its prior and eta from the radial prior,
     set Y = X theta + eta, and record whether the interval built from
-    (Y, X, W) covers v'theta.  Under any proper rotation-invariant eta prior
-    (and any proper theta prior) the expected coverage equals the nominal
-    level exactly; the Monte Carlo estimate carries binomial noise.  A
-    replication whose J or interval centre overflows raises
-    ``NumericalError`` naming c and the theta prior's scale.
+    (Y, X, W) covers v'theta; the kernel counts that event as |T| <= t* for
+    the t statistic T of eta alone, so the hits depend on neither c nor theta.
+    Under any proper rotation-invariant eta prior (and any proper theta prior)
+    the expected coverage equals the nominal level exactly; the Monte Carlo
+    estimate carries binomial noise.
     """
     _check_run(reps, seed)
     if reps < 100:
         warnings.warn(f"coverage estimate from only {reps} replications", stacklevel=2)
     args = _coverage_args(x, w, theta_prior, eta_prior, cfg)
-    try:
-        hits = _kernels.coverage_hits(seed, 0, reps, *args)
-    except NumericalError as exc:
-        theta_scale = (
-            f"theta sd {np.max(theta_prior.sd):g}"
-            if theta_prior.kind == "gaussian"
-            else "a tabulated theta prior"
-        )
-        raise NumericalError(f"{exc} (eta prior c={eta_prior.c:g}, {theta_scale})") from None
+    hits = _kernels.coverage_hits(seed, 0, reps, *args)
     k, p = _linalg.as_matrix(x, "X").shape
     coverage = hits / reps
     config = {

@@ -66,7 +66,6 @@ class ThetaPrior:
     sd: np.ndarray | None = None
     density_fn: Callable[[np.ndarray], float] | None = None
     grid: np.ndarray | None = None
-    cdf: np.ndarray | None = None
 
     @staticmethod
     def flat() -> "ThetaPrior":
@@ -84,19 +83,19 @@ class ThetaPrior:
 
     @staticmethod
     def tabulated(density_fn: Callable[[np.ndarray], float], grid) -> "ThetaPrior":
-        """Density tabulated on the p=1 support points ``grid``, with its trapezoid CDF."""
+        """Density on the p=1 support points ``grid``, with positive trapezoid mass there.
+
+        Coverage runs never draw theta, so no CDF is kept.
+        """
         g = np.asarray(grid, dtype=np.float64)
         if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0.0):
             raise InputError("tabulated prior grid must be strictly increasing")
         dens = np.array([float(density_fn(np.array([t]))) for t in g])
         if np.any(dens < 0.0):
             raise InputError("tabulated theta prior density must be nonnegative")
-        cdf = np.zeros(g.size)
-        cdf[1:] = np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(g))
-        if not cdf[-1] > 0.0:
+        if not np.sum(0.5 * (dens[1:] + dens[:-1]) * np.diff(g)) > 0.0:
             raise InputError("tabulated theta prior has zero mass on its grid")
-        cdf /= cdf[-1]
-        return ThetaPrior(kind="tabulated", density_fn=density_fn, grid=g, cdf=cdf)
+        return ThetaPrior(kind="tabulated", density_fn=density_fn, grid=g)
 
     def log_density(self, points: np.ndarray) -> np.ndarray:
         """Log prior density at an (m, p) array of theta points."""

@@ -225,7 +225,10 @@ class ScaledPrior:
         Normalized for proper families; the unnormalized log f(q / c) for the
         improper power law.
         """
-        logf = self.family.log_f(q / self.c, self.k)
+        # q / c overflows only to +inf, where every log f is -inf, its limit.
+        with np.errstate(over="ignore"):
+            u = q / self.c
+        logf = self.family.log_f(u, self.k)
         return logf - self.log_normalizer() if self.proper else logf
 
     def log_density(self, etas, *, allow_unnormalized: bool = False):
@@ -287,12 +290,15 @@ def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
     run with this family and W draws (pivotality runs draw at c = 1 whatever
     the prior's scale).  Normal: eta = sqrt(c) W^{-1/2} z for standard normal
     z.  Student-t with dof: a chi-square w is drawn first, then z, and eta is
-    scaled by sqrt(dof / w).  The seed is an integer in [0, 2**64).
+    scaled by sqrt(dof / w).  The seed is an integer in [0, 2**64), and n a
+    positive integer with n k at most ``_rng.MAX_SAMPLE_VALUES``.
     """
     eta_code, nu = _kernel_eta_code(prior.family)
     _rng.check_seed(rng_seed)
-    if n <= 0:
-        raise InputError(f"sample size must be positive, got {n}")
+    _rng.check_positive_int(n, "sample size")
+    max_n = _rng.MAX_SAMPLE_VALUES // prior.k
+    if n > max_n:
+        raise InputError(f"sample size must be at most {max_n} for k={prior.k}, got {n}")
     mix = math.sqrt(prior.c) * prior._w_factor.inv_root
     out = np.empty((n, prior.k))
     for offset, state in _kernels._blocks(rng_seed, 0, n):

@@ -93,12 +93,6 @@ def iv_population_model(s: IVScenario) -> ModelInstance:
     return ModelInstance(Y=y, X=x, W=w)
 
 
-# iv_sample holds at most n (2k + 5) float64 values at once (the instrument
-# draws twice over while they are rotated, or Z next to the per-observation
-# vectors), so a sample is refused above 2**26 of them: 512 MiB.
-_MAX_SAMPLE_VALUES = 2**26
-
-
 def iv_sample(
     s: IVScenario, n: int, dgp: IVDgpParams | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,7 +107,9 @@ def iv_sample(
     """
     if n < s.k + 2:
         raise InputError(f"sample size must be at least k+2={s.k + 2}, got {n}")
-    max_n = _MAX_SAMPLE_VALUES // (2 * s.k + 5)
+    # At most n (2k + 5) float64 values are held at once: the instrument draws
+    # twice over while they are rotated, or Z next to the per-observation vectors.
+    max_n = _rng.MAX_SAMPLE_VALUES // (2 * s.k + 5)
     if n > max_n:
         raise InputError(f"sample size must be at most {max_n} for k={s.k}, got {n}")
     _rng.check_seed(seed)

@@ -7,7 +7,9 @@ values frozen in the tests were produced by these routines.
 
 The scalar Monte Carlo reference at the end of the file evaluates the
 counter-based streams and the replication loops one replication and one
-coefficient at a time; the batched kernels must match it bit for bit.
+coefficient at a time.  The batched eta draws and t statistics must match it
+bit for bit; the coverage reference forms Y = X theta + eta and fits it, the
+definition of a hit, and the kernel's count must equal its count.
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ _S11 = np.uint64(11)
 _U53 = 0.5**53
 
 ETA_NORMAL, ETA_STUDENT_T, ETA_SHIFTED_EXPONENTIAL = 0, 1, 2
-THETA_GAUSSIAN = 0
 
 
 def mix64(z):
@@ -213,54 +214,52 @@ def _draw_eta(state, eta_code, nu_tilde, eta_mix, work):
     return state
 
 
-def _coverage_hits(
-    seed, rep_start, rep_stop, x_mat, eta_mix, eta_code, nu_tilde, theta_code,
-    theta_mean, theta_sd, tab_grid, tab_cdf, a_v, b_mat, v, sigma_v, tstar, km_p,
-):
-    k = x_mat.shape[0]
-    p = x_mat.shape[1]
-    theta = np.empty(p)
+def _draw_theta(state, theta_prior, cdf):
+    """theta from a Gaussian prior, or by inverting a tabulated prior's ``cdf``."""
+    if theta_prior.kind == "gaussian":
+        theta = np.empty(theta_prior.mean.shape[0])
+        for j in range(theta.shape[0]):
+            z, state = next_normal(state)
+            theta[j] = theta_prior.mean[j] + theta_prior.sd[j] * z
+        return theta, state
+    grid = theta_prior.grid
+    u, state = next_u01(state)
+    idx = np.searchsorted(cdf, u)
+    if idx <= 0:
+        return grid[:1].copy(), state
+    if idx >= cdf.shape[0]:
+        return grid[-1:].copy(), state
+    lo, hi = cdf[idx - 1], cdf[idx]
+    frac = 0.0 if hi <= lo else (u - lo) / (hi - lo)
+    return np.array([grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])]), state
+
+
+def _coverage_hits(seed, rep_start, rep_stop, x, w, theta_prior, eta_prior, cfg):
+    k, p = x.shape
+    h = x.T @ w @ x
+    v = np.asarray(cfg.v, dtype=np.float64)
+    sigma_v = math.sqrt(v @ np.linalg.solve(h, v))
+    tstar = t_quantile_quad(0.5 * (1.0 + cfg.level), k - p)
+    vals, vecs = np.linalg.eigh(w)
+    eta_mix = math.sqrt(eta_prior.c) * (vecs / np.sqrt(vals)) @ vecs.T
+    nu = getattr(eta_prior.family, "dof", None)
+    eta_code, nu = (ETA_NORMAL, 0.0) if nu is None else (ETA_STUDENT_T, float(nu))
+    cdf = None
+    if theta_prior.kind == "tabulated":
+        g = theta_prior.grid
+        dens = np.array([float(theta_prior.density_fn(np.array([t]))) for t in g])
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(g))])
+        cdf /= cdf[-1]
     work = np.empty(2 * k)
     hits = 0
     for rep in range(rep_start, rep_stop):
-        state = stream_state(seed, rep)
-        if theta_code == THETA_GAUSSIAN:
-            for j in range(p):
-                z, state = next_normal(state)
-                theta[j] = theta_mean[j] + theta_sd[j] * z
-        else:
-            u, state = next_u01(state)
-            idx = np.searchsorted(tab_cdf, u)
-            if idx <= 0:
-                theta[0] = tab_grid[0]
-            elif idx >= tab_cdf.shape[0]:
-                theta[0] = tab_grid[-1]
-            else:
-                lo, hi = tab_cdf[idx - 1], tab_cdf[idx]
-                frac = 0.0 if hi <= lo else (u - lo) / (hi - lo)
-                theta[0] = tab_grid[idx - 1] + frac * (tab_grid[idx] - tab_grid[idx - 1])
-        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work)
-        for i in range(k):
-            acc = work[i + k]
-            for j in range(p):
-                acc += x_mat[i, j] * theta[j]
-            work[i] = acc
-        num = 0.0
-        for i in range(k):
-            num += a_v[i] * work[i]
-        jstat = 0.0
-        for i in range(k):
-            acc = 0.0
-            for j in range(k):
-                acc += b_mat[i, j] * work[j]
-            jstat += work[i] * acc
-        if jstat < 0.0:
-            jstat = 0.0
-        target = 0.0
-        for j in range(p):
-            target += v[j] * theta[j]
-        hw = tstar * np.sqrt(jstat / km_p) * sigma_v
-        if abs(num - target) <= hw:
+        theta, state = _draw_theta(stream_state(seed, rep), theta_prior, cdf)
+        _draw_eta(state, eta_code, nu, eta_mix, work)
+        y = x @ theta + work[k:]
+        theta_w = np.linalg.solve(h, x.T @ (w @ y))
+        resid = y - x @ theta_w
+        jstat = max(float(resid @ w @ resid), 0.0)
+        if abs(v @ theta_w - v @ theta) <= tstar * math.sqrt(jstat / (k - p)) * sigma_v:
             hits += 1
     return hits
 
@@ -297,10 +296,20 @@ def scalar_etas(seed, n, eta_code, nu_tilde, eta_mix):
     return out
 
 
-def scalar_coverage_hits(*args):
-    """Reference for ``_kernels.coverage_hits`` (same positional arguments)."""
+def scalar_coverage_hits(seed, rep_start, rep_stop, x, w, theta_prior, eta_prior, cfg):
+    """Reference for ``_kernels.coverage_hits``, and the definition of a hit.
+
+    Replication ``rep`` of a coverage run with seed ``seed`` on the fixture
+    (X, W): draw theta from ``theta_prior`` and eta from ``eta_prior`` at its
+    own scale c, form Y = X theta + eta, fit theta_W and J to Y, and count a
+    hit when |v'theta_W - v'theta| <= t* sqrt(J / (k - p)) sigma_v.  Nothing
+    is taken from the package: the fit and sigma_v come from numpy solves,
+    W^{-1/2} from an eigendecomposition, the tabulated prior's CDF from the
+    trapezoid rule on its grid, and t* from ``t_quantile_quad``.
+    """
     with np.errstate(over="ignore"):
-        return _coverage_hits(*args)
+        return _coverage_hits(seed, rep_start, rep_stop, np.asarray(x, dtype=np.float64),
+                              np.asarray(w, dtype=np.float64), theta_prior, eta_prior, cfg)
 
 
 def scalar_pivot_tstats(*args):

@@ -76,6 +76,18 @@ class TestAnalyze:
         assert_allclose(sets[2]["lower"], 1.0 - math.sqrt(2.0))
         assert_allclose(sets[2]["upper"], 1.0 + math.sqrt(2.0))
 
+    def test_huge_v_scales_sigma_v(self, capsys):
+        # v'(X'WX)^{-1}v overflows at v = 1e300; sigma_v, 4.03e299, does not.
+        m1 = os.path.join(os.path.dirname(__file__), "golden", "m1.json")
+        reports = []
+        for v in ("1", "1e300"):
+            code, out, err = _run(["analyze", "--model", m1, "--v", v], capsys)
+            assert code == 0 and err == ""
+            reports.append(json.loads(out))
+        assert_allclose(reports[1]["sigma_v"], 1e300 * reports[0]["sigma_v"], rtol=1e-15)
+        for end in ("lower", "upper"):
+            assert_allclose(reports[1]["ci"][end], 1e300 * reports[0]["ci"][end], rtol=1e-14)
+
     def test_just_identified_exit_code(self, just_identified_file, capsys):
         argv = ["analyze", "--model", just_identified_file, "--v", "1,0", "--level", "0.9"]
         assert "just-identified" in _error(argv, capsys)
@@ -207,20 +219,23 @@ class TestCoverage:
         assert code == 0
         assert json.loads(out)["config"]["k"] == 2
 
-    @pytest.mark.parametrize(
-        "flags, c, theta_sd",
-        [
-            (["--c", "1e308", "--radial", "t:3"], "1e+308", "10"),
-            (["--theta-sd", "1e200"], "1", "1e+200"),
-            (["--theta-sd", "1e308"], "1", "1e+308"),
-        ],
-    )
-    def test_overflowing_replication_is_a_numerical_error(self, flags, c, theta_sd, capsys):
-        # Counted as misses, these replications would report a coverage far
-        # from the nominal level with exit 0.
-        message = _error(["coverage", "--reps", "2000", *flags], capsys, code=2)
-        assert "not finite" in message
-        assert f"c={c}," in message and f"theta sd {theta_sd})" in message
+    def test_hits_do_not_depend_on_the_scales(self, capsys):
+        # A replication covers v'theta iff the t statistic of its eta is at
+        # most t* in size, whatever theta and the scales of eta and v.  Formed
+        # from Y = X theta + eta, J is rounding noise at a tiny c and
+        # overflows at a huge c or theta sd.
+        def hits(*flags):
+            code, out, err = _run(["coverage", "--reps", "2000", *flags], capsys)
+            assert code == 0 and err == ""
+            return json.loads(out)["hits"]
+
+        base = hits()
+        assert abs(base / 2000 - 0.95) < 0.02
+        for flags in (["--c", "1e-24"], ["--c", "1e-28"], ["--c", "1e-32"],
+                      ["--theta-sd", "1e200"], ["--theta-sd", "1e308"]):
+            assert hits(*flags) == base, flags
+        assert hits("--c", "1e308", "--radial", "t:3") == hits("--radial", "t:3")
+        assert hits("--v", "1e308,1e308") == hits("--v", "1,1")
 
     def test_huge_finite_scale_still_runs(self, capsys):
         code, out, err = _run(["coverage", "--reps", "2000", "--c", "1e300"], capsys)
@@ -308,6 +323,18 @@ class TestSweepCommands:
         rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
         tv = [float(r[2]) for r in rows if r[1] == "tv_to_contaminant"]
         assert tv[0] < 0.05
+
+    @pytest.mark.parametrize("family", ["normal", "t:3"])
+    def test_contaminant_quadratic_form_overflow_is_silent(self, family, capsys):
+        # q / c overflows to +inf at c = 1e-300, where log f is -inf, its limit.
+        m1 = os.path.join(os.path.dirname(__file__), "golden", "m1.json")
+        code, out, err = _run(
+            ["contaminate", "--model", m1, "--phi", "0.5", "--c-grid", "1e-300",
+             "--contaminant-c", "1e300", "--radial", family, "--contaminant", family],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[0] == "axis,metric,value"
 
     def test_tails_csv(self, capsys):
         code, out, _ = _run(

@@ -187,6 +187,19 @@ class TestSampling:
         with pytest.raises(InputError):
             sample_eta(prior, 1, 0)
 
+    @pytest.mark.parametrize("n", [-3, 2.5, True, 10.0, "10"])
+    def test_non_integer_sample_size_refused(self, n):
+        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
+        with pytest.raises(InputError, match="sample size must be a positive integer"):
+            sample_eta(prior, 1, n)
+
+    @pytest.mark.parametrize("n", [2**25 + 1, 10**13])
+    def test_oversized_sample_refused_before_allocating(self, n):
+        # n k above 2**26 float64 values (512 MiB) is refused, not allocated.
+        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
+        with pytest.raises(InputError, match="at most 33554432 for k=2"):
+            sample_eta(prior, 1, n)
+
     @pytest.mark.parametrize(
         "family, code, nu", [(NormalRadial(), ETA_NORMAL, 0.0), (StudentTRadial(3.0), ETA_STUDENT_T, 3.0)]
     )

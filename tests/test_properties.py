@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -29,6 +29,7 @@ from misspec.posteriors import (
 from misspec.posteriors import _grid_cell_weights
 from misspec.montecarlo import ks_statistic, run_tails
 from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
+from misspec.special import StudentT, t_quantile
 from oracles import ks_statistic_full, random_model_arrays, random_spd
 
 # (k, p) with k > p, so the confidence interval is defined.
@@ -126,6 +127,33 @@ def test_estimands_match_fresh_model(seed, shape):
         closed_form_posterior(fresh, t3, 0.0).scale, closed_form_posterior(m, t3, 0.0).scale
     )
     assert pseudo_true(m) is pseudo_true(m)
+
+
+@given(
+    seeds,
+    st.sampled_from([(k, p) for p in (1, 2, 3) for k in range(p + 1, 9)]),
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 10.0),
+)
+def test_coverage_event_is_the_pivot_of_eta(seed, shape, theta_scale, eta_scale):
+    # With Y = X theta + eta, A X = I and B X = 0 for A = H^{-1}X'W and
+    # B = W - W X A, so the interval covers v'theta iff the t statistic of eta
+    # alone is at most t* in size: the event the coverage kernel counts.
+    rng = np.random.default_rng(seed)
+    k, p = shape
+    _, x, w = random_model_arrays(rng, k, p)
+    theta = theta_scale * rng.standard_normal(p)
+    eta = eta_scale * rng.standard_normal(k)
+    cfg = _cfg(ModelInstance(Y=x @ theta + eta, X=x, W=w), seed, level=0.9)
+    h = x.T @ w @ x
+    a = np.linalg.solve(h, x.T @ w)
+    b = w - w @ x @ a
+    centre = abs(cfg.v @ a @ eta)
+    hw = (t_quantile(StudentT(k - p), 0.95) * np.sqrt(eta @ b @ eta / (k - p))
+          * np.sqrt(cfg.v @ np.linalg.solve(h, cfg.v)))
+    assume(abs(centre - hw) > 1e-9 * hw)
+    ci = confidence_interval(ModelInstance(Y=x @ theta + eta, X=x, W=w), cfg)
+    assert ci.contains(cfg.v @ theta) == (centre <= hw)
 
 
 @given(seeds, st.sampled_from([(3, 1), (5, 1), (4, 2), (6, 2)]), st.sampled_from([1e-4, 1.0]))
