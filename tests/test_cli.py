@@ -219,23 +219,39 @@ class TestCoverage:
         assert code == 0
         assert json.loads(out)["config"]["k"] == 2
 
+    def _hits(self, capsys, *flags):
+        code, out, err = _run(["coverage", "--reps", "2000", *flags], capsys)
+        assert code == 0 and err == ""
+        return json.loads(out)
+
     def test_hits_do_not_depend_on_the_scales(self, capsys):
         # A replication covers v'theta iff the t statistic of its eta is at
         # most t* in size, whatever theta and the scales of eta and v.  Formed
-        # from Y = X theta + eta, J is rounding noise at a tiny c and
-        # overflows at a huge c or theta sd.
-        def hits(*flags):
-            code, out, err = _run(["coverage", "--reps", "2000", *flags], capsys)
-            assert code == 0 and err == ""
-            return json.loads(out)["hits"]
-
-        base = hits()
+        # from Y = X theta + eta, J is rounding noise at a tiny c.
+        base = self._hits(capsys)["hits"]
         assert abs(base / 2000 - 0.95) < 0.02
-        for flags in (["--c", "1e-24"], ["--c", "1e-28"], ["--c", "1e-32"],
-                      ["--theta-sd", "1e200"], ["--theta-sd", "1e308"]):
-            assert hits(*flags) == base, flags
-        assert hits("--c", "1e308", "--radial", "t:3") == hits("--radial", "t:3")
-        assert hits("--v", "1e308,1e308") == hits("--v", "1,1")
+        for flags in (["--c", "1e-24"], ["--c", "1e-28"], ["--c", "1e-32"]):
+            assert self._hits(capsys, *flags)["hits"] == base, flags
+        v_huge = self._hits(capsys, "--v", "1e308,1e308")["hits"]
+        assert v_huge == self._hits(capsys, "--v", "1,1")["hits"]
+
+    @pytest.mark.parametrize(
+        "flags, c, theta_sd",
+        [
+            (["--c", "1e308", "--radial", "t:3"], "1e+308", "10"),
+            (["--theta-sd", "1e200"], "1", "1e+200"),
+            (["--theta-sd", "1e308"], "1", "1e+308"),
+        ],
+    )
+    def test_overflowing_replication_is_a_numerical_error(self, flags, c, theta_sd, capsys):
+        # Formed from Y = X theta + eta, J or the centre of these replications
+        # overflows.  That is an error of the arithmetic only: the coverage
+        # event is |T(eta)| <= t*, so each run has the hits of its radial
+        # family at c = 1 and the default theta sd.
+        radial = flags[flags.index("--radial"):] if "--radial" in flags else []
+        payload = self._hits(capsys, "--c", c, "--theta-sd", theta_sd, *radial)
+        assert payload["config"]["c"] == float(c)
+        assert payload["hits"] == self._hits(capsys, *radial)["hits"]
 
     def test_huge_finite_scale_still_runs(self, capsys):
         code, out, err = _run(["coverage", "--reps", "2000", "--c", "1e300"], capsys)

@@ -194,6 +194,19 @@ class TestTabulatedThetaPrior:
                          reps=200, seed=0)
         assert len(calls) == 401
 
+    def test_overflowing_replication_names_the_scales(self):
+        # At c = 1e308 the Y-form J of a t:1 eta overflows; the hits are those
+        # of c = 1, and the result still records the scale and the prior.
+        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
+        x = np.array([[1.0], [0.5], [-0.5]])
+        res = {
+            c: run_coverage(x, np.eye(3), prior, ScaledPrior(family=StudentTRadial(1.0), c=c, W=np.eye(3)),
+                            InferenceConfig(v=[1.0]), reps=200, seed=0)
+            for c in (1.0, 1e308)
+        }
+        assert res[1e308].config["c"] == 1e308 and res[1e308].config["theta_prior"] == "tabulated"
+        assert res[1e308].hits == res[1.0].hits and 0 < res[1.0].hits < 200
+
 
 def _dense_fixture():
     """k=12, p=3 fixture with a dense SPD weighting matrix."""
