@@ -137,7 +137,6 @@ def _cmd_concentration(args) -> int:
         parse_radial(args.radial),
         np.asarray(_csv_floats(args.c_grid, "c-grid")),
         _csv_floats(args.eps, "eps"),
-        grid_points=args.grid_points,
     )
     _write(serialize.trace_to_csv(trace), args.out)
     return 0
@@ -269,7 +268,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--radial", default="normal")
     sp.add_argument("--c-grid", dest="c_grid", required=True)
     sp.add_argument("--eps", default="0.1")
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=2001)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_concentration)
 

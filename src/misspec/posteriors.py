@@ -418,6 +418,62 @@ def grid_posterior(
     return _normalize_grid(axes, logu)
 
 
+# Most trapezoid nodes the p=2 angular integral may take, and how many it
+# evaluates at once.  At a scale condition number of 1e10, the most a
+# ClosedFormPosterior admits, some t posteriors need 2^21 nodes.
+_MAX_ANGULAR_NODES = 2**22
+_ANGULAR_CHUNK = 2**16
+
+
+def _log_tail_2d(dof: float | None, s):
+    """Log Pr{u'u > s} for a standardized 2-d posterior u: chi-square(2), or 2 F(2, dof).
+
+    The families' ``log_tail`` at k = 2 in closed form, vectorised and without
+    the incomplete gamma and beta functions of ``scipy.special``.
+    """
+    if dof is None:
+        return -0.5 * s
+    return -0.5 * dof * np.log1p(s / dof)
+
+
+def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -> float:
+    """Pr{||d|| > eps} for a centred elliptical 2-d d with scale eigenvalues lam_lo <= lam_hi.
+
+    With d = V diag(sqrt(lam)) r (cos phi, sin phi), phi uniform and independent
+    of r, ||d||^2 = r^2 q(phi) with q(phi) = lam_lo + (lam_hi - lam_lo) cos^2 phi.
+    So the mass is the mean over phi of T(eps^2 / q(phi)), T the tail of r^2.
+    The integrand is periodic and analytic, so the trapezoid rule converges
+    geometrically: the node count doubles until two means agree to a few ulps.
+    Terms are taken relative to the largest, at phi = 0; if it underflows, so
+    does the mass.
+    """
+    e2 = eps * eps
+    peak = float(_log_tail_2d(dof, e2 / lam_hi))
+    if math.exp(peak) == 0.0:
+        return 0.0
+
+    def node_mean(n: int, offset: float) -> float:
+        """Mean of the terms at phi = pi (j + offset) / n, j = 0, ..., n - 1."""
+        out = 0.0
+        for start in range(0, n, _ANGULAR_CHUNK):
+            phi = np.pi / n * (np.arange(start, min(start + _ANGULAR_CHUNK, n)) + offset)
+            q = lam_lo + (lam_hi - lam_lo) * np.cos(phi) ** 2
+            out += float(np.sum(np.exp(_log_tail_2d(dof, e2 / q) - peak)))
+        return out / n
+
+    n = 8
+    mean = node_mean(n, 0.0)
+    while n < _MAX_ANGULAR_NODES:
+        refined = 0.5 * (mean + node_mean(n, 0.5))
+        n *= 2
+        if abs(refined - mean) <= 4.0 * math.ulp(refined):
+            return min(math.exp(peak + math.log(refined)), 1.0)
+        mean = refined
+    raise NumericalError(
+        f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes"
+    )
+
+
 def mass_outside_ball(
     post: GridPosterior | ClosedFormPosterior,
     center,
@@ -427,8 +483,11 @@ def mass_outside_ball(
     """Posterior probability of {theta : ||theta - center|| > eps}.
 
     The default ball is Euclidean; ``norm_matrix`` substitutes the SPD-norm
-    ||d|| = sqrt(d' M d) (e.g. M = X'WX).  Computed exactly from the CDF for
-    one-dimensional closed forms, by grid summation otherwise.
+    ||d|| = sqrt(d' M d) (e.g. M = X'WX).  Grid posteriors sum the weights of
+    the grid points outside the ball.  Closed forms are exact: at p = 1 from
+    the CDF, in both lower tails; at p = 2 by the angular integral of
+    ``_angular_mass``, which needs the ball centred at the posterior centre
+    (an off-centre ball is an InputError).
     """
     if not eps > 0.0:
         raise InputError(f"ball radius must be positive, got {eps}")
@@ -457,19 +516,14 @@ def mass_outside_ball(
         # Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
         return min(max(cdf((lo - m) / s) + cdf((m - hi) / s), 0.0), 1.0)
     if post.p == 2:
-        # Densify on an internal grid wide enough to capture the tails.
-        sds = post.marginal_sd()
-        if not np.all(np.isfinite(sds)):
+        if not np.array_equal(center, post.center):
             raise InputError(
-                "mass_outside_ball for p=2 closed forms requires finite variance"
+                "mass_outside_ball for p=2 closed forms requires the ball centred "
+                "at the posterior centre"
             )
-        axes = tuple(
-            np.linspace(c0 - 12.0 * s, c0 + 12.0 * s, 401)
-            for c0, s in zip(post.center, sds)
-        )
-        dens = post.density(_grid_points(axes)).reshape(axes[0].size, axes[1].size)
-        grid = GridPosterior(axes=axes, density=dens, weights=_grid_cell_weights(axes) * dens)
-        return mass_outside_ball(grid, center, eps, norm)
+        sf = post._scale_factor
+        lam = np.linalg.eigvalsh(post.scale if norm_matrix is None else sf.root @ norm @ sf.root)
+        return _angular_mass(post.dof, float(lam[0]), float(lam[1]), eps)
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
 

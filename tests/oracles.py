@@ -80,6 +80,29 @@ def radial_cdf_grid(f, k: int, c: float, r_grid: np.ndarray) -> np.ndarray:
     return cdf / cdf[-1]
 
 
+def mass_outside_disc_quad(scale, dof, eps: float) -> float:
+    """Pr{||d|| > eps} for a centred 2-d Gaussian (dof None) or t with ``scale``, by quadrature.
+
+    Polar coordinates of d itself: for each angle, the density along the ray
+    integrated from eps outward, then the angle integrated over [0, 2 pi).
+    """
+    inv = np.linalg.inv(scale)
+    norm = 2.0 * math.pi * math.sqrt(np.linalg.det(scale))
+    if dof is None:
+        dens = lambda q: math.exp(-0.5 * q) / norm
+    else:
+        dens = lambda q: (1.0 + q / dof) ** (-0.5 * (dof + 2.0)) / norm
+
+    def ray(a: float) -> float:
+        u = np.array([math.cos(a), math.sin(a)])
+        qa = float(u @ inv @ u)
+        val, _ = scipy.integrate.quad(lambda r: dens(qa * r * r) * r, eps, np.inf, limit=200)
+        return val
+
+    val, _ = scipy.integrate.quad(ray, 0.0, 2.0 * math.pi, limit=200, epsabs=0.0, epsrel=1e-12)
+    return val
+
+
 def random_spd(rng: np.random.Generator, k: int, spread: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((k, k))
     q, _ = np.linalg.qr(a)

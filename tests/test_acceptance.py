@@ -6,6 +6,7 @@ verification report.
 """
 
 import math
+import os
 import time
 from contextlib import contextmanager
 
@@ -38,10 +39,12 @@ from misspec.posteriors import (
     ThetaPrior,
     closed_form_posterior,
     grid_posterior,
+    mass_outside_ball,
     normal_posterior,
 )
 from misspec.posteriors import _grid_cell_weights
 from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
+from misspec.serialize import load_model
 from misspec.special import StudentT, t_cdf, t_quantile
 from oracles import t_quantile_quad
 
@@ -148,6 +151,16 @@ def test_criterion_4_posterior_concentration(acceptance_report):
         sds = trace.metrics["posterior_sd"]
         for a, b in zip(sds, sds[1:]):
             assert abs(b / a - 2.0) < 0.05 * 2.0
+        # With J > 0 a t-family posterior does not concentrate: as c -> 0 its
+        # mass outside the ball tends to the closed form at spread J.
+        m1 = load_model(os.path.join(os.path.dirname(__file__), "golden", "m1.json"))
+        trace = run_concentration(m1, StudentTRadial(5.0), [1e-10, 1e-8, 1e-6], [0.1])
+        limit_post = closed_form_posterior(m1, StudentTRadial(5.0), 0.0)
+        limit = mass_outside_ball(limit_post, limit_post.center, 0.1)
+        assert abs(limit - 0.7741) < 1e-4
+        masses = trace.metrics["mass_outside_0.1"]
+        assert abs(masses[-1] - 0.7741) < 1e-4
+        assert np.all(np.abs(masses - limit) <= [1e-8, 1e-6, 1e-4])
 
 
 def test_criterion_5_contamination_fragility(acceptance_report):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -152,6 +153,11 @@ class TestNonFiniteInputs:
             ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
              "--grid-points", "1"],
             "grid_points",
+        ),
+        "contaminate-collapsed-grid": (
+            ["contaminate", "--model", "{m1}", "--phi", "1e-300", "--c-grid", "1e-300,1e300",
+             "--contaminant-c", "1e-300"],
+            "contaminant-c",
         ),
         "concentration-eps-alike": (
             ["concentration", "--model", "{m1}", "--c-grid", "1e-2", "--eps", "0.1,0.1"],
@@ -321,13 +327,46 @@ class TestSweepCommands:
     def test_concentration_csv(self, canon_file, capsys):
         code, out, _ = _run(
             ["concentration", "--model", canon_file, "--radial", "normal",
-             "--c-grid", "1e-4,1e-2", "--eps", "0.1", "--grid-points", "801"],
+             "--c-grid", "1e-4,1e-2", "--eps", "0.1"],
             capsys,
         )
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "axis,metric,value"
         assert len(lines) == 1 + 2 * 3
+
+    def test_concentration_has_no_grid_points_flag(self, canon_file, capsys):
+        code, _, err = _run(
+            ["concentration", "--model", canon_file, "--c-grid", "1e-2", "--grid-points", "801"],
+            capsys,
+        )
+        assert code == 1 and "--grid-points" in err
+
+    @staticmethod
+    def _concentration_rows(capsys, *flags) -> dict:
+        m1 = os.path.join(os.path.dirname(__file__), "golden", "m1.json")
+        code, out, err = _run(["concentration", "--model", m1, *flags], capsys)
+        assert code == 0 and err == ""
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        return {(float(c), name): float(v) for c, name, v in rows}
+
+    def test_concentration_extreme_scales_are_finite(self, capsys):
+        rows = self._concentration_rows(capsys, "--c-grid", "1e-300,1e300")
+        assert len(rows) == 2 * 3 and all(math.isfinite(v) for v in rows.values())
+        assert rows[(1e-300, "mass_outside_0.1")] == 0.0
+        assert rows[(1e300, "mass_outside_0.1")] == 1.0
+
+    @pytest.mark.parametrize(
+        "alpha, dof, has_mean", [("0.6", 0.2, False), ("1.25", 1.5, True), ("2", 3.0, True)]
+    )
+    def test_concentration_moments_that_do_not_exist(self, capsys, alpha, dof, has_mean):
+        # m1 has p = 1, so the power-law posterior is t with dof 2 alpha - 1:
+        # no variance at dof <= 2, no mean at dof <= 1.
+        rows = self._concentration_rows(capsys, "--radial", f"powerlaw:{alpha}", "--c-grid", "1e-2,1")
+        for c in (1e-2, 1.0):
+            assert 0.0 < rows[(c, "mass_outside_0.1")] < 1.0
+            assert math.isinf(rows[(c, "posterior_sd")]) == (dof <= 2.0)
+            assert math.isnan(rows[(c, "bayes_action")]) == (not has_mean)
 
     def test_contaminate_csv(self, canon_file, capsys):
         code, out, _ = _run(
@@ -536,35 +575,46 @@ def test_import_leaves_out_scipy_linalg():
          "cli.main(['analyze', '--model', 'm2.json', '--out', os.devnull]); "
          "cli.main(['coverage', '--reps', '1000', '--out', os.devnull]); "
          "cli.main(['concentration', '--model', 'm1.json', '--c-grid', '1e-2', "
-         "'--grid-points', '101', '--out', os.devnull]); "
+         "'--out', os.devnull]); "
          "print('scipy.linalg' in sys.modules)"],
         cwd=os.path.join(os.path.dirname(__file__), "golden"),
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["False"]
 
 
-_GRID_AND_SCENARIO_RUNS = [
+_RUNS_WITHOUT_SCIPY_SPECIAL = [
     ["concentration", "--model", "m1.json", "--c-grid", "1e-2,1"],
-    ["concentration", "--model", "m1.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
-    ["concentration", "--model", "m1.json", "--radial", "powerlaw:2", "--c-grid", "1e-2,1"],
-    ["concentration", "--model", "m2.json", "--c-grid", "1e-2,1", "--grid-points", "101"],
+    ["concentration", "--model", "m2.json", "--c-grid", "1e-2,1"],
+    ["concentration", "--model", "m2.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
     ["contaminate", "--model", "m1.json", "--phi", "0.01", "--c-grid", "1e-6,1e-2",
      "--contaminant-c", "4"],
     ["scenario", "iv", "--params", "iv.json"],
     ["scenario", "iv", "--params", "iv.json", "--sample", "100"],
     ["scenario", "logit", "--params", "logit.json"],
 ]
+# Exact p = 1 t and power-law masses come from the t CDF, an incomplete beta.
+_RUNS_WITH_SCIPY_SPECIAL = [
+    ["concentration", "--model", "m1.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
+    ["concentration", "--model", "m1.json", "--radial", "powerlaw:2", "--c-grid", "1e-2,1"],
+    ["analyze", "--model", "m1.json"],
+]
+
+
+def _scipy_special_loaded(argvs) -> list:
+    """In one child: whether scipy.special is loaded after import, then (exit code, loaded) per run."""
+    proc = _child(
+        ["-c",
+         "import os, sys; from misspec import cli; "
+         "print(['scipy.special' in sys.modules] + "
+         f"[(cli.main(a + ['--out', os.devnull]), 'scipy.special' in sys.modules) for a in {argvs!r}])"],
+        cwd=os.path.join(os.path.dirname(__file__), "golden"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
 
 
 def test_grid_and_scenario_commands_leave_out_scipy_special():
-    proc = _child(
-        ["-c",
-         "import os, sys, misspec; from misspec import cli; "
-         "print('scipy.special' in sys.modules); "
-         f"codes = [cli.main(argv + ['--out', os.devnull]) for argv in {_GRID_AND_SCENARIO_RUNS!r}]; "
-         "print(codes == [0] * len(codes), 'scipy.special' in sys.modules); "
-         "cli.main(['analyze', '--model', 'm1.json', '--out', os.devnull]); "
-         "print('scipy.special' in sys.modules)"],
-        cwd=os.path.join(os.path.dirname(__file__), "golden"),
-    )
-    assert proc.returncode == 0 and proc.stdout.split() == ["False", "True", "False", "True"]
+    runs = _RUNS_WITHOUT_SCIPY_SPECIAL
+    assert _scipy_special_loaded(runs) == [False] + [(0, False)] * len(runs)
+    for argv in _RUNS_WITH_SCIPY_SPECIAL:
+        assert _scipy_special_loaded([argv]) == [False, (0, True)], argv

@@ -38,7 +38,6 @@ COMMANDS = {
     "concentration_m1_normal.out": "concentration --model m1.json --c-grid 1e-6,1e-4,1e-2,1 --eps 0.1",
     "concentration_m1_t5.out": "concentration --model m1.json --radial t:5 --c-grid 1e-6,1e-2,1 --eps 0.1",
     "concentration_m1_powerlaw2.out": "concentration --model m1.json --radial powerlaw:2 --c-grid 1e-2,1 --eps 0.1",
-    "concentration_m2_coarse.out": "concentration --model m2.json --c-grid 1e-2,1 --eps 0.1 --grid-points 301",
     "concentration_m2.out": "concentration --model m2.json --c-grid 1e-6,1e-4,1e-2 --eps 0.1",
     "contaminate_m1.out": "contaminate --model m1.json --phi 0.01 --c-grid 1e-6,1e-2 --contaminant-c 4",
     "tails_t3.out": "tails --radial t:3 --a 1.5,2,4 --tau 1,10 --c 1e-6",

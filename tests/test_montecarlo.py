@@ -12,6 +12,7 @@ from misspec.errors import (
     JustIdentifiedError,
 )
 from misspec.inference import InferenceConfig
+from misspec.model import ModelInstance
 from misspec.montecarlo import (
     DEFAULT_COVERAGE_X,
     DEFAULT_PIVOT_X,
@@ -407,6 +408,20 @@ class TestSweeps:
         assert np.max(np.abs(sds - sds[0])) < 0.01 * sds[0]
         limit_sd = posterior_sd(closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0))[0]
         assert abs(sds[0] - limit_sd) < 0.03 * limit_sd
+
+    @pytest.mark.parametrize("family", [NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)])
+    def test_concentration_builds_no_grid(self, canon_model, family, monkeypatch):
+        from misspec import posteriors
+
+        for module in (montecarlo, posteriors):
+            monkeypatch.setattr(module, "grid_posterior", _must_not_run)
+        monkeypatch.setattr(montecarlo, "_family_sd_estimate", _must_not_run)
+        m2 = ModelInstance(
+            Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
+        )
+        for model in (canon_model, m2):
+            trace = run_concentration(model, family, [1e-6, 1e-2, 1.0], [0.1, 0.5])
+            assert all(np.all(np.isfinite(v)) for v in trace.metrics.values())
 
     def test_concentration_grid_points_not_truncated(self, canon_model):
         with pytest.raises(GridError, match="integer"):

@@ -347,6 +347,59 @@ class TestMassOutsideBall:
             mass = mass_outside_ball(post, post.center, z * s)
             assert_allclose(mass, 2.0 / math.pi * math.atan(1.0 / z), rtol=1e-12)
 
+    @pytest.mark.parametrize("dof", [None, 0.5, 3.0, 40.0])
+    def test_isotropic_disc_tail_is_exact(self, dof):
+        # With scale lam I the squared radius over lam is chi-square(2), or
+        # 2 F(2, dof): Pr{||d|| > eps} = exp(-s/2), or (1 + s/dof)^(-dof/2), s = eps^2/lam.
+        lam = 0.37
+        post = ClosedFormPosterior(center=[1.0, -2.0], scale=lam * np.eye(2), dof=dof)
+        # At dof 0.5, s = dof (target^-4 - 1) would overflow below about 1e-77.
+        targets = (0.5, 1e-3, 1e-20, 1e-100, 1e-200) if dof != 0.5 else (0.5, 1e-3, 1e-20, 1e-70)
+        for target in targets:
+            if dof is None:
+                s = -2.0 * math.log(target)
+                expect = math.exp(-0.5 * s)
+            else:
+                s = dof * math.expm1(-2.0 / dof * math.log(target))
+                expect = math.exp(-0.5 * dof * math.log1p(s / dof))
+            mass = mass_outside_ball(post, post.center, math.sqrt(s * lam))
+            assert_allclose(mass, expect, rtol=1e-12)
+
+    @pytest.mark.parametrize("dof", [None, 1.0, 4.0])
+    @pytest.mark.parametrize("eps", [0.2, 1.0, 3.0])
+    def test_anisotropic_disc_matches_quadrature(self, dof, eps):
+        from oracles import mass_outside_disc_quad
+
+        scale = np.array([[0.8, -0.3], [-0.3, 0.25]])
+        post = ClosedFormPosterior(center=[0.5, 0.1], scale=scale, dof=dof)
+        expect = mass_outside_disc_quad(scale, dof, eps)
+        assert_allclose(mass_outside_ball(post, post.center, eps), expect, rtol=1e-9)
+
+    def test_disc_in_a_matrix_norm(self):
+        # ||d||_M > eps with M = S^-1 is the radial tail itself.
+        scale = np.array([[0.8, -0.3], [-0.3, 0.25]])
+        post = ClosedFormPosterior(center=[0.5, 0.1], scale=scale)
+        mass = mass_outside_ball(post, post.center, 2.0, norm_matrix=np.linalg.inv(scale))
+        assert_allclose(mass, math.exp(-2.0), rtol=1e-12)
+
+    def test_disc_beyond_float_range_is_zero(self):
+        post = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 1e-4]))
+        assert mass_outside_ball(post, post.center, 40.0) == 0.0
+        assert mass_outside_ball(post, post.center, 1e200) == 0.0
+
+    def test_off_centre_disc_rejected(self):
+        post = ClosedFormPosterior(center=[0.5, 0.1], scale=np.eye(2))
+        with pytest.raises(InputError, match="centred at the posterior centre"):
+            mass_outside_ball(post, [0.5, 0.2], 1.0)
+
+    def test_disc_that_never_converges_raises(self, monkeypatch):
+        from misspec import posteriors
+
+        monkeypatch.setattr(posteriors, "_MAX_ANGULAR_NODES", 16)
+        post = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 1e-6]))
+        with pytest.raises(NumericalError, match="did not converge"):
+            mass_outside_ball(post, post.center, 1.0)
+
     def test_concentration_sweep_monotone(self, canon_model):
         masses = [
             mass_outside_ball(normal_posterior(canon_model, c), [1.0], 0.25)

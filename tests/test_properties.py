@@ -21,9 +21,11 @@ from misspec.inference import (
 )
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
+    ClosedFormPosterior,
     GridSpec,
     closed_form_posterior,
     grid_posterior,
+    mass_outside_ball,
     normal_posterior,
 )
 from misspec.posteriors import _grid_cell_weights
@@ -196,6 +198,44 @@ def test_t_and_powerlaw_grids_match_closed_form(seed, shape, family, c):
     oracle = cf.density(post.points()).reshape(post.density.shape)
     oracle /= np.sum(_grid_cell_weights(post.axes) * oracle)
     assert np.max(np.abs(post.density - oracle)) <= 1e-9 * np.max(oracle)
+
+
+@given(
+    seeds,
+    st.sampled_from([(2, 1), (4, 1), (3, 2), (5, 2)]),
+    st.one_of(st.just(NormalRadial()), st.floats(2.0, 30.0).map(StudentTRadial)),
+    st.floats(-6.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(0.3, 4.0),
+)
+def test_grid_concentration_metrics_match_the_exact_ones(seed, shape, family, c, z):
+    # X'WX has condition number at most e^3, so the grid resolves the posterior.
+    rng = np.random.default_rng(seed)
+    k, p = shape
+    x = np.linalg.qr(rng.standard_normal((k, p)))[0] * np.exp(rng.uniform(-0.5, 0.5, p))
+    m = ModelInstance(Y=2.0 * rng.standard_normal(k), X=x, W=random_spd(rng, k, spread=0.5))
+    cf = closed_form_posterior(m, family, c)
+    half = 12.0 * np.sqrt(np.diag(cf.scale))
+    n = 2001 if p == 1 else 401
+    spec = GridSpec(bounds=[(t - h, t + h) for t, h in zip(cf.center, half)], points=n)
+    post = grid_posterior(m, ScaledPrior(family=family, c=c, W=m.W), None, spec)
+    eps = z * float(np.sqrt(np.max(np.diag(cf.scale))))
+    # A grid point's weight falls wholly inside or outside the ball, so the
+    # mass is off by at most the boundary cells' mass: their measure times the
+    # peak density, 2 cells of width h at p = 1 and a band of a cell diagonal
+    # around the circle at p = 2.  The grid also leaves out the mass beyond
+    # its box, at most the marginal tails there.
+    h = 2.0 * half / (n - 1)
+    cells = 2.0 * h[0] if p == 1 else 2.0 * np.pi * eps * float(np.hypot(*h))
+    cut = sum(
+        mass_outside_ball(ClosedFormPosterior([t], [[s]], cf.dof), [t], hw)
+        for t, s, hw in zip(cf.center, np.diag(cf.scale), half)
+    )
+    tol = cells * cf.density(cf.center) + 2.0 * cut
+    assert abs(mass_outside_ball(post, cf.center, eps) - mass_outside_ball(cf, cf.center, eps)) <= tol
+    sd = np.sqrt(np.diag(cf.scale))
+    assert np.all(np.abs(post.mean() - cf.center) <= 1e-9 * sd)
+    if cf.dof is None:
+        assert_allclose(post.sd(), cf.marginal_sd(), rtol=1e-6)
 
 
 @given(
