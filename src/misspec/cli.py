@@ -154,7 +154,6 @@ def _cmd_contaminate(args) -> int:
         args.phi,
         np.asarray(_csv_floats(args.c_grid, "c-grid")),
         eps_list=_csv_floats(args.eps, "eps"),
-        grid_points=args.grid_points,
     )
     _write(serialize.trace_to_csv(trace), args.out)
     return 0
@@ -279,7 +278,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--phi", type=float, required=True)
     sp.add_argument("--c-grid", dest="c_grid", required=True)
     sp.add_argument("--eps", default="0.05")
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=1601)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_contaminate)
 

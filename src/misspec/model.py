@@ -119,6 +119,12 @@ class PseudoTrueResult:
         """Largest eigenvalue of H^{-1}, computed once."""
         return float(np.max(np.linalg.eigvalsh(self.hessian_inv)))
 
+    @cached_property
+    def condition_number(self) -> float:
+        """Largest over smallest eigenvalue of H (inf if that is not positive), computed once."""
+        vals = np.linalg.eigvalsh(self.hessian)
+        return float(vals[-1] / vals[0]) if vals[0] > 0.0 else np.inf
+
 
 @dataclass(frozen=True)
 class EtaDecomposition:

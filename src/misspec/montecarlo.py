@@ -32,17 +32,14 @@ from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
-    GridSpec,
+    MixturePosterior,
     ThetaPrior,
     check_point_counts,
     closed_form_posterior,
-    grid_posterior,
     mass_outside_ball,
     posterior_sd,
-    tv_distance,
 )
 from misspec.priors import (
-    ContaminatedPrior,
     RadialFamily,
     ScaledPrior,
     _kernel_eta_code,
@@ -330,17 +327,6 @@ def run_pivotality(
     return ks_statistic(tstats, k - p)
 
 
-def _family_sd_estimate(family: RadialFamily, c: float, model: ModelInstance) -> float:
-    """Rough posterior sd along H^{-1}'s top axis, used to size sweep grids."""
-    pt = pseudo_true(model)
-    dof, spread = family.posterior_shape(c, pt.j_stat, model.k, model.p)
-    if dof is None:
-        return math.sqrt(spread * pt.lam_max)
-    # Where the t variance is infinite (dof <= 2), take twice the scale's root.
-    factor = dof / (dof - 2.0) if dof > 2.0 else 4.0
-    return math.sqrt(spread * pt.lam_max / dof * factor)
-
-
 def _mass_outside_names(eps_list) -> dict[str, float]:
     """Metric name ``mass_outside_<eps:g>`` -> eps, for the sweeps' eps values.
 
@@ -403,17 +389,6 @@ def run_concentration(
     return SweepTrace(axis_name="c", axis=c_grid, metrics=metrics)
 
 
-def _composite_axis(
-    center: float, wide_half: float, core_halves, wide_points: int, core_points: int
-) -> np.ndarray:
-    """Wide uniform grid with dense cores around the center, sorted unique."""
-    pieces = [np.linspace(center - wide_half, center + wide_half, wide_points)]
-    for half in core_halves:
-        if half < wide_half:
-            pieces.append(np.linspace(center - half, center + half, core_points))
-    return np.unique(np.concatenate(pieces))
-
-
 def run_contamination(
     model: ModelInstance,
     base_family: RadialFamily,
@@ -423,14 +398,18 @@ def run_contamination(
     eps_list=(0.05,),
     grid_points: int = 1601,
 ) -> SweepTrace:
-    """Fragility diagnostics: contaminated posterior versus the pure contaminant.
+    """Fragility diagnostics: contaminated posterior versus the pure contaminant, in closed form.
 
-    All posteriors in the sweep share one composite grid (a wide grid sized to
-    the contaminant posterior plus a dense core per c sized to the base
-    posterior), so total variation distances are computed on identical
-    supports.  With a positive J the trace shows the contaminated posterior
-    collapsing onto the contaminant posterior as c shrinks; with J = 0 it
-    keeps concentrating at the pseudo-true value instead.
+    Under the flat theta prior the posterior at each c is the exact
+    ``MixturePosterior`` of the base posterior at c and the contaminant
+    posterior, weighted by phi and their marginal likelihoods.  The trace
+    records, exactly, its TV distance to the pure contaminant posterior and
+    its mass outside each epsilon-ball around theta_W.  With a positive J the
+    contaminated posterior collapses onto the contaminant posterior as c
+    shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
+    with J = 0 it keeps concentrating at the pseudo-true value instead.
+    ``grid_points`` sizes nothing.  It is validated as a grid's point count,
+    because ``perfbench`` still passes it.
     """
     if model.p != 1:
         raise InputError("contamination sweeps are implemented for p = 1")
@@ -439,27 +418,16 @@ def run_contamination(
     check_point_counts(grid_points, 1, "grid_points")
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
-    pt = pseudo_true(model)
-    wide = 12.0 * _family_sd_estimate(contaminant.family, contaminant.c, model)
-    cores = [10.0 * _family_sd_estimate(base_family, float(c), model) for c in c_grid]
-    axis = _composite_axis(float(pt.theta_w[0]), wide, cores, grid_points, 401)
-    if axis.size < 2:
-        raise InputError(
-            f"the contamination grid collapses to theta_W = {float(pt.theta_w[0])!r}: the "
-            f"contaminant posterior (contaminant-c = {contaminant.c:g}) and every base "
-            "posterior (c-grid) are narrower than the float spacing there"
-        )
-    spec = GridSpec(axes=[axis])
-    contam_post = grid_posterior(model, contaminant, spec=spec)
+    _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")
+    pure = closed_form_posterior(model, contaminant.family, contaminant.c)
     metrics: dict[str, list[float]] = {"tv_to_contaminant": []}
     metrics.update((name, []) for name in eps_names)
     for c in c_grid:
-        base = ScaledPrior(family=base_family, c=float(c), W=model.W)
-        prior = ContaminatedPrior(base=base, contaminant=contaminant, phi=phi)
-        post = grid_posterior(model, prior, spec=spec)
-        metrics["tv_to_contaminant"].append(tv_distance(post, contam_post))
+        base = closed_form_posterior(model, base_family, float(c))
+        post = MixturePosterior(base=base, contaminant=pure, phi=phi)
+        metrics["tv_to_contaminant"].append(post.tv_to_contaminant())
         for name, eps in eps_names.items():
-            metrics[name].append(mass_outside_ball(post, pt.theta_w, eps))
+            metrics[name].append(mass_outside_ball(post, post.base.center, eps))
     return SweepTrace(axis_name="c", axis=c_grid, metrics=metrics)
 
 

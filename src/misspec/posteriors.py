@@ -4,10 +4,12 @@
 family: Gaussian for the normal family, Student-t for the power law and for
 the t family at every c, with c = 0 its small-c limit.  A closed form is
 Gaussian iff its dof is None, and its density is the matching radial
-profile (normal or t) normalized in dimension p.  Numerical posteriors
-are computed on one- or two-dimensional grids in log space with
-max-subtraction before exponentiation, since the radial profile evaluated at
-Q/c underflows catastrophically for small c.
+profile (normal or t) normalized in dimension p.  Under a contaminated prior
+the posterior is exact too: the ``MixturePosterior`` of the two components'
+closed forms, weighted by their marginal likelihoods.
+Numerical posteriors are computed on one- or two-dimensional grids in log
+space with max-subtraction before exponentiation, since the radial profile
+evaluated at Q/c underflows catastrophically for small c.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from misspec.errors import (
     DegenerateLimitError,
     GridError,
     InputError,
+    ModelValidationError,
     NumericalError,
 )
 from misspec.model import ModelInstance, pseudo_true
@@ -39,6 +42,7 @@ from misspec.special import StudentT, t_cdf
 __all__ = [
     "ThetaPrior",
     "ClosedFormPosterior",
+    "MixturePosterior",
     "GridSpec",
     "GridPosterior",
     "closed_form_posterior",
@@ -124,12 +128,15 @@ class ClosedFormPosterior:
     """Gaussian (``dof`` None) or Student-t posterior descriptor.
 
     ``scale`` is the covariance matrix of a Gaussian and the scale matrix (not
-    the covariance) of a Student-t.
+    the covariance) of a Student-t.  ``log_evidence``, where known, is the log
+    marginal likelihood of the data under the prior that gave the posterior,
+    up to a term its model fixes (``RadialFamily.log_evidence``).
     """
 
     center: np.ndarray
     scale: np.ndarray
     dof: float | None = None
+    log_evidence: float | None = None
 
     def __post_init__(self):
         center = _linalg.as_vector(self.center, None, "center")
@@ -175,26 +182,96 @@ def closed_form_posterior(
 
     Centred at theta_W, with the shape of ``family.posterior_shape``; c = 0
     is the small-c limit.  Where the scale is J alone, J must be positive.
+    X'WX must have a condition number below 1e10, the bound every posterior
+    scale is held to.
     """
     if not (c >= 0.0 and math.isfinite(c)):
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
     pt = pseudo_true(model)
+    if not pt.condition_number < 1.0 / _linalg.SPD_RTOL:
+        raise ModelValidationError(
+            f"X'WX has condition number {pt.condition_number:.3e}; closed-form "
+            f"posteriors need it below {1.0 / _linalg.SPD_RTOL:.0e}"
+        )
     dof, spread = family.posterior_shape(c, pt.j_stat, model.k, model.p)
     if dof is None:
         if not spread > 0.0:
             raise InputError(f"prior scale c must be positive, got {c}")
-        return ClosedFormPosterior(center=pt.theta_w, scale=spread * pt.hessian_inv)
-    if (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
+        scale = spread * pt.hessian_inv
+    elif (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
             f"{family.spec_string()} posterior at c = {c:g} requires a positive "
             "J-statistic (its scale is J alone)"
         )
-    return ClosedFormPosterior(center=pt.theta_w, scale=spread / dof * pt.hessian_inv, dof=dof)
+    else:
+        scale = spread / dof * pt.hessian_inv
+    # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
+    j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
+    evidence = family.log_evidence(c, j, model.k, model.p) if family.proper and c > 0.0 else None
+    return ClosedFormPosterior(center=pt.theta_w, scale=scale, dof=dof, log_evidence=evidence)
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
     """Gaussian posterior N(theta_W, c (X'WX)^{-1}) under the normal radial prior."""
     return closed_form_posterior(model, NormalRadial(), c)
+
+
+def _expit(x: float) -> float:
+    """1 / (1 + e^-x), without overflow."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+@dataclass(frozen=True)
+class MixturePosterior:
+    """Posterior under the prior (1 - phi) base + phi contaminant, with a flat theta prior.
+
+    ``base`` and ``contaminant`` are the closed-form posteriors under each
+    prior alone, from one model, with their log evidences.  The posterior is
+    the mixture (1 - w) base + w contaminant, with w = phi m_c / ((1 - phi) m_b
+    + phi m_c) for the marginal likelihoods m.  w is kept as its log odds,
+    so that neither w nor 1 - w cancels when the other is close to 1.  For
+    the normal family log m falls as -J / (2c): when J > 0 the weight moves
+    to the contaminant as the base's c shrinks, and when J = 0 to the base.
+    """
+
+    base: ClosedFormPosterior
+    contaminant: ClosedFormPosterior
+    phi: float
+
+    def __post_init__(self):
+        if not (0.0 < self.phi < 1.0):
+            raise InputError(f"contamination weight phi must be in (0, 1), got {self.phi}")
+        if self.base.log_evidence is None or self.contaminant.log_evidence is None:
+            raise InputError("mixture components need the log evidence of a proper prior")
+        if not np.array_equal(self.base.center, self.contaminant.center):
+            raise InputError("mixture components must share their centre")
+        log_odds = (
+            math.log(self.phi)
+            - math.log1p(-self.phi)
+            + self.contaminant.log_evidence
+            - self.base.log_evidence
+        )
+        if math.isnan(log_odds):
+            # Both evidences underflow, which only normal ones do (J / c overflows).
+            # The wider, larger-c one has the larger evidence; equal ones agree.
+            wider = self.contaminant.scale[0, 0] - self.base.scale[0, 0]
+            log_odds = math.copysign(math.inf, wider)
+        object.__setattr__(self, "log_odds", log_odds)
+
+    @property
+    def p(self) -> int:
+        return self.base.p
+
+    def weights(self) -> tuple[float, float]:
+        """(1 - w, w): the base's and the contaminant's posterior weights."""
+        return _expit(-self.log_odds), _expit(self.log_odds)
+
+    def tv_to_contaminant(self) -> float:
+        """TV distance to the pure contaminant posterior: (1 - w) TV(base, contaminant)."""
+        return self.weights()[0] * tv_distance(self.base, self.contaminant)
 
 
 @dataclass(frozen=True)
@@ -474,8 +551,16 @@ def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -
     )
 
 
+def _std_cdf(post: ClosedFormPosterior) -> Callable[[float], float]:
+    """Lower-tail CDF of a standardized 1-d closed form: the normal's or the t's."""
+    if post.dof is None:
+        return lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
+    dist = StudentT(float(post.dof))
+    return lambda x: float(t_cdf(dist, x))
+
+
 def mass_outside_ball(
-    post: GridPosterior | ClosedFormPosterior,
+    post: GridPosterior | ClosedFormPosterior | MixturePosterior,
     center,
     eps: float,
     norm_matrix: np.ndarray | None = None,
@@ -487,10 +572,15 @@ def mass_outside_ball(
     the grid points outside the ball.  Closed forms are exact: at p = 1 from
     the CDF, in both lower tails; at p = 2 by the angular integral of
     ``_angular_mass``, which needs the ball centred at the posterior centre
-    (an off-centre ball is an InputError).
+    (an off-centre ball is an InputError).  A mixture's mass is the weighted
+    sum of its components' masses, so it is exact too.
     """
     if not eps > 0.0:
         raise InputError(f"ball radius must be positive, got {eps}")
+    if isinstance(post, MixturePosterior):
+        parts = (post.base, post.contaminant)
+        masses = [mass_outside_ball(q, center, eps, norm_matrix) for q in parts]
+        return min(sum(w * m for w, m in zip(post.weights(), masses)), 1.0)
     center = _linalg.as_vector(center, post.p, "center")
     if norm_matrix is None:
         norm = np.eye(post.p)
@@ -508,11 +598,7 @@ def mass_outside_ball(
         m = float(post.center[0])
         s = math.sqrt(post.scale[0, 0])
         lo, hi = center[0] - radius, center[0] + radius
-        if post.dof is None:
-            cdf = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
-        else:
-            dist = StudentT(float(post.dof))
-            cdf = lambda x: float(t_cdf(dist, x))
+        cdf = _std_cdf(post)
         # Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
         return min(max(cdf((lo - m) / s) + cdf((m - hi) / s), 0.0), 1.0)
     if post.p == 2:
@@ -570,8 +656,118 @@ def bayes_action_grid(
     return float(acts[int(np.argmin(risks))])
 
 
-def tv_distance(a: GridPosterior, b: GridPosterior) -> float:
-    """Total variation distance between two grid posteriors on identical grids."""
+def _log_pdf_1d(post: ClosedFormPosterior) -> Callable[[float], float]:
+    """Log density of a 1-d closed form at distance x >= 0 from its centre."""
+    s = math.sqrt(post.scale[0, 0])
+    const = -post._family.log_ball_integral(1) - math.log(s)
+    if post.dof is None:
+        return lambda x: const - 0.5 * (x / s) * (x / s)
+    nu, a = post.dof, 0.5 * (post.dof + 1.0)
+
+    def log_pdf(x: float) -> float:
+        u2 = (x / s) * (x / s) / nu
+        # Past the float range, log1p(u2) is log(u2) to within 1/u2.
+        growth = math.log1p(u2) if u2 < math.inf else 2.0 * math.log(x / s) - math.log(nu)
+        return const - a * growth
+
+    return log_pdf
+
+
+def _stationary_sq(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
+    """The x^2 where the slopes in x^2 of log p_a and log p_b agree (nan if nowhere).
+
+    A t log density's slope in r = x^2 is -alpha / (beta + r), with alpha =
+    (dof + 1) / 2 and beta = dof s^2; a normal's is the constant -1 / (2 s^2).
+    So the slopes agree at most once.
+    """
+    (alpha_a, beta_a), (alpha_b, beta_b) = (
+        (None, 2.0 * v) if q.dof is None else (0.5 * (q.dof + 1.0), q.dof * v)
+        for q, v in ((a, a.scale[0, 0]), (b, b.scale[0, 0]))
+    )
+    if alpha_a is None:
+        return alpha_b * beta_a - beta_b
+    if alpha_b is None:
+        return alpha_a * beta_b - beta_a
+    if alpha_a == alpha_b:
+        return math.nan
+    return (alpha_b * beta_a - alpha_a * beta_b) / (alpha_a - alpha_b)
+
+
+def _bisect_sign_change(h: Callable[[float], float], lo: float, hi: float) -> float:
+    """Where h changes sign in [lo, hi], to the nearest float: halve until no float is between."""
+    positive_lo = h(lo) > 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (h(mid) > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _tv_distance_1d(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
+    """Exact TV distance between two 1-d closed forms that share their centre.
+
+    Both densities are symmetric about the centre, so TV is the integral of
+    |p_a - p_b| over x = |theta - centre| >= 0.  As a function of x^2, log p_a -
+    log p_b has at most one stationary point (``_stationary_sq``), so the
+    densities cross at most twice, at x_1 < x_2, found by bisection on each
+    side of it; then TV = 2 |sum_i (-1)^i (S_a(x_i) - S_b(x_i))|, S the upper
+    tails.  Two normals cross once, in closed form.
+    """
+    sa, sb = math.sqrt(a.scale[0, 0]), math.sqrt(b.scale[0, 0])
+    if a.dof is None and b.dof is None:
+        # Crossing at x / s_narrow = sqrt(2 d / (1 - e^-2d)), d = log(s_wide / s_narrow).
+        d = abs(math.log(sa) - math.log(sb))
+        if d == 0.0:
+            return 0.0
+        x_narrow = math.sqrt(2.0 * d / -math.expm1(-2.0 * d))
+        x_wide = x_narrow * math.exp(-d)
+        return math.erfc(x_wide / math.sqrt(2.0)) - math.erfc(x_narrow / math.sqrt(2.0))
+    log_a, log_b = _log_pdf_1d(a), _log_pdf_1d(b)
+    h = lambda x: log_a(x) - log_b(x)
+    # The heavier tail (smaller dof, a normal's being infinite; then larger
+    # scale) wins as x grows: the sign of h there.
+    key_a = (-(a.dof or math.inf), sa)
+    key_b = (-(b.dof or math.inf), sb)
+    if key_a == key_b:
+        return 0.0
+    positive_tail = key_a > key_b
+    r = _stationary_sq(a, b)
+    knots = [0.0, math.sqrt(r)] if r > 0.0 else [0.0]
+    crossings = []
+    for lo, hi in zip(knots, knots[1:] + [math.inf]):
+        positive_lo = h(lo) > 0.0
+        if hi == math.inf:
+            if positive_lo == positive_tail:
+                continue
+            hi = 2.0 * max(lo, sa, sb)
+            while hi < math.inf and (h(hi) > 0.0) != positive_tail:
+                hi *= 2.0
+        elif (h(hi) > 0.0) == positive_lo:
+            continue
+        crossings.append(_bisect_sign_change(h, lo, hi))
+    cdf_a, cdf_b = _std_cdf(a), _std_cdf(b)
+    total = sum(
+        (-1) ** i * (cdf_a(-x / sa) - cdf_b(-x / sb)) for i, x in enumerate(crossings)
+    )
+    return min(2.0 * abs(total), 1.0)
+
+
+def tv_distance(
+    a: GridPosterior | ClosedFormPosterior, b: GridPosterior | ClosedFormPosterior
+) -> float:
+    """Total variation distance between two posteriors.
+
+    Two grid posteriors must be on identical grids.  Two closed forms must be
+    1-d with one centre, as the sweeps' are; their distance is exact
+    (``_tv_distance_1d``).
+    """
+    if isinstance(a, ClosedFormPosterior) and isinstance(b, ClosedFormPosterior):
+        if not (a.p == b.p == 1 and a.center[0] == b.center[0]):
+            raise InputError("tv_distance of closed forms requires p = 1 and one centre")
+        return _tv_distance_1d(a, b)
+    if not (isinstance(a, GridPosterior) and isinstance(b, GridPosterior)):
+        raise InputError("tv_distance requires two grid posteriors or two closed forms")
     if a.p != b.p or any(
         ax.shape != bx.shape or not np.array_equal(ax, bx)
         for ax, bx in zip(a.axes, b.axes)

@@ -63,6 +63,15 @@ class RadialFamily:
         """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k."""
         raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
 
+    def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
+        """Log marginal likelihood of the data under a flat theta prior, at scale c.
+
+        Up to the term (log|W| - log|X'WX|) / 2, which every family shares:
+        the prior density of Y - X theta, integrated over theta, depends on the
+        data only through J.
+        """
+        raise ImproperPriorError(f"{self.spec_string()} prior has no marginal likelihood")
+
     def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
         """(dof, spread) of the posterior under a flat theta prior, with H = X'WX.
 
@@ -90,6 +99,10 @@ class NormalRadial(RadialFamily):
     def log_tail(self, s: float, k: int) -> float:
         # S is chi-square with k degrees of freedom.
         return special.log_gammaincc(0.5 * k, 0.5 * s)
+
+    def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
+        # J / c overflows only to +inf, where the evidence is 0, its limit.
+        return -0.5 * (k - p) * math.log(2.0 * math.pi * c) - 0.5 * (j / c)
 
     def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
         return None, c
@@ -124,6 +137,22 @@ class StudentTRadial(RadialFamily):
     def log_tail(self, s: float, k: int) -> float:
         # S / k is F(k, dof), whose survival function is an incomplete beta.
         return special.log_betainc(0.5 * self.dof, 0.5 * k, self.dof / (self.dof + s))
+
+    def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
+        # log1p(J / (c dof)), as a softplus of its log, which neither overflows nor
+        # divides by a c dof that underflows.
+        nu = self.dof
+        if j > 0.0:
+            t = math.log(j) - math.log(c) - math.log(nu)
+            growth = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+        else:
+            growth = 0.0
+        return (
+            -0.5 * (k - p) * (math.log(math.pi * nu) + math.log(c))
+            - 0.5 * (nu + k - p) * growth
+            + math.lgamma(0.5 * (nu + k - p))
+            - math.lgamma(0.5 * nu)
+        )
 
     def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
         # Exact at every c; as c -> 0 the scale shrinks only to J / dof' H^{-1}.

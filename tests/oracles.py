@@ -103,6 +103,30 @@ def mass_outside_disc_quad(scale, dof, eps: float) -> float:
     return val
 
 
+def tv_distance_quad(pdf_a, pdf_b, scale: float) -> tuple[float, int]:
+    """(TV distance, sign changes on x > 0) of two densities symmetric about 0, by quadrature.
+
+    Sign changes of p_a - p_b on x > 0 are bracketed on a geometric grid from
+    1e-4 to 1e4 times ``scale`` and refined by Brent's method; 1/2 |p_a - p_b|
+    is integrated by adaptive quadrature between them, where it is smooth,
+    and doubled for x < 0.
+    """
+    diff = lambda x: pdf_a(x) - pdf_b(x)
+    grid = scale * np.geomspace(1e-4, 1e4, 4001)
+    signs = np.sign(diff(grid))
+    cuts = [
+        scipy.optimize.brentq(diff, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        for lo, hi, s_lo, s_hi in zip(grid, grid[1:], signs, signs[1:])
+        if s_lo * s_hi < 0
+    ]
+    knots = [0.0, *cuts, np.inf]
+    total = sum(
+        scipy.integrate.quad(lambda x: abs(diff(x)), lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        for lo, hi in zip(knots, knots[1:])
+    )
+    return total, len(cuts)
+
+
 def random_spd(rng: np.random.Generator, k: int, spread: float = 1.0) -> np.ndarray:
     a = rng.standard_normal((k, k))
     q, _ = np.linalg.qr(a)

@@ -36,6 +36,7 @@ from misspec.montecarlo import (
 )
 from misspec.posteriors import (
     GridSpec,
+    MixturePosterior,
     ThetaPrior,
     closed_form_posterior,
     grid_posterior,
@@ -174,6 +175,20 @@ def test_criterion_5_contamination_fragility(acceptance_report):
             EXACT_FIT, NormalRadial(), contaminant, 0.01, [1e-6], eps_list=[0.05]
         )
         assert trace0.metrics["mass_outside_0.05"][0] < 0.01
+        # Fragile to small changes in priors: with J > 0 the base posterior's
+        # weight 1 - w vanishes as c shrinks, below 1e-100 at c = 1e-2 on m1;
+        # at an exact fit (J = 0, k > p) the contaminant's weight w does.
+        def weights(model, c):
+            base, contam = (closed_form_posterior(model, NormalRadial(), s) for s in (c, 4.0))
+            return MixturePosterior(base=base, contaminant=contam, phi=0.01).weights()
+
+        m1 = load_model(os.path.join(os.path.dirname(__file__), "golden", "m1.json"))
+        assert pseudo_true(m1).j_stat > 1.0 and pseudo_true(EXACT_FIT).j_stat < 1e-30
+        c_grid = [1.0, 1e-1, 1e-2, 1e-4]
+        for model, vanishing in ((m1, 0), (CANON, 0), (EXACT_FIT, 1)):
+            w = [weights(model, c)[vanishing] for c in c_grid]
+            assert all(b < a for a, b in zip(w, w[1:])) and w[-1] < 1e-4, w
+        assert 0.0 < weights(m1, 1e-2)[0] < 1e-100
 
 
 def test_criterion_6_identified_set_geometry(acceptance_report):

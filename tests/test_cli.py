@@ -144,21 +144,6 @@ class TestNonFiniteInputs:
         "coverage-sd-nan": (["coverage", "--reps", "1000", "--theta-sd", "nan"], "sd"),
         "coverage-sd-inf": (["coverage", "--reps", "1000", "--theta-sd", "inf"], "sd"),
         "coverage-mean": (["coverage", "--reps", "1000", "--theta-mean", "nan,0"], "mean"),
-        "contaminate-points-neg": (
-            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
-             "--grid-points", "-5"],
-            "grid_points",
-        ),
-        "contaminate-points-1": (
-            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
-             "--grid-points", "1"],
-            "grid_points",
-        ),
-        "contaminate-collapsed-grid": (
-            ["contaminate", "--model", "{m1}", "--phi", "1e-300", "--c-grid", "1e-300,1e300",
-             "--contaminant-c", "1e-300"],
-            "contaminant-c",
-        ),
         "concentration-eps-alike": (
             ["concentration", "--model", "{m1}", "--c-grid", "1e-2", "--eps", "0.1,0.1"],
             "'mass_outside_0.1'",
@@ -177,6 +162,10 @@ class TestNonFiniteInputs:
         "model-k-fraction": (["analyze", "--model", "{k_fraction}"], "got 2.7"),
         "model-p-bool": (["pivot", "--model", "{p_bool}"], "got True"),
         "model-k-string": (["analyze", "--model", "{k_string}"], "got '2'"),
+        "concentration-ill-conditioned": (
+            ["concentration", "--model", "{ill_conditioned}", "--c-grid", "1e-2"],
+            "X'WX has condition number",
+        ),
     }
     # Input files written per test; the rest of each model is the canonical one.
     ARRAYS = '"Y": [0.0, 2.0], "X": [[1.0], [1.0]], "W": [[1.0, 0.0], [0.0, 1.0]]}'
@@ -186,6 +175,11 @@ class TestNonFiniteInputs:
         "k_fraction": ('{"k": 2.7, "p": 1, ' + ARRAYS).encode(),
         "p_bool": ('{"k": 2, "p": true, ' + ARRAYS).encode(),
         "k_string": ('{"k": "2", "p": 1, ' + ARRAYS).encode(),
+        "ill_conditioned": json.dumps({
+            "k": 4, "p": 2, "Y": [0.3, 2.1, -0.7, 1.4],
+            "X": [[1.0, 1.0], [1.0, 1.0 + 1e-6], [1.0, 1.0 - 1e-6], [1.0, 1.0]],
+            "W": np.eye(4).tolist(),
+        }).encode(),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -342,6 +336,14 @@ class TestSweepCommands:
         )
         assert code == 1 and "--grid-points" in err
 
+    def test_contaminate_has_no_grid_points_flag(self, canon_file, capsys):
+        code, _, err = _run(
+            ["contaminate", "--model", canon_file, "--phi", "0.01", "--c-grid", "1e-2",
+             "--grid-points", "401"],
+            capsys,
+        )
+        assert code == 1 and "--grid-points" in err
+
     @staticmethod
     def _concentration_rows(capsys, *flags) -> dict:
         m1 = os.path.join(os.path.dirname(__file__), "golden", "m1.json")
@@ -371,7 +373,7 @@ class TestSweepCommands:
     def test_contaminate_csv(self, canon_file, capsys):
         code, out, _ = _run(
             ["contaminate", "--model", canon_file, "--phi", "0.01",
-             "--c-grid", "1e-6", "--contaminant-c", "4.0", "--grid-points", "401"],
+             "--c-grid", "1e-6", "--contaminant-c", "4.0"],
             capsys,
         )
         assert code == 0
@@ -390,6 +392,20 @@ class TestSweepCommands:
         )
         assert code == 0 and err == ""
         assert out.splitlines()[0] == "axis,metric,value"
+
+    def test_contaminate_extreme_scales_are_probabilities(self, capsys):
+        # Base and contaminant posteriors far narrower than the float spacing at
+        # theta_W, and one far wider, with a contaminant weight near underflow.
+        m1 = os.path.join(os.path.dirname(__file__), "golden", "m1.json")
+        code, out, err = _run(
+            ["contaminate", "--model", m1, "--phi", "1e-300", "--c-grid", "1e-300,1e300",
+             "--contaminant-c", "1e-300"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        assert len(rows) == 2 * 2
+        assert all(0.0 <= float(v) <= 1.0 for _, _, v in rows)
 
     def test_tails_csv(self, capsys):
         code, out, _ = _run(

@@ -409,19 +409,34 @@ class TestSweeps:
         limit_sd = posterior_sd(closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0))[0]
         assert abs(sds[0] - limit_sd) < 0.03 * limit_sd
 
-    @pytest.mark.parametrize("family", [NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)])
-    def test_concentration_builds_no_grid(self, canon_model, family, monkeypatch):
+    @staticmethod
+    def _forbid_grids(monkeypatch):
+        """Make every grid posterior fail: the sweeps must not build one."""
         from misspec import posteriors
 
-        for module in (montecarlo, posteriors):
-            monkeypatch.setattr(module, "grid_posterior", _must_not_run)
-        monkeypatch.setattr(montecarlo, "_family_sd_estimate", _must_not_run)
+        assert not hasattr(montecarlo, "grid_posterior")
+        monkeypatch.setattr(posteriors, "grid_posterior", _must_not_run)
+        monkeypatch.setattr(posteriors, "_normalize_grid", _must_not_run)
+
+    @pytest.mark.parametrize("family", [NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)])
+    def test_concentration_builds_no_grid(self, canon_model, family, monkeypatch):
+        self._forbid_grids(monkeypatch)
         m2 = ModelInstance(
             Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
         )
         for model in (canon_model, m2):
             trace = run_concentration(model, family, [1e-6, 1e-2, 1.0], [0.1, 0.5])
             assert all(np.all(np.isfinite(v)) for v in trace.metrics.values())
+
+    @pytest.mark.parametrize("base", [NormalRadial(), StudentTRadial(3.0)])
+    @pytest.mark.parametrize("contaminant", [NormalRadial(), StudentTRadial(30.0)])
+    def test_contamination_builds_no_grid(self, canon_model, base, contaminant, monkeypatch):
+        self._forbid_grids(monkeypatch)
+        for name in ("_composite_axis", "_family_sd_estimate"):
+            assert not hasattr(montecarlo, name)
+        contam = ScaledPrior(family=contaminant, c=4.0, W=np.eye(2))
+        trace = run_contamination(canon_model, base, contam, 0.01, [1e-6, 1e-2, 1.0], [0.05, 0.5])
+        assert all(np.all((v >= 0.0) & (v <= 1.0)) for v in trace.metrics.values())
 
     def test_concentration_grid_points_not_truncated(self, canon_model):
         with pytest.raises(GridError, match="integer"):
@@ -431,7 +446,7 @@ class TestSweeps:
         "c_grid", [[1e-2, 1e-4], [1e-2, 0.0], [-1.0, 1.0], [1e-2, np.inf], [np.nan], []]
     )
     def test_c_grid_checked_before_any_posterior(self, canon_model, c_grid, monkeypatch):
-        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
+        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         with pytest.raises(InputError, match="c_grid"):
             run_concentration(canon_model, NormalRadial(), c_grid, [0.1])
@@ -442,7 +457,7 @@ class TestSweeps:
     def test_eps_printing_alike_rejected_before_any_posterior(self, canon_model, eps_list, monkeypatch):
         # Each eps names the metric mass_outside_<eps:g>; two that print alike
         # would collide in the trace.
-        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
+        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         match = r"eps values 0\.1 and 0\.1(000001)? both give the metric 'mass_outside_0\.1'"
         with pytest.raises(InputError, match=match):
@@ -452,7 +467,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
     def test_nonpositive_eps_rejected_before_any_posterior(self, canon_model, eps, monkeypatch):
-        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
+        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         with pytest.raises(InputError, match="ball radius must be positive"):
             run_concentration(canon_model, NormalRadial(), [1e-2], [0.1, eps])
@@ -460,7 +475,7 @@ class TestSweeps:
             run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2], [0.1, eps])
 
     def test_improper_contamination_rejected_before_any_posterior(self, canon_model, monkeypatch):
-        monkeypatch.setattr(montecarlo, "grid_posterior", _must_not_run)
+        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
         proper = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         improper = ScaledPrior(family=PowerLawRadial(2.0), c=4.0, W=np.eye(2))
         with pytest.raises(ImproperPriorError):

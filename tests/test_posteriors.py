@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from misspec.errors import (
     DegenerateLimitError,
     GridError,
     InputError,
+    ModelValidationError,
     NumericalError,
 )
 from misspec.model import ModelInstance, pseudo_true
 from misspec.posteriors import (
     ClosedFormPosterior,
     GridSpec,
+    MixturePosterior,
     ThetaPrior,
     bayes_action_grid,
     bayes_action_quadratic,
@@ -32,6 +35,7 @@ from misspec.priors import (
     ScaledPrior,
     StudentTRadial,
 )
+from oracles import tv_distance_quad
 
 
 def _grid_for(model, prior, sd, points=2001, theta_prior=None, width=8.0):
@@ -488,6 +492,124 @@ class TestTvDistance:
         b = _grid_for(canon_model, prior, sd=0.5, points=102)
         with pytest.raises(InputError):
             tv_distance(a, b)
+
+
+class TestClosedFormTvDistance:
+    # (dof, scale) pairs sharing a centre, with the number of times their
+    # densities cross on each side of it.
+    PAIRS = {
+        "normal-normal": ((None, 1.0), (None, 2.0), 1),
+        "normal-t5": ((None, 1.0), (5.0, 1.0), 1),
+        "t1-normal": ((1.0, 0.3), (None, 1.0), 2),
+        "t3-t3": ((3.0, 0.5), (3.0, 1.5), 1),
+        "t3-t30": ((3.0, 0.7), (30.0, 1.0), 2),
+        "t3-t30-one": ((3.0, 1.0), (30.0, 1.0), 1),
+    }
+
+    @staticmethod
+    def _closed_and_pdf(dof, scale, center=0.25):
+        post = ClosedFormPosterior(center=[center], scale=[[scale * scale]], dof=dof)
+        dist = stats.norm(0.0, scale) if dof is None else stats.t(dof, 0.0, scale)
+        return post, dist.pdf
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_matches_quadrature(self, pair):
+        spec_a, spec_b, crossings = self.PAIRS[pair]
+        a, pdf_a = self._closed_and_pdf(*spec_a)
+        b, pdf_b = self._closed_and_pdf(*spec_b)
+        want, found = tv_distance_quad(pdf_a, pdf_b, 1.0)
+        assert found == crossings
+        assert_allclose(tv_distance(a, b), want, rtol=1e-10)
+        assert_allclose(tv_distance(b, a), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("dof", [None, 4.0])
+    def test_identical_forms_are_zero(self, dof):
+        a, _ = self._closed_and_pdf(dof, 0.8)
+        assert tv_distance(a, a) == 0.0
+
+    def test_scales_far_apart_are_one(self):
+        a, _ = self._closed_and_pdf(None, 1e-150)
+        b, _ = self._closed_and_pdf(3.0, 1e150)
+        assert tv_distance(a, b) == 1.0
+
+    def test_needs_one_centre_and_p1(self, canon_model):
+        a, _ = self._closed_and_pdf(None, 1.0)
+        b, _ = self._closed_and_pdf(None, 1.0, center=0.5)
+        with pytest.raises(InputError, match="one centre"):
+            tv_distance(a, b)
+        flat = ClosedFormPosterior(center=[0.0, 0.0], scale=np.eye(2))
+        with pytest.raises(InputError, match="p = 1"):
+            tv_distance(flat, flat)
+        grid = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
+        with pytest.raises(InputError, match="two grid posteriors"):
+            tv_distance(grid, a)
+
+
+def _mixture(model, base_family, c, family, c_cont, phi):
+    """The exact posterior under (1 - phi) base at c + phi contaminant at c_cont."""
+    base, contam = (closed_form_posterior(model, f, s) for f, s in ((base_family, c), (family, c_cont)))
+    return MixturePosterior(base=base, contaminant=contam, phi=phi)
+
+
+class TestMixturePosterior:
+    def test_weights_from_the_marginal_likelihoods(self, canon_model):
+        # canon: k = 2, p = 1, J = 2, so log m = -1/c - log(2 pi c) / 2 for the normal.
+        post = _mixture(canon_model, NormalRadial(), 0.5, NormalRadial(), 4.0, 0.25)
+        log_m = [-1.0 / c - 0.5 * math.log(2.0 * math.pi * c) for c in (0.5, 4.0)]
+        odds = 0.25 / 0.75 * math.exp(log_m[1] - log_m[0])
+        assert_allclose(post.weights(), [1.0 / (1.0 + odds), odds / (1.0 + odds)], rtol=1e-14)
+        assert_allclose(post.log_odds, math.log(odds), rtol=1e-14)
+
+    def test_weights_do_not_cancel(self, canon_model):
+        post = _mixture(canon_model, NormalRadial(), 1e-2, NormalRadial(), 4.0, 0.01)
+        w_base, w_cont = post.weights()
+        assert w_cont == 1.0 and 0.0 < w_base < 1e-40
+        assert_allclose(math.log(w_base), -post.log_odds, rtol=1e-12)
+
+    def test_float_noise_in_j_counts_as_zero(self):
+        # J here is about 4e-31, float noise below the fit's noise floor; taken
+        # at face value it would give the contaminant all the weight at c = 1e-40.
+        noisy = ModelInstance(Y=[3.0, 3.0], X=[[1.0], [1.0]], W=np.eye(2))
+        assert 0.0 < pseudo_true(noisy).j_stat <= pseudo_true(noisy).noise_floor
+        post = _mixture(noisy, NormalRadial(), 1e-40, NormalRadial(), 4.0, 0.01)
+        assert post.weights()[1] < 1e-20
+
+    def test_mass_and_tv_are_the_weighted_components(self, canon_model):
+        post = _mixture(canon_model, StudentTRadial(3.0), 0.3, NormalRadial(), 4.0, 0.2)
+        w_base, w_cont = post.weights()
+        assert 0.01 < w_cont < 0.99
+        parts = [mass_outside_ball(q, [1.0], 0.5) for q in (post.base, post.contaminant)]
+        assert_allclose(mass_outside_ball(post, [1.0], 0.5), w_base * parts[0] + w_cont * parts[1])
+        assert_allclose(post.tv_to_contaminant(), w_base * tv_distance(post.base, post.contaminant))
+
+    def test_evidences_that_both_underflow(self, canon_model):
+        # J / c overflows at both scales, so both normal evidences are -inf; the
+        # larger c has the larger evidence.
+        post = _mixture(canon_model, NormalRadial(), 1e-311, NormalRadial(), 1e-310, 0.5)
+        assert post.base.log_evidence == post.contaminant.log_evidence == -math.inf
+        assert post.weights() == (0.0, 1.0) and post.tv_to_contaminant() == 0.0
+
+    def test_components_must_be_proper_mixable(self, canon_model):
+        normal = closed_form_posterior(canon_model, NormalRadial(), 1.0)
+        limit = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
+        with pytest.raises(InputError, match="log evidence"):
+            MixturePosterior(base=limit, contaminant=normal, phi=0.1)
+        with pytest.raises(InputError, match="phi"):
+            MixturePosterior(base=normal, contaminant=normal, phi=1.0)
+        shifted = ModelInstance(Y=[1.0, 3.0], X=[[1.0], [1.0]], W=np.eye(2))
+        other = closed_form_posterior(shifted, NormalRadial(), 1.0)
+        with pytest.raises(InputError, match="centre"):
+            MixturePosterior(base=normal, contaminant=other, phi=0.1)
+
+
+class TestIllConditioned:
+    def test_closed_form_names_the_condition_number(self):
+        # X'WX has condition number about 8e12, beyond the 1e10 every posterior
+        # scale is held to; the model itself passes validation.
+        x = [[1.0, 1.0], [1.0, 1.0 + 1e-6], [1.0, 1.0 - 1e-6], [1.0, 1.0]]
+        m = ModelInstance(Y=[0.3, 2.1, -0.7, 1.4], X=x, W=np.eye(4))
+        with pytest.raises(ModelValidationError, match=r"X'WX has condition number [78]\.\d+e\+12.*1e\+10"):
+            closed_form_posterior(m, NormalRadial(), 1e-2)
 
 
 class TestFragility:

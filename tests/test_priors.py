@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 from numpy.testing import assert_allclose
 
@@ -302,6 +303,50 @@ class TestTailRatio:
     def test_improper_family_has_no_tail(self):
         with pytest.raises(ImproperPriorError):
             PowerLawRadial(3.0).log_tail(1.0, 2)
+
+
+class TestLogEvidence:
+    @staticmethod
+    def _model(k):
+        rng = np.random.default_rng(k)
+        w = random_spd(rng, k)
+        return rng.standard_normal(k), rng.standard_normal(k), w
+
+    @pytest.mark.parametrize(
+        "family", [NormalRadial(), StudentTRadial(3.0), StudentTRadial(0.7)], ids=str
+    )
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("c", [0.3, 1.0, 5.0])
+    def test_matches_quadrature_over_theta(self, family, k, c):
+        # The prior density of y - x theta, integrated over a flat theta, is the
+        # evidence times |W|^(1/2) |x'Wx|^(-1/2).
+        y, x, w = self._model(k)
+        prior = ScaledPrior(family=family, c=c, W=w)
+        h = float(x @ w @ x)
+        theta_w = float(x @ w @ y) / h
+        j = float((y - x * theta_w) @ w @ (y - x * theta_w))
+        quad = scipy.integrate.quad(
+            lambda t: math.exp(prior.log_density(y - x * t)),
+            -np.inf, np.inf, points=None, epsabs=0.0, epsrel=1e-13, limit=400,
+        )[0]
+        log_det_w = float(np.linalg.slogdet(w)[1])
+        got = family.log_evidence(c, j, k, 1) + 0.5 * log_det_w - 0.5 * math.log(h)
+        assert_allclose(got, math.log(quad), rtol=1e-13, atol=1e-14)
+
+    def test_t_tends_to_normal(self):
+        want = NormalRadial().log_evidence(0.5, 2.0, 4, 1)
+        assert_allclose(StudentTRadial(1e8).log_evidence(0.5, 2.0, 4, 1), want, rtol=1e-7)
+
+    @pytest.mark.parametrize("family", [NormalRadial(), StudentTRadial(3.0)], ids=str)
+    def test_extreme_scales_stay_in_range(self, family):
+        # J / c overflows, and c dof underflows; the t evidence stays finite.
+        for c in (5e-324, 1e-300, 1e300):
+            value = family.log_evidence(c, 2.0, 4, 1)
+            assert value < math.inf and (value > -math.inf or family == NormalRadial())
+
+    def test_improper_family_has_none(self):
+        with pytest.raises(ImproperPriorError):
+            PowerLawRadial(3.0).log_evidence(1.0, 2.0, 4, 1)
 
 
 class TestContaminated:

@@ -23,14 +23,22 @@ from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
     ClosedFormPosterior,
     GridSpec,
+    MixturePosterior,
     closed_form_posterior,
     grid_posterior,
     mass_outside_ball,
     normal_posterior,
+    tv_distance,
 )
 from misspec.posteriors import _grid_cell_weights
 from misspec.montecarlo import ks_statistic, run_tails
-from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
+from misspec.priors import (
+    ContaminatedPrior,
+    NormalRadial,
+    PowerLawRadial,
+    ScaledPrior,
+    StudentTRadial,
+)
 from misspec.special import StudentT, t_quantile
 from oracles import ks_statistic_full, random_model_arrays, random_spd
 
@@ -236,6 +244,74 @@ def test_grid_concentration_metrics_match_the_exact_ones(seed, shape, family, c,
     assert np.all(np.abs(post.mean() - cf.center) <= 1e-9 * sd)
     if cf.dof is None:
         assert_allclose(post.sd(), cf.marginal_sd(), rtol=1e-6)
+
+
+def _first_order_error(axis, dens, peak, centre) -> float:
+    """Sum over grid cells of width times the density's oscillation on the cell.
+
+    This bounds the trapezoid rule's error for the density and for any
+    function whose oscillation on each cell is at most the density's.  The
+    density decreases away from ``centre``, so the oscillation is the change
+    across the cell, except on the cell holding the centre, where it is at
+    most the peak minus the smaller end.
+    """
+    osc = np.abs(np.diff(dens))
+    j = min(max(int(np.searchsorted(axis, centre)) - 1, 0), osc.size - 1)
+    osc[j] = peak - min(dens[j], dens[j + 1])
+    return float(np.diff(axis) @ osc)
+
+
+mixable_families = st.one_of(st.just(NormalRadial()), st.floats(2.0, 30.0).map(StudentTRadial))
+
+
+@given(
+    seeds,
+    st.sampled_from([2, 3, 5]),
+    mixable_families,
+    mixable_families,
+    st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-3.0, np.log10(0.5)).map(lambda e: 10.0**e),
+    st.floats(0.3, 4.0),
+)
+def test_contaminated_grid_matches_the_mixture(seed, k, base_family, family, c, c_cont, phi, z):
+    rng = np.random.default_rng(seed)
+    m = ModelInstance(
+        Y=2.0 * rng.standard_normal(k), X=rng.standard_normal((k, 1)), W=random_spd(rng, k)
+    )
+    contaminant = ScaledPrior(family=family, c=c_cont, W=m.W)
+    prior = ContaminatedPrior(ScaledPrior(family=base_family, c=c, W=m.W), contaminant, phi)
+    mix = MixturePosterior(
+        base=closed_form_posterior(m, base_family, c),
+        contaminant=closed_form_posterior(m, family, c_cont),
+        phi=phi,
+    )
+    parts = (mix.base, mix.contaminant)
+    centre = float(mix.base.center[0])
+    # One dense axis per component, out to 12 sd for a normal and 40 scales
+    # for a t, whose tails are heavier.
+    halves = [(12.0 if q.dof is None else 40.0) * np.sqrt(q.scale[0, 0]) for q in parts]
+    axis = np.unique(np.concatenate([np.linspace(centre - h, centre + h, 20001) for h in halves]))
+    grid = grid_posterior(m, prior, None, GridSpec(axes=[axis]))
+    pure = grid_posterior(m, contaminant, None, GridSpec(axes=[axis]))
+    # Every density here is a mixture of the two components, so its first-order
+    # trapezoid error is at most the sum of theirs, and its mass beyond the
+    # grid at most the larger of theirs.
+    dens = [q.density(axis[:, None]) for q in parts]
+    error = sum(_first_order_error(axis, f, q.density(q.center), centre) for f, q in zip(dens, parts))
+    cut = max(mass_outside_ball(q, [centre], max(halves)) for q in parts)
+    # A grid point's weight falls wholly inside or outside the ball, so the
+    # cells that straddle its boundary add their width times the density there.
+    eps = z * float(min(np.sqrt(q.scale[0, 0]) for q in parts))
+    outside = np.abs(axis - centre) > eps
+    edge = np.flatnonzero(outside[1:] != outside[:-1])
+    straddle = sum(
+        float(np.diff(axis)[edge] @ np.maximum(f[edge], f[edge + 1])) for f in dens
+    )
+    assert abs(mass_outside_ball(grid, [centre], eps) - mass_outside_ball(mix, [centre], eps)) <= (
+        2.0 * (error + straddle + cut)
+    )
+    assert abs(tv_distance(grid, pure) - mix.tv_to_contaminant()) <= 2.0 * (error + cut)
 
 
 @given(
