@@ -48,11 +48,19 @@ def _run(args, capsys):
     return code, out.out, out.err
 
 
-def _error(args, capsys, code=1) -> str:
-    """The message of the one JSON line on stderr that ``args`` must exit ``code`` with."""
+def _error(args, capsys, code=1, usage=False) -> str:
+    """The message of the one JSON line on stderr that ``args`` must exit ``code`` with.
+
+    With ``usage`` the line must follow the usage text that an argv error prints first.
+    """
     status, out, err = _run(args, capsys)
     assert status == code and out == ""
-    (line,) = err.splitlines()
+    lines = err.splitlines()
+    if usage:
+        assert lines[0].startswith("usage:")
+        assert not any(ln.startswith("{") for ln in lines[:-1])
+        lines = lines[-1:]
+    (line,) = lines
     payload = json.loads(line)
     assert payload.keys() == {"code", "message"} and payload["code"] == code
     return payload["message"]
@@ -144,6 +152,18 @@ class TestNonFiniteInputs:
         "coverage-sd-nan": (["coverage", "--reps", "1000", "--theta-sd", "nan"], "sd"),
         "coverage-sd-inf": (["coverage", "--reps", "1000", "--theta-sd", "inf"], "sd"),
         "coverage-mean": (["coverage", "--reps", "1000", "--theta-mean", "nan,0"], "mean"),
+        # The sweep is closed-form: a grid size, good or bad, is an unknown flag,
+        # refused after the usage text (see USAGE).
+        "contaminate-points-neg": (
+            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
+             "--grid-points", "-5"],
+            "--grid-points",
+        ),
+        "contaminate-points-1": (
+            ["contaminate", "--model", "{m1}", "--phi", "0.01", "--c-grid", "1e-2",
+             "--grid-points", "1"],
+            "--grid-points",
+        ),
         "concentration-eps-alike": (
             ["concentration", "--model", "{m1}", "--c-grid", "1e-2", "--eps", "0.1,0.1"],
             "'mass_outside_0.1'",
@@ -167,6 +187,8 @@ class TestNonFiniteInputs:
             "X'WX has condition number",
         ),
     }
+    # Cases refused by the argv parser, which prints the usage text first.
+    USAGE = {"contaminate-points-neg", "contaminate-points-1"}
     # Input files written per test; the rest of each model is the canonical one.
     ARRAYS = '"Y": [0.0, 2.0], "X": [[1.0], [1.0]], "W": [[1.0, 0.0], [0.0, 1.0]]}'
     FILES = {
@@ -190,7 +212,8 @@ class TestNonFiniteInputs:
         for name, content in self.FILES.items():
             paths[name] = tmp_path / f"{name}.json"
             paths[name].write_bytes(content)
-        assert word in _error([a.format(**paths) for a in argv], capsys)
+        argv = [a.format(**paths) for a in argv]
+        assert word in _error(argv, capsys, usage=case in self.USAGE)
 
 
 class TestCoverage:
@@ -332,14 +355,6 @@ class TestSweepCommands:
     def test_concentration_has_no_grid_points_flag(self, canon_file, capsys):
         code, _, err = _run(
             ["concentration", "--model", canon_file, "--c-grid", "1e-2", "--grid-points", "801"],
-            capsys,
-        )
-        assert code == 1 and "--grid-points" in err
-
-    def test_contaminate_has_no_grid_points_flag(self, canon_file, capsys):
-        code, _, err = _run(
-            ["contaminate", "--model", canon_file, "--phi", "0.01", "--c-grid", "1e-2",
-             "--grid-points", "401"],
             capsys,
         )
         assert code == 1 and "--grid-points" in err
