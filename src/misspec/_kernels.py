@@ -12,9 +12,9 @@ draws of ``_rng`` (``log`` and ``cos`` from compiled loops over the C library
 functions, see its docstring) the eta draws and t statistics are
 bit-identical to the scalar reference kept in the tests.
 
-Per-replication draw order is fixed: theta components first (coverage only,
-and skipped rather than drawn), then the misspecification vector; the t
-radial family draws its chi-square mixing variable before the normal vector.
+Both kernels reduce a replication to the scale-free t statistic of its eta
+(``_tstats``), so the t family's chi-square draw only advances the stream.
+Draw order: theta (coverage only; skipped, not drawn), chi-square (t), normals.
 """
 
 from __future__ import annotations
@@ -73,23 +73,31 @@ def _quad_form(b_mat, y):
 
 
 def _draw_eta(state, eta_code, nu_tilde, eta_mix):
-    """eta per replication, shape (k, n).
+    """(eta_mix z, shape (k, n); the t family's chi-square w, else None).
 
-    eta = eta_mix z (scaled) for the elliptical families; the shifted
-    exponential control draws independent asymmetric coordinates directly.
+    The t family's eta is (eta_mix z) sqrt(nu / w), with w drawn first; the
+    shifted exponential control draws independent asymmetric coordinates.
     """
     k = eta_mix.shape[0]
     if eta_code == ETA_SHIFTED_EXPONENTIAL:
-        return np.array([next_exponential(state) - 1.0 for _ in range(k)])
-    scale = 1.0
-    if eta_code == ETA_STUDENT_T:
-        scale = np.sqrt(nu_tilde / next_chisquare(state, nu_tilde))
-    return _matvec(eta_mix, next_normals(state, k)) * scale
+        return np.array([next_exponential(state) - 1.0 for _ in range(k)]), None
+    w = next_chisquare(state, nu_tilde) if eta_code == ETA_STUDENT_T else None
+    return _matvec(eta_mix, next_normals(state, k)), w
 
 
-def _eta_projections(eta, a_v, b_mat):
-    """(a_v'eta, eta'B eta) per replication: the t statistic's centre and J."""
-    return _dot(a_v, eta), _quad_form(b_mat, eta)
+def _tstats(seed, rep_start, rep_stop, theta_draws, eta_mix, eta_code, nu, a_v, b, sigma_v, km_p):
+    """(offset from rep_start, T) per block, T = a_v'eta / sqrt(eta'B eta / (k - p) sigma_v^2).
+
+    Each stream first skips the ``theta_draws`` uniforms of its theta draw.
+    J is clamped at 0: a J that rounds to 0 or below gives a non-finite T, silently.
+    """
+    for offset, state in _blocks(seed, rep_start, rep_stop):
+        skip_uniforms(state, theta_draws)
+        eta, _ = _draw_eta(state, eta_code, nu, eta_mix)
+        jstat = np.maximum(_quad_form(b, eta), 0.0) / km_p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = _dot(a_v, eta) / np.sqrt(jstat * sigma_v * sigma_v)
+        yield offset, t
 
 
 def coverage_hits(
@@ -110,19 +118,12 @@ def coverage_hits(
 
     With Y = X theta + eta, A X = I and B X = 0, the interval centre
     v'theta_W(Y) - v'theta is a_v'eta and J = Y'B Y is eta'B eta, so the
-    interval covers v'theta iff |a_v'eta| <= t* sqrt(J / (k - p)) sigma_v:
-    the pivotal t statistic of eta is at most t* in size.  Neither theta nor
-    the scale of eta enters, so each stream skips the ``theta_draws``
-    uniforms of its theta draw and draws eta with ``eta_mix`` as given.
+    interval covers v'theta iff |T| <= t* for the pivotal t statistic T of
+    eta.  Neither theta nor the scale of eta enters T.
     """
-    hits = 0
-    for _, state in _blocks(seed, rep_start, rep_stop):
-        skip_uniforms(state, theta_draws)
-        eta = _draw_eta(state, eta_code, nu_tilde, eta_mix)
-        centre, jstat = _eta_projections(eta, a_v, b_mat)
-        hw = tstar * np.sqrt(np.maximum(jstat, 0.0) / km_p) * sigma_v
-        hits += int(np.count_nonzero(np.abs(centre) <= hw))
-    return hits
+    args = (theta_draws, eta_mix, eta_code, nu_tilde, a_v, b_mat, sigma_v, km_p)
+    blocks = _tstats(seed, rep_start, rep_stop, *args)
+    return sum(int(np.count_nonzero(np.abs(t) <= tstar)) for _, t in blocks)
 
 
 def pivot_tstats(
@@ -143,8 +144,7 @@ def pivot_tstats(
     studentizer built from eta'B eta, so only eta is drawn.
     """
     out = np.empty(rep_stop - rep_start)
-    for offset, state in _blocks(seed, rep_start, rep_stop):
-        eta = _draw_eta(state, eta_code, nu_tilde, eta_mix)
-        centre, jstat = _eta_projections(eta, a_v, b_mat)
-        out[offset : offset + state.size] = centre / np.sqrt(jstat / km_p * sigma_v * sigma_v)
+    args = (0, eta_mix, eta_code, nu_tilde, a_v, b_mat, sigma_v, km_p)
+    for offset, t in _tstats(seed, rep_start, rep_stop, *args):
+        out[offset : offset + t.size] = t
     return out

@@ -183,7 +183,7 @@ def closed_form_posterior(
     Centred at theta_W, with the shape of ``family.posterior_shape``; c = 0
     is the small-c limit.  Where the scale is J alone, J must be positive.
     X'WX must have a condition number below 1e10, the bound every posterior
-    scale is held to.
+    scale is held to; a scale that underflows in float64 is refused by its c.
     """
     if not (c >= 0.0 and math.isfinite(c)):
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
@@ -208,7 +208,10 @@ def closed_form_posterior(
     # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
     j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
     evidence = family.log_evidence(c, j, model.k, model.p) if family.proper and c > 0.0 else None
-    return ClosedFormPosterior(center=pt.theta_w, scale=scale, dof=dof, log_evidence=evidence)
+    try:
+        return ClosedFormPosterior(center=pt.theta_w, scale=scale, dof=dof, log_evidence=evidence)
+    except ModelValidationError as exc:
+        raise InputError(f"posterior at prior scale c = {c:g} is unrepresentable: {exc}") from None
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:

@@ -119,8 +119,8 @@ class StudentTRadial(RadialFamily):
     proper = True
 
     def __post_init__(self):
-        if not (self.dof > 0.0 and math.isfinite(self.dof)):
-            raise InputError(f"t radial dof must be positive and finite, got {self.dof}")
+        if not (0.5 * self.dof > 0.0 and math.isfinite(self.dof)):
+            raise InputError(f"t radial dof must be finite with dof/2 positive, got {self.dof}")
 
     def log_f(self, u, k: int):
         u = np.asarray(u, dtype=np.float64)
@@ -283,15 +283,14 @@ def density(prior: ScaledPrior, eta, *, allow_unnormalized: bool = False) -> flo
     return float(np.exp(prior.log_density(eta, allow_unnormalized=allow_unnormalized)))
 
 
-# Smallest t dof the kernels' eta draw accepts.  The t family scales eta by
-# sqrt(dof / w) with w ~ chi2(dof) = 2 Gamma(dof/2), and for a shape
+# Smallest t dof ``sample_eta`` accepts; the kernels never apply the t scale.
+# A row is scaled by sqrt(dof / w), w ~ chi2(dof) = 2 Gamma(dof/2), and for
 # a = dof/2 < 1 the gamma draw is u^(1/a) Gamma(a + 1), u uniform on (0, 1].
-# A replication stops being finite once w falls below about 2^-1022: w
-# underflows, or eta'B eta, of order dof/w, overflows.  Up to O(1) factors,
-# which move that exponent by a few units, this is u^(2/dof) < 2^-1022, i.e.
-# u < 2^(-511 dof), with probability 2^(-511 dof) (about e^(-354 dof)).  A
-# replication stays finite with probability at least 1 - 2^-53 only for
-# dof >= 53/511, about 0.104.
+# The row stops being finite once w falls below about 2^-1022 (w underflows,
+# or eta'W eta, of order dof/w, overflows): up to O(1) factors, once
+# u^(2/dof) < 2^-1022, i.e. u < 2^(-511 dof), with probability 2^(-511 dof),
+# about e^(-354 dof).  It stays finite with probability at least 1 - 2^-53
+# only for dof >= 53/511, about 0.104.
 _MIN_T_DOF = 53.0 / 511.0
 
 
@@ -301,13 +300,7 @@ def _kernel_eta_code(family: RadialFamily) -> tuple[int, float]:
         raise ImproperPriorError("cannot draw eta from an improper radial prior")
     if not isinstance(family, StudentTRadial):
         return _kernels.ETA_NORMAL, 0.0
-    nu = float(family.dof)
-    if nu < _MIN_T_DOF:
-        raise InputError(
-            f"eta draws need a t dof of at least {_MIN_T_DOF:.4g}, "
-            f"below which replications overflow; got {nu:g}"
-        )
-    return _kernels.ETA_STUDENT_T, nu
+    return _kernels.ETA_STUDENT_T, float(family.dof)
 
 
 def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
@@ -315,14 +308,17 @@ def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
 
     The draws come from the Monte Carlo kernels' counter-based streams: row i
     is drawn from the stream of replication i of a run with seed ``rng_seed``,
-    so at c = 1 it is bit for bit the eta that replication i of a pivotality
-    run with this family and W draws (pivotality runs draw at c = 1 whatever
-    the prior's scale).  Normal: eta = sqrt(c) W^{-1/2} z for standard normal
-    z.  Student-t with dof: a chi-square w is drawn first, then z, and eta is
-    scaled by sqrt(dof / w).  The seed is an integer in [0, 2**64), and n a
-    positive integer with n k at most ``_rng.MAX_SAMPLE_VALUES``.
+    so at c = 1 it is the eta that replication i of a pivotality run with
+    this family and W draws (at c = 1 whatever the prior's scale), times the
+    t family's scale, which the kernels leave out.  Normal: eta = sqrt(c)
+    W^{-1/2} z for standard normal z.  Student-t with dof >= ``_MIN_T_DOF``:
+    w ~ chi2(dof) is drawn first, then z, and eta is scaled by sqrt(dof / w).
+    The seed is an integer in [0, 2**64) and n a positive integer, with n k
+    at most ``_rng.MAX_SAMPLE_VALUES``.
     """
     eta_code, nu = _kernel_eta_code(prior.family)
+    if eta_code == _kernels.ETA_STUDENT_T and nu < _MIN_T_DOF:
+        raise InputError(f"eta draws need a t dof of at least {_MIN_T_DOF:.4g}; got {nu:g}")
     _rng.check_seed(rng_seed)
     _rng.check_positive_int(n, "sample size")
     max_n = _rng.MAX_SAMPLE_VALUES // prior.k
@@ -331,7 +327,8 @@ def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
     mix = math.sqrt(prior.c) * prior._w_factor.inv_root
     out = np.empty((n, prior.k))
     for offset, state in _kernels._blocks(rng_seed, 0, n):
-        out[offset : offset + state.size] = _kernels._draw_eta(state, eta_code, nu, mix).T
+        eta, w = _kernels._draw_eta(state, eta_code, nu, mix)
+        out[offset : offset + state.size] = (eta if w is None else eta * np.sqrt(nu / w)).T
     return out
 
 

@@ -238,8 +238,12 @@ def scalar_draws(draw, seed, rep_start, rep_stop, count=1, **kwargs):
     return out
 
 
-def _draw_eta(state, eta_code, nu_tilde, eta_mix, work):
-    """Draw eta into ``work[k:2k]`` (using ``work[:k]`` as scratch)."""
+def _draw_eta(state, eta_code, nu_tilde, eta_mix, work, scaled=True):
+    """Draw eta into ``work[k:2k]`` (using ``work[:k]`` as scratch).
+
+    Without ``scaled`` the t family's chi-square is drawn but eta is left at
+    eta_mix z, before its radial scale sqrt(nu / w).
+    """
     k = eta_mix.shape[0]
     if eta_code == ETA_SHIFTED_EXPONENTIAL:
         for i in range(k):
@@ -249,7 +253,7 @@ def _draw_eta(state, eta_code, nu_tilde, eta_mix, work):
     scale = 1.0
     if eta_code == ETA_STUDENT_T:
         w, state = next_chisquare(state, nu_tilde)
-        scale = np.sqrt(nu_tilde / w)
+        scale = np.sqrt(nu_tilde / w) if scaled else 1.0
     for i in range(k):
         z, state = next_normal(state)
         work[i] = z
@@ -317,7 +321,8 @@ def _pivot_tstats(seed, rep_start, rep_stop, eta_mix, eta_code, nu_tilde, a_v, b
     work = np.empty(2 * k)
     for rep in range(rep_start, rep_stop):
         state = stream_state(seed, rep)
-        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work)
+        # T is scale-free, so it is formed from eta before its radial scale.
+        state = _draw_eta(state, eta_code, nu_tilde, eta_mix, work, scaled=False)
         num = 0.0
         for i in range(k):
             num += a_v[i] * work[i + k]
@@ -327,6 +332,7 @@ def _pivot_tstats(seed, rep_start, rep_stop, eta_mix, eta_code, nu_tilde, a_v, b
             for j in range(k):
                 acc += b_mat[i, j] * work[j + k]
             jstat += work[i + k] * acc
+        jstat = max(jstat, 0.0)
         out[rep - rep_start] = num / np.sqrt(jstat / km_p * sigma_v * sigma_v)
     return out
 

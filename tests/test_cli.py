@@ -305,13 +305,48 @@ class TestPivot:
         assert ks[0] < 0.036 and ks == [ks[0]] * 3
 
 
+class TestTinyTDof:
+    @pytest.mark.parametrize(
+        "cmd, radial",
+        [("coverage", "t:0.001"), ("coverage", "t:1e-300"), ("pivot", "t:0.001"), ("pivot", "t:1e-5")],
+    )
+    def test_runs_are_nominal(self, cmd, radial, capsys):
+        # The t statistic cancels the radial scale sqrt(dof / w), which the
+        # kernels never apply, so a chi-square draw that underflows to 0 is
+        # harmless and the theorem's 0.95 and t_{k-p} law hold at any dof.
+        code, out, err = _run([cmd, "--reps", "4000", "--radial", radial], capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        if cmd == "coverage":
+            assert abs(payload["coverage"] - 0.95) <= 4.0 * math.sqrt(0.95 * 0.05 / 4000)
+        else:
+            assert payload["ks"] < payload["threshold_1pct"]
+
+
 class TestRejectedInputs:
-    @pytest.mark.parametrize("cmd", ["coverage", "pivot"])
-    def test_tiny_t_dof_names_the_minimum(self, cmd, capsys):
-        # Below about dof 0.1 the chi-square mixing draw underflows or eta'B eta
-        # overflows in a share of replications, so the run is refused.
-        message = _error([cmd, "--reps", "2000", "--radial", "t:0.001"], capsys)
-        assert "at least 0.1037" in message
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coverage", "--reps", "200", "--radial"],
+            ["pivot", "--reps", "200", "--radial"],
+            ["concentration", "--c-grid", "1", "--radial"],
+            ["contaminate", "--c-grid", "1", "--phi", "0.1", "--contaminant"],
+            ["tails", "--radial"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_t_dof_whose_half_underflows_is_one_json_line(self, argv, canon_file, capsys):
+        # 0.5 * 5e-324 is 0, the shape of the t family's chi-square and gamma terms.
+        model = ["--model", canon_file] if argv[0] in ("concentration", "contaminate") else []
+        message = _error([*argv, "t:5e-324", *model], capsys)
+        assert message == "t radial dof must be finite with dof/2 positive, got 5e-324"
+
+    @pytest.mark.parametrize("cmd", ["concentration", "contaminate"])
+    def test_underflowing_posterior_scale_names_c(self, cmd, canon_file, capsys):
+        # c (X'WX)^-1 underflows to the zero matrix.
+        argv = [cmd, "--model", canon_file, "--c-grid", "5e-324"]
+        message = _error(argv + (["--phi", "0.1"] if cmd == "contaminate" else []), capsys)
+        assert message.startswith("posterior at prior scale c = 4.94066e-324 is unrepresentable")
 
     @pytest.mark.parametrize(
         "field, arrays",

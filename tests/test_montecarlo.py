@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,21 @@ class TestKernelOracle:
         assert [len(args) for args in seen] == [len(args) for args in expected]
         for got, want in zip(seen, expected):
             assert all(type(g) is type(e) and np.array_equal(g, e) for g, e in zip(got, want))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("a_scale", [1.0, 0.0])
+    def test_zero_j_is_a_miss_and_a_non_finite_t(self, family, a_scale):
+        # With B = 0 every J is 0: T is a_v'eta / 0, +-inf or (a_v = 0) NaN,
+        # so no replication covers, and neither kernel warns.
+        prior = ScaledPrior(family=FAMILIES[family], c=1.0, W=np.eye(4))
+        mix, code, nu, a_v, b, sv, km_p = _pivot_args(DEFAULT_PIVOT_X, np.eye(4), prior, [1.0])
+        args = (mix, code, nu, a_scale * a_v, np.zeros_like(b), sv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = _kernels.coverage_hits(2, 0, 300, 2, *args, 1.96, km_p)
+            tstats = _kernels.pivot_tstats(2, 0, 300, *args, km_p)
+        assert hits == 0
+        assert tstats.shape == (300,) and not np.isfinite(tstats).any()
 
     @pytest.mark.parametrize("name, index", [("coverage_hits", 5), ("pivot_tstats", 4)])
     def test_eta_code_position(self, name, index):

@@ -13,11 +13,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from misspec._kernels import pivot_tstats
 from misspec.inference import (
     InferenceConfig,
     analyze,
     confidence_interval,
     identified_set_projection,
+    pivotal_t_stat,
 )
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
@@ -31,13 +33,14 @@ from misspec.posteriors import (
     tv_distance,
 )
 from misspec.posteriors import _grid_cell_weights
-from misspec.montecarlo import ks_statistic, run_tails
+from misspec.montecarlo import _pivot_args, ks_statistic, run_tails
 from misspec.priors import (
     ContaminatedPrior,
     NormalRadial,
     PowerLawRadial,
     ScaledPrior,
     StudentTRadial,
+    sample_eta,
 )
 from misspec.special import StudentT, t_quantile
 from oracles import ks_statistic_full, random_model_arrays, random_spd
@@ -164,6 +167,25 @@ def test_coverage_event_is_the_pivot_of_eta(seed, shape, theta_scale, eta_scale)
     assume(abs(centre - hw) > 1e-9 * hw)
     ci = confidence_interval(ModelInstance(Y=x @ theta + eta, X=x, W=w), cfg)
     assert ci.contains(cfg.v @ theta) == (centre <= hw)
+
+
+@given(seeds, shapes, st.floats(0.2, 50.0), st.floats(-6.0, 6.0))
+def test_kernel_t_stat_is_the_pivot_of_the_sampled_eta(seed, shape, dof, log10_c):
+    # The kernel forms T from eta before the t family's radial scale
+    # sqrt(dof / w); row i of sample_eta is replication i's eta with that
+    # scale and at the prior's c.  T is scale-free, so the two agree, to
+    # 1e-10 relative times the condition number eta'W eta / J of J, which the
+    # kernel forms as eta'B eta and the fit from the residual.
+    rng = np.random.default_rng(seed)
+    k, p = shape
+    _, x, w = random_model_arrays(rng, k, p)
+    cfg = InferenceConfig(v=rng.standard_normal(p), level=0.95)
+    prior = ScaledPrior(family=StudentTRadial(dof), c=10.0**log10_c, W=w)
+    tstats = pivot_tstats(seed, 0, 20, *_pivot_args(x, w, prior, cfg.v))
+    models = [ModelInstance(Y=y, X=x, W=w) for y in sample_eta(prior, seed, 20)]
+    expected = np.array([pivotal_t_stat(m, np.zeros(p), cfg) for m in models])
+    cond = np.array([max(1.0, m.Y @ m.W @ m.Y / pseudo_true(m).j_stat) for m in models])
+    assert np.all(np.abs(tstats - expected) <= 1e-10 * cond * np.abs(expected))
 
 
 @given(seeds, st.sampled_from([(3, 1), (5, 1), (4, 2), (6, 2)]), st.sampled_from([1e-4, 1.0]))
