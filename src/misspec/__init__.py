@@ -9,7 +9,6 @@ that verify those properties.
 from misspec.errors import (
     DegenerateLimitError,
     DomainError,
-    GridError,
     ImproperPriorError,
     InputError,
     JustIdentifiedError,
@@ -52,25 +51,19 @@ from misspec.montecarlo import (
 )
 from misspec.posteriors import (
     ClosedFormPosterior,
-    GridPosterior,
-    GridSpec,
     ThetaPrior,
-    bayes_action_grid,
     bayes_action_quadratic,
     closed_form_posterior,
-    grid_posterior,
     mass_outside_ball,
     normal_posterior,
     tv_distance,
 )
 from misspec.priors import (
-    ContaminatedPrior,
     NormalRadial,
     PowerLawRadial,
     ScaledPrior,
     StudentTRadial,
     density,
-    mixture_density,
     parse_radial,
     sample_eta,
     tail_ratio,

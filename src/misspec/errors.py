@@ -36,10 +36,6 @@ class JustIdentifiedError(InputError):
     """Confidence interval requested for a just-identified model (k = p)."""
 
 
-class GridError(InputError):
-    """A posterior grid cannot be constructed or does not cover the optimum."""
-
-
 class ResampleRequiredError(InputError):
     """A simulated sample is degenerate (rank-deficient moments); redraw."""
 

@@ -132,15 +132,17 @@ class InferenceReport:
     identified_sets: tuple[tuple[float, Interval], ...] = field(default_factory=tuple)
 
 
-def _ci_ingredients(model: ModelInstance, cfg: InferenceConfig):
+def _check_over_identified(model: ModelInstance) -> None:
     if model.k == model.p:
         raise JustIdentifiedError(
             "k - p = 0: the confidence interval is undefined; the "
             "just-identified model corresponds to assuming eta = 0"
         )
-    pt = pseudo_true(model)
-    sv = sigma_v(model, cfg.v)
-    return pt, sv
+
+
+def _ci_ingredients(model: ModelInstance, cfg: InferenceConfig):
+    _check_over_identified(model)
+    return pseudo_true(model), sigma_v(model, cfg.v)
 
 
 def confidence_interval(model: ModelInstance, cfg: InferenceConfig) -> Interval:
@@ -148,7 +150,10 @@ def confidence_interval(model: ModelInstance, cfg: InferenceConfig) -> Interval:
 
     Degenerates to the single point v'theta_W when J = 0.  Requires k > p.
     """
-    pt, sv = _ci_ingredients(model, cfg)
+    return _confidence_interval(model, cfg, *_ci_ingredients(model, cfg))
+
+
+def _confidence_interval(model: ModelInstance, cfg: InferenceConfig, pt, sv: float) -> Interval:
     center = float(cfg.v @ pt.theta_w)
     if pt.j_stat <= pt.noise_floor:
         return Interval.point(center)
@@ -181,18 +186,24 @@ def identified_set_projection(
     Empty when d^2 falls below J (the data reject the bound), a single point
     at d^2 = J, and otherwise an interval of half-width sigma_v sqrt(d^2 - J).
     """
+    return _projection(pseudo_true(model), cfg, sigma_v(model, cfg.v), d)
+
+
+def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
     if not (d >= 0.0 and math.isfinite(d)):
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
-    pt = pseudo_true(model)
-    sv = sigma_v(model, cfg.v)
     center = float(cfg.v @ pt.theta_w)
-    d2 = d * d
+    d2 = d * d  # inf past sqrt(DBL_MAX), where the set is never empty
     band = SINGLETON_RTOL * (1.0 + pt.j_stat)
     if d2 < pt.j_stat - band:
         return Interval.empty_set()
     if d2 <= pt.j_stat + band:
         return Interval.point(center)
-    hw = sv * math.sqrt(d2 - pt.j_stat)
+    # sqrt(d^2 - J) on d and J scaled by 2^-e and 2^-2e, exact powers of two,
+    # so that d^2 cannot overflow.
+    e = math.frexp(d)[1]
+    m = math.ldexp(d, -e)
+    hw = math.ldexp(sv * math.sqrt(m * m - math.ldexp(pt.j_stat, -2 * e)), e)
     return Interval(lower=center - hw, upper=center + hw)
 
 
@@ -223,13 +234,12 @@ def local_ci(exp: LocalExperiment, Y_L, level: float = 0.95) -> Interval:
 def analyze(
     model: ModelInstance, cfg: InferenceConfig, d_values: tuple[float, ...] = ()
 ) -> InferenceReport:
-    """Assemble the full inference report for one model instance."""
+    """Assemble the full inference report for one model instance; sigma_v is computed once."""
     pt = pseudo_true(model)
     sv = sigma_v(model, cfg.v)
-    ci = confidence_interval(model, cfg)
-    sets = tuple(
-        (float(d), identified_set_projection(model, cfg, float(d))) for d in d_values
-    )
+    _check_over_identified(model)
+    ci = _confidence_interval(model, cfg, pt, sv)
+    sets = tuple((d, _projection(pt, cfg, sv, d)) for d in map(float, d_values))
     return InferenceReport(
         theta_w=pt.theta_w, j_stat=pt.j_stat, sigma_v=sv, ci=ci, identified_sets=sets
     )

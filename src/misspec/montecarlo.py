@@ -34,7 +34,6 @@ from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
     MixturePosterior,
     ThetaPrior,
-    check_point_counts,
     closed_form_posterior,
     mass_outside_ball,
     posterior_sd,
@@ -193,26 +192,15 @@ def _coverage_args(
 ) -> tuple:
     """``coverage_hits`` arguments after (seed, rep_start, rep_stop).
 
-    The uniforms a replication's theta draw takes (2p for a Gaussian prior,
-    1 for a tabulated one), then the ``_pivot_args`` tuple with t* before k - p.
+    The uniforms a replication's Gaussian theta draw takes, 2p, then the
+    ``_pivot_args`` tuple with t* before k - p.
     """
     mix, eta_code, nu, a_v, b, sv, km_p = _pivot_args(x, w, eta_prior, cfg.v)
     p = _fixture(x, w).model.p
-    if theta_prior.kind == "gaussian":
-        if theta_prior.mean.shape[0] != p:
-            raise InputError(f"theta prior dimension {theta_prior.mean.shape[0]} != p={p}")
-        theta_draws = 2 * p
-    elif theta_prior.kind == "tabulated":
-        if p != 1:
-            raise InputError("tabulated theta priors support p = 1 only")
-        theta_draws = 1
-    else:
-        raise InputError(
-            "coverage runs require a proper theta prior (gaussian or tabulated); "
-            "the flat prior is only meaningful on a truncated grid"
-        )
+    if theta_prior.mean.shape[0] != p:
+        raise InputError(f"theta prior dimension {theta_prior.mean.shape[0]} != p={p}")
     tstar = t_quantile(StudentT(km_p), 0.5 * (1.0 + cfg.level))
-    return (theta_draws, mix, eta_code, nu, a_v, b, sv, tstar, km_p)
+    return (2 * p, mix, eta_code, nu, a_v, b, sv, tstar, km_p)
 
 
 def run_coverage(
@@ -230,7 +218,7 @@ def run_coverage(
     set Y = X theta + eta, and record whether the interval built from
     (Y, X, W) covers v'theta; the kernel counts that event as |T| <= t* for
     the t statistic T of eta alone, so the hits depend on neither c nor theta.
-    Under any proper rotation-invariant eta prior (and any proper theta prior)
+    Under any proper rotation-invariant eta prior (and any theta prior)
     the expected coverage equals the nominal level exactly; the Monte Carlo
     estimate carries binomial noise.
     """
@@ -327,6 +315,24 @@ def run_pivotality(
     return ks_statistic(tstats, k - p)
 
 
+# The most points ``grid_points`` may ask for: a p = 2 grid of 2001 per axis.
+_MAX_GRID_POINTS = 2001**2
+
+
+def _check_grid_points(points, p: int) -> None:
+    """Validate the sweeps' ``grid_points`` as p per-axis point counts of a grid.
+
+    It sizes nothing; it is only checked, as integers >= 2 whose product is
+    at most ``_MAX_GRID_POINTS``, because ``perfbench`` still passes it.
+    """
+    counts = [points] * p if np.isscalar(points) else list(points)
+    if len(counts) != p or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in counts):
+        raise InputError(f"grid_points must be {p} integer(s) >= 2, got {points!r}")
+    counts = [int(n) for n in counts]
+    if math.prod(counts) > _MAX_GRID_POINTS:
+        raise InputError(f"grid of {counts} points exceeds {_MAX_GRID_POINTS} points in total")
+
+
 def _mass_outside_names(eps_list) -> dict[str, float]:
     """Metric name ``mass_outside_<eps:g>`` -> eps, for the sweeps' eps values.
 
@@ -362,13 +368,11 @@ def run_concentration(
     (``mass_outside_ball``), the largest marginal posterior sd (inf where the
     posterior dof is at most 2) and the quadratic-loss Bayes action, theta_W
     (nan where the dof is at most 1: the posterior has no mean).
-    ``grid_points`` sizes nothing.  It is validated as a grid's point count,
-    because ``perfbench`` still passes it, and goes away when that benchmark
-    gives the sweep a per-c unit of work.
+    ``grid_points`` sizes nothing (``_check_grid_points``).
     """
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
-    check_point_counts(grid_points, model.p, "grid_points")
+    _check_grid_points(grid_points, model.p)
     metrics: dict[str, list[float]] = {name: [] for name in eps_names}
     metrics["posterior_sd"] = []
     action_names = (
@@ -408,14 +412,13 @@ def run_contamination(
     contaminated posterior collapses onto the contaminant posterior as c
     shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
     with J = 0 it keeps concentrating at the pseudo-true value instead.
-    ``grid_points`` sizes nothing.  It is validated as a grid's point count,
-    because ``perfbench`` still passes it.
+    ``grid_points`` sizes nothing (``_check_grid_points``).
     """
     if model.p != 1:
         raise InputError("contamination sweeps are implemented for p = 1")
     if not (base_family.proper and contaminant.proper):
         raise ImproperPriorError("contamination base and contaminant priors must be proper")
-    check_point_counts(grid_points, 1, "grid_points")
+    _check_grid_points(grid_points, 1)
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
     _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")

@@ -6,51 +6,39 @@ the t family at every c, with c = 0 its small-c limit.  A closed form is
 Gaussian iff its dof is None, and its density is the matching radial
 profile (normal or t) normalized in dimension p.  Under a contaminated prior
 the posterior is exact too: the ``MixturePosterior`` of the two components'
-closed forms, weighted by their marginal likelihoods.
-Numerical posteriors are computed on one- or two-dimensional grids in log
-space with max-subtraction before exponentiation, since the radial profile
-evaluated at Q/c underflows catastrophically for small c.
+closed forms, weighted by their marginal likelihoods.  Every quantity read
+off a posterior here -- the mass outside a ball, the Bayes action, the TV
+distance and the marginal sd -- comes from these closed forms; no posterior
+is evaluated on a grid.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from misspec import _linalg
 from misspec.errors import (
     DegenerateLimitError,
-    GridError,
     InputError,
     ModelValidationError,
     NumericalError,
 )
 from misspec.model import ModelInstance, pseudo_true
-from misspec.priors import (
-    ContaminatedPrior,
-    NormalRadial,
-    RadialFamily,
-    ScaledPrior,
-    StudentTRadial,
-)
+from misspec.priors import NormalRadial, RadialFamily, StudentTRadial
 from misspec.special import StudentT, t_cdf
 
 __all__ = [
     "ThetaPrior",
     "ClosedFormPosterior",
     "MixturePosterior",
-    "GridSpec",
-    "GridPosterior",
     "closed_form_posterior",
     "normal_posterior",
-    "grid_posterior",
     "mass_outside_ball",
     "bayes_action_quadratic",
-    "bayes_action_grid",
     "tv_distance",
     "posterior_sd",
 ]
@@ -58,22 +46,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThetaPrior:
-    """Prior on theta: flat (on the truncated grid), Gaussian, or tabulated.
+    """Gaussian prior on theta, with per-coordinate mean and sd.
 
-    The flat prior is realized as the uniform density on whatever grid the
-    posterior is evaluated on; it is only meaningful together with grid
-    truncation.
+    Coverage runs take it to say how many uniforms each replication's theta
+    draw uses (2 per coordinate); the hits do not depend on theta.
     """
 
     kind: str
-    mean: np.ndarray | None = None
-    sd: np.ndarray | None = None
-    density_fn: Callable[[np.ndarray], float] | None = None
-    grid: np.ndarray | None = None
-
-    @staticmethod
-    def flat() -> "ThetaPrior":
-        return ThetaPrior(kind="flat")
+    mean: np.ndarray
+    sd: np.ndarray
 
     @staticmethod
     def gaussian(mean, sd) -> "ThetaPrior":
@@ -84,43 +65,6 @@ class ThetaPrior:
         if not (np.isfinite(sd).all() and np.all(sd > 0.0)):
             raise InputError("Gaussian theta prior requires a positive finite sd")
         return ThetaPrior(kind="gaussian", mean=mean, sd=sd)
-
-    @staticmethod
-    def tabulated(density_fn: Callable[[np.ndarray], float], grid) -> "ThetaPrior":
-        """Density on the p=1 support points ``grid``, with positive trapezoid mass there.
-
-        Coverage runs never draw theta, so no CDF is kept.
-        """
-        g = np.asarray(grid, dtype=np.float64)
-        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0.0):
-            raise InputError("tabulated prior grid must be strictly increasing")
-        dens = np.array([float(density_fn(np.array([t]))) for t in g])
-        if np.any(dens < 0.0):
-            raise InputError("tabulated theta prior density must be nonnegative")
-        if not np.sum(0.5 * (dens[1:] + dens[:-1]) * np.diff(g)) > 0.0:
-            raise InputError("tabulated theta prior has zero mass on its grid")
-        return ThetaPrior(kind="tabulated", density_fn=density_fn, grid=g)
-
-    def log_density(self, points: np.ndarray) -> np.ndarray:
-        """Log prior density at an (m, p) array of theta points."""
-        points = np.asarray(points, dtype=np.float64)
-        if self.kind == "flat":
-            return np.zeros(points.shape[0])
-        if self.kind == "gaussian":
-            if self.mean.shape[0] != points.shape[1]:
-                raise InputError(
-                    f"theta prior has dimension {self.mean.shape[0]} "
-                    f"but grid points have {points.shape[1]}"
-                )
-            z = (points - self.mean[None, :]) / self.sd[None, :]
-            return -0.5 * np.sum(z * z, axis=1) - np.sum(
-                np.log(self.sd * math.sqrt(2.0 * math.pi))
-            )
-        vals = np.array([float(self.density_fn(pt)) for pt in points])
-        if np.any(vals < 0.0):
-            raise InputError("tabulated theta prior returned a negative density")
-        with np.errstate(divide="ignore"):
-            return np.log(vals)
 
 
 @dataclass(frozen=True)
@@ -277,227 +221,6 @@ class MixturePosterior:
         return self.weights()[0] * tv_distance(self.base, self.contaminant)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Grid geometry for numerical posteriors: bounds and points per axis.
-
-    ``axes`` overrides bounds/points with explicit (strictly increasing, not
-    necessarily uniform) coordinate arrays.
-    """
-
-    bounds: Sequence[tuple[float, float]] | None = None
-    points: int | Sequence[int] | None = None
-    axes: Sequence[np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class GridPosterior:
-    """Normalized posterior on a rectangular grid over 1 or 2 parameters.
-
-    ``density`` integrates to one by the trapezoidal rule on the grid;
-    ``weights`` are the per-point trapezoidal masses and sum to one.
-    """
-
-    axes: tuple[np.ndarray, ...]
-    density: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def p(self) -> int:
-        return len(self.axes)
-
-    def points(self) -> np.ndarray:
-        """All grid points as an (m, p) array in row-major axis order."""
-        return _grid_points(self.axes)
-
-    def _marginals(self) -> list[np.ndarray]:
-        """Per-axis marginal weights, each summing to one."""
-        dims = range(self.p)
-        return [self.weights.sum(axis=tuple(j for j in dims if j != i)) for i in dims]
-
-    def mean(self) -> np.ndarray:
-        return np.array([m @ a for m, a in zip(self._marginals(), self.axes)])
-
-    def sd(self) -> np.ndarray:
-        # The centred second moment: E[theta^2] - mean^2 cancels when sd << |mean|.
-        return np.sqrt([m @ (a - m @ a) ** 2 for m, a in zip(self._marginals(), self.axes)])
-
-
-def _grid_points(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """All points of the grid on ``axes`` as an (m, p) array in row-major order."""
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def _axes_quadform(m: np.ndarray, axes: tuple[np.ndarray, ...], center) -> np.ndarray:
-    """(theta - center)' M (theta - center) at every grid point, broadcast over the axes."""
-    d = np.ix_(*(a - c0 for a, c0 in zip(axes, center)))
-    p = len(d)
-    return sum(m[i, j] * d[i] * d[j] for i in range(p) for j in range(p))
-
-
-def _trapz_weights(axis: np.ndarray) -> np.ndarray:
-    w = np.zeros_like(axis)
-    d = np.diff(axis)
-    w[:-1] += 0.5 * d
-    w[1:] += 0.5 * d
-    return w
-
-
-def _grid_cell_weights(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    w = _trapz_weights(axes[0])
-    if len(axes) == 1:
-        return w
-    return np.outer(w, _trapz_weights(axes[1]))
-
-
-def _validate_axis(axis, name: str) -> np.ndarray:
-    arr = np.asarray(axis, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise GridError(f"{name} must be a 1-d array with at least 2 points")
-    if not np.all(np.diff(arr) > 0.0):
-        raise GridError(f"{name} must be strictly increasing")
-    return arr
-
-
-def _normalize_grid(axes: tuple[np.ndarray, ...], logu: np.ndarray) -> GridPosterior:
-    peak = float(np.max(logu))  # NaN if any point is NaN
-    if math.isnan(peak):
-        raise NumericalError("grid log posterior is NaN at some grid point")
-    if not math.isfinite(peak):
-        raise NumericalError("posterior mass underflowed everywhere on the grid")
-    cell = _grid_cell_weights(axes)
-    dens = np.exp(logu - peak)
-    total = float(np.sum(cell * dens))
-    if not (total > 0.0 and math.isfinite(total)):
-        raise NumericalError("grid posterior normalizer is not finite")
-    dens = dens / total
-    return GridPosterior(axes=axes, density=dens, weights=cell * dens)
-
-
-def _default_halfwidths(model: ModelInstance, prior) -> np.ndarray:
-    """Half-widths for default grid bounds around the pseudo-true value."""
-    pt = pseudo_true(model)
-    sig_max = math.sqrt(pt.lam_max)
-    j = pt.j_stat
-    kp = model.k - model.p
-    hw = 12.0 * math.sqrt(j / kp) * sig_max if (kp > 0 and j > 0.0) else 0.0
-    base = prior.base if isinstance(prior, ContaminatedPrior) else prior
-    floor = 0.0
-    if base.proper:
-        # Scale floor so that J = 0 or k = p fixtures still get a usable grid.
-        _, spread = base.family.posterior_shape(base.c, j, model.k, model.p)
-        floor = 20.0 * math.sqrt(spread * max(np.diag(pt.hessian_inv).max(), 0.0))
-    if max(hw, floor) <= 0.0:
-        raise GridError(
-            "cannot infer default grid bounds (J = 0 with an improper prior); "
-            "pass explicit bounds"
-        )
-    return np.full(model.p, max(hw, floor))
-
-
-# The CLI's default p=2 grid is the largest allowed.
-_MAX_GRID_POINTS = 2001**2
-
-
-def _check_grid_size(n_points: list[int]) -> None:
-    if math.prod(n_points) > _MAX_GRID_POINTS:
-        raise GridError(f"grid of {n_points} points exceeds {_MAX_GRID_POINTS} points in total")
-
-
-def check_point_counts(points, p: int, name: str = "grid point counts") -> list[int]:
-    """Per-axis point counts: p integers >= 2 whose product is within the cap."""
-    counts = [points] * p if np.isscalar(points) else list(points)
-    if len(counts) != p or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in counts):
-        raise GridError(f"{name} must be {p} integer(s) >= 2, got {points!r}")
-    counts = [int(n) for n in counts]
-    _check_grid_size(counts)
-    return counts
-
-
-def _resolve_axes(
-    model: ModelInstance, prior, spec: GridSpec, theta_w: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    if spec.axes is not None:
-        if len(spec.axes) != model.p:
-            raise GridError(f"need {model.p} axes, got {len(spec.axes)}")
-        axes = tuple(_validate_axis(a, f"axis {i}") for i, a in enumerate(spec.axes))
-        _check_grid_size([a.size for a in axes])
-        return axes
-    if spec.bounds is not None:
-        bounds = [(float(lo), float(hi)) for lo, hi in spec.bounds]
-        if len(bounds) != model.p:
-            raise GridError(f"need {model.p} bound pairs, got {len(bounds)}")
-    else:
-        hws = _default_halfwidths(model, prior)
-        bounds = [(tw - hw, tw + hw) for tw, hw in zip(theta_w, hws)]
-    points = (2001 if model.p == 1 else 201) if spec.points is None else spec.points
-    n_points = check_point_counts(points, model.p)
-    axes = []
-    for (lo, hi), n in zip(bounds, n_points):
-        if not (hi > lo):
-            raise GridError(f"empty grid bounds ({lo}, {hi})")
-        axes.append(np.linspace(lo, hi, n))
-    return tuple(axes)
-
-
-def _axes_cover(axes: tuple[np.ndarray, ...], theta: np.ndarray) -> bool:
-    return all(a[0] <= t <= a[-1] for a, t in zip(axes, theta))
-
-
-def grid_posterior(
-    model: ModelInstance,
-    prior: ScaledPrior | ContaminatedPrior,
-    theta_prior: ThetaPrior | None = None,
-    spec: GridSpec | None = None,
-) -> GridPosterior:
-    """Numerical posterior for theta on a grid (p in {1, 2}).
-
-    Pointwise, log posterior = log theta-prior + log prior density of the
-    implied moment Y - X theta, which the prior sees only through
-    Q(theta) = J + (theta - theta_W)' H (theta - theta_W) from the cached fit;
-    the result is normalized by the trapezoidal rule.  If the supplied bounds
-    exclude the pseudo-true value the grid is expanded once with a warning,
-    then a :class:`GridError` is raised.
-    """
-    if model.p > 2:
-        raise InputError(
-            f"numerical posteriors support p in {{1, 2}}, got p={model.p}; "
-            "use the closed forms for higher dimensions"
-        )
-    theta_prior = theta_prior or ThetaPrior.flat()
-    spec = spec or GridSpec()
-    base = prior.base if isinstance(prior, ContaminatedPrior) else prior
-    _linalg.check_same_weight(base.W, model.W, "prior", "model")
-    pt = pseudo_true(model)
-    if not base.proper and pt.j_stat <= pt.noise_floor:
-        raise DegenerateLimitError(
-            f"{base.family.spec_string()} grid posterior requires a positive J-statistic"
-        )
-    theta_w = pt.theta_w
-    axes = _resolve_axes(model, prior, spec, theta_w)
-    if not _axes_cover(axes, theta_w):
-        warnings.warn(
-            "grid bounds exclude the pseudo-true value; expanding once",
-            stacklevel=2,
-        )
-        expanded = []
-        for a, t in zip(axes, theta_w):
-            span = a[-1] - a[0]
-            lo = min(a[0], t - 0.25 * span)
-            hi = max(a[-1], t + 0.25 * span)
-            expanded.append(np.linspace(lo, hi, a.size))
-        axes = tuple(expanded)
-        if not _axes_cover(axes, theta_w):
-            raise GridError("grid cannot be expanded to cover the pseudo-true value")
-
-    q = pt.j_stat + _axes_quadform(pt.hessian, axes, theta_w)
-    logu = prior.log_radial(q)
-    if theta_prior.kind != "flat":
-        logu = logu + theta_prior.log_density(_grid_points(axes)).reshape(q.shape)
-    return _normalize_grid(axes, logu)
-
-
 # Most trapezoid nodes the p=2 angular integral may take, and how many it
 # evaluates at once.  At a scale condition number of 1e10, the most a
 # ClosedFormPosterior admits, some t posteriors need 2^21 nodes.
@@ -563,7 +286,7 @@ def _std_cdf(post: ClosedFormPosterior) -> Callable[[float], float]:
 
 
 def mass_outside_ball(
-    post: GridPosterior | ClosedFormPosterior | MixturePosterior,
+    post: ClosedFormPosterior | MixturePosterior,
     center,
     eps: float,
     norm_matrix: np.ndarray | None = None,
@@ -571,8 +294,7 @@ def mass_outside_ball(
     """Posterior probability of {theta : ||theta - center|| > eps}.
 
     The default ball is Euclidean; ``norm_matrix`` substitutes the SPD-norm
-    ||d|| = sqrt(d' M d) (e.g. M = X'WX).  Grid posteriors sum the weights of
-    the grid points outside the ball.  Closed forms are exact: at p = 1 from
+    ||d|| = sqrt(d' M d) (e.g. M = X'WX).  Closed forms are exact: at p = 1 from
     the CDF, in both lower tails; at p = 2 by the angular integral of
     ``_angular_mass``, which needs the ball centred at the posterior centre
     (an off-centre ball is an InputError).  A mixture's mass is the weighted
@@ -591,11 +313,6 @@ def mass_outside_ball(
         norm = _linalg.spd_factor(norm_matrix, "norm_matrix").matrix
         if norm.shape[0] != post.p:
             raise InputError(f"norm_matrix must be {post.p}x{post.p}, got shape {norm.shape}")
-    if isinstance(post, GridPosterior):
-        dist2 = _axes_quadform(norm, post.axes, center)
-        out = float(np.sum(post.weights[dist2 > eps * eps]))
-        return min(max(out, 0.0), 1.0)
-
     if post.p == 1:
         radius = eps / math.sqrt(norm[0, 0])
         m = float(post.center[0])
@@ -616,47 +333,13 @@ def mass_outside_ball(
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
 
-def bayes_action_quadratic(post: GridPosterior | ClosedFormPosterior) -> np.ndarray:
+def bayes_action_quadratic(post: ClosedFormPosterior) -> np.ndarray:
     """Posterior mean, the Bayes action under quadratic loss."""
-    if isinstance(post, GridPosterior):
-        return post.mean()
     if post.dof is not None and post.dof <= 1.0:
         raise InputError(
             f"posterior mean does not exist for t posterior with dof={post.dof}"
         )
     return post.center.copy()
-
-
-def bayes_action_grid(
-    post: GridPosterior,
-    actions: Sequence[float],
-    loss: Callable[[float, np.ndarray], float],
-) -> float:
-    """Minimize posterior expected loss over a finite action list.
-
-    Ties are broken toward the smallest action.  The loss is called as
-    ``loss(action, theta)`` with theta a length-p point; vectorized losses
-    accepting an (m, p) array are used when available.
-    """
-    if len(actions) == 0:
-        raise InputError("action list must be nonempty")
-    acts = np.sort(np.asarray(actions, dtype=np.float64))
-    pts = post.points()
-    w = post.weights.ravel()
-
-    def _risk(a: float) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                vals = np.asarray(loss(a, pts), dtype=np.float64)
-                if vals.shape == (pts.shape[0],):
-                    return float(vals @ w)
-            except (TypeError, ValueError, Warning):
-                pass  # a pointwise loss rejects the (m, p) array; call it per point
-        return float(np.array([float(loss(a, pt)) for pt in pts]) @ w)
-
-    risks = np.array([_risk(float(a)) for a in acts])
-    return float(acts[int(np.argmin(risks))])
 
 
 def _log_pdf_1d(post: ClosedFormPosterior) -> Callable[[float], float]:
@@ -756,32 +439,17 @@ def _tv_distance_1d(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     return min(2.0 * abs(total), 1.0)
 
 
-def tv_distance(
-    a: GridPosterior | ClosedFormPosterior, b: GridPosterior | ClosedFormPosterior
-) -> float:
-    """Total variation distance between two posteriors.
+def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
+    """Total variation distance between two closed forms.
 
-    Two grid posteriors must be on identical grids.  Two closed forms must be
-    1-d with one centre, as the sweeps' are; their distance is exact
-    (``_tv_distance_1d``).
+    Both must be 1-d with one centre, as the sweeps' are; their distance is
+    exact (``_tv_distance_1d``).
     """
-    if isinstance(a, ClosedFormPosterior) and isinstance(b, ClosedFormPosterior):
-        if not (a.p == b.p == 1 and a.center[0] == b.center[0]):
-            raise InputError("tv_distance of closed forms requires p = 1 and one centre")
-        return _tv_distance_1d(a, b)
-    if not (isinstance(a, GridPosterior) and isinstance(b, GridPosterior)):
-        raise InputError("tv_distance requires two grid posteriors or two closed forms")
-    if a.p != b.p or any(
-        ax.shape != bx.shape or not np.array_equal(ax, bx)
-        for ax, bx in zip(a.axes, b.axes)
-    ):
-        raise InputError("tv_distance requires identical grids")
-    cell = _grid_cell_weights(a.axes)
-    return float(0.5 * np.sum(cell * np.abs(a.density - b.density)))
+    if not (a.p == b.p == 1 and a.center[0] == b.center[0]):
+        raise InputError("tv_distance of closed forms requires p = 1 and one centre")
+    return _tv_distance_1d(a, b)
 
 
-def posterior_sd(post: GridPosterior | ClosedFormPosterior) -> np.ndarray:
+def posterior_sd(post: ClosedFormPosterior) -> np.ndarray:
     """Marginal posterior standard deviations."""
-    if isinstance(post, GridPosterior):
-        return post.sd()
     return post.marginal_sd()

@@ -38,9 +38,7 @@ __all__ = [
     "PowerLawRadial",
     "parse_radial",
     "ScaledPrior",
-    "ContaminatedPrior",
     "density",
-    "mixture_density",
     "sample_eta",
     "tail_ratio",
 ]
@@ -362,43 +360,3 @@ def tail_ratio(prior: ScaledPrior, a: float, tau: float) -> float:
     """
     return _tail_ratio(prior.family, prior.k, prior.c, a, tau)
 
-
-@dataclass(frozen=True)
-class ContaminatedPrior:
-    """Mixture (1 - phi) * base prior + phi * contaminant prior.
-
-    Both components are proper scaled priors with the same W, so the mixture
-    is again a function of eta' W eta.
-    """
-
-    base: ScaledPrior
-    contaminant: ScaledPrior
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.phi < 1.0):
-            raise InputError(f"contamination weight phi must be in (0, 1), got {self.phi}")
-        if not (self.base.proper and self.contaminant.proper):
-            raise ImproperPriorError("contamination base and contaminant priors must be proper")
-        _linalg.check_same_weight(self.contaminant.W, self.base.W, "contaminant", "base prior")
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    def log_radial(self, q):
-        """Log mixture density at q = eta' W eta, stable at tiny base scale."""
-        return np.logaddexp(
-            math.log1p(-self.phi) + self.base.log_radial(q),
-            math.log(self.phi) + self.contaminant.log_radial(q),
-        )
-
-    def log_density(self, etas):
-        """Log mixture density for one eta or a batch."""
-        return self.log_radial(self.base.quadform(etas))
-
-
-def mixture_density(prior: ContaminatedPrior, eta) -> float:
-    """Density of the contaminated prior at eta."""
-    eta = _linalg.as_vector(eta, prior.k, "eta")
-    return float(np.exp(prior.log_density(eta)))

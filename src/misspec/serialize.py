@@ -17,7 +17,6 @@ from misspec.errors import InputError
 from misspec.inference import InferenceReport, Interval
 from misspec.model import ModelInstance
 from misspec.montecarlo import CoverageResult, SweepTrace
-from misspec.posteriors import GridPosterior
 
 __all__ = [
     "fmt_float",
@@ -29,7 +28,6 @@ __all__ = [
     "coverage_to_dict",
     "trace_to_csv",
     "tails_to_csv",
-    "grid_to_csv",
 ]
 
 
@@ -179,12 +177,3 @@ def tails_to_csv(table: np.ndarray) -> str:
         lines.append(f"{fmt_float(a)},{fmt_float(tau)},{fmt_float(c)},{fmt_float(ratio)}")
     return "\n".join(lines) + "\n"
 
-
-def grid_to_csv(post: GridPosterior) -> str:
-    header = "theta_1,density" if post.p == 1 else "theta_1,theta_2,density"
-    lines = [header]
-    pts = post.points()
-    for pt, dens in zip(pts, post.density.ravel()):
-        coords = ",".join(fmt_float(t) for t in pt)
-        lines.append(f"{coords},{fmt_float(dens)}")
-    return "\n".join(lines) + "\n"

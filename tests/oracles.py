@@ -5,6 +5,11 @@ adaptive quadrature of density formulas, quantiles from root-bracketing on
 those quadrature CDFs, and normalizers from radial integrals.  Expected
 values frozen in the tests were produced by these routines.
 
+The grid posterior evaluates a posterior pointwise on a rectangular grid and
+normalises it by the trapezoid rule.  It takes the model's fit and the
+prior's log density from the package, and checks what the closed forms add
+to them: the posterior's shape, normaliser, masses and TV distances.
+
 The scalar Monte Carlo reference at the end of the file evaluates the
 counter-based streams and the replication loops one replication and one
 coefficient at a time.  The batched eta draws and t statistics must match it
@@ -15,10 +20,13 @@ definition of a hit, and the kernel's count must equal its count.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
 import scipy.optimize
+
+from misspec.model import pseudo_true
 
 
 def t_density_unnorm(x: float, dof: float) -> float:
@@ -146,6 +154,96 @@ def random_model_arrays(rng: np.random.Generator, k: int, p: int):
     return y, x, w
 
 
+# --- Grid posterior reference --------------------------------------------------
+#
+# Under a flat theta prior the log posterior of theta is the prior's log
+# density of eta = Y - X theta, which a radial prior sees only through
+# Q(theta) = J + (theta - theta_W)' H (theta - theta_W), taken from the model's
+# fit.  It is normalised after subtracting its maximum: at a tiny prior scale
+# the density itself underflows away from theta_W.
+
+
+def _trapezoid_weights(axis: np.ndarray) -> np.ndarray:
+    w = np.zeros_like(axis)
+    d = np.diff(axis)
+    w[:-1] += 0.5 * d
+    w[1:] += 0.5 * d
+    return w
+
+
+@dataclass(frozen=True)
+class GridPosterior:
+    """A posterior on a rectangular grid over 1 or 2 parameters.
+
+    ``density`` integrates to one by the trapezoid rule, whose per-point
+    weights are ``cell``; ``weights`` are the points' masses, summing to one.
+    """
+
+    axes: tuple
+    density: np.ndarray
+    cell: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.cell * self.density
+
+    def points(self) -> np.ndarray:
+        """All grid points as an (m, p) array in row-major axis order."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def _marginals(self) -> list:
+        dims = range(len(self.axes))
+        return [self.weights.sum(axis=tuple(j for j in dims if j != i)) for i in dims]
+
+    def mean(self) -> np.ndarray:
+        return np.array([m @ a for m, a in zip(self._marginals(), self.axes)])
+
+    def sd(self) -> np.ndarray:
+        # Centred: E[theta^2] - mean^2 would cancel when sd << |mean|.
+        return np.sqrt([m @ (a - m @ a) ** 2 for m, a in zip(self._marginals(), self.axes)])
+
+    def mass_outside(self, center, eps: float) -> float:
+        """Mass of the grid points farther than eps from ``center``."""
+        dist2 = sum(d * d for d in np.ix_(*(a - c for a, c in zip(self.axes, center))))
+        return min(max(float(np.sum(self.weights[dist2 > eps * eps])), 0.0), 1.0)
+
+    def tv(self, other: "GridPosterior") -> float:
+        """TV distance to a posterior on the same grid."""
+        assert all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
+        return float(0.5 * np.sum(self.cell * np.abs(self.density - other.density)))
+
+
+def grid_posterior(model, log_radial, *, axes=None, bounds=None, points=None) -> GridPosterior:
+    """The posterior of theta under a flat theta prior, on a grid.
+
+    ``log_radial`` maps q = eta' W eta to the prior's log density: a
+    ``ScaledPrior.log_radial``, or ``mixture_log_radial`` for a contaminated
+    prior.  The grid is ``axes``, one increasing array per parameter, or
+    ``points`` equally spaced points within each (lo, hi) of ``bounds``.
+    """
+    if axes is None:
+        axes = [np.linspace(lo, hi, points) for lo, hi in bounds]
+    axes = tuple(np.asarray(a, dtype=np.float64) for a in axes)
+    pt = pseudo_true(model)
+    d = np.ix_(*(a - t for a, t in zip(axes, pt.theta_w)))
+    p = len(d)
+    q = pt.j_stat + sum(pt.hessian[i, j] * d[i] * d[j] for i in range(p) for j in range(p))
+    logu = log_radial(q)
+    cell = _trapezoid_weights(axes[0])
+    if p == 2:
+        cell = np.outer(cell, _trapezoid_weights(axes[1]))
+    dens = np.exp(logu - np.max(logu))
+    return GridPosterior(axes=axes, density=dens / np.sum(cell * dens), cell=cell)
+
+
+def mixture_log_radial(base, contaminant, phi: float):
+    """Log density in q of the prior (1 - phi) base + phi contaminant (two ``ScaledPrior``)."""
+    return lambda q: np.logaddexp(
+        math.log1p(-phi) + base.log_radial(q), math.log(phi) + contaminant.log_radial(q)
+    )
+
+
 # --- Scalar Monte Carlo reference -------------------------------------------
 #
 # One splitmix64 stream per replication, hashed from (seed, rep), evaluated
@@ -265,24 +363,13 @@ def _draw_eta(state, eta_code, nu_tilde, eta_mix, work, scaled=True):
     return state
 
 
-def _draw_theta(state, theta_prior, cdf):
-    """theta from a Gaussian prior, or by inverting a tabulated prior's ``cdf``."""
-    if theta_prior.kind == "gaussian":
-        theta = np.empty(theta_prior.mean.shape[0])
-        for j in range(theta.shape[0]):
-            z, state = next_normal(state)
-            theta[j] = theta_prior.mean[j] + theta_prior.sd[j] * z
-        return theta, state
-    grid = theta_prior.grid
-    u, state = next_u01(state)
-    idx = np.searchsorted(cdf, u)
-    if idx <= 0:
-        return grid[:1].copy(), state
-    if idx >= cdf.shape[0]:
-        return grid[-1:].copy(), state
-    lo, hi = cdf[idx - 1], cdf[idx]
-    frac = 0.0 if hi <= lo else (u - lo) / (hi - lo)
-    return np.array([grid[idx - 1] + frac * (grid[idx] - grid[idx - 1])]), state
+def _draw_theta(state, theta_prior):
+    """theta from a Gaussian prior."""
+    theta = np.empty(theta_prior.mean.shape[0])
+    for j in range(theta.shape[0]):
+        z, state = next_normal(state)
+        theta[j] = theta_prior.mean[j] + theta_prior.sd[j] * z
+    return theta, state
 
 
 def _coverage_hits(seed, rep_start, rep_stop, x, w, theta_prior, eta_prior, cfg):
@@ -295,16 +382,10 @@ def _coverage_hits(seed, rep_start, rep_stop, x, w, theta_prior, eta_prior, cfg)
     eta_mix = math.sqrt(eta_prior.c) * (vecs / np.sqrt(vals)) @ vecs.T
     nu = getattr(eta_prior.family, "dof", None)
     eta_code, nu = (ETA_NORMAL, 0.0) if nu is None else (ETA_STUDENT_T, float(nu))
-    cdf = None
-    if theta_prior.kind == "tabulated":
-        g = theta_prior.grid
-        dens = np.array([float(theta_prior.density_fn(np.array([t]))) for t in g])
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(g))])
-        cdf /= cdf[-1]
     work = np.empty(2 * k)
     hits = 0
     for rep in range(rep_start, rep_stop):
-        theta, state = _draw_theta(stream_state(seed, rep), theta_prior, cdf)
+        theta, state = _draw_theta(stream_state(seed, rep), theta_prior)
         _draw_eta(state, eta_code, nu, eta_mix, work)
         y = x @ theta + work[k:]
         theta_w = np.linalg.solve(h, x.T @ (w @ y))
@@ -357,8 +438,7 @@ def scalar_coverage_hits(seed, rep_start, rep_stop, x, w, theta_prior, eta_prior
     own scale c, form Y = X theta + eta, fit theta_W and J to Y, and count a
     hit when |v'theta_W - v'theta| <= t* sqrt(J / (k - p)) sigma_v.  Nothing
     is taken from the package: the fit and sigma_v come from numpy solves,
-    W^{-1/2} from an eigendecomposition, the tabulated prior's CDF from the
-    trapezoid rule on its grid, and t* from ``t_quantile_quad``.
+    W^{-1/2} from an eigendecomposition, and t* from ``t_quantile_quad``.
     """
     with np.errstate(over="ignore"):
         return _coverage_hits(seed, rep_start, rep_stop, np.asarray(x, dtype=np.float64),

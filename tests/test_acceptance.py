@@ -35,19 +35,16 @@ from misspec.montecarlo import (
     run_tails,
 )
 from misspec.posteriors import (
-    GridSpec,
     MixturePosterior,
     ThetaPrior,
     closed_form_posterior,
-    grid_posterior,
     mass_outside_ball,
     normal_posterior,
 )
-from misspec.posteriors import _grid_cell_weights
 from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
 from misspec.serialize import load_model
 from misspec.special import StudentT, t_cdf, t_quantile
-from oracles import t_quantile_quad
+from oracles import grid_posterior, t_quantile_quad
 
 
 @contextmanager
@@ -113,9 +110,9 @@ def test_criterion_3_grid_vs_closed_form(acceptance_report):
         # Normal radial: pointwise density error below 1e-6.
         c = 0.5
         sd = 0.5
-        spec = GridSpec(bounds=[(1.0 - 8 * sd, 1.0 + 8 * sd)], points=2001)
+        grid = {"bounds": [(1.0 - 8 * sd, 1.0 + 8 * sd)], "points": 2001}
         post = grid_posterior(
-            CANON, ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2)), None, spec
+            CANON, ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2)).log_radial, **grid
         )
         oracle = normal_posterior(CANON, c).density(post.points())
         assert np.max(np.abs(post.density - oracle)) < 1e-6
@@ -124,18 +121,18 @@ def test_criterion_3_grid_vs_closed_form(acceptance_report):
         # (trapezoid-renormalized) support.
         limit = closed_form_posterior(CANON, StudentTRadial(3.0), 0.0)
         sd_t = math.sqrt(limit.scale[0, 0] * limit.dof / (limit.dof - 2.0))
-        spec_t = GridSpec(bounds=[(1.0 - 8 * sd_t, 1.0 + 8 * sd_t)], points=2001)
         post_t = grid_posterior(
-            CANON, ScaledPrior(family=StudentTRadial(3.0), c=1e-8, W=np.eye(2)), None, spec_t
+            CANON, ScaledPrior(family=StudentTRadial(3.0), c=1e-8, W=np.eye(2)).log_radial,
+            bounds=[(1.0 - 8 * sd_t, 1.0 + 8 * sd_t)], points=2001,
         )
         dens_t = limit.density(post_t.points())
-        dens_t /= np.sum(_grid_cell_weights(post_t.axes) * dens_t)
+        dens_t /= np.sum(post_t.cell * dens_t)
         assert np.max(np.abs(post_t.density - dens_t)) < 2e-4
 
         # Power-law grids are identical for every scale c.
         grids = [
             grid_posterior(
-                CANON, ScaledPrior(family=PowerLawRadial(3.0), c=cc, W=np.eye(2)), None, spec
+                CANON, ScaledPrior(family=PowerLawRadial(3.0), c=cc, W=np.eye(2)).log_radial, **grid
             ).density
             for cc in (1e-3, 1.0, 1e3)
         ]

@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -96,6 +97,17 @@ class TestAnalyze:
         assert_allclose(reports[1]["sigma_v"], 1e300 * reports[0]["sigma_v"], rtol=1e-15)
         for end in ("lower", "upper"):
             assert_allclose(reports[1]["ci"][end], 1e300 * reports[0]["ci"][end], rtol=1e-14)
+
+    def test_d_whose_square_overflows(self):
+        # d^2 overflows; the half-width sigma_v sqrt(d^2 - J), about 5.97e159, does not.
+        proc = _child(["-W", "error", "-m", "misspec.cli", "analyze", "--model", "m2.json",
+                       "--v", "1,0", "--d", "1e160"],
+                      cwd=os.path.join(os.path.dirname(__file__), "golden"))
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads(proc.stdout)
+        (iv,) = report["identified_sets"]
+        hw = report["sigma_v"] * 1e160
+        assert_allclose([iv["lower"], iv["upper"]], [-hw, hw], rtol=1e-15)
 
     def test_just_identified_exit_code(self, just_identified_file, capsys):
         argv = ["analyze", "--model", just_identified_file, "--v", "1,0", "--level", "0.9"]
@@ -222,7 +234,7 @@ class TestCoverage:
         for p in paths:
             code = main(["coverage", "--reps", "200", "--seed", "1", "--out", p])
             assert code == 0
-        a, b = (open(p, "rb").read() for p in paths)
+        a, b = (pathlib.Path(p).read_bytes() for p in paths)
         assert a == b
 
     def test_payload_fields(self, capsys):

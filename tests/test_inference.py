@@ -154,6 +154,14 @@ class TestIdentifiedSet:
         assert identified_set_projection(canon_model, CFG, math.sqrt(j - 0.5 * band)).singleton
         assert not identified_set_projection(canon_model, CFG, math.sqrt(j + 1e-6)).singleton
 
+    @pytest.mark.parametrize("d", [1e160, 1e308])
+    def test_d_whose_square_overflows(self, canon_model, d):
+        # d^2 overflows; sigma_v sqrt(d^2 - J), J = 2, is sigma_v d to within 1e-300.
+        iv = identified_set_projection(canon_model, CFG, d)
+        assert not (iv.empty or iv.singleton)
+        assert_allclose([iv.lower, iv.upper], [1.0 - d / math.sqrt(2.0), 1.0 + d / math.sqrt(2.0)],
+                        rtol=1e-15)
+
     def test_negative_d_rejected(self, canon_model):
         with pytest.raises(InputError):
             identified_set_projection(canon_model, CFG, -1.0)
@@ -237,3 +245,17 @@ class TestTypesAndReport:
         assert flags[0][1] and not flags[0][2]
         assert flags[1][2]
         assert not flags[2][1] and not flags[2][2]
+
+    def test_analyze_computes_sigma_v_once(self, canon_model, monkeypatch):
+        from misspec import inference
+
+        ds = (1.0, math.sqrt(2.0), math.sqrt(6.0))
+        calls = []
+        sigma_v = inference.sigma_v
+        monkeypatch.setattr(inference, "sigma_v", lambda *a: calls.append(a) or sigma_v(*a))
+        report = analyze(canon_model, CFG, ds)
+        assert len(calls) == 1
+        assert report.ci == confidence_interval(canon_model, CFG)
+        assert report.identified_sets == tuple(
+            (d, identified_set_projection(canon_model, CFG, d)) for d in ds
+        )

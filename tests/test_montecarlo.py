@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import misspec
 from misspec import _kernels, montecarlo
 from misspec.errors import (
-    GridError,
     ImproperPriorError,
     InputError,
     JustIdentifiedError,
@@ -45,10 +45,6 @@ from oracles import (
 W5 = np.eye(5)
 CFG = InferenceConfig(v=[1.0, 0.0], level=0.95)
 GAUSS_PRIOR = ThetaPrior.gaussian([0.0, 0.0], 10.0)
-
-
-def _laplace_at_one(t):
-    return float(np.exp(-abs(float(np.atleast_1d(t)[0]) - 1.0)))
 
 
 def _normal_prior(c=1.0, k=5):
@@ -98,31 +94,10 @@ class TestCoverage:
         res = run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, _normal_prior(), CFG, reps=5000, seed=21)
         assert abs(res.coverage - 0.95) < 4.0 * res.std_err + 1e-9
 
-    def test_tabulated_theta_prior(self):
-        # Coverage is exact for every proper theta prior; a skewed tabulated
-        # prior on a k=3, p=1 fixture must land in the binomial band too.
-        x = np.array([[1.0], [0.5], [-0.5]])
-        w = np.eye(3)
-        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 4001))
-        res = run_coverage(
-            x, w, prior, _normal_prior(k=3), InferenceConfig(v=[1.0], level=0.9),
-            reps=5000, seed=5,
-        )
-        assert abs(res.coverage - 0.9) < 4.0 * res.std_err + 1e-9
-
-    def test_tabulated_theta_prior_needs_p_one(self):
-        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
-        with pytest.raises(InputError, match="p = 1"):
-            run_coverage(DEFAULT_COVERAGE_X, W5, prior, _normal_prior(), CFG, reps=200, seed=0)
-
     def test_improper_eta_prior_rejected(self):
         improper = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=W5)
         with pytest.raises(ImproperPriorError):
             run_coverage(DEFAULT_COVERAGE_X, W5, GAUSS_PRIOR, improper, CFG, reps=200, seed=0)
-
-    def test_flat_theta_prior_rejected(self):
-        with pytest.raises(InputError):
-            run_coverage(DEFAULT_COVERAGE_X, W5, ThetaPrior.flat(), _normal_prior(), CFG, reps=200, seed=0)
 
     def test_mismatched_prior_weighting_rejected(self):
         prior = ScaledPrior(family=NormalRadial(), c=1.0, W=2.0 * np.eye(5))
@@ -171,45 +146,6 @@ class TestCoverage:
             assert abs(res.coverage - level) <= 3.0 * se
 
 
-class TestTabulatedThetaPrior:
-    @pytest.mark.parametrize("grid", [[0.0, 0.0, 1.0], [1.0, 0.0], [0.0]])
-    def test_grid_must_increase(self, grid):
-        with pytest.raises(InputError, match="strictly increasing"):
-            ThetaPrior.tabulated(_laplace_at_one, grid=grid)
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(InputError, match="nonnegative"):
-            ThetaPrior.tabulated(lambda t: float(t[0]), grid=np.linspace(-1.0, 1.0, 5))
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(InputError, match="zero mass"):
-            ThetaPrior.tabulated(lambda t: 0.0, grid=np.linspace(-1.0, 1.0, 5))
-
-    def test_table_built_once(self):
-        calls = []
-        prior = ThetaPrior.tabulated(
-            lambda t: calls.append(t) or _laplace_at_one(t), grid=np.linspace(-6.0, 6.0, 401)
-        )
-        x = np.array([[1.0], [0.5], [-0.5]])
-        for _ in range(2):
-            run_coverage(x, np.eye(3), prior, _normal_prior(k=3), InferenceConfig(v=[1.0]),
-                         reps=200, seed=0)
-        assert len(calls) == 401
-
-    def test_overflowing_replication_names_the_scales(self):
-        # At c = 1e308 the Y-form J of a t:1 eta overflows; the hits are those
-        # of c = 1, and the result still records the scale and the prior.
-        prior = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
-        x = np.array([[1.0], [0.5], [-0.5]])
-        res = {
-            c: run_coverage(x, np.eye(3), prior, ScaledPrior(family=StudentTRadial(1.0), c=c, W=np.eye(3)),
-                            InferenceConfig(v=[1.0]), reps=200, seed=0)
-            for c in (1.0, 1e308)
-        }
-        assert res[1e308].config["c"] == 1e308 and res[1e308].config["theta_prior"] == "tabulated"
-        assert res[1e308].hits == res[1.0].hits and 0 < res[1.0].hits < 200
-
-
 def _dense_fixture():
     """k=12, p=3 fixture with a dense SPD weighting matrix."""
     rng = np.random.default_rng(12)
@@ -236,16 +172,13 @@ class TestKernelOracle:
         assert np.array_equal(_kernels.pivot_tstats(*args), scalar_pivot_tstats(*args))
 
     @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("fixture", ["k5", "k12", "tabulated"])
+    @pytest.mark.parametrize("fixture", ["k5", "k12"])
     def test_coverage_hits(self, family, fixture):
         if fixture == "k5":
             x, w, cfg, theta, reps = DEFAULT_COVERAGE_X, W5, CFG, GAUSS_PRIOR, 400
-        elif fixture == "k12":
+        else:
             x, w, cfg = _dense_fixture()
             theta, reps = ThetaPrior.gaussian([0.5, -1.0, 2.0], [1.0, 3.0, 0.5]), 150
-        else:
-            x, w, cfg, reps = np.array([[1.0], [0.5], [-0.5]]), np.eye(3), InferenceConfig(v=[1.0]), 400
-            theta = ThetaPrior.tabulated(_laplace_at_one, grid=np.linspace(-6.0, 6.0, 401))
         eta = ScaledPrior(family=FAMILIES[family], c=0.5, W=w)
         # A low level and a small prior scale keep hits well away from 0 and reps.
         cfg = InferenceConfig(v=cfg.v, level=0.5)
@@ -425,18 +358,20 @@ class TestSweeps:
         limit_sd = posterior_sd(closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0))[0]
         assert abs(sds[0] - limit_sd) < 0.03 * limit_sd
 
-    @staticmethod
-    def _forbid_grids(monkeypatch):
-        """Make every grid posterior fail: the sweeps must not build one."""
-        from misspec import posteriors
+    def test_package_has_no_grid_posterior(self):
+        # The sweeps read closed forms; the grid posterior is a test oracle only.
+        from misspec import errors, posteriors, priors, serialize
 
-        assert not hasattr(montecarlo, "grid_posterior")
-        monkeypatch.setattr(posteriors, "grid_posterior", _must_not_run)
-        monkeypatch.setattr(posteriors, "_normalize_grid", _must_not_run)
+        removed = {
+            "GridSpec", "GridPosterior", "grid_posterior", "bayes_action_grid", "GridError",
+            "ContaminatedPrior", "mixture_density", "grid_to_csv", "check_point_counts",
+        }
+        for module in (misspec, posteriors, priors, serialize, errors):
+            assert removed.isdisjoint(vars(module)), module.__name__
+        assert not hasattr(ThetaPrior, "tabulated") and not hasattr(ThetaPrior, "flat")
 
     @pytest.mark.parametrize("family", [NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)])
-    def test_concentration_builds_no_grid(self, canon_model, family, monkeypatch):
-        self._forbid_grids(monkeypatch)
+    def test_concentration_builds_no_grid(self, canon_model, family):
         m2 = ModelInstance(
             Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
         )
@@ -446,8 +381,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("base", [NormalRadial(), StudentTRadial(3.0)])
     @pytest.mark.parametrize("contaminant", [NormalRadial(), StudentTRadial(30.0)])
-    def test_contamination_builds_no_grid(self, canon_model, base, contaminant, monkeypatch):
-        self._forbid_grids(monkeypatch)
+    def test_contamination_builds_no_grid(self, canon_model, base, contaminant):
         for name in ("_composite_axis", "_family_sd_estimate"):
             assert not hasattr(montecarlo, name)
         contam = ScaledPrior(family=contaminant, c=4.0, W=np.eye(2))
@@ -455,7 +389,7 @@ class TestSweeps:
         assert all(np.all((v >= 0.0) & (v <= 1.0)) for v in trace.metrics.values())
 
     def test_concentration_grid_points_not_truncated(self, canon_model):
-        with pytest.raises(GridError, match="integer"):
+        with pytest.raises(InputError, match="integer"):
             run_concentration(canon_model, NormalRadial(), [0.5], [0.1], grid_points=3.7)
 
     @pytest.mark.parametrize(
@@ -518,7 +452,7 @@ class TestSweeps:
     @pytest.mark.parametrize("points", [-5, 0, 1, 401.0, True, 2001**2 + 1])
     def test_contamination_grid_points_validated(self, canon_model, points):
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
-        with pytest.raises(GridError):
+        with pytest.raises(InputError, match="integer|exceeds"):
             run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2],
                               grid_points=points)
 

@@ -7,41 +7,37 @@ from scipy import stats
 
 from misspec.errors import (
     DegenerateLimitError,
-    GridError,
     InputError,
     ModelValidationError,
     NumericalError,
 )
 from misspec.model import ModelInstance, pseudo_true
+from misspec.montecarlo import run_concentration
 from misspec.posteriors import (
     ClosedFormPosterior,
-    GridSpec,
     MixturePosterior,
     ThetaPrior,
-    bayes_action_grid,
     bayes_action_quadratic,
     closed_form_posterior,
-    grid_posterior,
     mass_outside_ball,
     normal_posterior,
     posterior_sd,
     tv_distance,
 )
-from misspec.posteriors import _grid_cell_weights
 from misspec.priors import (
-    ContaminatedPrior,
     NormalRadial,
     PowerLawRadial,
     ScaledPrior,
     StudentTRadial,
 )
-from oracles import tv_distance_quad
+from oracles import grid_posterior, mixture_log_radial, tv_distance_quad
 
 
-def _grid_for(model, prior, sd, points=2001, theta_prior=None, width=8.0):
+def _grid_for(model, prior, sd, points=2001, width=8.0):
     center = pseudo_true(model).theta_w[0]
-    spec = GridSpec(bounds=[(center - width * sd, center + width * sd)], points=points)
-    return grid_posterior(model, prior, theta_prior, spec)
+    return grid_posterior(
+        model, prior.log_radial, bounds=[(center - width * sd, center + width * sd)], points=points
+    )
 
 
 class TestNormalPosterior:
@@ -137,8 +133,7 @@ class TestGridPosterior:
         sd = math.sqrt(limit.scale[0, 0] * limit.dof / (limit.dof - 2.0))
         post = _grid_for(canon_model, prior, sd=sd)
         oracle = limit.density(post.points())
-        cell = _grid_cell_weights(post.axes)
-        oracle = oracle / np.sum(cell * oracle)
+        oracle = oracle / np.sum(post.cell * oracle)
         assert np.max(np.abs(post.density - oracle)) < 2e-4
 
     def test_powerlaw_grid_c_free(self, canon_model):
@@ -161,93 +156,41 @@ class TestGridPosterior:
         with pytest.raises(InputError, match=f"requires a (positive )?finite {name}"):
             ThetaPrior.gaussian(mean, sd)
 
-    def test_gaussian_theta_prior_conjugate(self, canon_model):
-        # Normal radial x Gaussian prior: precision h/c + 1/s0^2 in closed form.
-        c, m0, s0 = 0.5, 2.0, 1.5
-        h = 2.0
-        prec = h / c + 1.0 / s0**2
-        mean = (h / c * 1.0 + m0 / s0**2) / prec
-        sd = math.sqrt(1.0 / prec)
-        prior = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-        spec = GridSpec(bounds=[(mean - 8.0 * sd, mean + 8.0 * sd)], points=2001)
-        post = grid_posterior(canon_model, prior, ThetaPrior.gaussian([m0], s0), spec)
-        pts = post.points().ravel()
-        oracle = np.exp(-0.5 * ((pts - mean) / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
-        assert np.max(np.abs(post.density - oracle)) < 1e-8
-
-    def test_auto_expand_once_with_warning(self, canon_model):
-        prior = ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2))
-        spec = GridSpec(bounds=[(2.0, 6.0)], points=501)
-        with pytest.warns(UserWarning, match="expanding"):
-            post = grid_posterior(canon_model, prior, None, spec)
-        assert post.axes[0][0] <= 1.0 <= post.axes[0][-1]
-
     def test_extreme_scale_survives_via_log_space(self, canon_model):
         # Max-subtraction keeps even c = 1e-300 evaluable: the posterior is a
         # point mass at the grid point nearest the optimum.
         prior = ScaledPrior(family=NormalRadial(), c=1e-300, W=np.eye(2))
-        spec = GridSpec(bounds=[(0.99, 1.013)], points=31)
-        post = grid_posterior(canon_model, prior, None, spec)
+        post = grid_posterior(canon_model, prior.log_radial, bounds=[(0.99, 1.013)], points=31)
         best = post.axes[0][np.argmax(post.density)]
         assert abs(best - 1.0) <= np.diff(post.axes[0])[0]
-
-    def test_degenerate_log_mass_raises(self):
-        from misspec.posteriors import _normalize_grid
-
-        with pytest.raises(NumericalError):
-            _normalize_grid((np.linspace(0.0, 1.0, 5),), np.full(5, -np.inf))
-
-    def test_nan_theta_density_raises(self, canon_model):
-        # A tabulated density that is NaN off its table makes the log
-        # posterior NaN there; that is an error, not zero mass.
-        theta = ThetaPrior.tabulated(
-            lambda t: math.exp(-abs(t[0])) if abs(t[0]) <= 2.0 else math.nan,
-            grid=np.linspace(-2.0, 2.0, 81),
-        )
-        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
-        with pytest.raises(NumericalError, match="NaN"):
-            _grid_for(canon_model, prior, 1.0, points=201, theta_prior=theta)
-
-    def test_powerlaw_needs_positive_j(self, exactfit_model):
-        prior = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(2))
-        with pytest.raises(DegenerateLimitError):
-            grid_posterior(exactfit_model, prior, None, GridSpec(bounds=[(2.0, 4.0)]))
-
-    def test_default_bounds_cover_pseudo_true(self, canon_model):
-        prior = ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2))
-        post = grid_posterior(canon_model, prior)
-        assert post.axes[0][0] < 1.0 < post.axes[0][-1]
-        assert_allclose(np.sum(post.weights), 1.0, atol=1e-10)
 
     def test_two_dimensional_grid(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         y = np.array([1.0, 2.0, 2.0])
         m = ModelInstance(Y=y, X=x, W=np.eye(3))
         prior = ScaledPrior(family=NormalRadial(), c=0.8, W=np.eye(3))
-        post = grid_posterior(m, prior, None, GridSpec(points=201))
         cf = normal_posterior(m, 0.8)
+        bounds = [(t - 12.0 * s, t + 12.0 * s) for t, s in zip(cf.center, cf.marginal_sd())]
+        post = grid_posterior(m, prior.log_radial, bounds=bounds, points=201)
         grid_mean = post.mean()
         assert_allclose(grid_mean, cf.center, atol=1e-6)
         assert_allclose(np.sum(post.weights), 1.0, atol=1e-10)
         assert np.max(np.abs(post.sd() - cf.marginal_sd())) < 1e-3
 
     def test_total_grid_size_capped(self):
-        # Just above 2001**2 points, the CLI's default p=2 grid.
+        # The sweeps' grid_points keyword sizes nothing, but is still capped
+        # just above 2001**2 points.
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         m = ModelInstance(Y=[1.0, 2.0, 2.0], X=x, W=np.eye(3))
-        prior = ScaledPrior(family=NormalRadial(), c=0.8, W=np.eye(3))
-        axes = [np.linspace(-5.0, 5.0, 2002), np.linspace(-5.0, 5.0, 2001)]
-        for spec in (GridSpec(points=(2002, 2001)), GridSpec(axes=axes)):
-            with pytest.raises(GridError, match="exceeds"):
-                grid_posterior(m, prior, None, spec)
+        with pytest.raises(InputError, match="exceeds"):
+            run_concentration(m, NormalRadial(), [0.8], [0.1], grid_points=(2002, 2001))
 
     @pytest.mark.parametrize("points", [2.9, 1, (201, 3.5), (201,)])
     def test_point_counts_not_truncated(self, points):
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         m = ModelInstance(Y=[1.0, 2.0, 2.0], X=x, W=np.eye(3))
-        prior = ScaledPrior(family=NormalRadial(), c=0.8, W=np.eye(3))
-        with pytest.raises(GridError, match="integer"):
-            grid_posterior(m, prior, None, GridSpec(points=points))
+        with pytest.raises(InputError, match="integer"):
+            run_concentration(m, NormalRadial(), [0.8], [0.1], grid_points=points)
 
     def test_sd_keeps_precision_at_tiny_c(self):
         # sd is about 1e-4 while theta_W is about (11.3, 7.9): E[theta^2] - mean^2
@@ -261,22 +204,8 @@ class TestGridPosterior:
         exact = normal_posterior(m, c).marginal_sd()
         bounds = [(t - 18.0 * s, t + 18.0 * s) for t, s in zip(pseudo_true(m).theta_w, exact)]
         prior = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(4))
-        post = grid_posterior(m, prior, None, GridSpec(bounds=bounds, points=201))
+        post = grid_posterior(m, prior.log_radial, bounds=bounds, points=201)
         assert_allclose(post.sd(), exact, rtol=1e-7)
-
-    def test_prior_weight_must_match_model(self, canon_model):
-        spec = GridSpec(bounds=[(-1.0, 3.0)], points=101)
-        for w in (2.0 * np.eye(2), np.eye(3)):
-            prior = ScaledPrior(family=NormalRadial(), c=0.5, W=w)
-            with pytest.raises(InputError, match="prior weighting matrix"):
-                grid_posterior(canon_model, prior, None, spec)
-
-    def test_p_too_large(self):
-        x = np.eye(3)
-        m = ModelInstance(Y=[1.0, 2.0, 3.0], X=x, W=np.eye(3))
-        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(3))
-        with pytest.raises(InputError, match="p in"):
-            grid_posterior(m, prior)
 
 
 class TestMassOutsideBall:
@@ -305,7 +234,7 @@ class TestMassOutsideBall:
             )
             errs.append(
                 max(
-                    abs(mass_outside_ball(post, [1.0], eps) - mass_outside_ball(cf, [1.0], eps))
+                    abs(post.mass_outside([1.0], eps) - mass_outside_ball(cf, [1.0], eps))
                     for eps in (0.3, 0.9, 2.0)
                 )
             )
@@ -321,11 +250,11 @@ class TestMassOutsideBall:
         assert_allclose(a, b, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [[[0.0]], [[-1.0]], [[math.nan]], [[1.0, 0.0], [0.0, 1.0]]], ids=str)
-    @pytest.mark.parametrize("grid", [False, True], ids=["closed_form", "grid"])
-    def test_bad_norm_matrix_rejected(self, canon_model, grid, m):
+    @pytest.mark.parametrize("kind", ["closed_form", "mixture"])
+    def test_bad_norm_matrix_rejected(self, canon_model, kind, m):
         post = normal_posterior(canon_model, 0.5)
-        if grid:
-            post = _grid_for(canon_model, ScaledPrior(NormalRadial(), 0.5, np.eye(2)), sd=0.5, points=201)
+        if kind == "mixture":
+            post = _mixture(canon_model, NormalRadial(), 0.5, NormalRadial(), 4.0, 0.1)
         with pytest.raises(InputError, match="norm_matrix"):
             mass_outside_ball(post, [1.0], 0.5, norm_matrix=m)
 
@@ -391,6 +320,11 @@ class TestMassOutsideBall:
         assert mass_outside_ball(post, post.center, 40.0) == 0.0
         assert mass_outside_ball(post, post.center, 1e200) == 0.0
 
+    def test_p_above_two_rejected(self):
+        post = ClosedFormPosterior(center=np.zeros(3), scale=np.eye(3))
+        with pytest.raises(InputError, match="p <= 2"):
+            mass_outside_ball(post, post.center, 1.0)
+
     def test_off_centre_disc_rejected(self):
         post = ClosedFormPosterior(center=[0.5, 0.1], scale=np.eye(2))
         with pytest.raises(InputError, match="centred at the posterior centre"):
@@ -420,79 +354,12 @@ class TestBayesActions:
 
     def test_grid_symmetric_about_pseudo_true(self, canon_model):
         post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        assert_allclose(bayes_action_quadratic(post), [1.0], atol=1e-10)
+        assert_allclose(post.mean(), bayes_action_quadratic(normal_posterior(canon_model, 0.5)), atol=1e-10)
 
     def test_t_posterior_mean_requires_dof(self, canon_model):
         post = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)  # dof exactly 1
         with pytest.raises(InputError):
             bayes_action_quadratic(post)
-
-    def test_absolute_loss_picks_median(self, canon_model):
-        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        actions = np.linspace(0.0, 2.0, 41)
-        loss = lambda a, th: min(abs(a - float(np.atleast_1d(th)[0])), 10.0)
-        assert_allclose(bayes_action_grid(post, actions, loss), 1.0, atol=1e-12)
-
-    def test_point_mass_limit_argmin(self, canon_model):
-        prior = ScaledPrior(family=NormalRadial(), c=1e-8, W=np.eye(2))
-        post = _grid_for(canon_model, prior, sd=math.sqrt(1e-8 / 2.0))
-        actions = [0.0, 0.5, 0.9, 2.0]
-        loss = lambda a, th: min((a - float(np.atleast_1d(th)[0])) ** 2, 10.0)
-        assert bayes_action_grid(post, actions, loss) == 0.9
-
-    def test_single_action(self, canon_model):
-        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        assert bayes_action_grid(post, [3.3], lambda a, th: 0.0) == 3.3
-
-    def test_tie_break_smallest(self, canon_model):
-        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        # Constant loss makes every action exactly tied.
-        assert bayes_action_grid(post, [1.25, 0.75, 2.0], lambda a, th: 1.0) == 0.75
-
-    def test_loss_errors_are_not_hidden(self, canon_model):
-        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-
-        def loss(a, th):
-            th = np.asarray(th)
-            if th.ndim == 2:
-                raise RuntimeError("vectorized loss broke")
-            return (a - th[0]) ** 2
-
-        with pytest.raises(RuntimeError, match="vectorized loss broke"):
-            bayes_action_grid(post, [0.5, 1.0], loss)
-
-    def test_empty_actions(self, canon_model):
-        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        with pytest.raises(InputError):
-            bayes_action_grid(post, [], lambda a, th: 0.0)
-
-
-class TestTvDistance:
-    def test_self_distance_zero(self, canon_model):
-        post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        assert tv_distance(post, post) == 0.0
-
-    def test_disjoint_spikes_near_one(self, canon_model):
-        c = 1e-6
-        sd = math.sqrt(c / 2.0)
-        axis = np.sort(np.concatenate([
-            np.linspace(1.0 - 10 * sd, 1.0 + 10 * sd, 800),
-            np.linspace(4.0 - 10 * sd, 4.0 + 10 * sd, 800),
-        ]))
-        spec = GridSpec(axes=[axis])
-        prior = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-        shifted = ModelInstance(Y=[3.0, 5.0], X=[[1.0], [1.0]], W=np.eye(2))
-        a = grid_posterior(canon_model, prior, None, spec)
-        b = grid_posterior(shifted, prior, None, spec)
-        assert tv_distance(a, b) > 0.999
-
-    def test_grid_mismatch_rejected(self, canon_model):
-        prior = ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2))
-        a = _grid_for(canon_model, prior, sd=0.5, points=101)
-        b = _grid_for(canon_model, prior, sd=0.5, points=102)
-        with pytest.raises(InputError):
-            tv_distance(a, b)
-
 
 class TestClosedFormTvDistance:
     # (dof, scale) pairs sharing a centre, with the number of times their
@@ -540,9 +407,6 @@ class TestClosedFormTvDistance:
         flat = ClosedFormPosterior(center=[0.0, 0.0], scale=np.eye(2))
         with pytest.raises(InputError, match="p = 1"):
             tv_distance(flat, flat)
-        grid = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        with pytest.raises(InputError, match="two grid posteriors"):
-            tv_distance(grid, a)
 
 
 def _mixture(model, base_family, c, family, c_cont, phi):
@@ -615,15 +479,13 @@ class TestIllConditioned:
 class TestFragility:
     def test_contaminated_posterior_collapses_to_contaminant(self, canon_model):
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
-        axis = np.linspace(1.0 - 12.0, 1.0 + 12.0, 2001)
-        spec = GridSpec(axes=[axis])
-        pure = grid_posterior(canon_model, contam, None, spec)
+        axes = [np.linspace(1.0 - 12.0, 1.0 + 12.0, 2001)]
+        pure = grid_posterior(canon_model, contam.log_radial, axes=axes)
         tvs = []
         for c in (1.0, 1e-2, 1e-6):
             base = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-            mixed = ContaminatedPrior(base=base, contaminant=contam, phi=0.01)
-            post = grid_posterior(canon_model, mixed, None, spec)
-            tvs.append(tv_distance(post, pure))
+            post = grid_posterior(canon_model, mixture_log_radial(base, contam, 0.01), axes=axes)
+            tvs.append(post.tv(pure))
         assert tvs[0] > 0.1  # base component still visible at c = 1
         assert tvs[1] <= tvs[0] and tvs[2] <= tvs[1]
         assert tvs[2] < 0.05
@@ -637,9 +499,8 @@ class TestFragility:
             np.linspace(3.0 - 12 * sd, 3.0 + 12 * sd, 801),
         ]))
         base = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-        mixed = ContaminatedPrior(base=base, contaminant=contam, phi=0.01)
-        post = grid_posterior(exactfit_model, mixed, None, GridSpec(axes=[axis]))
-        assert mass_outside_ball(post, [3.0], 0.05) < 0.01
+        post = grid_posterior(exactfit_model, mixture_log_radial(base, contam, 0.01), axes=[axis])
+        assert post.mass_outside([3.0], 0.05) < 0.01
 
 
 def test_posterior_sd_helpers(canon_model):

@@ -7,14 +7,14 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from misspec.errors import ImproperPriorError, InputError, NumericalError
+from misspec.model import ModelInstance
+from misspec.montecarlo import run_contamination
 from misspec.priors import (
-    ContaminatedPrior,
     NormalRadial,
     PowerLawRadial,
     ScaledPrior,
     StudentTRadial,
     density,
-    mixture_density,
     parse_radial,
     sample_eta,
     tail_ratio,
@@ -350,45 +350,21 @@ class TestLogEvidence:
 
 
 class TestContaminated:
+    """Contaminated priors (1 - phi) base + phi contaminant, as the contamination sweep takes them."""
+
+    MODEL = ModelInstance(Y=[0.0, 2.0], X=[[1.0], [1.0]], W=np.eye(2))
+
     def test_phi_bounds(self):
-        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         for phi in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(InputError):
-                ContaminatedPrior(base=base, contaminant=base, phi=phi)
-
-    def test_improper_base_rejected(self):
-        base = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(1))
-        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(1))
-        with pytest.raises(ImproperPriorError):
-            ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
-
-    def test_improper_contaminant_rejected(self):
-        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
-        contam = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(1))
-        with pytest.raises(ImproperPriorError):
-            ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
+            with pytest.raises(InputError, match="phi"):
+                run_contamination(self.MODEL, NormalRadial(), contam, phi, [1.0])
 
     def test_contaminant_weight_must_match_base(self):
-        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
         for w in (2.0 * np.eye(2), np.eye(3)):
             contam = ScaledPrior(family=NormalRadial(), c=4.0, W=w)
             with pytest.raises(InputError, match="contaminant weighting matrix"):
-                ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
-
-    def test_small_phi_near_base(self):
-        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
-        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(1))
-        eta = np.array([0.3])
-        for phi in (1e-6, 1e-9):
-            mixed = ContaminatedPrior(base=base, contaminant=contam, phi=phi)
-            assert abs(mixture_density(mixed, eta) - density(base, eta)) < 2.0 * phi
-
-    def test_two_normal_mixture_value(self):
-        base = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(1))
-        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(1))
-        mixed = ContaminatedPrior(base=base, contaminant=contam, phi=0.5)
-        expected = 0.5 * (1.0 / math.sqrt(2.0 * math.pi)) * (1.0 + 0.5)
-        assert_allclose(mixture_density(mixed, [0.0]), expected, rtol=1e-12)
+                run_contamination(self.MODEL, NormalRadial(), contam, 0.5, [1.0])
 
     def test_builtin_contaminant_integrates_to_one(self):
         # Quadrature spot-check of the normalization promised by callers.

@@ -24,18 +24,13 @@ from misspec.inference import (
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
     ClosedFormPosterior,
-    GridSpec,
     MixturePosterior,
     closed_form_posterior,
-    grid_posterior,
     mass_outside_ball,
     normal_posterior,
-    tv_distance,
 )
-from misspec.posteriors import _grid_cell_weights
 from misspec.montecarlo import _pivot_args, ks_statistic, run_tails
 from misspec.priors import (
-    ContaminatedPrior,
     NormalRadial,
     PowerLawRadial,
     ScaledPrior,
@@ -43,7 +38,13 @@ from misspec.priors import (
     sample_eta,
 )
 from misspec.special import StudentT, t_quantile
-from oracles import ks_statistic_full, random_model_arrays, random_spd
+from oracles import (
+    grid_posterior,
+    ks_statistic_full,
+    mixture_log_radial,
+    random_model_arrays,
+    random_spd,
+)
 
 # (k, p) with k > p, so the confidence interval is defined.
 shapes = st.sampled_from([(2, 1), (3, 1), (4, 2), (5, 2), (6, 3)])
@@ -198,7 +199,7 @@ def test_normal_grid_matches_closed_form_near_spd_tolerance(seed, shape, c):
     sd = normal_posterior(m, c).marginal_sd()
     bounds = [(t - 12.0 * s, t + 12.0 * s) for t, s in zip(theta_w, sd)]
     prior = ScaledPrior(family=NormalRadial(), c=c, W=m.W)
-    post = grid_posterior(m, prior, None, GridSpec(bounds=bounds, points=201))
+    post = grid_posterior(m, prior.log_radial, bounds=bounds, points=201)
     assert np.all(np.abs(post.mean() - theta_w) <= 1e-9 * sd)
     if m.p == 1:
         assert_allclose(post.sd(), sd, rtol=1e-7)
@@ -224,9 +225,9 @@ def test_t_and_powerlaw_grids_match_closed_form(seed, shape, family, c):
     bounds = [(t - h, t + h) for t, h in zip(cf.center, half)]
     points = 401 if m.p == 1 else 101
     prior = ScaledPrior(family=family, c=c, W=m.W)
-    post = grid_posterior(m, prior, None, GridSpec(bounds=bounds, points=points))
+    post = grid_posterior(m, prior.log_radial, bounds=bounds, points=points)
     oracle = cf.density(post.points()).reshape(post.density.shape)
-    oracle /= np.sum(_grid_cell_weights(post.axes) * oracle)
+    oracle /= np.sum(post.cell * oracle)
     assert np.max(np.abs(post.density - oracle)) <= 1e-9 * np.max(oracle)
 
 
@@ -246,8 +247,8 @@ def test_grid_concentration_metrics_match_the_exact_ones(seed, shape, family, c,
     cf = closed_form_posterior(m, family, c)
     half = 12.0 * np.sqrt(np.diag(cf.scale))
     n = 2001 if p == 1 else 401
-    spec = GridSpec(bounds=[(t - h, t + h) for t, h in zip(cf.center, half)], points=n)
-    post = grid_posterior(m, ScaledPrior(family=family, c=c, W=m.W), None, spec)
+    bounds = [(t - h, t + h) for t, h in zip(cf.center, half)]
+    post = grid_posterior(m, ScaledPrior(family=family, c=c, W=m.W).log_radial, bounds=bounds, points=n)
     eps = z * float(np.sqrt(np.max(np.diag(cf.scale))))
     # A grid point's weight falls wholly inside or outside the ball, so the
     # mass is off by at most the boundary cells' mass: their measure times the
@@ -261,7 +262,7 @@ def test_grid_concentration_metrics_match_the_exact_ones(seed, shape, family, c,
         for t, s, hw in zip(cf.center, np.diag(cf.scale), half)
     )
     tol = cells * cf.density(cf.center) + 2.0 * cut
-    assert abs(mass_outside_ball(post, cf.center, eps) - mass_outside_ball(cf, cf.center, eps)) <= tol
+    assert abs(post.mass_outside(cf.center, eps) - mass_outside_ball(cf, cf.center, eps)) <= tol
     sd = np.sqrt(np.diag(cf.scale))
     assert np.all(np.abs(post.mean() - cf.center) <= 1e-9 * sd)
     if cf.dof is None:
@@ -302,7 +303,7 @@ def test_contaminated_grid_matches_the_mixture(seed, k, base_family, family, c, 
         Y=2.0 * rng.standard_normal(k), X=rng.standard_normal((k, 1)), W=random_spd(rng, k)
     )
     contaminant = ScaledPrior(family=family, c=c_cont, W=m.W)
-    prior = ContaminatedPrior(ScaledPrior(family=base_family, c=c, W=m.W), contaminant, phi)
+    prior = mixture_log_radial(ScaledPrior(family=base_family, c=c, W=m.W), contaminant, phi)
     mix = MixturePosterior(
         base=closed_form_posterior(m, base_family, c),
         contaminant=closed_form_posterior(m, family, c_cont),
@@ -314,8 +315,8 @@ def test_contaminated_grid_matches_the_mixture(seed, k, base_family, family, c, 
     # for a t, whose tails are heavier.
     halves = [(12.0 if q.dof is None else 40.0) * np.sqrt(q.scale[0, 0]) for q in parts]
     axis = np.unique(np.concatenate([np.linspace(centre - h, centre + h, 20001) for h in halves]))
-    grid = grid_posterior(m, prior, None, GridSpec(axes=[axis]))
-    pure = grid_posterior(m, contaminant, None, GridSpec(axes=[axis]))
+    grid = grid_posterior(m, prior, axes=[axis])
+    pure = grid_posterior(m, contaminant.log_radial, axes=[axis])
     # Every density here is a mixture of the two components, so its first-order
     # trapezoid error is at most the sum of theirs, and its mass beyond the
     # grid at most the larger of theirs.
@@ -330,10 +331,10 @@ def test_contaminated_grid_matches_the_mixture(seed, k, base_family, family, c, 
     straddle = sum(
         float(np.diff(axis)[edge] @ np.maximum(f[edge], f[edge + 1])) for f in dens
     )
-    assert abs(mass_outside_ball(grid, [centre], eps) - mass_outside_ball(mix, [centre], eps)) <= (
+    assert abs(grid.mass_outside([centre], eps) - mass_outside_ball(mix, [centre], eps)) <= (
         2.0 * (error + straddle + cut)
     )
-    assert abs(tv_distance(grid, pure) - mix.tv_to_contaminant()) <= 2.0 * (error + cut)
+    assert abs(grid.tv(pure) - mix.tv_to_contaminant()) <= 2.0 * (error + cut)
 
 
 @given(

@@ -7,12 +7,9 @@ from numpy.testing import assert_allclose
 
 from misspec.errors import InputError
 from misspec.model import ModelInstance
-from misspec.posteriors import GridSpec, grid_posterior
-from misspec.priors import NormalRadial, ScaledPrior
 from misspec.serialize import (
     dumps,
     fmt_float,
-    grid_to_csv,
     model_from_dict,
     model_to_dict,
 )
@@ -67,13 +64,3 @@ class TestModelJson:
                 "X": [[1.0, 2.0], [2.0, 4.0]], "W": [[1.0, 0.0], [0.0, 1.0]],
             })
 
-
-def test_grid_csv(canon_model):
-    prior = ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2))
-    post = grid_posterior(canon_model, prior, None, GridSpec(bounds=[(-3.0, 5.0)], points=11))
-    text = grid_to_csv(post)
-    lines = text.strip().splitlines()
-    assert lines[0] == "theta_1,density"
-    assert len(lines) == 12
-    thetas = [float(ln.split(",")[0]) for ln in lines[1:]]
-    assert_allclose(thetas, np.linspace(-3.0, 5.0, 11))
