@@ -37,8 +37,8 @@ __all__ = [
     "analyze",
 ]
 
-# Relative half-band around d^2 = J inside which the identified-set projection
-# collapses to the single pseudo-true point.
+# Half-band around d^2 = J, relative to J, inside which the identified-set
+# projection collapses to the single pseudo-true point.
 SINGLETON_RTOL = 1e-12
 
 
@@ -194,25 +194,27 @@ def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
     center = float(cfg.v @ pt.theta_w)
     d2 = d * d  # inf past sqrt(DBL_MAX), where the set is never empty
-    band = SINGLETON_RTOL * (1.0 + pt.j_stat)
-    if d2 < pt.j_stat - band:
+    # A J within float noise of 0 is 0 here, so that an exact fit's set at d = 0 is its point.
+    j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
+    band = SINGLETON_RTOL * j
+    if d2 < j - band:
         return Interval.empty_set()
-    if d2 <= pt.j_stat + band:
+    if d2 <= j + band:
         return Interval.point(center)
     # sqrt(d^2 - J) on d and J scaled by 2^-e and 2^-2e, exact powers of two,
     # so that d^2 cannot overflow.
     e = math.frexp(d)[1]
     m = math.ldexp(d, -e)
-    hw = math.ldexp(sv * math.sqrt(m * m - math.ldexp(pt.j_stat, -2 * e)), e)
+    hw = math.ldexp(sv * math.sqrt(m * m - math.ldexp(j, -2 * e)), e)
     return Interval(lower=center - hw, upper=center + hw)
 
 
 def identified_set_membership(model: ModelInstance, theta, d: float) -> bool:
-    """Whether theta satisfies Q(theta) <= d^2 (with a relative tolerance)."""
+    """Whether theta satisfies Q(theta) <= d^2, to within 1e-12 of d^2 and the fit's noise floor."""
     if not (d >= 0.0 and math.isfinite(d)):
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
     d2 = d * d
-    return objective(model, theta) <= d2 + 1e-12 * (1.0 + d2)
+    return objective(model, theta) <= d2 + 1e-12 * d2 + pseudo_true(model).noise_floor
 
 
 def finite_sample_ci(Yn, Xn, Wn, cfg: InferenceConfig) -> Interval:

@@ -27,8 +27,8 @@ import numpy as np
 from misspec import _linalg
 from misspec.errors import InputError, NumericalError
 
-# Negative objective values within this relative band of zero are treated as
-# float noise at an exact fit and clamped; anything more negative is a bug.
+# J within this band of zero, relative to Y'WY, is float noise at an exact fit:
+# negative values there are clamped, and anything more negative is a bug.
 J_CLAMP_RTOL = 1e-12
 
 
@@ -115,11 +115,6 @@ class PseudoTrueResult:
         return _readonly(self.solve(np.eye(self.theta_w.shape[0])))
 
     @cached_property
-    def lam_max(self) -> float:
-        """Largest eigenvalue of H^{-1}, computed once."""
-        return float(np.max(np.linalg.eigvalsh(self.hessian_inv)))
-
-    @cached_property
     def condition_number(self) -> float:
         """Largest over smallest eigenvalue of H (inf if that is not positive), computed once."""
         vals = np.linalg.eigvalsh(self.hessian)
@@ -169,7 +164,7 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
     chol.setflags(write=False)
     theta_w = _linalg.cho_solve(chol, model.X.T @ (model.W @ model.Y))
     j = objective(model, theta_w)
-    noise_floor = J_CLAMP_RTOL * (1.0 + float(model.Y @ model.W @ model.Y))
+    noise_floor = J_CLAMP_RTOL * float(model.Y @ model.W @ model.Y)
     if j < 0.0:
         if j > -noise_floor:
             j = 0.0

@@ -368,8 +368,10 @@ def run_concentration(
     (``mass_outside_ball``), the largest marginal posterior sd (inf where the
     posterior dof is at most 2) and the quadratic-loss Bayes action, theta_W
     (nan where the dof is at most 1: the posterior has no mean).
-    ``grid_points`` sizes nothing (``_check_grid_points``).
+    ``grid_points`` sizes nothing (``_check_grid_points``).  p is at most 2.
     """
+    if model.p > 2:
+        raise InputError(f"concentration sweeps support p <= 2, got p = {model.p}")
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
     _check_grid_points(grid_points, model.p)
@@ -412,13 +414,13 @@ def run_contamination(
     contaminated posterior collapses onto the contaminant posterior as c
     shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
     with J = 0 it keeps concentrating at the pseudo-true value instead.
-    ``grid_points`` sizes nothing (``_check_grid_points``).
+    ``grid_points`` sizes nothing (``_check_grid_points``).  p is at most 2.
     """
-    if model.p != 1:
-        raise InputError("contamination sweeps are implemented for p = 1")
+    if model.p > 2:
+        raise InputError(f"contamination sweeps support p <= 2, got p = {model.p}")
     if not (base_family.proper and contaminant.proper):
         raise ImproperPriorError("contamination base and contaminant priors must be proper")
-    _check_grid_points(grid_points, 1)
+    _check_grid_points(grid_points, model.p)
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
     _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")

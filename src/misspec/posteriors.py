@@ -342,32 +342,23 @@ def bayes_action_quadratic(post: ClosedFormPosterior) -> np.ndarray:
     return post.center.copy()
 
 
-def _log_pdf_1d(post: ClosedFormPosterior) -> Callable[[float], float]:
-    """Log density of a 1-d closed form at distance x >= 0 from its centre."""
-    s = math.sqrt(post.scale[0, 0])
-    const = -post._family.log_ball_integral(1) - math.log(s)
-    if post.dof is None:
-        return lambda x: const - 0.5 * (x / s) * (x / s)
-    nu, a = post.dof, 0.5 * (post.dof + 1.0)
-
-    def log_pdf(x: float) -> float:
-        u2 = (x / s) * (x / s) / nu
-        # Past the float range, log1p(u2) is log(u2) to within 1/u2.
-        growth = math.log1p(u2) if u2 < math.inf else 2.0 * math.log(x / s) - math.log(nu)
-        return const - a * growth
-
-    return log_pdf
+def _radial_tail(post: ClosedFormPosterior) -> Callable[[float], float]:
+    """Pr{|u| > r} for the standardized radius |u| of a 1-d or 2-d closed form."""
+    if post.p == 2:
+        return lambda r: math.exp(_log_tail_2d(post.dof, r * r))
+    cdf = _std_cdf(post)
+    return lambda r: 2.0 * cdf(-r)
 
 
 def _stationary_sq(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
-    """The x^2 where the slopes in x^2 of log p_a and log p_b agree (nan if nowhere).
+    """The rho^2 where the slopes in rho^2 of log p_a and log p_b agree (nan if nowhere).
 
-    A t log density's slope in r = x^2 is -alpha / (beta + r), with alpha =
-    (dof + 1) / 2 and beta = dof s^2; a normal's is the constant -1 / (2 s^2).
+    A t log density's slope in r = rho^2 is -alpha / (beta + r), with alpha =
+    (dof + p) / 2 and beta = dof s^2; a normal's is the constant -1 / (2 s^2).
     So the slopes agree at most once.
     """
     (alpha_a, beta_a), (alpha_b, beta_b) = (
-        (None, 2.0 * v) if q.dof is None else (0.5 * (q.dof + 1.0), q.dof * v)
+        (None, 2.0 * v) if q.dof is None else (0.5 * (q.dof + q.p), q.dof * v)
         for q, v in ((a, a.scale[0, 0]), (b, b.scale[0, 0]))
     )
     if alpha_a is None:
@@ -390,29 +381,45 @@ def _bisect_sign_change(h: Callable[[float], float], lo: float, hi: float) -> fl
     return hi
 
 
-def _tv_distance_1d(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
-    """Exact TV distance between two 1-d closed forms that share their centre.
+def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
+    """Exact total variation distance between two closed forms of one centre, for p <= 2.
 
-    Both densities are symmetric about the centre, so TV is the integral of
-    |p_a - p_b| over x = |theta - centre| >= 0.  As a function of x^2, log p_a -
-    log p_b has at most one stationary point (``_stationary_sq``), so the
-    densities cross at most twice, at x_1 < x_2, found by bisection on each
-    side of it; then TV = 2 |sum_i (-1)^i (S_a(x_i) - S_b(x_i))|, S the upper
-    tails.  Two normals cross once, in closed form.
+    At p = 2 their scales must be proportional, as any two closed forms of one
+    model are.  Then both densities depend on theta only through rho, the
+    distance from the centre in the norm of a.scale / a.scale[0, 0], and each
+    is that of a standardized radius rho / s, with s^2 = scale[0, 0]; at p = 1
+    rho is |theta - centre|.  As a function of rho^2, log p_a - log p_b has at
+    most one stationary point (``_stationary_sq``), so the densities cross at
+    most twice, at rho_1 < rho_2, found by bisection on each side of it; then
+    TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|, S the radial upper tails.
+    Two normals cross once, in closed form.
     """
-    sa, sb = math.sqrt(a.scale[0, 0]), math.sqrt(b.scale[0, 0])
+    p = a.p
+    if not b.p == p <= 2:
+        raise InputError(f"tv_distance of closed forms supports p <= 2, got p = {a.p} and {b.p}")
+    if not (a.center[0] == b.center[0] if p == 1 else np.array_equal(a.center, b.center)):
+        raise InputError("tv_distance of closed forms requires one centre")
+    va, vb = a.scale[0, 0], b.scale[0, 0]
+    if p == 2 and not np.abs(a.scale / va - b.scale / vb).max() <= 1e-12 * np.abs(a.scale / va).max():
+        raise InputError("tv_distance of 2-d closed forms requires proportional scales")
+    sa, sb = math.sqrt(va), math.sqrt(vb)
     if a.dof is None and b.dof is None:
-        # Crossing at x / s_narrow = sqrt(2 d / (1 - e^-2d)), d = log(s_wide / s_narrow).
+        # Crossing at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d = log(s_wide / s_narrow).
         d = abs(math.log(sa) - math.log(sb))
         if d == 0.0:
             return 0.0
-        x_narrow = math.sqrt(2.0 * d / -math.expm1(-2.0 * d))
-        x_wide = x_narrow * math.exp(-d)
-        return math.erfc(x_wide / math.sqrt(2.0)) - math.erfc(x_narrow / math.sqrt(2.0))
-    log_a, log_b = _log_pdf_1d(a), _log_pdf_1d(b)
-    h = lambda x: log_a(x) - log_b(x)
+        r_narrow = math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))
+        tail = _radial_tail(a)
+        return tail(r_narrow * math.exp(-d)) - tail(r_narrow)
+
+    def log_density(q: ClosedFormPosterior, s: float) -> Callable[[float], float]:
+        const = -q._family.log_ball_integral(p) - p * math.log(s)
+        return lambda rho: const + float(q._family.log_f((rho / s) * (rho / s), p))
+
+    log_a, log_b = log_density(a, sa), log_density(b, sb)
+    h = lambda rho: log_a(rho) - log_b(rho)
     # The heavier tail (smaller dof, a normal's being infinite; then larger
-    # scale) wins as x grows: the sign of h there.
+    # scale) wins as rho grows: the sign of h there.
     key_a = (-(a.dof or math.inf), sa)
     key_b = (-(b.dof or math.inf), sb)
     if key_a == key_b:
@@ -421,33 +428,24 @@ def _tv_distance_1d(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     r = _stationary_sq(a, b)
     knots = [0.0, math.sqrt(r)] if r > 0.0 else [0.0]
     crossings = []
-    for lo, hi in zip(knots, knots[1:] + [math.inf]):
-        positive_lo = h(lo) > 0.0
-        if hi == math.inf:
-            if positive_lo == positive_tail:
+    # Far out, rho^2 / (s^2 dof) may overflow; log f is then -inf, its limit.
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(knots, knots[1:] + [math.inf]):
+            positive_lo = h(lo) > 0.0
+            if hi == math.inf:
+                if positive_lo == positive_tail:
+                    continue
+                hi = 2.0 * max(lo, sa, sb)
+                while hi < math.inf and (h(hi) > 0.0) != positive_tail:
+                    hi *= 2.0
+            elif (h(hi) > 0.0) == positive_lo:
                 continue
-            hi = 2.0 * max(lo, sa, sb)
-            while hi < math.inf and (h(hi) > 0.0) != positive_tail:
-                hi *= 2.0
-        elif (h(hi) > 0.0) == positive_lo:
-            continue
-        crossings.append(_bisect_sign_change(h, lo, hi))
-    cdf_a, cdf_b = _std_cdf(a), _std_cdf(b)
+            crossings.append(_bisect_sign_change(h, lo, hi))
+    tail_a, tail_b = _radial_tail(a), _radial_tail(b)
     total = sum(
-        (-1) ** i * (cdf_a(-x / sa) - cdf_b(-x / sb)) for i, x in enumerate(crossings)
+        (-1) ** i * (tail_a(rho / sa) - tail_b(rho / sb)) for i, rho in enumerate(crossings)
     )
-    return min(2.0 * abs(total), 1.0)
-
-
-def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
-    """Total variation distance between two closed forms.
-
-    Both must be 1-d with one centre, as the sweeps' are; their distance is
-    exact (``_tv_distance_1d``).
-    """
-    if not (a.p == b.p == 1 and a.center[0] == b.center[0]):
-        raise InputError("tv_distance of closed forms requires p = 1 and one centre")
-    return _tv_distance_1d(a, b)
+    return min(abs(total), 1.0)
 
 
 def posterior_sd(post: ClosedFormPosterior) -> np.ndarray:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 import scipy.optimize
+import scipy.stats
 
 from misspec.model import pseudo_true
 
@@ -111,13 +112,24 @@ def mass_outside_disc_quad(scale, dof, eps: float) -> float:
     return val
 
 
-def tv_distance_quad(pdf_a, pdf_b, scale: float) -> tuple[float, int]:
-    """(TV distance, sign changes on x > 0) of two densities symmetric about 0, by quadrature.
+def radial_pdf(dof, scale: float, p: int):
+    """Density at distance r from the centre of a p-variate normal (dof None) or t, scale^2 I."""
+    loc, shape = np.zeros(p), scale * scale * np.eye(p)
+    if dof is None:
+        dist = scipy.stats.multivariate_normal(loc, shape)
+    else:
+        dist = scipy.stats.multivariate_t(loc, shape, df=dof)
+    return lambda r: dist.pdf(np.multiply.outer(r, np.eye(p)[0]))
 
-    Sign changes of p_a - p_b on x > 0 are bracketed on a geometric grid from
-    1e-4 to 1e4 times ``scale`` and refined by Brent's method; 1/2 |p_a - p_b|
-    is integrated by adaptive quadrature between them, where it is smooth,
-    and doubled for x < 0.
+
+def tv_distance_quad(pdf_a, pdf_b, scale: float, p: int = 1) -> tuple[float, int]:
+    """(TV distance, sign changes on r > 0) of two spherical densities in p dimensions.
+
+    ``pdf_a`` and ``pdf_b`` give the densities at distance r from the common
+    centre.  Sign changes of p_a - p_b on r > 0 are bracketed on a geometric
+    grid from 1e-4 to 1e4 times ``scale`` and refined by Brent's method; 1/2
+    |p_a - p_b| times the sphere's area at r is integrated by adaptive
+    quadrature between them, where it is smooth.
     """
     diff = lambda x: pdf_a(x) - pdf_b(x)
     grid = scale * np.geomspace(1e-4, 1e4, 4001)
@@ -128,8 +140,12 @@ def tv_distance_quad(pdf_a, pdf_b, scale: float) -> tuple[float, int]:
         if s_lo * s_hi < 0
     ]
     knots = [0.0, *cuts, np.inf]
+    area = 0.5 * sphere_surface_area(p)
     total = sum(
-        scipy.integrate.quad(lambda x: abs(diff(x)), lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        scipy.integrate.quad(
+            lambda x: area * x ** (p - 1) * abs(diff(x)),
+            lo, hi, epsabs=0.0, epsrel=1e-13, limit=400,
+        )[0]
         for lo, hi in zip(knots, knots[1:])
     )
     return total, len(cuts)

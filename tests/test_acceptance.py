@@ -186,6 +186,21 @@ def test_criterion_5_contamination_fragility(acceptance_report):
             w = [weights(model, c)[vanishing] for c in c_grid]
             assert all(b < a for a, b in zip(w, w[1:])) and w[-1] < 1e-4, w
         assert 0.0 < weights(m1, 1e-2)[0] < 1e-100
+        # The same at p = 2: m2, and an exact fit with m2's X.
+        m2 = load_model(os.path.join(os.path.dirname(__file__), "golden", "m2.json"))
+        exact2 = ModelInstance(Y=m2.X @ [0.5, -1.0], X=m2.X, W=m2.W)
+        contaminant2 = ScaledPrior(family=NormalRadial(), c=4.0, W=m2.W)
+        tv = run_contamination(
+            m2, NormalRadial(), contaminant2, 0.01, [1e-6, 1e-2, 1.0], eps_list=[0.05]
+        ).metrics["tv_to_contaminant"]
+        assert tv[0] < 0.05 and tv[2] > 0.1 and tv[0] <= tv[1] <= tv[2]
+        trace2 = run_contamination(
+            exact2, NormalRadial(), contaminant2, 0.01, [1e-6], eps_list=[0.05]
+        )
+        assert trace2.metrics["mass_outside_0.05"][0] < 0.01
+        for model, vanishing in ((m2, 0), (exact2, 1)):
+            w = [weights(model, c)[vanishing] for c in c_grid]
+            assert all(b < a for a, b in zip(w, w[1:])) and w[-1] < 1e-4, w
 
 
 def test_criterion_6_identified_set_geometry(acceptance_report):

@@ -86,6 +86,27 @@ class TestAnalyze:
         assert_allclose(sets[2]["lower"], 1.0 - math.sqrt(2.0))
         assert_allclose(sets[2]["upper"], 1.0 + math.sqrt(2.0))
 
+    def test_small_data_keeps_its_interval(self, tmp_path, capsys):
+        # Y scaled by 1e-7 puts Y'WY far below 1; J is still an O(1) relative
+        # misfit, so the interval scales with Y rather than collapsing to a point.
+        m2 = os.path.join(os.path.dirname(__file__), "golden", "m2.json")
+        with open(m2) as fh:
+            spec = json.load(fh)
+        spec["Y"] = [1e-7 * y for y in spec["Y"]]
+        small = tmp_path / "small.json"
+        small.write_text(json.dumps(spec))
+        reports = []
+        for path in (m2, str(small)):
+            code, out, err = _run(["analyze", "--model", path], capsys)
+            assert code == 0 and err == ""
+            reports.append(json.loads(out))
+        assert reports[1]["ci"]["lower"] < reports[1]["ci"]["upper"]
+        for end in ("lower", "upper"):
+            assert_allclose(reports[1]["ci"][end], 1e-7 * reports[0]["ci"][end], rtol=1e-14)
+        code, _, err = _run(["concentration", "--model", str(small), "--radial", "powerlaw:2",
+                             "--c-grid", "1e-16,1", "--eps", "1e-7"], capsys)
+        assert code == 0 and err == ""
+
     def test_huge_v_scales_sigma_v(self, capsys):
         # v'(X'WX)^{-1}v overflows at v = 1e300; sigma_v, 4.03e299, does not.
         m1 = os.path.join(os.path.dirname(__file__), "golden", "m1.json")
@@ -194,6 +215,14 @@ class TestNonFiniteInputs:
         "model-k-fraction": (["analyze", "--model", "{k_fraction}"], "got 2.7"),
         "model-p-bool": (["pivot", "--model", "{p_bool}"], "got True"),
         "model-k-string": (["analyze", "--model", "{k_string}"], "got '2'"),
+        # Both sweeps name their p <= 2 limit before any other check.
+        "concentration-p3": (
+            ["concentration", "--model", "{p3}", "--c-grid", "1e-2"], "p <= 2, got p = 3"
+        ),
+        "contaminate-p3": (
+            ["contaminate", "--model", "{p3}", "--phi", "0.01", "--c-grid", "1e-2"],
+            "p <= 2, got p = 3",
+        ),
         "concentration-ill-conditioned": (
             ["concentration", "--model", "{ill_conditioned}", "--c-grid", "1e-2"],
             "X'WX has condition number",
@@ -209,6 +238,11 @@ class TestNonFiniteInputs:
         "k_fraction": ('{"k": 2.7, "p": 1, ' + ARRAYS).encode(),
         "p_bool": ('{"k": 2, "p": true, ' + ARRAYS).encode(),
         "k_string": ('{"k": "2", "p": 1, ' + ARRAYS).encode(),
+        "p3": json.dumps({
+            "k": 4, "p": 3, "Y": [0.3, 2.1, -0.7, 1.4],
+            "X": [[1.0, 0.0, 0.5], [0.0, 1.0, 0.2], [1.0, 1.0, 0.0], [0.3, -1.0, 1.0]],
+            "W": np.eye(4).tolist(),
+        }).encode(),
         "ill_conditioned": json.dumps({
             "k": 4, "p": 2, "Y": [0.3, 2.1, -0.7, 1.4],
             "X": [[1.0, 1.0], [1.0, 1.0 + 1e-6], [1.0, 1.0 - 1e-6], [1.0, 1.0]],
@@ -666,6 +700,8 @@ _RUNS_WITHOUT_SCIPY_SPECIAL = [
     ["concentration", "--model", "m2.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
     ["contaminate", "--model", "m1.json", "--phi", "0.01", "--c-grid", "1e-6,1e-2",
      "--contaminant-c", "4"],
+    ["contaminate", "--model", "m2.json", "--radial", "t:3", "--contaminant", "t:5",
+     "--phi", "0.01", "--c-grid", "1e-6,1e-2,1", "--contaminant-c", "4"],
     ["scenario", "iv", "--params", "iv.json"],
     ["scenario", "iv", "--params", "iv.json", "--sample", "100"],
     ["scenario", "logit", "--params", "logit.json"],

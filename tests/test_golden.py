@@ -40,6 +40,9 @@ COMMANDS = {
     "concentration_m1_powerlaw2.out": "concentration --model m1.json --radial powerlaw:2 --c-grid 1e-2,1 --eps 0.1",
     "concentration_m2.out": "concentration --model m2.json --c-grid 1e-6,1e-4,1e-2 --eps 0.1",
     "contaminate_m1.out": "contaminate --model m1.json --phi 0.01 --c-grid 1e-6,1e-2 --contaminant-c 4",
+    "contaminate_m2.out": (
+        "contaminate --model m2.json --phi 0.01 --c-grid 1e-6,1e-2,1 --contaminant-c 4"
+    ),
     "tails_t3.out": "tails --radial t:3 --a 1.5,2,4 --tau 1,10 --c 1e-6",
     "tails_normal_k5.out": "tails --radial normal --k 5 --a 1.5,2,4 --tau 1,10 --c 1e-6,1e-2,1",
     "scenario_iv.out": "scenario iv --params iv.json",

@@ -148,7 +148,7 @@ class TestIdentifiedSet:
 
     def test_emptiness_boundary_exact(self, canon_model):
         j = pseudo_true(canon_model).j_stat
-        band = 1e-12 * (1.0 + j)
+        band = 1e-12 * j
         assert identified_set_projection(canon_model, CFG, math.sqrt(j - 2 * band)).empty
         assert identified_set_projection(canon_model, CFG, math.sqrt(j + 0.5 * band)).singleton
         assert identified_set_projection(canon_model, CFG, math.sqrt(j - 0.5 * band)).singleton

@@ -30,7 +30,7 @@ from misspec.priors import (
     ScaledPrior,
     StudentTRadial,
 )
-from oracles import grid_posterior, mixture_log_radial, tv_distance_quad
+from oracles import grid_posterior, mixture_log_radial, radial_pdf, tv_distance_quad
 
 
 def _grid_for(model, prior, sd, points=2001, width=8.0):
@@ -399,14 +399,39 @@ class TestClosedFormTvDistance:
         b, _ = self._closed_and_pdf(3.0, 1e150)
         assert tv_distance(a, b) == 1.0
 
-    def test_needs_one_centre_and_p1(self, canon_model):
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_matches_radial_quadrature_2d(self, pair):
+        # Proportional, correlated scales: rho is measured in the norm of M.
+        (dof_a, s_a), (dof_b, s_b), crossings = self.PAIRS[pair]
+        m = np.array([[1.0, 0.4], [0.4, 2.5]])
+        specs = ((dof_a, s_a), (dof_b, s_b))
+        a, b = (ClosedFormPosterior([0.25, -1.0], s * s * m, dof) for dof, s in specs)
+        want, found = tv_distance_quad(*(radial_pdf(dof, s, 2) for dof, s in specs), 1.0, p=2)
+        assert found == crossings
+        assert_allclose(tv_distance(a, b), want, rtol=1e-10)
+        assert_allclose(tv_distance(b, a), want, rtol=1e-10)
+
+    def test_two_2d_normals(self):
+        h_inv = np.linalg.inv([[2.0, 0.3], [0.3, 1.0]])
+        a, b = (ClosedFormPosterior([0.0, 0.0], c * h_inv) for c in (0.3, 1.7))
+        # 30-digit mpmath quadrature in rho; a 2401^2 grid gives 0.5678742, within
+        # its 5e-7 discretisation error.
+        assert_allclose(tv_distance(a, b), 0.567873702013581240072, rtol=1e-14)
+
+    def test_needs_one_centre_p_le_2_and_proportional_scales(self):
         a, _ = self._closed_and_pdf(None, 1.0)
         b, _ = self._closed_and_pdf(None, 1.0, center=0.5)
         with pytest.raises(InputError, match="one centre"):
             tv_distance(a, b)
-        flat = ClosedFormPosterior(center=[0.0, 0.0], scale=np.eye(2))
-        with pytest.raises(InputError, match="p = 1"):
+        flat = ClosedFormPosterior(center=[0.0, 0.0, 0.0], scale=np.eye(3))
+        with pytest.raises(InputError, match="p <= 2, got p = 3"):
             tv_distance(flat, flat)
+        round_ = ClosedFormPosterior(center=[0.0, 0.0], scale=np.eye(2))
+        oval = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 2.0]))
+        with pytest.raises(InputError, match="proportional scales"):
+            tv_distance(round_, oval)
+        with pytest.raises(InputError, match="p <= 2"):
+            tv_distance(a, round_)
 
 
 def _mixture(model, base_family, c, family, c_cont, phi):

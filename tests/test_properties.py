@@ -18,6 +18,7 @@ from misspec.inference import (
     InferenceConfig,
     analyze,
     confidence_interval,
+    identified_set_membership,
     identified_set_projection,
     pivotal_t_stat,
 )
@@ -90,6 +91,39 @@ def test_ci_invariant_to_weight_scale(seed, shape, s, level):
     ci = confidence_interval(m, cfg)
     ci_scaled = confidence_interval(ModelInstance(Y=m.Y, X=m.X, W=s * m.W), cfg)
     assert_allclose([ci_scaled.lower, ci_scaled.upper], [ci.lower, ci.upper], rtol=1e-9, atol=1e-12)
+
+
+@given(seeds, shapes, st.integers(-400, 400), st.booleans())
+def test_fit_scales_exactly_with_y(seed, shape, e, exact):
+    # Y -> 2^e Y is exact in floating point, and so is everything the fit and
+    # the intervals do with it: theta_W and the bounds scale by 2^e and J by
+    # 4^e bit for bit, the identified sets with d scaled by 2^e, and an exact
+    # fit stays one.
+    rng = np.random.default_rng(seed)
+    y, x, w = random_model_arrays(rng, *shape)
+    if exact:
+        y = x @ rng.standard_normal(shape[1])
+    m, scaled = ModelInstance(Y=y, X=x, W=w), ModelInstance(Y=np.ldexp(y, e), X=x, W=w)
+    cfg = _cfg(m, seed)
+    root_j = np.sqrt(pseudo_true(m).j_stat)
+    ds = [0.0, *(f * (1.0 if exact else root_j) for f in (0.5, 1.0, 2.0))]
+    report = analyze(m, cfg, ds)
+    scaled_report = analyze(scaled, cfg, [np.ldexp(d, e) for d in ds])
+    assert_array_equal(scaled_report.theta_w, np.ldexp(report.theta_w, e))
+    assert scaled_report.j_stat == np.ldexp(report.j_stat, 2 * e)
+    assert report.ci.singleton == scaled_report.ci.singleton == exact
+    sets = [iv for _, iv in report.identified_sets]
+    scaled_sets = [iv for _, iv in scaled_report.identified_sets]
+    for iv, siv in zip([report.ci, *sets], [scaled_report.ci, *scaled_sets]):
+        assert (siv.empty, siv.singleton) == (iv.empty, iv.singleton)
+        assert_array_equal([siv.lower, siv.upper], np.ldexp([iv.lower, iv.upper], e))
+    # d = 0 is the point theta_W at an exact fit, and empty otherwise.
+    assert sets[0].singleton if exact else sets[0].empty
+    for d in ds:
+        member = identified_set_membership(m, report.theta_w, d)
+        assert identified_set_membership(
+            scaled, scaled_report.theta_w, np.ldexp(d, e)
+        ) == member == (exact or d > 0.5 * root_j)
 
 
 @given(seeds, shapes, st.sampled_from([0.0, 1e-8, 1.0]))
@@ -289,7 +323,7 @@ mixable_families = st.one_of(st.just(NormalRadial()), st.floats(2.0, 30.0).map(S
 
 @given(
     seeds,
-    st.sampled_from([2, 3, 5]),
+    st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2), (5, 2)]),
     mixable_families,
     mixable_families,
     st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
@@ -297,10 +331,11 @@ mixable_families = st.one_of(st.just(NormalRadial()), st.floats(2.0, 30.0).map(S
     st.floats(-3.0, np.log10(0.5)).map(lambda e: 10.0**e),
     st.floats(0.3, 4.0),
 )
-def test_contaminated_grid_matches_the_mixture(seed, k, base_family, family, c, c_cont, phi, z):
+def test_contaminated_grid_matches_the_mixture(seed, shape, base_family, family, c, c_cont, phi, z):
     rng = np.random.default_rng(seed)
+    k, p = shape
     m = ModelInstance(
-        Y=2.0 * rng.standard_normal(k), X=rng.standard_normal((k, 1)), W=random_spd(rng, k)
+        Y=2.0 * rng.standard_normal(k), X=rng.standard_normal((k, p)), W=random_spd(rng, k)
     )
     contaminant = ScaledPrior(family=family, c=c_cont, W=m.W)
     prior = mixture_log_radial(ScaledPrior(family=base_family, c=c, W=m.W), contaminant, phi)
@@ -310,31 +345,55 @@ def test_contaminated_grid_matches_the_mixture(seed, k, base_family, family, c, 
         phi=phi,
     )
     parts = (mix.base, mix.contaminant)
-    centre = float(mix.base.center[0])
-    # One dense axis per component, out to 12 sd for a normal and 40 scales
-    # for a t, whose tails are heavier.
-    halves = [(12.0 if q.dof is None else 40.0) * np.sqrt(q.scale[0, 0]) for q in parts]
-    axis = np.unique(np.concatenate([np.linspace(centre - h, centre + h, 20001) for h in halves]))
-    grid = grid_posterior(m, prior, axes=[axis])
-    pure = grid_posterior(m, contaminant.log_radial, axes=[axis])
-    # Every density here is a mixture of the two components, so its first-order
-    # trapezoid error is at most the sum of theirs, and its mass beyond the
-    # grid at most the larger of theirs.
-    dens = [q.density(axis[:, None]) for q in parts]
-    error = sum(_first_order_error(axis, f, q.density(q.center), centre) for f, q in zip(dens, parts))
-    cut = max(mass_outside_ball(q, [centre], max(halves)) for q in parts)
-    # A grid point's weight falls wholly inside or outside the ball, so the
-    # cells that straddle its boundary add their width times the density there.
+    centre = mix.base.center
     eps = z * float(min(np.sqrt(q.scale[0, 0]) for q in parts))
-    outside = np.abs(axis - centre) > eps
-    edge = np.flatnonzero(outside[1:] != outside[:-1])
-    straddle = sum(
-        float(np.diff(axis)[edge] @ np.maximum(f[edge], f[edge + 1])) for f in dens
-    )
-    assert abs(grid.mass_outside([centre], eps) - mass_outside_ball(mix, [centre], eps)) <= (
-        2.0 * (error + straddle + cut)
-    )
-    assert abs(grid.tv(pure) - mix.tv_to_contaminant()) <= 2.0 * (error + cut)
+    # One axis per component and coordinate, out to 12 sd for a normal and 40
+    # scales for a t, whose tails are heavier.
+    widths = [12.0 if q.dof is None else 40.0 for q in parts]
+    if p == 1:
+        halves = [w * np.sqrt(q.scale[0, 0]) for w, q in zip(widths, parts)]
+        axis = np.unique(
+            np.concatenate([np.linspace(centre[0] - h, centre[0] + h, 20001) for h in halves])
+        )
+        axes = [axis]
+        # Every density here is a mixture of the two components, so its first-order
+        # trapezoid error is at most the sum of theirs, and its mass beyond the
+        # grid at most the larger of theirs.
+        dens = [q.density(axis[:, None]) for q in parts]
+        error = sum(
+            _first_order_error(axis, f, q.density(q.center), centre[0])
+            for f, q in zip(dens, parts)
+        )
+        cut = max(mass_outside_ball(q, centre, max(halves)) for q in parts)
+        # A grid point's weight falls wholly inside or outside the ball, so the
+        # cells that straddle its boundary add their width times the density there.
+        outside = np.abs(axis - centre[0]) > eps
+        edge = np.flatnonzero(outside[1:] != outside[:-1])
+        straddle = sum(
+            float(np.diff(axis)[edge] @ np.maximum(f[edge], f[edge + 1])) for f in dens
+        )
+        mass_tol, tv_tol = 2.0 * (error + straddle + cut), 2.0 * (error + cut)
+    else:
+        # A first-order bound is about 0.2 on any grid small enough to build
+        # here.  On axes graded as sinh, densest at the centre, the grid's error
+        # is below 2e-3 for the mass and 2e-4 for the TV distance across these
+        # parameters, so each must agree to 1e-2 beyond twice the mass outside
+        # the box (for which a coordinate's marginal lies beyond its half-width).
+        grade = np.sinh(np.linspace(-1.0, 1.0, 201)[:, None] * np.arcsinh(widths))
+        sds = np.sqrt([np.diag(q.scale) for q in parts])
+        axes = [np.unique(centre[i] + (grade * sds[:, i]).ravel()) for i in range(p)]
+        cut = max(
+            sum(
+                mass_outside_ball(ClosedFormPosterior([t], [[v]], q.dof), [t], w * np.sqrt(v))
+                for t, v in zip(q.center, np.diag(q.scale))
+            )
+            for w, q in zip(widths, parts)
+        )
+        mass_tol = tv_tol = 1e-2 + 2.0 * cut
+    grid = grid_posterior(m, prior, axes=axes)
+    pure = grid_posterior(m, contaminant.log_radial, axes=axes)
+    assert abs(grid.mass_outside(centre, eps) - mass_outside_ball(mix, centre, eps)) <= mass_tol
+    assert abs(grid.tv(pure) - mix.tv_to_contaminant()) <= tv_tol
 
 
 @given(
