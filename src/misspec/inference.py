@@ -104,6 +104,7 @@ class LocalExperiment:
     mu: np.ndarray
     K: np.ndarray
     W_L: np.ndarray
+    _model: ModelInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gamma = _linalg.as_matrix(self.Gamma_L, "Gamma_L")
@@ -119,6 +120,10 @@ class LocalExperiment:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "K", kv)
         object.__setattr__(self, "W_L", wl)
+        # The limit model's design (X_L = -Gamma_L, W_L), checked and factored once.
+        object.__setattr__(
+            self, "_model", ModelInstance(Y=np.zeros(gamma.shape[0]), X=-gamma, W=wl)
+        )
 
 
 @dataclass(frozen=True)
@@ -225,11 +230,11 @@ def finite_sample_ci(Yn, Xn, Wn, cfg: InferenceConfig) -> Interval:
 def local_ci(exp: LocalExperiment, Y_L, level: float = 0.95) -> Interval:
     """Interval for K theta in the local-misspecification limit experiment.
 
-    Builds the linear model with Jacobian X_L = -Gamma_L and applies the
-    J-scaled interval with v = K'.
+    Fits Y_L on the linear model with Jacobian X_L = -Gamma_L, whose design
+    the experiment checked and keeps, and applies the J-scaled interval with
+    v = K'.  Only Y_L is checked here.
     """
-    x_l = -exp.Gamma_L
-    model = ModelInstance(Y=Y_L, X=x_l, W=exp.W_L)
+    model = exp._model.with_y(Y_L)
     return confidence_interval(model, InferenceConfig(v=exp.K, level=level))
 
 

@@ -13,12 +13,15 @@ the undetectable component (inside its span, driving the gap between true and
 pseudo-true parameters).
 
 Since Q(theta) = J + (theta - theta_W)' H (theta - theta_W) with H = X'WX,
-every estimand depends on the data only through the fit (theta_W, J, H), which
-``pseudo_true`` computes once per model and caches on it.
+every estimand depends on the data only through the fit (theta_W, J, H).  H
+and its factor depend on X and W alone: a ``Design`` computes them once and
+shares them across Y.  ``pseudo_true`` computes theta_W and J once per model
+and caches them on it.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,26 +41,29 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ModelInstance:
-    """Observable triple (Y, X, W) of a linear minimum-distance problem.
+def _checked_y(y, k: int) -> np.ndarray:
+    y = _linalg.as_vector(y, k, "Y")
+    _linalg.check_finite(y, "Y")
+    return _readonly(y)
 
-    Construction validates all invariants: every entry finite, W symmetric
-    positive definite, X full column rank, k >= p.  Instances are immutable
-    and all operations on them are pure functions; W's square roots and the
-    fit are computed on first use.
+
+@dataclass(frozen=True)
+class Design:
+    """Checked Jacobian X and weighting matrix W, and what follows from them alone.
+
+    Construction checks that every entry of X is finite, W is symmetric
+    positive definite of X's row dimension, and X has full column rank with
+    k >= p.  H = X'WX, its lower Cholesky factor, H^{-1}, H's condition number
+    and W's factors are computed on first use and cached, so every model on
+    one design (see ``ModelInstance.with_y``) computes them once.
     """
 
-    Y: np.ndarray
     X: np.ndarray
     W: np.ndarray
-    _w_factor: _linalg.SpdFactor = field(init=False, repr=False, compare=False)
-    _fit: PseudoTrueResult | None = field(init=False, default=None, repr=False, compare=False)
+    w_factor: _linalg.SpdFactor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _linalg.as_matrix(self.X, "X")
-        y = _linalg.as_vector(self.Y, x.shape[0], "Y")
-        _linalg.check_finite(y, "Y")
         _linalg.check_finite(x, "X")
         wf = _linalg.spd_factor(self.W, "W")
         if wf.matrix.shape[0] != x.shape[0]:
@@ -67,10 +73,70 @@ class ModelInstance:
         if x.shape[0] < x.shape[1]:
             raise InputError(f"need k >= p, got k={x.shape[0]} < p={x.shape[1]}")
         _linalg.check_full_column_rank(x, "X")
-        object.__setattr__(self, "Y", _readonly(y))
         object.__setattr__(self, "X", _readonly(x))
         object.__setattr__(self, "W", _readonly(wf.matrix))
-        object.__setattr__(self, "_w_factor", wf)
+        object.__setattr__(self, "w_factor", wf)
+
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """H = X'WX."""
+        return _readonly(self.X.T @ self.W @ self.X)
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """H's lower Cholesky factor, read-only, with zeros above the diagonal."""
+        chol = _linalg.cholesky(self.hessian)
+        chol.setflags(write=False)
+        return chol
+
+    @cached_property
+    def hessian_inv(self) -> np.ndarray:
+        """H^{-1}, from the cached factor."""
+        return _readonly(_linalg.cho_solve(self.cholesky, np.eye(self.X.shape[1])))
+
+    @cached_property
+    def condition_number(self) -> float:
+        """Largest over smallest eigenvalue of H (inf if that is not positive)."""
+        vals = np.linalg.eigvalsh(self.hessian)
+        return float(vals[-1] / vals[0]) if vals[0] > 0.0 else np.inf
+
+
+@dataclass(frozen=True)
+class ModelInstance:
+    """Observable triple (Y, X, W) of a linear minimum-distance problem.
+
+    Construction validates all invariants: every entry finite, W symmetric
+    positive definite, X full column rank, k >= p.  Instances are immutable
+    and all operations on them are pure functions; the fit is computed on
+    first use.  X and W, with everything derived from them alone, form the
+    model's ``design``, which ``with_y`` shares with models of other Y.
+    """
+
+    Y: np.ndarray
+    X: np.ndarray
+    W: np.ndarray
+    design: Design = field(init=False, repr=False, compare=False)
+    _fit: PseudoTrueResult | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        x = _linalg.as_matrix(self.X, "X")
+        y = _checked_y(self.Y, x.shape[0])
+        design = Design(X=x, W=self.W)
+        object.__setattr__(self, "Y", y)
+        object.__setattr__(self, "X", design.X)
+        object.__setattr__(self, "W", design.W)
+        object.__setattr__(self, "design", design)
+
+    def with_y(self, Y) -> ModelInstance:
+        """The model of intercepts Y on this model's design.
+
+        Only Y is checked; X, W and their cached factors are shared.  Equal in
+        every result, bit for bit, to ``ModelInstance(Y, self.X, self.W)``.
+        """
+        model = copy.copy(self)
+        object.__setattr__(model, "Y", _checked_y(Y, self.k))
+        object.__setattr__(model, "_fit", None)
+        return model
 
     @property
     def k(self) -> int:
@@ -83,42 +149,47 @@ class ModelInstance:
     @property
     def w_root(self) -> np.ndarray:
         """Symmetric PSD square root of W."""
-        return self._w_factor.root
+        return self.design.w_factor.root
 
     @property
     def w_inv_root(self) -> np.ndarray:
-        return self._w_factor.inv_root
+        return self.design.w_factor.inv_root
 
 
 @dataclass(frozen=True)
 class PseudoTrueResult:
-    """Minimizer and minimized value of the objective, with H = X'WX and its factor.
+    """Minimizer and minimized value of the objective for one Y on a design.
 
-    ``cholesky`` is H's lower Cholesky factor, a read-only ndarray with zeros
-    above the diagonal; ``noise_floor`` is the scale below which J is float
-    noise.
+    ``noise_floor`` is the scale below which J is float noise.  H = X'WX
+    (``hessian``), its lower Cholesky factor ``cholesky`` (a read-only ndarray
+    with zeros above the diagonal), ``hessian_inv`` and ``condition_number``
+    are the design's, shared by every Y fitted on it.
     """
 
     theta_w: np.ndarray
     j_stat: float
-    hessian: np.ndarray
-    cholesky: np.ndarray
     noise_floor: float
+    design: Design = field(repr=False, compare=False)
+
+    @property
+    def hessian(self) -> np.ndarray:
+        return self.design.hessian
+
+    @property
+    def cholesky(self) -> np.ndarray:
+        return self.design.cholesky
+
+    @property
+    def hessian_inv(self) -> np.ndarray:
+        return self.design.hessian_inv
+
+    @property
+    def condition_number(self) -> float:
+        return self.design.condition_number
 
     def solve(self, b) -> np.ndarray:
         """H^{-1} b, from the cached factor."""
         return _linalg.cho_solve(self.cholesky, b)
-
-    @cached_property
-    def hessian_inv(self) -> np.ndarray:
-        """H^{-1}, computed once from the cached factor."""
-        return _readonly(self.solve(np.eye(self.theta_w.shape[0])))
-
-    @cached_property
-    def condition_number(self) -> float:
-        """Largest over smallest eigenvalue of H (inf if that is not positive), computed once."""
-        vals = np.linalg.eigvalsh(self.hessian)
-        return float(vals[-1] / vals[0]) if vals[0] > 0.0 else np.inf
 
 
 @dataclass(frozen=True)
@@ -159,10 +230,7 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
     """
     if model._fit is not None:
         return model._fit
-    h = model.X.T @ model.W @ model.X
-    chol = _linalg.cholesky(h)
-    chol.setflags(write=False)
-    theta_w = _linalg.cho_solve(chol, model.X.T @ (model.W @ model.Y))
+    theta_w = _linalg.cho_solve(model.design.cholesky, model.X.T @ (model.W @ model.Y))
     j = objective(model, theta_w)
     noise_floor = J_CLAMP_RTOL * float(model.Y @ model.W @ model.Y)
     if j < 0.0:
@@ -175,9 +243,8 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
     fit = PseudoTrueResult(
         theta_w=_readonly(theta_w),
         j_stat=j,
-        hessian=_readonly(h),
-        cholesky=chol,
         noise_floor=noise_floor,
+        design=model.design,
     )
     object.__setattr__(model, "_fit", fit)
     return fit

@@ -10,7 +10,7 @@ inverse logistic link onto a two-parameter interpolation target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +45,7 @@ class IVScenario:
     beta_vec: np.ndarray
     first_stage: np.ndarray
     z_cov: np.ndarray
+    _z_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         beta = _linalg.as_vector(self.beta_vec, self.k, "beta_vec")
@@ -57,6 +58,7 @@ class IVScenario:
         object.__setattr__(self, "beta_vec", beta)
         object.__setattr__(self, "first_stage", fs)
         object.__setattr__(self, "z_cov", zc)
+        object.__setattr__(self, "_z_chol", np.linalg.cholesky(zc))
 
 
 @dataclass(frozen=True)
@@ -107,24 +109,14 @@ def iv_sample(
     """
     if n < s.k + 2:
         raise InputError(f"sample size must be at least k+2={s.k + 2}, got {n}")
-    # At most n (2k + 5) float64 values are held at once: the instrument draws
-    # twice over while they are rotated, or Z next to the per-observation vectors.
-    max_n = _rng.MAX_SAMPLE_VALUES // (2 * s.k + 5)
+    # At most n (2k + 2) float64 values are held at once: the k standard normal
+    # draws per observation twice over while they are copied in beside Y_i and
+    # X_i.  After that, n (k + 3): the data, and the latent U_i or the noise.
+    max_n = _rng.MAX_SAMPLE_VALUES // (2 * s.k + 2)
     if n > max_n:
         raise InputError(f"sample size must be at most {max_n} for k={s.k}, got {n}")
     _rng.check_seed(seed)
-    dgp = dgp or IVDgpParams()
-    cvec = _dgp_c_vector(dgp, s.k)
-    rng = np.random.default_rng(seed)
-    chol = np.linalg.cholesky(s.z_cov)
-    z = rng.standard_normal((n, s.k)) @ chol.T
-    u = rng.standard_normal(n)
-    treated = (dgp.c0 + z @ cvec + u > 0.0).astype(np.float64)
-    effect = dgp.theta_bar + dgp.delta * u
-    y = treated * effect + rng.standard_normal(n)
-    yn = z.T @ y / n
-    xn = (z.T @ treated / n).reshape(s.k, 1)
-    second_moment = z.T @ z / n
+    yn, xn, second_moment = _iv_moments(s, n, dgp or IVDgpParams(), seed)
     try:
         _linalg.check_full_column_rank(xn, "Xn")
         wn = _linalg.spd_factor(second_moment, "mean(ZZ')").inverse
@@ -133,6 +125,38 @@ def iv_sample(
             f"degenerate sample at n={n}, seed={seed}: {exc}"
         ) from exc
     return yn, xn, wn
+
+
+def _iv_moments(
+    s: IVScenario, n: int, dgp: IVDgpParams, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mean(Z_i Y_i), mean(Z_i X_i) (k-by-1) and mean(Z_i Z_i') of ``iv_sample``.
+
+    Z_i = L e_i for standard normal e_i and z_cov = L L', so with D = [e Y X]
+    the n-by-(k+2) data, Z'Z = L (e'e) L', Z'Y = L (e'Y) and Z'X = L (e'X):
+    every moment comes from the one k-by-(k+2) product e'D in whitened
+    coordinates, and Z itself is never formed.
+    """
+    k = s.k
+    rng = np.random.default_rng(seed)
+    # Rows: the draws e' (observation i in column i), then Y, then X.
+    data = np.empty((k + 2, n))
+    e_t, y, treated = data[:k], data[k], data[k + 1]
+    e_t[...] = rng.standard_normal((n, k)).T
+    u = rng.standard_normal(n)
+    # The treatment index c0 + c'Z_i + U_i, formed in Y's row as c0 + (L'c)'e_i + U_i.
+    np.matmul(s._z_chol.T @ _dgp_c_vector(dgp, k), e_t, out=y)
+    y += dgp.c0
+    y += u
+    np.greater(y, 0.0, out=treated)
+    # Y_i = X_i (theta_bar + delta U_i) + noise.
+    np.multiply(u, dgp.delta, out=y)
+    del u
+    y += dgp.theta_bar
+    y *= treated
+    y += rng.standard_normal(n)
+    m = s._z_chol @ (e_t @ data.T)
+    return m[:, k] / n, m[:, k + 1 :] / n, m[:, :k] @ s._z_chol.T / n
 
 
 def iv_dgp_population_moments(

@@ -13,6 +13,7 @@ that never evaluate these functions never pay for it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -21,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from misspec.errors import DomainError, NumericalError
+
+# |x| at and above which x^2 overflows: 2^512 = sqrt(2^1024).
+_SQRT_OVERFLOW = 2.0**512
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,16 @@ def t_cdf(dist: StudentT, x):
     import scipy.special
 
     # I_{nu/(nu + x^2)}(nu/2, 1/2) is twice the upper tail mass at |x|.
-    z = nu / (nu + arr * arr)
+    far = np.abs(arr) >= _SQRT_OVERFLOW
+    near = np.where(far, 0.0, arr)
+    z = nu / (nu + near * near)
     tail = 0.5 * scipy.special.betainc(0.5 * nu, 0.5, z)
+    if far.any():
+        # Where x^2 overflows, z = nu/x^2 to rounding and I_z(a, 1/2) is its
+        # leading term z^a / (a B(a, 1/2)): the next is O(nu/x^2) smaller.
+        a = 0.5 * nu
+        log_z = math.log(nu) - 2.0 * np.log(np.abs(arr[far]))
+        tail[far] = 0.5 * np.exp(a * log_z - math.log(a) - scipy.special.betaln(a, 0.5))
     out = np.where(arr >= 0.0, 1.0 - tail, tail)
     out = np.where(np.isposinf(arr), 1.0, out)
     out = np.where(np.isneginf(arr), 0.0, out)
@@ -82,15 +94,20 @@ def t_quantile(dist: StudentT, q: float) -> float:
     """Quantile of the Student-t distribution for q in (0, 1).
 
     Inverts the lower tail min(q, 1 - q) and reflects, so both tails keep
-    full relative accuracy.
+    full relative accuracy.  Memoised on (dof, q), in a bounded cache.
     """
     if not (0.0 < q < 1.0):
         raise DomainError(f"t_quantile requires q in (0, 1), got {q}")
+    return _t_quantile(dist.dof, q)
+
+
+@functools.lru_cache(maxsize=256)
+def _t_quantile(dof: float, q: float) -> float:
     if q == 0.5:
         return 0.0
     import scipy.special
 
-    x = -float(scipy.special.stdtrit(dist.dof, min(q, 1.0 - q)))
+    x = -float(scipy.special.stdtrit(dof, min(q, 1.0 - q)))
     return x if q > 0.5 else -x
 
 

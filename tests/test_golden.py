@@ -46,6 +46,7 @@ COMMANDS = {
     "tails_t3.out": "tails --radial t:3 --a 1.5,2,4 --tau 1,10 --c 1e-6",
     "tails_normal_k5.out": "tails --radial normal --k 5 --a 1.5,2,4 --tau 1,10 --c 1e-6,1e-2,1",
     "scenario_iv.out": "scenario iv --params iv.json",
+    "scenario_iv_sample.out": "scenario iv --params iv.json --sample 2000 --seed 7",
     "scenario_logit.out": "scenario logit --params logit.json",
 }
 

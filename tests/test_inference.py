@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,28 @@ class TestAdapters:
         pt = pseudo_true(ModelInstance(Y=yn, X=xn, W=wn))
         assert_allclose(0.5 * (ci.lower + ci.upper), pt.theta_w[0], atol=1e-12)
         assert ci.contains(pt.theta_w[0])
+
+    @pytest.mark.parametrize("level", [0.8, 0.95])
+    def test_local_matches_interval_from_scratch(self, level):
+        rng = np.random.default_rng(11)
+        _, x, w = random_model_arrays(rng, 5, 2)
+        exp = LocalExperiment(Gamma_L=-x, Sigma=np.eye(5), mu=np.zeros(5), K=[1.0, -2.0], W_L=w)
+        cfg = InferenceConfig(v=[1.0, -2.0], level=level)
+        for y_l in [*rng.standard_normal((20, 5)), x @ [0.3, 0.7]]:
+            ci = local_ci(exp, y_l, level=level)
+            ref = confidence_interval(ModelInstance(Y=y_l, X=-exp.Gamma_L, W=exp.W_L), cfg)
+            assert (ci.lower, ci.upper, ci.singleton) == (ref.lower, ref.upper, ref.singleton)
+
+    @pytest.mark.parametrize("y_l", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 3.0],
+                                     [[1.0, 2.0, 3.0]], [1.0, np.inf, 3.0]])
+    def test_local_rejects_y_as_a_fresh_model_does(self, y_l):
+        exp = LocalExperiment(
+            Gamma_L=-np.ones((3, 1)), Sigma=np.eye(3), mu=np.zeros(3), K=[1.0], W_L=np.eye(3)
+        )
+        with pytest.raises(Exception) as fresh:
+            ModelInstance(Y=y_l, X=np.ones((3, 1)), W=np.eye(3))
+        with pytest.raises(type(fresh.value), match=f"^{re.escape(str(fresh.value))}$"):
+            local_ci(exp, y_l)
 
     def test_local_exact_draw_singleton(self):
         gamma = -np.array([[1.0], [1.0], [0.5]])

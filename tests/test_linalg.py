@@ -35,7 +35,7 @@ class TestLazyFactors:
     def test_one_eigh_serves_every_factor(self, eigh_calls):
         y, x, w = random_model_arrays(np.random.default_rng(2), 4, 1)
         m = ModelInstance(Y=y, X=x, W=w)
-        _ = (m.w_root, m.w_inv_root, m._w_factor.inverse, m._w_factor.log_det)
+        _ = (m.w_root, m.w_inv_root, m.design.w_factor.inverse, m.design.w_factor.log_det)
         assert eigh_calls == [(4, 4)]
 
     @pytest.mark.parametrize("spread", [1.0, 11.0])
@@ -53,8 +53,8 @@ class TestLazyFactors:
             assert_array_equal(m.W, sym)
             assert_array_equal(m.w_root, 0.5 * (root + root.T))
             assert_array_equal(m.w_inv_root, 0.5 * (inv_root + inv_root.T))
-            assert_array_equal(m._w_factor.inverse, 0.5 * (inverse + inverse.T))
-            assert m._w_factor.log_det == float(np.sum(np.log(vals)))
+            assert_array_equal(m.design.w_factor.inverse, 0.5 * (inverse + inverse.T))
+            assert m.design.w_factor.log_det == float(np.sum(np.log(vals)))
 
 
 class TestSpdValidation:

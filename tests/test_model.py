@@ -305,6 +305,23 @@ class TestFitOnce:
         run_coverage(DEFAULT_COVERAGE_X.copy(), w.copy(), theta, eta, cfg, reps=100, seed=1)
         assert factorizations == [] and decompositions == []
 
+    def test_local_ci_checks_only_y(self, factorizations, monkeypatch):
+        from misspec.inference import LocalExperiment, local_ci
+
+        exp = LocalExperiment(
+            Gamma_L=-np.ones((3, 1)), Sigma=np.eye(3), mu=np.zeros(3), K=[1.0], W_L=np.eye(3)
+        )
+        factorizations.clear()
+        decompositions = []
+        for name in ("eigvalsh", "eigh", "svd"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, *r, _fn=fn, **k: decompositions.append(a) or _fn(a, *r, **k)
+            )
+        for y in ([1.0, 1.0, 4.0], [0.5, -2.0, 3.0]):
+            local_ci(exp, y)
+        assert len(factorizations) == 1 and decompositions == []
+
     def test_fit_is_cached(self, canon_model):
         assert pseudo_true(canon_model) is pseudo_true(canon_model)
 

@@ -126,6 +126,44 @@ def test_fit_scales_exactly_with_y(seed, shape, e, exact):
         ) == member == (exact or d > 0.5 * root_j)
 
 
+@given(
+    seeds,
+    shapes,
+    st.sampled_from([1.0, 11.0]),
+    st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+    st.booleans(),
+)
+def test_model_on_a_shared_design_is_a_fresh_model(seed, shape, spread, y_raw, exact):
+    # with_y checks only Y and reuses the design's factors; every result is
+    # that of ModelInstance(Y, X, W), bit for bit, W near the SPD tolerance too.
+    rng = np.random.default_rng(seed)
+    k, p = shape
+    _, x, _ = random_model_arrays(rng, k, p)
+    w = random_spd(rng, k, spread=spread)
+    y = x @ np.asarray(y_raw[:p]) if exact else np.asarray(y_raw[:k])
+    base = ModelInstance(Y=np.zeros(k), X=x, W=w)
+    pseudo_true(base)  # the design's factors exist before the new Y arrives
+    shared, fresh = base.with_y(y), ModelInstance(Y=y, X=x, W=w)
+    assert shared.design is base.design
+    assert_array_equal(shared.Y, fresh.Y)
+    a, b = pseudo_true(shared), pseudo_true(fresh)
+    assert_array_equal(a.theta_w, b.theta_w)
+    assert (a.j_stat, a.noise_floor) == (b.j_stat, b.noise_floor)
+    assert_array_equal(a.hessian, b.hessian)
+    assert_array_equal(a.cholesky, b.cholesky)
+    cfg = _cfg(fresh, seed)
+    assert sigma_v(shared, cfg.v) == sigma_v(fresh, cfg.v)
+    ds = (0.0, 0.5, 2.0)
+    ra, rb = analyze(shared, cfg, ds), analyze(fresh, cfg, ds)
+    assert_array_equal(ra.theta_w, rb.theta_w)
+    assert (ra.j_stat, ra.sigma_v) == (rb.j_stat, rb.sigma_v)
+    for iv_a, iv_b in zip([ra.ci, *(iv for _, iv in ra.identified_sets)],
+                          [rb.ci, *(iv for _, iv in rb.identified_sets)]):
+        assert (iv_a.empty, iv_a.singleton) == (iv_b.empty, iv_b.singleton)
+        assert_array_equal([iv_a.lower, iv_a.upper], [iv_b.lower, iv_b.upper])
+    assert not np.any(pseudo_true(base).theta_w)  # the base model keeps its own fit
+
+
 @given(seeds, shapes, st.sampled_from([0.0, 1e-8, 1.0]))
 def test_j_nonnegative(seed, shape, resid_scale):
     # Y = X b + resid_scale * noise reaches the exact-fit case at scale 0.

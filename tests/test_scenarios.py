@@ -17,6 +17,7 @@ from misspec.scenarios import (
     logit_link,
     logit_population_model,
 )
+from misspec.scenarios import _iv_moments
 
 
 def _iv_scenario(k=3, theta=1.0, beta=None, fs=None, z_cov=None):
@@ -138,6 +139,31 @@ class TestIVSample:
         for a, b in zip(errs, errs[1:]):
             ratio = a / b
             assert math.sqrt(10.0) / 2.0 < ratio < 2.0 * math.sqrt(10.0)
+
+    @pytest.mark.parametrize("n", [7, 1000, 10_000])
+    @pytest.mark.parametrize(
+        "dgp", [IVDgpParams(), IVDgpParams(c0=0.3, c=np.array([0.5, -1.0, 2.0]), delta=-0.7)]
+    )
+    def test_moments_are_sums_over_the_rotated_draws(self, n, dgp):
+        # The whitened product L e'[e Y X] / n against sums of Z_i = L e_i
+        # products, each summed exactly by math.fsum.
+        s = _iv_scenario(z_cov=[[1.0, 0.2, 0.0], [0.2, 1.0, 0.3], [0.0, 0.3, 1.0]])
+        chol = np.linalg.cholesky(s.z_cov)
+        cvec = np.broadcast_to(np.asarray(dgp.c, float), (3,))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            e = rng.standard_normal((n, 3))
+            u = rng.standard_normal(n)
+            treated = (dgp.c0 + e @ (chol.T @ cvec) + u > 0.0).astype(float)
+            y = treated * (dgp.theta_bar + dgp.delta * u) + rng.standard_normal(n)
+            z = e @ chol.T
+            yn, xn, zz = _iv_moments(s, n, dgp, seed)
+            got = np.column_stack([zz, yn, xn])
+            for j in range(3):
+                for col, other in enumerate([z[:, 0], z[:, 1], z[:, 2], y, treated]):
+                    terms = z[:, j] * other
+                    tol = 1e-13 * np.mean(np.abs(terms))
+                    assert abs(got[j, col] - math.fsum(terms) / n) <= tol, (seed, j, col)
 
     def test_sample_size_floor(self):
         with pytest.raises(InputError):

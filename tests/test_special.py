@@ -92,6 +92,29 @@ class TestTCdf:
         with pytest.raises(DomainError):
             StudentT(0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dof", [0.2, 1.0, 3.0, 30.0])
+    def test_far_tail_where_x_squared_overflows(self, dof):
+        mpmath = pytest.importorskip("mpmath")
+        dist = StudentT(dof)
+        for x in (1e155, 1e200, 1e300):
+            with mpmath.workdps(60):
+                z = mpmath.mpf(dof) / (dof + mpmath.mpf(x) ** 2)
+                tail = mpmath.betainc(mpmath.mpf(dof) / 2, 0.5, 0, z, regularized=True) / 2
+                ref = [float(tail), float(1 - tail)]
+            assert_allclose(t_cdf(dist, np.array([-x, x])), ref, rtol=1e-12, atol=0)
+            assert_allclose([t_cdf(dist, -x), t_cdf(dist, x)], ref, rtol=1e-12, atol=0)
+        assert t_cdf(dist, np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+        assert (t_cdf(dist, -np.inf), t_cdf(dist, np.inf)) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("dof", [0.2, 1.0, 30.0])
+    def test_finite_x_squared_keeps_the_incomplete_beta(self, dof):
+        # Below 2^512, where x^2 is finite, the CDF is the incomplete beta's bits.
+        xs = np.array([-np.nextafter(2.0**512, 0.0), -1e150, -3.5, 0.25, 1e100])
+        tail = 0.5 * scipy.special.betainc(0.5 * dof, 0.5, dof / (dof + xs * xs))
+        expected = np.where(xs >= 0.0, 1.0 - tail, tail)
+        assert t_cdf(StudentT(dof), xs).tolist() == expected.tolist()
+
 
 class TestTQuantile:
     def test_median(self):
@@ -126,6 +149,20 @@ class TestTQuantile:
     def test_lower_tail_symmetry(self):
         dist = StudentT(3.0)
         assert_allclose(t_quantile(dist, 0.1), -t_quantile(dist, 0.9), rtol=1e-12)
+
+    def test_memo_returns_the_unmemoised_value_and_stays_bounded(self):
+        from misspec import special
+
+        for dof in (0.3, 1.0, 3, 7.5, 200.0):
+            for q in (1e-10, 0.025, 0.5, 0.975, 1.0 - 1e-10):
+                exact = special._t_quantile.__wrapped__(dof, q).hex()
+                assert t_quantile(StudentT(dof), q).hex() == exact  # filled
+                assert t_quantile(StudentT(dof), q).hex() == exact  # from the memo
+        maxsize = special._t_quantile.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 10):
+            t_quantile(StudentT(1.0 + i / 7.0), 0.975)
+        assert special._t_quantile.cache_info().currsize == maxsize
 
     def test_domain(self):
         with pytest.raises(DomainError):
