@@ -81,12 +81,11 @@ def t_cdf(dist: StudentT, x):
     if far.any():
         # Where x^2 overflows, z = nu/x^2 to rounding and I_z(a, 1/2) is its
         # leading term z^a / (a B(a, 1/2)): the next is O(nu/x^2) smaller.
+        # At x = +-inf the tail is exp(-inf) = 0.
         a = 0.5 * nu
         log_z = math.log(nu) - 2.0 * np.log(np.abs(arr[far]))
         tail[far] = 0.5 * np.exp(a * log_z - math.log(a) - scipy.special.betaln(a, 0.5))
     out = np.where(arr >= 0.0, 1.0 - tail, tail)
-    out = np.where(np.isposinf(arr), 1.0, out)
-    out = np.where(np.isneginf(arr), 0.0, out)
     return float(out[0]) if scalar else out
 
 
