@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ class TestIVSample:
                     terms = z[:, j] * other
                     tol = 1e-13 * np.mean(np.abs(terms))
                     assert abs(got[j, col] - math.fsum(terms) / n) <= tol, (seed, j, col)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_peak_memory_within_the_counted_values(self, k):
+        # The cap counts n (2k + 2) float64 values held at once; numpy reports
+        # its allocations to tracemalloc.
+        s, n = _iv_scenario(k=k), 100_000
+        iv_sample(s, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            iv_sample(s, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * (2 * k + 2) + 2**16
 
     def test_sample_size_floor(self):
         with pytest.raises(InputError):
