@@ -17,8 +17,8 @@ from misspec.scenarios import (
     logit_inverse_link,
     logit_link,
     logit_population_model,
+    _iv_moments,
 )
-from misspec.scenarios import _iv_moments
 
 
 def _iv_scenario(k=3, theta=1.0, beta=None, fs=None, z_cov=None):

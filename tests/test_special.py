@@ -153,11 +153,15 @@ class TestTQuantile:
     def test_memo_returns_the_unmemoised_value_and_stays_bounded(self):
         from misspec import special
 
+        special._t_quantile.cache_clear()
         for dof in (0.3, 1.0, 3, 7.5, 200.0):
             for q in (1e-10, 0.025, 0.5, 0.975, 1.0 - 1e-10):
-                exact = special._t_quantile.__wrapped__(dof, q).hex()
-                assert t_quantile(StudentT(dof), q).hex() == exact  # filled
+                # The unmemoised quantile: stdtrit in the lower tail, reflected.
+                x = 0.0 if q == 0.5 else -float(scipy.special.stdtrit(dof, min(q, 1.0 - q)))
+                exact = (x if q >= 0.5 else -x).hex()
+                assert t_quantile(StudentT(dof), q).hex() == exact  # computed
                 assert t_quantile(StudentT(dof), q).hex() == exact  # from the memo
+        assert special._t_quantile.cache_info().hits == 25
         maxsize = special._t_quantile.cache_info().maxsize
         assert maxsize is not None
         for i in range(maxsize + 10):
