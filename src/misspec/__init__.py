@@ -28,13 +28,10 @@ from misspec.inference import (
     identified_set_membership,
     identified_set_projection,
     local_ci,
-    pivotal_t_stat,
 )
 from misspec.model import (
-    EtaDecomposition,
     ModelInstance,
     PseudoTrueResult,
-    decompose_eta,
     implied_eta,
     objective,
     pseudo_true,
@@ -52,7 +49,6 @@ from misspec.montecarlo import (
 from misspec.posteriors import (
     ClosedFormPosterior,
     ThetaPrior,
-    bayes_action_quadratic,
     closed_form_posterior,
     mass_outside_ball,
     normal_posterior,
@@ -63,10 +59,8 @@ from misspec.priors import (
     PowerLawRadial,
     ScaledPrior,
     StudentTRadial,
-    density,
     parse_radial,
     sample_eta,
-    tail_ratio,
 )
 from misspec.scenarios import (
     IVDgpParams,
@@ -75,9 +69,8 @@ from misspec.scenarios import (
     iv_population_model,
     iv_sample,
     logit_inverse_link,
-    logit_link,
     logit_population_model,
 )
-from misspec.special import StudentT, log_gamma, reg_inc_beta, t_cdf, t_quantile
+from misspec.special import StudentT, t_cdf, t_quantile
 
 __version__ = "0.1.0"

@@ -166,7 +166,3 @@ def cho_solve(lower: np.ndarray, b) -> np.ndarray:
                 x[j] -= row[j] * xi
     return np.array(cols).T.reshape(b.shape)
 
-
-def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` for SPD ``a`` by Cholesky factorization."""
-    return cho_solve(cholesky(a), b)

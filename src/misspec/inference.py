@@ -29,7 +29,6 @@ __all__ = [
     "LocalExperiment",
     "InferenceReport",
     "confidence_interval",
-    "pivotal_t_stat",
     "identified_set_projection",
     "identified_set_membership",
     "finite_sample_ci",
@@ -108,22 +107,25 @@ class LocalExperiment:
 
     def __post_init__(self):
         gamma = _linalg.as_matrix(self.Gamma_L, "Gamma_L")
-        _linalg.check_full_column_rank(gamma, "Gamma_L")
+        _linalg.check_finite(gamma, "Gamma_L")
+        k = gamma.shape[0]
         sig = _linalg.spd_factor(self.Sigma, "Sigma").matrix
-        wl = _linalg.spd_factor(self.W_L, "W_L").matrix
-        mu = _linalg.as_vector(self.mu, gamma.shape[0], "mu")
+        mu = _linalg.as_vector(self.mu, k, "mu")
         kv = _linalg.as_vector(self.K, gamma.shape[1], "K")
-        if sig.shape[0] != gamma.shape[0] or wl.shape[0] != gamma.shape[0]:
-            raise InputError("Sigma and W_L must match the moment dimension")
+        if sig.shape[0] != k:
+            raise InputError("Sigma must match the moment dimension")
+        # The limit model's design (X_L = -Gamma_L, W_L), checked and factored
+        # once; its errors name X and W, so they are re-raised naming both.
+        try:
+            model = ModelInstance(Y=np.zeros(k), X=-gamma, W=self.W_L)
+        except InputError as exc:
+            raise type(exc)(f"limit design X = -Gamma_L, W = W_L: {exc}") from None
         object.__setattr__(self, "Gamma_L", gamma)
         object.__setattr__(self, "Sigma", sig)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "K", kv)
-        object.__setattr__(self, "W_L", wl)
-        # The limit model's design (X_L = -Gamma_L, W_L), checked and factored once.
-        object.__setattr__(
-            self, "_model", ModelInstance(Y=np.zeros(gamma.shape[0]), X=-gamma, W=wl)
-        )
+        object.__setattr__(self, "W_L", model.W)
+        object.__setattr__(self, "_model", model)
 
 
 @dataclass(frozen=True)
@@ -145,17 +147,13 @@ def _check_over_identified(model: ModelInstance) -> None:
         )
 
 
-def _ci_ingredients(model: ModelInstance, cfg: InferenceConfig):
-    _check_over_identified(model)
-    return pseudo_true(model), sigma_v(model, cfg.v)
-
-
 def confidence_interval(model: ModelInstance, cfg: InferenceConfig) -> Interval:
     """J-scaled interval for v'theta at the configured level.
 
     Degenerates to the single point v'theta_W when J = 0.  Requires k > p.
     """
-    return _confidence_interval(model, cfg, *_ci_ingredients(model, cfg))
+    _check_over_identified(model)
+    return _confidence_interval(model, cfg, pseudo_true(model), sigma_v(model, cfg.v))
 
 
 def _confidence_interval(model: ModelInstance, cfg: InferenceConfig, pt, sv: float) -> Interval:
@@ -166,21 +164,6 @@ def _confidence_interval(model: ModelInstance, cfg: InferenceConfig, pt, sv: flo
     tstar = t_quantile(StudentT(kp), 0.5 * (1.0 + cfg.level))
     hw = math.sqrt(pt.j_stat / kp) * sv * tstar
     return Interval(lower=center - hw, upper=center + hw)
-
-
-def pivotal_t_stat(model: ModelInstance, theta_true, cfg: InferenceConfig) -> float:
-    """Studentized deviation of v'theta_W from v'theta at the true theta.
-
-    The interval contains v'theta exactly when this statistic is at most the
-    critical value in absolute value.
-    """
-    theta_true = _linalg.as_vector(theta_true, model.p, "theta_true")
-    pt, sv = _ci_ingredients(model, cfg)
-    if pt.j_stat <= pt.noise_floor:
-        raise InputError("pivotal t statistic is undefined when J = 0")
-    kp = model.k - model.p
-    num = float(cfg.v @ pt.theta_w) - float(cfg.v @ theta_true)
-    return num / math.sqrt(pt.j_stat / kp * sv * sv)
 
 
 def identified_set_projection(

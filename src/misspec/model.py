@@ -7,16 +7,13 @@ k-by-k weighting matrix.  The weighted objective
     Q(theta) = (Y - X theta)' W (Y - X theta)
 
 is minimized at the pseudo-true value, and the minimized value is the
-population J-statistic.  ``decompose_eta`` splits the whitened residual into
-the detectable component (orthogonal to the whitened Jacobian, driving J) and
-the undetectable component (inside its span, driving the gap between true and
-pseudo-true parameters).
+population J-statistic.
 
 Since Q(theta) = J + (theta - theta_W)' H (theta - theta_W) with H = X'WX,
 every estimand depends on the data only through the fit (theta_W, J, H).  H
 and its factor depend on X and W alone: a ``Design`` computes them once and
 shares them across Y.  ``pseudo_true`` computes theta_W and J once per model
-and caches them on it.
+and caches them on it; everything else is read off the model's design.
 """
 
 from __future__ import annotations
@@ -54,8 +51,9 @@ class Design:
     Construction checks that every entry of X is finite, W is symmetric
     positive definite of X's row dimension, and X has full column rank with
     k >= p.  H = X'WX, its lower Cholesky factor, H^{-1}, H's condition number
-    and W's factors are computed on first use and cached, so every model on
-    one design (see ``ModelInstance.with_y``) computes them once.
+    and W's factors (``w_factor``) are computed on first use and cached, so
+    every model on one design (see ``ModelInstance.with_y``) computes them
+    once; ``solve`` applies H^{-1} from the factor.
     """
 
     X: np.ndarray
@@ -92,13 +90,17 @@ class Design:
     @cached_property
     def hessian_inv(self) -> np.ndarray:
         """H^{-1}, from the cached factor."""
-        return _readonly(_linalg.cho_solve(self.cholesky, np.eye(self.X.shape[1])))
+        return _readonly(self.solve(np.eye(self.X.shape[1])))
 
     @cached_property
     def condition_number(self) -> float:
         """Largest over smallest eigenvalue of H (inf if that is not positive)."""
         vals = np.linalg.eigvalsh(self.hessian)
         return float(vals[-1] / vals[0]) if vals[0] > 0.0 else np.inf
+
+    def solve(self, b) -> np.ndarray:
+        """H^{-1} b, from the cached factor."""
+        return _linalg.cho_solve(self.cholesky, b)
 
 
 @dataclass(frozen=True)
@@ -146,66 +148,18 @@ class ModelInstance:
     def p(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def w_root(self) -> np.ndarray:
-        """Symmetric PSD square root of W."""
-        return self.design.w_factor.root
-
-    @property
-    def w_inv_root(self) -> np.ndarray:
-        return self.design.w_factor.inv_root
-
 
 @dataclass(frozen=True)
 class PseudoTrueResult:
     """Minimizer and minimized value of the objective for one Y on a design.
 
-    ``noise_floor`` is the scale below which J is float noise.  H = X'WX
-    (``hessian``), its lower Cholesky factor ``cholesky`` (a read-only ndarray
-    with zeros above the diagonal), ``hessian_inv`` and ``condition_number``
-    are the design's, shared by every Y fitted on it.
+    ``noise_floor`` is the scale below which J is float noise.  H = X'WX and
+    its factors are the model's ``design``'s, shared by every Y fitted on it.
     """
 
     theta_w: np.ndarray
     j_stat: float
     noise_floor: float
-    design: Design = field(repr=False, compare=False)
-
-    @property
-    def hessian(self) -> np.ndarray:
-        return self.design.hessian
-
-    @property
-    def cholesky(self) -> np.ndarray:
-        return self.design.cholesky
-
-    @property
-    def hessian_inv(self) -> np.ndarray:
-        return self.design.hessian_inv
-
-    @property
-    def condition_number(self) -> float:
-        return self.design.condition_number
-
-    def solve(self, b) -> np.ndarray:
-        """H^{-1} b, from the cached factor."""
-        return _linalg.cho_solve(self.cholesky, b)
-
-
-@dataclass(frozen=True)
-class EtaDecomposition:
-    """Whitened residual split into projection and residual components.
-
-    eta_tilde = eta_hat + eta_perp, with eta_hat in the span of the whitened
-    Jacobian and eta_perp orthogonal to it; ||eta_perp||^2 equals the
-    J-statistic and does not depend on the theta at which the residual was
-    formed.
-    """
-
-    eta_tilde: np.ndarray
-    eta_hat: np.ndarray
-    eta_perp: np.ndarray
-    j_stat: float
 
 
 def implied_eta(model: ModelInstance, theta) -> np.ndarray:
@@ -230,7 +184,7 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
     """
     if model._fit is not None:
         return model._fit
-    theta_w = _linalg.cho_solve(model.design.cholesky, model.X.T @ (model.W @ model.Y))
+    theta_w = model.design.solve(model.X.T @ (model.W @ model.Y))
     j = objective(model, theta_w)
     noise_floor = J_CLAMP_RTOL * float(model.Y @ model.W @ model.Y)
     if j < 0.0:
@@ -240,33 +194,9 @@ def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
             raise NumericalError(
                 f"minimized objective is negative beyond float noise: {j:.3e}"
             )
-    fit = PseudoTrueResult(
-        theta_w=_readonly(theta_w),
-        j_stat=j,
-        noise_floor=noise_floor,
-        design=model.design,
-    )
+    fit = PseudoTrueResult(theta_w=_readonly(theta_w), j_stat=j, noise_floor=noise_floor)
     object.__setattr__(model, "_fit", fit)
     return fit
-
-
-def decompose_eta(model: ModelInstance, theta) -> EtaDecomposition:
-    """Split the whitened residual at ``theta`` into span and orthogonal parts.
-
-    eta_perp is invariant to ``theta``; its squared length is the J-statistic.
-    Computed apart from the cached fit, so that the two can check each other.
-    """
-    eta_tilde = model.w_root @ implied_eta(model, theta)
-    x_tilde = model.w_root @ model.X
-    coef = _linalg.spd_solve(x_tilde.T @ x_tilde, x_tilde.T @ eta_tilde)
-    eta_hat = x_tilde @ coef
-    eta_perp = eta_tilde - eta_hat
-    return EtaDecomposition(
-        eta_tilde=_readonly(eta_tilde),
-        eta_hat=_readonly(eta_hat),
-        eta_perp=_readonly(eta_perp),
-        j_stat=float(eta_perp @ eta_perp),
-    )
 
 
 def sigma_v(model: ModelInstance, v) -> float:
@@ -278,4 +208,4 @@ def sigma_v(model: ModelInstance, v) -> float:
     if not np.any(v != 0.0):
         raise InputError("v must be nonzero")
     u, e = _linalg.binade_scaled(v)
-    return float(np.ldexp(np.sqrt(u @ pseudo_true(model).solve(u)), e))
+    return float(np.ldexp(np.sqrt(u @ model.design.solve(u)), e))

@@ -6,12 +6,12 @@ however the replication range is split into blocks or workers; the reduction
 is a plain order-independent sum.
 
 What a coverage or pivotality run needs of its fixture (X, W) alone -- the
-validated Y = 0 model, its fit, the projections A = H^{-1}X'W and
-B = W - WXA, and W's inverse root -- is memoised in a small LRU cache keyed
-on the shapes and bytes of the float64 X and W.  A key made of the contents
-is safe: equal arrays share an entry, an array changed in place is a new
-key, a fixture that fails validation raises on every call, and the cached
-arrays are read-only.
+validated Y = 0 model, the factor of its X'WX, the projections
+A = H^{-1}X'W and B = W - WXA, and W's inverse root -- is memoised in a
+small LRU cache keyed on the shapes and bytes of the float64 X and W.  A
+key made of the contents is safe: equal arrays share an entry, an array
+changed in place is a new key, a fixture that fails validation raises on
+every call, and the cached arrays are read-only.
 
 ``ks_statistic`` evaluates the t CDF exactly at every 8th order statistic and
 brackets it in between, evaluating a segment in full only where its bound
@@ -30,13 +30,12 @@ import numpy as np
 from misspec import _kernels, _linalg, _rng
 from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
-from misspec.model import ModelInstance, pseudo_true, sigma_v
+from misspec.model import ModelInstance, sigma_v
 from misspec.posteriors import (
     MixturePosterior,
     ThetaPrior,
     closed_form_posterior,
     mass_outside_ball,
-    posterior_sd,
 )
 from misspec.priors import (
     RadialFamily,
@@ -126,7 +125,8 @@ class _Fixture:
 
     ``model`` is (Y = 0, X, W).  A = H^{-1}X'W maps Y to theta_W, and
     B = W - WXA maps Y to Y'BY = J; both are read-only, as are the model's
-    arrays.  W's inverse root is computed on first use and kept on ``model``.
+    arrays.  W's inverse root is computed on first use and kept on the
+    model's design.
     """
 
     model: ModelInstance
@@ -144,7 +144,7 @@ def _fixture_from_bytes(x_shape, x_bytes, w_shape, w_bytes) -> _Fixture:
             "coverage and pivotality require an over-identified fixture (k > p)"
         )
     xtw = model.X.T @ model.W
-    a = pseudo_true(model).solve(xtw)  # theta_W = A Y
+    a = model.design.solve(xtw)  # theta_W = A Y
     b = _linalg._symmetrize(model.W - xtw.T @ a)
     a.setflags(write=False)
     b.setflags(write=False)
@@ -182,7 +182,7 @@ def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False)
         mix, eta_code, nu = np.eye(model.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
     else:
         eta_code, nu = _kernel_eta_code(eta_prior.family)
-        mix = model.w_inv_root
+        mix = model.design.w_factor.inv_root
         _linalg.check_same_weight(eta_prior.W, model.W, "eta prior", "fixture")
     return mix, eta_code, nu, fixture.a.T @ v, fixture.b, sv, float(model.k - model.p)
 
@@ -388,7 +388,7 @@ def run_concentration(
         post = closed_form_posterior(model, family, float(c))
         for name, eps in eps_names.items():
             metrics[name].append(mass_outside_ball(post, post.center, eps))
-        metrics["posterior_sd"].append(float(np.max(posterior_sd(post))))
+        metrics["posterior_sd"].append(float(np.max(post.marginal_sd())))
         has_mean = post.dof is None or post.dof > 1.0
         for name, val in zip(action_names, post.center):
             metrics[name].append(float(val) if has_mean else math.nan)

@@ -7,9 +7,9 @@ Gaussian iff its dof is None, and its density is the matching radial
 profile (normal or t) normalized in dimension p.  Under a contaminated prior
 the posterior is exact too: the ``MixturePosterior`` of the two components'
 closed forms, weighted by their marginal likelihoods.  Every quantity read
-off a posterior here -- the mass outside a ball, the Bayes action, the TV
-distance and the marginal sd -- comes from these closed forms; no posterior
-is evaluated on a grid.
+off a posterior here -- the mass outside a ball, the TV distance and the
+marginal sd -- comes from these closed forms; no posterior is evaluated on a
+grid.
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ __all__ = [
     "closed_form_posterior",
     "normal_posterior",
     "mass_outside_ball",
-    "bayes_action_quadratic",
     "tv_distance",
-    "posterior_sd",
 ]
 
 
@@ -131,24 +129,24 @@ def closed_form_posterior(
     """
     if not (c >= 0.0 and math.isfinite(c)):
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
-    pt = pseudo_true(model)
-    if not pt.condition_number < 1.0 / _linalg.SPD_RTOL:
+    pt, design = pseudo_true(model), model.design
+    if not design.condition_number < 1.0 / _linalg.SPD_RTOL:
         raise ModelValidationError(
-            f"X'WX has condition number {pt.condition_number:.3e}; closed-form "
+            f"X'WX has condition number {design.condition_number:.3e}; closed-form "
             f"posteriors need it below {1.0 / _linalg.SPD_RTOL:.0e}"
         )
     dof, spread = family.posterior_shape(c, pt.j_stat, model.k, model.p)
     if dof is None:
         if not spread > 0.0:
             raise InputError(f"prior scale c must be positive, got {c}")
-        scale = spread * pt.hessian_inv
+        scale = spread * design.hessian_inv
     elif (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
             f"{family.spec_string()} posterior at c = {c:g} requires a positive "
             "J-statistic (its scale is J alone)"
         )
     else:
-        scale = spread / dof * pt.hessian_inv
+        scale = spread / dof * design.hessian_inv
     # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
     j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
     evidence = family.log_evidence(c, j, model.k, model.p) if family.proper and c > 0.0 else None
@@ -333,15 +331,6 @@ def mass_outside_ball(
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
 
-def bayes_action_quadratic(post: ClosedFormPosterior) -> np.ndarray:
-    """Posterior mean, the Bayes action under quadratic loss."""
-    if post.dof is not None and post.dof <= 1.0:
-        raise InputError(
-            f"posterior mean does not exist for t posterior with dof={post.dof}"
-        )
-    return post.center.copy()
-
-
 def _radial_tail(post: ClosedFormPosterior) -> Callable[[float], float]:
     """Pr{|u| > r} for the standardized radius |u| of a 1-d or 2-d closed form."""
     if post.p == 2:
@@ -447,7 +436,3 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     )
     return min(abs(total), 1.0)
 
-
-def posterior_sd(post: ClosedFormPosterior) -> np.ndarray:
-    """Marginal posterior standard deviations."""
-    return post.marginal_sd()

@@ -11,11 +11,11 @@ elliptically contoured in whitened coordinates.  Three profiles are built in:
 
 * normal,      f(u) = exp(-u/2)                      (proper)
 * t with dof,  f(u) = (1 + u/dof)^(-(dof+k)/2)       (proper)
-* power law,   f(u) = u^(-alpha)                     (improper: density only)
+* power law,   f(u) = u^(-alpha)                     (improper)
 
 The power-law integral diverges at the origin for the relevant alpha range, so
-that family supports only unnormalized density evaluation: no sampling, no
-normalizer.
+that family has no normalizer, sampling, tail probability or evidence: it
+enters only through its closed-form posterior (``posterior_shape``).
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ __all__ = [
     "PowerLawRadial",
     "parse_radial",
     "ScaledPrior",
-    "density",
     "sample_eta",
-    "tail_ratio",
 ]
 
 
@@ -162,7 +160,7 @@ class StudentTRadial(RadialFamily):
 
 @dataclass(frozen=True)
 class PowerLawRadial(RadialFamily):
-    """Power-law profile u^(-alpha); improper, density evaluation only."""
+    """Power-law profile u^(-alpha); improper, with a closed-form posterior only."""
 
     alpha: float
     proper = False
@@ -231,55 +229,6 @@ class ScaledPrior:
     def proper(self) -> bool:
         return self.family.proper
 
-    def quadform(self, etas: np.ndarray) -> np.ndarray:
-        """eta' W eta for one eta (shape (k,)) or a batch (shape (n, k))."""
-        etas = np.asarray(etas, dtype=np.float64)
-        if etas.ndim == 1:
-            return etas @ self.W @ etas
-        return np.einsum("ni,ij,nj->n", etas, self.W, etas)
-
-    def log_normalizer(self) -> float:
-        """Log of the density normalizer; raises for improper families."""
-        return (
-            0.5 * self.k * math.log(self.c)
-            - 0.5 * self._w_factor.log_det
-            + self.family.log_ball_integral(self.k)
-        )
-
-    def log_radial(self, q):
-        """Log density at quadratic form q = eta' W eta, for a scalar or an array.
-
-        Normalized for proper families; the unnormalized log f(q / c) for the
-        improper power law.
-        """
-        # q / c overflows only to +inf, where every log f is -inf, its limit.
-        with np.errstate(over="ignore"):
-            u = q / self.c
-        logf = self.family.log_f(u, self.k)
-        return logf - self.log_normalizer() if self.proper else logf
-
-    def log_density(self, etas, *, allow_unnormalized: bool = False):
-        """Log prior density at one eta or a batch of etas.
-
-        For the improper power-law family this is the unnormalized log f and
-        must be requested explicitly via ``allow_unnormalized``.
-        """
-        if not (self.proper or allow_unnormalized):
-            raise ImproperPriorError(
-                f"{self.family.spec_string()} prior is improper; pass "
-                "allow_unnormalized=True for the unnormalized density"
-            )
-        return self.log_radial(self.quadform(etas))
-
-
-def density(prior: ScaledPrior, eta, *, allow_unnormalized: bool = False) -> float:
-    """Prior density at eta; normalized for proper families.
-
-    The value is constant on the ellipsoids {eta' W eta = const}.
-    """
-    eta = _linalg.as_vector(eta, prior.k, "eta")
-    return float(np.exp(prior.log_density(eta, allow_unnormalized=allow_unnormalized)))
-
 
 # Smallest t dof ``sample_eta`` accepts; the kernels never apply the t scale.
 # A row is scaled by sqrt(dof / w), w ~ chi2(dof) = 2 Gamma(dof/2), and for
@@ -331,7 +280,13 @@ def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
 
 
 def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) -> float:
-    """Pr{||eta||_W >= a tau | ||eta||_W >= tau} for ``family`` at scale c in dimension k."""
+    """Pr{||eta||_W >= a tau | ||eta||_W >= tau} for ``family`` at scale c in dimension k.
+
+    The ratio of the two survival probabilities of s = ||eta||_W^2 / c
+    (``RadialFamily.log_tail``) is taken in log space, so it stays accurate
+    where both underflow.  For the normal family it tends to 0 as c -> 0;
+    for the t family with dof it tends to a^(-dof), independent of tau.
+    """
     if not a > 1.0:
         raise InputError(f"tail_ratio requires a > 1, got {a}")
     if not tau > 0.0:
@@ -346,17 +301,4 @@ def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) ->
     if log_lower == -math.inf:
         raise NumericalError(f"radial tail probability above {s_lo:.3e} is zero")
     return min(math.exp(family.log_tail(s_hi, k) - log_lower), 1.0)
-
-
-def tail_ratio(prior: ScaledPrior, a: float, tau: float) -> float:
-    """Conditional radial tail probability Pr{||eta||_W >= a tau | ||eta||_W >= tau}.
-
-    Closed form in the standardized variable s = ||eta||_W^2 / c, which is
-    chi-square with k degrees of freedom for the normal family and k times an
-    F(k, dof) variable for the t family.  The ratio of the two survival
-    probabilities is taken in log space, so it stays accurate where both
-    underflow.  For the normal family it tends to 0 as c -> 0; for the t
-    family with dof it tends to a^(-dof), independent of tau.
-    """
-    return _tail_ratio(prior.family, prior.k, prior.c, a, tau)
 

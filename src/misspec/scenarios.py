@@ -24,9 +24,7 @@ __all__ = [
     "LogitScenario",
     "iv_population_model",
     "iv_sample",
-    "iv_dgp_population_moments",
     "logit_population_model",
-    "logit_link",
     "logit_inverse_link",
 ]
 
@@ -159,31 +157,6 @@ def _iv_moments(
     return m[:, k] / n, m[:, k + 1 :] / n, m[:, :k] @ s._z_chol.T / n
 
 
-def iv_dgp_population_moments(
-    z_cov: np.ndarray, dgp: IVDgpParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact population analogs of the ``iv_sample`` moments.
-
-    With T = c'Z + U the treatment index, joint normality gives
-    E[Z X] = Sigma_z c phi(h)/sigma_T and E[Z X U] = Sigma_z c h phi(h)/sigma_T^2
-    for h = -c0/sigma_T, from which E[Z Y] follows.  Both vectors are
-    proportional to Sigma_z c, so the single-index structure places the
-    implied misspecification inside the span of the Jacobian: it biases the
-    pseudo-true value but contributes nothing to the population J-statistic.
-    """
-    zc = _linalg.spd_factor(z_cov, "z_cov")
-    k = zc.matrix.shape[0]
-    cvec = _dgp_c_vector(dgp, k)
-    zc_c = zc.matrix @ cvec
-    sigma_t = math.sqrt(float(cvec @ zc_c) + 1.0)
-    h = -dgp.c0 / sigma_t
-    phi_h = math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
-    x_pop = zc_c * (phi_h / sigma_t)
-    zxu = zc_c * (h * phi_h / sigma_t**2)
-    y_pop = dgp.theta_bar * x_pop + dgp.delta * zxu
-    return y_pop, x_pop.reshape(k, 1), zc.inverse
-
-
 @dataclass(frozen=True)
 class LogitScenario:
     """Binary-outcome design with a discrete regressor and two target points.
@@ -218,15 +191,6 @@ class LogitScenario:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "cond_means", cm)
         object.__setattr__(self, "x_star", (x1, x2))
-
-
-def logit_link(u: float) -> float:
-    """Logistic function exp(u)/(1 + exp(u)), evaluated stably."""
-    u = float(u)
-    if u >= 0.0:
-        return 1.0 / (1.0 + math.exp(-u))
-    e = math.exp(u)
-    return e / (1.0 + e)
 
 
 def logit_inverse_link(q: float) -> float:

@@ -1,10 +1,9 @@
 """Special functions and the Student-t distribution used by the inference layer.
 
-Log-gamma and the regularized incomplete beta are thin validated wrappers over
-the standard library and SciPy; the t CDF is built on the incomplete beta and
-the t quantile is SciPy's ``stdtrit``, evaluated in the lower tail so that
-neither is formed as 1 - tail.  The log incomplete gamma and beta functions
-stay accurate where the functions themselves underflow.
+The t CDF is built on SciPy's regularized incomplete beta and the t quantile
+is SciPy's ``stdtrit``, evaluated in the lower tail so that neither is formed
+as 1 - tail.  The log incomplete gamma and beta functions stay accurate where
+the functions themselves underflow.
 
 ``scipy.special`` is imported on first use, inside the functions that call
 it, so importing this module (and ``misspec``) does not load it; commands
@@ -36,29 +35,6 @@ class StudentT:
     def __post_init__(self):
         if not (self.dof > 0.0 and math.isfinite(self.dof)):
             raise DomainError(f"degrees of freedom must be positive, got {self.dof}")
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def reg_inc_beta(x, a: float, b: float):
-    """Regularized incomplete beta function I_x(a, b) for x in [0, 1].
-
-    Accepts a scalar or array ``x``; ``a`` and ``b`` must be positive.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("reg_inc_beta requires x in [0, 1]")
-    import scipy.special
-
-    out = scipy.special.betainc(a, b, arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def t_cdf(dist: StudentT, x):

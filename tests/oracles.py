@@ -5,10 +5,15 @@ adaptive quadrature of density formulas, quantiles from root-bracketing on
 those quadrature CDFs, and normalizers from radial integrals.  Expected
 values frozen in the tests were produced by these routines.
 
+The reference estimands are definitions the package computes another way or
+not at all: the split of the whitened residual, the pivotal t statistic, the
+population moments of the IV simulation and the radial prior's density.
+
 The grid posterior evaluates a posterior pointwise on a rectangular grid and
-normalises it by the trapezoid rule.  It takes the model's fit and the
-prior's log density from the package, and checks what the closed forms add
-to them: the posterior's shape, normaliser, masses and TV distances.
+normalises it by the trapezoid rule.  It takes the model's fit from the
+package and the prior's log density from ``log_radial`` here, and checks
+what the closed forms add to them: the posterior's shape, normaliser, masses
+and TV distances.
 
 The scalar Monte Carlo reference at the end of the file evaluates the
 counter-based streams and the replication loops one replication and one
@@ -27,7 +32,8 @@ import scipy.integrate
 import scipy.optimize
 import scipy.stats
 
-from misspec.model import pseudo_true
+from misspec.errors import ImproperPriorError, InputError
+from misspec.model import implied_eta, pseudo_true, sigma_v
 
 
 def t_density_unnorm(x: float, dof: float) -> float:
@@ -170,6 +176,97 @@ def random_model_arrays(rng: np.random.Generator, k: int, p: int):
     return y, x, w
 
 
+# --- Reference estimands ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EtaDecomposition:
+    """eta_tilde = eta_hat + eta_perp: in the whitened Jacobian's span, and orthogonal to it."""
+
+    eta_tilde: np.ndarray
+    eta_hat: np.ndarray
+    eta_perp: np.ndarray
+    j_stat: float
+
+
+def decompose_eta(model, theta) -> EtaDecomposition:
+    """Split the whitened residual at ``theta``; eta_perp, of squared length J, is free of theta.
+
+    Computed apart from the package's fit, so that the two can check each other.
+    """
+    w_root = model.design.w_factor.root
+    eta_tilde = w_root @ implied_eta(model, theta)
+    x_tilde = w_root @ model.X
+    coef = np.linalg.solve(x_tilde.T @ x_tilde, x_tilde.T @ eta_tilde)
+    eta_hat = x_tilde @ coef
+    eta_perp = eta_tilde - eta_hat
+    return EtaDecomposition(
+        eta_tilde=eta_tilde, eta_hat=eta_hat, eta_perp=eta_perp, j_stat=float(eta_perp @ eta_perp)
+    )
+
+
+def pivotal_t_stat(model, theta_true, cfg) -> float:
+    """Studentized deviation of v'theta_W from v'theta: the interval covers v'theta iff |T| <= t*."""
+    theta_true = np.asarray(theta_true, dtype=np.float64).reshape(model.p)
+    pt, sv = pseudo_true(model), sigma_v(model, cfg.v)
+    if pt.j_stat <= pt.noise_floor:
+        raise InputError("pivotal t statistic is undefined when J = 0")
+    kp = model.k - model.p
+    num = float(cfg.v @ pt.theta_w) - float(cfg.v @ theta_true)
+    return num / math.sqrt(pt.j_stat / kp * sv * sv)
+
+
+def iv_dgp_population_moments(z_cov, dgp):
+    """Exact population analogs (Y, X, W) of the ``scenarios.iv_sample`` moments.
+
+    With T = c'Z + U the treatment index, joint normality gives
+    E[Z X] = Sigma_z c phi(h)/sigma_T and E[Z X U] = Sigma_z c h phi(h)/sigma_T^2
+    for h = -c0/sigma_T, from which E[Z Y] follows.  Both vectors are
+    proportional to Sigma_z c, so the single-index structure places the
+    implied misspecification inside the span of the Jacobian: it biases the
+    pseudo-true value but contributes nothing to the population J-statistic.
+    """
+    z_cov = np.asarray(z_cov, dtype=np.float64)
+    k = z_cov.shape[0]
+    cvec = np.broadcast_to(np.asarray(dgp.c, dtype=np.float64), (k,))
+    zc_c = z_cov @ cvec
+    sigma_t = math.sqrt(float(cvec @ zc_c) + 1.0)
+    h = -dgp.c0 / sigma_t
+    phi_h = math.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi)
+    x_pop = zc_c * (phi_h / sigma_t)
+    zxu = zc_c * (h * phi_h / sigma_t**2)
+    y_pop = dgp.theta_bar * x_pop + dgp.delta * zxu
+    return y_pop, x_pop.reshape(k, 1), np.linalg.inv(z_cov)
+
+
+def log_radial(prior):
+    """A ``ScaledPrior``'s log density as a function of q = eta' W eta, a scalar or an array.
+
+    pi(eta) = f(eta' W eta / c) / Z: for a proper family Z is c^{k/2} |W|^{-1/2}
+    times the whitened ball integral of f; the improper power law's is left out.
+    """
+    log_z = 0.0
+    if prior.proper:
+        log_z = (0.5 * prior.k * math.log(prior.c) - 0.5 * float(np.linalg.slogdet(prior.W)[1])
+                 + prior.family.log_ball_integral(prior.k))
+
+    def at(q):
+        # q / c overflows only to +inf, where every log f is -inf, its limit.
+        with np.errstate(over="ignore"):
+            u = q / prior.c
+        return prior.family.log_f(u, prior.k) - log_z
+
+    return at
+
+
+def density(prior, eta, *, allow_unnormalized: bool = False) -> float:
+    """Prior density at one eta; an improper prior's unnormalized one must be asked for."""
+    if not (prior.proper or allow_unnormalized):
+        raise ImproperPriorError(f"{prior.family.spec_string()} prior is improper")
+    eta = np.asarray(eta, dtype=np.float64).reshape(prior.k)
+    return math.exp(log_radial(prior)(eta @ prior.W @ eta))
+
+
 # --- Grid posterior reference --------------------------------------------------
 #
 # Under a flat theta prior the log posterior of theta is the prior's log
@@ -230,11 +327,11 @@ class GridPosterior:
         return float(0.5 * np.sum(self.cell * np.abs(self.density - other.density)))
 
 
-def grid_posterior(model, log_radial, *, axes=None, bounds=None, points=None) -> GridPosterior:
+def grid_posterior(model, log_prior, *, axes=None, bounds=None, points=None) -> GridPosterior:
     """The posterior of theta under a flat theta prior, on a grid.
 
-    ``log_radial`` maps q = eta' W eta to the prior's log density: a
-    ``ScaledPrior.log_radial``, or ``mixture_log_radial`` for a contaminated
+    ``log_prior`` maps q = eta' W eta to the prior's log density: a
+    ``log_radial(prior)``, or ``mixture_log_radial`` for a contaminated
     prior.  The grid is ``axes``, one increasing array per parameter, or
     ``points`` equally spaced points within each (lo, hi) of ``bounds``.
     """
@@ -244,8 +341,9 @@ def grid_posterior(model, log_radial, *, axes=None, bounds=None, points=None) ->
     pt = pseudo_true(model)
     d = np.ix_(*(a - t for a, t in zip(axes, pt.theta_w)))
     p = len(d)
-    q = pt.j_stat + sum(pt.hessian[i, j] * d[i] * d[j] for i in range(p) for j in range(p))
-    logu = log_radial(q)
+    h = model.design.hessian
+    q = pt.j_stat + sum(h[i, j] * d[i] * d[j] for i in range(p) for j in range(p))
+    logu = log_prior(q)
     cell = _trapezoid_weights(axes[0])
     if p == 2:
         cell = np.outer(cell, _trapezoid_weights(axes[1]))
@@ -255,8 +353,9 @@ def grid_posterior(model, log_radial, *, axes=None, bounds=None, points=None) ->
 
 def mixture_log_radial(base, contaminant, phi: float):
     """Log density in q of the prior (1 - phi) base + phi contaminant (two ``ScaledPrior``)."""
+    log_base, log_contaminant = log_radial(base), log_radial(contaminant)
     return lambda q: np.logaddexp(
-        math.log1p(-phi) + base.log_radial(q), math.log(phi) + contaminant.log_radial(q)
+        math.log1p(-phi) + log_base(q), math.log(phi) + log_contaminant(q)
     )
 
 

@@ -44,7 +44,7 @@ from misspec.posteriors import (
 from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
 from misspec.serialize import load_model
 from misspec.special import StudentT, t_cdf, t_quantile
-from oracles import grid_posterior, t_quantile_quad
+from oracles import grid_posterior, log_radial, t_quantile_quad
 
 
 @contextmanager
@@ -112,7 +112,7 @@ def test_criterion_3_grid_vs_closed_form(acceptance_report):
         sd = 0.5
         grid = {"bounds": [(1.0 - 8 * sd, 1.0 + 8 * sd)], "points": 2001}
         post = grid_posterior(
-            CANON, ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2)).log_radial, **grid
+            CANON, log_radial(ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))), **grid
         )
         oracle = normal_posterior(CANON, c).density(post.points())
         assert np.max(np.abs(post.density - oracle)) < 1e-6
@@ -122,7 +122,7 @@ def test_criterion_3_grid_vs_closed_form(acceptance_report):
         limit = closed_form_posterior(CANON, StudentTRadial(3.0), 0.0)
         sd_t = math.sqrt(limit.scale[0, 0] * limit.dof / (limit.dof - 2.0))
         post_t = grid_posterior(
-            CANON, ScaledPrior(family=StudentTRadial(3.0), c=1e-8, W=np.eye(2)).log_radial,
+            CANON, log_radial(ScaledPrior(family=StudentTRadial(3.0), c=1e-8, W=np.eye(2))),
             bounds=[(1.0 - 8 * sd_t, 1.0 + 8 * sd_t)], points=2001,
         )
         dens_t = limit.density(post_t.points())
@@ -132,7 +132,7 @@ def test_criterion_3_grid_vs_closed_form(acceptance_report):
         # Power-law grids are identical for every scale c.
         grids = [
             grid_posterior(
-                CANON, ScaledPrior(family=PowerLawRadial(3.0), c=cc, W=np.eye(2)).log_radial, **grid
+                CANON, log_radial(ScaledPrior(family=PowerLawRadial(3.0), c=cc, W=np.eye(2))), **grid
             ).density
             for cc in (1e-3, 1.0, 1e3)
         ]

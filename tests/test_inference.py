@@ -16,11 +16,10 @@ from misspec.inference import (
     identified_set_membership,
     identified_set_projection,
     local_ci,
-    pivotal_t_stat,
 )
 from misspec.model import ModelInstance, pseudo_true
 from misspec.special import StudentT, t_quantile
-from oracles import random_model_arrays, t_quantile_quad
+from oracles import pivotal_t_stat, random_model_arrays, t_quantile_quad
 
 CFG = InferenceConfig(v=[1.0], level=0.95)
 

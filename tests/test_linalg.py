@@ -35,7 +35,8 @@ class TestLazyFactors:
     def test_one_eigh_serves_every_factor(self, eigh_calls):
         y, x, w = random_model_arrays(np.random.default_rng(2), 4, 1)
         m = ModelInstance(Y=y, X=x, W=w)
-        _ = (m.w_root, m.w_inv_root, m.design.w_factor.inverse, m.design.w_factor.log_det)
+        wf = m.design.w_factor
+        _ = (wf.root, wf.inv_root, wf.inverse, wf.log_det)
         assert eigh_calls == [(4, 4)]
 
     @pytest.mark.parametrize("spread", [1.0, 11.0])
@@ -51,8 +52,8 @@ class TestLazyFactors:
             inv_root = (vecs / sq) @ vecs.T
             inverse = (vecs / vals) @ vecs.T
             assert_array_equal(m.W, sym)
-            assert_array_equal(m.w_root, 0.5 * (root + root.T))
-            assert_array_equal(m.w_inv_root, 0.5 * (inv_root + inv_root.T))
+            assert_array_equal(m.design.w_factor.root, 0.5 * (root + root.T))
+            assert_array_equal(m.design.w_factor.inv_root, 0.5 * (inv_root + inv_root.T))
             assert_array_equal(m.design.w_factor.inverse, 0.5 * (inverse + inverse.T))
             assert m.design.w_factor.log_det == float(np.sum(np.log(vals)))
 

@@ -5,13 +5,12 @@ from numpy.testing import assert_allclose
 from misspec.errors import InputError, ModelValidationError, NumericalError
 from misspec.model import (
     ModelInstance,
-    decompose_eta,
     implied_eta,
     objective,
     pseudo_true,
     sigma_v,
 )
-from oracles import random_model_arrays
+from oracles import decompose_eta, random_model_arrays
 
 
 class TestObjective:
@@ -33,7 +32,7 @@ class TestPseudoTrue:
         pt = pseudo_true(canon_model)
         assert_allclose(pt.theta_w, [1.0])
         assert_allclose(pt.j_stat, 2.0)
-        assert_allclose(pt.hessian, [[2.0]])
+        assert_allclose(canon_model.design.hessian, [[2.0]])
 
     def test_just_identified_exact_fit(self):
         m = ModelInstance(Y=[3.0, 5.0], X=np.eye(2), W=np.eye(2))
@@ -91,7 +90,7 @@ class TestDecomposeEta:
         pt = pseudo_true(canon_model)
         theta = np.array([0.25])
         dec = decompose_eta(canon_model, theta)
-        x_tilde = canon_model.w_root @ canon_model.X
+        x_tilde = canon_model.design.w_factor.root @ canon_model.X
         assert_allclose(dec.eta_hat, x_tilde @ (pt.theta_w - theta), atol=1e-12)
 
 
@@ -152,6 +151,26 @@ class TestValidation:
         with pytest.raises(ModelValidationError, match="W must be finite"):
             ScaledPrior(family=NormalRadial(), c=1.0, W=w)
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"Gamma_L": [[1.0], [np.nan], [1.0]]}, "^Gamma_L must be finite$"),
+            ({"Gamma_L": [[1.0], [np.inf], [1.0]]}, "^Gamma_L must be finite$"),
+            ({"Gamma_L": [[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], "K": [1.0, 0.0]},
+             "^limit design X = -Gamma_L, W = W_L: X is rank deficient"),
+            ({"W_L": np.diag([1.0, 1.0, -1.0])},
+             "^limit design X = -Gamma_L, W = W_L: W is not positive definite"),
+        ],
+        ids=["gamma-nan", "gamma-inf", "gamma-rank", "w-not-spd"],
+    )
+    def test_local_experiment_names_the_bad_input(self, bad, match):
+        from misspec.inference import LocalExperiment
+
+        args = {"Gamma_L": -np.ones((3, 1)), "Sigma": np.eye(3), "mu": np.zeros(3), "K": [1.0],
+                "W_L": np.eye(3), **bad}
+        with pytest.raises(ModelValidationError, match=match):
+            LocalExperiment(**args)
+
     def test_empty_w_rejected(self):
         from misspec._linalg import spd_factor
 
@@ -180,7 +199,7 @@ class TestInvariants:
             theta = pt.theta_w + rng.standard_normal(int(p)) * 3.0
             q = objective(m, theta)
             gap = theta - pt.theta_w
-            quad = pt.j_stat + gap @ pt.hessian @ gap
+            quad = pt.j_stat + gap @ m.design.hessian @ gap
             assert abs(q - quad) < 1e-9 * (1.0 + q)
 
     def test_reweighting_equivariance(self):
@@ -322,22 +341,45 @@ class TestFitOnce:
             local_ci(exp, y)
         assert len(factorizations) == 1 and decompositions == []
 
+    def test_local_experiment_decomposes_its_design_once(self, monkeypatch):
+        from misspec.inference import LocalExperiment
+
+        sigma, w_l = 2.0 * np.eye(3), np.eye(3)
+        calls = []
+        for name in ("eigvalsh", "svd"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda a, *r, _fn=fn, _name=name, **k: calls.append((_name, np.array(a))) or _fn(a, *r, **k),
+            )
+        LocalExperiment(Gamma_L=-np.ones((3, 1)), Sigma=sigma, mu=np.zeros(3), K=[1.0], W_L=w_l)
+        assert [name for name, _ in calls].count("svd") == 1
+        assert [name for name, a in calls if np.array_equal(a, w_l)] == ["eigvalsh"]
+        assert [name for name, a in calls if np.array_equal(a, sigma)] == ["eigvalsh"]
+
     def test_fit_is_cached(self, canon_model):
         assert pseudo_true(canon_model) is pseudo_true(canon_model)
 
     def test_grid_sweeps_form_no_etas(self, monkeypatch):
+        # No sweep evaluates a prior density on an array of points: a radial
+        # profile is read only at single values (the TV distance's crossings).
         from misspec.montecarlo import run_concentration, run_contamination
-        from misspec.priors import NormalRadial, ScaledPrior
+        from misspec.priors import NormalRadial, PowerLawRadial, ScaledPrior, StudentTRadial
 
-        def no_etas(self, etas):
-            raise AssertionError("a grid path evaluated eta' W eta on etas")
+        for family in (NormalRadial, StudentTRadial, PowerLawRadial):
+            def scalar_only(self, u, k, _log_f=family.log_f):
+                if np.size(u) > 1:
+                    raise AssertionError("a sweep evaluated a prior density on an array")
+                return _log_f(self, u, k)
 
-        monkeypatch.setattr(ScaledPrior, "quadform", no_etas)
+            monkeypatch.setattr(family, "log_f", scalar_only)
         m1 = ModelInstance(Y=[1.0, 1.0, 4.0], X=[[1.0], [1.0], [1.0]], W=np.eye(3))
         m2 = ModelInstance(
             Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
         )
-        run_concentration(m1, NormalRadial(), [1e-2, 1.0], [0.1], grid_points=101)
-        run_concentration(m2, NormalRadial(), [1e-2, 1.0], [0.1], grid_points=51)
+        for family in (NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)):
+            run_concentration(m1, family, [1e-2, 1.0], [0.1], grid_points=101)
+            run_concentration(m2, family, [1e-2, 1.0], [0.1], grid_points=51)
         contaminant = ScaledPrior(family=NormalRadial(), c=4.0, W=m1.W)
-        run_contamination(m1, NormalRadial(), contaminant, 0.01, [1e-6, 1e-2], grid_points=201)
+        for family in (NormalRadial(), StudentTRadial(3.0)):
+            run_contamination(m1, family, contaminant, 0.01, [1e-6, 1e-2], grid_points=201)

@@ -350,12 +350,12 @@ class TestSweeps:
             assert_allclose(b / a, np.sqrt(10.0), rtol=0.05)
 
     def test_concentration_student_sd_stabilizes(self, canon_model):
-        from misspec.posteriors import closed_form_posterior, posterior_sd
+        from misspec.posteriors import closed_form_posterior
 
         trace = run_concentration(canon_model, StudentTRadial(3.0), [1e-8, 1e-6, 1e-4], [0.1])
         sds = trace.metrics["posterior_sd"]
         assert np.max(np.abs(sds - sds[0])) < 0.01 * sds[0]
-        limit_sd = posterior_sd(closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0))[0]
+        limit_sd = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0).marginal_sd()[0]
         assert abs(sds[0] - limit_sd) < 0.03 * limit_sd
 
     def test_package_has_no_grid_posterior(self):

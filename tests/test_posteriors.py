@@ -17,11 +17,9 @@ from misspec.posteriors import (
     ClosedFormPosterior,
     MixturePosterior,
     ThetaPrior,
-    bayes_action_quadratic,
     closed_form_posterior,
     mass_outside_ball,
     normal_posterior,
-    posterior_sd,
     tv_distance,
 )
 from misspec.priors import (
@@ -30,13 +28,13 @@ from misspec.priors import (
     ScaledPrior,
     StudentTRadial,
 )
-from oracles import grid_posterior, mixture_log_radial, radial_pdf, tv_distance_quad
+from oracles import grid_posterior, log_radial, mixture_log_radial, radial_pdf, tv_distance_quad
 
 
 def _grid_for(model, prior, sd, points=2001, width=8.0):
     center = pseudo_true(model).theta_w[0]
     return grid_posterior(
-        model, prior.log_radial, bounds=[(center - width * sd, center + width * sd)], points=points
+        model, log_radial(prior), bounds=[(center - width * sd, center + width * sd)], points=points
     )
 
 
@@ -160,7 +158,7 @@ class TestGridPosterior:
         # Max-subtraction keeps even c = 1e-300 evaluable: the posterior is a
         # point mass at the grid point nearest the optimum.
         prior = ScaledPrior(family=NormalRadial(), c=1e-300, W=np.eye(2))
-        post = grid_posterior(canon_model, prior.log_radial, bounds=[(0.99, 1.013)], points=31)
+        post = grid_posterior(canon_model, log_radial(prior), bounds=[(0.99, 1.013)], points=31)
         best = post.axes[0][np.argmax(post.density)]
         assert abs(best - 1.0) <= np.diff(post.axes[0])[0]
 
@@ -171,7 +169,7 @@ class TestGridPosterior:
         prior = ScaledPrior(family=NormalRadial(), c=0.8, W=np.eye(3))
         cf = normal_posterior(m, 0.8)
         bounds = [(t - 12.0 * s, t + 12.0 * s) for t, s in zip(cf.center, cf.marginal_sd())]
-        post = grid_posterior(m, prior.log_radial, bounds=bounds, points=201)
+        post = grid_posterior(m, log_radial(prior), bounds=bounds, points=201)
         grid_mean = post.mean()
         assert_allclose(grid_mean, cf.center, atol=1e-6)
         assert_allclose(np.sum(post.weights), 1.0, atol=1e-10)
@@ -204,7 +202,7 @@ class TestGridPosterior:
         exact = normal_posterior(m, c).marginal_sd()
         bounds = [(t - 18.0 * s, t + 18.0 * s) for t, s in zip(pseudo_true(m).theta_w, exact)]
         prior = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(4))
-        post = grid_posterior(m, prior.log_radial, bounds=bounds, points=201)
+        post = grid_posterior(m, log_radial(prior), bounds=bounds, points=201)
         assert_allclose(post.sd(), exact, rtol=1e-7)
 
 
@@ -244,7 +242,7 @@ class TestMassOutsideBall:
     def test_hessian_norm_ball(self, canon_model):
         # Euclidean and X'WX-norm balls agree after radius rescaling for p=1.
         cf = normal_posterior(canon_model, 0.5)
-        h = pseudo_true(canon_model).hessian
+        h = canon_model.design.hessian
         a = mass_outside_ball(cf, [1.0], 0.98, norm_matrix=h)
         b = mass_outside_ball(cf, [1.0], 0.98 / math.sqrt(h[0, 0]))
         assert_allclose(a, b, rtol=1e-12)
@@ -268,7 +266,7 @@ class TestMassOutsideBall:
 
     def test_gaussian_far_tail_keeps_relative_accuracy(self, canon_model):
         post = normal_posterior(canon_model, 0.5)
-        sd = posterior_sd(post)[0]
+        sd = post.marginal_sd()[0]
         for z in (3.0, 8.0, 10.0, 20.0):
             mass = mass_outside_ball(post, post.center, z * sd)
             assert_allclose(mass, math.erfc(z / math.sqrt(2.0)), rtol=1e-12)
@@ -348,18 +346,22 @@ class TestMassOutsideBall:
 
 
 class TestBayesActions:
-    def test_gaussian_mean(self):
-        post = ClosedFormPosterior(center=[2.5], scale=[[1.0]])
-        assert_allclose(bayes_action_quadratic(post), [2.5])
+    """The quadratic-loss Bayes action, the posterior mean, as the concentration sweep records it."""
+
+    def test_gaussian_mean(self, mean3_model):
+        trace = run_concentration(mean3_model, NormalRadial(), [1e-2, 1.0, 1e2], [0.1])
+        assert_allclose(trace.metrics["bayes_action"], [2.0, 2.0, 2.0], rtol=1e-15)
 
     def test_grid_symmetric_about_pseudo_true(self, canon_model):
         post = _grid_for(canon_model, ScaledPrior(family=NormalRadial(), c=0.5, W=np.eye(2)), sd=0.5)
-        assert_allclose(post.mean(), bayes_action_quadratic(normal_posterior(canon_model, 0.5)), atol=1e-10)
+        trace = run_concentration(canon_model, NormalRadial(), [0.5], [0.1])
+        assert_allclose(post.mean(), trace.metrics["bayes_action"], atol=1e-10)
 
     def test_t_posterior_mean_requires_dof(self, canon_model):
-        post = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)  # dof exactly 1
-        with pytest.raises(InputError):
-            bayes_action_quadratic(post)
+        # Power law alpha: posterior dof 2 alpha - p, so 1 at alpha = 1 (no mean).
+        for alpha, has_mean in ((1.0, False), (1.0 + 1e-9, True)):
+            trace = run_concentration(canon_model, PowerLawRadial(alpha), [1.0], [0.1])
+            assert np.isnan(trace.metrics["bayes_action"][0]) != has_mean
 
 class TestClosedFormTvDistance:
     # (dof, scale) pairs sharing a centre, with the number of times their
@@ -505,7 +507,7 @@ class TestFragility:
     def test_contaminated_posterior_collapses_to_contaminant(self, canon_model):
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         axes = [np.linspace(1.0 - 12.0, 1.0 + 12.0, 2001)]
-        pure = grid_posterior(canon_model, contam.log_radial, axes=axes)
+        pure = grid_posterior(canon_model, log_radial(contam), axes=axes)
         tvs = []
         for c in (1.0, 1e-2, 1e-6):
             base = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
@@ -530,8 +532,8 @@ class TestFragility:
 
 def test_posterior_sd_helpers(canon_model):
     cf = normal_posterior(canon_model, 0.5)
-    assert_allclose(posterior_sd(cf), [0.5])
+    assert_allclose(cf.marginal_sd(), [0.5])
     tl = closed_form_posterior(canon_model, StudentTRadial(3.0), 0.0)
-    assert_allclose(posterior_sd(tl), [math.sqrt(0.25 * 2.0)])
+    assert_allclose(tl.marginal_sd(), [math.sqrt(0.25 * 2.0)])
     pl = closed_form_posterior(canon_model, PowerLawRadial(1.0), 1.0)
-    assert np.isinf(posterior_sd(pl)[0])
+    assert np.isinf(pl.marginal_sd()[0])

@@ -8,21 +8,20 @@ from numpy.testing import assert_allclose
 
 from misspec.errors import ImproperPriorError, InputError, NumericalError
 from misspec.model import ModelInstance
-from misspec.montecarlo import run_contamination
+from misspec.montecarlo import run_contamination, run_tails
 from misspec.priors import (
     NormalRadial,
     PowerLawRadial,
     ScaledPrior,
     StudentTRadial,
-    density,
     parse_radial,
     sample_eta,
-    tail_ratio,
 )
 from misspec._linalg import spd_factor
 from oracles import (
     ETA_NORMAL,
     ETA_STUDENT_T,
+    density,
     radial_cdf_grid,
     radial_normalizer_quad,
     random_spd,
@@ -223,55 +222,51 @@ class TestSampling:
             sample_eta(prior, seed, 10)
 
 
+def tail_ratio(family, a, tau, c, k=2):
+    """Pr{||eta||_W >= a tau | ||eta||_W >= tau} at scale c: one row of ``run_tails``."""
+    return float(run_tails(family, [a], [tau], [c], k=k)[0, 3])
+
+
 class TestTailRatio:
     def test_student_limit(self):
-        prior = ScaledPrior(family=StudentTRadial(3.0), c=1e-6, W=np.eye(2))
-        assert abs(tail_ratio(prior, 2.0, 1.0) - 0.125) < 0.003
+        assert abs(tail_ratio(StudentTRadial(3.0), 2.0, 1.0, 1e-6) - 0.125) < 0.003
 
     def test_tau_free_limit(self):
-        prior = ScaledPrior(family=StudentTRadial(3.0), c=1e-6, W=np.eye(2))
-        r1 = tail_ratio(prior, 2.0, 1.0)
-        r10 = tail_ratio(prior, 2.0, 10.0)
+        r1 = tail_ratio(StudentTRadial(3.0), 2.0, 1.0, 1e-6)
+        r10 = tail_ratio(StudentTRadial(3.0), 2.0, 10.0, 1e-6)
         assert abs(r1 - r10) < 0.005
 
     def test_normal_negligible(self):
-        prior = ScaledPrior(family=NormalRadial(), c=1e-4, W=np.eye(2))
-        assert tail_ratio(prior, 2.0, 1.0) < 1e-6
+        assert tail_ratio(NormalRadial(), 2.0, 1.0, 1e-4) < 1e-6
 
     def test_continuity_at_one(self):
-        prior = ScaledPrior(family=StudentTRadial(3.0), c=1e-6, W=np.eye(2))
-        assert abs(tail_ratio(prior, 1.0 + 1e-9, 1.0) - 1.0) < 1e-6
+        assert abs(tail_ratio(StudentTRadial(3.0), 1.0 + 1e-9, 1.0, 1e-6) - 1.0) < 1e-6
 
     def test_moderate_c_against_direct_quadrature(self):
         import scipy.integrate as si
 
         k, nu, c = 2, 3.0, 0.3
-        prior = ScaledPrior(family=StudentTRadial(nu), c=c, W=np.eye(k))
         f = lambda r: r ** (k - 1) * (1.0 + (r * r / c) / nu) ** (-0.5 * (nu + k))
         num = si.quad(f, 2.0, np.inf)[0]
         den = si.quad(f, 1.0, np.inf)[0]
-        assert_allclose(tail_ratio(prior, 2.0, 1.0), num / den, rtol=1e-9)
+        assert_allclose(tail_ratio(StudentTRadial(nu), 2.0, 1.0, c, k), num / den, rtol=1e-9)
 
     def test_input_errors(self):
-        prior = ScaledPrior(family=NormalRadial(), c=1.0, W=np.eye(2))
         with pytest.raises(InputError):
-            tail_ratio(prior, 1.0, 1.0)
+            tail_ratio(NormalRadial(), 1.0, 1.0, 1.0)
         with pytest.raises(InputError):
-            tail_ratio(prior, 2.0, 0.0)
-        improper = ScaledPrior(family=PowerLawRadial(3.0), c=1.0, W=np.eye(2))
+            tail_ratio(NormalRadial(), 2.0, 0.0, 1.0)
         with pytest.raises(ImproperPriorError):
-            tail_ratio(improper, 2.0, 1.0)
+            tail_ratio(PowerLawRadial(3.0), 2.0, 1.0, 1.0)
 
     def test_degenerate_inputs_raise_numerical(self):
-        prior = ScaledPrior(family=NormalRadial(), c=1e-310, W=np.eye(2))
         with pytest.raises(NumericalError):
-            tail_ratio(prior, 2.0, 1e6)
+            tail_ratio(NormalRadial(), 2.0, 1e6, 1e-310)
 
     def test_zero_lower_tail_raises_numerical(self):
         # dof / (dof + s) underflows to 0, so the conditioning event has no mass.
-        prior = ScaledPrior(family=StudentTRadial(1e-20), c=1.0, W=np.eye(2))
         with pytest.raises(NumericalError):
-            tail_ratio(prior, 1.0001, 1e154)
+            tail_ratio(StudentTRadial(1e-20), 1.0001, 1e154, 1.0)
 
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e-2, 1.0])
     @pytest.mark.parametrize("a", [1.0 + 1e-7, 1.5, 4.0])
@@ -281,12 +276,10 @@ class TestTailRatio:
         # the normal family and (1 + s/dof)^(-dof/2) under t:dof.
         s_lo = tau * tau / c
         s_hi = a * a * s_lo
-        normal = ScaledPrior(family=NormalRadial(), c=c, W=np.eye(2))
-        assert_allclose(tail_ratio(normal, a, tau), math.exp(-0.5 * (s_hi - s_lo)), rtol=1e-8)
+        assert_allclose(tail_ratio(NormalRadial(), a, tau, c), math.exp(-0.5 * (s_hi - s_lo)), rtol=1e-8)
         for nu in (1.0, 3.0, 1000.0):
-            prior = ScaledPrior(family=StudentTRadial(nu), c=c, W=np.eye(2))
             exact = ((nu + s_lo) / (nu + s_hi)) ** (0.5 * nu)
-            assert_allclose(tail_ratio(prior, a, tau), exact, rtol=1e-8)
+            assert_allclose(tail_ratio(StudentTRadial(nu), a, tau, c), exact, rtol=1e-8)
 
     def test_normal_k1_is_two_sided_normal_tail(self):
         for s in [1e-4, 1.0, 30.0, 1e3, 1e4, 1e8]:
@@ -326,7 +319,7 @@ class TestLogEvidence:
         theta_w = float(x @ w @ y) / h
         j = float((y - x * theta_w) @ w @ (y - x * theta_w))
         quad = scipy.integrate.quad(
-            lambda t: math.exp(prior.log_density(y - x * t)),
+            lambda t: density(prior, y - x * t),
             -np.inf, np.inf, points=None, epsabs=0.0, epsrel=1e-13, limit=400,
         )[0]
         log_det_w = float(np.linalg.slogdet(w)[1])

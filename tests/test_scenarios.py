@@ -7,18 +7,19 @@ from numpy.testing import assert_allclose
 
 from misspec.errors import DomainError, InputError, ResampleRequiredError
 from misspec.model import ModelInstance, pseudo_true
+# The logistic function, the inverse of ``logit_inverse_link``.
+from misspec.posteriors import _expit as logit_link
 from misspec.scenarios import (
     IVDgpParams,
     IVScenario,
     LogitScenario,
-    iv_dgp_population_moments,
     iv_population_model,
     iv_sample,
     logit_inverse_link,
-    logit_link,
     logit_population_model,
     _iv_moments,
 )
+from oracles import iv_dgp_population_moments
 
 
 def _iv_scenario(k=3, theta=1.0, beta=None, fs=None, z_cov=None):

@@ -1,0 +1,27 @@
+"""Every public name of ``misspec`` is used by the package or named in README.md.
+
+So API that no package code runs and no reader is told about cannot grow back.
+"""
+
+import ast
+import inspect
+import re
+from pathlib import Path
+
+import misspec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_is_used_or_documented():
+    # Names the package reads, bare or as attributes, outside its re-exports.
+    used = set()
+    for path in (ROOT / "src" / "misspec").glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                used.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    public = [n for n, obj in vars(misspec).items() if not n.startswith("_") and not inspect.ismodule(obj)]
+    assert len(public) > 20
+    neither = [n for n in public if n not in used and not re.search(rf"\b{n}\b", readme)]
+    assert neither == [], f"public names neither used in src/misspec nor named in README.md: {neither}"
