@@ -1,7 +1,7 @@
 """Shared dense linear-algebra helpers: SPD checks, symmetric roots, solves.
 
-Numpy only.  Validation reads eigenvalues alone; the eigenvector-derived
-factors of a weighting matrix are computed lazily, on first use.
+Numpy only.  Validation reads eigenvalues alone, and a validated matrix keeps
+them; the eigenvector-derived factors are computed lazily, on first use.
 """
 
 from __future__ import annotations
@@ -53,14 +53,16 @@ def check_finite(a: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """A validated symmetric positive definite matrix and its lazy factors.
+    """A validated symmetric positive definite matrix, its eigenvalues and lazy factors.
 
+    ``eigenvalues`` are those the validation read, in ascending order.
     ``root`` is the unique symmetric PSD square root, ``inv_root`` its inverse.
     All four factors come from one eigendecomposition of ``matrix``, computed
     on first use of any of them and cached.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -94,9 +96,9 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
     """Validate that ``w`` is finite, symmetric and positive definite.
 
     Raises :class:`ModelValidationError` if the matrix has a NaN or infinite
-    entry, is not symmetric, or its smallest eigenvalue does not exceed
-    ``SPD_RTOL`` times the largest.  Returns the symmetrised matrix; its
-    factors are left to the first use.
+    entry, is not symmetric, or fails ``check_spd_spectrum``.  Returns the
+    symmetrised matrix with its eigenvalues; its factors are left to the
+    first use.
     """
     w = as_matrix(w, name)
     if w.shape[0] != w.shape[1] or w.shape[0] == 0:
@@ -108,12 +110,22 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
         raise ModelValidationError(f"{name} must be symmetric")
     w = _symmetrize(w)
     vals = np.linalg.eigvalsh(w)
-    if vals[0] <= SPD_RTOL * max(vals[-1], 0.0):
+    check_spd_spectrum(float(vals[0]), float(vals[-1]), name)
+    return SpdFactor(matrix=w, eigenvalues=vals)
+
+
+def check_spd_spectrum(lo: float, hi: float, name: str) -> None:
+    """Require a symmetric matrix's extreme eigenvalues to be finite, lo > SPD_RTOL hi.
+
+    ``lo`` and ``hi`` are the smallest and largest eigenvalue.  An eigenvalue
+    that overflows, as it may where no entry does, is refused as not finite.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ModelValidationError(f"{name} must be finite")
+    if lo <= SPD_RTOL * max(hi, 0.0):
         raise ModelValidationError(
-            f"{name} is not positive definite: smallest eigenvalue {vals[0]:.3e} "
-            f"vs largest {vals[-1]:.3e}"
+            f"{name} is not positive definite: smallest eigenvalue {lo:.3e} vs largest {hi:.3e}"
         )
-    return SpdFactor(matrix=w)
 
 
 def check_same_weight(w: np.ndarray, reference: np.ndarray, name: str, ref_name: str) -> None:

@@ -50,10 +50,13 @@ class Design:
 
     Construction checks that every entry of X is finite, W is symmetric
     positive definite of X's row dimension, and X has full column rank with
-    k >= p.  H = X'WX, its lower Cholesky factor, H^{-1}, H's condition number
-    and W's factors (``w_factor``) are computed on first use and cached, so
-    every model on one design (see ``ModelInstance.with_y``) computes them
-    once; ``solve`` applies H^{-1} from the factor.
+    k >= p.  H = X'WX, its lower Cholesky factor, H^{-1}, the spectrum of
+    H^{-1} and W's factors (``w_factor``) are computed on first use and
+    cached, so every model on one design (see ``ModelInstance.with_y``)
+    computes them once; ``solve`` applies H^{-1} from the factor.  The
+    spectrum is the design's one eigensolve: H's condition number reads its
+    ratio, and every closed-form posterior of a model on the design reads
+    its eigenvalues as a multiple of it.
     """
 
     X: np.ndarray
@@ -93,9 +96,14 @@ class Design:
         return _readonly(self.solve(np.eye(self.X.shape[1])))
 
     @cached_property
+    def hessian_inv_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of H^{-1}, ascending, from one ``eigvalsh``."""
+        return _readonly(np.linalg.eigvalsh(self.hessian_inv))
+
+    @cached_property
     def condition_number(self) -> float:
         """Largest over smallest eigenvalue of H (inf if that is not positive)."""
-        vals = np.linalg.eigvalsh(self.hessian)
+        vals = self.hessian_inv_eigenvalues
         return float(vals[-1] / vals[0]) if vals[0] > 0.0 else np.inf
 
     def solve(self, b) -> np.ndarray:

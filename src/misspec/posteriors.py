@@ -10,6 +10,14 @@ closed forms, weighted by their marginal likelihoods.  Every quantity read
 off a posterior here -- the mass outside a ball, the TV distance and the
 marginal sd -- comes from these closed forms; no posterior is evaluated on a
 grid.
+
+Every closed form carries the eigenvalues of its scale, checked by one set of
+checks (``_linalg.check_spd_spectrum``) on either of two routes.  A bare
+``ClosedFormPosterior(center, scale, dof)`` validates its scale matrix with
+``_linalg.spd_factor``, which reads them with one eigensolve.  A model's
+closed form (``closed_form_posterior``) has a scale that is a multiple of
+H^{-1} = (X'WX)^{-1}, so it reads them as that multiple of the spectrum its
+design computed once: a sweep over c runs no eigensolve per c.
 """
 
 from __future__ import annotations
@@ -73,6 +81,12 @@ class ClosedFormPosterior:
     the covariance) of a Student-t.  ``log_evidence``, where known, is the log
     marginal likelihood of the data under the prior that gave the posterior,
     up to a term its model fixes (``RadialFamily.log_evidence``).
+
+    The scale's eigenvalues are carried with it (``_scale_factor``).  A scale
+    given as a matrix is validated by ``_linalg.spd_factor``, which computes
+    them; ``closed_form_posterior`` passes a ``_linalg.SpdFactor`` whose
+    eigenvalues it has read off the model's design and checked by the same
+    ``_linalg.check_spd_spectrum``, and that is taken as it is.
     """
 
     center: np.ndarray
@@ -82,7 +96,9 @@ class ClosedFormPosterior:
 
     def __post_init__(self):
         center = _linalg.as_vector(self.center, None, "center")
-        sf = _linalg.spd_factor(self.scale, "scale")
+        sf = self.scale
+        if not isinstance(sf, _linalg.SpdFactor):
+            sf = _linalg.spd_factor(sf, "scale")
         if sf.matrix.shape[0] != center.shape[0]:
             raise InputError("posterior center and scale dimensions disagree")
         family = NormalRadial() if self.dof is None else StudentTRadial(self.dof)
@@ -125,7 +141,9 @@ def closed_form_posterior(
     Centred at theta_W, with the shape of ``family.posterior_shape``; c = 0
     is the small-c limit.  Where the scale is J alone, J must be positive.
     X'WX must have a condition number below 1e10, the bound every posterior
-    scale is held to; a scale that underflows in float64 is refused by its c.
+    scale is held to; a scale that underflows or overflows in float64 is
+    refused by its c.  The scale is m H^{-1} for a scalar m, so its
+    eigenvalues are m times the design's, checked as a bare scale's are.
     """
     if not (c >= 0.0 and math.isfinite(c)):
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
@@ -139,21 +157,29 @@ def closed_form_posterior(
     if dof is None:
         if not spread > 0.0:
             raise InputError(f"prior scale c must be positive, got {c}")
-        scale = spread * design.hessian_inv
+        mult = spread
     elif (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
         raise DegenerateLimitError(
             f"{family.spec_string()} posterior at c = {c:g} requires a positive "
             "J-statistic (its scale is J alone)"
         )
     else:
-        scale = spread / dof * design.hessian_inv
+        mult = spread / dof
+    inv_vals = design.hessian_inv_eigenvalues
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        scale = _linalg._symmetrize(mult * design.hessian_inv)
+    try:
+        # The extremes as Python floats, which overflow to inf silently.
+        _linalg.check_spd_spectrum(mult * float(inv_vals[0]), mult * float(inv_vals[-1]), "scale")
+        if not np.isfinite(scale).all():
+            raise ModelValidationError("scale must be finite")
+    except ModelValidationError as exc:
+        raise InputError(f"posterior at prior scale c = {c:g} is unrepresentable: {exc}") from None
+    factor = _linalg.SpdFactor(matrix=scale, eigenvalues=mult * inv_vals)
     # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
     j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
     evidence = family.log_evidence(c, j, model.k, model.p) if family.proper and c > 0.0 else None
-    try:
-        return ClosedFormPosterior(center=pt.theta_w, scale=scale, dof=dof, log_evidence=evidence)
-    except ModelValidationError as exc:
-        raise InputError(f"posterior at prior scale c = {c:g} is unrepresentable: {exc}") from None
+    return ClosedFormPosterior(center=pt.theta_w, scale=factor, dof=dof, log_evidence=evidence)
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
@@ -224,6 +250,27 @@ class MixturePosterior:
 # ClosedFormPosterior admits, some t posteriors need 2^21 nodes.
 _MAX_ANGULAR_NODES = 2**22
 _ANGULAR_CHUNK = 2**16
+# Levels of at most this many nodes keep their cos^2 nodes (``_cos2_nodes``):
+# the levels the integral takes, (8, 0) and (n, 1/2) for n = 8, ..., 2^12,
+# hold 8192 floats, 64 KB in all.
+_CACHED_NODES = 2**12
+_COS2_NODES: dict[tuple[int, float], np.ndarray] = {}
+
+
+def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
+    """cos^2 phi at phi = pi (j + offset) / n, j = start, ..., stop - 1.
+
+    A whole level of at most ``_CACHED_NODES`` nodes is memoised, read-only,
+    in ``_COS2_NODES``: it is the same for every posterior.
+    """
+    if n > _CACHED_NODES:
+        return np.cos(np.pi / n * (np.arange(start, stop) + offset)) ** 2
+    nodes = _COS2_NODES.get((n, offset))
+    if nodes is None:
+        nodes = np.cos(np.pi / n * (np.arange(n) + offset)) ** 2
+        nodes.setflags(write=False)
+        _COS2_NODES[(n, offset)] = nodes
+    return nodes
 
 
 def _log_tail_2d(dof: float | None, s):
@@ -246,7 +293,10 @@ def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -
     The integrand is periodic and analytic, so the trapezoid rule converges
     geometrically: the node count doubles until two means agree to a few ulps.
     Terms are taken relative to the largest, at phi = 0; if it underflows, so
-    does the mass.
+    does the mass.  The cos^2 phi of each level depend on nothing else, so
+    levels of up to ``_CACHED_NODES`` nodes are memoised (``_cos2_nodes``, 64
+    KB in all); larger ones, which only scales of condition number above
+    about 1e5 reach, are computed per call in chunks.
     """
     e2 = eps * eps
     peak = float(_log_tail_2d(dof, e2 / lam_hi))
@@ -257,9 +307,9 @@ def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -
         """Mean of the terms at phi = pi (j + offset) / n, j = 0, ..., n - 1."""
         out = 0.0
         for start in range(0, n, _ANGULAR_CHUNK):
-            phi = np.pi / n * (np.arange(start, min(start + _ANGULAR_CHUNK, n)) + offset)
-            q = lam_lo + (lam_hi - lam_lo) * np.cos(phi) ** 2
-            out += float(np.sum(np.exp(_log_tail_2d(dof, e2 / q) - peak)))
+            cos2 = _cos2_nodes(n, offset, start, min(start + _ANGULAR_CHUNK, n))
+            q = lam_lo + (lam_hi - lam_lo) * cos2
+            out += float(np.exp(_log_tail_2d(dof, e2 / q) - peak).sum())
         return out / n
 
     n = 8
@@ -305,20 +355,24 @@ def mass_outside_ball(
         masses = [mass_outside_ball(q, center, eps, norm_matrix) for q in parts]
         return min(sum(w * m for w, m in zip(post.weights(), masses)), 1.0)
     center = _linalg.as_vector(center, post.p, "center")
-    if norm_matrix is None:
-        norm = np.eye(post.p)
-    else:
+    if norm_matrix is not None:
         norm = _linalg.spd_factor(norm_matrix, "norm_matrix").matrix
         if norm.shape[0] != post.p:
             raise InputError(f"norm_matrix must be {post.p}x{post.p}, got shape {norm.shape}")
     if post.p == 1:
-        radius = eps / math.sqrt(norm[0, 0])
+        radius = eps if norm_matrix is None else eps / math.sqrt(norm[0, 0])
         m = float(post.center[0])
         s = math.sqrt(post.scale[0, 0])
         lo, hi = center[0] - radius, center[0] + radius
-        cdf = _std_cdf(post)
         # Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
-        return min(max(cdf((lo - m) / s) + cdf((m - hi) / s), 0.0), 1.0)
+        below, above = (lo - m) / s, (m - hi) / s
+        if post.dof is None:
+            cdf = _std_cdf(post)
+            mass = cdf(below) + cdf(above)
+        else:
+            tail_lo, tail_hi = t_cdf(StudentT(float(post.dof)), np.array([below, above]))
+            mass = float(tail_lo + tail_hi)
+        return min(max(mass, 0.0), 1.0)
     if post.p == 2:
         if not np.array_equal(center, post.center):
             raise InputError(
@@ -326,7 +380,7 @@ def mass_outside_ball(
                 "at the posterior centre"
             )
         sf = post._scale_factor
-        lam = np.linalg.eigvalsh(post.scale if norm_matrix is None else sf.root @ norm @ sf.root)
+        lam = sf.eigenvalues if norm_matrix is None else np.linalg.eigvalsh(sf.root @ norm @ sf.root)
         return _angular_mass(post.dof, float(lam[0]), float(lam[1]), eps)
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
@@ -359,14 +413,46 @@ def _stationary_sq(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     return (alpha_b * beta_a - alpha_a * beta_b) / (alpha_a - alpha_b)
 
 
-def _bisect_sign_change(h: Callable[[float], float], lo: float, hi: float) -> float:
-    """Where h changes sign in [lo, hi], to the nearest float: halve until no float is between."""
-    positive_lo = h(lo) > 0.0
+def _find_sign_change(h: Callable[[float], float], lo: float, hi: float) -> float:
+    """Where h changes sign in [lo, hi], to the nearest float.
+
+    Regula falsi with the Illinois rule: the next point is where the chord
+    through the two ends crosses zero, and the value at an end kept twice
+    running is halved, so that both ends close in superlinearly, in about ten
+    evaluations of h where halving takes one per bit.  A chord point not
+    strictly inside the bracket, and the step after three chord steps that
+    together did not halve it, take the midpoint instead.  It stops at a
+    point where h is 0, or, as halving does, when no float lies between the
+    ends.
+    """
+    f_lo, f_hi = float(h(lo)), float(h(hi))
+    positive_lo = f_lo > 0.0
+    kept = None  # the end the last step kept
+    slow = 0  # chord steps since the bracket last halved
+    width = hi - lo
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if (h(mid) > 0.0) == positive_lo:
-            lo = mid
+        x = mid
+        if slow < 3 and f_lo != f_hi:
+            chord = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            if lo < chord < hi:
+                x = chord
+        fx = float(h(x))
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == positive_lo:
+            lo, f_lo = x, fx
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi = mid
+            hi, f_hi = x, fx
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+        if hi - lo <= 0.5 * width:
+            slow, width = 0, hi - lo
+        else:
+            slow += 1
     return hi
 
 
@@ -379,8 +465,9 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     is that of a standardized radius rho / s, with s^2 = scale[0, 0]; at p = 1
     rho is |theta - centre|.  As a function of rho^2, log p_a - log p_b has at
     most one stationary point (``_stationary_sq``), so the densities cross at
-    most twice, at rho_1 < rho_2, found by bisection on each side of it; then
-    TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|, S the radial upper tails.
+    most twice, at rho_1 < rho_2, found on each side of it by
+    ``_find_sign_change``; then TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|,
+    S the radial upper tails.
     Two normals cross once, in closed form.
     """
     p = a.p
@@ -429,7 +516,7 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
                     hi *= 2.0
             elif (h(hi) > 0.0) == positive_lo:
                 continue
-            crossings.append(_bisect_sign_change(h, lo, hi))
+            crossings.append(_find_sign_change(h, lo, hi))
     tail_a, tail_b = _radial_tail(a), _radial_tail(b)
     total = sum(
         (-1) ** i * (tail_a(rho / sa) - tail_b(rho / sb)) for i, rho in enumerate(crossings)

@@ -7,7 +7,8 @@ values frozen in the tests were produced by these routines.
 
 The reference estimands are definitions the package computes another way or
 not at all: the split of the whitened residual, the pivotal t statistic, the
-population moments of the IV simulation and the radial prior's density.
+population moments of the IV simulation and the radial prior's density.  The
+TV distance's crossings are checked against plain halving.
 
 The grid posterior evaluates a posterior pointwise on a rectangular grid and
 normalises it by the trapezoid rule.  It takes the model's fit from the
@@ -155,6 +156,17 @@ def tv_distance_quad(pdf_a, pdf_b, scale: float, p: int = 1) -> tuple[float, int
         for lo, hi in zip(knots, knots[1:])
     )
     return total, len(cuts)
+
+
+def bisect_sign_change(h, lo: float, hi: float) -> float:
+    """Where h changes sign in [lo, hi], to the nearest float: halve until no float is between."""
+    positive_lo = h(lo) > 0.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if (h(mid) > 0.0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def random_spd(rng: np.random.Generator, k: int, spread: float = 1.0) -> np.ndarray:

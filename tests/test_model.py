@@ -357,6 +357,40 @@ class TestFitOnce:
         assert [name for name, a in calls if np.array_equal(a, w_l)] == ["eigvalsh"]
         assert [name for name, a in calls if np.array_equal(a, sigma)] == ["eigvalsh"]
 
+    def test_sweeps_take_one_eigensolve_per_design(self, monkeypatch):
+        # Every posterior of a sweep is read off the design's spectrum: one
+        # eigvalsh per fresh design, and no SPD check per c.
+        from misspec import _linalg
+        from misspec.montecarlo import run_concentration, run_contamination
+        from misspec.priors import NormalRadial, ScaledPrior, StudentTRadial
+
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name, lambda a, *r, _fn=fn, _name=name, **k: calls.append(_name) or _fn(a, *r, **k)
+            )
+        spd = _linalg.spd_factor
+        monkeypatch.setattr(_linalg, "spd_factor", lambda *a, **k: calls.append("spd_factor") or spd(*a, **k))
+
+        def fresh():
+            x = [[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]]
+            return ModelInstance(Y=[0.3, 2.1, -0.7, 1.4], X=x, W=np.eye(4))
+
+        m = fresh()
+        calls.clear()
+        run_concentration(m, NormalRadial(), np.logspace(-6, 1, 8), [0.1, 1.0])
+        assert calls == ["eigvalsh"]
+        calls.clear()
+        run_concentration(m, StudentTRadial(3.0), np.logspace(-6, 1, 8), [0.1, 1.0])
+        assert calls == []
+
+        m = fresh()
+        contaminant = ScaledPrior(family=NormalRadial(), c=4.0, W=m.W)
+        calls.clear()
+        run_contamination(m, NormalRadial(), contaminant, 0.01, [1e-6, 1e-4, 1e-2, 1.0], [0.1, 1.0])
+        assert calls == ["eigvalsh"]
+
     def test_fit_is_cached(self, canon_model):
         assert pseudo_true(canon_model) is pseudo_true(canon_model)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from misspec.errors import (
@@ -335,6 +335,27 @@ class TestMassOutsideBall:
         post = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 1e-6]))
         with pytest.raises(NumericalError, match="did not converge"):
             mass_outside_ball(post, post.center, 1.0)
+
+    def test_node_cache_stays_bounded(self, monkeypatch):
+        # A scale of condition number 1e9 takes the integral to 2^19 nodes; only
+        # the levels of at most 2^12 nodes are kept, 64 KB in all.
+        from misspec import posteriors
+
+        monkeypatch.setattr(posteriors, "_COS2_NODES", {})
+        levels = []
+        nodes = posteriors._cos2_nodes
+        monkeypatch.setattr(
+            posteriors, "_cos2_nodes", lambda n, *rest: levels.append(n) or nodes(n, *rest)
+        )
+        post = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 1e-9]), dof=0.5)
+        mass_outside_ball(post, post.center, 0.1)
+        assert max(levels) >= 2**19
+        cached = posteriors._COS2_NODES
+        assert max(n for n, _ in cached) == 2**12
+        assert sum(a.nbytes for a in cached.values()) <= 64 * 1024
+        for (n, offset), level in cached.items():
+            assert not level.flags.writeable
+            assert_array_equal(level, np.cos(np.pi / n * (np.arange(n) + offset)) ** 2)
 
     def test_concentration_sweep_monotone(self, canon_model):
         masses = [

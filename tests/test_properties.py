@@ -5,14 +5,17 @@ or with W from ``oracles.random_spd`` near the SPD tolerance; the hypothesis
 profile registered in ``conftest.py`` makes runs reproducible.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from misspec import _linalg, posteriors
 from misspec._kernels import pivot_tstats
 from misspec.inference import (
     InferenceConfig,
@@ -21,6 +24,7 @@ from misspec.inference import (
     identified_set_membership,
     identified_set_projection,
 )
+from misspec.errors import InputError, ModelValidationError
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
     ClosedFormPosterior,
@@ -28,6 +32,7 @@ from misspec.posteriors import (
     closed_form_posterior,
     mass_outside_ball,
     normal_posterior,
+    tv_distance,
 )
 from misspec.montecarlo import _pivot_args, ks_statistic, run_tails
 from misspec.priors import (
@@ -39,6 +44,7 @@ from misspec.priors import (
 )
 from misspec.special import StudentT, t_quantile
 from oracles import (
+    bisect_sign_change,
     grid_posterior,
     ks_statistic_full,
     log_radial,
@@ -471,3 +477,84 @@ def test_bracketed_ks_equals_full_evaluation(seed, n, dof, log10_scale, decimals
         s[rng.integers(0, n, size=count)] = value
     got, want = ks_statistic(s, dof), ks_statistic_full(s, dof)
     assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+@given(
+    seeds,
+    st.sampled_from([(2, 1), (3, 1), (3, 2), (5, 2)]),
+    st.integers(-60, 4),
+    st.one_of(
+        st.just(NormalRadial()),
+        st.floats(0.5, 30.0).map(StudentTRadial),
+        st.floats(1.25, 10.0).map(PowerLawRadial),
+    ),
+    st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    st.floats(0.3, 3.0),
+)
+@example(0, (3, 2), -60, NormalRadial(), 1e300, 1.0)  # c (X'WX)^-1 overflows
+@example(0, (2, 1), 4, NormalRadial(), 5e-324, 1.0)  # ... and underflows to 0
+def test_model_and_bare_closed_forms_agree(seed, shape, e, family, c, z):
+    # A model's closed form reads its eigenvalues off the design; a bare one
+    # built from the same scale matrix computes them.  X is scaled by 2^e: with
+    # e <= 4, c (X'WX)^-1 stays above the smallest normal float for c >= 1e-300,
+    # and for small e and large c it overflows.
+    rng = np.random.default_rng(seed)
+    y, x, w = random_model_arrays(rng, *shape)
+    m = ModelInstance(Y=y, X=np.ldexp(x, e), W=w)
+    pt = pseudo_true(m)
+    dof, spread = family.posterior_shape(c, pt.j_stat, *shape)
+    mult = spread if dof is None else spread / dof
+    with np.errstate(over="ignore"):
+        scale = _linalg._symmetrize(mult * m.design.hessian_inv)
+    try:
+        bare = ClosedFormPosterior(pt.theta_w, scale, dof)
+    except ModelValidationError as exc:
+        with pytest.raises(InputError) as refused:
+            closed_form_posterior(m, family, c)
+        assert str(refused.value) == f"posterior at prior scale c = {c:g} is unrepresentable: {exc}"
+        return
+    cf = closed_form_posterior(m, family, c)
+    assert_array_equal(cf.scale, bare.scale)
+    # A symmetric eigensolver is accurate to a few ulps of the largest
+    # eigenvalue, not of each: c eigvalsh(H^-1) and eigvalsh(c H^-1) differ by
+    # up to 3 ulps of the largest in 20000 random cases.
+    got, want = cf._scale_factor.eigenvalues, bare._scale_factor.eigenvalues
+    assert np.all(np.abs(got - want) <= 4.0 * math.ulp(want[-1]))
+    eps = z * math.sqrt(want[-1])
+    mass, bare_mass = (mass_outside_ball(q, q.center, eps) for q in (cf, bare))
+    if m.p == 1:
+        assert mass == bare_mass
+    else:
+        assert abs(mass - bare_mass) <= 1e-14 * bare_mass
+
+
+@given(
+    st.sampled_from([1, 2]),
+    st.one_of(st.none(), st.floats(0.5, 50.0)),
+    st.floats(0.5, 50.0),
+    st.floats(-3.0, 3.0),
+)
+def test_tv_crossings_match_halving(p, dof_a, dof_b, log10_ratio):
+    # Each crossing is an exact zero of the log density ratio h, or a sign
+    # change between it and the float below (or +inf, where the search for a
+    # bracket overflowed); the TV distance is that of the crossings plain
+    # halving finds, up to rounding.
+    shape = np.eye(1) if p == 1 else np.array([[1.0, 0.4], [0.4, 2.5]])
+    a = ClosedFormPosterior(np.full(p, 0.25), shape, dof_a)
+    b = ClosedFormPosterior(np.full(p, 0.25), 10.0 ** (2.0 * log10_ratio) * shape, dof_b)
+    found = []
+    search = posteriors._find_sign_change
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(posteriors, "_find_sign_change", lambda *args: found.append(args) or search(*args))
+        tv = tv_distance(a, b)
+        mp.setattr(posteriors, "_find_sign_change", bisect_sign_change)
+        tv_halving = tv_distance(a, b)
+    with np.errstate(over="ignore"):
+        for h, lo, hi in found:
+            rho, positive_lo = search(h, lo, hi), h(lo) > 0.0
+            assert lo < rho <= hi
+            if rho == math.inf:  # no float past the bracket's start crosses
+                continue
+            below = np.nextafter(rho, -np.inf)
+            assert h(rho) == 0.0 or ((h(rho) > 0.0) != positive_lo and (h(below) > 0.0) == positive_lo)
+    assert abs(tv - tv_halving) <= 1e-12 * tv_halving + 1e-15
