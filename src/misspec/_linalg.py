@@ -89,7 +89,8 @@ class SpdFactor:
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    # Halved before the sum, which then cannot overflow; exact for normal floats.
+    return 0.5 * a + 0.5 * a.T
 
 
 def spd_factor(w, name: str = "W") -> SpdFactor:

@@ -9,7 +9,8 @@ the posterior is exact too: the ``MixturePosterior`` of the two components'
 closed forms, weighted by their marginal likelihoods.  Every quantity read
 off a posterior here -- the mass outside a ball, the TV distance and the
 marginal sd -- comes from these closed forms; no posterior is evaluated on a
-grid.
+grid.  Radial tails are the families' ``RadialFamily.log_tail`` in dimension
+p.  The TV distance holds at any p, the mass outside a ball at p <= 2.
 
 Every closed form carries the eigenvalues of its scale, checked by one set of
 checks (``_linalg.check_spd_spectrum``) on either of two routes.  A bare
@@ -273,23 +274,13 @@ def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
     return nodes
 
 
-def _log_tail_2d(dof: float | None, s):
-    """Log Pr{u'u > s} for a standardized 2-d posterior u: chi-square(2), or 2 F(2, dof).
-
-    The families' ``log_tail`` at k = 2 in closed form, vectorised and without
-    the incomplete gamma and beta functions of ``scipy.special``.
-    """
-    if dof is None:
-        return -0.5 * s
-    return -0.5 * dof * np.log1p(s / dof)
-
-
-def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -> float:
+def _angular_mass(family: RadialFamily, lam_lo: float, lam_hi: float, eps: float) -> float:
     """Pr{||d|| > eps} for a centred elliptical 2-d d with scale eigenvalues lam_lo <= lam_hi.
 
     With d = V diag(sqrt(lam)) r (cos phi, sin phi), phi uniform and independent
     of r, ||d||^2 = r^2 q(phi) with q(phi) = lam_lo + (lam_hi - lam_lo) cos^2 phi.
-    So the mass is the mean over phi of T(eps^2 / q(phi)), T the tail of r^2.
+    So the mass is the mean over phi of T(eps^2 / q(phi)), T the tail of r^2:
+    ``family.log_tail`` at k = 2, in closed form over a whole array of nodes.
     The integrand is periodic and analytic, so the trapezoid rule converges
     geometrically: the node count doubles until two means agree to a few ulps.
     Terms are taken relative to the largest, at phi = 0; if it underflows, so
@@ -299,7 +290,7 @@ def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -
     about 1e5 reach, are computed per call in chunks.
     """
     e2 = eps * eps
-    peak = float(_log_tail_2d(dof, e2 / lam_hi))
+    peak = float(family.log_tail(e2 / lam_hi, 2))
     if math.exp(peak) == 0.0:
         return 0.0
 
@@ -309,7 +300,7 @@ def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -
         for start in range(0, n, _ANGULAR_CHUNK):
             cos2 = _cos2_nodes(n, offset, start, min(start + _ANGULAR_CHUNK, n))
             q = lam_lo + (lam_hi - lam_lo) * cos2
-            out += float(np.exp(_log_tail_2d(dof, e2 / q) - peak).sum())
+            out += float(np.exp(family.log_tail(e2 / q, 2) - peak).sum())
         return out / n
 
     n = 8
@@ -323,14 +314,6 @@ def _angular_mass(dof: float | None, lam_lo: float, lam_hi: float, eps: float) -
     raise NumericalError(
         f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes"
     )
-
-
-def _std_cdf(post: ClosedFormPosterior) -> Callable[[float], float]:
-    """Lower-tail CDF of a standardized 1-d closed form: the normal's or the t's."""
-    if post.dof is None:
-        return lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
-    dist = StudentT(float(post.dof))
-    return lambda x: float(t_cdf(dist, x))
 
 
 def mass_outside_ball(
@@ -367,8 +350,8 @@ def mass_outside_ball(
         # Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
         below, above = (lo - m) / s, (m - hi) / s
         if post.dof is None:
-            cdf = _std_cdf(post)
-            mass = cdf(below) + cdf(above)
+            # The standard normal CDF at x is erfc(-x / sqrt(2)) / 2.
+            mass = sum(0.5 * math.erfc(-x / math.sqrt(2.0)) for x in (below, above))
         else:
             tail_lo, tail_hi = t_cdf(StudentT(float(post.dof)), np.array([below, above]))
             mass = float(tail_lo + tail_hi)
@@ -381,16 +364,8 @@ def mass_outside_ball(
             )
         sf = post._scale_factor
         lam = sf.eigenvalues if norm_matrix is None else np.linalg.eigvalsh(sf.root @ norm @ sf.root)
-        return _angular_mass(post.dof, float(lam[0]), float(lam[1]), eps)
+        return _angular_mass(post._family, float(lam[0]), float(lam[1]), eps)
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
-
-
-def _radial_tail(post: ClosedFormPosterior) -> Callable[[float], float]:
-    """Pr{|u| > r} for the standardized radius |u| of a 1-d or 2-d closed form."""
-    if post.p == 2:
-        return lambda r: math.exp(_log_tail_2d(post.dof, r * r))
-    cdf = _std_cdf(post)
-    return lambda r: 2.0 * cdf(-r)
 
 
 def _stationary_sq(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
@@ -457,36 +432,37 @@ def _find_sign_change(h: Callable[[float], float], lo: float, hi: float) -> floa
 
 
 def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
-    """Exact total variation distance between two closed forms of one centre, for p <= 2.
+    """Exact total variation distance between two closed forms of one centre, at any p.
 
-    At p = 2 their scales must be proportional, as any two closed forms of one
-    model are.  Then both densities depend on theta only through rho, the
-    distance from the centre in the norm of a.scale / a.scale[0, 0], and each
-    is that of a standardized radius rho / s, with s^2 = scale[0, 0]; at p = 1
-    rho is |theta - centre|.  As a function of rho^2, log p_a - log p_b has at
-    most one stationary point (``_stationary_sq``), so the densities cross at
-    most twice, at rho_1 < rho_2, found on each side of it by
-    ``_find_sign_change``; then TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|,
-    S the radial upper tails.
+    Their scales must be proportional, as any two closed forms of one model
+    are.  Then both densities depend on theta only through rho, the distance
+    from the centre in the norm of a.scale / a.scale[0, 0], and each is that
+    of a standardized radius rho / s, with s^2 = scale[0, 0]; at p = 1 rho is
+    |theta - centre|.  As a function of rho^2, log p_a - log p_b has at most
+    one stationary point (``_stationary_sq``), so the densities cross at most
+    twice, at rho_1 < rho_2, found on each side of it by ``_find_sign_change``;
+    then TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|, S the radial upper
+    tails, read off the families' ``log_tail`` in dimension p.
     Two normals cross once, in closed form.
     """
     p = a.p
-    if not b.p == p <= 2:
-        raise InputError(f"tv_distance of closed forms supports p <= 2, got p = {a.p} and {b.p}")
-    if not (a.center[0] == b.center[0] if p == 1 else np.array_equal(a.center, b.center)):
+    if b.p != p:
+        raise InputError(f"tv_distance needs closed forms of one dimension, got p = {a.p} and {b.p}")
+    if not np.array_equal(a.center, b.center):
         raise InputError("tv_distance of closed forms requires one centre")
     va, vb = a.scale[0, 0], b.scale[0, 0]
-    if p == 2 and not np.abs(a.scale / va - b.scale / vb).max() <= 1e-12 * np.abs(a.scale / va).max():
-        raise InputError("tv_distance of 2-d closed forms requires proportional scales")
+    if p > 1 and not np.abs(a.scale / va - b.scale / vb).max() <= 1e-12 * np.abs(a.scale / va).max():
+        raise InputError("tv_distance of closed forms requires proportional scales")
     sa, sb = math.sqrt(va), math.sqrt(vb)
+    # Pr{|u| > r} for the standardized radius |u| of q.
+    tail = lambda q, r: math.exp(q._family.log_tail(r * r, p))
     if a.dof is None and b.dof is None:
         # Crossing at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d = log(s_wide / s_narrow).
         d = abs(math.log(sa) - math.log(sb))
         if d == 0.0:
             return 0.0
         r_narrow = math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))
-        tail = _radial_tail(a)
-        return tail(r_narrow * math.exp(-d)) - tail(r_narrow)
+        return tail(a, r_narrow * math.exp(-d)) - tail(a, r_narrow)
 
     def log_density(q: ClosedFormPosterior, s: float) -> Callable[[float], float]:
         const = -q._family.log_ball_integral(p) - p * math.log(s)
@@ -517,9 +493,8 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
             elif (h(hi) > 0.0) == positive_lo:
                 continue
             crossings.append(_find_sign_change(h, lo, hi))
-    tail_a, tail_b = _radial_tail(a), _radial_tail(b)
     total = sum(
-        (-1) ** i * (tail_a(rho / sa) - tail_b(rho / sb)) for i, rho in enumerate(crossings)
+        (-1) ** i * (tail(a, rho / sa) - tail(b, rho / sb)) for i, rho in enumerate(crossings)
     )
     return min(abs(total), 1.0)
 

@@ -21,6 +21,7 @@ enters only through its closed-form posterior (``posterior_shape``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,9 +56,20 @@ class RadialFamily:
         """Log of the whitened normalizer integral of f(u'u) over k-space."""
         raise ImproperPriorError(f"{self.spec_string()} prior has no finite normalizer")
 
-    def log_tail(self, s: float, k: int) -> float:
-        """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k."""
-        raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
+    def log_tail(self, s, k: int):
+        """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k.
+
+        ``s`` is a float or an array of floats, and so is the result: at k = 2
+        one closed form over the whole array, free of ``scipy.special``, at
+        other k entry by entry.
+        """
+        if not self.proper:
+            raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
+        if k == 2:
+            return self._log_tail_2d(s)
+        if not isinstance(s, np.ndarray):
+            return self._log_tail(float(s), k)
+        return np.array([self._log_tail(float(x), k) for x in np.ravel(s)]).reshape(np.shape(s))
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
         """Log marginal likelihood of the data under a flat theta prior, at scale c.
@@ -92,8 +104,14 @@ class NormalRadial(RadialFamily):
     def log_ball_integral(self, k: int) -> float:
         return 0.5 * k * math.log(2.0 * math.pi)
 
-    def log_tail(self, s: float, k: int) -> float:
-        # S is chi-square with k degrees of freedom.
+    # S is chi-square with k degrees of freedom: its tail is an incomplete
+    # gamma, e^(-s/2) at k = 2 and erfc(sqrt(s/2)) at k = 1.
+    def _log_tail_2d(self, s):
+        return -0.5 * s
+
+    def _log_tail(self, s: float, k: int) -> float:
+        if k == 1 and (tail := math.erfc(math.sqrt(0.5 * s))) >= sys.float_info.min:
+            return math.log(tail)
         return special.log_gammaincc(0.5 * k, 0.5 * s)
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
@@ -130,9 +148,22 @@ class StudentTRadial(RadialFamily):
             + 0.5 * k * math.log(nu * math.pi)
         )
 
-    def log_tail(self, s: float, k: int) -> float:
-        # S / k is F(k, dof), whose survival function is an incomplete beta.
-        return special.log_betainc(0.5 * self.dof, 0.5 * k, self.dof / (self.dof + s))
+    # S / k is F(k, dof): its tail is the incomplete beta I_x(dof/2, k/2) at
+    # x = dof / (dof + s), and (1 + s/dof)^(-dof/2) at k = 2.
+    def _log_tail_2d(self, s):
+        return -0.5 * self.dof * _log1p_ratio(s, self.dof)
+
+    def _log_tail(self, s: float, k: int) -> float:
+        a, b = 0.5 * self.dof, 0.5 * k
+        x = a / (a + 0.5 * s)  # x without overflow in dof + s
+        if x >= sys.float_info.min:
+            return special.log_betainc(a, b, x)
+        # Where x underflows, I_x(a, b) is its leading term x^a / (a B(a, b)):
+        # the next is O(x) smaller.
+        import scipy.special
+
+        log_x = -_log1p_ratio(s, self.dof)
+        return a * log_x - math.log(a) - float(scipy.special.betaln(a, b))
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
         # log1p(J / (c dof)), as a softplus of its log, which neither overflows nor
@@ -182,6 +213,25 @@ class PowerLawRadial(RadialFamily):
 
     def spec_string(self) -> str:
         return f"powerlaw:{self.alpha:g}"
+
+
+def _log1p_ratio(s, d: float):
+    """log(1 + s / d) for s >= 0 and d > 0: a float, or an array like s.
+
+    s / d overflows only for d < 1, where 1 + s / d is s / d to rounding, so
+    the log is log s - log d.
+    """
+    if not isinstance(s, np.ndarray):  # numpy's logs, which round as on arrays
+        s = float(s)
+        ratio = s / d
+        return float(np.log1p(ratio) if ratio < math.inf else np.log(s) - math.log(d))
+    with np.errstate(over="ignore"):
+        ratio = s / d
+    out = np.log1p(ratio)
+    far = np.isinf(ratio) & (s < np.inf)
+    if far.any():
+        out[far] = np.log(s[far]) - math.log(d)
+    return out
 
 
 def parse_radial(text: str) -> RadialFamily:
@@ -284,8 +334,9 @@ def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) ->
 
     The ratio of the two survival probabilities of s = ||eta||_W^2 / c
     (``RadialFamily.log_tail``) is taken in log space, so it stays accurate
-    where both underflow.  For the normal family it tends to 0 as c -> 0;
-    for the t family with dof it tends to a^(-dof), independent of tau.
+    where both underflow; every finite cut has a finite log tail.  For the
+    normal family it tends to 0 as c -> 0; for the t family with dof it
+    tends to a^(-dof), independent of tau.
     """
     if not a > 1.0:
         raise InputError(f"tail_ratio requires a > 1, got {a}")
@@ -297,8 +348,5 @@ def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) ->
     s_hi = a * a * s_lo
     if not math.isfinite(s_hi):
         raise NumericalError(f"radial tail cut {s_hi:.3e} is not finite")
-    log_lower = family.log_tail(s_lo, k)
-    if log_lower == -math.inf:
-        raise NumericalError(f"radial tail probability above {s_lo:.3e} is zero")
-    return min(math.exp(family.log_tail(s_hi, k) - log_lower), 1.0)
+    return min(math.exp(family.log_tail(s_hi, k) - family.log_tail(s_lo, k)), 1.0)
 

@@ -705,12 +705,17 @@ _RUNS_WITHOUT_SCIPY_SPECIAL = [
     ["scenario", "iv", "--params", "iv.json"],
     ["scenario", "iv", "--params", "iv.json", "--sample", "100"],
     ["scenario", "logit", "--params", "logit.json"],
+    # Radial tails at k = 2 are closed forms.
+    ["tails", "--radial", "t:3"],
+    ["tails", "--radial", "normal"],
 ]
-# Exact p = 1 t and power-law masses come from the t CDF, an incomplete beta.
+# Exact p = 1 t and power-law masses come from the t CDF, an incomplete beta,
+# and radial tails at k = 5 from an incomplete beta or gamma.
 _RUNS_WITH_SCIPY_SPECIAL = [
     ["concentration", "--model", "m1.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
     ["concentration", "--model", "m1.json", "--radial", "powerlaw:2", "--c-grid", "1e-2,1"],
     ["analyze", "--model", "m1.json"],
+    ["tails", "--radial", "t:3", "--k", "5"],
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from misspec.priors import (
     ScaledPrior,
     StudentTRadial,
 )
-from oracles import grid_posterior, log_radial, mixture_log_radial, radial_pdf, tv_distance_quad
+from oracles import (
+    grid_posterior,
+    log_radial,
+    mixture_log_radial,
+    radial_pdf,
+    random_spd,
+    tv_distance_quad,
+)
 
 
 def _grid_for(model, prior, sd, points=2001, width=8.0):
@@ -318,6 +326,13 @@ class TestMassOutsideBall:
         assert mass_outside_ball(post, post.center, 40.0) == 0.0
         assert mass_outside_ball(post, post.center, 1e200) == 0.0
 
+    def test_scale_whose_doubled_entries_overflow(self):
+        # 0.5 (a + a') would overflow at entries above 2^1023; the warning is an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = ClosedFormPosterior(center=[0.0], scale=[[1e308]])
+            assert mass_outside_ball(post, [0.0], 1.0) == 1.0
+
     def test_p_above_two_rejected(self):
         post = ClosedFormPosterior(center=np.zeros(3), scale=np.eye(3))
         with pytest.raises(InputError, match="p <= 2"):
@@ -422,17 +437,33 @@ class TestClosedFormTvDistance:
         b, _ = self._closed_and_pdf(3.0, 1e150)
         assert tv_distance(a, b) == 1.0
 
-    @pytest.mark.parametrize("pair", sorted(PAIRS))
-    def test_matches_radial_quadrature_2d(self, pair):
+    # Crossings of the pairs that cross more often above p = 2 than PAIRS says.
+    CROSSINGS_ABOVE_2D = {"normal-t5": 2, "t3-t30-one": 2}
+
+    def _check_radial_quadrature(self, pair, p):
         # Proportional, correlated scales: rho is measured in the norm of M.
         (dof_a, s_a), (dof_b, s_b), crossings = self.PAIRS[pair]
-        m = np.array([[1.0, 0.4], [0.4, 2.5]])
+        if p == 2:
+            m = np.array([[1.0, 0.4], [0.4, 2.5]])
+        else:
+            m = random_spd(np.random.default_rng(p), p)
+            crossings = self.CROSSINGS_ABOVE_2D.get(pair, crossings)
         specs = ((dof_a, s_a), (dof_b, s_b))
-        a, b = (ClosedFormPosterior([0.25, -1.0], s * s * m, dof) for dof, s in specs)
-        want, found = tv_distance_quad(*(radial_pdf(dof, s, 2) for dof, s in specs), 1.0, p=2)
+        center = np.linspace(0.25, -1.0, p)
+        a, b = (ClosedFormPosterior(center, s * s * m, dof) for dof, s in specs)
+        want, found = tv_distance_quad(*(radial_pdf(dof, s, p) for dof, s in specs), 1.0, p=p)
         assert found == crossings
         assert_allclose(tv_distance(a, b), want, rtol=1e-10)
         assert_allclose(tv_distance(b, a), want, rtol=1e-10)
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_matches_radial_quadrature_2d(self, pair):
+        self._check_radial_quadrature(pair, 2)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_matches_radial_quadrature_above_2d(self, pair, p):
+        self._check_radial_quadrature(pair, p)
 
     def test_two_2d_normals(self):
         h_inv = np.linalg.inv([[2.0, 0.3], [0.3, 1.0]])
@@ -441,20 +472,21 @@ class TestClosedFormTvDistance:
         # its 5e-7 discretisation error.
         assert_allclose(tv_distance(a, b), 0.567873702013581240072, rtol=1e-14)
 
-    def test_needs_one_centre_p_le_2_and_proportional_scales(self):
+    def test_needs_one_centre_one_dimension_and_proportional_scales(self):
         a, _ = self._closed_and_pdf(None, 1.0)
         b, _ = self._closed_and_pdf(None, 1.0, center=0.5)
         with pytest.raises(InputError, match="one centre"):
             tv_distance(a, b)
-        flat = ClosedFormPosterior(center=[0.0, 0.0, 0.0], scale=np.eye(3))
-        with pytest.raises(InputError, match="p <= 2, got p = 3"):
-            tv_distance(flat, flat)
         round_ = ClosedFormPosterior(center=[0.0, 0.0], scale=np.eye(2))
         oval = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 2.0]))
         with pytest.raises(InputError, match="proportional scales"):
             tv_distance(round_, oval)
-        with pytest.raises(InputError, match="p <= 2"):
+        with pytest.raises(InputError, match="one dimension, got p = 1 and 2"):
             tv_distance(a, round_)
+        ball = ClosedFormPosterior(center=np.zeros(3), scale=np.eye(3))
+        egg = ClosedFormPosterior(center=np.zeros(3), scale=np.diag([1.0, 1.0, 2.0]))
+        with pytest.raises(InputError, match="proportional scales"):
+            tv_distance(ball, egg)
 
 
 def _mixture(model, base_family, c, family, c_cont, phi):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from misspec.errors import ImproperPriorError, InputError, NumericalError
 from misspec.model import ModelInstance
@@ -263,10 +263,20 @@ class TestTailRatio:
         with pytest.raises(NumericalError):
             tail_ratio(NormalRadial(), 2.0, 1e6, 1e-310)
 
-    def test_zero_lower_tail_raises_numerical(self):
-        # dof / (dof + s) underflows to 0, so the conditioning event has no mass.
-        with pytest.raises(NumericalError):
-            tail_ratio(StudentTRadial(1e-20), 1.0001, 1e154, 1.0)
+    def test_t_tail_where_dof_over_dof_plus_s_underflows(self):
+        # At dof = 1e-20 and s = 1e308, x = dof / (dof + s) underflows to 0.
+        # 60-digit mpmath puts the tail at 1 - 3.78e-18 (k = 1, 2 and 5 alike
+        # to that precision) and the ratio at a = 1.0001 at 1 - 1.0e-24: both
+        # 1.0 in float64.
+        family = StudentTRadial(1e-20)
+        for k in (1, 2, 5):
+            assert math.exp(family.log_tail(1e154 * 1e154, k)) == 1.0
+            assert tail_ratio(family, 1.0001, 1e154, 1.0, k) == 1.0
+        # k = 2 in closed form: -(dof/2) (log s - log dof), mpmath -3.7762395525102e-18,
+        # on a float and on an array alike.
+        assert_allclose(family.log_tail(1e154 * 1e154, 2), -3.7762395525102e-18, rtol=1e-13)
+        s = np.array([1.0, 1e308])
+        assert_array_equal(family.log_tail(s, 2), [family.log_tail(v, 2) for v in (1.0, 1e308)])
 
     @pytest.mark.parametrize("c", [1e-12, 1e-6, 1e-2, 1.0])
     @pytest.mark.parametrize("a", [1.0 + 1e-7, 1.5, 4.0])

@@ -15,7 +15,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from misspec import _linalg, posteriors
+from misspec import _linalg, posteriors, special
 from misspec._kernels import pivot_tstats
 from misspec.inference import (
     InferenceConfig,
@@ -458,6 +458,29 @@ def test_tail_ratio_is_a_probability_decreasing_in_a(family, k, log10_c, log10_t
 
 
 @given(
+    st.one_of(st.just(NormalRadial()), st.floats(0.05, 100.0).map(StudentTRadial)),
+    st.sampled_from([1, 2]),
+    st.lists(st.floats(0.0, 300.0), min_size=1, max_size=8),
+)
+@example(NormalRadial(), 1, [0.0, 2.0, 3.2, 3.3, 300.0])  # erfc underflows above s = 1409
+@example(StudentTRadial(0.05), 2, [300.0])  # the tail underflows
+def test_log_tail_array_is_the_scalar_calls_and_the_special_functions(family, k, log10_s):
+    # x = dof / (dof + s) stays a normal float for s <= 1e300 and dof >= 0.05.
+    # From s = 1 the tails are below 0.95, where the log of the library value
+    # keeps its relative accuracy.
+    s = 10.0 ** np.array(log10_s)
+    got = family.log_tail(s, k)
+    assert got.shape == s.shape
+    assert_array_equal(got, [family.log_tail(float(v), k) for v in s])
+    if isinstance(family, NormalRadial):
+        want = [special.log_gammaincc(0.5 * k, 0.5 * v) for v in s]
+    else:
+        nu = family.dof
+        want = [special.log_betainc(0.5 * nu, 0.5 * k, nu / (nu + v)) for v in s]
+    assert_allclose(got, want, rtol=1e-13)
+
+
+@given(
     seeds,
     st.integers(1, 5000),
     st.sampled_from([1.0, 3.0, 5.5]),
@@ -529,7 +552,7 @@ def test_model_and_bare_closed_forms_agree(seed, shape, e, family, c, z):
 
 
 @given(
-    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 3, 5]),
     st.one_of(st.none(), st.floats(0.5, 50.0)),
     st.floats(0.5, 50.0),
     st.floats(-3.0, 3.0),
@@ -540,6 +563,8 @@ def test_tv_crossings_match_halving(p, dof_a, dof_b, log10_ratio):
     # bracket overflowed); the TV distance is that of the crossings plain
     # halving finds, up to rounding.
     shape = np.eye(1) if p == 1 else np.array([[1.0, 0.4], [0.4, 2.5]])
+    if p > 2:
+        shape = random_spd(np.random.default_rng(p), p)
     a = ClosedFormPosterior(np.full(p, 0.25), shape, dof_a)
     b = ClosedFormPosterior(np.full(p, 0.25), 10.0 ** (2.0 * log10_ratio) * shape, dof_b)
     found = []
