@@ -90,7 +90,8 @@ class SpdFactor:
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     # Halved before the sum, which then cannot overflow; exact for normal floats.
-    return 0.5 * a + 0.5 * a.T
+    # A stack of matrices is symmetrised matrix by matrix, over the last two axes.
+    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2)
 
 
 def spd_factor(w, name: str = "W") -> SpdFactor:

@@ -32,8 +32,8 @@ from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, sigma_v
 from misspec.posteriors import (
-    MixturePosterior,
     ThetaPrior,
+    _PosteriorPath,
     closed_form_posterior,
     mass_outside_ball,
 )
@@ -106,6 +106,14 @@ class SweepTrace:
         metrics = {k: _linalg.as_vector(v, axis.size, k) for k, v in self.metrics.items()}
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "metrics", metrics)
+
+    @classmethod
+    def _along_c(cls, c_grid: np.ndarray, metrics: dict[str, np.ndarray]) -> "SweepTrace":
+        """The trace of float64 metrics, one per c, on a ``c_grid`` that ``_sweep_axis`` checked."""
+        trace = object.__new__(cls)
+        for name, value in (("axis_name", "c"), ("axis", c_grid), ("metrics", metrics)):
+            object.__setattr__(trace, name, value)
+        return trace
 
 
 # Replications per pivotality run, at most: ``pivot_tstats`` returns one
@@ -367,32 +375,27 @@ def run_concentration(
     trace records, exactly, the mass outside each epsilon-ball around theta_W
     (``mass_outside_ball``), the largest marginal posterior sd (inf where the
     posterior dof is at most 2) and the quadratic-loss Bayes action, theta_W
-    (nan where the dof is at most 1: the posterior has no mean).
-    ``grid_points`` sizes nothing (``_check_grid_points``).  p is at most 2.
+    (nan where the dof is at most 1: the posterior has no mean).  All of them
+    are read off one ``_PosteriorPath`` over the whole c axis, which builds no
+    posterior per c: at p = 1 each mass is one array evaluation over c, bit for
+    bit the per-c value.  ``grid_points`` sizes nothing
+    (``_check_grid_points``).  p is at most 2.
     """
     if model.p > 2:
         raise InputError(f"concentration sweeps support p <= 2, got p = {model.p}")
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
     _check_grid_points(grid_points, model.p)
-    metrics: dict[str, list[float]] = {name: [] for name in eps_names}
-    metrics["posterior_sd"] = []
+    path = _PosteriorPath(model, family, c_grid.tolist())
+    metrics = {name: path.mass_outside(eps) for name, eps in eps_names.items()}
+    metrics["posterior_sd"] = path.max_marginal_sd()
+    has_mean = path.dof is None or path.dof > 1.0
     action_names = (
-        ["bayes_action"]
-        if model.p == 1
-        else [f"bayes_action_{i + 1}" for i in range(model.p)]
+        ["bayes_action"] if model.p == 1 else [f"bayes_action_{i + 1}" for i in range(model.p)]
     )
-    for name in action_names:
-        metrics[name] = []
-    for c in c_grid:
-        post = closed_form_posterior(model, family, float(c))
-        for name, eps in eps_names.items():
-            metrics[name].append(mass_outside_ball(post, post.center, eps))
-        metrics["posterior_sd"].append(float(np.max(post.marginal_sd())))
-        has_mean = post.dof is None or post.dof > 1.0
-        for name, val in zip(action_names, post.center):
-            metrics[name].append(float(val) if has_mean else math.nan)
-    return SweepTrace(axis_name="c", axis=c_grid, metrics=metrics)
+    for name, val in zip(action_names, path.center):
+        metrics[name] = np.full(c_grid.size, val if has_mean else math.nan)
+    return SweepTrace._along_c(c_grid, metrics)
 
 
 def run_contamination(
@@ -414,7 +417,10 @@ def run_contamination(
     contaminated posterior collapses onto the contaminant posterior as c
     shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
     with J = 0 it keeps concentrating at the pseudo-true value instead.
-    ``grid_points`` sizes nothing (``_check_grid_points``).  p is at most 2.
+    The contaminant's closed form and its masses are computed once; the base
+    posteriors are one ``_PosteriorPath``, whose weights, TV distances and
+    masses equal the per-c mixture's bit for bit.  ``grid_points`` sizes
+    nothing (``_check_grid_points``).  p is at most 2.
     """
     if model.p > 2:
         raise InputError(f"contamination sweeps support p <= 2, got p = {model.p}")
@@ -425,15 +431,13 @@ def run_contamination(
     eps_names = _mass_outside_names(eps_list)
     _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")
     pure = closed_form_posterior(model, contaminant.family, contaminant.c)
-    metrics: dict[str, list[float]] = {"tv_to_contaminant": []}
-    metrics.update((name, []) for name in eps_names)
-    for c in c_grid:
-        base = closed_form_posterior(model, base_family, float(c))
-        post = MixturePosterior(base=base, contaminant=pure, phi=phi)
-        metrics["tv_to_contaminant"].append(post.tv_to_contaminant())
-        for name, eps in eps_names.items():
-            metrics[name].append(mass_outside_ball(post, post.base.center, eps))
-    return SweepTrace(axis_name="c", axis=c_grid, metrics=metrics)
+    path = _PosteriorPath(model, base_family, c_grid.tolist())
+    w_base, w_pure = path.mixture_weights(pure, phi)
+    metrics = {"tv_to_contaminant": w_base * path.tv_to(pure)}
+    for name, eps in eps_names.items():
+        pure_mass = mass_outside_ball(pure, path.center, eps)
+        metrics[name] = np.minimum(w_base * path.mass_outside(eps) + w_pure * pure_mass, 1.0)
+    return SweepTrace._along_c(c_grid, metrics)
 
 
 def run_tails(family: RadialFamily, a_list, tau_list, c_list, k: int = 2) -> np.ndarray:

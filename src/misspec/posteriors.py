@@ -16,9 +16,13 @@ Every closed form carries the eigenvalues of its scale, checked by one set of
 checks (``_linalg.check_spd_spectrum``) on either of two routes.  A bare
 ``ClosedFormPosterior(center, scale, dof)`` validates its scale matrix with
 ``_linalg.spd_factor``, which reads them with one eigensolve.  A model's
-closed form (``closed_form_posterior``) has a scale that is a multiple of
-H^{-1} = (X'WX)^{-1}, so it reads them as that multiple of the spectrum its
-design computed once: a sweep over c runs no eigensolve per c.
+closed forms along prior scales c make a ``_PosteriorPath``: each scale is a
+multiple m(c) of H^{-1} = (X'WX)^{-1}, so its eigenvalues are m(c) times the
+spectrum the design computed once, and the path holds them, with the scales
+and log evidences, as arrays over c.  ``closed_form_posterior`` is its one-c
+case.  A sweep reads its masses, sds, mixture weights and TV distances off
+one path and builds no posterior per c; at p = 1 the masses at every c are
+one ``math.erfc`` pass or one ``t_cdf`` call, bit for bit the per-c values.
 """
 
 from __future__ import annotations
@@ -126,12 +130,21 @@ class ClosedFormPosterior:
 
     def marginal_sd(self) -> np.ndarray:
         """Marginal standard deviations (infinite for t with dof <= 2)."""
-        diag = np.diag(self.scale)
-        if self.dof is None:
-            return np.sqrt(diag)
-        if self.dof <= 2.0:
-            return np.full(self.p, np.inf)
-        return np.sqrt(diag * self.dof / (self.dof - 2.0))
+        return _marginal_sd(np.diag(self.scale), self.dof)
+
+
+def _marginal_sd(diag: np.ndarray, dof: float | None) -> np.ndarray:
+    """Marginal sds from scale diagonals (any shape) and a dof (None: Gaussian)."""
+    if dof is None:
+        return np.sqrt(diag)
+    if dof <= 2.0:
+        return np.full(diag.shape, np.inf)
+    with np.errstate(over="ignore"):
+        sd = np.sqrt(diag * dof / (dof - 2.0))
+    # diag * dof overflows within a factor dof of the largest float; the sd does not.
+    far = np.isinf(sd)
+    sd[far] = np.sqrt(diag[far]) * math.sqrt(dof / (dof - 2.0))
+    return sd
 
 
 def closed_form_posterior(
@@ -145,42 +158,144 @@ def closed_form_posterior(
     scale is held to; a scale that underflows or overflows in float64 is
     refused by its c.  The scale is m H^{-1} for a scalar m, so its
     eigenvalues are m times the design's, checked as a bare scale's are.
+    This is the one-c case of ``_PosteriorPath``, which makes the checks.
     """
+    return _PosteriorPath(model, family, (c,)).posterior(0)
+
+
+def _check_prior_scale(c) -> None:
     if not (c >= 0.0 and math.isfinite(c)):
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
-    pt, design = pseudo_true(model), model.design
-    if not design.condition_number < 1.0 / _linalg.SPD_RTOL:
-        raise ModelValidationError(
-            f"X'WX has condition number {design.condition_number:.3e}; closed-form "
-            f"posteriors need it below {1.0 / _linalg.SPD_RTOL:.0e}"
-        )
-    dof, spread = family.posterior_shape(c, pt.j_stat, model.k, model.p)
-    if dof is None:
-        if not spread > 0.0:
-            raise InputError(f"prior scale c must be positive, got {c}")
-        mult = spread
-    elif (not family.proper or c == 0.0) and pt.j_stat <= pt.noise_floor:
-        raise DegenerateLimitError(
-            f"{family.spec_string()} posterior at c = {c:g} requires a positive "
-            "J-statistic (its scale is J alone)"
-        )
-    else:
-        mult = spread / dof
-    inv_vals = design.hessian_inv_eigenvalues
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        scale = _linalg._symmetrize(mult * design.hessian_inv)
-    try:
+
+
+def _unrepresentable(c, exc: ModelValidationError) -> InputError:
+    return InputError(f"posterior at prior scale c = {c:g} is unrepresentable: {exc}")
+
+
+class _PosteriorPath:
+    """The closed-form posteriors of one model and family along prior scales c.
+
+    Along c every closed form shares theta_W (``center``), its dof and the
+    shape H^{-1}; only the multiplier m(c) of its scale m(c) H^{-1} moves.  So
+    the path holds, as arrays over c, the multipliers, the log evidences
+    (nan where there is none: an improper family, or c = 0), the symmetrised
+    scales (``scales``, c first) and their eigenvalues, m(c) times the
+    design's (``eigenvalues``).  Every c passes ``closed_form_posterior``'s
+    checks, in order: c, the fit and X'WX's condition number (model-wide,
+    made once), the family's shape, and the scale's spectrum; the scale
+    matrices are checked finite once, all together, and the first c refused
+    by any check is the one named.  ``c_grid`` is a nonempty sequence.
+
+    Every value equals that of the c's ``closed_form_posterior`` bit for bit,
+    and so do the masses, sds, weights and TV distances read off the path.
+    """
+
+    def __init__(self, model: ModelInstance, family: RadialFamily, c_grid):
+        cs = list(c_grid)
+        _check_prior_scale(cs[0])  # before the fit, as at one c
+        fit, design = pseudo_true(model), model.design
+        if not design.condition_number < 1.0 / _linalg.SPD_RTOL:
+            raise ModelValidationError(
+                f"X'WX has condition number {design.condition_number:.3e}; closed-form "
+                f"posteriors need it below {1.0 / _linalg.SPD_RTOL:.0e}"
+            )
+        k, p = model.k, model.p
+        # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
+        j = fit.j_stat if fit.j_stat > fit.noise_floor else 0.0
+        inv_vals = design.hessian_inv_eigenvalues
         # The extremes as Python floats, which overflow to inf silently.
-        _linalg.check_spd_spectrum(mult * float(inv_vals[0]), mult * float(inv_vals[-1]), "scale")
-        if not np.isfinite(scale).all():
-            raise ModelValidationError("scale must be finite")
-    except ModelValidationError as exc:
-        raise InputError(f"posterior at prior scale c = {c:g} is unrepresentable: {exc}") from None
-    factor = _linalg.SpdFactor(matrix=scale, eigenvalues=mult * inv_vals)
-    # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
-    j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
-    evidence = family.log_evidence(c, j, model.k, model.p) if family.proper and c > 0.0 else None
-    return ClosedFormPosterior(center=pt.theta_w, scale=factor, dof=dof, log_evidence=evidence)
+        inv_lo, inv_hi = float(inv_vals[0]), float(inv_vals[-1])
+        mults, evidences, refusal = [], [], None
+        for c in cs:
+            try:
+                _check_prior_scale(c)
+                dof, spread = family.posterior_shape(c, fit.j_stat, k, p)
+                if dof is None:
+                    if not spread > 0.0:
+                        raise InputError(f"prior scale c must be positive, got {c}")
+                    mult = spread
+                elif (not family.proper or c == 0.0) and fit.j_stat <= fit.noise_floor:
+                    raise DegenerateLimitError(
+                        f"{family.spec_string()} posterior at c = {c:g} requires a positive "
+                        "J-statistic (its scale is J alone)"
+                    )
+                else:
+                    mult = spread / dof
+                try:
+                    _linalg.check_spd_spectrum(mult * inv_lo, mult * inv_hi, "scale")
+                except ModelValidationError as exc:
+                    raise _unrepresentable(c, exc) from None
+            except InputError as exc:
+                refusal = exc
+                break
+            mults.append(mult)
+            proper = family.proper and c > 0.0
+            evidences.append(family.log_evidence(c, j, k, p) if proper else math.nan)
+        self.multiplier = np.array(mults, dtype=np.float64)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            scales = np.multiply.outer(self.multiplier, design.hessian_inv)
+            self.scales = _linalg._symmetrize(scales)
+        finite = np.isfinite(self.scales).all(axis=(1, 2))
+        if not finite.all():
+            c = cs[int(np.argmin(finite))]
+            raise _unrepresentable(c, ModelValidationError("scale must be finite"))
+        if refusal is not None:
+            raise refusal
+        self.center = fit.theta_w
+        self.dof = dof
+        self.family = NormalRadial() if dof is None else StudentTRadial(dof)
+        self.log_evidence = np.array(evidences)
+        self.eigenvalues = np.multiply.outer(self.multiplier, inv_vals)
+
+    @property
+    def p(self) -> int:
+        return self.center.shape[0]
+
+    def posterior(self, i: int) -> ClosedFormPosterior:
+        """The closed form at the i-th c, carrying its eigenvalues."""
+        evidence = float(self.log_evidence[i])
+        return ClosedFormPosterior(
+            center=self.center,
+            scale=_linalg.SpdFactor(matrix=self.scales[i], eigenvalues=self.eigenvalues[i]),
+            dof=self.dof,
+            log_evidence=None if math.isnan(evidence) else evidence,
+        )
+
+    def max_marginal_sd(self) -> np.ndarray:
+        """The largest marginal sd at each c (inf for t with dof <= 2)."""
+        return _marginal_sd(np.diagonal(self.scales, axis1=1, axis2=2), self.dof).max(axis=1)
+
+    def mass_outside(self, eps: float) -> np.ndarray:
+        """``mass_outside_ball`` of the ball of radius eps about theta_W, at each c; p <= 2."""
+        if self.p == 1:
+            centre = self.center[0]
+            return _mass_outside_interval(
+                self.dof, float(centre), self.scales[:, 0, 0], centre - eps, centre + eps
+            )
+        return np.array(
+            [_angular_mass(self.family, lo, hi, eps) for lo, hi in self.eigenvalues.tolist()]
+        )
+
+    def mixture_weights(
+        self, contaminant: ClosedFormPosterior, phi: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``MixturePosterior(posterior(i), contaminant, phi).weights()`` at each c, as arrays."""
+        has_evidence = not np.isnan(self.log_evidence).any()
+        _check_mixture(phi, has_evidence, self.center, contaminant)
+        odds = [
+            _mixture_log_odds(phi, evidence, var, contaminant)
+            for evidence, var in zip(self.log_evidence.tolist(), self.scales[:, 0, 0])
+        ]
+        return np.array([_expit(-x) for x in odds]), np.array([_expit(x) for x in odds])
+
+    def tv_to(self, other: ClosedFormPosterior) -> np.ndarray:
+        """``tv_distance(posterior(i), other)`` at each c, for a closed form of the same model."""
+        if self.p > 1 and not _proportional(self.scales, other.scale).all():
+            raise InputError("tv_distance of closed forms requires proportional scales")
+        vb = other.scale[0, 0]
+        return np.array(
+            [_radial_tv(self.p, self.family, va, other._family, vb) for va in self.scales[:, 0, 0]]
+        )
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
@@ -194,6 +309,30 @@ def _expit(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+def _check_mixture(
+    phi: float, base_has_evidence: bool, center: np.ndarray, contaminant: ClosedFormPosterior
+) -> None:
+    """A mixture's checks of phi and of its components, given the base's centre."""
+    if not (0.0 < phi < 1.0):
+        raise InputError(f"contamination weight phi must be in (0, 1), got {phi}")
+    if not base_has_evidence or contaminant.log_evidence is None:
+        raise InputError("mixture components need the log evidence of a proper prior")
+    if not np.array_equal(center, contaminant.center):
+        raise InputError("mixture components must share their centre")
+
+
+def _mixture_log_odds(
+    phi: float, base_evidence: float, base_var: float, contaminant: ClosedFormPosterior
+) -> float:
+    """log(w / (1 - w)) for the contaminant's weight w; ``base_var`` is the base's scale[0, 0]."""
+    log_odds = math.log(phi) - math.log1p(-phi) + contaminant.log_evidence - base_evidence
+    if math.isnan(log_odds):
+        # Both evidences underflow, which only normal ones do (J / c overflows).
+        # The wider, larger-c one has the larger evidence; equal ones agree.
+        log_odds = math.copysign(math.inf, contaminant.scale[0, 0] - base_var)
+    return log_odds
 
 
 @dataclass(frozen=True)
@@ -214,23 +353,11 @@ class MixturePosterior:
     phi: float
 
     def __post_init__(self):
-        if not (0.0 < self.phi < 1.0):
-            raise InputError(f"contamination weight phi must be in (0, 1), got {self.phi}")
-        if self.base.log_evidence is None or self.contaminant.log_evidence is None:
-            raise InputError("mixture components need the log evidence of a proper prior")
-        if not np.array_equal(self.base.center, self.contaminant.center):
-            raise InputError("mixture components must share their centre")
-        log_odds = (
-            math.log(self.phi)
-            - math.log1p(-self.phi)
-            + self.contaminant.log_evidence
-            - self.base.log_evidence
+        has_evidence = self.base.log_evidence is not None
+        _check_mixture(self.phi, has_evidence, self.base.center, self.contaminant)
+        log_odds = _mixture_log_odds(
+            self.phi, self.base.log_evidence, self.base.scale[0, 0], self.contaminant
         )
-        if math.isnan(log_odds):
-            # Both evidences underflow, which only normal ones do (J / c overflows).
-            # The wider, larger-c one has the larger evidence; equal ones agree.
-            wider = self.contaminant.scale[0, 0] - self.base.scale[0, 0]
-            log_odds = math.copysign(math.inf, wider)
         object.__setattr__(self, "log_odds", log_odds)
 
     @property
@@ -316,6 +443,24 @@ def _angular_mass(family: RadialFamily, lam_lo: float, lam_hi: float, eps: float
     )
 
 
+def _mass_outside_interval(dof: float | None, m: float, var: np.ndarray, lo, hi) -> np.ndarray:
+    """Mass outside [lo, hi] of 1-d closed forms centred at m, one per scale in ``var``.
+
+    Both tails as lower-tail CDFs, at the 2 n standardized bounds at once:
+    1 - cdf would cancel in the far tail.  Gaussian (dof None) by ``math.erfc``,
+    which needs no ``scipy.special``; Student-t by one ``t_cdf`` call.
+    """
+    s = np.sqrt(var)
+    bounds = np.concatenate(((lo - m) / s, (m - hi) / s))
+    if dof is None:
+        # The standard normal CDF at x is erfc(-x / sqrt(2)) / 2.
+        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in bounds.tolist()])
+    else:
+        cdf = t_cdf(StudentT(float(dof)), bounds)
+    n = s.shape[0]
+    return np.minimum(np.maximum(cdf[:n] + cdf[n:], 0.0), 1.0)
+
+
 def mass_outside_ball(
     post: ClosedFormPosterior | MixturePosterior,
     center,
@@ -344,18 +489,9 @@ def mass_outside_ball(
             raise InputError(f"norm_matrix must be {post.p}x{post.p}, got shape {norm.shape}")
     if post.p == 1:
         radius = eps if norm_matrix is None else eps / math.sqrt(norm[0, 0])
-        m = float(post.center[0])
-        s = math.sqrt(post.scale[0, 0])
         lo, hi = center[0] - radius, center[0] + radius
-        # Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
-        below, above = (lo - m) / s, (m - hi) / s
-        if post.dof is None:
-            # The standard normal CDF at x is erfc(-x / sqrt(2)) / 2.
-            mass = sum(0.5 * math.erfc(-x / math.sqrt(2.0)) for x in (below, above))
-        else:
-            tail_lo, tail_hi = t_cdf(StudentT(float(post.dof)), np.array([below, above]))
-            mass = float(tail_lo + tail_hi)
-        return min(max(mass, 0.0), 1.0)
+        mass = _mass_outside_interval(post.dof, float(post.center[0]), post.scale[0], lo, hi)
+        return float(mass[0])
     if post.p == 2:
         if not np.array_equal(center, post.center):
             raise InputError(
@@ -368,7 +504,12 @@ def mass_outside_ball(
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
 
-def _stationary_sq(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
+def _dof(family: RadialFamily) -> float | None:
+    """A closed form's dof from its family: None for the normal."""
+    return family.dof if isinstance(family, StudentTRadial) else None
+
+
+def _stationary_sq(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> float:
     """The rho^2 where the slopes in rho^2 of log p_a and log p_b agree (nan if nowhere).
 
     A t log density's slope in r = rho^2 is -alpha / (beta + r), with alpha =
@@ -376,8 +517,8 @@ def _stationary_sq(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     So the slopes agree at most once.
     """
     (alpha_a, beta_a), (alpha_b, beta_b) = (
-        (None, 2.0 * v) if q.dof is None else (0.5 * (q.dof + q.p), q.dof * v)
-        for q, v in ((a, a.scale[0, 0]), (b, b.scale[0, 0]))
+        (None, 2.0 * v) if dof is None else (0.5 * (dof + p), dof * v)
+        for dof, v in ((_dof(fam_a), va), (_dof(fam_b), vb))
     )
     if alpha_a is None:
         return alpha_b * beta_a - beta_b
@@ -431,53 +572,68 @@ def _find_sign_change(h: Callable[[float], float], lo: float, hi: float) -> floa
     return hi
 
 
+def _proportional(scales: np.ndarray, ref: np.ndarray):
+    """Whether each scale matrix (the last two axes) is proportional to ``ref``, to 1e-12."""
+    unit = scales / scales[..., :1, :1]
+    gap = np.abs(unit - ref / ref[0, 0]).max(axis=(-2, -1))
+    return gap <= 1e-12 * np.abs(unit).max(axis=(-2, -1))
+
+
 def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     """Exact total variation distance between two closed forms of one centre, at any p.
 
     Their scales must be proportional, as any two closed forms of one model
-    are.  Then both densities depend on theta only through rho, the distance
-    from the centre in the norm of a.scale / a.scale[0, 0], and each is that
-    of a standardized radius rho / s, with s^2 = scale[0, 0]; at p = 1 rho is
-    |theta - centre|.  As a function of rho^2, log p_a - log p_b has at most
-    one stationary point (``_stationary_sq``), so the densities cross at most
-    twice, at rho_1 < rho_2, found on each side of it by ``_find_sign_change``;
-    then TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|, S the radial upper
-    tails, read off the families' ``log_tail`` in dimension p.
-    Two normals cross once, in closed form.
+    are; ``_radial_tv`` computes the distance from each one's family and
+    scale[0, 0].
     """
-    p = a.p
-    if b.p != p:
+    if b.p != a.p:
         raise InputError(f"tv_distance needs closed forms of one dimension, got p = {a.p} and {b.p}")
     if not np.array_equal(a.center, b.center):
         raise InputError("tv_distance of closed forms requires one centre")
-    va, vb = a.scale[0, 0], b.scale[0, 0]
-    if p > 1 and not np.abs(a.scale / va - b.scale / vb).max() <= 1e-12 * np.abs(a.scale / va).max():
+    if a.p > 1 and not _proportional(a.scale, b.scale):
         raise InputError("tv_distance of closed forms requires proportional scales")
+    return _radial_tv(a.p, a._family, a.scale[0, 0], b._family, b.scale[0, 0])
+
+
+def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> float:
+    """TV distance between closed forms of one centre, proportional scales and families fam.
+
+    Both densities depend on theta only through rho, the distance from the
+    centre in the norm of scale / scale[0, 0], and each is that of a
+    standardized radius rho / s, with s^2 = va or vb, the scale[0, 0]; at
+    p = 1 rho is |theta - centre|.  As a function of rho^2, log p_a - log p_b
+    has at most one stationary point (``_stationary_sq``), so the densities
+    cross at most twice, at rho_1 < rho_2, found on each side of it by
+    ``_find_sign_change``; then TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|,
+    S the radial upper tails, read off the families' ``log_tail`` in
+    dimension p.  Two normals cross once, in closed form.
+    """
     sa, sb = math.sqrt(va), math.sqrt(vb)
-    # Pr{|u| > r} for the standardized radius |u| of q.
-    tail = lambda q, r: math.exp(q._family.log_tail(r * r, p))
-    if a.dof is None and b.dof is None:
+    dof_a, dof_b = _dof(fam_a), _dof(fam_b)
+    # Pr{|u| > r} for the standardized radius |u| under a family.
+    tail = lambda fam, r: math.exp(fam.log_tail(r * r, p))
+    if dof_a is None and dof_b is None:
         # Crossing at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d = log(s_wide / s_narrow).
         d = abs(math.log(sa) - math.log(sb))
         if d == 0.0:
             return 0.0
         r_narrow = math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))
-        return tail(a, r_narrow * math.exp(-d)) - tail(a, r_narrow)
+        return tail(fam_a, r_narrow * math.exp(-d)) - tail(fam_a, r_narrow)
 
-    def log_density(q: ClosedFormPosterior, s: float) -> Callable[[float], float]:
-        const = -q._family.log_ball_integral(p) - p * math.log(s)
-        return lambda rho: const + float(q._family.log_f((rho / s) * (rho / s), p))
+    def log_density(fam: RadialFamily, s: float) -> Callable[[float], float]:
+        const = -fam.log_ball_integral(p) - p * math.log(s)
+        return lambda rho: const + float(fam.log_f((rho / s) * (rho / s), p))
 
-    log_a, log_b = log_density(a, sa), log_density(b, sb)
+    log_a, log_b = log_density(fam_a, sa), log_density(fam_b, sb)
     h = lambda rho: log_a(rho) - log_b(rho)
     # The heavier tail (smaller dof, a normal's being infinite; then larger
     # scale) wins as rho grows: the sign of h there.
-    key_a = (-(a.dof or math.inf), sa)
-    key_b = (-(b.dof or math.inf), sb)
+    key_a = (-(dof_a or math.inf), sa)
+    key_b = (-(dof_b or math.inf), sb)
     if key_a == key_b:
         return 0.0
     positive_tail = key_a > key_b
-    r = _stationary_sq(a, b)
+    r = _stationary_sq(p, fam_a, va, fam_b, vb)
     knots = [0.0, math.sqrt(r)] if r > 0.0 else [0.0]
     crossings = []
     # Far out, rho^2 / (s^2 dof) may overflow; log f is then -inf, its limit.
@@ -494,7 +650,7 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
                 continue
             crossings.append(_find_sign_change(h, lo, hi))
     total = sum(
-        (-1) ** i * (tail(a, rho / sa) - tail(b, rho / sb)) for i, rho in enumerate(crossings)
+        (-1) ** i * (tail(fam_a, rho / sa) - tail(fam_b, rho / sb))
+        for i, rho in enumerate(crossings)
     )
     return min(abs(total), 1.0)
-

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import misspec
-from misspec import _kernels, montecarlo
+from misspec import _kernels, montecarlo, posteriors
 from misspec.errors import (
     ImproperPriorError,
     InputError,
@@ -53,6 +53,13 @@ def _normal_prior(c=1.0, k=5):
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("called before its inputs were checked")
+
+
+def _forbid_posteriors(monkeypatch):
+    """Fail on building any closed-form posterior: a sweep's path, or one c's."""
+    # closed_form_posterior is the one-c path, built through the posteriors module.
+    for module in (montecarlo, posteriors):
+        monkeypatch.setattr(module, "_PosteriorPath", _must_not_run)
 
 
 def _both_runs_reject(match, reps=200, seed=0):
@@ -396,7 +403,7 @@ class TestSweeps:
         "c_grid", [[1e-2, 1e-4], [1e-2, 0.0], [-1.0, 1.0], [1e-2, np.inf], [np.nan], []]
     )
     def test_c_grid_checked_before_any_posterior(self, canon_model, c_grid, monkeypatch):
-        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
+        _forbid_posteriors(monkeypatch)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         with pytest.raises(InputError, match="c_grid"):
             run_concentration(canon_model, NormalRadial(), c_grid, [0.1])
@@ -407,7 +414,7 @@ class TestSweeps:
     def test_eps_printing_alike_rejected_before_any_posterior(self, canon_model, eps_list, monkeypatch):
         # Each eps names the metric mass_outside_<eps:g>; two that print alike
         # would collide in the trace.
-        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
+        _forbid_posteriors(monkeypatch)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         match = r"eps values 0\.1 and 0\.1(000001)? both give the metric 'mass_outside_0\.1'"
         with pytest.raises(InputError, match=match):
@@ -417,7 +424,7 @@ class TestSweeps:
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan])
     def test_nonpositive_eps_rejected_before_any_posterior(self, canon_model, eps, monkeypatch):
-        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
+        _forbid_posteriors(monkeypatch)
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         with pytest.raises(InputError, match="ball radius must be positive"):
             run_concentration(canon_model, NormalRadial(), [1e-2], [0.1, eps])
@@ -425,13 +432,39 @@ class TestSweeps:
             run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2], [0.1, eps])
 
     def test_improper_contamination_rejected_before_any_posterior(self, canon_model, monkeypatch):
-        monkeypatch.setattr(montecarlo, "closed_form_posterior", _must_not_run)
+        _forbid_posteriors(monkeypatch)
         proper = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         improper = ScaledPrior(family=PowerLawRadial(2.0), c=4.0, W=np.eye(2))
         with pytest.raises(ImproperPriorError):
             run_contamination(canon_model, NormalRadial(), improper, 0.01, [1e-2])
         with pytest.raises(ImproperPriorError):
             run_contamination(canon_model, PowerLawRadial(2.0), proper, 0.01, [1e-2])
+
+    def test_sweeps_build_no_posterior_per_c(self, canon_model, monkeypatch):
+        # A concentration sweep builds no ClosedFormPosterior, a contamination
+        # sweep only its contaminant's, and at p = 1 a t or power-law mass is one
+        # t_cdf call per eps over the whole c axis.
+        built, cdf_points = [], []
+        init = posteriors.ClosedFormPosterior.__post_init__
+        monkeypatch.setattr(
+            posteriors.ClosedFormPosterior, "__post_init__", lambda q: built.append(q) or init(q)
+        )
+        t_cdf = posteriors.t_cdf
+        monkeypatch.setattr(posteriors, "t_cdf", lambda d, x: cdf_points.append(len(x)) or t_cdf(d, x))
+        m2 = ModelInstance(
+            Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
+        )
+        c_grid = np.logspace(-6, 1, 8)
+        for family in (NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)):
+            for model in (canon_model, m2):
+                run_concentration(model, family, c_grid, [0.1, 0.5, 1.0])
+        assert built == []
+        assert cdf_points == [16] * 6
+        cdf_points.clear()
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        run_contamination(canon_model, StudentTRadial(3.0), contam, 0.01, c_grid, [0.1, 0.5])
+        assert len(built) == 1 and built[0].dof is None
+        assert cdf_points == [16, 16]
 
     def test_concentration_powerlaw_flat(self, canon_model):
         trace = run_concentration(canon_model, PowerLawRadial(3.0), [1e-4, 1e-2, 1.0], [0.1])

@@ -34,7 +34,13 @@ from misspec.posteriors import (
     normal_posterior,
     tv_distance,
 )
-from misspec.montecarlo import _pivot_args, ks_statistic, run_tails
+from misspec.montecarlo import (
+    _pivot_args,
+    ks_statistic,
+    run_concentration,
+    run_contamination,
+    run_tails,
+)
 from misspec.priors import (
     NormalRadial,
     PowerLawRadial,
@@ -551,35 +557,200 @@ def test_model_and_bare_closed_forms_agree(seed, shape, e, family, c, z):
         assert abs(mass - bare_mass) <= 1e-14 * bare_mass
 
 
+def _tail_rounding(q: ClosedFormPosterior, rho: float) -> float:
+    """What rounding moves q's computed radial tail S = Pr{radius > rho} by, at most about.
+
+    One ulp of S, and for a t tail at p != 2, which is I_x(dof/2, p/2) at
+    x = dof / (dof + u^2) with u = rho / sqrt(scale[0, 0]), what rounding x
+    by 2^-53 relative moves it by: 2^-53 x^(dof/2) (1 - x)^(p/2 - 1) / B(dof/2, p/2).
+    That term dominates near S = 1 at p = 1, where x is close to 1.
+    """
+    u = rho / math.sqrt(q.scale[0, 0])
+    out = math.ulp(math.exp(q._family.log_tail(u * u, q.p)))
+    if q.dof is None or q.p == 2:
+        return out
+    a, b = 0.5 * q.dof, 0.5 * q.p
+    t = u * u / q.dof  # x = 1 / (1 + t) and 1 - x = t / (1 + t)
+    if t == math.inf:  # x = 0, where I_x and its slope vanish
+        return out
+    if t == 0.0:
+        return math.inf
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_x = -math.log1p(t)
+    return out + 2.0**-53 * math.exp(a * log_x + (b - 1.0) * (math.log(t) + log_x) - log_beta)
+
+
 @given(
     st.sampled_from([1, 2, 3, 5]),
     st.one_of(st.none(), st.floats(0.5, 50.0)),
     st.floats(0.5, 50.0),
     st.floats(-3.0, 3.0),
 )
+# Two cases off by more than 1e-12 TV + 1e-15, the bound before the tails' rounding.
+@example(1, 41.25, 41.25, 1e-8)
+@example(1, 47.35429857309198, 47.35429857309198, -1.192092896e-07)
 def test_tv_crossings_match_halving(p, dof_a, dof_b, log10_ratio):
     # Each crossing is an exact zero of the log density ratio h, or a sign
     # change between it and the float below (or +inf, where the search for a
     # bracket overflowed); the TV distance is that of the crossings plain
-    # halving finds, up to rounding.
+    # halving finds, up to the rounding of the radial tails it sums at each.
     shape = np.eye(1) if p == 1 else np.array([[1.0, 0.4], [0.4, 2.5]])
     if p > 2:
         shape = random_spd(np.random.default_rng(p), p)
     a = ClosedFormPosterior(np.full(p, 0.25), shape, dof_a)
     b = ClosedFormPosterior(np.full(p, 0.25), 10.0 ** (2.0 * log10_ratio) * shape, dof_b)
-    found = []
+    found, halved = [], []
     search = posteriors._find_sign_change
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(posteriors, "_find_sign_change", lambda *args: found.append(args) or search(*args))
         tv = tv_distance(a, b)
-        mp.setattr(posteriors, "_find_sign_change", bisect_sign_change)
+        halving = lambda *args: halved.append(bisect_sign_change(*args)) or halved[-1]
+        mp.setattr(posteriors, "_find_sign_change", halving)
         tv_halving = tv_distance(a, b)
+    crossings = list(halved)
     with np.errstate(over="ignore"):
         for h, lo, hi in found:
             rho, positive_lo = search(h, lo, hi), h(lo) > 0.0
+            crossings.append(rho)
             assert lo < rho <= hi
             if rho == math.inf:  # no float past the bracket's start crosses
                 continue
             below = np.nextafter(rho, -np.inf)
             assert h(rho) == 0.0 or ((h(rho) > 0.0) != positive_lo and (h(below) > 0.0) == positive_lo)
-    assert abs(tv - tv_halving) <= 1e-12 * tv_halving + 1e-15
+    # Each TV is a signed sum of the two tails at its crossings, so the two
+    # differ by at most those tails' rounding; 4 times it leaves room for the
+    # special functions' own error.  Two normals cross in closed form, once.
+    rounding = sum(_tail_rounding(q, rho) for rho in crossings for q in (a, b))
+    assert abs(tv - tv_halving) <= 4.0 * rounding
+
+
+# --- Sweeps along the whole c axis are the per-c route, bit for bit ---------
+
+sweep_shapes = st.sampled_from([(2, 1), (3, 1), (3, 2), (5, 2)])
+sweep_families = st.one_of(
+    st.just(NormalRadial()),
+    st.floats(0.5, 30.0).map(StudentTRadial),
+    st.floats(1.25, 10.0).map(PowerLawRadial),
+)
+c_axes = st.lists(st.floats(-8.0, 3.0), min_size=1, max_size=5).map(
+    lambda es: sorted({10.0**e for e in es})
+)
+eps_lists = st.lists(
+    st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    min_size=1,
+    max_size=2,
+    unique_by=lambda eps: f"{eps:g}",
+)
+
+
+def _sweep_model(seed, shape, e, exact) -> ModelInstance:
+    """A random model with X scaled by 2^e; with ``exact``, Y is in X's span (J = 0)."""
+    rng = np.random.default_rng(seed)
+    y, x, w = random_model_arrays(rng, *shape)
+    x = np.ldexp(x, e)
+    return ModelInstance(Y=x @ rng.standard_normal(shape[1]) if exact else y, X=x, W=w)
+
+
+def _refusal_or(route):
+    """``route()``, or the type and message of the InputError it raises."""
+    try:
+        return route()
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def _bits(metrics) -> dict[str, bytes]:
+    return {name: np.asarray(v, dtype=np.float64).tobytes() for name, v in metrics.items()}
+
+
+def _concentration_per_c(m, family, c_axis, eps_list):
+    """``run_concentration``'s metrics from one closed form per c."""
+    metrics = {f"mass_outside_{eps:g}": [] for eps in eps_list}
+    metrics["posterior_sd"] = []
+    actions = ["bayes_action"] if m.p == 1 else [f"bayes_action_{i + 1}" for i in range(m.p)]
+    metrics.update((name, []) for name in actions)
+    for c in c_axis:
+        post = closed_form_posterior(m, family, c)
+        for eps in eps_list:
+            metrics[f"mass_outside_{eps:g}"].append(mass_outside_ball(post, post.center, eps))
+        metrics["posterior_sd"].append(float(np.max(post.marginal_sd())))
+        has_mean = post.dof is None or post.dof > 1.0
+        for name, val in zip(actions, post.center):
+            metrics[name].append(float(val) if has_mean else math.nan)
+    return _bits(metrics)
+
+
+def _contamination_per_c(m, base_family, contaminant, phi, c_axis, eps_list):
+    """``run_contamination``'s metrics from one mixture of closed forms per c."""
+    pure = closed_form_posterior(m, contaminant.family, contaminant.c)
+    metrics = {"tv_to_contaminant": [], **{f"mass_outside_{eps:g}": [] for eps in eps_list}}
+    for c in c_axis:
+        base = closed_form_posterior(m, base_family, c)
+        mix = MixturePosterior(base=base, contaminant=pure, phi=phi)
+        metrics["tv_to_contaminant"].append(mix.tv_to_contaminant())
+        for eps in eps_list:
+            metrics[f"mass_outside_{eps:g}"].append(mass_outside_ball(mix, mix.base.center, eps))
+    return _bits(metrics)
+
+
+@given(
+    seeds, sweep_shapes, st.integers(-60, 4), st.booleans(), sweep_families, c_axes, st.booleans(), eps_lists
+)
+def test_concentration_sweep_is_the_per_c_route(
+    seed, shape, e, exact, family, c_axis, huge, eps_list
+):
+    # With ``huge``, c = 1e300 ends the axis, where c (X'WX)^-1 overflows for small e.
+    m = _sweep_model(seed, shape, e, exact)
+    c_axis = c_axis + [1e300] if huge else c_axis
+    got = _refusal_or(lambda: _bits(run_concentration(m, family, c_axis, eps_list).metrics))
+    assert got == _refusal_or(lambda: _concentration_per_c(m, family, c_axis, eps_list))
+
+
+@given(
+    seeds,
+    sweep_shapes,
+    st.integers(-60, 4),
+    st.booleans(),
+    mixable_families,
+    mixable_families,
+    c_axes,
+    st.booleans(),
+    st.floats(-4.0, 1.0).map(lambda e: 10.0**e),
+    st.floats(-3.0, np.log10(0.5)).map(lambda e: 10.0**e),
+    eps_lists,
+)
+def test_contamination_sweep_is_the_per_c_route(
+    seed, shape, e, exact, base_family, family, c_axis, huge, c_cont, phi, eps_list
+):
+    m = _sweep_model(seed, shape, e, exact)
+    contaminant = ScaledPrior(family=family, c=c_cont, W=m.W)
+    c_axis = c_axis + [1e300] if huge else c_axis
+    args = (m, base_family, contaminant, phi, c_axis, eps_list)
+    got = _refusal_or(lambda: _bits(run_contamination(*args).metrics))
+    assert got == _refusal_or(lambda: _contamination_per_c(*args))
+
+
+OVERFLOW = "posterior at prior scale c = 1e+300 is unrepresentable: scale must be finite"
+
+
+@pytest.mark.parametrize(
+    "family, exact, error",
+    [
+        (NormalRadial(), False, OVERFLOW),
+        (StudentTRadial(3.0), False, OVERFLOW),
+        (PowerLawRadial(3.0), True, "powerlaw:3 posterior at c = 0.01 requires a positive J-statistic"),
+    ],
+)
+@pytest.mark.parametrize("shape", [(3, 1), (3, 2)])
+def test_sweeps_refuse_as_the_per_c_route(family, exact, error, shape):
+    # A c whose scale overflows, and the power law's J-alone scale at J = 0.
+    m = _sweep_model(0, shape, -60, exact)
+    c_axis, eps_list = [1e-2, 1.0, 1e300], [0.1]
+    got = _refusal_or(lambda: _bits(run_concentration(m, family, c_axis, eps_list).metrics))
+    assert got == _refusal_or(lambda: _concentration_per_c(m, family, c_axis, eps_list))
+    assert got[1].startswith(error)
+    if family.proper:
+        args = (m, family, ScaledPrior(family=NormalRadial(), c=4.0, W=m.W), 0.01, c_axis, eps_list)
+        got = _refusal_or(lambda: _bits(run_contamination(*args).metrics))
+        assert got == _refusal_or(lambda: _contamination_per_c(*args))
+        assert got[1].startswith(error)
