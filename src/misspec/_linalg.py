@@ -1,7 +1,7 @@
-"""Shared dense linear-algebra helpers: SPD checks, symmetric roots, solves.
+"""Shared dense linear-algebra helpers: SPD checks and symmetric roots.
 
-Numpy only.  Validation reads eigenvalues alone, and a validated matrix keeps
-them; the eigenvector-derived factors are computed lazily, on first use.
+Numpy only.  Validation takes one eigendecomposition, which a validated
+matrix keeps; the factors derived from it are computed on first use.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
 
 def binade_scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     """(v 2^-e, e), with e bringing max |v_i| into [0.5, 1): exact short of subnormals."""
-    e = math.frexp(float(np.max(np.abs(v))))[1]
+    e = math.frexp(float(abs(v).max()))[1]
     return np.ldexp(v, -e), e
 
 
@@ -53,45 +53,42 @@ def check_finite(a: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class SpdFactor:
-    """A validated symmetric positive definite matrix, its eigenvalues and lazy factors.
+    """A validated symmetric positive definite matrix, 2^``exponent`` M, and M's ``eigh``.
 
-    ``eigenvalues`` are those the validation read, in ascending order.
-    ``root`` is the unique symmetric PSD square root, ``inv_root`` its inverse.
-    All four factors come from one eigendecomposition of ``matrix``, computed
-    on first use of any of them and cached.
+    ``values`` (ascending) and ``vectors`` are M's eigenvalues and vectors;
+    ``eigenvalues`` are the matrix's own.  ``root`` is the unique symmetric PSD
+    square root, ``inv_root`` its inverse; the factors are cached on first use.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    exponent: int = 0
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.matrix)
+    def eigenvalues(self) -> np.ndarray:
+        return np.ldexp(self.values, self.exponent)
 
     @cached_property
     def root(self) -> np.ndarray:
-        vals, vecs = self._eigh
-        return _symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
+        return _symmetrize((self.vectors * np.sqrt(self.eigenvalues)) @ self.vectors.T)
 
     @cached_property
     def inv_root(self) -> np.ndarray:
-        vals, vecs = self._eigh
-        return _symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
+        return _symmetrize((self.vectors / np.sqrt(self.eigenvalues)) @ self.vectors.T)
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        vals, vecs = self._eigh
-        return _symmetrize((vecs / vals) @ vecs.T)
+        return _symmetrize((self.vectors / self.eigenvalues) @ self.vectors.T)
 
     @cached_property
     def log_det(self) -> float:
-        return float(np.sum(np.log(self._eigh[0])))
+        return float(np.sum(np.log(self.eigenvalues)))
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     # Halved before the sum, which then cannot overflow; exact for normal floats.
-    # A stack of matrices is symmetrised matrix by matrix, over the last two axes.
-    return 0.5 * a + 0.5 * np.swapaxes(a, -1, -2)
+    return 0.5 * a + 0.5 * a.T
 
 
 def spd_factor(w, name: str = "W") -> SpdFactor:
@@ -99,8 +96,9 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
 
     Raises :class:`ModelValidationError` if the matrix has a NaN or infinite
     entry, is not symmetric, or fails ``check_spd_spectrum``.  Returns the
-    symmetrised matrix with its eigenvalues; its factors are left to the
-    first use.
+    symmetrised matrix with the ``eigh`` that validated it, of the matrix
+    scaled to a largest entry in [1/4, 1/2): the same for the matrix times
+    any power of two, and exact where the root is (as for I).
     """
     w = as_matrix(w, name)
     if w.shape[0] != w.shape[1] or w.shape[0] == 0:
@@ -111,9 +109,12 @@ def spd_factor(w, name: str = "W") -> SpdFactor:
     if not (np.abs(w - w.T).max() <= 1e-8 * (1.0 + scale)):
         raise ModelValidationError(f"{name} must be symmetric")
     w = _symmetrize(w)
-    vals = np.linalg.eigvalsh(w)
-    check_spd_spectrum(float(vals[0]), float(vals[-1]), name)
-    return SpdFactor(matrix=w, eigenvalues=vals)
+    e = math.frexp(scale)[1] + 1
+    vals, vecs = np.linalg.eigh(np.ldexp(w, -e))
+    with np.errstate(over="ignore"):  # an eigenvalue that overflows is refused
+        lo, hi = np.ldexp(vals[[0, -1]], e).tolist()
+    check_spd_spectrum(lo, hi, name)
+    return SpdFactor(matrix=w, values=vals, vectors=vecs, exponent=e)
 
 
 def check_spd_spectrum(lo: float, hi: float, name: str) -> None:
@@ -130,53 +131,12 @@ def check_spd_spectrum(lo: float, hi: float, name: str) -> None:
         )
 
 
+def full_column_rank(s: np.ndarray) -> bool:
+    """The rank rule: singular values s, descending, the smallest above RANK_RTOL times the largest."""
+    return s[-1] > RANK_RTOL * s[0]
+
+
 def check_same_weight(w: np.ndarray, reference: np.ndarray, name: str, ref_name: str) -> None:
     """Require the weighting matrix ``w`` to equal ``reference`` up to float noise."""
     if w.shape != reference.shape or not np.allclose(w, reference, rtol=1e-10, atol=1e-12):
         raise InputError(f"{name} weighting matrix must match the {ref_name} W")
-
-
-def check_full_column_rank(x: np.ndarray, name: str = "X") -> None:
-    """Require the smallest singular value to exceed RANK_RTOL times the largest."""
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= RANK_RTOL * sv[0]:
-        raise ModelValidationError(
-            f"{name} is rank deficient: singular values range "
-            f"[{sv[-1]:.3e}, {sv[0]:.3e}]"
-        )
-
-
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of SPD ``a``, in the form ``cho_solve`` takes."""
-    return np.linalg.cholesky(a)
-
-
-def cho_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve ``L L' x = b`` from the lower Cholesky factor ``L``.
-
-    ``b`` is a vector or a matrix with one right-hand side per column.  Each
-    column is solved by forward, then back substitution: an entry is
-    multiplied by the reciprocal diagonal, then its multiples are subtracted
-    from the entries not yet solved.  The loops run on Python floats, which
-    round exactly as numpy's float64 operations do and, at the small p of
-    these models, cost less than one numpy call per row.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    n = lower.shape[0]
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise InputError(f"right-hand side must have {n} rows, got shape {b.shape}")
-    low = lower.tolist()
-    inv_diag = [1.0 / low[i][i] for i in range(n)]
-    cols = b.reshape(n, -1).T.tolist()
-    for x in cols:
-        for i in range(n):
-            xi = x[i] = x[i] * inv_diag[i]
-            for j in range(i + 1, n):
-                x[j] -= low[j][i] * xi
-        for i in range(n - 1, -1, -1):
-            xi = x[i] = x[i] * inv_diag[i]
-            row = low[i]
-            for j in range(i):
-                x[j] -= row[j] * xi
-    return np.array(cols).T.reshape(b.shape)
-

@@ -2,9 +2,8 @@
 
 Validation problems (bad inputs, invalid models, improper priors) derive from
 :class:`InputError`; breakdowns of the numerics themselves (a continued
-fraction that does not converge, a minimized objective negative beyond float
-noise) derive from :class:`NumericalError`.  The CLI maps the former to exit
-code 1 and the latter to exit code 2.
+fraction that does not converge, a result that overflows float64) derive
+from :class:`NumericalError`.  The CLI exits 1 on the former and 2 on the latter.
 """
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from misspec import _linalg
-from misspec.errors import InputError, JustIdentifiedError
+from misspec.errors import InputError, JustIdentifiedError, NumericalError
 from misspec.model import ModelInstance, objective, pseudo_true, sigma_v
 from misspec.special import StudentT, t_quantile
 
@@ -71,6 +71,8 @@ class Interval:
         if not self.empty:
             if not self.lower <= self.upper:
                 raise InputError(f"interval bounds out of order: {self.lower} > {self.upper}")
+            if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+                raise NumericalError(f"interval [{self.lower}, {self.upper}] overflows float64")
             if self.singleton and self.lower != self.upper:
                 raise InputError("singleton interval must have equal endpoints")
 
@@ -157,7 +159,7 @@ def confidence_interval(model: ModelInstance, cfg: InferenceConfig) -> Interval:
 
 
 def _confidence_interval(model: ModelInstance, cfg: InferenceConfig, pt, sv: float) -> Interval:
-    center = float(cfg.v @ pt.theta_w)
+    center = float(np.vdot(cfg.v, pt.theta_w))  # inf, which Interval refuses, where it overflows
     if pt.j_stat <= pt.noise_floor:
         return Interval.point(center)
     kp = model.k - model.p
@@ -180,20 +182,19 @@ def identified_set_projection(
 def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
     if not (d >= 0.0 and math.isfinite(d)):
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
-    center = float(cfg.v @ pt.theta_w)
-    d2 = d * d  # inf past sqrt(DBL_MAX), where the set is never empty
+    center = float(np.vdot(cfg.v, pt.theta_w))
     # A J within float noise of 0 is 0 here, so that an exact fit's set at d = 0 is its point.
     j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
-    band = SINGLETON_RTOL * j
-    if d2 < j - band:
-        return Interval.empty_set()
-    if d2 <= j + band:
-        return Interval.point(center)
-    # sqrt(d^2 - J) on d and J scaled by 2^-e and 2^-2e, exact powers of two,
-    # so that d^2 cannot overflow.
+    # d^2 and J scaled by 2^-2e for d = m 2^e, m in [1/2, 1): d^2 cannot over- or underflow.
     e = math.frexp(d)[1]
-    m = math.ldexp(d, -e)
-    hw = math.ldexp(sv * math.sqrt(m * m - math.ldexp(j, -2 * e)), e)
+    m2 = math.ldexp(d, -e) ** 2
+    j = math.inf if j > 0.0 and math.frexp(j)[1] - 2 * e > 1024 else math.ldexp(j, -2 * e)
+    band = SINGLETON_RTOL * j
+    if j == math.inf or m2 < j - band:
+        return Interval.empty_set()
+    if m2 <= j + band:
+        return Interval.point(center)
+    hw = sv * d * math.sqrt(1.0 - j / m2)
     return Interval(lower=center - hw, upper=center + hw)
 
 

@@ -10,26 +10,28 @@ is minimized at the pseudo-true value, and the minimized value is the
 population J-statistic.
 
 Since Q(theta) = J + (theta - theta_W)' H (theta - theta_W) with H = X'WX,
-every estimand depends on the data only through the fit (theta_W, J, H).  H
-and its factor depend on X and W alone: a ``Design`` computes them once and
-shares them across Y.  ``pseudo_true`` computes theta_W and J once per model
-and caches them on it; everything else is read off the model's design.
+every estimand depends on the data only through the fit (theta_W, J, H).  It
+is least squares on the whitened design Z = R X (R'R = W), from the one thin
+SVD Z = U S V' that a ``Design`` takes of X and W and shares across Y: H is
+never formed, so the fit keeps kappa(X) eps of accuracy, not kappa(X)^2 eps.
+``pseudo_true`` computes theta_W and J once per model and caches them on it.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from misspec import _linalg
-from misspec.errors import InputError, NumericalError
+from misspec.errors import InputError, ModelValidationError, NumericalError
 
-# J within this band of zero, relative to Y'WY, is float noise at an exact fit:
-# negative values there are clamped, and anything more negative is a bug.
-J_CLAMP_RTOL = 1e-12
+# J at or below this multiple of Y'WY is float noise: the fit is exact.
+J_NOISE_RTOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -44,24 +46,35 @@ def _checked_y(y, k: int) -> np.ndarray:
     return _readonly(y)
 
 
+def _scaled_sqrt(x: float, n: int) -> float:
+    """sqrt(x 2^n), with no overflow or underflow in x 2^n; inf where the result overflows."""
+    try:
+        return math.ldexp(math.sqrt(math.ldexp(x, n % 2)), n // 2)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class Design:
-    """Checked Jacobian X and weighting matrix W, and what follows from them alone.
+    """Checked Jacobian X and weighting matrix W, and the one SVD that follows from them.
 
     Construction checks that every entry of X is finite, W is symmetric
-    positive definite of X's row dimension, and X has full column rank with
-    k >= p.  H = X'WX, its lower Cholesky factor, H^{-1}, the spectrum of
-    H^{-1} and W's factors (``w_factor``) are computed on first use and
-    cached, so every model on one design (see ``ModelInstance.with_y``)
-    computes them once; ``solve`` applies H^{-1} from the factor.  The
-    spectrum is the design's one eigensolve: H's condition number reads its
-    ratio, and every closed-form posterior of a model on the design reads
-    its eigenvalues as a multiple of it.
+    positive definite of X's row dimension (``w_factor``, one ``eigh``), and
+    the whitened design has full column rank with k >= p.  With X = 2^a X_s
+    and W = 2^e W_s scaled exactly (``x_exponent`` a, ``w_factor.exponent``
+    e), ``w_root`` is R = L^{1/2} Q' for W_s = Q L Q' (R'R = W_s), and R X_s
+    has the thin SVD U S V' (``u``, ``s`` descending, ``vt``): H = X'WX =
+    2^(2a + e) V S^2 V'.  Every fit quantity reads this SVD.
     """
 
     X: np.ndarray
     W: np.ndarray
     w_factor: _linalg.SpdFactor = field(init=False, repr=False, compare=False)
+    x_exponent: int = field(init=False, repr=False, compare=False)
+    w_root: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    s: np.ndarray = field(init=False, repr=False, compare=False)
+    vt: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _linalg.as_matrix(self.X, "X")
@@ -71,44 +84,30 @@ class Design:
             raise InputError(
                 f"W has dimension {wf.matrix.shape[0]} but X has {x.shape[0]} rows"
             )
-        if x.shape[0] < x.shape[1]:
-            raise InputError(f"need k >= p, got k={x.shape[0]} < p={x.shape[1]}")
-        _linalg.check_full_column_rank(x, "X")
-        object.__setattr__(self, "X", _readonly(x))
-        object.__setattr__(self, "W", _readonly(wf.matrix))
+        if not 0 < x.shape[1] <= x.shape[0]:
+            raise InputError(f"need k >= p >= 1, got k={x.shape[0]}, p={x.shape[1]}")
+        xs, a = _linalg.binade_scaled(x)
+        root = np.sqrt(wf.values)[:, None] * wf.vectors.T
+        u, s, vt = np.linalg.svd(root @ xs, full_matrices=False)
+        if not _linalg.full_column_rank(s):
+            lo, hi = (_scaled_sqrt(float(sv) ** 2, 2 * a + wf.exponent) for sv in (s[-1], s[0]))
+            raise ModelValidationError(f"X is rank deficient: singular values range [{lo:.3e}, {hi:.3e}]")
+        for name, value in (("X", x), ("W", wf.matrix), ("w_root", root), ("u", u), ("s", s), ("vt", vt)):
+            object.__setattr__(self, name, _readonly(value))
         object.__setattr__(self, "w_factor", wf)
-
-    @cached_property
-    def hessian(self) -> np.ndarray:
-        """H = X'WX."""
-        return _readonly(self.X.T @ self.W @ self.X)
-
-    @cached_property
-    def cholesky(self) -> np.ndarray:
-        """H's lower Cholesky factor, read-only, with zeros above the diagonal."""
-        chol = _linalg.cholesky(self.hessian)
-        chol.setflags(write=False)
-        return chol
-
-    @cached_property
-    def hessian_inv(self) -> np.ndarray:
-        """H^{-1}, from the cached factor."""
-        return _readonly(self.solve(np.eye(self.X.shape[1])))
-
-    @cached_property
-    def hessian_inv_eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of H^{-1}, ascending, from one ``eigvalsh``."""
-        return _readonly(np.linalg.eigvalsh(self.hessian_inv))
+        object.__setattr__(self, "x_exponent", a)
 
     @cached_property
     def condition_number(self) -> float:
-        """Largest over smallest eigenvalue of H (inf if that is not positive)."""
-        vals = self.hessian_inv_eigenvalues
-        return float(vals[-1] / vals[0]) if vals[0] > 0.0 else np.inf
+        """Largest over smallest eigenvalue of H, (s_max / s_min)^2."""
+        return float((self.s[0] / self.s[-1]) ** 2)
 
-    def solve(self, b) -> np.ndarray:
-        """H^{-1} b, from the cached factor."""
-        return _linalg.cho_solve(self.cholesky, b)
+    @cached_property
+    def hessian_inv(self) -> np.ndarray:
+        """H^{-1} = 2^-(2a + e) V S^-2 V', its upper triangle mirrored; inf where it overflows."""
+        with np.errstate(over="ignore"):
+            inv = np.ldexp((self.vt.T / self.s**2) @ self.vt, -2 * self.x_exponent - self.w_factor.exponent)
+        return _readonly(np.triu(inv) + np.triu(inv, 1).T)
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,8 @@ class ModelInstance:
 class PseudoTrueResult:
     """Minimizer and minimized value of the objective for one Y on a design.
 
-    ``noise_floor`` is the scale below which J is float noise.  H = X'WX and
-    its factors are the model's ``design``'s, shared by every Y fitted on it.
+    ``noise_floor``, ``J_NOISE_RTOL`` Y'WY, is the scale at or below which J
+    is float noise: the fit is exact.
     """
 
     theta_w: np.ndarray
@@ -185,35 +184,56 @@ def objective(model: ModelInstance, theta) -> float:
 def pseudo_true(model: ModelInstance) -> PseudoTrueResult:
     """Minimize the objective: GLS coefficient of Y on X with weight W.
 
-    The linear system in X'WX is solved by Cholesky factorization rather than
-    explicit inversion.  The minimized objective is clamped to zero when it is
-    within float noise below zero (exact-fit case); a substantially negative
-    value raises :class:`NumericalError`.  Computed once per model and cached.
+    Least squares on the design's SVD, with Y = 2^b Y_s scaled exactly by a
+    power of two and y_s = R Y_s: theta_W = 2^(b - a) V S^-1 U' y_s and J,
+    the squared norm of the residual, 2^(2b + e) |y_s - U U' y_s|^2; so J
+    is never negative.  Raises :class:`NumericalError` where theta_W or J
+    overflows, or J underflows at an inexact fit.  Computed once per model
+    and cached.
     """
     if model._fit is not None:
         return model._fit
-    theta_w = model.design.solve(model.X.T @ (model.W @ model.Y))
-    j = objective(model, theta_w)
-    noise_floor = J_CLAMP_RTOL * float(model.Y @ model.W @ model.Y)
-    if j < 0.0:
-        if j > -noise_floor:
-            j = 0.0
-        else:
-            raise NumericalError(
-                f"minimized objective is negative beyond float noise: {j:.3e}"
-            )
+    d = model.design
+    y0, b = _linalg.binade_scaled(model.Y)
+    ys = d.w_root @ y0
+    coef = d.u.T @ ys
+    theta_s = d.vt.T @ (coef / d.s)
+    if model.k == model.p:  # U spans every y_s: the residual is 0, and so is J
+        j_s = 0.0
+    elif model.p > 1:
+        resid = ys - d.u @ coef
+        j_s = float(resid @ resid)
+    else:
+        # One column is perfectly conditioned: after a step of iterative refinement the
+        # objective's own residual is as accurate as the projection's, and exact where the fit is.
+        xs, ws = np.ldexp(d.X, -d.x_exponent), np.ldexp(d.W, -d.w_factor.exponent)
+        theta_s = theta_s + d.vt.T @ ((d.u.T @ (d.w_root @ (y0 - xs @ theta_s))) / d.s)
+        r = y0 - xs @ theta_s
+        j_s = float(r @ ws @ r)  # W_s is SPD to within SPD_RTOL: never negative
+    floor_s = J_NOISE_RTOL * float(ys @ ys)
+    with np.errstate(over="ignore"):  # refused below; an infinite noise floor is right
+        theta_w = np.ldexp(theta_s, b - d.x_exponent)
+        j, noise_floor = np.ldexp([j_s, floor_s], 2 * b + d.w_factor.exponent).tolist()
+    if not (abs(theta_w).max() < math.inf and j < math.inf and (j >= sys.float_info.min or j_s <= floor_s)):
+        raise NumericalError(f"the fit leaves float64's range: J = {j:.3e}, theta_W = {theta_w.tolist()}")
     fit = PseudoTrueResult(theta_w=_readonly(theta_w), j_stat=j, noise_floor=noise_floor)
     object.__setattr__(model, "_fit", fit)
     return fit
 
 
 def sigma_v(model: ModelInstance, v) -> float:
-    """sqrt(v' (X'WX)^{-1} v), the Hessian-transformed length of v.
+    """sqrt(v' (X'WX)^{-1} v) = |S^-1 V' v|, the Hessian-transformed length of v.
 
-    Formed for v scaled exactly by a power of two, so it is finite wherever the result is.
+    Read off the design's SVD for v scaled exactly by a power of two, so no
+    intermediate overflows; raises :class:`NumericalError` outside the normal range.
     """
     v = _linalg.as_vector(v, model.p, "v")
     if not np.any(v != 0.0):
         raise InputError("v must be nonzero")
-    u, e = _linalg.binade_scaled(v)
-    return float(np.ldexp(np.sqrt(u @ model.design.solve(u)), e))
+    d = model.design
+    vs, c = _linalg.binade_scaled(v)
+    r = (d.vt @ vs) / d.s
+    sv = _scaled_sqrt(float(r @ r), 2 * (c - d.x_exponent) - d.w_factor.exponent)
+    if not sys.float_info.min <= sv < math.inf:
+        raise NumericalError(f"sigma_v is outside float64's normal range: {sv:.3e}")
+    return sv

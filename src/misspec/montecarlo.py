@@ -6,12 +6,13 @@ however the replication range is split into blocks or workers; the reduction
 is a plain order-independent sum.
 
 What a coverage or pivotality run needs of its fixture (X, W) alone -- the
-validated Y = 0 model, the factor of its X'WX, the projections
-A = H^{-1}X'W and B = W - WXA, and W's inverse root -- is memoised in a
-small LRU cache keyed on the shapes and bytes of the float64 X and W.  A
-key made of the contents is safe: equal arrays share an entry, an array
-changed in place is a new key, a fixture that fails validation raises on
-every call, and the cached arrays are read-only.
+validated Y = 0 model with its design's SVD, the projections
+A = V S^-1 U' R and B = R' (I - U U') R for the root R'R = W, and W's
+inverse root -- is memoised in a small LRU cache keyed on the shapes and
+bytes of the float64 X and W.  A key made of the contents is safe: equal
+arrays share an entry, an array changed in place is a new key, a fixture
+that fails validation raises on every call, and the cached arrays are
+read-only.
 
 ``ks_statistic`` evaluates the t CDF exactly at every 8th order statistic and
 brackets it in between, evaluating a segment in full only where its bound
@@ -131,10 +132,10 @@ def _check_run(reps, seed) -> None:
 class _Fixture:
     """A validated Monte Carlo fixture and its Y-free projections.
 
-    ``model`` is (Y = 0, X, W).  A = H^{-1}X'W maps Y to theta_W, and
-    B = W - WXA maps Y to Y'BY = J; both are read-only, as are the model's
-    arrays.  W's inverse root is computed on first use and kept on the
-    model's design.
+    ``model`` is (Y = 0, X, W).  ``a`` is 2^a A for X = 2^a X_s, so that no
+    scale of X overflows it, where A = V S^-1 U' R maps Y to theta_W; B = R'
+    (I - U U') R maps Y to Y'BY = J.  Both are read-only, as are the model's
+    arrays; W's inverse root is computed on first use and kept on the design.
     """
 
     model: ModelInstance
@@ -151,9 +152,11 @@ def _fixture_from_bytes(x_shape, x_bytes, w_shape, w_bytes) -> _Fixture:
         raise JustIdentifiedError(
             "coverage and pivotality require an over-identified fixture (k > p)"
         )
-    xtw = model.X.T @ model.W
-    a = model.design.solve(xtw)  # theta_W = A Y
-    b = _linalg._symmetrize(model.W - xtw.T @ a)
+    d = model.design
+    ur = d.u.T @ d.w_root
+    n = d.w_root - d.u @ ur
+    a = d.vt.T @ (ur / d.s[:, None])
+    b = _linalg._symmetrize(np.ldexp(n.T @ n, d.w_factor.exponent))
     a.setflags(write=False)
     b.setflags(write=False)
     return _Fixture(model=model, a=a, b=b)
@@ -179,20 +182,22 @@ def _pivot_args(x, w, eta_prior: ScaledPrior, v, negative_control: bool = False)
     Y to v'theta_W.  The t statistic does not depend on the scale of eta, so
     eta is drawn at c = 1 (eta_mix = W^{-1/2}) whatever ``eta_prior.c``: a
     huge or tiny c could only overflow or underflow eta'B eta.  Likewise v is
-    scaled exactly by a power of two, so that a huge v cannot overflow a_v'eta.
+    scaled exactly by a power of two, so that a huge v cannot overflow a_v'eta,
+    and a_v and sigma_v alike, so that sigma_v^2 in the kernel stays in range.
     The negative control draws shifted exponentials and ignores ``eta_prior``.
     """
     fixture = _fixture(x, w)
     model = fixture.model
     v, _ = _linalg.binade_scaled(_linalg.as_vector(v, model.p, "v"))
-    sv = sigma_v(model, v)
+    e = math.frexp(sv := sigma_v(model, v))[1]
     if negative_control:
         mix, eta_code, nu = np.eye(model.k), _kernels.ETA_SHIFTED_EXPONENTIAL, 0.0
     else:
         eta_code, nu = _kernel_eta_code(eta_prior.family)
         mix = model.design.w_factor.inv_root
         _linalg.check_same_weight(eta_prior.W, model.W, "eta prior", "fixture")
-    return mix, eta_code, nu, fixture.a.T @ v, fixture.b, sv, float(model.k - model.p)
+    a_v, sv = np.ldexp(fixture.a.T @ v, -model.design.x_exponent - e), math.ldexp(sv, -e)
+    return mix, eta_code, nu, a_v, fixture.b, sv, float(model.k - model.p)
 
 
 def _coverage_args(

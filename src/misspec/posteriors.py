@@ -17,9 +17,9 @@ checks (``_linalg.check_spd_spectrum``) on either of two routes.  A bare
 ``ClosedFormPosterior(center, scale, dof)`` validates its scale matrix with
 ``_linalg.spd_factor``, which reads them with one eigensolve.  A model's
 closed forms along prior scales c make a ``_PosteriorPath``: each scale is a
-multiple m(c) of H^{-1} = (X'WX)^{-1}, so its eigenvalues are m(c) times the
-spectrum the design computed once, and the path holds them, with the scales
-and log evidences, as arrays over c.  ``closed_form_posterior`` is its one-c
+multiple m(c) of H^{-1} = (X'WX)^{-1}: its eigenvalues are m(c) / S^2, from
+the design's SVD, and the path holds them, with the scales and log
+evidences, as arrays over c.  ``closed_form_posterior`` is its one-c
 case.  A sweep reads its masses, sds, mixture weights and TV distances off
 one path and builds no posterior per c; at p = 1 the masses at every c are
 one ``math.erfc`` pass or one ``t_cdf`` call, bit for bit the per-c values.
@@ -202,7 +202,8 @@ class _PosteriorPath:
         k, p = model.k, model.p
         # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
         j = fit.j_stat if fit.j_stat > fit.noise_floor else 0.0
-        inv_vals = design.hessian_inv_eigenvalues
+        with np.errstate(over="ignore"):  # H^-1's spectrum, ascending; an overflow is refused below
+            inv_vals = np.ldexp(1.0 / design.s**2, -2 * design.x_exponent - design.w_factor.exponent)
         # The extremes as Python floats, which overflow to inf silently.
         inv_lo, inv_hi = float(inv_vals[0]), float(inv_vals[-1])
         mults, evidences, refusal = [], [], None
@@ -233,8 +234,7 @@ class _PosteriorPath:
             evidences.append(family.log_evidence(c, j, k, p) if proper else math.nan)
         self.multiplier = np.array(mults, dtype=np.float64)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            scales = np.multiply.outer(self.multiplier, design.hessian_inv)
-            self.scales = _linalg._symmetrize(scales)
+            self.scales = np.multiply.outer(self.multiplier, design.hessian_inv)
         finite = np.isfinite(self.scales).all(axis=(1, 2))
         if not finite.all():
             c = cs[int(np.argmin(finite))]
@@ -246,6 +246,7 @@ class _PosteriorPath:
         self.family = NormalRadial() if dof is None else StudentTRadial(dof)
         self.log_evidence = np.array(evidences)
         self.eigenvalues = np.multiply.outer(self.multiplier, inv_vals)
+        self.vectors = design.vt.T
 
     @property
     def p(self) -> int:
@@ -256,7 +257,7 @@ class _PosteriorPath:
         evidence = float(self.log_evidence[i])
         return ClosedFormPosterior(
             center=self.center,
-            scale=_linalg.SpdFactor(matrix=self.scales[i], eigenvalues=self.eigenvalues[i]),
+            scale=_linalg.SpdFactor(self.scales[i], self.eigenvalues[i], self.vectors),
             dof=self.dof,
             log_evidence=None if math.isnan(evidence) else evidence,
         )

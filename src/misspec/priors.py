@@ -154,6 +154,8 @@ class StudentTRadial(RadialFamily):
         return -0.5 * self.dof * _log1p_ratio(s, self.dof)
 
     def _log_tail(self, s: float, k: int) -> float:
+        if k == 1 and (tail := float(special.t_sq_tail(self.dof, [s])[0])) >= sys.float_info.min:
+            return math.log(tail)  # S = T^2 for T Student-t
         a, b = 0.5 * self.dof, 0.5 * k
         x = a / (a + 0.5 * s)  # x without overflow in dof + s
         if x >= sys.float_info.min:

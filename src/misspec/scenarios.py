@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from misspec import _linalg, _rng
-from misspec.errors import DomainError, InputError, ResampleRequiredError
+from misspec.errors import DomainError, InputError, ModelValidationError, ResampleRequiredError
 from misspec.model import ModelInstance
 
 __all__ = [
@@ -116,13 +116,15 @@ def iv_sample(
     _rng.check_seed(seed)
     yn, xn, second_moment = _iv_moments(s, n, dgp or IVDgpParams(), seed)
     try:
-        _linalg.check_full_column_rank(xn, "Xn")
-        wn = _linalg.spd_factor(second_moment, "mean(ZZ')").inverse
+        factor = _linalg.spd_factor(second_moment, "mean(ZZ')")
+        # The fit's rank rule, on Xn whitened by Wn^{1/2} = mean(ZZ')^{-1/2}.
+        if not _linalg.full_column_rank(np.linalg.svd(factor.inv_root @ xn, compute_uv=False)):
+            raise ModelValidationError("Xn is rank deficient")
     except InputError as exc:
         raise ResampleRequiredError(
             f"degenerate sample at n={n}, seed={seed}: {exc}"
         ) from exc
-    return yn, xn, wn
+    return yn, xn, factor.inverse
 
 
 def _iv_moments(

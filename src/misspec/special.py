@@ -1,8 +1,8 @@
 """Special functions and the Student-t distribution used by the inference layer.
 
-The t CDF is built on SciPy's regularized incomplete beta and the t quantile
-is SciPy's ``stdtrit``, evaluated in the lower tail so that neither is formed
-as 1 - tail.  The log incomplete gamma and beta functions stay accurate where
+The t CDF is SciPy's ``stdtr`` (Boost's, on the regularized incomplete beta)
+and the t quantile SciPy's ``stdtrit``, evaluated in the lower tail so that
+neither is formed as 1 - tail.  The log incomplete gamma and beta functions stay accurate where
 the functions themselves underflow.
 
 ``scipy.special`` is imported on first use, inside the functions that call
@@ -37,6 +37,17 @@ class StudentT:
             raise DomainError(f"degrees of freedom must be positive, got {self.dof}")
 
 
+def t_sq_tail(dof: float, s) -> np.ndarray:
+    """Pr{T^2 > s} = I_x(dof/2, 1/2), x = dof/(dof + s), for T Student-t; s >= 0 an array.
+
+    Twice SciPy's ``stdtr`` at -sqrt(s): Boost's t CDF, which takes 1 - x as
+    s/(dof + s) where x > 2/3, so the rounding of x near 1 is not magnified.
+    """
+    import scipy.special
+
+    return 2.0 * scipy.special.stdtr(dof, -np.sqrt(s))
+
+
 def t_cdf(dist: StudentT, x):
     """CDF of the Student-t distribution, exact via the incomplete beta.
 
@@ -49,11 +60,9 @@ def t_cdf(dist: StudentT, x):
     arr = np.atleast_1d(arr)
     import scipy.special
 
-    # I_{nu/(nu + x^2)}(nu/2, 1/2) is twice the upper tail mass at |x|.
+    # Half of t_sq_tail at x^2, from x itself; where x^2 overflows Boost's would be 0.
     far = np.abs(arr) >= _SQRT_OVERFLOW
-    near = np.where(far, 0.0, arr)
-    z = nu / (nu + near * near)
-    tail = 0.5 * scipy.special.betainc(0.5 * nu, 0.5, z)
+    tail = scipy.special.stdtr(nu, -np.abs(np.where(far, 0.0, arr)))
     if far.any():
         # Where x^2 overflows, z = nu/x^2 to rounding and I_z(a, 1/2) is its
         # leading term z^a / (a B(a, 1/2)): the next is O(nu/x^2) smaller.

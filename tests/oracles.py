@@ -188,6 +188,31 @@ def random_model_arrays(rng: np.random.Generator, k: int, p: int):
     return y, x, w
 
 
+def collinear_model(d: float):
+    """(Y, X, W) with X = [1, 1 + d t] for t = (0, 1, -1, 2): kappa(X) is about 1.8 / d."""
+    x = np.array([[1.0, 1.0], [1.0, 1.0 + d], [1.0, 1.0 - d], [1.0, 1.0 + 2.0 * d]])
+    return np.array([1.0, 2.0, 3.0, 4.0]), x, np.eye(4)
+
+
+def least_squares_mp(y, x, w, dps: int = 50):
+    """(theta_W, J) of the weighted least-squares problem, solved in ``dps``-digit mpmath.
+
+    The float inputs are taken as exact; the normal equations in ``dps`` digits
+    leave far more than float64's digits at any condition number the package
+    accepts (kappa(X'WX) up to 1e20).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        ym, xm, wm = (mpmath.matrix(np.atleast_2d(a).tolist()) for a in (y, x, w))
+        ym = ym.T if ym.rows == 1 else ym
+        xtw = xm.T * wm
+        theta = mpmath.lu_solve(xtw * xm, xtw * ym)
+        r = ym - xm * theta
+        j = (r.T * wm * r)[0]
+        return np.array([float(t) for t in theta]), float(j)
+
+
 # --- Reference estimands ----------------------------------------------------
 
 
@@ -353,7 +378,7 @@ def grid_posterior(model, log_prior, *, axes=None, bounds=None, points=None) -> 
     pt = pseudo_true(model)
     d = np.ix_(*(a - t for a, t in zip(axes, pt.theta_w)))
     p = len(d)
-    h = model.design.hessian
+    h = model.X.T @ model.W @ model.X
     q = pt.j_stat + sum(h[i, j] * d[i] * d[j] for i in range(p) for j in range(p))
     logu = log_prior(q)
     cell = _trapezoid_weights(axes[0])

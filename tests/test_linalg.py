@@ -1,12 +1,12 @@
-"""The numpy-only linear algebra of the per-model path: SPD validation, lazy
-eigendecomposition factors, and the Cholesky solve."""
+"""The numpy-only linear algebra of the per-model path: SPD validation, the
+factors of its one eigendecomposition, and H^{-1} from the design's SVD."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from misspec import _linalg
-from misspec.errors import InputError, ModelValidationError
+from misspec.errors import ModelValidationError
 from misspec.inference import InferenceConfig, analyze
 from misspec.model import ModelInstance
 from oracles import random_model_arrays, random_spd
@@ -26,11 +26,12 @@ def eigh_calls(monkeypatch):
 
 
 class TestLazyFactors:
-    def test_analyze_needs_no_eigenvectors(self, eigh_calls):
+    def test_analyze_takes_one_eigh_per_w(self, eigh_calls):
+        # The eigh that validates W also gives the root that whitens the design.
         y, x, w = random_model_arrays(np.random.default_rng(1), 5, 2)
         m = ModelInstance(Y=y, X=x, W=w)
         analyze(m, InferenceConfig(v=[1.0, -0.5]), (0.5, 1.0, 4.0))
-        assert eigh_calls == []
+        assert eigh_calls == [(5, 5)]
 
     def test_one_eigh_serves_every_factor(self, eigh_calls):
         y, x, w = random_model_arrays(np.random.default_rng(2), 4, 1)
@@ -81,39 +82,20 @@ class TestSpdValidation:
             _linalg.spd_factor(self._skewed(bad), "Sigma")
 
 
-class TestChoSolve:
+class TestHessianInverse:
     @pytest.mark.parametrize("spread", [1.0, 11.0])
     def test_matches_dense_solve(self, spread):
+        # H^{-1} = 2^n V S^-2 V' from the whitened design's SVD, against a
+        # dense solve of H = X'WX, to H's own condition number.
         rng = np.random.default_rng(4)
         eps = np.finfo(np.float64).eps
         for p in range(1, 7):
             for _ in range(10):
                 k = p + int(rng.integers(1, 5))
                 _, x, _ = random_model_arrays(rng, k, p)
-                h = x.T @ random_spd(rng, k, spread=spread) @ x
-                lower = _linalg.cholesky(h)
+                w = random_spd(rng, k, spread=spread)
+                h = x.T @ w @ x
+                got = ModelInstance(Y=np.zeros(k), X=x, W=w).design.hessian_inv
+                ref = np.linalg.solve(h, np.eye(p))
                 tol = 50.0 * p * np.linalg.cond(h) * eps
-                for b in (rng.standard_normal(p), rng.standard_normal((p, k))):
-                    got = _linalg.cho_solve(lower, b)
-                    ref = np.linalg.solve(h, b)
-                    assert got.shape == b.shape
-                    err = np.linalg.norm(got - ref, axis=0)
-                    assert np.all(err <= tol * np.linalg.norm(ref, axis=0))
-
-    def test_cholesky_is_plain_lower_factor(self):
-        h = np.array([[4.0, 2.0], [2.0, 3.0]])
-        lower = _linalg.cholesky(h)
-        assert lower[0, 1] == 0.0
-        assert_allclose(lower @ lower.T, h, rtol=1e-15)
-
-    def test_leaves_right_hand_side_alone(self):
-        lower = _linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        _linalg.cho_solve(lower, b)
-        assert_array_equal(b, [[1.0, 2.0], [3.0, 4.0]])
-
-    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 2, 1)])
-    def test_rejects_mismatched_right_hand_side(self, shape):
-        lower = _linalg.cholesky(np.eye(2))
-        with pytest.raises(InputError, match="right-hand side"):
-            _linalg.cho_solve(lower, np.ones(shape))
+                assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)

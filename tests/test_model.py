@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from misspec.errors import InputError, ModelValidationError, NumericalError
+from misspec.errors import InputError, ModelValidationError
 from misspec.model import (
     ModelInstance,
     implied_eta,
@@ -32,7 +32,7 @@ class TestPseudoTrue:
         pt = pseudo_true(canon_model)
         assert_allclose(pt.theta_w, [1.0])
         assert_allclose(pt.j_stat, 2.0)
-        assert_allclose(canon_model.design.hessian, [[2.0]])
+        assert_allclose(canon_model.design.hessian_inv, [[0.5]])
 
     def test_just_identified_exact_fit(self):
         m = ModelInstance(Y=[3.0, 5.0], X=np.eye(2), W=np.eye(2))
@@ -128,6 +128,10 @@ class TestValidation:
         with pytest.raises(InputError, match="k >= p"):
             ModelInstance(Y=[1.0], X=[[1.0, 0.0]], W=np.eye(1))
 
+    def test_no_columns(self):
+        with pytest.raises(InputError, match="k >= p >= 1"):
+            ModelInstance(Y=[1.0], X=np.zeros((1, 0)), W=np.eye(1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["Y", "X", "W"])
     def test_non_finite_rejected(self, name, bad):
@@ -199,7 +203,7 @@ class TestInvariants:
             theta = pt.theta_w + rng.standard_normal(int(p)) * 3.0
             q = objective(m, theta)
             gap = theta - pt.theta_w
-            quad = pt.j_stat + gap @ m.design.hessian @ gap
+            quad = pt.j_stat + gap @ (m.X.T @ m.W @ m.X) @ gap
             assert abs(q - quad) < 1e-9 * (1.0 + q)
 
     def test_reweighting_equivariance(self):
@@ -255,141 +259,106 @@ def test_exact_fit_j_is_float_noise_at_worst():
     assert 0.0 <= j < 1e-12 * (1.0 + 3.0)
 
 
-def test_internal_consistency_error_is_reachable(monkeypatch):
-    m = ModelInstance(Y=[0.0, 2.0], X=[[1.0], [1.0]], W=np.eye(2))
-    import misspec.model as model_mod
-
-    monkeypatch.setattr(model_mod, "objective", lambda _m, _t: -1.0)
-    with pytest.raises(NumericalError):
-        model_mod.pseudo_true(m)
-
-
 class TestFitOnce:
-    """Every estimand of a model reuses the one fit: one Cholesky factor of
-    X'WX, and no grid posterior re-forms the residuals Y - X theta."""
+    """Every estimand of a model reuses the one fit: one eigendecomposition of
+    W and one SVD of the whitened design, and no grid posterior re-forms the
+    residuals Y - X theta."""
 
     @pytest.fixture
-    def factorizations(self, monkeypatch):
-        from misspec import _linalg
-
+    def decompositions(self, monkeypatch):
         calls = []
-        factor = _linalg.cholesky
-
-        def counting(a):
-            calls.append(a.shape)
-            return factor(a)
-
-        monkeypatch.setattr(_linalg, "cholesky", counting)
+        for name in ("eigvalsh", "eigh", "svd", "cholesky"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda a, *r, _fn=fn, _name=name, **k: calls.append(_name) or _fn(a, *r, **k),
+            )
         return calls
 
-    def test_analyze(self, factorizations):
+    def test_analyze(self, decompositions):
         from misspec.inference import InferenceConfig, analyze
 
         m = ModelInstance(Y=[1.0, 1.0, 4.0], X=[[1.0], [1.0], [1.0]], W=np.eye(3))
         analyze(m, InferenceConfig(v=[1.0]), (1.0, 2.0, 3.0))
-        assert len(factorizations) == 1
+        assert decompositions == ["eigh", "svd"]
 
-    def test_concentration_sweep(self, factorizations):
+    def test_concentration_sweep(self, decompositions):
         from misspec.montecarlo import run_concentration
         from misspec.priors import NormalRadial
 
         m = ModelInstance(Y=[1.0, 1.0, 4.0], X=[[1.0], [1.0], [1.0]], W=np.eye(3))
         run_concentration(m, NormalRadial(), [1e-2, 1e-1, 1.0], [0.1], grid_points=101)
-        assert len(factorizations) == 1
+        assert decompositions == ["eigh", "svd"]
 
-    def test_coverage(self, factorizations, monkeypatch):
+    def test_coverage(self, decompositions):
         from misspec import montecarlo
         from misspec.inference import InferenceConfig
         from misspec.montecarlo import DEFAULT_COVERAGE_X, run_coverage
         from misspec.posteriors import ThetaPrior
         from misspec.priors import NormalRadial, ScaledPrior
 
-        # A fresh fixture is factored once; a second run on equal arrays
-        # reuses the memoised fixture and factors and decomposes nothing.
+        # A fresh fixture is decomposed once; a second run on equal arrays
+        # reuses the memoised fixture and decomposes nothing.
         montecarlo._fixture_from_bytes.cache_clear()
         w = np.eye(5)
         theta = ThetaPrior.gaussian([0.0, 0.0], 10.0)
         eta = ScaledPrior(family=NormalRadial(), c=1.0, W=w)
         cfg = InferenceConfig(v=[1.0, 0.0])
+        decompositions.clear()
         run_coverage(DEFAULT_COVERAGE_X, w, theta, eta, cfg, reps=100, seed=1)
-        assert len(factorizations) == 1
-
-        decompositions = []
-        for name in ("eigvalsh", "eigh"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda a, *r, _fn=fn, **k: decompositions.append(a) or _fn(a, *r, **k)
-            )
-        factorizations.clear()
+        assert decompositions == ["eigh", "svd"]
+        decompositions.clear()
         run_coverage(DEFAULT_COVERAGE_X.copy(), w.copy(), theta, eta, cfg, reps=100, seed=1)
-        assert factorizations == [] and decompositions == []
+        assert decompositions == []
 
-    def test_local_ci_checks_only_y(self, factorizations, monkeypatch):
+    def test_local_ci_checks_only_y(self, decompositions):
         from misspec.inference import LocalExperiment, local_ci
 
         exp = LocalExperiment(
             Gamma_L=-np.ones((3, 1)), Sigma=np.eye(3), mu=np.zeros(3), K=[1.0], W_L=np.eye(3)
         )
-        factorizations.clear()
-        decompositions = []
-        for name in ("eigvalsh", "eigh", "svd"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda a, *r, _fn=fn, **k: decompositions.append(a) or _fn(a, *r, **k)
-            )
+        decompositions.clear()
         for y in ([1.0, 1.0, 4.0], [0.5, -2.0, 3.0]):
             local_ci(exp, y)
-        assert len(factorizations) == 1 and decompositions == []
+        assert decompositions == []
 
-    def test_local_experiment_decomposes_its_design_once(self, monkeypatch):
+    def test_local_experiment_decomposes_its_design_once(self, decompositions):
         from misspec.inference import LocalExperiment
 
-        sigma, w_l = 2.0 * np.eye(3), np.eye(3)
-        calls = []
-        for name in ("eigvalsh", "svd"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name,
-                lambda a, *r, _fn=fn, _name=name, **k: calls.append((_name, np.array(a))) or _fn(a, *r, **k),
-            )
-        LocalExperiment(Gamma_L=-np.ones((3, 1)), Sigma=sigma, mu=np.zeros(3), K=[1.0], W_L=w_l)
-        assert [name for name, _ in calls].count("svd") == 1
-        assert [name for name, a in calls if np.array_equal(a, w_l)] == ["eigvalsh"]
-        assert [name for name, a in calls if np.array_equal(a, sigma)] == ["eigvalsh"]
+        # One eigh each for Sigma and W_L, and the limit design's one SVD.
+        LocalExperiment(Gamma_L=-np.ones((3, 1)), Sigma=2.0 * np.eye(3), mu=np.zeros(3), K=[1.0],
+                        W_L=np.eye(3))
+        assert decompositions == ["eigh", "eigh", "svd"]
 
-    def test_sweeps_take_one_eigensolve_per_design(self, monkeypatch):
-        # Every posterior of a sweep is read off the design's spectrum: one
-        # eigvalsh per fresh design, and no SPD check per c.
+    def test_sweeps_take_one_eigensolve_per_design(self, decompositions, monkeypatch):
+        # Every posterior of a sweep is read off the design's SVD: a fresh
+        # design takes its one eigh and one SVD, a sweep none, and no SPD check per c.
         from misspec import _linalg
         from misspec.montecarlo import run_concentration, run_contamination
         from misspec.priors import NormalRadial, ScaledPrior, StudentTRadial
 
-        calls = []
-        for name in ("eigvalsh", "eigh"):
-            fn = getattr(np.linalg, name)
-            monkeypatch.setattr(
-                np.linalg, name, lambda a, *r, _fn=fn, _name=name, **k: calls.append(_name) or _fn(a, *r, **k)
-            )
         spd = _linalg.spd_factor
-        monkeypatch.setattr(_linalg, "spd_factor", lambda *a, **k: calls.append("spd_factor") or spd(*a, **k))
+        monkeypatch.setattr(
+            _linalg, "spd_factor", lambda *a, **k: decompositions.append("spd_factor") or spd(*a, **k)
+        )
 
         def fresh():
             x = [[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]]
             return ModelInstance(Y=[0.3, 2.1, -0.7, 1.4], X=x, W=np.eye(4))
 
+        decompositions.clear()
         m = fresh()
-        calls.clear()
+        assert decompositions == ["spd_factor", "eigh", "svd"]
+        decompositions.clear()
         run_concentration(m, NormalRadial(), np.logspace(-6, 1, 8), [0.1, 1.0])
-        assert calls == ["eigvalsh"]
-        calls.clear()
         run_concentration(m, StudentTRadial(3.0), np.logspace(-6, 1, 8), [0.1, 1.0])
-        assert calls == []
+        assert decompositions == []
 
         m = fresh()
         contaminant = ScaledPrior(family=NormalRadial(), c=4.0, W=m.W)
-        calls.clear()
+        decompositions.clear()
         run_contamination(m, NormalRadial(), contaminant, 0.01, [1e-6, 1e-4, 1e-2, 1.0], [0.1, 1.0])
-        assert calls == ["eigvalsh"]
+        assert decompositions == []
 
     def test_fit_is_cached(self, canon_model):
         assert pseudo_true(canon_model) is pseudo_true(canon_model)

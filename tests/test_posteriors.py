@@ -91,11 +91,13 @@ class TestTLimitPosterior:
         with pytest.raises(DegenerateLimitError):
             closed_form_posterior(exactfit_model, StudentTRadial(3.0), 0.0)
 
-    def test_positive_c_needs_no_positive_j(self, exactfit_model):
-        # At c > 0 the scale is c dof + J, not J alone, even where it rounds to J.
-        pt = pseudo_true(exactfit_model)
+    def test_positive_c_needs_no_positive_j(self):
+        # At c > 0 the scale is c dof + J, not J alone, even where it rounds to J:
+        # here J is float noise, about 2e-34, of a fit that is exact in exact arithmetic.
+        noisy = ModelInstance(Y=[0.1, 0.3], X=[[1.0], [3.0]], W=np.eye(2))
+        pt = pseudo_true(noisy)
         assert 1e-300 * 3.0 + pt.j_stat == pt.j_stat
-        post = closed_form_posterior(exactfit_model, StudentTRadial(3.0), 1e-300)
+        post = closed_form_posterior(noisy, StudentTRadial(3.0), 1e-300)
         assert post.dof == 4.0 and np.all(np.isfinite(post.scale))
 
     @pytest.mark.parametrize("dof", [math.inf, 0.0])
@@ -250,7 +252,7 @@ class TestMassOutsideBall:
     def test_hessian_norm_ball(self, canon_model):
         # Euclidean and X'WX-norm balls agree after radius rescaling for p=1.
         cf = normal_posterior(canon_model, 0.5)
-        h = canon_model.design.hessian
+        h = canon_model.X.T @ canon_model.W @ canon_model.X
         a = mass_outside_ball(cf, [1.0], 0.98, norm_matrix=h)
         b = mass_outside_ball(cf, [1.0], 0.98 / math.sqrt(h[0, 0]))
         assert_allclose(a, b, rtol=1e-12)
@@ -511,9 +513,9 @@ class TestMixturePosterior:
         assert_allclose(math.log(w_base), -post.log_odds, rtol=1e-12)
 
     def test_float_noise_in_j_counts_as_zero(self):
-        # J here is about 4e-31, float noise below the fit's noise floor; taken
+        # J here is about 2e-34, float noise below the fit's noise floor; taken
         # at face value it would give the contaminant all the weight at c = 1e-40.
-        noisy = ModelInstance(Y=[3.0, 3.0], X=[[1.0], [1.0]], W=np.eye(2))
+        noisy = ModelInstance(Y=[0.1, 0.3], X=[[1.0], [3.0]], W=np.eye(2))
         assert 0.0 < pseudo_true(noisy).j_stat <= pseudo_true(noisy).noise_floor
         post = _mixture(noisy, NormalRadial(), 1e-40, NormalRadial(), 4.0, 0.01)
         assert post.weights()[1] < 1e-20

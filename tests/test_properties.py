@@ -24,7 +24,7 @@ from misspec.inference import (
     identified_set_membership,
     identified_set_projection,
 )
-from misspec.errors import InputError, ModelValidationError
+from misspec.errors import InputError, ModelValidationError, NumericalError
 from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.posteriors import (
     ClosedFormPosterior,
@@ -139,6 +139,65 @@ def test_fit_scales_exactly_with_y(seed, shape, e, exact):
         ) == member == (exact or d > 0.5 * root_j)
 
 
+def _exactly_scaled(a: np.ndarray, e: int) -> np.ndarray | None:
+    """2^e a where that is exact (no entry overflows or leaves the normal range), else None."""
+    with np.errstate(over="ignore"):
+        out = np.ldexp(a, e)
+    nonzero = np.abs(out[a != 0.0])
+    return out if np.all(nonzero >= TINY) and np.all(nonzero < math.inf) else None
+
+
+TINY = 2.0**-1022  # the smallest normal float
+
+
+@given(seeds, shapes, st.integers(-1074, 1023), st.integers(-1074, 1023),
+       st.integers(-1074, 1023), st.booleans())
+@example(0, (3, 1), 0, 0, 1, False)  # an odd power of two in W
+@example(0, (4, 2), 900, -100, -1000, False)
+def test_fit_scales_exactly_with_y_x_and_w(seed, shape, ey, ex, ew, exact):
+    # (Y, X, W) -> (2^ey Y, 2^ex X, 2^ew W) is exact in floating point while
+    # every input stays normal, and so is the fit: theta_W scales by 2^(ey - ex)
+    # and J by 2^(2 ey + ew) bit for bit, and an exact fit stays one.  sigma_v
+    # scales by 2^-(ex + ew/2), a power of two at even ew; there the intervals
+    # and the identified sets, with d scaled by 2^(ey + ew/2), scale by
+    # 2^(ey - ex) bit for bit wherever they stay normal.
+    rng = np.random.default_rng(seed)
+    y, x, w = random_model_arrays(rng, *shape)
+    if exact:
+        y = x @ rng.standard_normal(shape[1])
+    scaled = [_exactly_scaled(a, e) for a, e in ((y, ey), (x, ex), (w, ew))]
+    assume(all(a is not None for a in scaled))
+    m = ModelInstance(Y=y, X=x, W=w)
+    cfg = _cfg(m, seed)
+    root_j = np.sqrt(pseudo_true(m).j_stat)
+    ds = [0.0, *(f * (1.0 if exact else root_j) for f in (0.5, 2.0))]
+    try:  # W's largest eigenvalue, theta_W or J may overflow, or J underflow
+        sm = ModelInstance(*scaled)
+        fit = pseudo_true(sm)
+    except (ModelValidationError, NumericalError):
+        assume(False)
+    assert_array_equal(fit.theta_w, np.ldexp(pseudo_true(m).theta_w, ey - ex))
+    assert fit.j_stat == math.ldexp(pseudo_true(m).j_stat, 2 * ey + ew)
+    assert (fit.j_stat <= fit.noise_floor) == (pseudo_true(m).j_stat <= pseudo_true(m).noise_floor)
+    assert (fit.j_stat <= fit.noise_floor) == exact
+    if ew % 2:
+        return
+    scaled_ds = _exactly_scaled(np.array(ds), ey + ew // 2)
+    assume(scaled_ds is not None)
+    try:
+        scaled_report = analyze(sm, cfg, scaled_ds.tolist())
+    except NumericalError:
+        assume(False)
+    report = analyze(m, cfg, ds)
+    assert scaled_report.sigma_v == math.ldexp(report.sigma_v, -ex - ew // 2)
+    for iv, siv in zip([report.ci, *(iv for _, iv in report.identified_sets)],
+                       [scaled_report.ci, *(iv for _, iv in scaled_report.identified_sets)]):
+        assert (siv.empty, siv.singleton) == (iv.empty, iv.singleton)
+        want = np.ldexp([iv.lower, iv.upper], ey - ex)
+        if not iv.empty and np.all(np.abs(want) >= 2.0**-1000) and fit.j_stat >= 2.0**-1000:
+            assert_array_equal([siv.lower, siv.upper], want)
+
+
 @given(
     seeds,
     shapes,
@@ -162,8 +221,8 @@ def test_model_on_a_shared_design_is_a_fresh_model(seed, shape, spread, y_raw, e
     a, b = pseudo_true(shared), pseudo_true(fresh)
     assert_array_equal(a.theta_w, b.theta_w)
     assert (a.j_stat, a.noise_floor) == (b.j_stat, b.noise_floor)
-    assert_array_equal(shared.design.hessian, fresh.design.hessian)
-    assert_array_equal(shared.design.cholesky, fresh.design.cholesky)
+    for name in ("w_root", "u", "s", "vt"):
+        assert_array_equal(getattr(shared.design, name), getattr(fresh.design, name))
     cfg = _cfg(fresh, seed)
     assert sigma_v(shared, cfg.v) == sigma_v(fresh, cfg.v)
     ds = (0.0, 0.5, 2.0)

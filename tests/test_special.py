@@ -12,7 +12,9 @@ from misspec.special import (
     log_gammaincc,
     t_cdf,
     t_quantile,
+    t_sq_tail,
 )
+from misspec.priors import StudentTRadial
 from oracles import normal_quantile_bisect, t_cdf_quad, t_quantile_quad
 
 
@@ -86,11 +88,47 @@ class TestTCdf:
 
     @pytest.mark.parametrize("dof", [0.2, 1.0, 30.0])
     def test_finite_x_squared_keeps_the_incomplete_beta(self, dof):
-        # Below 2^512, where x^2 is finite, the CDF is the incomplete beta's bits.
+        # Below 2^512, where x^2 is finite, the CDF is the bits of SciPy's stdtr,
+        # Boost's Student-t CDF on the incomplete beta I_z(dof/2, 1/2) at
+        # z = dof/(dof + x^2), or where z > 2/3 on its complement.
         xs = np.array([-np.nextafter(2.0**512, 0.0), -1e150, -3.5, 0.25, 1e100])
-        tail = 0.5 * scipy.special.betainc(0.5 * dof, 0.5, dof / (dof + xs * xs))
-        expected = np.where(xs >= 0.0, 1.0 - tail, tail)
-        assert t_cdf(StudentT(dof), xs).tolist() == expected.tolist()
+        assert t_cdf(StudentT(dof), xs).tolist() == scipy.special.stdtr(dof, xs).tolist()
+
+
+class TestTSqTail:
+    """Pr{T^2 > s}, the two-sided t tail that ``t_cdf`` and the t family's k = 1 tail read."""
+
+    @staticmethod
+    def _mp_tail(dof, s):
+        mpmath = pytest.importorskip("mpmath")
+        return mpmath.betainc(dof / 2, 0.5, 0, dof / (dof + s), regularized=True)
+
+    def test_matches_mpmath_to_a_few_ulps_of_its_conditioning(self):
+        # Within 8 ulps times 1 + the condition number of the tail in (dof, s),
+        # against 40-digit mpmath at dof <= 1000 and s from 1e-8 to 1e4.
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(1)
+        with mpmath.workdps(40):
+            for _ in range(40):
+                dof, s = 10.0 ** rng.uniform(-1.3, 3.0), 10.0 ** rng.uniform(-8.0, 4.0)
+                got = t_sq_tail(dof, np.array([s]))[0]
+                nu, sq = mpmath.mpf(dof), mpmath.mpf(s)
+                ref = self._mp_tail(nu, sq)
+                cond = (abs(sq * mpmath.diff(lambda q: self._mp_tail(nu, q), sq))
+                        + abs(nu * mpmath.diff(lambda q: self._mp_tail(q, sq), nu))) / ref
+                ulps = abs(mpmath.mpf(got) - ref) / math.ulp(float(ref))
+                assert ulps <= 8.0 * (1.0 + cond), (dof, s)
+
+    def test_student_t_k1_log_tail_reads_it(self):
+        # The t family's k = 1 log tail at dof 24.85 and S = 0.951236, once 35-92
+        # ulps off; now a few, what sqrt(S) and SciPy's stdtr round.
+        mpmath = pytest.importorskip("mpmath")
+        dof, s = 24.85, 0.951236
+        got = StudentTRadial(dof).log_tail(s, 1)
+        assert got == math.log(t_sq_tail(dof, np.array([s]))[0])
+        with mpmath.workdps(40):
+            ref = mpmath.log(self._mp_tail(mpmath.mpf(dof), mpmath.mpf(s)))
+        assert abs(got - float(ref)) <= 4.0 * math.ulp(got)
 
 
 class TestTQuantile:
