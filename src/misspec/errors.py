@@ -1,9 +1,9 @@
 """Exception hierarchy for the misspec package.
 
 Validation problems (bad inputs, invalid models, improper priors) derive from
-:class:`InputError`; breakdowns of the numerics themselves (a continued
-fraction that does not converge, a result that overflows float64) derive
-from :class:`NumericalError`.  The CLI exits 1 on the former and 2 on the latter.
+:class:`InputError`; breakdowns of the numerics themselves (a series that
+does not converge, a result that overflows float64) derive from
+:class:`NumericalError`.  The CLI exits 1 on the former and 2 on the latter.
 """
 
 

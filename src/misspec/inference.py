@@ -20,7 +20,7 @@ import numpy as np
 
 from misspec import _linalg
 from misspec.errors import InputError, JustIdentifiedError, NumericalError
-from misspec.model import ModelInstance, objective, pseudo_true, sigma_v
+from misspec.model import ModelInstance, pseudo_true, sigma_v
 from misspec.special import StudentT, t_quantile
 
 __all__ = [
@@ -179,6 +179,11 @@ def identified_set_projection(
     return _projection(pseudo_true(model), cfg, sigma_v(model, cfg.v), d)
 
 
+def _ldexp_or_inf(x: float, n: int) -> float:
+    """x 2^n for x >= 0; inf where that overflows."""
+    return math.inf if x > 0.0 and math.frexp(x)[1] + n > 1024 else math.ldexp(x, n)
+
+
 def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
     if not (d >= 0.0 and math.isfinite(d)):
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
@@ -188,7 +193,7 @@ def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
     # d^2 and J scaled by 2^-2e for d = m 2^e, m in [1/2, 1): d^2 cannot over- or underflow.
     e = math.frexp(d)[1]
     m2 = math.ldexp(d, -e) ** 2
-    j = math.inf if j > 0.0 and math.frexp(j)[1] - 2 * e > 1024 else math.ldexp(j, -2 * e)
+    j = _ldexp_or_inf(j, -2 * e)
     band = SINGLETON_RTOL * j
     if j == math.inf or m2 < j - band:
         return Interval.empty_set()
@@ -199,11 +204,22 @@ def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
 
 
 def identified_set_membership(model: ModelInstance, theta, d: float) -> bool:
-    """Whether theta satisfies Q(theta) <= d^2, to within 1e-12 of d^2 and the fit's noise floor."""
+    """Whether theta satisfies Q(theta) <= d^2, to within 1e-12 of d^2 and the fit's noise floor.
+
+    Q(theta) = J + 2^(2a + e) |S V'(theta - theta_W)|^2 from the design's SVD,
+    each term scaled by 2^-2f for d = m 2^f as in ``_projection``.
+    """
     if not (d >= 0.0 and math.isfinite(d)):
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
-    d2 = d * d
-    return objective(model, theta) <= d2 + 1e-12 * d2 + pseudo_true(model).noise_floor
+    theta = _linalg.as_vector(theta, model.p, "theta")
+    if not np.isfinite(theta).all():
+        return False
+    pt, design, f = pseudo_true(model), model.design, math.frexp(d)[1]
+    pair, c = _linalg.binade_scaled(np.stack([theta, pt.theta_w]))
+    z = design.s * (design.vt @ (pair[0] - pair[1]))
+    quad = _ldexp_or_inf(float(z @ z), 2 * (c + design.x_exponent - f) + design.w_factor.exponent)
+    m2 = math.ldexp(d, -f) ** 2
+    return _ldexp_or_inf(pt.j_stat, -2 * f) + quad <= m2 + 1e-12 * m2 + _ldexp_or_inf(pt.noise_floor, -2 * f)
 
 
 def finite_sample_ci(Yn, Xn, Wn, cfg: InferenceConfig) -> Interval:

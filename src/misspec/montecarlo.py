@@ -445,6 +445,11 @@ def run_contamination(
     return SweepTrace._along_c(c_grid, metrics)
 
 
+# A radial tail in dimension k sums about k/2 terms (``RadialFamily.log_tail``),
+# about a second's work at this k.
+_MAX_TAIL_K = 2**20
+
+
 def run_tails(family: RadialFamily, a_list, tau_list, c_list, k: int = 2) -> np.ndarray:
     """Tabulate conditional radial tail ratios over (a, tau, c) in dimension k.
 
@@ -453,10 +458,11 @@ def run_tails(family: RadialFamily, a_list, tau_list, c_list, k: int = 2) -> np.
     """
     if k < 1:
         raise InputError(f"dimension k must be positive, got {k}")
-    rows = [
-        (a, tau, c, _tail_ratio(family, k, c, a, tau))
-        for c in map(float, np.atleast_1d(c_list))
-        for a in map(float, np.atleast_1d(a_list))
-        for tau in map(float, np.atleast_1d(tau_list))
-    ]
-    return np.array(rows)
+    if k > _MAX_TAIL_K:
+        raise InputError(f"dimension k must be at most {_MAX_TAIL_K}, got {k}")
+    c_list, a_list, tau_list = (
+        list(map(float, v if isinstance(v, (list, tuple)) else np.atleast_1d(v)))
+        for v in (c_list, a_list, tau_list)
+    )
+    rows = [(c, a, tau) for c in c_list for a in a_list for tau in tau_list]
+    return np.array([(a, tau, c, r) for (c, a, tau), r in zip(rows, _tail_ratio(family, k, rows))])

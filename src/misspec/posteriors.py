@@ -611,15 +611,16 @@ def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> floa
     """
     sa, sb = math.sqrt(va), math.sqrt(vb)
     dof_a, dof_b = _dof(fam_a), _dof(fam_b)
-    # Pr{|u| > r} for the standardized radius |u| under a family.
-    tail = lambda fam, r: math.exp(fam.log_tail(r * r, p))
+    # Pr{|u| > r} for the standardized radius |u| under a family, at each r, in one call.
+    tails = lambda fam, radii: [math.exp(v) for v in fam.log_tail(np.array([r * r for r in radii]), p).tolist()]
     if dof_a is None and dof_b is None:
         # Crossing at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d = log(s_wide / s_narrow).
         d = abs(math.log(sa) - math.log(sb))
         if d == 0.0:
             return 0.0
         r_narrow = math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))
-        return tail(fam_a, r_narrow * math.exp(-d)) - tail(fam_a, r_narrow)
+        near, far = tails(fam_a, [r_narrow * math.exp(-d), r_narrow])
+        return near - far
 
     def log_density(fam: RadialFamily, s: float) -> Callable[[float], float]:
         const = -fam.log_ball_integral(p) - p * math.log(s)
@@ -650,8 +651,6 @@ def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> floa
             elif (h(hi) > 0.0) == positive_lo:
                 continue
             crossings.append(_find_sign_change(h, lo, hi))
-    total = sum(
-        (-1) ** i * (tail(fam_a, rho / sa) - tail(fam_b, rho / sb))
-        for i, rho in enumerate(crossings)
-    )
+    pairs = zip(tails(fam_a, [rho / sa for rho in crossings]), tails(fam_b, [rho / sb for rho in crossings]))
+    total = sum((-1) ** i * (ta - tb) for i, (ta, tb) in enumerate(pairs))
     return min(abs(total), 1.0)

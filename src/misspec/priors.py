@@ -33,6 +33,10 @@ from misspec.errors import (
     NumericalError,
 )
 
+_LOG_2 = math.log(2.0)
+_TINY = sys.float_info.min  # the smallest normal float
+_LGAMMA_3_2 = math.lgamma(1.5)
+
 __all__ = [
     "NormalRadial",
     "StudentTRadial",
@@ -47,6 +51,10 @@ class RadialFamily:
     """Base class for scalar radial profiles u -> f(u)."""
 
     proper: bool = False
+    # The t family's a = dof/2 and log Gamma(a + 1/2) / Gamma(a) - (log a)/2 in
+    # its tail I_x(a, k/2); the normal family's tail is their limit as a -> inf.
+    _a: float = math.inf
+    _half_excess: float = 0.0
 
     def log_f(self, u, k: int):
         """Log of the radial profile at u >= 0, in ambient dimension k."""
@@ -57,19 +65,61 @@ class RadialFamily:
         raise ImproperPriorError(f"{self.spec_string()} prior has no finite normalizer")
 
     def log_tail(self, s, k: int):
-        """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k.
+        """Log Pr{S > s} for S = eta' W eta / c under the prior, in dimension k >= 1.
 
-        ``s`` is a float or an array of floats, and so is the result: at k = 2
-        one closed form over the whole array, free of ``scipy.special``, at
-        other k entry by entry.
+        ``s`` is a float or an array of floats, and so is the result.  S is
+        chi-square with k dof under the normal family, with tail Q(k/2, y) at
+        y = s/2, and k F(k, dof) under t, with tail I_x(a, k/2) at a = dof/2,
+        x = dof/(dof + s), formed only as log x = -log1p(s/dof).  The tail is
+        its closed form at k = 2 (e^-y, x^a) or at k = 1 (erfc(sqrt(y)),
+        Pr{T^2 > s}) plus the positive terms of Q(b + 1, y) - Q(b, y) =
+        e^-y y^b / Gamma(b + 1) and I_x(a, b + 1) - I_x(a, b) =
+        x^a (1 - x)^b / (b B(a, b)) (DLMF §8.8(i), §8.17(iv)), summed in logs
+        relative to the lead e^-y or x^a: term b + 1 is term b times
+        y x (1 + b/a) / (b + 1), with x = 1 and a = inf for the normal family.
         """
         if not self.proper:
             raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
         if k == 2:
-            return self._log_tail_2d(s)
-        if not isinstance(s, np.ndarray):
-            return self._log_tail(float(s), k)
-        return np.array([self._log_tail(float(x), k) for x in np.ravel(s)]).reshape(np.shape(s))
+            return self._log_lead(s)
+        flat = s if isinstance(s, np.ndarray) and s.ndim == 1 else np.asarray(s, dtype=np.float64).reshape(-1)
+        values = flat.tolist()
+        inner = flat
+        if not (values and 0.0 < min(values) and max(values) < math.inf):
+            inner = np.where((flat > 0.0) & (flat < math.inf), flat, 1.0)
+        if k % 2:  # the tail at k = 1: ``_half_tail`` where it is a normal float
+            tails = self._half_tail(inner)
+            if tails and max(tails) < _TINY:
+                out = self._log_far_half_tail(inner)
+            else:
+                out = np.array([math.log(t) if t >= _TINY else -math.inf for t in tails])
+                if tails and min(tails) < _TINY:
+                    far = out == -math.inf
+                    out[far] = self._log_far_half_tail(inner[far])
+        if k > 2:
+            # Scalar constants go in by ufunc calls, cheaper than operators on a row's two cuts.
+            lead = self._log_lead(inner)
+            log_sx = np.log(inner)  # log(s x) = log(2 y x), log x = lead / a
+            if self._a < math.inf:
+                log_sx += np.divide(lead, self._a)
+            if k % 2:  # from the k = 1 tail; term 1/2 is y^(1/2) / Gamma(3/2) for the normal family
+                b, acc, const = 0.5, out - lead, self._half_excess - _LGAMMA_3_2 - 0.5 * _LOG_2
+            else:  # term 0 is 1, term 1 is y
+                b, acc, const = 1.0, 0.0, -_LOG_2
+            term = np.add(np.multiply(log_sx, b), const)
+            while True:
+                acc = np.logaddexp(acc, term)
+                if b + 1.0 >= 0.5 * k:
+                    break
+                term = term + np.add(log_sx, math.log1p(b / self._a) - math.log1p(b) - _LOG_2)
+                b += 1.0
+            out = np.minimum(lead + acc, 0.0)  # rounding can lift a tail near 1 above it
+        if inner is not flat:  # the tail is 1 at s = 0 and 0 at s = inf
+            out = np.where(flat == 0.0, 0.0, np.where(flat == math.inf, -math.inf, out))
+            out[np.isnan(flat)] = math.nan
+        if flat is s:
+            return out
+        return out.reshape(np.shape(s)) if np.ndim(s) else float(out[0])
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
         """Log marginal likelihood of the data under a flat theta prior, at scale c.
@@ -104,15 +154,18 @@ class NormalRadial(RadialFamily):
     def log_ball_integral(self, k: int) -> float:
         return 0.5 * k * math.log(2.0 * math.pi)
 
-    # S is chi-square with k degrees of freedom: its tail is an incomplete
-    # gamma, e^(-s/2) at k = 2 and erfc(sqrt(s/2)) at k = 1.
-    def _log_tail_2d(self, s):
-        return -0.5 * s
+    # S is chi-square: its tail is e^-y at k = 2 and erfc(sqrt(y)) at k = 1, y = s/2.
+    def _log_lead(self, s):
+        return np.multiply(s, -0.5)
 
-    def _log_tail(self, s: float, k: int) -> float:
-        if k == 1 and (tail := math.erfc(math.sqrt(0.5 * s))) >= sys.float_info.min:
-            return math.log(tail)
-        return special.log_gammaincc(0.5 * k, 0.5 * s)
+    def _half_tail(self, s):
+        return [math.erfc(math.sqrt(0.5 * v)) for v in s.tolist()]
+
+    def _log_far_half_tail(self, s):
+        import scipy.special
+
+        y = np.multiply(s, 0.5)
+        return np.log(scipy.special.erfcx(np.sqrt(y))) - y
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
         # J / c overflows only to +inf, where the evidence is 0, its limit.
@@ -135,6 +188,8 @@ class StudentTRadial(RadialFamily):
     def __post_init__(self):
         if not (0.5 * self.dof > 0.0 and math.isfinite(self.dof)):
             raise InputError(f"t radial dof must be finite with dof/2 positive, got {self.dof}")
+        object.__setattr__(self, "_a", 0.5 * self.dof)
+        object.__setattr__(self, "_half_excess", special.log_gamma_half_excess(self._a))
 
     def log_f(self, u, k: int):
         u = np.asarray(u, dtype=np.float64)
@@ -148,24 +203,16 @@ class StudentTRadial(RadialFamily):
             + 0.5 * k * math.log(nu * math.pi)
         )
 
-    # S / k is F(k, dof): its tail is the incomplete beta I_x(dof/2, k/2) at
-    # x = dof / (dof + s), and (1 + s/dof)^(-dof/2) at k = 2.
-    def _log_tail_2d(self, s):
-        return -0.5 * self.dof * _log1p_ratio(s, self.dof)
+    # S / k is F(k, dof): its tail is x^a = (1 + s/dof)^(-dof/2) at k = 2 and
+    # Pr{T^2 > s} for T Student-t at k = 1.
+    def _log_lead(self, s):
+        return np.multiply(_log1p_ratio(s, self.dof), -0.5 * self.dof)
 
-    def _log_tail(self, s: float, k: int) -> float:
-        if k == 1 and (tail := float(special.t_sq_tail(self.dof, [s])[0])) >= sys.float_info.min:
-            return math.log(tail)  # S = T^2 for T Student-t
-        a, b = 0.5 * self.dof, 0.5 * k
-        x = a / (a + 0.5 * s)  # x without overflow in dof + s
-        if x >= sys.float_info.min:
-            return special.log_betainc(a, b, x)
-        # Where x underflows, I_x(a, b) is its leading term x^a / (a B(a, b)):
-        # the next is O(x) smaller.
-        import scipy.special
+    def _half_tail(self, s):
+        return special.t_sq_tail(self.dof, s).tolist()
 
-        log_x = -_log1p_ratio(s, self.dof)
-        return a * log_x - math.log(a) - float(scipy.special.betaln(a, b))
+    def _log_far_half_tail(self, s):
+        return special.log_far_t_sq_tail(self._a, _log1p_ratio(s, self.dof))
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
         # log1p(J / (c dof)), as a softplus of its log, which neither overflows nor
@@ -218,22 +265,16 @@ class PowerLawRadial(RadialFamily):
 
 
 def _log1p_ratio(s, d: float):
-    """log(1 + s / d) for s >= 0 and d > 0: a float, or an array like s.
+    """log(1 + s / d) for s >= 0 and d > 0, a float or an array like s.
 
     s / d overflows only for d < 1, where 1 + s / d is s / d to rounding, so
     the log is log s - log d.
     """
-    if not isinstance(s, np.ndarray):  # numpy's logs, which round as on arrays
-        s = float(s)
-        ratio = s / d
-        return float(np.log1p(ratio) if ratio < math.inf else np.log(s) - math.log(d))
-    with np.errstate(over="ignore"):
-        ratio = s / d
-    out = np.log1p(ratio)
-    far = np.isinf(ratio) & (s < np.inf)
-    if far.any():
-        out[far] = np.log(s[far]) - math.log(d)
-    return out
+    if d >= 1.0:
+        return np.log1p(np.divide(s, d))
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = np.divide(s, d)
+        return np.where(np.isinf(ratio) & (np.asarray(s) < np.inf), np.log(s) - math.log(d), np.log1p(ratio))
 
 
 def parse_radial(text: str) -> RadialFamily:
@@ -331,24 +372,32 @@ def sample_eta(prior: ScaledPrior, rng_seed: int, n: int) -> np.ndarray:
     return out
 
 
-def _tail_ratio(family: RadialFamily, k: int, c: float, a: float, tau: float) -> float:
+def _tail_ratio(family: RadialFamily, k: int, rows) -> list[float]:
     """Pr{||eta||_W >= a tau | ||eta||_W >= tau} for ``family`` at scale c in dimension k.
 
-    The ratio of the two survival probabilities of s = ||eta||_W^2 / c
-    (``RadialFamily.log_tail``) is taken in log space, so it stays accurate
-    where both underflow; every finite cut has a finite log tail.  For the
-    normal family it tends to 0 as c -> 0; for the t family with dof it
-    tends to a^(-dof), independent of tau.
+    One ratio per row (c, a, tau), the rows checked in order.  The ratio of
+    the two survival probabilities of s = ||eta||_W^2 / c
+    (``RadialFamily.log_tail``, one call for every cut of every row) is taken
+    in log space, so it stays accurate where both underflow; every finite cut
+    has a finite log tail.  For the normal family it tends to 0 as c -> 0; for
+    the t family with dof it tends to a^(-dof), independent of tau.
     """
-    if not a > 1.0:
-        raise InputError(f"tail_ratio requires a > 1, got {a}")
-    if not tau > 0.0:
-        raise InputError(f"tail_ratio requires tau > 0, got {tau}")
-    if not (c > 0.0 and math.isfinite(c)):
-        raise InputError(f"prior scale c must be positive, got {c}")
-    s_lo = tau * tau / c
-    s_hi = a * a * s_lo
-    if not math.isfinite(s_hi):
-        raise NumericalError(f"radial tail cut {s_hi:.3e} is not finite")
-    return min(math.exp(family.log_tail(s_hi, k) - family.log_tail(s_lo, k)), 1.0)
-
+    cuts_lo, cuts_hi = [], []
+    for c, a, tau in rows:
+        if not a > 1.0:
+            raise InputError(f"tail_ratio requires a > 1, got {a}")
+        if not tau > 0.0:
+            raise InputError(f"tail_ratio requires tau > 0, got {tau}")
+        if not (c > 0.0 and math.isfinite(c)):
+            raise InputError(f"prior scale c must be positive, got {c}")
+        s_lo = tau * tau / c
+        s_hi = a * a * s_lo
+        if not math.isfinite(s_hi):
+            raise NumericalError(f"radial tail cut {s_hi:.3e} is not finite")
+        cuts_lo.append(s_lo)
+        cuts_hi.append(s_hi)
+        if not family.proper:
+            break  # log_tail refuses at the first checked entry
+    log_t = family.log_tail(np.array(cuts_lo + cuts_hi), k).tolist()
+    n = len(cuts_lo)
+    return [min(math.exp(hi - lo), 1.0) for lo, hi in zip(log_t[:n], log_t[n:])]

@@ -2,8 +2,10 @@
 
 The t CDF is SciPy's ``stdtr`` (Boost's, on the regularized incomplete beta)
 and the t quantile SciPy's ``stdtrit``, evaluated in the lower tail so that
-neither is formed as 1 - tail.  The log incomplete gamma and beta functions stay accurate where
-the functions themselves underflow.
+neither is formed as 1 - tail.  The two-sided tail Pr{T^2 > s} has a log that
+stays accurate where the tail itself underflows (``log_far_t_sq_tail``), and
+log Gamma(a + 1/2) / Gamma(a) is kept free of the cancellation of two lgammas
+(``log_gamma_half_excess``).
 
 ``scipy.special`` is imported on first use, inside the functions that call
 it, so importing this module (and ``misspec``) does not load it; commands
@@ -13,14 +15,12 @@ that never evaluate these functions never pay for it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from misspec.errors import DomainError, NumericalError
+from misspec.errors import DomainError
 
 # |x| at and above which x^2 overflows: 2^512 = sqrt(2^1024).
 _SQRT_OVERFLOW = 2.0**512
@@ -42,10 +42,14 @@ def t_sq_tail(dof: float, s) -> np.ndarray:
 
     Twice SciPy's ``stdtr`` at -sqrt(s): Boost's t CDF, which takes 1 - x as
     s/(dof + s) where x > 2/3, so the rounding of x near 1 is not magnified.
+    At dof = 1 it is the Cauchy tail (2/pi) atan(1/sqrt(s)): there ``stdtr``
+    is 1e2 ulps off at s = 1e-6 and 1e5 at s = 1e-12.
     """
+    if dof == 1.0:
+        return (2.0 / math.pi) * np.arctan2(1.0, np.sqrt(s))
     import scipy.special
 
-    return 2.0 * scipy.special.stdtr(dof, -np.sqrt(s))
+    return np.multiply(scipy.special.stdtr(dof, np.negative(np.sqrt(s))), 2.0)
 
 
 def t_cdf(dist: StudentT, x):
@@ -60,16 +64,12 @@ def t_cdf(dist: StudentT, x):
     arr = np.atleast_1d(arr)
     import scipy.special
 
-    # Half of t_sq_tail at x^2, from x itself; where x^2 overflows Boost's would be 0.
+    # Half of t_sq_tail at x^2, from x itself; where x^2 overflows Boost's would be 0,
+    # and log1p(x^2/nu) is 2 log|x| - log nu to rounding (inf at x = +-inf, where the tail is 0).
     far = np.abs(arr) >= _SQRT_OVERFLOW
     tail = scipy.special.stdtr(nu, -np.abs(np.where(far, 0.0, arr)))
     if far.any():
-        # Where x^2 overflows, z = nu/x^2 to rounding and I_z(a, 1/2) is its
-        # leading term z^a / (a B(a, 1/2)): the next is O(nu/x^2) smaller.
-        # At x = +-inf the tail is exp(-inf) = 0.
-        a = 0.5 * nu
-        log_z = math.log(nu) - 2.0 * np.log(np.abs(arr[far]))
-        tail[far] = 0.5 * np.exp(a * log_z - math.log(a) - scipy.special.betaln(a, 0.5))
+        tail[far] = 0.5 * np.exp(log_far_t_sq_tail(0.5 * nu, 2.0 * np.log(np.abs(arr[far])) - math.log(nu)))
     out = np.where(arr >= 0.0, 1.0 - tail, tail)
     return float(out[0]) if scalar else out
 
@@ -95,63 +95,54 @@ def _t_quantile(dof: float, q: float) -> float:
     return x if q > 0.5 else -x
 
 
-def _log_continued_fraction(b0: float, terms) -> float:
-    """Log of b0 + a1 / (b1 + a2 / (b2 + ...)) > 0, for b0 > 0 and terms (a_n, b_n).
+# log Gamma(a + 1/2) / Gamma(a) - (log a)/2 = sum_n C_n a^(1 - 2n), C_n from the
+# Bernoulli polynomials (DLMF §5.11); from a = 7 on, nine terms are within an ulp.
+_HALF_EXCESS = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224, -5461 / 425984,
+                929569 / 15728640, -3202291 / 8912896)
+# (sinh(w/2) / (w/2))^(-1/2) = 1 + sum_n _BGRAT_C[n - 1] w^(2n), at float precision for w < log 2.
+_BGRAT_C = (-1 / 48, 1 / 2560, -61 / 7741440, 1.6967665791721782e-07, -3.805064191721906e-09,
+            8.748377596315407e-11, -2.044523359411974e-12, 4.833351797967704e-14)
 
-    Modified Lentz's method, stopped once a step changes the value by less
-    than the working precision.
+
+def log_gamma_half_excess(a: float) -> float:
+    """log Gamma(a + 1/2) / Gamma(a) - (log a)/2 for a > 0: lgammas below a = 7, else their series."""
+    if a < 7.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(a)
+    return sum(c * a ** (1 - 2 * n) for n, c in enumerate(_HALF_EXCESS, 1))
+
+
+def log_far_t_sq_tail(a: float, l1: np.ndarray) -> np.ndarray:
+    """log Pr{T^2 > s} = log I_x(a, 1/2), T Student-t with dof 2a, from l1 = log(1/x) = log1p(s/dof) > 0.
+
+    Accurate where the tail is too small for a normal float.  For x <= 1/2 the
+    power series (DLMF §8.17(ii)) x^a (1 - x)^(1/2) / (a B(a, 1/2)) sum_n
+    (a + 1/2)_n / (a + 1)_n x^n; for x > 1/2 (so a > 1000) BGRAT at b = 1/2
+    (DiDonato & Morris 1992, ACM TOMS 18): with T = a - 1/4 and u = T l1,
+    I = Gamma(a + 1/2) / (Gamma(a) sqrt(pi T)) sum_n c_n T^-2n Gamma(1/2 + 2n)
+    Q(1/2 + 2n, u).  Term n over term 0 is c_n l1^2n h_2n, h_0 = 1 and
+    h_(j+1) = w + (j + 1/2) h_j / u with w = 1 / (sqrt(pi u) erfcx(sqrt(u))),
+    by Q(b + 1, u) = Q(b, u) + e^-u u^b / Gamma(b + 1), Q(1/2, u) = erfc(sqrt(u)).
     """
-    f, c, d = b0, b0, 0.0
-    for a_n, b_n in itertools.islice(terms, 10_000):
-        d = b_n + a_n * d
-        d = 1.0 / (d if d != 0.0 else 1e-300)
-        c = b_n + a_n / c
-        c = c if c != 0.0 else 1e-300
-        f *= c * d
-        if abs(c * d - 1.0) < sys.float_info.epsilon:
-            return math.log(f)
-    raise NumericalError("continued fraction did not converge")
-
-
-def log_gammaincc(a: float, x: float) -> float:
-    """Log of the regularized upper incomplete gamma function Q(a, x).
-
-    SciPy's ``gammaincc`` where it is a normal float.  It underflows only for
-    x > a + 1, and there log Q = -x + a log x - lgamma(a) - log CF, with the
-    continued fraction CF = (x + 1 - a) - 1(1 - a) / ((x + 3 - a) - 2(2 - a) / ...).
-    """
-    if not (a > 0.0 and x >= 0.0):
-        raise DomainError(f"log_gammaincc requires a > 0 and x >= 0, got a={a}, x={x}")
     import scipy.special
 
-    q = float(scipy.special.gammaincc(a, x))
-    if q >= sys.float_info.min or not a + 1.0 < x < math.inf:
-        return math.log(q) if q > 0.0 else -math.inf
-    terms = ((-n * (n - a), x + 2.0 * n + 1.0 - a) for n in itertools.count(1))
-    # x is subtracted last: it dominates, and the other terms keep their precision.
-    return (a * math.log(x) - math.lgamma(a) - _log_continued_fraction(x + 1.0 - a, terms)) - x
-
-
-def log_betainc(a: float, b: float, x: float) -> float:
-    """Log of the regularized incomplete beta function I_x(a, b).
-
-    SciPy's ``betainc`` where it is a normal float.  It underflows only for
-    x < (a + 1) / (a + b + 2), and there log I = a log x + b log(1 - x) - log a
-    - log B(a, b) - log CF, with the continued fraction CF = 1 + d_1 / (1 + d_2 / ...).
-    """
-    if not (a > 0.0 and b > 0.0 and 0.0 <= x <= 1.0):
-        raise DomainError(f"log_betainc requires a, b > 0 and x in [0, 1], got {a}, {b}, {x}")
-    import scipy.special
-
-    v = float(scipy.special.betainc(a, b, x))
-    if v >= sys.float_info.min or not 0.0 < x < (a + 1.0) / (a + b + 2.0):
-        return math.log(v) if v > 0.0 else -math.inf
-
-    def terms():
-        for m in itertools.count():
-            if m:
-                yield m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)), 1.0
-            yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)), 1.0
-
-    log_prefactor = a * math.log(x) + b * math.log1p(-x) - math.log(a) - scipy.special.betaln(a, b)
-    return float(log_prefactor) - _log_continued_fraction(1.0, terms())
+    excess = log_gamma_half_excess(a)
+    out = np.empty_like(l1)
+    wide = l1 >= math.log(2.0)
+    if wide.any():
+        x = np.exp(-l1[wide])
+        term, total, n = np.ones_like(x), np.ones_like(x), 0.0
+        while term.max() > 2.0**-54 * total.min():
+            term *= x * ((a + 0.5 + n) / (a + 1.0 + n))
+            total += term
+            n += 1.0
+        out[wide] = -a * l1[wide] + (0.5 * np.log1p(-x) + np.log(total)) + (excess - 0.5 * math.log(math.pi * a))
+    if not wide.all():
+        near, t = l1[~wide], a - 0.25
+        u = t * near
+        scaled = scipy.special.erfcx(np.sqrt(u))
+        w, h, corr = 1.0 / (np.sqrt(math.pi * u) * scaled), 1.0, 0.0
+        for n, c in enumerate(_BGRAT_C):
+            h = w + (2 * n + 1.5) * (w + (2 * n + 0.5) * h / u) / u
+            corr = corr + c * near ** (2 * n + 2) * h
+        out[~wide] = (np.log(scaled) + np.log1p(corr) - u) + (excess + 0.5 * math.log(a / t))
+    return out

@@ -518,6 +518,10 @@ class TestSweepCommands:
     def test_tails_nonpositive_k_is_one_json_line(self, k, capsys):
         assert "k must be positive" in _error(["tails", "--radial", "t:3", "--k", k], capsys)
 
+    def test_tails_past_the_largest_k_is_one_json_line(self, capsys):
+        # A tail sums about k/2 terms; at k = 2^20 that takes about a second.
+        assert "k must be at most 1048576" in _error(["tails", "--radial", "t:3", "--k", "1048577"], capsys)
+
     def test_numerical_error_exit_code(self, capsys):
         argv = ["tails", "--radial", "normal", "--a", "2", "--tau", "1e6", "--c", "1e-310"]
         _error(argv, capsys, code=2)
@@ -710,7 +714,7 @@ _RUNS_WITHOUT_SCIPY_SPECIAL = [
     ["tails", "--radial", "normal"],
 ]
 # Exact p = 1 t and power-law masses come from the t CDF, an incomplete beta,
-# and radial tails at k = 5 from an incomplete beta or gamma.
+# and the t family's radial tails at odd k start from it too.
 _RUNS_WITH_SCIPY_SPECIAL = [
     ["concentration", "--model", "m1.json", "--radial", "t:5", "--c-grid", "1e-2,1"],
     ["concentration", "--model", "m1.json", "--radial", "powerlaw:2", "--c-grid", "1e-2,1"],

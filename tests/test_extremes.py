@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 
@@ -51,16 +52,18 @@ def _scaled(model: dict, ey: int, ex: int, ew: int, exact: bool = False) -> dict
     return out
 
 
-def _cli(command: str, model: dict, *args: str) -> tuple[int, str, str]:
-    """Run the CLI in-process on ``model`` with warnings as errors: (exit code, stdout, stderr)."""
+def _cli(command: str, model: dict | None, *args: str) -> tuple[int, str, str]:
+    """Run the CLI in-process on ``model`` (if any) with warnings as errors: (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "model.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(model, fh)
+        if model is not None:
+            path = os.path.join(tmp, "model.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(model, fh)
+            args = ("--model", path, *args)
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
-            code = main([command, "--model", path, *args])
+            code = main([command, *args])
     out, err = out.getvalue(), err.getvalue()
     if code != 0:
         (line,) = err.splitlines()
@@ -165,6 +168,57 @@ def test_contamination_is_finite_or_a_refusal(name, ey, ex, ew, radial, c, c_con
         _finite_csv(out)
 
 
+def _tail_ratios(radial: str, k: int, a: float, tau: float, c: float) -> tuple[int, list[float]]:
+    """``tails`` in-process: (exit code, the ratios), each ratio checked to be in [0, 1]."""
+    code, out, _ = _cli("tails", None, "--radial", radial, "--k", str(k), "--a", repr(a), "--tau", repr(tau),
+                        "--c", repr(c))
+    if code != 0:
+        return code, []
+    lines = out.splitlines()
+    assert lines[0] == "a,tau,c,ratio" and len(lines) == 2
+    ratios = [float(line.split(",")[3]) for line in lines[1:]]
+    assert all(0.0 <= r <= 1.0 for r in ratios)
+    return code, ratios
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.just("normal"), st.floats(-1.0, 308.0).map(lambda e: f"t:{10.0**e!r}")),
+       st.integers(1, 8), st.floats(0.0, 300.0).map(lambda e: 1.0 + 10.0**-e) | st.floats(1.0, 1e300),
+       st.floats(-300.0, 300.0).map(lambda e: 10.0**e), prior_scales)
+def test_tails_is_a_ratio_or_a_refusal(radial, k, a, tau, c):
+    # Every run exits 0 with ratios in [0, 1], or with the one-line JSON error.
+    assume(a > 1.0)
+    _tail_ratios(radial, k, a, tau, c)
+
+
+class TestTails:
+    """``tails`` at the points where the continued fraction and the rounding of x failed."""
+
+    @pytest.mark.parametrize("radial", ["normal", "t:1e12", "t:1e20", "t:1e308"])
+    def test_far_t_tails_vanish_as_the_normal_ones(self, radial):
+        # At dof 1e20, x = dof/(dof + s) is 1 in float64 and the ratio printed 1.
+        assert _tail_ratios(radial, 1, 2.0, 1.0, 5e-4) == (0, [0.0])
+
+    @pytest.mark.parametrize("radial", ["t:1e200", "t:1e308"])
+    def test_huge_dof_at_k5(self, radial):
+        # The continued fraction's coefficients overflowed to NaN: exit 2, "did not converge".
+        code, ratios = _tail_ratios(radial, 5, 1.0001, 1e154, 1.0)
+        assert code == 0 and len(ratios) == 1
+
+    @pytest.mark.parametrize("dof", [1e6, 1e10, 1e12])
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_t_log_tail_where_x_rounds_towards_1(self, dof, k):
+        # At s = 2000 the log tail was 1.8e-10, 1.9e-7 and 2.6e-5 off; now within 16 eps of 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+        from misspec.priors import StudentTRadial
+
+        with mpmath.workdps(50):
+            nu, s = mpmath.mpf(dof), mpmath.mpf(2000)
+            ref = float(mpmath.log(mpmath.betainc(nu / 2, mpmath.mpf(k) / 2, 0, nu / (nu + s), regularized=True)))
+        got = StudentTRadial(dof).log_tail(2000.0, k)
+        assert abs(got - ref) <= 16 * sys.float_info.epsilon * abs(ref)
+
+
 class TestScaledModels:
     """Scalings that printed nulls or ended in a traceback when the fit formed X'WX."""
 
@@ -207,6 +261,18 @@ class TestScaledModels:
         model["Y"] = _golden("m2.json")["Y"]
         code, _, err = _cli("analyze", model)
         assert code == 2 and "J = inf" in err
+
+    def test_membership_of_huge_data_stays_in_range(self):
+        # m2 with Y x 1e153: (Y - X theta)' W (Y - X theta) overflowed in the
+        # matmul at theta = 30 theta_W; Q(theta) is past d^2 = 1.44e308.
+        from misspec.inference import identified_set_membership
+        from misspec.model import ModelInstance, pseudo_true
+
+        model = _golden("m2.json")
+        model = ModelInstance(Y=1e153 * np.asarray(model["Y"]), X=model["X"], W=model["W"])
+        theta_w = pseudo_true(model).theta_w
+        assert identified_set_membership(model, 30.0 * theta_w, 1.2e154) is False
+        assert identified_set_membership(model, theta_w, 1.2e154) is True
 
     def test_near_collinear_design_is_fitted(self):
         # kappa(X) = 1.8e9: the rank check passes and the Cholesky factor of

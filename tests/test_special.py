@@ -1,50 +1,68 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from misspec.errors import DomainError
+from misspec.errors import DomainError, ImproperPriorError, InputError
+from misspec.montecarlo import run_tails
 from misspec.special import (
     StudentT,
-    log_betainc,
-    log_gammaincc,
+    log_far_t_sq_tail,
+    log_gamma_half_excess,
     t_cdf,
     t_quantile,
     t_sq_tail,
 )
-from misspec.priors import StudentTRadial
+from misspec.priors import NormalRadial, PowerLawRadial, StudentTRadial
 from oracles import normal_quantile_bisect, t_cdf_quad, t_quantile_quad
+
+EPS = sys.float_info.epsilon
 
 
 class TestRegIncBeta:
-    """The regularized incomplete beta I_x(a, b), through its log ``log_betainc``."""
+    """The regularized incomplete beta I_x(a, b) as the t family's tail I_x(dof/2, k/2), x = dof/(dof + s)."""
 
     def test_symmetry_at_half(self):
-        for a in (0.5, 1.0, 2.0, 7.0):
-            assert_allclose(math.exp(log_betainc(a, a, 0.5)), 0.5, rtol=1e-12)
+        # I_(1/2)(a, a) = 1/2: dof = k and s = dof.
+        for k in range(1, 9):
+            assert_allclose(math.exp(StudentTRadial(k).log_tail(float(k), k)), 0.5, rtol=1e-14)
 
     def test_endpoints(self):
-        for a in (0.01, 2.0, 50.0):
-            for b in (0.5, 3.0, 1e3):
-                assert log_betainc(a, b, 0.0) == -math.inf
-                assert log_betainc(a, b, 1.0) == 0.0
+        # s = 0 and s = inf are x = 1 and x = 0, for floats and inside arrays alike.
+        for dof in (0.02, 4.0, 100.0, 1e300):
+            family = StudentTRadial(dof)
+            for k in (1, 2, 3, 6, 2001):
+                assert (family.log_tail(0.0, k), family.log_tail(math.inf, k)) == (0.0, -math.inf)
+                got = family.log_tail(np.array([0.0, 1.0, math.inf, math.nan]), k)
+                assert got[[0, 2]].tolist() == [0.0, -math.inf] and math.isnan(got[3])
+                assert got[1] == family.log_tail(1.0, k)
 
     def test_uniform_case(self):
-        assert_allclose(log_betainc(1.0, 1.0, 0.25), math.log(0.25), rtol=1e-14)
+        # I_x(1, 1) = x at dof = 2, k = 2; and I_x(1, 2) = x (2 - x) at k = 4.
+        x = 2.0 / 5.0
+        assert_allclose(StudentTRadial(2.0).log_tail(3.0, 2), math.log(x), rtol=1e-15)
+        assert_allclose(StudentTRadial(2.0).log_tail(3.0, 4), math.log(x * (2.0 - x)), rtol=1e-15)
 
     def test_monotone_on_grid(self):
-        # At a = 50 the grid crosses from the continued fraction, where the
-        # library's value underflows, to the library's value.
-        for a, b in ((2.5, 0.8), (50.0, 2.5)):
-            vals = [log_betainc(a, b, x) for x in np.geomspace(1e-12, 1.0, 1000)]
-            assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) >= 0.0)
+        # From SciPy's t CDF to the far start where I_x underflows: by the
+        # power series at dof = 5 and also by BGRAT at dof = 1e4 and 1e12.
+        s = np.geomspace(1e-2, 1e300, 1000)
+        for dof in (5.0, 1e4, 1e12):
+            for k in range(1, 9):
+                vals = StudentTRadial(dof).log_tail(s, k)
+                assert np.all(np.isfinite(vals)) and np.all(np.diff(vals) < 0.0), (dof, k)
 
     def test_domain(self):
-        for a, b, x in [(1.0, 1.0, 1.5), (-1.0, 1.0, 0.5), (1.0, 1.0, math.nan), (math.nan, 1.0, 0.5)]:
-            with pytest.raises(DomainError):
-                log_betainc(a, b, x)
+        for dof in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                StudentTRadial(dof)
+        for k in (0, -1, 2**20 + 1):
+            with pytest.raises(InputError):
+                run_tails(StudentTRadial(3.0), [2.0], [1.0], [1.0], k=k)
+        assert math.isnan(StudentTRadial(3.0).log_tail(math.nan, 5))
 
 
 class TestTCdf:
@@ -190,49 +208,146 @@ class TestTQuantile:
             t_quantile(StudentT(2.0), 1.0)
 
 
+def _mp_log_tail(family, s, k: int):
+    """50-digit log tail, or None where mpmath's I_x(a, 1/2) or I_x(a, 1) is unusable.
+
+    Normal: mpmath's upper incomplete gamma.  t: the start I_x(a, 1/2) (odd k)
+    or x^a (even k) plus the positive terms of DLMF 8.17.20, where mpmath's
+    I_x(a, 1/2) computes and its I_x(a, 1) agrees with the closed form x^a.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        if isinstance(family, NormalRadial):
+            return mpmath.log(mpmath.gammainc(mpmath.mpf(k) / 2, s / 2, mpmath.inf, regularized=True))
+        nu = mpmath.mpf(family.dof)
+        a, x = nu / 2, nu / (nu + s)
+        try:
+            half = mpmath.betainc(a, 0.5, 0, x, regularized=True)
+            if abs(mpmath.betainc(a, 1, 0, x, regularized=True) / x**a - 1) > mpmath.mpf(10) ** -30:
+                return None
+        except (ValueError, mpmath.libmp.NoConvergence):
+            return None
+        b, total = (mpmath.mpf(0.5), half) if k % 2 else (mpmath.mpf(1), x**a)
+        while b < mpmath.mpf(k) / 2:
+            total += x**a * (1 - x) ** b / (b * mpmath.beta(a, b))
+            b += 1
+        return mpmath.log(total)
+
+
 class TestLogIncomplete:
-    @pytest.fixture
-    def underflowing_library(self, monkeypatch):
-        """Library values as if they had underflowed, so the continued fractions run."""
-        library = (scipy.special.gammaincc, scipy.special.betainc)
-        monkeypatch.setattr(scipy.special, "gammaincc", lambda a, x: 0.0)
-        monkeypatch.setattr(scipy.special, "betainc", lambda a, b, x: 0.0)
-        return library
+    """The radial log tails where the incomplete gamma and beta functions are and are not normal floats."""
 
-    def test_gamma_continued_fraction_matches_library(self, underflowing_library):
-        gammaincc, _ = underflowing_library
-        for a in (0.5, 1.0, 2.5, 5.0):
-            for x in np.geomspace(a + 1.5, 700.0, 12):
-                assert_allclose(log_gammaincc(a, x), math.log(gammaincc(a, x)), rtol=1e-14)
+    def test_gamma_sum_matches_library(self):
+        # The normal family's tail, math.erfc's start plus positive terms, is Q(k/2, s/2).
+        s = np.geomspace(1e-3, 1400.0, 40)
+        for k in range(1, 9):
+            want = scipy.special.gammaincc(0.5 * k, 0.5 * s)
+            assert np.all(want >= sys.float_info.min)
+            assert_allclose(NormalRadial().log_tail(s, k), np.log(want), rtol=1e-13, atol=4 * EPS)
 
-    def test_beta_continued_fraction_matches_library(self, underflowing_library):
-        _, betainc = underflowing_library
-        for a in (0.5, 1.5, 2.5, 50.0):
-            for b in (0.5, 1.0, 2.5):
-                for x in np.geomspace(1e-4, 0.99 * (a + 1.0) / (a + b + 2.0), 8):
-                    assert_allclose(log_betainc(a, b, x), math.log(betainc(a, b, x)), rtol=1e-14)
+    def test_beta_sum_matches_library(self):
+        # The t family's tail is I_x(dof/2, k/2); at these dof SciPy's betainc
+        # keeps about 1e-14 of the rounding of x.
+        s = np.geomspace(1e-3, 1e6, 40)
+        for dof in (0.2, 1.0, 3.0, 30.0):
+            for k in range(1, 9):
+                want = scipy.special.betainc(0.5 * dof, 0.5 * k, dof / (dof + s))
+                normal = want >= sys.float_info.min
+                got = StudentTRadial(dof).log_tail(s, k)
+                assert_allclose(got[normal], np.log(want[normal]), rtol=1e-12, atol=4 * EPS)
 
     def test_finite_where_library_underflows(self):
         assert scipy.special.gammaincc(2.5, 1e4) == 0.0
-        leading = -1e4 + 1.5 * math.log(1e4) - math.lgamma(2.5)
-        assert_allclose(log_gammaincc(2.5, 1e4), leading, rtol=1e-6)
         assert scipy.special.betainc(50.0, 2.5, 1e-8) == 0.0
-        assert_allclose(
-            log_betainc(50.0, 2.5, 1e-8),
-            50.0 * math.log(1e-8) - math.log(50.0) - scipy.special.betaln(50.0, 2.5),
-            rtol=1e-8,
-        )
+        for family, s in ((NormalRadial(), 2e4), (StudentTRadial(100.0), 100.0 / 1e-8 - 100.0)):
+            got = family.log_tail(s, 5)
+            assert_allclose(got, float(_mp_log_tail(family, s, 5)), rtol=4 * EPS)
 
     def test_library_value_elsewhere(self):
-        assert log_gammaincc(2.5, 3.0) == math.log(scipy.special.gammaincc(2.5, 3.0))
-        assert log_betainc(2.5, 1.5, 0.9) == math.log(scipy.special.betainc(2.5, 1.5, 0.9))
-        assert log_gammaincc(2.5, 0.0) == 0.0 and log_gammaincc(2.5, math.inf) == -math.inf
-        assert log_betainc(2.5, 1.5, 1.0) == 0.0 and log_betainc(2.5, 1.5, 0.0) == -math.inf
+        # Where neither underflows, the log tails are the logs of SciPy's values to a few ulps.
+        assert_allclose(NormalRadial().log_tail(6.0, 5), math.log(scipy.special.gammaincc(2.5, 3.0)), rtol=4 * EPS)
+        x = 0.9  # dof = 5, s = 5/9
+        assert_allclose(
+            StudentTRadial(5.0).log_tail(5.0 / 9.0, 3), math.log(scipy.special.betainc(2.5, 1.5, x)), rtol=1e-14
+        )
 
     def test_domain(self):
-        for a, x in [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, math.nan)]:
-            with pytest.raises(DomainError):
-                log_gammaincc(a, x)
-        for a, b, x in [(0.0, 1.0, 0.5), (1.0, 0.0, 0.5), (1.0, 1.0, 1.5), (1.0, 1.0, -0.1)]:
-            with pytest.raises(DomainError):
-                log_betainc(a, b, x)
+        for k in (1, 2, 5):
+            with pytest.raises(ImproperPriorError):
+                PowerLawRadial(3.0).log_tail(1.0, k)
+        with pytest.raises(InputError, match="at most"):
+            run_tails(NormalRadial(), [2.0], [1.0], [1.0], k=2**21)
+
+    @pytest.mark.parametrize("dof", [None, 0.2, 1.0, 3.0, 24.85, 1e3, 1e6, 1e12])
+    def test_within_16_eps_of_mpmath(self, dof):
+        # |error| <= 16 eps max(1, |log T|) at k = 1..8 against 50 digits, for
+        # s from 1e-6 to 1e308; at dof 1e6 and 1e12 and s = 2000, where
+        # x = dof/(dof + s) rounds towards 1, the tail is BGRAT's.
+        family = NormalRadial() if dof is None else StudentTRadial(dof)
+        s = [1e-6, 0.01, 1.0, 2.0, 10.0, 100.0, 2000.0, 1e50, 1e308]
+        checked = 0
+        for k in range(1, 9):
+            got = family.log_tail(np.array(s), k)
+            for value, cut in zip(got, s):
+                ref = _mp_log_tail(family, cut, k)
+                if ref is not None:
+                    checked += 1
+                    assert abs(value - float(ref)) <= 16 * EPS * max(1.0, abs(float(ref))), (k, cut)
+        assert checked >= 8 * (len(s) - 1)
+
+    @pytest.mark.parametrize("dof", [0.2, 3.0, 1e3])
+    def test_sums_are_the_incomplete_beta(self, dof):
+        # The start and the positive terms against mpmath's I_x(dof/2, k/2) itself.
+        mpmath = pytest.importorskip("mpmath")
+        family = StudentTRadial(dof)
+        for k in range(1, 9):
+            for s in (0.01, 2.0, 100.0, 1e8):
+                with mpmath.workdps(50):
+                    nu = mpmath.mpf(dof)
+                    ref = mpmath.log(mpmath.betainc(nu / 2, mpmath.mpf(k) / 2, 0, nu / (nu + s), regularized=True))
+                assert abs(family.log_tail(s, k) - float(ref)) <= 16 * EPS * max(1.0, abs(float(ref)))
+
+    @pytest.mark.parametrize("dof", [1e20, 1e200, 1e308])
+    def test_huge_dof_is_the_normal_family(self, dof):
+        # x = dof/(dof + s) is 1 in float64; the tails at k = 1 are the normal family's.
+        s = np.array([2000.0, 1e4])
+        assert_allclose(StudentTRadial(dof).log_tail(s, 1), NormalRadial().log_tail(s, 1), rtol=1e-15, atol=0)
+        for k in (3, 5, 8):
+            assert_allclose(StudentTRadial(dof).log_tail(s, k), NormalRadial().log_tail(s, k), rtol=1e-14, atol=0)
+
+
+class TestFarStart:
+    """log I_x(a, 1/2) where I_x(a, 1/2) underflows, and log Gamma(a + 1/2) / Gamma(a)."""
+
+    def test_half_excess_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for a in (0.01, 0.1, 0.5, 1.0, 3.0, 6.99, 7.0, 12.0, 50.0, 1e3, 1e8):
+            with mpmath.workdps(60):
+                m = mpmath.mpf(a)
+                ref = mpmath.loggamma(m + 0.5) - mpmath.loggamma(m) - mpmath.log(m) / 2
+            assert abs(log_gamma_half_excess(a) - float(ref)) <= 8 * EPS * max(1.0, abs(float(ref))), a
+
+    @pytest.mark.parametrize("dof,s", [
+        (24.85, 1e308), (1e3, 1e8), (3e3, 3e3), (3e3, 6e3),  # power series, x <= 1/2
+        (3e3, 2.9e3), (1e4, 9e3), (1e5, 3e4), (1e6, 2000.0), (1e12, 2000.0),  # BGRAT, x > 1/2
+    ])
+    def test_far_start_against_mpmath(self, dof, s):
+        # Within a few ulps of log I_x(a, 1/2), each an underflowing tail.
+        mpmath = pytest.importorskip("mpmath")
+        assert t_sq_tail(dof, np.array([s]))[0] < sys.float_info.min
+        got = log_far_t_sq_tail(0.5 * dof, np.array([math.log1p(s / dof)]))[0]
+        with mpmath.workdps(60):
+            nu, sm = mpmath.mpf(dof), mpmath.mpf(s)
+            ref = float(mpmath.log(mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + sm), regularized=True)))
+        assert abs(got - ref) <= 4 * EPS * abs(ref)
+
+    def test_cauchy_tail_is_closed_form(self):
+        # At dof = 1 SciPy's stdtr was 1e5 ulps off at s = 1e-12.
+        mpmath = pytest.importorskip("mpmath")
+        s = np.array([0.0, 1e-12, 1e-6, 1.0, 1e6, 1e300, math.inf])
+        got = t_sq_tail(1.0, s)
+        for value, cut in zip(got, s):
+            with mpmath.workdps(40):
+                ref = 2 * mpmath.atan2(1, mpmath.sqrt(mpmath.mpf(cut))) / mpmath.pi
+            assert abs(value - float(ref)) <= 4 * EPS * float(ref)
