@@ -137,6 +137,13 @@ def full_column_rank(s: np.ndarray) -> bool:
 
 
 def check_same_weight(w: np.ndarray, reference: np.ndarray, name: str, ref_name: str) -> None:
-    """Require the weighting matrix ``w`` to equal ``reference`` up to float noise."""
-    if w.shape != reference.shape or not np.allclose(w, reference, rtol=1e-10, atol=1e-12):
+    """Require the weighting matrix ``w`` to equal ``reference`` up to float noise.
+
+    Both have been checked finite, so |w - ref| <= 1e-12 + 1e-10 |ref|, entry by
+    entry on Python floats, is ``np.allclose(w, reference, rtol=1e-10, atol=1e-12)``.
+    """
+    same = w.shape == reference.shape and all(
+        abs(a - b) <= 1e-12 + 1e-10 * abs(b) for a, b in zip(w.ravel().tolist(), reference.ravel().tolist())
+    )
+    if not same:
         raise InputError(f"{name} weighting matrix must match the {ref_name} W")

@@ -92,8 +92,13 @@ class Design:
         if not _linalg.full_column_rank(s):
             lo, hi = (_scaled_sqrt(float(sv) ** 2, 2 * a + wf.exponent) for sv in (s[-1], s[0]))
             raise ModelValidationError(f"X is rank deficient: singular values range [{lo:.3e}, {hi:.3e}]")
-        for name, value in (("X", x), ("W", wf.matrix), ("w_root", root), ("u", u), ("s", s), ("vt", vt)):
-            object.__setattr__(self, name, _readonly(value))
+        # X may be the caller's array, W is w_factor's own and R comes out of its product
+        # F-ordered: they are copied, C-ordered.  The SVD's arrays are fresh, C-ordered and owned.
+        for fresh in (u, s, vt):
+            fresh.setflags(write=False)
+        copies = (_readonly(v) for v in (x, wf.matrix, root))
+        for name, value in zip(("X", "W", "w_root", "u", "s", "vt"), (*copies, u, s, vt)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "w_factor", wf)
         object.__setattr__(self, "x_exponent", a)
 
@@ -101,6 +106,14 @@ class Design:
     def condition_number(self) -> float:
         """Largest over smallest eigenvalue of H, (s_max / s_min)^2."""
         return float((self.s[0] / self.s[-1]) ** 2)
+
+    @cached_property
+    def hessian_inv_eigenvalues(self) -> np.ndarray:
+        """H^{-1}'s eigenvalues, ascending: 2^-(2a + e) / S^2, read-only; inf where one overflows."""
+        with np.errstate(over="ignore"):
+            vals = np.ldexp(1.0 / self.s**2, -2 * self.x_exponent - self.w_factor.exponent)
+        vals.setflags(write=False)
+        return vals
 
     @cached_property
     def hessian_inv(self) -> np.ndarray:

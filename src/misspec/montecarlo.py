@@ -88,8 +88,9 @@ class CoverageResult:
 def _sweep_axis(values, name: str) -> np.ndarray:
     """A sweep axis of prior scales: nonempty, finite, positive and strictly increasing."""
     axis = _linalg.as_vector(values, None, name)
-    increasing = axis.size >= 1 and np.all(np.diff(axis) > 0.0)
-    if not (increasing and axis[0] > 0.0 and math.isfinite(axis[-1])):
+    cs = axis.tolist()
+    # A nan fails every comparison; checked as floats, which cost less than numpy's calls here.
+    if not (cs and cs[0] > 0.0 and math.isfinite(cs[-1]) and all(a < b for a, b in zip(cs, cs[1:]))):
         raise InputError(f"{name} must be finite, positive and strictly increasing")
     return axis
 

@@ -22,7 +22,9 @@ the design's SVD, and the path holds them, with the scales and log
 evidences, as arrays over c.  ``closed_form_posterior`` is its one-c
 case.  A sweep reads its masses, sds, mixture weights and TV distances off
 one path and builds no posterior per c; at p = 1 the masses at every c are
-one ``math.erfc`` pass or one ``t_cdf`` call, bit for bit the per-c values.
+one ``math.erfc`` pass or one ``t_cdf`` call, and at p = 2 one angular
+trapezoid rule over every c at once (``_angular_mass``), bit for bit the
+per-c values.
 """
 
 from __future__ import annotations
@@ -202,8 +204,7 @@ class _PosteriorPath:
         k, p = model.k, model.p
         # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
         j = fit.j_stat if fit.j_stat > fit.noise_floor else 0.0
-        with np.errstate(over="ignore"):  # H^-1's spectrum, ascending; an overflow is refused below
-            inv_vals = np.ldexp(1.0 / design.s**2, -2 * design.x_exponent - design.w_factor.exponent)
+        inv_vals = design.hessian_inv_eigenvalues  # an overflow is refused below
         # The extremes as Python floats, which overflow to inf silently.
         inv_lo, inv_hi = float(inv_vals[0]), float(inv_vals[-1])
         mults, evidences, refusal = [], [], None
@@ -273,9 +274,7 @@ class _PosteriorPath:
             return _mass_outside_interval(
                 self.dof, float(centre), self.scales[:, 0, 0], centre - eps, centre + eps
             )
-        return np.array(
-            [_angular_mass(self.family, lo, hi, eps) for lo, hi in self.eigenvalues.tolist()]
-        )
+        return _angular_mass(self.family, self.eigenvalues[:, 0], self.eigenvalues[:, 1], eps)
 
     def mixture_weights(
         self, contaminant: ClosedFormPosterior, phi: float
@@ -374,9 +373,9 @@ class MixturePosterior:
         return self.weights()[0] * tv_distance(self.base, self.contaminant)
 
 
-# Most trapezoid nodes the p=2 angular integral may take, and how many it
-# evaluates at once.  At a scale condition number of 1e10, the most a
-# ClosedFormPosterior admits, some t posteriors need 2^21 nodes.
+# Most trapezoid nodes the p=2 angular integral may take, and the most terms
+# (rows times nodes) it evaluates at once.  At a scale condition number of
+# 1e10, the most a ClosedFormPosterior admits, some t posteriors need 2^21 nodes.
 _MAX_ANGULAR_NODES = 2**22
 _ANGULAR_CHUNK = 2**16
 # Levels of at most this many nodes keep their cos^2 nodes (``_cos2_nodes``):
@@ -399,46 +398,89 @@ def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
         nodes = np.cos(np.pi / n * (np.arange(n) + offset)) ** 2
         nodes.setflags(write=False)
         _COS2_NODES[(n, offset)] = nodes
-    return nodes
+    return nodes[start:stop]
 
 
-def _angular_mass(family: RadialFamily, lam_lo: float, lam_hi: float, eps: float) -> float:
-    """Pr{||d|| > eps} for a centred elliptical 2-d d with scale eigenvalues lam_lo <= lam_hi.
+def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, eps: float) -> np.ndarray:
+    """Pr{||d|| > eps} for centred elliptical 2-d d, one per pair of scale eigenvalues lam_lo <= lam_hi.
 
     With d = V diag(sqrt(lam)) r (cos phi, sin phi), phi uniform and independent
     of r, ||d||^2 = r^2 q(phi) with q(phi) = lam_lo + (lam_hi - lam_lo) cos^2 phi.
     So the mass is the mean over phi of T(eps^2 / q(phi)), T the tail of r^2:
     ``family.log_tail`` at k = 2, in closed form over a whole array of nodes.
     The integrand is periodic and analytic, so the trapezoid rule converges
-    geometrically: the node count doubles until two means agree to a few ulps.
-    Terms are taken relative to the largest, at phi = 0; if it underflows, so
-    does the mass.  The cos^2 phi of each level depend on nothing else, so
+    geometrically.  Each level doubles the nodes of every pair (row) still
+    open, all of them in one (rows x nodes) evaluation, in chunks of at most
+    ``_ANGULAR_CHUNK`` terms.  Terms are taken relative to the largest, at
+    phi = 0; if it underflows, so does the mass.  Each term's exponent, near
+    that peak's log, carries |peak| eps of rounding, so a row is done, and
+    leaves the array, when two means agree to 4 max(1, |peak|) ulps.  No row's
+    terms or sums depend on another's, so each row is bit for bit its own
+    one-row call.  The cos^2 phi of each level depend on nothing else, so
     levels of up to ``_CACHED_NODES`` nodes are memoised (``_cos2_nodes``, 64
     KB in all); larger ones, which only scales of condition number above
     about 1e5 reach, are computed per call in chunks.
     """
     e2 = eps * eps
-    peak = float(family.log_tail(e2 / lam_hi, 2))
-    if math.exp(peak) == 0.0:
-        return 0.0
+    log_tail = family.log_tail
+    los, his = lam_lo.tolist(), lam_hi.tolist()
+    # e2 / lam_hi as floats, which overflow to inf silently: the mass is then 0.
+    peaks = log_tail(np.array([e2 / hi for hi in his]), 2).tolist()
+    masses = [0.0] * len(peaks)
+    # The open rows, as (index, lam_lo, lam_hi - lam_lo, peak).
+    rows = [
+        (i, lo, hi - lo, peak)
+        for i, (lo, hi, peak) in enumerate(zip(los, his, peaks))
+        if math.exp(peak) > 0.0
+    ]
 
-    def node_mean(n: int, offset: float) -> float:
-        """Mean of the terms at phi = pi (j + offset) / n, j = 0, ..., n - 1."""
-        out = 0.0
-        for start in range(0, n, _ANGULAR_CHUNK):
-            cos2 = _cos2_nodes(n, offset, start, min(start + _ANGULAR_CHUNK, n))
-            q = lam_lo + (lam_hi - lam_lo) * cos2
-            out += float(np.exp(family.log_tail(e2 / q, 2) - peak).sum())
-        return out / n
+    def columns() -> list:
+        """The open rows' lam_lo, span and peak: floats for one row, where numpy costs least; else columns."""
+        if len(rows) == 1:
+            return rows[0][1:]
+        return [np.array(v)[:, None] for v in list(zip(*rows))[1:]]
 
+    def terms(lo, span, peak, cos2) -> np.ndarray:
+        return np.exp(log_tail(e2 / (lo + span * cos2), 2) - peak)
+
+    def node_sums(n: int, offset: float) -> list[float]:
+        """Sum of each open row's terms at phi = pi (j + offset) / n, j = 0, ..., n - 1."""
+        if n * len(rows) <= _ANGULAR_CHUNK:
+            level = terms(*cols, _cos2_nodes(n, offset, 0, n))
+            return [float(level.sum())] if len(rows) == 1 else level.sum(axis=1).tolist()
+        width = min(n, _ANGULAR_CHUNK)
+        step = _ANGULAR_CHUNK // width
+        sums = [0.0] * len(rows)
+        for start in range(0, n, width):
+            cos2 = _cos2_nodes(n, offset, start, start + width)
+            for r in range(0, len(rows), step):
+                block = cols if step >= len(rows) else [a[r : r + step] for a in cols]
+                part = terms(*block, cos2).reshape(-1, width)
+                for j, s in enumerate(part.sum(axis=1).tolist(), r):
+                    sums[j] += s
+        return sums
+
+    if not rows:
+        return np.array(masses)
+    cols = columns()
     n = 8
-    mean = node_mean(n, 0.0)
+    means = [s / n for s in node_sums(n, 0.0)]
     while n < _MAX_ANGULAR_NODES:
-        refined = 0.5 * (mean + node_mean(n, 0.5))
+        still, still_means = [], []
+        for row, mean, s in zip(rows, means, node_sums(n, 0.5)):
+            refined = 0.5 * (mean + s / n)
+            if abs(refined - mean) <= 4.0 * max(1.0, abs(row[3])) * math.ulp(refined):
+                masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
+            else:
+                still.append(row)
+                still_means.append(refined)
         n *= 2
-        if abs(refined - mean) <= 4.0 * math.ulp(refined):
-            return min(math.exp(peak + math.log(refined)), 1.0)
-        mean = refined
+        if not still:
+            return np.array(masses)
+        if len(still) < len(rows):
+            rows = still
+            cols = columns()
+        means = still_means
     raise NumericalError(
         f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes"
     )
@@ -501,7 +543,7 @@ def mass_outside_ball(
             )
         sf = post._scale_factor
         lam = sf.eigenvalues if norm_matrix is None else np.linalg.eigvalsh(sf.root @ norm @ sf.root)
-        return _angular_mass(post._family, float(lam[0]), float(lam[1]), eps)
+        return float(_angular_mass(post._family, lam[:1], lam[1:], eps)[0])
     raise InputError("mass_outside_ball supports closed forms only for p <= 2")
 
 

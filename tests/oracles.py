@@ -119,6 +119,34 @@ def mass_outside_disc_quad(scale, dof, eps: float) -> float:
     return val
 
 
+def ball_mass_trapezoid_mp(lam_lo, lam_hi, eps, dof, nodes: int, dps: int = 40) -> float:
+    """Pr{||d|| > eps} for a centred 2-d normal (dof None) or t of scale eigenvalues lam_lo, lam_hi.
+
+    The mean over phi of T(eps^2 / q(phi)), q(phi) = lam_lo + (lam_hi - lam_lo)
+    cos^2 phi, T the tail of the squared radius in 2 dimensions (e^(-s/2) or
+    (1 + s/dof)^(-dof/2)), by the trapezoid rule on ``nodes`` nodes in
+    mpmath at ``dps`` digits: every term is positive, so the mass keeps its
+    relative accuracy in the far tail.  The integrand is periodic and
+    analytic, so the rule converges geometrically; compare two node counts.
+    A caution: at a peak log tail near -305, ``mpmath.quad`` on [0, pi/2]
+    (split evenly at 2^-j) was 6e-10 relative off, while this rule had
+    settled by 128 nodes; ``mass_outside_disc_quad`` (SciPy's ``quad``) has
+    only absolute accuracy.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lo, hi, e2 = mpmath.mpf(lam_lo), mpmath.mpf(lam_hi), mpmath.mpf(eps) ** 2
+        if dof is None:
+            tail = lambda s: mpmath.exp(-s / 2)
+        else:
+            tail = lambda s: (1 + s / dof) ** (-mpmath.mpf(dof) / 2)
+        total = mpmath.fsum(
+            tail(e2 / (lo + (hi - lo) * mpmath.cos(mpmath.pi * j / nodes) ** 2)) for j in range(nodes)
+        )
+        return float(total / nodes)
+
+
 def radial_pdf(dof, scale: float, p: int):
     """Density at distance r from the centre of a p-variate normal (dof None) or t, scale^2 I."""
     loc, shape = np.zeros(p), scale * scale * np.eye(p)

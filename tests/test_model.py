@@ -189,6 +189,13 @@ class TestValidation:
     def test_immutable_arrays(self, canon_model):
         with pytest.raises(ValueError):
             canon_model.Y[0] = 9.9
+        # The design's arrays too, C-ordered; X and W are copies of the caller's.
+        x, w = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 2.0, 3.0])
+        d = ModelInstance(Y=np.zeros(3), X=x, W=w).design
+        x[0, 0], w[0, 0] = 7.0, 7.0
+        assert d.X[0, 0] == 1.0 and d.W[0, 0] == 1.0
+        for arr in (d.X, d.W, d.w_root, d.u, d.s, d.vt, d.hessian_inv, d.hessian_inv_eigenvalues):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
 
 
 class TestInvariants:

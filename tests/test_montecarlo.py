@@ -1,4 +1,5 @@
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -517,6 +518,22 @@ class TestSweeps:
                 run_tails(NormalRadial(), [2.0], [1.0], [c])
         with pytest.raises(ImproperPriorError):
             run_tails(PowerLawRadial(2.0), [2.0], [1.0], [1.0])
+
+    @pytest.mark.parametrize(
+        "axis",
+        [[], [math.nan], [1.0, math.nan], [math.nan, 1.0], [math.inf], [1.0, math.inf], [-math.inf, 1.0],
+         [0.0], [0.0, 1.0], [-1.0], [1.0, 1.0], [1e-2, 1.0, 1.0], [2.0, 1.0], [1e-4, 1e-2, 1e-3]],
+    )
+    def test_sweep_axis_refusals(self, canon_model, axis):
+        message = "c_grid must be finite, positive and strictly increasing"
+        with pytest.raises(InputError, match=f"^{message}$"):
+            run_concentration(canon_model, NormalRadial(), axis, [0.1])
+        with pytest.raises(InputError, match="^sweep axis c must be finite, positive and strictly increasing$"):
+            SweepTrace(axis_name="c", axis=axis, metrics={})
+
+    def test_sweep_axis_is_one_dimensional(self, canon_model):
+        with pytest.raises(InputError, match="c_grid must be one-dimensional"):
+            run_concentration(canon_model, NormalRadial(), [[1e-2, 1.0]], [0.1])
 
     def test_sweep_trace_validation(self):
         with pytest.raises(InputError):

@@ -374,6 +374,23 @@ class TestMassOutsideBall:
             assert not level.flags.writeable
             assert_array_equal(level, np.cos(np.pi / n * (np.arange(n) + offset)) ** 2)
 
+    def test_far_tail_stops_at_its_terms_rounding(self, monkeypatch):
+        # At a peak log tail of -305.26 each term's exponent carries about 305 eps of
+        # rounding; a stop at 4 ulps of the mean ran to 8192 nodes here for the same bits.
+        from misspec import posteriors
+        from oracles import ball_mass_trapezoid_mp
+
+        levels = []
+        nodes = posteriors._cos2_nodes
+        monkeypatch.setattr(
+            posteriors, "_cos2_nodes", lambda n, *rest: levels.append(n) or nodes(n, *rest)
+        )
+        lam = (4.022639055733796e-06, 1.637933881771168e-05)
+        post = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag(lam))
+        mass = mass_outside_ball(post, post.center, 0.1)
+        assert 2 * max(levels) <= 256
+        assert_allclose(mass, ball_mass_trapezoid_mp(*lam, 0.1, None, 512), rtol=1e-13)
+
     def test_concentration_sweep_monotone(self, canon_model):
         masses = [
             mass_outside_ball(normal_posterior(canon_model, c), [1.0], 0.25)

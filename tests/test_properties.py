@@ -819,3 +819,64 @@ def test_sweeps_refuse_as_the_per_c_route(family, exact, error, shape):
         got = _refusal_or(lambda: _bits(run_contamination(*args).metrics))
         assert got == _refusal_or(lambda: _contamination_per_c(*args))
         assert got[1].startswith(error)
+
+
+@given(
+    st.one_of(st.just(NormalRadial()), st.floats(0.5, 30.0).map(StudentTRadial)),
+    st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(-8.0, 2.0)), min_size=1, max_size=8),
+    st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+    st.sampled_from([16, posteriors._ANGULAR_CHUNK]),
+)
+def test_each_angular_mass_row_is_its_one_row_call(family, rows, eps, chunk):
+    # Rows of condition number 10^a (1 to 1e6) and largest eigenvalue 10^b, in
+    # drawn order, so they converge and leave the array at different levels; a
+    # chunk of 16 terms splits both the rows and the nodes of each level.
+    lam_hi = np.array([10.0**b for _, b in rows])
+    lam_lo = lam_hi / np.array([10.0**a for a, _ in rows])
+    saved, posteriors._ANGULAR_CHUNK = posteriors._ANGULAR_CHUNK, chunk
+    try:
+        got = posteriors._angular_mass(family, lam_lo, lam_hi, eps)
+        alone = [
+            posteriors._angular_mass(family, lam_lo[i : i + 1], lam_hi[i : i + 1], eps)
+            for i in range(len(rows))
+        ]
+    finally:
+        posteriors._ANGULAR_CHUNK = saved
+    assert got.tobytes() == np.concatenate(alone).tobytes()
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.floats(-300.0, 300.0).flatmap(lambda e: st.sampled_from([10.0**e, -(10.0**e)])),
+        min_size=9,
+        max_size=9,
+    ),
+    st.lists(st.sampled_from(["zero", "atol", "bound", "far"]), min_size=9, max_size=9),
+    st.lists(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=9, max_size=9),
+    st.integers(-2, 2),
+    st.booleans(),
+)
+@example(1, [1e-300] * 9, ["atol"] * 9, [0.0] * 9, 0, False)  # a gap of exactly the bound
+def test_same_weight_is_allclose(k, ref, kinds, steps, ulps, reshape):
+    # Gaps of 0, of the absolute tolerance, of the whole 1e-12 + 1e-10 |ref|
+    # bound or of |ref|, each scaled by 1 + step and nudged by a few ulps.
+    ref = np.array(ref[: k * k]).reshape(k, k)
+    sizes = {
+        "zero": lambda r: 0.0,
+        "atol": lambda r: 1e-12,
+        "bound": lambda r: 1e-12 + 1e-10 * abs(r),
+        "far": abs,
+    }
+    gap = np.array([sizes[kind](r) * (1.0 + d) for kind, r, d in zip(kinds, ref.ravel(), steps)])
+    w = ref + gap[: k * k].reshape(k, k) * (1.0 + ulps * sys.float_info.epsilon)
+    if reshape:
+        w = w.reshape(1, k * k)
+    try:
+        _linalg.check_same_weight(w, ref, "w", "ref")
+        accepted = True
+    except InputError as exc:
+        assert str(exc) == "w weighting matrix must match the ref W"
+        accepted = False
+    assert accepted == (w.shape == ref.shape and bool(np.allclose(w, ref, rtol=1e-10, atol=1e-12)))

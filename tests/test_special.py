@@ -108,9 +108,23 @@ class TestTCdf:
     def test_finite_x_squared_keeps_the_incomplete_beta(self, dof):
         # Below 2^512, where x^2 is finite, the CDF is the bits of SciPy's stdtr,
         # Boost's Student-t CDF on the incomplete beta I_z(dof/2, 1/2) at
-        # z = dof/(dof + x^2), or where z > 2/3 on its complement.
+        # z = dof/(dof + x^2), or where z > 2/3 on its complement.  At dof = 1
+        # it is the Cauchy closed form, within an ulp of stdtr at these points.
         xs = np.array([-np.nextafter(2.0**512, 0.0), -1e150, -3.5, 0.25, 1e100])
-        assert t_cdf(StudentT(dof), xs).tolist() == scipy.special.stdtr(dof, xs).tolist()
+        got, lib = t_cdf(StudentT(dof), xs), scipy.special.stdtr(dof, xs)
+        if dof == 1.0:
+            assert_allclose(got, lib, rtol=2.5e-16, atol=0)
+        else:
+            assert got.tolist() == lib.tolist()
+
+    def test_cauchy_keeps_relative_accuracy_at_both_ends(self):
+        # stdtr is 2.8e-11 relative off at x = +-1e-6 and 1.0 off (0) at -1e300.
+        mpmath = pytest.importorskip("mpmath")
+        xs = [1e-6, -1e-6, -1e-3, 0.5, -1e10, 1e300, -1e300]
+        with mpmath.workdps(40):
+            ref = [float(mpmath.atan2(1, -mpmath.mpf(x)) / mpmath.pi) for x in xs]
+        assert_allclose(t_cdf(StudentT(1.0), np.array(xs)), ref, rtol=2.5e-16, atol=0)
+        assert_allclose([t_cdf(StudentT(1.0), x) for x in xs], ref, rtol=2.5e-16, atol=0)
 
 
 class TestTSqTail:
