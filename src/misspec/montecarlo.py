@@ -32,12 +32,7 @@ from misspec import _kernels, _linalg, _rng
 from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, sigma_v
-from misspec.posteriors import (
-    ThetaPrior,
-    _PosteriorPath,
-    closed_form_posterior,
-    mass_outside_ball,
-)
+from misspec.posteriors import ThetaPrior, _PosteriorPath
 from misspec.priors import (
     RadialFamily,
     ScaledPrior,
@@ -423,9 +418,9 @@ def run_contamination(
     contaminated posterior collapses onto the contaminant posterior as c
     shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
     with J = 0 it keeps concentrating at the pseudo-true value instead.
-    The contaminant's closed form and its masses are computed once; the base
-    posteriors are one ``_PosteriorPath``, whose weights, TV distances and
-    masses equal the per-c mixture's bit for bit.  ``grid_points`` sizes
+    The contaminant is a one-c ``_PosteriorPath`` and the base posteriors
+    one over the whole c axis, whose weights, TV distances and masses equal
+    the per-c mixture's bit for bit.  ``grid_points`` sizes
     nothing (``_check_grid_points``).  p is at most 2.
     """
     if model.p > 2:
@@ -436,13 +431,12 @@ def run_contamination(
     c_grid = _sweep_axis(c_grid, "c_grid")
     eps_names = _mass_outside_names(eps_list)
     _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")
-    pure = closed_form_posterior(model, contaminant.family, contaminant.c)
+    pure = _PosteriorPath(model, contaminant.family, (contaminant.c,))
     path = _PosteriorPath(model, base_family, c_grid.tolist())
     w_base, w_pure = path.mixture_weights(pure, phi)
     metrics = {"tv_to_contaminant": w_base * path.tv_to(pure)}
     for name, eps in eps_names.items():
-        pure_mass = mass_outside_ball(pure, path.center, eps)
-        metrics[name] = np.minimum(w_base * path.mass_outside(eps) + w_pure * pure_mass, 1.0)
+        metrics[name] = np.minimum(w_base * path.mass_outside(eps) + w_pure * pure.mass_outside(eps), 1.0)
     return SweepTrace._along_c(c_grid, metrics)
 
 

@@ -12,19 +12,15 @@ marginal sd -- comes from these closed forms; no posterior is evaluated on a
 grid.  Radial tails are the families' ``RadialFamily.log_tail`` in dimension
 p.  The TV distance holds at any p, the mass outside a ball at p <= 2.
 
-Every closed form carries the eigenvalues of its scale, checked by one set of
-checks (``_linalg.check_spd_spectrum``) on either of two routes.  A bare
-``ClosedFormPosterior(center, scale, dof)`` validates its scale matrix with
-``_linalg.spd_factor``, which reads them with one eigensolve.  A model's
-closed forms along prior scales c make a ``_PosteriorPath``: each scale is a
-multiple m(c) of H^{-1} = (X'WX)^{-1}: its eigenvalues are m(c) / S^2, from
-the design's SVD, and the path holds them, with the scales and log
-evidences, as arrays over c.  ``closed_form_posterior`` is its one-c
-case.  A sweep reads its masses, sds, mixture weights and TV distances off
-one path and builds no posterior per c; at p = 1 the masses at every c are
-one ``math.erfc`` pass or one ``t_cdf`` call, and at p = 2 one angular
-trapezoid rule over every c at once (``_angular_mass``), bit for bit the
-per-c values.
+A bare ``ClosedFormPosterior(center, scale, dof)`` validates its scale with
+``_linalg.spd_factor``, one eigensolve.  A model's closed forms along prior
+scales c make a ``_PosteriorPath``: each scale is m(c) H^{-1}, H = X'WX, so
+the path holds only m(c) over c, with H^{-1} and its spectrum from the
+design's SVD, and reads every metric off m(c) times one of them, bit for bit
+the per-c value; ``closed_form_posterior`` is its one-c case.  At p = 1 the
+masses at every c are one ``math.erfc`` pass or one ``t_cdf`` call, at p = 2
+one angular trapezoid rule (``_angular_mass``), and two normals' TV
+distances one ``log_tail`` call.
 """
 
 from __future__ import annotations
@@ -149,18 +145,15 @@ def _marginal_sd(diag: np.ndarray, dof: float | None) -> np.ndarray:
     return sd
 
 
-def closed_form_posterior(
-    model: ModelInstance, family: RadialFamily, c: float
-) -> ClosedFormPosterior:
+def closed_form_posterior(model: ModelInstance, family: RadialFamily, c: float) -> ClosedFormPosterior:
     """Exact posterior under ``family`` at prior scale c, with a flat theta prior.
 
     Centred at theta_W, with the shape of ``family.posterior_shape``; c = 0
     is the small-c limit.  Where the scale is J alone, J must be positive.
     X'WX must have a condition number below 1e10, the bound every posterior
     scale is held to; a scale that underflows or overflows in float64 is
-    refused by its c.  The scale is m H^{-1} for a scalar m, so its
-    eigenvalues are m times the design's, checked as a bare scale's are.
-    This is the one-c case of ``_PosteriorPath``, which makes the checks.
+    refused by its c.  This is the one-c case of ``_PosteriorPath``, which
+    makes the checks.
     """
     return _PosteriorPath(model, family, (c,)).posterior(0)
 
@@ -179,17 +172,15 @@ class _PosteriorPath:
 
     Along c every closed form shares theta_W (``center``), its dof and the
     shape H^{-1}; only the multiplier m(c) of its scale m(c) H^{-1} moves.  So
-    the path holds, as arrays over c, the multipliers, the log evidences
-    (nan where there is none: an improper family, or c = 0), the symmetrised
-    scales (``scales``, c first) and their eigenvalues, m(c) times the
-    design's (``eigenvalues``).  Every c passes ``closed_form_posterior``'s
-    checks, in order: c, the fit and X'WX's condition number (model-wide,
-    made once), the family's shape, and the scale's spectrum; the scale
-    matrices are checked finite once, all together, and the first c refused
-    by any check is the one named.  ``c_grid`` is a nonempty sequence.
-
-    Every value equals that of the c's ``closed_form_posterior`` bit for bit,
-    and so do the masses, sds, weights and TV distances read off the path.
+    the path holds m(c) over c (``multiplier``), the dof, the centre and
+    H^{-1} with its spectrum, and reads every metric off m(c) times H^{-1}'s
+    diagonal, [0, 0] entry (``scale00``) or eigenvalues.  Only ``posterior(i)``
+    forms a scale matrix, and a log evidence is computed only where read.
+    Every c passes ``closed_form_posterior``'s checks, in order: c, the fit
+    and X'WX's condition number (model-wide, made once), the family's shape,
+    the scale's spectrum and entries (m(c) max |H^{-1}| finite); the first c
+    refused is the one named.  ``c_grid`` is a nonempty sequence.  Every value
+    read off the path equals the per-c closed form's bit for bit.
     """
 
     def __init__(self, model: ModelInstance, family: RadialFamily, c_grid):
@@ -202,100 +193,90 @@ class _PosteriorPath:
                 f"posteriors need it below {1.0 / _linalg.SPD_RTOL:.0e}"
             )
         k, p = model.k, model.p
-        # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
-        j = fit.j_stat if fit.j_stat > fit.noise_floor else 0.0
-        inv_vals = design.hessian_inv_eigenvalues  # an overflow is refused below
-        # The extremes as Python floats, which overflow to inf silently.
-        inv_lo, inv_hi = float(inv_vals[0]), float(inv_vals[-1])
-        mults, evidences, refusal = [], [], None
+        self._h_inv, self._inv_vals = design.hessian_inv, design.hessian_inv_eigenvalues
+        # H^{-1}'s extremes as Python floats, whose products overflow to inf silently.
+        inv_lo, inv_hi = float(self._inv_vals[0]), float(self._inv_vals[-1])
+        h_max = max(map(abs, self._h_inv.ravel().tolist()))
+        mults = []
         for c in cs:
+            _check_prior_scale(c)
+            dof, spread = family.posterior_shape(c, fit.j_stat, k, p)
+            if dof is None:
+                if not spread > 0.0:
+                    raise InputError(f"prior scale c must be positive, got {c}")
+                mult = spread
+            elif (not family.proper or c == 0.0) and fit.j_stat <= fit.noise_floor:
+                raise DegenerateLimitError(
+                    f"{family.spec_string()} posterior at c = {c:g} requires a positive "
+                    "J-statistic (its scale is J alone)"
+                )
+            else:
+                mult = spread / dof
             try:
-                _check_prior_scale(c)
-                dof, spread = family.posterior_shape(c, fit.j_stat, k, p)
-                if dof is None:
-                    if not spread > 0.0:
-                        raise InputError(f"prior scale c must be positive, got {c}")
-                    mult = spread
-                elif (not family.proper or c == 0.0) and fit.j_stat <= fit.noise_floor:
-                    raise DegenerateLimitError(
-                        f"{family.spec_string()} posterior at c = {c:g} requires a positive "
-                        "J-statistic (its scale is J alone)"
-                    )
-                else:
-                    mult = spread / dof
-                try:
-                    _linalg.check_spd_spectrum(mult * inv_lo, mult * inv_hi, "scale")
-                except ModelValidationError as exc:
-                    raise _unrepresentable(c, exc) from None
-            except InputError as exc:
-                refusal = exc
-                break
+                _linalg.check_spd_spectrum(mult * inv_lo, mult * inv_hi, "scale")
+                if not mult * h_max < math.inf:
+                    raise ModelValidationError("scale must be finite")
+            except ModelValidationError as exc:
+                raise _unrepresentable(c, exc) from None
             mults.append(mult)
-            proper = family.proper and c > 0.0
-            evidences.append(family.log_evidence(c, j, k, p) if proper else math.nan)
         self.multiplier = np.array(mults, dtype=np.float64)
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            self.scales = np.multiply.outer(self.multiplier, design.hessian_inv)
-        finite = np.isfinite(self.scales).all(axis=(1, 2))
-        if not finite.all():
-            c = cs[int(np.argmin(finite))]
-            raise _unrepresentable(c, ModelValidationError("scale must be finite"))
-        if refusal is not None:
-            raise refusal
         self.center = fit.theta_w
         self.dof = dof
         self.family = NormalRadial() if dof is None else StudentTRadial(dof)
-        self.log_evidence = np.array(evidences)
-        self.eigenvalues = np.multiply.outer(self.multiplier, inv_vals)
-        self.vectors = design.vt.T
+        self._vectors = design.vt.T
+        # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
+        self._evidence_args = (family, cs, fit.j_stat if fit.j_stat > fit.noise_floor else 0.0, k, p)
 
     @property
     def p(self) -> int:
         return self.center.shape[0]
 
+    def log_evidence(self, i: int) -> float | None:
+        """The log evidence at the i-th c; None where there is none (an improper family, or c = 0)."""
+        family, cs, j, k, p = self._evidence_args
+        return family.log_evidence(cs[i], j, k, p) if family.proper and cs[i] > 0.0 else None
+
+    def scale00(self) -> np.ndarray:
+        """The scale's [0, 0] entry at each c."""
+        return self.multiplier * self._h_inv[0, 0]
+
     def posterior(self, i: int) -> ClosedFormPosterior:
         """The closed form at the i-th c, carrying its eigenvalues."""
-        evidence = float(self.log_evidence[i])
+        m = self.multiplier[i]
         return ClosedFormPosterior(
             center=self.center,
-            scale=_linalg.SpdFactor(self.scales[i], self.eigenvalues[i], self.vectors),
+            scale=_linalg.SpdFactor(m * self._h_inv, m * self._inv_vals, self._vectors),
             dof=self.dof,
-            log_evidence=None if math.isnan(evidence) else evidence,
+            log_evidence=self.log_evidence(i),
         )
 
     def max_marginal_sd(self) -> np.ndarray:
         """The largest marginal sd at each c (inf for t with dof <= 2)."""
-        return _marginal_sd(np.diagonal(self.scales, axis1=1, axis2=2), self.dof).max(axis=1)
+        return _marginal_sd(np.multiply.outer(self.multiplier, np.diag(self._h_inv)), self.dof).max(axis=1)
 
     def mass_outside(self, eps: float) -> np.ndarray:
         """``mass_outside_ball`` of the ball of radius eps about theta_W, at each c; p <= 2."""
         if self.p == 1:
             centre = self.center[0]
-            return _mass_outside_interval(
-                self.dof, float(centre), self.scales[:, 0, 0], centre - eps, centre + eps
-            )
-        return _angular_mass(self.family, self.eigenvalues[:, 0], self.eigenvalues[:, 1], eps)
+            return _mass_outside_interval(self.dof, float(centre), self.scale00(), centre - eps, centre + eps)
+        lam_lo, lam_hi = self._inv_vals
+        return _angular_mass(self.family, self.multiplier * lam_lo, self.multiplier * lam_hi, eps)
 
-    def mixture_weights(
-        self, contaminant: ClosedFormPosterior, phi: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``MixturePosterior(posterior(i), contaminant, phi).weights()`` at each c, as arrays."""
-        has_evidence = not np.isnan(self.log_evidence).any()
-        _check_mixture(phi, has_evidence, self.center, contaminant)
-        odds = [
-            _mixture_log_odds(phi, evidence, var, contaminant)
-            for evidence, var in zip(self.log_evidence.tolist(), self.scales[:, 0, 0])
-        ]
+    def mixture_weights(self, contaminant: "_PosteriorPath", phi: float) -> tuple[np.ndarray, np.ndarray]:
+        """``MixturePosterior(posterior(i), contaminant.posterior(0), phi).weights()`` at each c, as arrays."""
+        evidences = [self.log_evidence(i) for i in range(self.multiplier.size)]
+        pure = contaminant.log_evidence(0)
+        _check_mixture(phi, [*evidences, pure])
+        pure_var = float(contaminant.scale00()[0])
+        odds = [_mixture_log_odds(phi, e, var, pure, pure_var) for e, var in zip(evidences, self.scale00().tolist())]
         return np.array([_expit(-x) for x in odds]), np.array([_expit(x) for x in odds])
 
-    def tv_to(self, other: ClosedFormPosterior) -> np.ndarray:
-        """``tv_distance(posterior(i), other)`` at each c, for a closed form of the same model."""
-        if self.p > 1 and not _proportional(self.scales, other.scale).all():
-            raise InputError("tv_distance of closed forms requires proportional scales")
-        vb = other.scale[0, 0]
-        return np.array(
-            [_radial_tv(self.p, self.family, va, other._family, vb) for va in self.scales[:, 0, 0]]
-        )
+    def tv_to(self, other: "_PosteriorPath") -> np.ndarray:
+        """``tv_distance(posterior(i), other.posterior(0))`` at each c, for a one-c path of the same model."""
+        vas, vb = self.scale00().tolist(), float(other.scale00()[0])
+        if self.dof is None and other.dof is None:
+            return np.array(_normal_tvs(self.p, vas, vb))
+        return np.array([_radial_tv(self.p, self.family, va, other.family, vb) for va in vas])
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
@@ -311,27 +292,21 @@ def _expit(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _check_mixture(
-    phi: float, base_has_evidence: bool, center: np.ndarray, contaminant: ClosedFormPosterior
-) -> None:
-    """A mixture's checks of phi and of its components, given the base's centre."""
+def _check_mixture(phi: float, evidences: list) -> None:
+    """A mixture's checks of phi and of its components' log evidences (None where there is none)."""
     if not (0.0 < phi < 1.0):
         raise InputError(f"contamination weight phi must be in (0, 1), got {phi}")
-    if not base_has_evidence or contaminant.log_evidence is None:
+    if None in evidences:
         raise InputError("mixture components need the log evidence of a proper prior")
-    if not np.array_equal(center, contaminant.center):
-        raise InputError("mixture components must share their centre")
 
 
-def _mixture_log_odds(
-    phi: float, base_evidence: float, base_var: float, contaminant: ClosedFormPosterior
-) -> float:
-    """log(w / (1 - w)) for the contaminant's weight w; ``base_var`` is the base's scale[0, 0]."""
-    log_odds = math.log(phi) - math.log1p(-phi) + contaminant.log_evidence - base_evidence
+def _mixture_log_odds(phi: float, base_evidence: float, base_var: float, evidence: float, var: float) -> float:
+    """log(w / (1 - w)) for the contaminant's weight w; the vars are each component's scale[0, 0]."""
+    log_odds = math.log(phi) - math.log1p(-phi) + evidence - base_evidence
     if math.isnan(log_odds):
         # Both evidences underflow, which only normal ones do (J / c overflows).
         # The wider, larger-c one has the larger evidence; equal ones agree.
-        log_odds = math.copysign(math.inf, contaminant.scale[0, 0] - base_var)
+        log_odds = math.copysign(math.inf, var - base_var)
     return log_odds
 
 
@@ -353,10 +328,12 @@ class MixturePosterior:
     phi: float
 
     def __post_init__(self):
-        has_evidence = self.base.log_evidence is not None
-        _check_mixture(self.phi, has_evidence, self.base.center, self.contaminant)
+        base, cont = self.base, self.contaminant
+        _check_mixture(self.phi, [base.log_evidence, cont.log_evidence])
+        if not np.array_equal(base.center, cont.center):
+            raise InputError("mixture components must share their centre")
         log_odds = _mixture_log_odds(
-            self.phi, self.base.log_evidence, self.base.scale[0, 0], self.contaminant
+            self.phi, base.log_evidence, base.scale[0, 0], cont.log_evidence, cont.scale[0, 0]
         )
         object.__setattr__(self, "log_odds", log_odds)
 
@@ -379,10 +356,15 @@ class MixturePosterior:
 _MAX_ANGULAR_NODES = 2**22
 _ANGULAR_CHUNK = 2**16
 # Levels of at most this many nodes keep their cos^2 nodes (``_cos2_nodes``):
-# the levels the integral takes, (8, 0) and (n, 1/2) for n = 8, ..., 2^12,
+# the levels the integral reads, (64, 0) and (n, 1/2) for n = 64, ..., 2^12,
 # hold 8192 floats, 64 KB in all.
 _CACHED_NODES = 2**12
 _COS2_NODES: dict[tuple[int, float], np.ndarray] = {}
+# The first levels, (8, 0) and (n, 1/2) for n = 8, 16 and 32, are the nodes 8j, 8j + 4,
+# 4j + 2 and 2j + 1 of the level (64, 0): the same floats (pi / n (j + offset) is one
+# product), whose sums in order are the levels' own.  One evaluation gives all four.
+_HEAD_NODES = 64
+_HEAD_SLICES = (slice(0, None, 8), slice(4, None, 8), slice(2, None, 4), slice(1, None, 2))
 
 
 def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
@@ -410,16 +392,13 @@ def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, 
     ``family.log_tail`` at k = 2, in closed form over a whole array of nodes.
     The integrand is periodic and analytic, so the trapezoid rule converges
     geometrically.  Each level doubles the nodes of every pair (row) still
-    open, all of them in one (rows x nodes) evaluation, in chunks of at most
-    ``_ANGULAR_CHUNK`` terms.  Terms are taken relative to the largest, at
-    phi = 0; if it underflows, so does the mass.  Each term's exponent, near
-    that peak's log, carries |peak| eps of rounding, so a row is done, and
-    leaves the array, when two means agree to 4 max(1, |peak|) ulps.  No row's
-    terms or sums depend on another's, so each row is bit for bit its own
-    one-row call.  The cos^2 phi of each level depend on nothing else, so
-    levels of up to ``_CACHED_NODES`` nodes are memoised (``_cos2_nodes``, 64
-    KB in all); larger ones, which only scales of condition number above
-    about 1e5 reach, are computed per call in chunks.
+    open, all of them in one (rows x nodes) evaluation (``_level_sums``); the
+    first four levels are one evaluation (``_HEAD_SLICES``).  Terms are taken
+    relative to the largest, at phi = 0; if it underflows, so does the mass.
+    Each term's exponent, near that peak's log, carries |peak| eps of
+    rounding, so a row is done, and leaves the array, when two means agree to
+    4 max(1, |peak|) ulps.  No row's terms or sums depend on another's, so
+    each row is bit for bit its own one-row call.
     """
     e2 = eps * eps
     log_tail = family.log_tail
@@ -427,49 +406,29 @@ def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, 
     # e2 / lam_hi as floats, which overflow to inf silently: the mass is then 0.
     peaks = log_tail(np.array([e2 / hi for hi in his]), 2).tolist()
     masses = [0.0] * len(peaks)
-    # The open rows, as (index, lam_lo, lam_hi - lam_lo, peak).
+    # The open rows, as (index, lam_lo, lam_hi - lam_lo, peak, 4 max(1, |peak|)).
     rows = [
-        (i, lo, hi - lo, peak)
+        (i, lo, hi - lo, peak, 4.0 * max(1.0, abs(peak)))
         for i, (lo, hi, peak) in enumerate(zip(los, his, peaks))
         if math.exp(peak) > 0.0
     ]
-
-    def columns() -> list:
-        """The open rows' lam_lo, span and peak: floats for one row, where numpy costs least; else columns."""
-        if len(rows) == 1:
-            return rows[0][1:]
-        return [np.array(v)[:, None] for v in list(zip(*rows))[1:]]
-
-    def terms(lo, span, peak, cos2) -> np.ndarray:
-        return np.exp(log_tail(e2 / (lo + span * cos2), 2) - peak)
-
-    def node_sums(n: int, offset: float) -> list[float]:
-        """Sum of each open row's terms at phi = pi (j + offset) / n, j = 0, ..., n - 1."""
-        if n * len(rows) <= _ANGULAR_CHUNK:
-            level = terms(*cols, _cos2_nodes(n, offset, 0, n))
-            return [float(level.sum())] if len(rows) == 1 else level.sum(axis=1).tolist()
-        width = min(n, _ANGULAR_CHUNK)
-        step = _ANGULAR_CHUNK // width
-        sums = [0.0] * len(rows)
-        for start in range(0, n, width):
-            cos2 = _cos2_nodes(n, offset, start, start + width)
-            for r in range(0, len(rows), step):
-                block = cols if step >= len(rows) else [a[r : r + step] for a in cols]
-                part = terms(*block, cos2).reshape(-1, width)
-                for j, s in enumerate(part.sum(axis=1).tolist(), r):
-                    sums[j] += s
-        return sums
-
     if not rows:
         return np.array(masses)
-    cols = columns()
+    cols = _columns(rows)
+    first, *halves = _level_sums(log_tail, e2, cols, len(rows), _HEAD_NODES, 0.0, _HEAD_SLICES)
+    # Each row carries its sums of the levels (n, 1/2), n = 8, 16 and 32.
+    rows = [(*row, dict(zip((8, 16, 32), sums))) for row, *sums in zip(rows, *halves)]
     n = 8
-    means = [s / n for s in node_sums(n, 0.0)]
+    means = [s / n for s in first]
     while n < _MAX_ANGULAR_NODES:
+        if n < _HEAD_NODES:
+            sums = [row[5][n] for row in rows]
+        else:
+            (sums,) = _level_sums(log_tail, e2, cols, len(rows), n, 0.5)
         still, still_means = [], []
-        for row, mean, s in zip(rows, means, node_sums(n, 0.5)):
+        for row, mean, s in zip(rows, means, sums):
             refined = 0.5 * (mean + s / n)
-            if abs(refined - mean) <= 4.0 * max(1.0, abs(row[3])) * math.ulp(refined):
+            if abs(refined - mean) <= row[4] * math.ulp(refined):
                 masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
             else:
                 still.append(row)
@@ -478,12 +437,45 @@ def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, 
         if not still:
             return np.array(masses)
         if len(still) < len(rows):
-            rows = still
-            cols = columns()
+            rows, cols = still, _columns(still)
         means = still_means
-    raise NumericalError(
-        f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes"
-    )
+    raise NumericalError(f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes")
+
+
+def _columns(rows: list) -> tuple:
+    """Open rows' lam_lo, span and peak: floats for one row, where numpy costs least; else columns."""
+    if len(rows) == 1:
+        return rows[0][1:4]
+    return tuple(np.array(v)[:, None] for v in list(zip(*rows))[1:4])
+
+
+def _terms(log_tail, e2: float, lo, span, peak, cos2) -> np.ndarray:
+    return np.exp(log_tail(e2 / (lo + span * cos2), 2) - peak)
+
+
+def _level_sums(log_tail, e2: float, cols: tuple, r: int, n: int, offset: float, slices=(slice(None),)) -> list:
+    """Each of r open rows' sums of terms at phi = pi (j + offset) / n over each slice of j = 0, ..., n - 1.
+
+    At most ``_ANGULAR_CHUNK`` terms at once, in blocks of rows and, for a whole level of more
+    than max(``_ANGULAR_CHUNK``, ``_HEAD_NODES``) nodes (one slice of all j), chunks of nodes.
+    """
+    if n * r <= _ANGULAR_CHUNK:
+        level = _terms(log_tail, e2, *cols, _cos2_nodes(n, offset, 0, n))
+        if r == 1:
+            return [[float(np.add.reduce(level[sl]))] for sl in slices]
+        return [np.add.reduce(level[:, sl], axis=1).tolist() for sl in slices]
+    width = min(n, max(_ANGULAR_CHUNK, _HEAD_NODES))
+    step = max(1, _ANGULAR_CHUNK // width)
+    sums = [[0.0] * r for _ in slices]
+    for start in range(0, n, width):
+        cos2 = _cos2_nodes(n, offset, start, start + width)
+        for i in range(0, r, step):
+            block = cols if step >= r else [a[i : i + step] for a in cols]
+            part = _terms(log_tail, e2, *block, cos2).reshape(-1, width)
+            for out, sl in zip(sums, slices):
+                for j, s in enumerate(np.add.reduce(part[:, sl], axis=1).tolist(), i):
+                    out[j] += s
+    return sums
 
 
 def _mass_outside_interval(dof: float | None, m: float, var: np.ndarray, lo, hi) -> np.ndarray:
@@ -615,11 +607,10 @@ def _find_sign_change(h: Callable[[float], float], lo: float, hi: float) -> floa
     return hi
 
 
-def _proportional(scales: np.ndarray, ref: np.ndarray):
-    """Whether each scale matrix (the last two axes) is proportional to ``ref``, to 1e-12."""
-    unit = scales / scales[..., :1, :1]
-    gap = np.abs(unit - ref / ref[0, 0]).max(axis=(-2, -1))
-    return gap <= 1e-12 * np.abs(unit).max(axis=(-2, -1))
+def _proportional(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether scale matrix ``a`` is proportional to ``b``, to 1e-12."""
+    unit = a / a[0, 0]
+    return bool(np.abs(unit - b / b[0, 0]).max() <= 1e-12 * np.abs(unit).max())
 
 
 def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
@@ -651,18 +642,10 @@ def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> floa
     S the radial upper tails, read off the families' ``log_tail`` in
     dimension p.  Two normals cross once, in closed form.
     """
-    sa, sb = math.sqrt(va), math.sqrt(vb)
     dof_a, dof_b = _dof(fam_a), _dof(fam_b)
-    # Pr{|u| > r} for the standardized radius |u| under a family, at each r, in one call.
-    tails = lambda fam, radii: [math.exp(v) for v in fam.log_tail(np.array([r * r for r in radii]), p).tolist()]
     if dof_a is None and dof_b is None:
-        # Crossing at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d = log(s_wide / s_narrow).
-        d = abs(math.log(sa) - math.log(sb))
-        if d == 0.0:
-            return 0.0
-        r_narrow = math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))
-        near, far = tails(fam_a, [r_narrow * math.exp(-d), r_narrow])
-        return near - far
+        return _normal_tvs(p, [va], vb)[0]
+    sa, sb = math.sqrt(va), math.sqrt(vb)
 
     def log_density(fam: RadialFamily, s: float) -> Callable[[float], float]:
         const = -fam.log_ball_integral(p) - p * math.log(s)
@@ -693,6 +676,24 @@ def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> floa
             elif (h(hi) > 0.0) == positive_lo:
                 continue
             crossings.append(_find_sign_change(h, lo, hi))
-    pairs = zip(tails(fam_a, [rho / sa for rho in crossings]), tails(fam_b, [rho / sb for rho in crossings]))
+    pairs = zip(_tails(fam_a, p, [rho / sa for rho in crossings]), _tails(fam_b, p, [rho / sb for rho in crossings]))
     total = sum((-1) ** i * (ta - tb) for i, (ta, tb) in enumerate(pairs))
     return min(abs(total), 1.0)
+
+
+def _tails(family: RadialFamily, p: int, radii: list[float]) -> list[float]:
+    """Pr{|u| > r} for the standardized radius |u| under a family, at each r, in one ``log_tail`` call."""
+    return [math.exp(v) for v in family.log_tail(np.array([r * r for r in radii]), p).tolist()]
+
+
+def _normal_tvs(p: int, vas: list[float], vb: float) -> list[float]:
+    """TV distances between normals of one centre and proportional scales, scale[0, 0] each va and vb.
+
+    Two normals cross once, at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d =
+    log(s_wide / s_narrow); the tails at every crossing are one ``_tails`` call.
+    """
+    log_sb = math.log(math.sqrt(vb))
+    ds = [abs(math.log(math.sqrt(va)) - log_sb) for va in vas]
+    narrow = [(d, math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))) for d in ds if d != 0.0]
+    tails = iter(_tails(NormalRadial(), p, [x for d, r in narrow for x in (r * math.exp(-d), r)]))
+    return [next(tails) - next(tails) if d != 0.0 else 0.0 for d in ds]

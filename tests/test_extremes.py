@@ -295,6 +295,33 @@ def test_monte_carlo_runs_are_free_of_the_scale_of_x(command):
     assert outs[0][0] == 0 and outs[1] == outs[0] == outs[2]
 
 
+def _finite_json(out: str) -> None:
+    """The one JSON line of a run, with every number in it finite."""
+    (line,) = out.splitlines()
+    stack = [json.loads(line, parse_constant=lambda name: pytest.fail(f"non-finite {name} in {line}"))]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, float):
+            assert math.isfinite(value)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(["pivot", "coverage"]), models, scales, scales, scales, st.sampled_from(["normal", "t:5"]))
+def test_monte_carlo_runs_are_finite_or_a_refusal(command, name, ex, ew, ev, radial):
+    # X, W and v times 2^ex, 2^ew and 2^ev over the whole exponent range: a run
+    # exits 0 with finite output, or with the one-line JSON error (``_cli``).
+    model = _scaled(_golden(name), 0, ex, ew)
+    assume(model is not None)
+    v = ",".join(repr(math.ldexp(x, ev)) for x in (1.0, -0.75)[: len(model["X"][0])])
+    code, out, _ = _cli(command, model, "--radial", radial, "--v", v, "--reps", "200")
+    if code == 0:
+        _finite_json(out)
+
+
 @pytest.mark.parametrize("d", [1e-6, 1e-7, 1e-8, 1e-9])
 def test_near_collinear_fit_is_as_accurate_as_lstsq(d):
     # theta_W and J against 50-digit mpmath, within 10 times the error of

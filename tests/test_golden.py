@@ -40,6 +40,9 @@ COMMANDS = {
     "concentration_m1_powerlaw2.out": "concentration --model m1.json --radial powerlaw:2 --c-grid 1e-2,1 --eps 0.1",
     "concentration_m2.out": "concentration --model m2.json --c-grid 1e-6,1e-4,1e-2 --eps 0.1",
     "contaminate_m1.out": "contaminate --model m1.json --phi 0.01 --c-grid 1e-6,1e-2 --contaminant-c 4",
+    "contaminate_m1_t5.out": (
+        "contaminate --model m1.json --radial t:5 --phi 0.01 --c-grid 1e-6,1e-2,1 --contaminant-c 4"
+    ),
     "contaminate_m2.out": (
         "contaminate --model m2.json --phi 0.01 --c-grid 1e-6,1e-2,1 --contaminant-c 4"
     ),

@@ -442,9 +442,9 @@ class TestSweeps:
             run_contamination(canon_model, PowerLawRadial(2.0), proper, 0.01, [1e-2])
 
     def test_sweeps_build_no_posterior_per_c(self, canon_model, monkeypatch):
-        # A concentration sweep builds no ClosedFormPosterior, a contamination
-        # sweep only its contaminant's, and at p = 1 a t or power-law mass is one
-        # t_cdf call per eps over the whole c axis.
+        # Neither sweep builds a ClosedFormPosterior (a contamination sweep reads
+        # its contaminant off a one-c path), and at p = 1 a t or power-law mass
+        # is one t_cdf call per eps over the whole c axis.
         built, cdf_points = [], []
         init = posteriors.ClosedFormPosterior.__post_init__
         monkeypatch.setattr(
@@ -464,8 +464,46 @@ class TestSweeps:
         cdf_points.clear()
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         run_contamination(canon_model, StudentTRadial(3.0), contam, 0.01, c_grid, [0.1, 0.5])
-        assert len(built) == 1 and built[0].dof is None
+        assert built == []
         assert cdf_points == [16, 16]
+
+    def test_concentration_computes_no_log_evidence(self, canon_model, monkeypatch):
+        # Only mixture weights read evidences, and a concentration sweep has none.
+        def refuse(*args):
+            raise AssertionError("computed a log evidence")
+
+        for family in (NormalRadial, StudentTRadial):
+            monkeypatch.setattr(family, "log_evidence", refuse)
+        m2 = ModelInstance(
+            Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
+        )
+        for family in (NormalRadial(), StudentTRadial(3.0), PowerLawRadial(3.0)):
+            for model in (canon_model, m2):
+                run_concentration(model, family, np.logspace(-6, 1, 8), [0.1, 0.5])
+        contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
+        with pytest.raises(AssertionError, match="computed a log evidence"):
+            run_contamination(canon_model, NormalRadial(), contam, 0.01, [1e-2])
+
+    @pytest.mark.parametrize(
+        "family, exact, refusal",
+        [
+            (NormalRadial(), False, "prior scale c must be positive, got 0.0"),
+            (StudentTRadial(3.0), True, "t:3 posterior at c = 0 requires a positive J-statistic"),
+        ],
+    )
+    def test_first_refused_c_is_named(self, family, exact, refusal):
+        # On X x 2^-60 the scale at c = 1e300 overflows, and c = 0 is refused by
+        # the family's shape (a zero normal spread; a t scale of J alone at J = 0):
+        # whichever comes first along the grid is the c named.
+        x = np.ldexp(np.array([[1.0], [0.5], [-0.25]]), -60)
+        m = ModelInstance(Y=x[:, 0] if exact else [0.3, -1.2, 0.8], X=x, W=np.eye(3))
+        overflow = "posterior at prior scale c = 1e+300 is unrepresentable: scale must be finite"
+        with pytest.raises(InputError) as first:
+            posteriors._PosteriorPath(m, family, [1.0, 1e300, 0.0])
+        assert str(first.value) == overflow
+        with pytest.raises(InputError) as first:
+            posteriors._PosteriorPath(m, family, [1.0, 0.0, 1e300])
+        assert str(first.value).startswith(refusal)
 
     def test_concentration_powerlaw_flat(self, canon_model):
         trace = run_concentration(canon_model, PowerLawRadial(3.0), [1e-4, 1e-2, 1.0], [0.1])

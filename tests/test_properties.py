@@ -795,6 +795,22 @@ def test_contamination_sweep_is_the_per_c_route(
     assert got == _refusal_or(lambda: _contamination_per_c(*args))
 
 
+@given(seeds, sweep_shapes, c_axes, st.floats(-4.0, 1.0).map(lambda e: 10.0**e))
+@example(0, (3, 2), [1e-300, 1.0], 1e30)  # d = 380 at p = 2: the far tail underflows to 0
+@example(0, (3, 1), [1e-307, 1e-3], 1e307)  # d = 707 at p = 1: an erfc tail below the smallest normal
+def test_normal_tv_axis_is_the_per_c_tv_distance(seed, shape, c_axis, c_cont):
+    # ``tv_to`` takes every normal crossing's tails in one call; the axis holds
+    # c_cont itself, where the two posteriors are one (d = 0).
+    m = _sweep_model(seed, shape, 0, False)
+    c_axis = sorted({*c_axis, c_cont})
+    path = posteriors._PosteriorPath(m, NormalRadial(), c_axis)
+    pure = closed_form_posterior(m, NormalRadial(), c_cont)
+    per_c = [tv_distance(closed_form_posterior(m, NormalRadial(), c), pure) for c in c_axis]
+    got = path.tv_to(posteriors._PosteriorPath(m, NormalRadial(), (c_cont,)))
+    assert got.tobytes() == np.array(per_c).tobytes()
+    assert got[c_axis.index(c_cont)] == 0.0
+
+
 OVERFLOW = "posterior at prior scale c = 1e+300 is unrepresentable: scale must be finite"
 
 
