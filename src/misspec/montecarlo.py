@@ -32,7 +32,7 @@ from misspec import _kernels, _linalg, _rng
 from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, sigma_v
-from misspec.posteriors import ThetaPrior, _PosteriorPath
+from misspec.posteriors import ThetaPrior, _mixture, _mixture_mass, _PosteriorPath
 from misspec.priors import (
     RadialFamily,
     ScaledPrior,
@@ -389,7 +389,7 @@ def run_concentration(
     _check_grid_points(grid_points, model.p)
     path = _PosteriorPath(model, family, c_grid.tolist())
     metrics = {name: path.mass_outside(eps) for name, eps in eps_names.items()}
-    metrics["posterior_sd"] = path.max_marginal_sd()
+    metrics["posterior_sd"] = path.marginal_sd().max(axis=1)
     has_mean = path.dof is None or path.dof > 1.0
     action_names = (
         ["bayes_action"] if model.p == 1 else [f"bayes_action_{i + 1}" for i in range(model.p)]
@@ -419,8 +419,8 @@ def run_contamination(
     shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
     with J = 0 it keeps concentrating at the pseudo-true value instead.
     The contaminant is a one-c ``_PosteriorPath`` and the base posteriors
-    one over the whole c axis, whose weights, TV distances and masses equal
-    the per-c mixture's bit for bit.  ``grid_points`` sizes
+    one over the whole c axis, whose weights, masses and TV distances take
+    ``MixturePosterior``'s own route.  ``grid_points`` sizes
     nothing (``_check_grid_points``).  p is at most 2.
     """
     if model.p > 2:
@@ -433,10 +433,10 @@ def run_contamination(
     _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")
     pure = _PosteriorPath(model, contaminant.family, (contaminant.c,))
     path = _PosteriorPath(model, base_family, c_grid.tolist())
-    w_base, w_pure = path.mixture_weights(pure, phi)
+    _, w_base, w_pure = _mixture(phi, path, pure)
     metrics = {"tv_to_contaminant": w_base * path.tv_to(pure)}
     for name, eps in eps_names.items():
-        metrics[name] = np.minimum(w_base * path.mass_outside(eps) + w_pure * pure.mass_outside(eps), 1.0)
+        metrics[name] = _mixture_mass(path, w_base, pure, w_pure, eps)
     return SweepTrace._along_c(c_grid, metrics)
 
 

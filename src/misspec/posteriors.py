@@ -13,13 +13,14 @@ grid.  Radial tails are the families' ``RadialFamily.log_tail`` in dimension
 p.  The TV distance holds at any p, the mass outside a ball at p <= 2.
 
 A bare ``ClosedFormPosterior(center, scale, dof)`` validates its scale with
-``_linalg.spd_factor``, one eigensolve.  A model's closed forms along prior
-scales c make a ``_PosteriorPath``: each scale is m(c) H^{-1}, H = X'WX, so
-the path holds only m(c) over c, with H^{-1} and its spectrum from the
-design's SVD, and reads every metric off m(c) times one of them, bit for bit
-the per-c value; ``closed_form_posterior`` is its one-c case.  At p = 1 the
-masses at every c are one ``math.erfc`` pass or one ``t_cdf`` call, at p = 2
-one angular trapezoid rule (``_angular_mass``), and two normals' TV
+``_linalg.spd_factor``, one eigensolve.  Every metric has one route, a
+``_PosteriorPath``: a model's closed forms along prior scales c, each scale
+m(c) H^{-1}, H = X'WX, held as m(c) over c with H^{-1} and its spectrum from
+the design's SVD.  ``closed_form_posterior`` is its one-c case, and closed
+forms and mixtures read their metrics off the one-c path of their own scale
+as the sweeps do, so a sweep's values are the per-c ones bit for bit.  At
+p = 1 the masses at every c are one ``math.erfc`` pass or one ``t_cdf`` call,
+at p = 2 one angular trapezoid rule (``_angular_mass``), and two normals' TV
 distances one ``log_tail`` call.
 """
 
@@ -89,7 +90,8 @@ class ClosedFormPosterior:
     given as a matrix is validated by ``_linalg.spd_factor``, which computes
     them; ``closed_form_posterior`` passes a ``_linalg.SpdFactor`` whose
     eigenvalues it has read off the model's design and checked by the same
-    ``_linalg.check_spd_spectrum``, and that is taken as it is.
+    ``_linalg.check_spd_spectrum``, and that is taken as it is.  Its metrics
+    are read off the one-c path of that factor (``_path``).
     """
 
     center: np.ndarray
@@ -104,11 +106,12 @@ class ClosedFormPosterior:
             sf = _linalg.spd_factor(sf, "scale")
         if sf.matrix.shape[0] != center.shape[0]:
             raise InputError("posterior center and scale dimensions disagree")
-        family = NormalRadial() if self.dof is None else StudentTRadial(self.dof)
+        path = _ClosedFormPath(center, sf, self.dof, self.log_evidence)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", sf.matrix)
-        object.__setattr__(self, "_family", family)
+        object.__setattr__(self, "_family", path.family)
         object.__setattr__(self, "_scale_factor", sf)
+        object.__setattr__(self, "_path", path)
 
     @property
     def p(self) -> int:
@@ -128,21 +131,7 @@ class ClosedFormPosterior:
 
     def marginal_sd(self) -> np.ndarray:
         """Marginal standard deviations (infinite for t with dof <= 2)."""
-        return _marginal_sd(np.diag(self.scale), self.dof)
-
-
-def _marginal_sd(diag: np.ndarray, dof: float | None) -> np.ndarray:
-    """Marginal sds from scale diagonals (any shape) and a dof (None: Gaussian)."""
-    if dof is None:
-        return np.sqrt(diag)
-    if dof <= 2.0:
-        return np.full(diag.shape, np.inf)
-    with np.errstate(over="ignore"):
-        sd = np.sqrt(diag * dof / (dof - 2.0))
-    # diag * dof overflows within a factor dof of the largest float; the sd does not.
-    far = np.isinf(sd)
-    sd[far] = np.sqrt(diag[far]) * math.sqrt(dof / (dof - 2.0))
-    return sd
+        return self._path.marginal_sd()[0]
 
 
 def closed_form_posterior(model: ModelInstance, family: RadialFamily, c: float) -> ClosedFormPosterior:
@@ -179,8 +168,8 @@ class _PosteriorPath:
     Every c passes ``closed_form_posterior``'s checks, in order: c, the fit
     and X'WX's condition number (model-wide, made once), the family's shape,
     the scale's spectrum and entries (m(c) max |H^{-1}| finite); the first c
-    refused is the one named.  ``c_grid`` is a nonempty sequence.  Every value
-    read off the path equals the per-c closed form's bit for bit.
+    refused is the one named.  ``c_grid`` is a nonempty sequence.  Closed
+    forms and mixtures read their one-c paths (``_ClosedFormPath``) alike.
     """
 
     def __init__(self, model: ModelInstance, family: RadialFamily, c_grid):
@@ -250,33 +239,54 @@ class _PosteriorPath:
             log_evidence=self.log_evidence(i),
         )
 
-    def max_marginal_sd(self) -> np.ndarray:
-        """The largest marginal sd at each c (inf for t with dof <= 2)."""
-        return _marginal_sd(np.multiply.outer(self.multiplier, np.diag(self._h_inv)), self.dof).max(axis=1)
+    def marginal_sd(self) -> np.ndarray:
+        """The marginal sds at each c, an (n_c, p) array (inf for t with dof <= 2)."""
+        diag, dof = np.multiply.outer(self.multiplier, np.diag(self._h_inv)), self.dof
+        if dof is None:
+            return np.sqrt(diag)
+        if dof <= 2.0:
+            return np.full(diag.shape, np.inf)
+        with np.errstate(over="ignore"):
+            sd = np.sqrt(diag * dof / (dof - 2.0))
+        # diag * dof overflows within a factor dof of the largest float; the sd does not.
+        far = np.isinf(sd)
+        sd[far] = np.sqrt(diag[far]) * math.sqrt(dof / (dof - 2.0))
+        return sd
 
-    def mass_outside(self, eps: float) -> np.ndarray:
-        """``mass_outside_ball`` of the ball of radius eps about theta_W, at each c; p <= 2."""
-        if self.p == 1:
-            centre = self.center[0]
-            return _mass_outside_interval(self.dof, float(centre), self.scale00(), centre - eps, centre + eps)
+    def mass_outside(self, eps: float, center: np.ndarray | None = None) -> np.ndarray:
+        """``mass_outside_ball`` of the ball of radius eps about ``center`` (None: theta_W), at each c."""
+        p = self.p
+        if p == 1:
+            m = float(self.center[0])
+            at = m if center is None else center[0]
+            return _mass_outside_interval(self.dof, m, self.scale00(), at - eps, at + eps)
+        if p > 2:
+            raise InputError("mass_outside_ball supports closed forms only for p <= 2")
+        if center is not None and not np.array_equal(center, self.center):
+            raise InputError(
+                "mass_outside_ball for p=2 closed forms requires the ball centred at the posterior centre"
+            )
         lam_lo, lam_hi = self._inv_vals
         return _angular_mass(self.family, self.multiplier * lam_lo, self.multiplier * lam_hi, eps)
 
-    def mixture_weights(self, contaminant: "_PosteriorPath", phi: float) -> tuple[np.ndarray, np.ndarray]:
-        """``MixturePosterior(posterior(i), contaminant.posterior(0), phi).weights()`` at each c, as arrays."""
-        evidences = [self.log_evidence(i) for i in range(self.multiplier.size)]
-        pure = contaminant.log_evidence(0)
-        _check_mixture(phi, [*evidences, pure])
-        pure_var = float(contaminant.scale00()[0])
-        odds = [_mixture_log_odds(phi, e, var, pure, pure_var) for e, var in zip(evidences, self.scale00().tolist())]
-        return np.array([_expit(-x) for x in odds]), np.array([_expit(x) for x in odds])
-
     def tv_to(self, other: "_PosteriorPath") -> np.ndarray:
-        """``tv_distance(posterior(i), other.posterior(0))`` at each c, for a one-c path of the same model."""
+        """``tv_distance(posterior(i), other.posterior(0))`` at each c, for a one-c path of one centre."""
         vas, vb = self.scale00().tolist(), float(other.scale00()[0])
         if self.dof is None and other.dof is None:
             return np.array(_normal_tvs(self.p, vas, vb))
-        return np.array([_radial_tv(self.p, self.family, va, other.family, vb) for va in vas])
+        return np.array([_radial_tv(self.p, self, va, other, vb) for va in vas])
+
+
+class _ClosedFormPath(_PosteriorPath):
+    """A closed form's one-c path: its validated scale factor at multiplier 1, and its log evidence."""
+
+    def __init__(self, center: np.ndarray, sf: _linalg.SpdFactor, dof: float | None, log_evidence):
+        self.multiplier, self.center, self.dof, self._evidence = np.ones(1), center, dof, log_evidence
+        self.family = NormalRadial() if dof is None else StudentTRadial(dof)
+        self._h_inv, self._inv_vals, self._vectors = sf.matrix, sf.eigenvalues, sf.vectors
+
+    def log_evidence(self, i: int) -> float | None:
+        return self._evidence
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
@@ -292,22 +302,30 @@ def _expit(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _check_mixture(phi: float, evidences: list) -> None:
-    """A mixture's checks of phi and of its components' log evidences (None where there is none)."""
+def _mixture(phi: float, base: _PosteriorPath, pure: _PosteriorPath) -> tuple[list, np.ndarray, np.ndarray]:
+    """(log odds, 1 - w, w) at each c of ``base`` for the mixture (1 - phi) base + phi pure, w pure's weight.
+
+    ``pure`` is a one-c path; phi and both components' log evidences are checked first.
+    """
+    evidences = [base.log_evidence(i) for i in range(base.multiplier.size)]
+    pure_evidence = pure.log_evidence(0)
     if not (0.0 < phi < 1.0):
         raise InputError(f"contamination weight phi must be in (0, 1), got {phi}")
-    if None in evidences:
+    if pure_evidence is None or None in evidences:
         raise InputError("mixture components need the log evidence of a proper prior")
-
-
-def _mixture_log_odds(phi: float, base_evidence: float, base_var: float, evidence: float, var: float) -> float:
-    """log(w / (1 - w)) for the contaminant's weight w; the vars are each component's scale[0, 0]."""
-    log_odds = math.log(phi) - math.log1p(-phi) + evidence - base_evidence
-    if math.isnan(log_odds):
+    prior_odds, pure_var = math.log(phi) - math.log1p(-phi), float(pure.scale00()[0])
+    odds = []
+    for evidence, var in zip(evidences, base.scale00().tolist()):
+        log_odds = prior_odds + pure_evidence - evidence
         # Both evidences underflow, which only normal ones do (J / c overflows).
         # The wider, larger-c one has the larger evidence; equal ones agree.
-        log_odds = math.copysign(math.inf, var - base_var)
-    return log_odds
+        odds.append(math.copysign(math.inf, pure_var - var) if math.isnan(log_odds) else log_odds)
+    return odds, np.array([_expit(-x) for x in odds]), np.array([_expit(x) for x in odds])
+
+
+def _mixture_mass(base: _PosteriorPath, w_base, pure: _PosteriorPath, w_pure, eps: float, center=None) -> np.ndarray:
+    """The mass outside the ball of ``_mixture``'s mixtures: the weighted sum of the components' masses."""
+    return np.minimum(w_base * base.mass_outside(eps, center) + w_pure * pure.mass_outside(eps, center), 1.0)
 
 
 @dataclass(frozen=True)
@@ -329,13 +347,11 @@ class MixturePosterior:
 
     def __post_init__(self):
         base, cont = self.base, self.contaminant
-        _check_mixture(self.phi, [base.log_evidence, cont.log_evidence])
+        (log_odds,), (w_base,), (w_pure,) = _mixture(self.phi, base._path, cont._path)
         if not np.array_equal(base.center, cont.center):
             raise InputError("mixture components must share their centre")
-        log_odds = _mixture_log_odds(
-            self.phi, base.log_evidence, base.scale[0, 0], cont.log_evidence, cont.scale[0, 0]
-        )
         object.__setattr__(self, "log_odds", log_odds)
+        object.__setattr__(self, "_weights", (float(w_base), float(w_pure)))
 
     @property
     def p(self) -> int:
@@ -343,7 +359,7 @@ class MixturePosterior:
 
     def weights(self) -> tuple[float, float]:
         """(1 - w, w): the base's and the contaminant's posterior weights."""
-        return _expit(-self.log_odds), _expit(self.log_odds)
+        return self._weights
 
     def tv_to_contaminant(self) -> float:
         """TV distance to the pure contaminant posterior: (1 - w) TV(base, contaminant)."""
@@ -496,55 +512,25 @@ def _mass_outside_interval(dof: float | None, m: float, var: np.ndarray, lo, hi)
     return np.minimum(np.maximum(cdf[:n] + cdf[n:], 0.0), 1.0)
 
 
-def mass_outside_ball(
-    post: ClosedFormPosterior | MixturePosterior,
-    center,
-    eps: float,
-    norm_matrix: np.ndarray | None = None,
-) -> float:
-    """Posterior probability of {theta : ||theta - center|| > eps}.
+def mass_outside_ball(post: ClosedFormPosterior | MixturePosterior, center, eps: float) -> float:
+    """Posterior probability of {theta : ||theta - center|| > eps}, in the Euclidean norm.
 
-    The default ball is Euclidean; ``norm_matrix`` substitutes the SPD-norm
-    ||d|| = sqrt(d' M d) (e.g. M = X'WX).  Closed forms are exact: at p = 1 from
-    the CDF, in both lower tails; at p = 2 by the angular integral of
-    ``_angular_mass``, which needs the ball centred at the posterior centre
-    (an off-centre ball is an InputError).  A mixture's mass is the weighted
-    sum of its components' masses, so it is exact too.
+    Read off the one-c ``_PosteriorPath.mass_outside`` of the closed form, or
+    of a mixture's components (``_mixture_mass``), as the sweeps read theirs.
+    Exact: at p = 1 from the CDF, in both lower tails; at p = 2 by the angular
+    integral of ``_angular_mass``, which needs the ball centred at the
+    posterior centre (an off-centre ball is an InputError).
     """
     if not eps > 0.0:
         raise InputError(f"ball radius must be positive, got {eps}")
-    if isinstance(post, MixturePosterior):
-        parts = (post.base, post.contaminant)
-        masses = [mass_outside_ball(q, center, eps, norm_matrix) for q in parts]
-        return min(sum(w * m for w, m in zip(post.weights(), masses)), 1.0)
     center = _linalg.as_vector(center, post.p, "center")
-    if norm_matrix is not None:
-        norm = _linalg.spd_factor(norm_matrix, "norm_matrix").matrix
-        if norm.shape[0] != post.p:
-            raise InputError(f"norm_matrix must be {post.p}x{post.p}, got shape {norm.shape}")
-    if post.p == 1:
-        radius = eps if norm_matrix is None else eps / math.sqrt(norm[0, 0])
-        lo, hi = center[0] - radius, center[0] + radius
-        mass = _mass_outside_interval(post.dof, float(post.center[0]), post.scale[0], lo, hi)
-        return float(mass[0])
-    if post.p == 2:
-        if not np.array_equal(center, post.center):
-            raise InputError(
-                "mass_outside_ball for p=2 closed forms requires the ball centred "
-                "at the posterior centre"
-            )
-        sf = post._scale_factor
-        lam = sf.eigenvalues if norm_matrix is None else np.linalg.eigvalsh(sf.root @ norm @ sf.root)
-        return float(_angular_mass(post._family, lam[:1], lam[1:], eps)[0])
-    raise InputError("mass_outside_ball supports closed forms only for p <= 2")
+    if isinstance(post, MixturePosterior):
+        w_base, w_pure = post.weights()
+        return float(_mixture_mass(post.base._path, w_base, post.contaminant._path, w_pure, eps, center)[0])
+    return float(post._path.mass_outside(eps, center)[0])
 
 
-def _dof(family: RadialFamily) -> float | None:
-    """A closed form's dof from its family: None for the normal."""
-    return family.dof if isinstance(family, StudentTRadial) else None
-
-
-def _stationary_sq(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> float:
+def _stationary_sq(p: int, dof_a: float | None, va, dof_b: float | None, vb) -> float:
     """The rho^2 where the slopes in rho^2 of log p_a and log p_b agree (nan if nowhere).
 
     A t log density's slope in r = rho^2 is -alpha / (beta + r), with alpha =
@@ -553,7 +539,7 @@ def _stationary_sq(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> 
     """
     (alpha_a, beta_a), (alpha_b, beta_b) = (
         (None, 2.0 * v) if dof is None else (0.5 * (dof + p), dof * v)
-        for dof, v in ((_dof(fam_a), va), (_dof(fam_b), vb))
+        for dof, v in ((dof_a, va), (dof_b, vb))
     )
     if alpha_a is None:
         return alpha_b * beta_a - beta_b
@@ -617,8 +603,7 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
     """Exact total variation distance between two closed forms of one centre, at any p.
 
     Their scales must be proportional, as any two closed forms of one model
-    are; ``_radial_tv`` computes the distance from each one's family and
-    scale[0, 0].
+    are.  Read off a's one-c ``_PosteriorPath.tv_to``, as the sweeps read theirs.
     """
     if b.p != a.p:
         raise InputError(f"tv_distance needs closed forms of one dimension, got p = {a.p} and {b.p}")
@@ -626,11 +611,11 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
         raise InputError("tv_distance of closed forms requires one centre")
     if a.p > 1 and not _proportional(a.scale, b.scale):
         raise InputError("tv_distance of closed forms requires proportional scales")
-    return _radial_tv(a.p, a._family, a.scale[0, 0], b._family, b.scale[0, 0])
+    return float(a._path.tv_to(b._path)[0])
 
 
-def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> float:
-    """TV distance between closed forms of one centre, proportional scales and families fam.
+def _radial_tv(p: int, a: _PosteriorPath, va, b: _PosteriorPath, vb) -> float:
+    """TV distance between the closed forms of paths a and b of one centre and proportional scales.
 
     Both densities depend on theta only through rho, the distance from the
     centre in the norm of scale / scale[0, 0], and each is that of a
@@ -640,11 +625,9 @@ def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> floa
     cross at most twice, at rho_1 < rho_2, found on each side of it by
     ``_find_sign_change``; then TV = |sum_i (-1)^i (S_a(rho_i) - S_b(rho_i))|,
     S the radial upper tails, read off the families' ``log_tail`` in
-    dimension p.  Two normals cross once, in closed form.
+    dimension p.  Not both are normal (``_normal_tvs``).
     """
-    dof_a, dof_b = _dof(fam_a), _dof(fam_b)
-    if dof_a is None and dof_b is None:
-        return _normal_tvs(p, [va], vb)[0]
+    (fam_a, dof_a), (fam_b, dof_b) = (a.family, a.dof), (b.family, b.dof)
     sa, sb = math.sqrt(va), math.sqrt(vb)
 
     def log_density(fam: RadialFamily, s: float) -> Callable[[float], float]:
@@ -660,7 +643,7 @@ def _radial_tv(p: int, fam_a: RadialFamily, va, fam_b: RadialFamily, vb) -> floa
     if key_a == key_b:
         return 0.0
     positive_tail = key_a > key_b
-    r = _stationary_sq(p, fam_a, va, fam_b, vb)
+    r = _stationary_sq(p, dof_a, va, dof_b, vb)
     knots = [0.0, math.sqrt(r)] if r > 0.0 else [0.0]
     crossings = []
     # Far out, rho^2 / (s^2 dof) may overflow; log f is then -inf, its limit.

@@ -190,18 +190,16 @@ class StudentTRadial(RadialFamily):
             raise InputError(f"t radial dof must be finite with dof/2 positive, got {self.dof}")
         object.__setattr__(self, "_a", 0.5 * self.dof)
         object.__setattr__(self, "_half_excess", special.log_gamma_half_excess(self._a))
+        # log(pi dof); pi dof overflows above a dof of about 5.7e307.
+        log_pi_dof = math.log(math.pi * self.dof) if self.dof < 5e307 else math.log(math.pi) + math.log(self.dof)
+        object.__setattr__(self, "_log_pi_dof", log_pi_dof)
 
     def log_f(self, u, k: int):
         u = np.asarray(u, dtype=np.float64)
         return -0.5 * (self.dof + k) * np.log1p(u / self.dof)
 
     def log_ball_integral(self, k: int) -> float:
-        nu = self.dof
-        return (
-            math.lgamma(0.5 * nu)
-            - math.lgamma(0.5 * (nu + k))
-            + 0.5 * k * math.log(nu * math.pi)
-        )
+        return -special._log_gamma_ratio(self._a, k) + 0.5 * k * self._log_pi_dof
 
     # S / k is F(k, dof): its tail is x^a = (1 + s/dof)^(-dof/2) at k = 2 and
     # Pr{T^2 > s} for T Student-t at k = 1.
@@ -223,12 +221,8 @@ class StudentTRadial(RadialFamily):
             growth = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
         else:
             growth = 0.0
-        return (
-            -0.5 * (k - p) * (math.log(math.pi * nu) + math.log(c))
-            - 0.5 * (nu + k - p) * growth
-            + math.lgamma(0.5 * (nu + k - p))
-            - math.lgamma(0.5 * nu)
-        )
+        head = -0.5 * (k - p) * (self._log_pi_dof + math.log(c)) - 0.5 * (nu + k - p) * growth
+        return special._log_gamma_ratio(self._a, k - p, head)
 
     def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
         # Exact at every c; as c -> 0 the scale shrinks only to J / dof' H^{-1}.

@@ -4,8 +4,8 @@ The t CDF is SciPy's ``stdtr`` (Boost's, on the regularized incomplete beta)
 and the t quantile SciPy's ``stdtrit``, evaluated in the lower tail so that
 neither is formed as 1 - tail.  The two-sided tail Pr{T^2 > s} has a log that
 stays accurate where the tail itself underflows (``log_far_t_sq_tail``), and
-log Gamma(a + 1/2) / Gamma(a) is kept free of the cancellation of two lgammas
-(``log_gamma_half_excess``).
+log Gamma(a + m/2) / Gamma(a) is kept free of the cancellation of two lgammas
+(``_log_gamma_ratio``, ``log_gamma_half_excess``).
 
 ``scipy.special`` is imported on first use, inside the functions that call
 it, so importing this module (and ``misspec``) does not load it; commands
@@ -115,6 +115,23 @@ def log_gamma_half_excess(a: float) -> float:
     if a < 7.0:
         return math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(a)
     return sum(c * a ** (1 - 2 * n) for n, c in enumerate(_HALF_EXCESS, 1))
+
+
+def _log_gamma_ratio(a: float, m: int, start: float = 0.0) -> float:
+    """start + log Gamma(a + m/2) / Gamma(a), for a > 0 and an integer m >= 0.
+
+    Below a = 7 start plus one lgamma minus the other, in that order.  From a = 7
+    on, where those cancel (and overflow above a of about 2.5e305), the exact sum
+    of start, log(a + j) over the m // 2 integer steps and, at odd m, the half
+    step at b = a + m // 2, (log b)/2 + ``log_gamma_half_excess(b)``.
+    """
+    if a < 7.0:
+        return start + math.lgamma(a + 0.5 * m) - math.lgamma(a)
+    steps = [start] + [math.log(a + j) for j in range(m // 2)]
+    if m % 2:
+        b = a + m // 2
+        steps += [0.5 * math.log(b), log_gamma_half_excess(b)]
+    return math.fsum(steps)
 
 
 def log_far_t_sq_tail(a: float, l1: np.ndarray) -> np.ndarray:

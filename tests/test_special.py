@@ -10,6 +10,7 @@ from misspec.errors import DomainError, ImproperPriorError, InputError
 from misspec.montecarlo import run_tails
 from misspec.special import (
     StudentT,
+    _log_gamma_ratio,
     log_far_t_sq_tail,
     log_gamma_half_excess,
     t_cdf,
@@ -341,6 +342,17 @@ class TestFarStart:
                 m = mpmath.mpf(a)
                 ref = mpmath.loggamma(m + 0.5) - mpmath.loggamma(m) - mpmath.log(m) / 2
             assert abs(log_gamma_half_excess(a) - float(ref)) <= 8 * EPS * max(1.0, abs(float(ref))), a
+
+    @pytest.mark.parametrize("dof", [0.2, 1.0, 3.7, 13.98, 14.0, 25.3, 1e3, 1e10, 1e15, 1e100, 1e306, 1e308])
+    def test_log_gamma_ratio_against_mpmath(self, dof):
+        # Two lgammas of about a log a each cancelled (1.5e-5 off at dof 1e10, 0.92 at 1e15)
+        # and overflowed above dof 5e305; 40 digits past the cancellation of the reference's own.
+        mpmath = pytest.importorskip("mpmath")
+        a = 0.5 * dof
+        for m in (1, 2, 3, 4, 7, 10, 99, 100, 1000):
+            with mpmath.workdps(40 + int(math.log10(a)) + 10):
+                ref = float(mpmath.loggamma(mpmath.mpf(a) + mpmath.mpf(m) / 2) - mpmath.loggamma(a))
+            assert abs(_log_gamma_ratio(a, m) - ref) <= 16 * EPS * max(1.0, abs(ref)), (a, m)
 
     @pytest.mark.parametrize("dof,s", [
         (24.85, 1e308), (1e3, 1e8), (3e3, 3e3), (3e3, 6e3),  # power series, x <= 1/2
