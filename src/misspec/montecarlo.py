@@ -334,7 +334,7 @@ def _check_grid_points(points, p: int) -> None:
     It sizes nothing; it is only checked, as integers >= 2 whose product is
     at most ``_MAX_GRID_POINTS``, because ``perfbench`` still passes it.
     """
-    counts = [points] * p if np.isscalar(points) else list(points)
+    counts = [points] * p if isinstance(points, int) or np.isscalar(points) else list(points)
     if len(counts) != p or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in counts):
         raise InputError(f"grid_points must be {p} integer(s) >= 2, got {points!r}")
     counts = [int(n) for n in counts]
@@ -350,7 +350,7 @@ def _mass_outside_names(eps_list) -> dict[str, float]:
     any posterior is built.
     """
     names: dict[str, float] = {}
-    for eps in map(float, np.atleast_1d(eps_list)):
+    for eps in map(float, eps_list if isinstance(eps_list, (list, tuple)) else np.atleast_1d(eps_list)):
         if not eps > 0.0:
             raise InputError(f"ball radius must be positive, got {eps}")
         name = f"mass_outside_{eps:g}"

@@ -19,13 +19,15 @@ m(c) H^{-1}, H = X'WX, held as m(c) over c with H^{-1} and its spectrum from
 the design's SVD.  ``closed_form_posterior`` is its one-c case, and closed
 forms and mixtures read their metrics off the one-c path of their own scale
 as the sweeps do, so a sweep's values are the per-c ones bit for bit.  At
-p = 1 the masses at every c are one ``math.erfc`` pass or one ``t_cdf`` call,
-at p = 2 one angular trapezoid rule (``_angular_mass``), and two normals' TV
-distances one ``log_tail`` call.
+p = 1 the masses at every c are one ``math.erfc`` pass on Python floats or
+one ``t_cdf`` call, at p = 2 one angular trapezoid rule (``_angular_mass``),
+whose first evaluation, at 128 angles, holds its levels of 8 to 128 nodes,
+and two normals' TV distances one ``log_tail`` call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -147,6 +149,12 @@ def closed_form_posterior(model: ModelInstance, family: RadialFamily, c: float) 
     return _PosteriorPath(model, family, (c,)).posterior(0)
 
 
+@functools.lru_cache(maxsize=64)
+def _posterior_family(dof: float | None) -> RadialFamily:
+    """The radial family of the closed forms of a dof (None: normal), built once per dof."""
+    return NormalRadial() if dof is None else StudentTRadial(dof)
+
+
 def _check_prior_scale(c) -> None:
     if not (c >= 0.0 and math.isfinite(c)):
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
@@ -211,7 +219,7 @@ class _PosteriorPath:
         self.multiplier = np.array(mults, dtype=np.float64)
         self.center = fit.theta_w
         self.dof = dof
-        self.family = NormalRadial() if dof is None else StudentTRadial(dof)
+        self.family = _posterior_family(dof)
         self._vectors = design.vt.T
         # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
         self._evidence_args = (family, cs, fit.j_stat if fit.j_stat > fit.noise_floor else 0.0, k, p)
@@ -246,6 +254,9 @@ class _PosteriorPath:
             return np.sqrt(diag)
         if dof <= 2.0:
             return np.full(diag.shape, np.inf)
+        # As Python floats the largest variance overflows to inf silently; if it does not, none does.
+        if float(diag.max()) * dof / (dof - 2.0) < math.inf:
+            return np.sqrt(diag * dof / (dof - 2.0))
         with np.errstate(over="ignore"):
             sd = np.sqrt(diag * dof / (dof - 2.0))
         # diag * dof overflows within a factor dof of the largest float; the sd does not.
@@ -282,7 +293,7 @@ class _ClosedFormPath(_PosteriorPath):
 
     def __init__(self, center: np.ndarray, sf: _linalg.SpdFactor, dof: float | None, log_evidence):
         self.multiplier, self.center, self.dof, self._evidence = np.ones(1), center, dof, log_evidence
-        self.family = NormalRadial() if dof is None else StudentTRadial(dof)
+        self.family = _posterior_family(dof)
         self._h_inv, self._inv_vals, self._vectors = sf.matrix, sf.eigenvalues, sf.vectors
 
     def log_evidence(self, i: int) -> float | None:
@@ -314,13 +325,17 @@ def _mixture(phi: float, base: _PosteriorPath, pure: _PosteriorPath) -> tuple[li
     if pure_evidence is None or None in evidences:
         raise InputError("mixture components need the log evidence of a proper prior")
     prior_odds, pure_var = math.log(phi) - math.log1p(-phi), float(pure.scale00()[0])
-    odds = []
+    odds, w_base, w_pure = [], [], []
     for evidence, var in zip(evidences, base.scale00().tolist()):
         log_odds = prior_odds + pure_evidence - evidence
-        # Both evidences underflow, which only normal ones do (J / c overflows).
-        # The wider, larger-c one has the larger evidence; equal ones agree.
-        odds.append(math.copysign(math.inf, pure_var - var) if math.isnan(log_odds) else log_odds)
-    return odds, np.array([_expit(-x) for x in odds]), np.array([_expit(x) for x in odds])
+        if math.isnan(log_odds):
+            # Both evidences underflow, which only normal ones do (J / c overflows).
+            # The wider, larger-c one has the larger evidence; equal ones agree.
+            log_odds = math.copysign(math.inf, pure_var - var)
+        odds.append(log_odds)
+        w_base.append(_expit(-log_odds))
+        w_pure.append(_expit(log_odds))
+    return odds, np.array(w_base), np.array(w_pure)
 
 
 def _mixture_mass(base: _PosteriorPath, w_base, pure: _PosteriorPath, w_pure, eps: float, center=None) -> np.ndarray:
@@ -372,15 +387,16 @@ class MixturePosterior:
 _MAX_ANGULAR_NODES = 2**22
 _ANGULAR_CHUNK = 2**16
 # Levels of at most this many nodes keep their cos^2 nodes (``_cos2_nodes``):
-# the levels the integral reads, (64, 0) and (n, 1/2) for n = 64, ..., 2^12,
+# the levels the integral reads, (128, 0) and (n, 1/2) for n = 128, ..., 2^12,
 # hold 8192 floats, 64 KB in all.
 _CACHED_NODES = 2**12
 _COS2_NODES: dict[tuple[int, float], np.ndarray] = {}
-# The first levels, (8, 0) and (n, 1/2) for n = 8, 16 and 32, are the nodes 8j, 8j + 4,
-# 4j + 2 and 2j + 1 of the level (64, 0): the same floats (pi / n (j + offset) is one
-# product), whose sums in order are the levels' own.  One evaluation gives all four.
-_HEAD_NODES = 64
-_HEAD_SLICES = (slice(0, None, 8), slice(4, None, 8), slice(2, None, 4), slice(1, None, 2))
+# The first levels, (8, 0) and (n, 1/2) for n = 8, 16, 32 and 64, are the nodes 16j,
+# 16j + 8, 8j + 4, 4j + 2 and 2j + 1 of the level (128, 0): the same floats (pi / n
+# (j + offset) is one product), whose sums in order are the levels' own.  One
+# evaluation gives all five, and with them the means of 8 to 128 nodes.
+_HEAD_NODES = 128
+_HEAD_SLICES = (slice(0, None, 16), slice(8, None, 16), slice(4, None, 8), slice(2, None, 4), slice(1, None, 2))
 
 
 def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
@@ -409,12 +425,13 @@ def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, 
     The integrand is periodic and analytic, so the trapezoid rule converges
     geometrically.  Each level doubles the nodes of every pair (row) still
     open, all of them in one (rows x nodes) evaluation (``_level_sums``); the
-    first four levels are one evaluation (``_HEAD_SLICES``).  Terms are taken
-    relative to the largest, at phi = 0; if it underflows, so does the mass.
-    Each term's exponent, near that peak's log, carries |peak| eps of
-    rounding, so a row is done, and leaves the array, when two means agree to
-    4 max(1, |peak|) ulps.  No row's terms or sums depend on another's, so
-    each row is bit for bit its own one-row call.
+    first five levels, the means of 8 to 128 nodes, are one evaluation
+    (``_HEAD_SLICES``).  Terms are taken relative to the largest, at phi = 0;
+    if it underflows, so does the mass.  Each term's exponent, near that
+    peak's log, carries |peak| eps of rounding, so a row is done, and leaves
+    the array, when two means agree to 4 max(1, |peak|) ulps.  No row's terms
+    or sums depend on another's, so each row is bit for bit its own one-row
+    call.
     """
     e2 = eps * eps
     log_tail = family.log_tail
@@ -432,8 +449,8 @@ def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, 
         return np.array(masses)
     cols = _columns(rows)
     first, *halves = _level_sums(log_tail, e2, cols, len(rows), _HEAD_NODES, 0.0, _HEAD_SLICES)
-    # Each row carries its sums of the levels (n, 1/2), n = 8, 16 and 32.
-    rows = [(*row, dict(zip((8, 16, 32), sums))) for row, *sums in zip(rows, *halves)]
+    # Each row carries its sums of the levels (n, 1/2), n = 8, 16, 32 and 64.
+    rows = [(*row, dict(zip((8, 16, 32, 64), sums))) for row, *sums in zip(rows, *halves)]
     n = 8
     means = [s / n for s in first]
     while n < _MAX_ANGULAR_NODES:
@@ -497,17 +514,22 @@ def _level_sums(log_tail, e2: float, cols: tuple, r: int, n: int, offset: float,
 def _mass_outside_interval(dof: float | None, m: float, var: np.ndarray, lo, hi) -> np.ndarray:
     """Mass outside [lo, hi] of 1-d closed forms centred at m, one per scale in ``var``.
 
-    Both tails as lower-tail CDFs, at the 2 n standardized bounds at once:
-    1 - cdf would cancel in the far tail.  Gaussian (dof None) by ``math.erfc``,
-    which needs no ``scipy.special``; Student-t by one ``t_cdf`` call.
+    Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
+    Gaussian (dof None) by ``math.erfc`` on Python floats, which needs no
+    ``scipy.special`` and rounds as numpy's calls do; Student-t by one
+    ``t_cdf`` call at the 2 n standardized bounds.
     """
-    s = np.sqrt(var)
-    bounds = np.concatenate(((lo - m) / s, (m - hi) / s))
     if dof is None:
         # The standard normal CDF at x is erfc(-x / sqrt(2)) / 2.
-        cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in bounds.tolist()])
-    else:
-        cdf = t_cdf(StudentT(float(dof)), bounds)
+        lo, hi, root2 = float(lo), float(hi), math.sqrt(2.0)
+        masses = []
+        for v in var.tolist():
+            s = math.sqrt(v)
+            mass = 0.5 * math.erfc(-((lo - m) / s) / root2) + 0.5 * math.erfc(-((m - hi) / s) / root2)
+            masses.append(min(max(mass, 0.0), 1.0))
+        return np.array(masses)
+    s = np.sqrt(var)
+    cdf = t_cdf(StudentT(float(dof)), np.concatenate(((lo - m) / s, (m - hi) / s)))
     n = s.shape[0]
     return np.minimum(np.maximum(cdf[:n] + cdf[n:], 0.0), 1.0)
 

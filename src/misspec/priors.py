@@ -34,6 +34,7 @@ from misspec.errors import (
 )
 
 _LOG_2 = math.log(2.0)
+_LOG_2PI = math.log(2.0 * math.pi)
 _TINY = sys.float_info.min  # the smallest normal float
 _LGAMMA_3_2 = math.lgamma(1.5)
 
@@ -213,16 +214,23 @@ class StudentTRadial(RadialFamily):
         return special.log_far_t_sq_tail(self._a, _log1p_ratio(s, self.dof))
 
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
-        # log1p(J / (c dof)), as a softplus of its log, which neither overflows nor
-        # divides by a c dof that underflows.
-        nu = self.dof
-        if j > 0.0:
-            t = math.log(j) - math.log(c) - math.log(nu)
-            growth = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
-        else:
-            growth = 0.0
-        head = -0.5 * (k - p) * (self._log_pi_dof + math.log(c)) - 0.5 * (nu + k - p) * growth
-        return special._log_gamma_ratio(self._a, k - p, head)
+        nu, m, growth = self.dof, k - p, 0.0
+        if j > 0.0:  # growth = log1p(J / (c dof))
+            ratio = j / (c * nu) if _TINY <= c * nu < math.inf else math.nan
+            if _TINY <= ratio < math.inf:
+                growth = math.log1p(ratio)
+            else:
+                # As a softplus of the ratio's log, which neither overflows nor divides by a
+                # c dof that underflows.  Not elsewhere: its rounding, near |log ratio| eps,
+                # the factor dof / 2 below would carry into the evidence.
+                t = math.log(j) - math.log(c) - math.log(nu)
+                growth = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+        if self._a < 7.0:
+            head = -0.5 * m * (self._log_pi_dof + math.log(c)) - 0.5 * (nu + m) * growth
+            return special._log_gamma_ratio(self._a, m, head)
+        # log(pi dof) = log(2 pi) + log a: its log a, and the Gamma ratio's (m/2) log a, are left out.
+        head = -0.5 * m * (_LOG_2PI + math.log(c)) - 0.5 * (nu + m) * growth
+        return special._log_gamma_ratio(self._a, m, head, over_power=True)
 
     def posterior_shape(self, c: float, j: float, k: int, p: int) -> tuple[float | None, float]:
         # Exact at every c; as c -> 0 the scale shrinks only to J / dof' H^{-1}.

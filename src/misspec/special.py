@@ -56,27 +56,35 @@ def t_cdf(dist: StudentT, x):
     """CDF of the Student-t distribution, exact via the incomplete beta.
 
     Both tails are lower tails, at -|x|, so each keeps its relative accuracy;
-    at dof = 1 they are the Cauchy tail atan2(1, |x|) / pi.  Symmetric by
+    at dof = 1 they are the Cauchy tail atan2(1, |x|) / pi.  Where no |x|
+    reaches 2^512 the tails are one ``stdtr`` call, and only an array with
+    some x >= 0 (or a NaN) is reflected, as 1 - tail there.  Symmetric by
     construction: ``t_cdf(x) + t_cdf(-x) == 1`` up to rounding.  Accepts a
     scalar or array ``x``.
     """
     nu = dist.dof
     arr = np.asarray(x, dtype=np.float64)
-    scalar = np.isscalar(x) or arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    scalar = arr.ndim == 0  # a Python or numpy scalar, or a 0-d array
+    if scalar:
+        arr = arr.reshape(1)
+    mag = np.abs(arr)
     if nu == 1.0:
         # The Cauchy CDF at -|x|, atan2(1, |x|) / pi, where stdtr is 2.8e-11 relative off at |x| = 1e-6.
-        tail = np.arctan2(1.0, np.abs(arr)) / math.pi
+        tail = np.arctan2(1.0, mag) / math.pi
     else:
         import scipy.special
 
-        # Half of t_sq_tail at x^2, from x itself; where x^2 overflows Boost's would be 0,
-        # and log1p(x^2/nu) is 2 log|x| - log nu to rounding (inf at x = +-inf, where the tail is 0).
-        far = np.abs(arr) >= _SQRT_OVERFLOW
-        tail = scipy.special.stdtr(nu, -np.abs(np.where(far, 0.0, arr)))
-        if far.any():
-            tail[far] = 0.5 * np.exp(log_far_t_sq_tail(0.5 * nu, 2.0 * np.log(np.abs(arr[far])) - math.log(nu)))
-    out = np.where(arr >= 0.0, 1.0 - tail, tail)
+        # A NaN fails the comparison, and takes the general route below.
+        if arr.size and mag.max() < _SQRT_OVERFLOW:
+            tail = scipy.special.stdtr(nu, np.negative(mag))
+        else:
+            # Half of t_sq_tail at x^2, from x itself; where x^2 overflows Boost's would be 0,
+            # and log1p(x^2/nu) is 2 log|x| - log nu to rounding (inf at x = +-inf, where the tail is 0).
+            far = mag >= _SQRT_OVERFLOW
+            tail = scipy.special.stdtr(nu, np.negative(np.where(far, 0.0, mag)))
+            if far.any():
+                tail[far] = 0.5 * np.exp(log_far_t_sq_tail(0.5 * nu, 2.0 * np.log(mag[far]) - math.log(nu)))
+    out = tail if arr.size and arr.max() < 0.0 else np.where(arr >= 0.0, 1.0 - tail, tail)
     return float(out[0]) if scalar else out
 
 
@@ -117,20 +125,24 @@ def log_gamma_half_excess(a: float) -> float:
     return sum(c * a ** (1 - 2 * n) for n, c in enumerate(_HALF_EXCESS, 1))
 
 
-def _log_gamma_ratio(a: float, m: int, start: float = 0.0) -> float:
+def _log_gamma_ratio(a: float, m: int, start: float = 0.0, over_power: bool = False) -> float:
     """start + log Gamma(a + m/2) / Gamma(a), for a > 0 and an integer m >= 0.
 
     Below a = 7 start plus one lgamma minus the other, in that order.  From a = 7
     on, where those cancel (and overflow above a of about 2.5e305), the exact sum
     of start, log(a + j) over the m // 2 integer steps and, at odd m, the half
-    step at b = a + m // 2, (log b)/2 + ``log_gamma_half_excess(b)``.
+    step at b = a + m // 2, (log b)/2 + ``log_gamma_half_excess(b)``.  With
+    ``over_power`` the ratio is Gamma(a + m/2) / (Gamma(a) a^(m/2)), each step's
+    log(a + j) then log1p(j / a): a caller whose other terms hold (m/2) log a,
+    near 690 m/2 at a = 1e300, leaves it out of both rather than cancel it.
     """
     if a < 7.0:
-        return start + math.lgamma(a + 0.5 * m) - math.lgamma(a)
-    steps = [start] + [math.log(a + j) for j in range(m // 2)]
+        out = start + math.lgamma(a + 0.5 * m) - math.lgamma(a)
+        return out - 0.5 * m * math.log(a) if over_power else out
+    step = (lambda j: math.log1p(j / a)) if over_power else (lambda j: math.log(a + j))
+    steps = [start] + [step(j) for j in range(m // 2)]
     if m % 2:
-        b = a + m // 2
-        steps += [0.5 * math.log(b), log_gamma_half_excess(b)]
+        steps += [0.5 * step(m // 2), log_gamma_half_excess(a + m // 2)]
     return math.fsum(steps)
 
 

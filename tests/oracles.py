@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: CDFs come from
 adaptive quadrature of density formulas, quantiles from root-bracketing on
 those quadrature CDFs, and normalizers from radial integrals.  Expected
-values frozen in the tests were produced by these routines.
+values frozen in the tests were produced by these routines.  The one
+exception, ``t_cdf_reference``, is the package's t CDF in its general form,
+kept so that the shortcuts of ``t_cdf`` can be checked bit for bit.
 
 The reference estimands are definitions the package computes another way or
 not at all: the split of the whitened residual, the pivotal t statistic, the
@@ -49,6 +51,33 @@ def t_cdf_quad(x: float, dof: float) -> float:
     lo, hi = (0.0, x) if x > 0.0 else (x, 0.0)
     mass, _ = scipy.integrate.quad(t_density_unnorm, lo, hi, args=(dof,), limit=200)
     return 0.5 + math.copysign(mass / (2.0 * norm), x)
+
+
+def t_cdf_reference(dist, x):
+    """The package's t CDF in its general form, which the faster ``t_cdf`` must match bit for bit.
+
+    Every x takes the same steps: far entries (|x| >= 2^512) are masked out of
+    one ``stdtr`` call at -|x| and read off ``log_far_t_sq_tail``, and the
+    whole array is reflected as 1 - tail where x >= 0.  At dof 1 the tail is
+    the Cauchy closed form atan2(1, |x|) / pi.
+    """
+    import scipy.special
+
+    from misspec.special import log_far_t_sq_tail
+
+    nu = dist.dof
+    arr = np.asarray(x, dtype=np.float64)
+    scalar = np.isscalar(x) or arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    if nu == 1.0:
+        tail = np.arctan2(1.0, np.abs(arr)) / math.pi
+    else:
+        far = np.abs(arr) >= 2.0**512
+        tail = scipy.special.stdtr(nu, -np.abs(np.where(far, 0.0, arr)))
+        if far.any():
+            tail[far] = 0.5 * np.exp(log_far_t_sq_tail(0.5 * nu, 2.0 * np.log(np.abs(arr[far])) - math.log(nu)))
+    out = np.where(arr >= 0.0, 1.0 - tail, tail)
+    return float(out[0]) if scalar else out
 
 
 def t_quantile_quad(q: float, dof: float) -> float:

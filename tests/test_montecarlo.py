@@ -467,6 +467,26 @@ class TestSweeps:
         assert built == []
         assert cdf_points == [16, 16]
 
+    def test_p2_masses_take_one_angular_evaluation_per_eps(self, monkeypatch):
+        # tests/golden/m2.json's rows converge at 128 angular nodes, and the first
+        # evaluation covers the levels of 8 to 128: one (rows x 128) call per eps.
+        calls = []
+        level_sums = posteriors._level_sums
+        monkeypatch.setattr(
+            posteriors, "_level_sums", lambda *a, **kw: calls.append(a[3:6]) or level_sums(*a, **kw)
+        )
+        m2 = ModelInstance(
+            Y=[0.3, 2.1, -0.7, 1.4, 0.2],
+            X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0], [0.2, -1.0]],
+            W=np.eye(5),
+        )
+        eps_list = [0.05, 0.1, 0.3, 1.0]
+        for family in (NormalRadial(), StudentTRadial(5.0), PowerLawRadial(3.0)):
+            calls.clear()
+            run_concentration(m2, family, [1e-6, 1e-4, 1e-2, 1.0], eps_list)
+            assert len(calls) == len(eps_list)
+            assert all(n == posteriors._HEAD_NODES == 128 and offset == 0.0 for _, n, offset in calls)
+
     def test_concentration_computes_no_log_evidence(self, canon_model, monkeypatch):
         # Only mixture weights read evidences, and a concentration sweep has none.
         def refuse(*args):

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import scipy.special
 from numpy.testing import assert_allclose, assert_array_equal
 
 from misspec.errors import ImproperPriorError, InputError, NumericalError
-from misspec.model import ModelInstance
+from misspec.model import ModelInstance, pseudo_true
 from misspec.montecarlo import run_contamination, run_tails
 from misspec.priors import (
     NormalRadial,
@@ -350,6 +352,28 @@ class TestLogEvidence:
     def test_improper_family_has_none(self):
         with pytest.raises(ImproperPriorError):
             PowerLawRadial(3.0).log_evidence(1.0, 2.0, 4, 1)
+
+    @pytest.mark.parametrize("dof", [3.0, 13.9, 14.0, 50.0, 1e6, 1e10, 1e15, 1e100, 1e300, 1e308])
+    def test_huge_dof_against_mpmath(self, dof):
+        # tests/golden/m1.json at c = 1e-2.  A softplus of log(J / (c dof)) carried its
+        # rounding, times dof / 2, into the evidence (1.47e-11 off at dof 1e300, 4.5e-13
+        # at 1e15), and (k - p)/2 log(pi dof) cancelled the Gamma ratio's (k - p)/2 log a.
+        mpmath = pytest.importorskip("mpmath")
+        fields = json.loads((Path(__file__).parent / "golden" / "m1.json").read_text(encoding="utf-8"))
+        model = ModelInstance(Y=fields["Y"], X=fields["X"], W=fields["W"])
+        j, c, m = pseudo_true(model).j_stat, 1e-2, model.k - model.p
+        with mpmath.workdps(400):
+            nu, cc, jj = mpmath.mpf(dof), mpmath.mpf(c), mpmath.mpf(j)
+            ref = float(
+                -mpmath.mpf(m) / 2 * mpmath.log(mpmath.pi * nu * cc)
+                - (nu + m) / 2 * mpmath.log1p(jj / (cc * nu))
+                + mpmath.loggamma(nu / 2 + mpmath.mpf(m) / 2)
+                - mpmath.loggamma(nu / 2)
+            )
+        if dof == 1e300:
+            assert ref == -274.69824678337187
+        got = StudentTRadial(dof).log_evidence(c, j, model.k, model.p)
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref), (got, ref)
 
 
 class TestContaminated:

@@ -50,7 +50,7 @@ from misspec.priors import (
     StudentTRadial,
     sample_eta,
 )
-from misspec.special import StudentT, t_quantile
+from misspec.special import StudentT, t_cdf, t_quantile
 from oracles import (
     bisect_sign_change,
     grid_posterior,
@@ -60,6 +60,7 @@ from oracles import (
     pivotal_t_stat,
     random_model_arrays,
     random_spd,
+    t_cdf_reference,
 )
 
 # (k, p) with k > p, so the confidence interval is defined.
@@ -841,12 +842,13 @@ def test_sweeps_refuse_as_the_per_c_route(family, exact, error, shape):
     st.one_of(st.just(NormalRadial()), st.floats(0.5, 30.0).map(StudentTRadial)),
     st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(-8.0, 2.0)), min_size=1, max_size=8),
     st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
-    st.sampled_from([16, posteriors._ANGULAR_CHUNK]),
+    st.sampled_from([16, 128, posteriors._ANGULAR_CHUNK]),
 )
 def test_each_angular_mass_row_is_its_one_row_call(family, rows, eps, chunk):
     # Rows of condition number 10^a (1 to 1e6) and largest eigenvalue 10^b, in
     # drawn order, so they converge and leave the array at different levels; a
-    # chunk of 16 terms splits both the rows and the nodes of each level.
+    # chunk of 16 terms splits both the rows and the nodes of each level, and
+    # one of 128 takes the first level one row at a time.
     lam_hi = np.array([10.0**b for _, b in rows])
     lam_lo = lam_hi / np.array([10.0**a for a, _ in rows])
     saved, posteriors._ANGULAR_CHUNK = posteriors._ANGULAR_CHUNK, chunk
@@ -896,3 +898,41 @@ def test_same_weight_is_allclose(k, ref, kinds, steps, ulps, reshape):
         assert str(exc) == "w weighting matrix must match the ref W"
         accepted = False
     assert accepted == (w.shape == ref.shape and bool(np.allclose(w, ref, rtol=1e-10, atol=1e-12)))
+
+
+# Finite values of any size, the signed zeros and the non-finite ones, and
+# values at and past 2^512, where x^2 overflows and the far tail takes over.
+t_cdf_points = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf]),
+    st.sampled_from([2.0**512, np.nextafter(2.0**512, 0.0), 1e300]).flatmap(
+        lambda x: st.sampled_from([x, -x])
+    ),
+)
+
+
+@given(
+    st.sampled_from([1.0, 0.7, 3.0, 1e6]),
+    st.lists(t_cdf_points, max_size=12),
+    st.sampled_from(["array", "list", "0-d", "scalar"]),
+)
+@example(3.0, [-1.0, -2.5, -1e-300], "array")  # all negative: no reflection
+@example(3.0, [-0.0, 0.0, 1.0, -1.0], "array")
+@example(3.0, [-1.0, math.nan], "array")  # a NaN's max is NaN: reflected
+@example(0.7, [-(2.0**512), 3.0, math.nan], "list")
+@example(1e6, [], "array")
+@example(1.0, [], "list")
+def test_t_cdf_is_its_general_form(dof, xs, form):
+    # Whatever route t_cdf takes (no far x, all x negative), its values are the bits
+    # of the general form: on arrays (empty too), lists, 0-d arrays and Python floats.
+    dist = StudentT(dof)
+    if form in ("0-d", "scalar"):
+        for x in xs or [0.5]:
+            arg = np.array(x) if form == "0-d" else x
+            got, want = t_cdf(dist, arg), t_cdf_reference(dist, arg)
+            assert type(got) is float and np.array(got).tobytes() == np.array(want).tobytes()
+        return
+    arg = np.array(xs, dtype=np.float64) if form == "array" else xs
+    got, want = t_cdf(dist, arg), t_cdf_reference(dist, arg)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

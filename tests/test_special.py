@@ -351,8 +351,11 @@ class TestFarStart:
         a = 0.5 * dof
         for m in (1, 2, 3, 4, 7, 10, 99, 100, 1000):
             with mpmath.workdps(40 + int(math.log10(a)) + 10):
-                ref = float(mpmath.loggamma(mpmath.mpf(a) + mpmath.mpf(m) / 2) - mpmath.loggamma(a))
+                exact = mpmath.loggamma(mpmath.mpf(a) + mpmath.mpf(m) / 2) - mpmath.loggamma(a)
+                ref, over = float(exact), float(exact - mpmath.mpf(m) / 2 * mpmath.log(a))
             assert abs(_log_gamma_ratio(a, m) - ref) <= 16 * EPS * max(1.0, abs(ref)), (a, m)
+            # Over a^(m/2), with no (m/2) log a to cancel.
+            assert abs(_log_gamma_ratio(a, m, over_power=True) - over) <= 16 * EPS * max(1.0, abs(over)), (a, m)
 
     @pytest.mark.parametrize("dof,s", [
         (24.85, 1e308), (1e3, 1e8), (3e3, 3e3), (3e3, 6e3),  # power series, x <= 1/2
