@@ -122,6 +122,13 @@ class Design:
             inv = np.ldexp((self.vt.T / self.s**2) @ self.vt, -2 * self.x_exponent - self.w_factor.exponent)
         return _readonly(np.triu(inv) + np.triu(inv, 1).T)
 
+    @cached_property
+    def hessian_inv_floats(self) -> tuple[float, float, float, list[float]]:
+        """H^{-1}'s smallest and largest eigenvalue, largest |entry| and diagonal, as Python floats."""
+        inv = self.hessian_inv
+        lo, hi = self.hessian_inv_eigenvalues[[0, -1]].tolist()
+        return lo, hi, max(map(abs, inv.ravel().tolist())), inv.diagonal().tolist()
+
 
 @dataclass(frozen=True)
 class ModelInstance:

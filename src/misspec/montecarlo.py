@@ -105,11 +105,10 @@ class SweepTrace:
         object.__setattr__(self, "metrics", metrics)
 
     @classmethod
-    def _along_c(cls, c_grid: np.ndarray, metrics: dict[str, np.ndarray]) -> "SweepTrace":
-        """The trace of float64 metrics, one per c, on a ``c_grid`` that ``_sweep_axis`` checked."""
+    def _along_c(cls, c_grid: np.ndarray, metrics: dict[str, list[float]]) -> "SweepTrace":
+        """The trace of metrics, lists of Python floats, one per c, on a ``c_grid`` that ``_sweep_axis`` checked."""
         trace = object.__new__(cls)
-        for name, value in (("axis_name", "c"), ("axis", c_grid), ("metrics", metrics)):
-            object.__setattr__(trace, name, value)
+        trace.__dict__.update(axis_name="c", axis=c_grid, metrics={k: np.array(v) for k, v in metrics.items()})
         return trace
 
 
@@ -334,6 +333,8 @@ def _check_grid_points(points, p: int) -> None:
     It sizes nothing; it is only checked, as integers >= 2 whose product is
     at most ``_MAX_GRID_POINTS``, because ``perfbench`` still passes it.
     """
+    if type(points) is int and 2 <= points and points**p <= _MAX_GRID_POINTS:
+        return  # one int for every axis, as callers pass it
     counts = [points] * p if isinstance(points, int) or np.isscalar(points) else list(points)
     if len(counts) != p or not all(isinstance(n, (int, np.integer)) and n >= 2 for n in counts):
         raise InputError(f"grid_points must be {p} integer(s) >= 2, got {points!r}")
@@ -389,13 +390,13 @@ def run_concentration(
     _check_grid_points(grid_points, model.p)
     path = _PosteriorPath(model, family, c_grid.tolist())
     metrics = {name: path.mass_outside(eps) for name, eps in eps_names.items()}
-    metrics["posterior_sd"] = path.marginal_sd().max(axis=1)
+    metrics["posterior_sd"] = path.largest_sd()
     has_mean = path.dof is None or path.dof > 1.0
     action_names = (
         ["bayes_action"] if model.p == 1 else [f"bayes_action_{i + 1}" for i in range(model.p)]
     )
-    for name, val in zip(action_names, path.center):
-        metrics[name] = np.full(c_grid.size, val if has_mean else math.nan)
+    for name, val in zip(action_names, path.center.tolist()):
+        metrics[name] = [val if has_mean else math.nan] * c_grid.size
     return SweepTrace._along_c(c_grid, metrics)
 
 
@@ -434,7 +435,7 @@ def run_contamination(
     pure = _PosteriorPath(model, contaminant.family, (contaminant.c,))
     path = _PosteriorPath(model, base_family, c_grid.tolist())
     _, w_base, w_pure = _mixture(phi, path, pure)
-    metrics = {"tv_to_contaminant": w_base * path.tv_to(pure)}
+    metrics = {"tv_to_contaminant": [w * tv for w, tv in zip(w_base, path.tv_to(pure))]}
     for name, eps in eps_names.items():
         metrics[name] = _mixture_mass(path, w_base, pure, w_pure, eps)
     return SweepTrace._along_c(c_grid, metrics)

@@ -18,17 +18,25 @@ A bare ``ClosedFormPosterior(center, scale, dof)`` validates its scale with
 m(c) H^{-1}, H = X'WX, held as m(c) over c with H^{-1} and its spectrum from
 the design's SVD.  ``closed_form_posterior`` is its one-c case, and closed
 forms and mixtures read their metrics off the one-c path of their own scale
-as the sweeps do, so a sweep's values are the per-c ones bit for bit.  At
-p = 1 the masses at every c are one ``math.erfc`` pass on Python floats or
-one ``t_cdf`` call, at p = 2 one angular trapezoid rule (``_angular_mass``),
-whose first evaluation, at 128 angles, holds its levels of 8 to 128 nodes,
-and two normals' TV distances one ``log_tail`` call.
+as the sweeps do, so a sweep's values are the per-c ones bit for bit.
+
+Every closed form in m(c) runs on Python floats, a list over c: the
+multipliers, scale entries and eigenvalues, the marginal sds (``_sds``, the
+largest read at H^{-1}'s largest diagonal entry), the standardized bounds
+and masses at p = 1, the mixture weights and masses, and two normals' TV
+crossings and, at p <= 2, their tails.  numpy and scipy are called once per
+special-function batch: at p = 1 the t masses at every c are one ``stdtr``
+call (``t_cdf_floats``; the normal ones are ``math.erfc``), at p = 2 the
+masses are one angular trapezoid rule (``_angular_mass``), whose peaks are one
+``log_tail`` call and whose first evaluation, at 128 angles, holds its levels
+of 8 to 128 nodes, each row then refined on floats.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +51,7 @@ from misspec.errors import (
 )
 from misspec.model import ModelInstance, pseudo_true
 from misspec.priors import NormalRadial, RadialFamily, StudentTRadial
-from misspec.special import StudentT, t_cdf
+from misspec.special import t_cdf_floats
 
 __all__ = [
     "ThetaPrior",
@@ -133,7 +141,7 @@ class ClosedFormPosterior:
 
     def marginal_sd(self) -> np.ndarray:
         """Marginal standard deviations (infinite for t with dof <= 2)."""
-        return self._path.marginal_sd()[0]
+        return np.array(self._path.marginal_sds())
 
 
 def closed_form_posterior(model: ModelInstance, family: RadialFamily, c: float) -> ClosedFormPosterior:
@@ -169,15 +177,17 @@ class _PosteriorPath:
 
     Along c every closed form shares theta_W (``center``), its dof and the
     shape H^{-1}; only the multiplier m(c) of its scale m(c) H^{-1} moves.  So
-    the path holds m(c) over c (``multiplier``), the dof, the centre and
-    H^{-1} with its spectrum, and reads every metric off m(c) times H^{-1}'s
-    diagonal, [0, 0] entry (``scale00``) or eigenvalues.  Only ``posterior(i)``
-    forms a scale matrix, and a log evidence is computed only where read.
-    Every c passes ``closed_form_posterior``'s checks, in order: c, the fit
-    and X'WX's condition number (model-wide, made once), the family's shape,
-    the scale's spectrum and entries (m(c) max |H^{-1}| finite); the first c
-    refused is the one named.  ``c_grid`` is a nonempty sequence.  Closed
-    forms and mixtures read their one-c paths (``_ClosedFormPath``) alike.
+    the path holds m(c) over c (``multiplier``, a list of Python floats), the
+    dof, the centre and H^{-1} with its spectrum, and reads every metric off
+    m(c) times H^{-1}'s diagonal, [0, 0] entry or extreme eigenvalues, taken
+    once as Python floats: the metrics are lists of floats, one per c.  Only
+    ``posterior(i)`` forms a scale matrix, and a log evidence is computed only
+    where read.  Every c passes ``closed_form_posterior``'s checks, in order:
+    c, the fit and X'WX's condition number (model-wide, made once), the
+    family's shape, the scale's spectrum and entries (m(c) max |H^{-1}|
+    finite); the first c refused is the one named.  ``c_grid`` is a nonempty
+    sequence.  Closed forms and mixtures read their one-c paths
+    (``_ClosedFormPath``) alike.
     """
 
     def __init__(self, model: ModelInstance, family: RadialFamily, c_grid):
@@ -190,10 +200,8 @@ class _PosteriorPath:
                 f"posteriors need it below {1.0 / _linalg.SPD_RTOL:.0e}"
             )
         k, p = model.k, model.p
-        self._h_inv, self._inv_vals = design.hessian_inv, design.hessian_inv_eigenvalues
-        # H^{-1}'s extremes as Python floats, whose products overflow to inf silently.
-        inv_lo, inv_hi = float(self._inv_vals[0]), float(self._inv_vals[-1])
-        h_max = max(map(abs, self._h_inv.ravel().tolist()))
+        # Python floats, whose products overflow to inf silently.
+        inv_lo, inv_hi, h_max, diag = design.hessian_inv_floats
         mults = []
         for c in cs:
             _check_prior_scale(c)
@@ -216,26 +224,22 @@ class _PosteriorPath:
             except ModelValidationError as exc:
                 raise _unrepresentable(c, exc) from None
             mults.append(mult)
-        self.multiplier = np.array(mults, dtype=np.float64)
-        self.center = fit.theta_w
-        self.dof = dof
+        self.multiplier, self.center, self.p, self.dof = mults, fit.theta_w, p, dof
         self.family = _posterior_family(dof)
-        self._vectors = design.vt.T
+        self._h_inv, self._inv_vals, self._vectors = design.hessian_inv, design.hessian_inv_eigenvalues, design.vt.T
+        self._extremes, self._diag = (inv_lo, inv_hi), diag
         # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
         self._evidence_args = (family, cs, fit.j_stat if fit.j_stat > fit.noise_floor else 0.0, k, p)
-
-    @property
-    def p(self) -> int:
-        return self.center.shape[0]
 
     def log_evidence(self, i: int) -> float | None:
         """The log evidence at the i-th c; None where there is none (an improper family, or c = 0)."""
         family, cs, j, k, p = self._evidence_args
         return family.log_evidence(cs[i], j, k, p) if family.proper and cs[i] > 0.0 else None
 
-    def scale00(self) -> np.ndarray:
+    def scale00(self) -> list[float]:
         """The scale's [0, 0] entry at each c."""
-        return self.multiplier * self._h_inv[0, 0]
+        h00 = self._diag[0]
+        return [m * h00 for m in self.multiplier]
 
     def posterior(self, i: int) -> ClosedFormPosterior:
         """The closed form at the i-th c, carrying its eigenvalues."""
@@ -247,29 +251,31 @@ class _PosteriorPath:
             log_evidence=self.log_evidence(i),
         )
 
-    def marginal_sd(self) -> np.ndarray:
-        """The marginal sds at each c, an (n_c, p) array (inf for t with dof <= 2)."""
-        diag, dof = np.multiply.outer(self.multiplier, np.diag(self._h_inv)), self.dof
-        if dof is None:
-            return np.sqrt(diag)
-        if dof <= 2.0:
-            return np.full(diag.shape, np.inf)
-        # As Python floats the largest variance overflows to inf silently; if it does not, none does.
-        if float(diag.max()) * dof / (dof - 2.0) < math.inf:
-            return np.sqrt(diag * dof / (dof - 2.0))
-        with np.errstate(over="ignore"):
-            sd = np.sqrt(diag * dof / (dof - 2.0))
-        # diag * dof overflows within a factor dof of the largest float; the sd does not.
-        far = np.isinf(sd)
-        sd[far] = np.sqrt(diag[far]) * math.sqrt(dof / (dof - 2.0))
-        return sd
+    def marginal_sds(self, diag: list[float] | None = None) -> list[float]:
+        """The sds (``_sds``) of the scale entries m(c) h, h in ``diag`` (None: H^{-1}'s diagonal), c by c."""
+        diag = self._diag if diag is None else diag
+        return _sds([m * h for m in self.multiplier for h in diag], self.dof)
 
-    def mass_outside(self, eps: float, center: np.ndarray | None = None) -> np.ndarray:
+    def largest_sd(self) -> list[float]:
+        """The largest marginal sd at each c.
+
+        Each step of ``_sds`` rounds monotonically in the entry, so the largest
+        sd is the largest diagonal entry's, except where the overflow repair,
+        which only an sd near 2^512 takes, may put a smaller entry's above it:
+        there every entry is read.
+        """
+        top = self.marginal_sds([max(self._diag)])
+        if max(top) < 2.0**511:
+            return top
+        sds, p = self.marginal_sds(), self.p
+        return [max(sds[i : i + p]) for i in range(0, len(sds), p)]
+
+    def mass_outside(self, eps: float, center: np.ndarray | None = None) -> list[float]:
         """``mass_outside_ball`` of the ball of radius eps about ``center`` (None: theta_W), at each c."""
         p = self.p
         if p == 1:
             m = float(self.center[0])
-            at = m if center is None else center[0]
+            at = m if center is None else float(center[0])
             return _mass_outside_interval(self.dof, m, self.scale00(), at - eps, at + eps)
         if p > 2:
             raise InputError("mass_outside_ball supports closed forms only for p <= 2")
@@ -277,27 +283,48 @@ class _PosteriorPath:
             raise InputError(
                 "mass_outside_ball for p=2 closed forms requires the ball centred at the posterior centre"
             )
-        lam_lo, lam_hi = self._inv_vals
-        return _angular_mass(self.family, self.multiplier * lam_lo, self.multiplier * lam_hi, eps)
+        (lam_lo, lam_hi), mults = self._extremes, self.multiplier
+        return _angular_mass(self.family, [m * lam_lo for m in mults], [m * lam_hi for m in mults], eps).tolist()
 
-    def tv_to(self, other: "_PosteriorPath") -> np.ndarray:
+    def tv_to(self, other: "_PosteriorPath") -> list[float]:
         """``tv_distance(posterior(i), other.posterior(0))`` at each c, for a one-c path of one centre."""
-        vas, vb = self.scale00().tolist(), float(other.scale00()[0])
+        vas, (vb,) = self.scale00(), other.scale00()
         if self.dof is None and other.dof is None:
-            return np.array(_normal_tvs(self.p, vas, vb))
-        return np.array([_radial_tv(self.p, self, va, other, vb) for va in vas])
+            return _normal_tvs(self.p, vas, vb)
+        return [_radial_tv(self.p, self, va, other, vb) for va in vas]
 
 
 class _ClosedFormPath(_PosteriorPath):
     """A closed form's one-c path: its validated scale factor at multiplier 1, and its log evidence."""
 
     def __init__(self, center: np.ndarray, sf: _linalg.SpdFactor, dof: float | None, log_evidence):
-        self.multiplier, self.center, self.dof, self._evidence = np.ones(1), center, dof, log_evidence
+        self.multiplier, self.center, self.p, self.dof = [1.0], center, center.shape[0], dof
+        self._evidence = log_evidence
         self.family = _posterior_family(dof)
         self._h_inv, self._inv_vals, self._vectors = sf.matrix, sf.eigenvalues, sf.vectors
+        self._extremes, self._diag = tuple(sf.eigenvalues[[0, -1]].tolist()), sf.matrix.diagonal().tolist()
 
     def log_evidence(self, i: int) -> float | None:
         return self._evidence
+
+
+def _sds(variances: list[float], dof: float | None) -> list[float]:
+    """Marginal sds of closed forms of dof ``dof`` (None: normal) from the scale's diagonal entries.
+
+    A normal's sd is the root of its variance; a t's variance is the scale
+    entry times dof / (dof - 2), infinite where dof <= 2.  Where that
+    product overflows (within a factor dof of the largest float) the sd does
+    not, and is the entry's root times sqrt(dof / (dof - 2)).
+    """
+    if dof is None:
+        return [math.sqrt(v) for v in variances]
+    if dof <= 2.0:
+        return [math.inf] * len(variances)
+    dof, sds = float(dof), []  # a numpy dof would warn where the variance overflows
+    for v in variances:
+        var = v * dof / (dof - 2.0)
+        sds.append(math.sqrt(var) if var < math.inf else math.sqrt(v) * math.sqrt(dof / (dof - 2.0)))
+    return sds
 
 
 def normal_posterior(model: ModelInstance, c: float) -> ClosedFormPosterior:
@@ -313,20 +340,20 @@ def _expit(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _mixture(phi: float, base: _PosteriorPath, pure: _PosteriorPath) -> tuple[list, np.ndarray, np.ndarray]:
+def _mixture(phi: float, base: _PosteriorPath, pure: _PosteriorPath) -> tuple[list, list, list]:
     """(log odds, 1 - w, w) at each c of ``base`` for the mixture (1 - phi) base + phi pure, w pure's weight.
 
     ``pure`` is a one-c path; phi and both components' log evidences are checked first.
     """
-    evidences = [base.log_evidence(i) for i in range(base.multiplier.size)]
+    evidences = [base.log_evidence(i) for i in range(len(base.multiplier))]
     pure_evidence = pure.log_evidence(0)
     if not (0.0 < phi < 1.0):
         raise InputError(f"contamination weight phi must be in (0, 1), got {phi}")
     if pure_evidence is None or None in evidences:
         raise InputError("mixture components need the log evidence of a proper prior")
-    prior_odds, pure_var = math.log(phi) - math.log1p(-phi), float(pure.scale00()[0])
+    prior_odds, (pure_var,) = math.log(phi) - math.log1p(-phi), pure.scale00()
     odds, w_base, w_pure = [], [], []
-    for evidence, var in zip(evidences, base.scale00().tolist()):
+    for evidence, var in zip(evidences, base.scale00()):
         log_odds = prior_odds + pure_evidence - evidence
         if math.isnan(log_odds):
             # Both evidences underflow, which only normal ones do (J / c overflows).
@@ -335,12 +362,14 @@ def _mixture(phi: float, base: _PosteriorPath, pure: _PosteriorPath) -> tuple[li
         odds.append(log_odds)
         w_base.append(_expit(-log_odds))
         w_pure.append(_expit(log_odds))
-    return odds, np.array(w_base), np.array(w_pure)
+    return odds, w_base, w_pure
 
 
-def _mixture_mass(base: _PosteriorPath, w_base, pure: _PosteriorPath, w_pure, eps: float, center=None) -> np.ndarray:
+def _mixture_mass(base: _PosteriorPath, w_base, pure: _PosteriorPath, w_pure, eps: float, center=None) -> list:
     """The mass outside the ball of ``_mixture``'s mixtures: the weighted sum of the components' masses."""
-    return np.minimum(w_base * base.mass_outside(eps, center) + w_pure * pure.mass_outside(eps, center), 1.0)
+    (pure_mass,) = pure.mass_outside(eps, center)
+    masses = zip(w_base, base.mass_outside(eps, center), w_pure)
+    return [min(wb * mass + wp * pure_mass, 1.0) for wb, mass, wp in masses]
 
 
 @dataclass(frozen=True)
@@ -366,7 +395,7 @@ class MixturePosterior:
         if not np.array_equal(base.center, cont.center):
             raise InputError("mixture components must share their centre")
         object.__setattr__(self, "log_odds", log_odds)
-        object.__setattr__(self, "_weights", (float(w_base), float(w_pure)))
+        object.__setattr__(self, "_weights", (w_base, w_pure))
 
     @property
     def p(self) -> int:
@@ -415,7 +444,7 @@ def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
     return nodes[start:stop]
 
 
-def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, eps: float) -> np.ndarray:
+def _angular_mass(family: RadialFamily, lam_lo, lam_hi, eps: float) -> np.ndarray:
     """Pr{||d|| > eps} for centred elliptical 2-d d, one per pair of scale eigenvalues lam_lo <= lam_hi.
 
     With d = V diag(sqrt(lam)) r (cos phi, sin phi), phi uniform and independent
@@ -423,56 +452,63 @@ def _angular_mass(family: RadialFamily, lam_lo: np.ndarray, lam_hi: np.ndarray, 
     So the mass is the mean over phi of T(eps^2 / q(phi)), T the tail of r^2:
     ``family.log_tail`` at k = 2, in closed form over a whole array of nodes.
     The integrand is periodic and analytic, so the trapezoid rule converges
-    geometrically.  Each level doubles the nodes of every pair (row) still
-    open, all of them in one (rows x nodes) evaluation (``_level_sums``); the
-    first five levels, the means of 8 to 128 nodes, are one evaluation
-    (``_HEAD_SLICES``).  Terms are taken relative to the largest, at phi = 0;
+    geometrically.  The first five levels, the means of 8 to 128 nodes, are
+    one evaluation of every pair (row) (``_HEAD_SLICES``), whose sums each row
+    then refines on Python floats; each later level doubles the nodes of every
+    row still open, all of them in one (rows x nodes) evaluation
+    (``_level_sums``).  Terms are taken relative to the largest, at phi = 0;
     if it underflows, so does the mass.  Each term's exponent, near that
     peak's log, carries |peak| eps of rounding, so a row is done, and leaves
     the array, when two means agree to 4 max(1, |peak|) ulps.  No row's terms
     or sums depend on another's, so each row is bit for bit its own one-row
-    call.
+    call.  ``lam_lo`` and ``lam_hi`` are sequences of floats.
     """
     e2 = eps * eps
     log_tail = family.log_tail
-    los, his = lam_lo.tolist(), lam_hi.tolist()
     # e2 / lam_hi as floats, which overflow to inf silently: the mass is then 0.
-    peaks = log_tail(np.array([e2 / hi for hi in his]), 2).tolist()
+    peaks = log_tail(np.array([e2 / hi for hi in lam_hi]), 2).tolist()
     masses = [0.0] * len(peaks)
     # The open rows, as (index, lam_lo, lam_hi - lam_lo, peak, 4 max(1, |peak|)).
     rows = [
         (i, lo, hi - lo, peak, 4.0 * max(1.0, abs(peak)))
-        for i, (lo, hi, peak) in enumerate(zip(los, his, peaks))
+        for i, (lo, hi, peak) in enumerate(zip(lam_lo, lam_hi, peaks))
         if math.exp(peak) > 0.0
     ]
     if not rows:
         return np.array(masses)
     cols = _columns(rows)
-    first, *halves = _level_sums(log_tail, e2, cols, len(rows), _HEAD_NODES, 0.0, _HEAD_SLICES)
-    # Each row carries its sums of the levels (n, 1/2), n = 8, 16, 32 and 64.
-    rows = [(*row, dict(zip((8, 16, 32, 64), sums))) for row, *sums in zip(rows, *halves)]
-    n = 8
-    means = [s / n for s in first]
-    while n < _MAX_ANGULAR_NODES:
-        if n < _HEAD_NODES:
-            sums = [row[5][n] for row in rows]
+    head = _level_sums(log_tail, e2, cols, len(rows), _HEAD_NODES, 0.0, _HEAD_SLICES)
+    # The levels (n, 1/2) whose sums the head holds, n = 8, 16, 32 and 64, short of the cap.
+    levels = [n for n in (8, 16, 32, 64) if n < _MAX_ANGULAR_NODES]
+    still, means = [], []
+    for row, first, *sums in zip(rows, *head):
+        mean = first / 8
+        for n, s in zip(levels, sums):
+            refined = 0.5 * (mean + s / n)
+            if abs(refined - mean) <= row[4] * math.ulp(refined):
+                masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
+                break
+            mean = refined
         else:
-            (sums,) = _level_sums(log_tail, e2, cols, len(rows), n, 0.5)
-        still, still_means = [], []
-        for row, mean, s in zip(rows, means, sums):
+            still.append(row)
+            means.append(mean)
+    n = _HEAD_NODES
+    while still:
+        if n >= _MAX_ANGULAR_NODES:
+            raise NumericalError(f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes")
+        if len(still) < len(rows):
+            rows, cols = still, _columns(still)
+        (sums,) = _level_sums(log_tail, e2, cols, len(rows), n, 0.5)
+        still, open_means, means = [], means, []
+        for row, mean, s in zip(rows, open_means, sums):
             refined = 0.5 * (mean + s / n)
             if abs(refined - mean) <= row[4] * math.ulp(refined):
                 masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
             else:
                 still.append(row)
-                still_means.append(refined)
+                means.append(refined)
         n *= 2
-        if not still:
-            return np.array(masses)
-        if len(still) < len(rows):
-            rows, cols = still, _columns(still)
-        means = still_means
-    raise NumericalError(f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes")
+    return np.array(masses)
 
 
 def _columns(rows: list) -> tuple:
@@ -511,27 +547,24 @@ def _level_sums(log_tail, e2: float, cols: tuple, r: int, n: int, offset: float,
     return sums
 
 
-def _mass_outside_interval(dof: float | None, m: float, var: np.ndarray, lo, hi) -> np.ndarray:
+def _mass_outside_interval(dof: float | None, m: float, var: list[float], lo: float, hi: float) -> list[float]:
     """Mass outside [lo, hi] of 1-d closed forms centred at m, one per scale in ``var``.
 
-    Both tails as lower-tail CDFs: 1 - cdf would cancel in the far tail.
-    Gaussian (dof None) by ``math.erfc`` on Python floats, which needs no
-    ``scipy.special`` and rounds as numpy's calls do; Student-t by one
-    ``t_cdf`` call at the 2 n standardized bounds.
+    Both tails as lower-tail CDFs at the standardized bounds, on Python
+    floats: 1 - cdf would cancel in the far tail.  Gaussian (dof None) by
+    ``math.erfc``, which needs no ``scipy.special`` and rounds as numpy's
+    calls do; Student-t by one ``t_cdf_floats`` call at the 2 n bounds, one
+    ``stdtr`` call where they are all negative, as about the centre.
     """
+    sds, below, above = [math.sqrt(v) for v in var], lo - m, m - hi
     if dof is None:
         # The standard normal CDF at x is erfc(-x / sqrt(2)) / 2.
-        lo, hi, root2 = float(lo), float(hi), math.sqrt(2.0)
-        masses = []
-        for v in var.tolist():
-            s = math.sqrt(v)
-            mass = 0.5 * math.erfc(-((lo - m) / s) / root2) + 0.5 * math.erfc(-((m - hi) / s) / root2)
-            masses.append(min(max(mass, 0.0), 1.0))
-        return np.array(masses)
-    s = np.sqrt(var)
-    cdf = t_cdf(StudentT(float(dof)), np.concatenate(((lo - m) / s, (m - hi) / s)))
-    n = s.shape[0]
-    return np.minimum(np.maximum(cdf[:n] + cdf[n:], 0.0), 1.0)
+        root2 = math.sqrt(2.0)
+        masses = [0.5 * math.erfc(-(below / s) / root2) + 0.5 * math.erfc(-(above / s) / root2) for s in sds]
+    else:
+        cdf = t_cdf_floats(float(dof), [below / s for s in sds] + [above / s for s in sds])
+        masses = [a + b for a, b in zip(cdf, cdf[len(sds) :])]
+    return [min(max(mass, 0.0), 1.0) for mass in masses]
 
 
 def mass_outside_ball(post: ClosedFormPosterior | MixturePosterior, center, eps: float) -> float:
@@ -548,8 +581,8 @@ def mass_outside_ball(post: ClosedFormPosterior | MixturePosterior, center, eps:
     center = _linalg.as_vector(center, post.p, "center")
     if isinstance(post, MixturePosterior):
         w_base, w_pure = post.weights()
-        return float(_mixture_mass(post.base._path, w_base, post.contaminant._path, w_pure, eps, center)[0])
-    return float(post._path.mass_outside(eps, center)[0])
+        return _mixture_mass(post.base._path, [w_base], post.contaminant._path, [w_pure], eps, center)[0]
+    return post._path.mass_outside(eps, center)[0]
 
 
 def _stationary_sq(p: int, dof_a: float | None, va, dof_b: float | None, vb) -> float:
@@ -633,7 +666,7 @@ def tv_distance(a: ClosedFormPosterior, b: ClosedFormPosterior) -> float:
         raise InputError("tv_distance of closed forms requires one centre")
     if a.p > 1 and not _proportional(a.scale, b.scale):
         raise InputError("tv_distance of closed forms requires proportional scales")
-    return float(a._path.tv_to(b._path)[0])
+    return a._path.tv_to(b._path)[0]
 
 
 def _radial_tv(p: int, a: _PosteriorPath, va, b: _PosteriorPath, vb) -> float:
@@ -691,14 +724,31 @@ def _tails(family: RadialFamily, p: int, radii: list[float]) -> list[float]:
     return [math.exp(v) for v in family.log_tail(np.array([r * r for r in radii]), p).tolist()]
 
 
+def _normal_tails(p: int, radii: list[float]) -> list[float]:
+    """``_tails`` of the normal family, bit for bit, on Python floats where its log tails are closed forms.
+
+    At p = 2 the log tail is -r^2 / 2; at p = 1 it is the log of erfc(r / sqrt 2)
+    where that is a normal float, taken and exponentiated as ``_tails`` does.
+    Elsewhere this is ``_tails``.
+    """
+    squares = [r * r for r in radii]
+    if p == 2:
+        return [math.exp(s * -0.5) for s in squares]
+    if p == 1 and all(0.0 < s < math.inf for s in squares):
+        tails = [math.erfc(math.sqrt(0.5 * s)) for s in squares]
+        if all(t >= sys.float_info.min for t in tails):
+            return [math.exp(math.log(t)) for t in tails]
+    return _tails(NormalRadial(), p, radii)
+
+
 def _normal_tvs(p: int, vas: list[float], vb: float) -> list[float]:
     """TV distances between normals of one centre and proportional scales, scale[0, 0] each va and vb.
 
     Two normals cross once, at rho^2 / s_narrow^2 = 2 p d / (1 - e^-2d), d =
-    log(s_wide / s_narrow); the tails at every crossing are one ``_tails`` call.
+    log(s_wide / s_narrow); the tails at every crossing are one ``_normal_tails`` call.
     """
     log_sb = math.log(math.sqrt(vb))
     ds = [abs(math.log(math.sqrt(va)) - log_sb) for va in vas]
     narrow = [(d, math.sqrt(2.0 * p * d / -math.expm1(-2.0 * d))) for d in ds if d != 0.0]
-    tails = iter(_tails(NormalRadial(), p, [x for d, r in narrow for x in (r * math.exp(-d), r)]))
+    tails = iter(_normal_tails(p, [x for d, r in narrow for x in (r * math.exp(-d), r)]))
     return [next(tails) - next(tails) if d != 0.0 else 0.0 for d in ds]

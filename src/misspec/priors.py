@@ -191,16 +191,18 @@ class StudentTRadial(RadialFamily):
             raise InputError(f"t radial dof must be finite with dof/2 positive, got {self.dof}")
         object.__setattr__(self, "_a", 0.5 * self.dof)
         object.__setattr__(self, "_half_excess", special.log_gamma_half_excess(self._a))
-        # log(pi dof); pi dof overflows above a dof of about 5.7e307.
-        log_pi_dof = math.log(math.pi * self.dof) if self.dof < 5e307 else math.log(math.pi) + math.log(self.dof)
-        object.__setattr__(self, "_log_pi_dof", log_pi_dof)
+        # log(pi dof), read only below a = 7: above it the evidence and normaliser leave its log a out.
+        object.__setattr__(self, "_log_pi_dof", math.log(math.pi * self.dof))
 
     def log_f(self, u, k: int):
         u = np.asarray(u, dtype=np.float64)
         return -0.5 * (self.dof + k) * np.log1p(u / self.dof)
 
     def log_ball_integral(self, k: int) -> float:
-        return -special._log_gamma_ratio(self._a, k) + 0.5 * k * self._log_pi_dof
+        if self._a < 7.0:
+            return -special._log_gamma_ratio(self._a, k) + 0.5 * k * self._log_pi_dof
+        # log(pi dof) = log(2 pi) + log a: its log a, and the Gamma ratio's (k/2) log a, are left out.
+        return -special._log_gamma_ratio(self._a, k, over_power=True) + 0.5 * k * _LOG_2PI
 
     # S / k is F(k, dof): its tail is x^a = (1 + s/dof)^(-dof/2) at k = 2 and
     # Pr{T^2 > s} for T Student-t at k = 1.
@@ -216,7 +218,7 @@ class StudentTRadial(RadialFamily):
     def log_evidence(self, c: float, j: float, k: int, p: int) -> float:
         nu, m, growth = self.dof, k - p, 0.0
         if j > 0.0:  # growth = log1p(J / (c dof))
-            ratio = j / (c * nu) if _TINY <= c * nu < math.inf else math.nan
+            ratio = j / (c * nu) if _TINY <= c * nu < math.inf else _ratio_past_product(j, c, nu)
             if _TINY <= ratio < math.inf:
                 growth = math.log1p(ratio)
             else:
@@ -264,6 +266,15 @@ class PowerLawRadial(RadialFamily):
 
     def spec_string(self) -> str:
         return f"powerlaw:{self.alpha:g}"
+
+
+def _ratio_past_product(j: float, c: float, nu: float) -> float:
+    """J / (c dof) where c dof is not a normal float: (J / c) / dof or (J / dof) / c, whichever
+    passes through a normal float; nan if neither does."""
+    for first, second in ((c, nu), (nu, c)):
+        if _TINY <= j / first < math.inf:
+            return j / first / second
+    return math.nan
 
 
 def _log1p_ratio(s, d: float):

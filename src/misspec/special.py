@@ -88,6 +88,20 @@ def t_cdf(dist: StudentT, x):
     return float(out[0]) if scalar else out
 
 
+def t_cdf_floats(dof: float, xs: list[float]) -> list[float]:
+    """``t_cdf`` at a list of Python floats, as a list, bit for bit.
+
+    Where dof is not 1 and every x lies in (-2^512, 0), ``t_cdf`` is one
+    ``stdtr`` call at x itself, made here without its array bookkeeping;
+    elsewhere this is ``t_cdf``.
+    """
+    if dof != 1.0 and all(-_SQRT_OVERFLOW < x < 0.0 for x in xs):
+        import scipy.special
+
+        return scipy.special.stdtr(dof, xs).tolist()
+    return t_cdf(StudentT(dof), np.array(xs, dtype=np.float64)).tolist()
+
+
 def t_quantile(dist: StudentT, q: float) -> float:
     """Quantile of the Student-t distribution for q in (0, 1).
 

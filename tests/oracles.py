@@ -3,9 +3,12 @@
 Everything here deliberately avoids the code paths under test: CDFs come from
 adaptive quadrature of density formulas, quantiles from root-bracketing on
 those quadrature CDFs, and normalizers from radial integrals.  Expected
-values frozen in the tests were produced by these routines.  The one
-exception, ``t_cdf_reference``, is the package's t CDF in its general form,
-kept so that the shortcuts of ``t_cdf`` can be checked bit for bit.
+values frozen in the tests were produced by these routines.  The
+exceptions are kept so that the package's faster routes can be checked bit
+for bit against its earlier ones: ``t_cdf_reference``, the t CDF in its
+general form, and the sweeps' array formulas (``largest_sd_array``,
+``mass_outside_interval_array``, ``angular_mass_array``), which the sweeps
+now evaluate on Python floats.
 
 The reference estimands are definitions the package computes another way or
 not at all: the split of the whitened residual, the pivotal t statistic, the
@@ -78,6 +81,102 @@ def t_cdf_reference(dist, x):
             tail[far] = 0.5 * np.exp(log_far_t_sq_tail(0.5 * nu, 2.0 * np.log(np.abs(arr[far])) - math.log(nu)))
     out = np.where(arr >= 0.0, 1.0 - tail, tail)
     return float(out[0]) if scalar else out
+
+
+def largest_sd_array(multiplier: np.ndarray, diag: np.ndarray, dof) -> np.ndarray:
+    """The largest marginal sd at each multiplier m of a posterior scale m H^-1 of diagonal ``diag``.
+
+    The sds over the whole (multipliers x p) outer product, reduced by max:
+    sqrt(m h) for a normal (dof None), inf for t with dof <= 2, else
+    sqrt(m h dof / (dof - 2)), or sqrt(m h) sqrt(dof / (dof - 2)) where that
+    variance overflows.
+    """
+    var = np.multiply.outer(multiplier, diag)
+    if dof is None:
+        sd = np.sqrt(var)
+    elif dof <= 2.0:
+        sd = np.full(var.shape, np.inf)
+    else:
+        with np.errstate(over="ignore"):
+            sd = np.sqrt(var * dof / (dof - 2.0))
+        far = np.isinf(sd)
+        sd[far] = np.sqrt(var[far]) * math.sqrt(dof / (dof - 2.0))
+    return sd.max(axis=1)
+
+
+def mass_outside_interval_array(dof, m: float, var: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Mass outside [lo, hi] of 1-d closed forms centred at m, one per scale in ``var``, over arrays.
+
+    Both tails as lower-tail CDFs at the standardized bounds: erfc for a
+    normal (dof None), ``t_cdf_reference`` at all 2 n bounds for t.
+    """
+    from misspec.special import StudentT
+
+    s = np.sqrt(var)
+    with np.errstate(over="ignore"):  # a bound past the largest float is -inf, where the CDF is 0
+        x = np.concatenate(((lo - m) / s, (m - hi) / s))
+    if dof is None:
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+    else:
+        cdf = t_cdf_reference(StudentT(float(dof)), x)
+    n = s.shape[0]
+    return np.minimum(np.maximum(cdf[:n] + cdf[n:], 0.0), 1.0)
+
+
+def angular_mass_array(family, lam_lo: np.ndarray, lam_hi: np.ndarray, eps: float) -> np.ndarray:
+    """``posteriors._angular_mass`` with every level's open rows kept as arrays and per-row dicts.
+
+    The same trapezoid levels, level sums (``posteriors._level_sums``) and
+    stop rule, driven level by level over every open row: the first five
+    levels from the sums of one 128-node evaluation, each later one from a
+    (rows x nodes) evaluation, a row leaving once two means agree to
+    4 max(1, |peak|) ulps.
+    """
+    from misspec import posteriors
+    from misspec.errors import NumericalError
+
+    e2 = eps * eps
+    log_tail = family.log_tail
+    peaks = log_tail(np.array([e2 / hi for hi in lam_hi.tolist()]), 2).tolist()
+    masses = [0.0] * len(peaks)
+    rows = [
+        (i, lo, hi - lo, peak, 4.0 * max(1.0, abs(peak)))
+        for i, (lo, hi, peak) in enumerate(zip(lam_lo.tolist(), lam_hi.tolist(), peaks))
+        if math.exp(peak) > 0.0
+    ]
+    if not rows:
+        return np.array(masses)
+
+    def columns(rows):
+        return rows[0][1:4] if len(rows) == 1 else tuple(np.array(v)[:, None] for v in list(zip(*rows))[1:4])
+
+    cols = columns(rows)
+    first, *halves = posteriors._level_sums(
+        log_tail, e2, cols, len(rows), posteriors._HEAD_NODES, 0.0, posteriors._HEAD_SLICES
+    )
+    rows = [(*row, dict(zip((8, 16, 32, 64), sums))) for row, *sums in zip(rows, *halves)]
+    n = 8
+    means = [s / n for s in first]
+    while n < posteriors._MAX_ANGULAR_NODES:
+        if n < posteriors._HEAD_NODES:
+            sums = [row[5][n] for row in rows]
+        else:
+            (sums,) = posteriors._level_sums(log_tail, e2, cols, len(rows), n, 0.5)
+        still, still_means = [], []
+        for row, mean, s in zip(rows, means, sums):
+            refined = 0.5 * (mean + s / n)
+            if abs(refined - mean) <= row[4] * math.ulp(refined):
+                masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
+            else:
+                still.append(row)
+                still_means.append(refined)
+        n *= 2
+        if not still:
+            return np.array(masses)
+        if len(still) < len(rows):
+            rows, cols = still, columns(still)
+        means = still_means
+    raise NumericalError("p=2 mass outside the ball did not converge")
 
 
 def t_quantile_quad(q: float, dof: float) -> float:

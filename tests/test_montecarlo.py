@@ -444,14 +444,19 @@ class TestSweeps:
     def test_sweeps_build_no_posterior_per_c(self, canon_model, monkeypatch):
         # Neither sweep builds a ClosedFormPosterior (a contamination sweep reads
         # its contaminant off a one-c path), and at p = 1 a t or power-law mass
-        # is one t_cdf call per eps over the whole c axis.
-        built, cdf_points = [], []
+        # is one t CDF call per eps over the whole c axis: in a concentration sweep,
+        # where the bounds lie below the centre, one stdtr call.
+        import scipy.special
+
+        built, cdf_points, stdtr_calls = [], [], []
         init = posteriors.ClosedFormPosterior.__post_init__
         monkeypatch.setattr(
             posteriors.ClosedFormPosterior, "__post_init__", lambda q: built.append(q) or init(q)
         )
-        t_cdf = posteriors.t_cdf
-        monkeypatch.setattr(posteriors, "t_cdf", lambda d, x: cdf_points.append(len(x)) or t_cdf(d, x))
+        t_cdf = posteriors.t_cdf_floats
+        monkeypatch.setattr(posteriors, "t_cdf_floats", lambda d, x: cdf_points.append(len(x)) or t_cdf(d, x))
+        stdtr = scipy.special.stdtr
+        monkeypatch.setattr(scipy.special, "stdtr", lambda d, x: stdtr_calls.append(len(x)) or stdtr(d, x))
         m2 = ModelInstance(
             Y=[0.3, 2.1, -0.7, 1.4], X=[[1.0, 0.5], [0.8, -0.5], [1.3, 1.0], [0.6, 1.0]], W=np.eye(4)
         )
@@ -460,7 +465,7 @@ class TestSweeps:
             for model in (canon_model, m2):
                 run_concentration(model, family, c_grid, [0.1, 0.5, 1.0])
         assert built == []
-        assert cdf_points == [16] * 6
+        assert cdf_points == stdtr_calls == [16] * 6
         cdf_points.clear()
         contam = ScaledPrior(family=NormalRadial(), c=4.0, W=np.eye(2))
         run_contamination(canon_model, StudentTRadial(3.0), contam, 0.01, c_grid, [0.1, 0.5])

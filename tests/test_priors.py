@@ -375,6 +375,42 @@ class TestLogEvidence:
         got = StudentTRadial(dof).log_evidence(c, j, model.k, model.p)
         assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref), (got, ref)
 
+    @pytest.mark.parametrize(
+        "dof, c, j, k, p",
+        [
+            # c dof overflows; a softplus of log(J / (c dof)) was 874 and 808 ulps off.
+            (4.4220017304182504e303, 2.1110449841754833e60, 1.5271349204375435e244, 3, 1),
+            (2.6728284742571416e293, 1.0035258958533588e228, 4.316045450376786e233, 7, 4),
+            (1e300, 1e100, 1e250, 4, 1),  # the ratio through J / c
+            (1e-5, 1e-305, 1e-300, 3, 1),  # c dof underflows
+        ],
+    )
+    def test_ratio_past_an_overflowing_c_dof_against_mpmath(self, dof, c, j, k, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(700):
+            nu, cc, jj, m = mpmath.mpf(dof), mpmath.mpf(c), mpmath.mpf(j), mpmath.mpf(k - p)
+            ref = float(
+                -m / 2 * mpmath.log(mpmath.pi * nu * cc)
+                - (nu + m) / 2 * mpmath.log1p(jj / (cc * nu))
+                + mpmath.loggamma((nu + m) / 2)
+                - mpmath.loggamma(nu / 2)
+            )
+        got = StudentTRadial(dof).log_evidence(c, j, k, p)
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("dof", [1e15, 1e100, 1e200, 1e300, 1e308])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_t_ball_integral_at_huge_dof_against_mpmath(dof, k):
+    # -log Gamma(a + k/2) / Gamma(a) + (k/2) log(pi dof) cancelled two terms of
+    # about (k/2) log a: 1.2e-13 absolute off at dof 1e300, k = 3.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(400):
+        nu, half = mpmath.mpf(dof), mpmath.mpf(k) / 2
+        ref = float(-mpmath.loggamma(nu / 2 + half) + mpmath.loggamma(nu / 2) + half * mpmath.log(mpmath.pi * nu))
+    got = StudentTRadial(dof).log_ball_integral(k)
+    assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref), (got, ref)
+
 
 class TestContaminated:
     """Contaminated priors (1 - phi) base + phi contaminant, as the contamination sweep takes them."""

@@ -50,12 +50,15 @@ from misspec.priors import (
     StudentTRadial,
     sample_eta,
 )
-from misspec.special import StudentT, t_cdf, t_quantile
+from misspec.special import StudentT, t_cdf, t_cdf_floats, t_quantile
 from oracles import (
+    angular_mass_array,
     bisect_sign_change,
     grid_posterior,
     ks_statistic_full,
+    largest_sd_array,
     log_radial,
+    mass_outside_interval_array,
     mixture_log_radial,
     pivotal_t_stat,
     random_model_arrays,
@@ -808,7 +811,7 @@ def test_normal_tv_axis_is_the_per_c_tv_distance(seed, shape, c_axis, c_cont):
     pure = closed_form_posterior(m, NormalRadial(), c_cont)
     per_c = [tv_distance(closed_form_posterior(m, NormalRadial(), c), pure) for c in c_axis]
     got = path.tv_to(posteriors._PosteriorPath(m, NormalRadial(), (c_cont,)))
-    assert got.tobytes() == np.array(per_c).tobytes()
+    assert np.array(got).tobytes() == np.array(per_c).tobytes()
     assert got[c_axis.index(c_cont)] == 0.0
 
 
@@ -936,3 +939,104 @@ def test_t_cdf_is_its_general_form(dof, xs, form):
     got, want = t_cdf(dist, arg), t_cdf_reference(dist, arg)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@given(
+    st.sampled_from([1.0, 0.7, 3.0, 1e6]),
+    st.lists(t_cdf_points, min_size=1, max_size=12),
+    st.booleans(),
+)
+@example(3.0, [-1.0, -(2.0**512)], False)  # the far tail: t_cdf's general route
+@example(1.0, [-1.0, -2.0], False)  # the Cauchy tail
+def test_t_cdf_floats_is_the_general_form(dof, xs, negative):
+    # One stdtr call where every x lies in (-2^512, 0), t_cdf elsewhere: the bits of the general form.
+    xs = [-abs(x) for x in xs] if negative else xs
+    got, want = t_cdf_floats(dof, xs), t_cdf_reference(StudentT(dof), np.array(xs, dtype=np.float64))
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+# --- The sweeps' float routes are their array formulas, bit for bit -----------
+
+# Posterior dofs at and about 2, where the sd is infinite or its variance overflows.
+sd_dofs = st.sampled_from([0.5, 1.0, 2.0, float(np.nextafter(2.0, 3.0)), 2.0 + 2.0**-40, 2.000001, 3.0, 30.0])
+
+
+@given(
+    seeds,
+    sweep_shapes,
+    st.sampled_from([-500, -480, -60, 0, 4, 60]),
+    st.one_of(st.just(None), sd_dofs),
+    st.lists(st.floats(-323.0, 3.0), min_size=1, max_size=5).map(lambda es: sorted({10.0**e for e in es})),
+)
+@example(0, (3, 1), -500, float(np.nextafter(2.0, 3.0)), [1e-2, 1.0])  # sds past 2^512: the overflow repair
+@example(0, (5, 2), 60, None, [5e-324, 1e-320])  # c near underflow
+def test_largest_sd_is_the_array_formula(seed, shape, e, dof, c_axis):
+    # dof None: the normal family.  Otherwise the power law whose posterior dof,
+    # 2 alpha - p, is dof to rounding, so J / dof H^-1 sets the scale at every c.
+    k, p = shape
+    m = _sweep_model(seed, shape, e, False)
+    family = NormalRadial() if dof is None else PowerLawRadial(0.5 * (dof + p))
+    path = _refusal_or(lambda: posteriors._PosteriorPath(m, family, c_axis))
+    assume(not isinstance(path, tuple))
+    want = largest_sd_array(np.array(path.multiplier), np.diag(m.design.hessian_inv), path.dof)
+    assert np.array(path.largest_sd()).tobytes() == want.tobytes()
+
+
+def test_largest_sd_reads_every_entry_past_the_overflow_repair():
+    # v1 is a float below v2, and only v2 dof / (dof - 2) overflows: v2's repaired
+    # sd is an ulp below v1's, so the largest sd is v1's.
+    dof, v1, v2 = 2.000000004787128, 4.302893584908184e299, 4.3028935849081845e299
+    path = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([v1, v2]), dof=dof)._path
+    want = largest_sd_array(np.ones(1), np.array([v1, v2]), dof)
+    assert path.largest_sd() == want.tolist() == [1.3407807929942596e154]
+
+
+def test_numpy_dof_takes_the_overflow_repair_without_a_warning():
+    # v dof / (dof - 2) overflows; as numpy scalars that warned, an error here.
+    want = ClosedFormPosterior(center=[0.0], scale=[[1e302]], dof=2.0000001).marginal_sd()
+    got = ClosedFormPosterior(center=[0.0], scale=[[1e302]], dof=np.float64(2.0000001)).marginal_sd()
+    assert got.tobytes() == want.tobytes()
+
+
+@given(
+    st.one_of(st.just(None), sd_dofs, st.sampled_from([1e6, 1e300])),
+    st.lists(st.floats(-320.0, 300.0).map(lambda e: 10.0**e), min_size=1, max_size=6),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, 0.3, -2.0, 1e10]),
+    st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+)
+@example(3.0, [1e-300, 1.0], 0.0, 0.0, 1e200)  # bounds past -2^512: the far tail
+@example(1.0, [0.5, 2.0], 0.5, 0.0, 0.1)  # the Cauchy tail
+def test_p1_masses_are_the_array_formula(dof, var, m, shift, eps):
+    # About the centre (shift 0) every bound is negative: one stdtr call; off it, t_cdf.
+    at = m + shift * eps
+    got = posteriors._mass_outside_interval(dof, m, var, at - eps, at + eps)
+    want = mass_outside_interval_array(dof, m, np.array(var), at - eps, at + eps)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+@given(
+    st.one_of(st.just(NormalRadial()), st.floats(0.5, 30.0).map(StudentTRadial)),
+    st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(-320.0, 2.0)), min_size=1, max_size=6),
+    st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+)
+@example(NormalRadial(), [(0.0, -310.0), (3.0, -2.0)], 0.1)  # eps^2 / lam_hi overflows: mass 0
+def test_p2_masses_are_the_array_formula(family, rows, eps):
+    # Rows of condition number 10^a and largest eigenvalue 10^b, down to where it underflows.
+    lam_hi = [10.0**b for _, b in rows]
+    lam_lo = [hi / 10.0**a for (a, _), hi in zip(rows, lam_hi)]
+    assume(all(lo > 0.0 for lo in lam_lo))
+    got = posteriors._angular_mass(family, lam_lo, lam_hi, eps)
+    assert got.tobytes() == angular_mass_array(family, np.array(lam_lo), np.array(lam_hi), eps).tobytes()
+
+
+@given(
+    st.integers(1, 3),
+    st.lists(st.floats(-3.0, 1.7).map(lambda e: 10.0**e), max_size=6),
+)
+@example(1, [0.1, 40.0])  # an erfc tail below the smallest normal: the far tail
+@example(1, [1e-170, 1.0])  # r^2 underflows to 0
+def test_normal_tails_are_the_log_tail_route(p, radii):
+    got = posteriors._normal_tails(p, radii)
+    want = posteriors._tails(NormalRadial(), p, radii)
+    assert np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()

@@ -30,9 +30,10 @@ def test_every_public_name_is_used_or_documented():
 
 
 def test_each_posterior_metric_has_one_route():
-    # Closed forms, mixtures and the sweeps read the mass outside a ball and the TV
-    # distance off ``_PosteriorPath``: each kernel has one call site in src/misspec.
-    calls = {"_angular_mass": 0, "_mass_outside_interval": 0, "_normal_tvs": 0, "_radial_tv": 0}
+    # Closed forms, mixtures and the sweeps read the mass outside a ball, the TV
+    # distance and the marginal sds off ``_PosteriorPath``: each kernel has one
+    # call site in src/misspec.
+    calls = {"_angular_mass": 0, "_mass_outside_interval": 0, "_normal_tvs": 0, "_radial_tv": 0, "_sds": 0}
     for path in (ROOT / "src" / "misspec").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
