@@ -29,7 +29,7 @@ special-function batch: at p = 1 the t masses at every c are one ``stdtr``
 call (``t_cdf_floats``; the normal ones are ``math.erfc``), at p = 2 the
 masses are one angular trapezoid rule (``_angular_mass``), whose peaks are one
 ``log_tail`` call and whose first evaluation, at 128 angles, holds its levels
-of 8 to 128 nodes, each row then refined on floats.
+of 64 and 128 nodes.
 """
 
 from __future__ import annotations
@@ -415,33 +415,18 @@ class MixturePosterior:
 # 1e10, the most a ClosedFormPosterior admits, some t posteriors need 2^21 nodes.
 _MAX_ANGULAR_NODES = 2**22
 _ANGULAR_CHUNK = 2**16
-# Levels of at most this many nodes keep their cos^2 nodes (``_cos2_nodes``):
-# the levels the integral reads, (128, 0) and (n, 1/2) for n = 128, ..., 2^12,
-# hold 8192 floats, 64 KB in all.
-_CACHED_NODES = 2**12
-_COS2_NODES: dict[tuple[int, float], np.ndarray] = {}
-# The first levels, (8, 0) and (n, 1/2) for n = 8, 16, 32 and 64, are the nodes 16j,
-# 16j + 8, 8j + 4, 4j + 2 and 2j + 1 of the level (128, 0): the same floats (pi / n
-# (j + offset) is one product), whose sums in order are the levels' own.  One
-# evaluation gives all five, and with them the means of 8 to 128 nodes.
+# The first evaluation, at the 128 nodes pi j / 128, read-only and the same for
+# every posterior.  Its even and odd halves are the levels (64, 0) and (64, 1/2).
 _HEAD_NODES = 128
-_HEAD_SLICES = (slice(0, None, 16), slice(8, None, 16), slice(4, None, 8), slice(2, None, 4), slice(1, None, 2))
+_HEAD_COS2 = np.cos(np.pi / _HEAD_NODES * np.arange(_HEAD_NODES)) ** 2
+_HEAD_COS2.setflags(write=False)
 
 
 def _cos2_nodes(n: int, offset: float, start: int, stop: int) -> np.ndarray:
-    """cos^2 phi at phi = pi (j + offset) / n, j = start, ..., stop - 1.
-
-    A whole level of at most ``_CACHED_NODES`` nodes is memoised, read-only,
-    in ``_COS2_NODES``: it is the same for every posterior.
-    """
-    if n > _CACHED_NODES:
-        return np.cos(np.pi / n * (np.arange(start, stop) + offset)) ** 2
-    nodes = _COS2_NODES.get((n, offset))
-    if nodes is None:
-        nodes = np.cos(np.pi / n * (np.arange(n) + offset)) ** 2
-        nodes.setflags(write=False)
-        _COS2_NODES[(n, offset)] = nodes
-    return nodes[start:stop]
+    """cos^2 phi at phi = pi (j + offset) / n, j = start, ..., stop - 1."""
+    if n == _HEAD_NODES and offset == 0.0:
+        return _HEAD_COS2[start:stop]
+    return np.cos(np.pi / n * (np.arange(start, stop) + offset)) ** 2
 
 
 def _angular_mass(family: RadialFamily, lam_lo, lam_hi, eps: float) -> np.ndarray:
@@ -452,16 +437,17 @@ def _angular_mass(family: RadialFamily, lam_lo, lam_hi, eps: float) -> np.ndarra
     So the mass is the mean over phi of T(eps^2 / q(phi)), T the tail of r^2:
     ``family.log_tail`` at k = 2, in closed form over a whole array of nodes.
     The integrand is periodic and analytic, so the trapezoid rule converges
-    geometrically.  The first five levels, the means of 8 to 128 nodes, are
-    one evaluation of every pair (row) (``_HEAD_SLICES``), whose sums each row
-    then refines on Python floats; each later level doubles the nodes of every
-    row still open, all of them in one (rows x nodes) evaluation
-    (``_level_sums``).  Terms are taken relative to the largest, at phi = 0;
-    if it underflows, so does the mass.  Each term's exponent, near that
-    peak's log, carries |peak| eps of rounding, so a row is done, and leaves
-    the array, when two means agree to 4 max(1, |peak|) ulps.  No row's terms
-    or sums depend on another's, so each row is bit for bit its own one-row
-    call.  ``lam_lo`` and ``lam_hi`` are sequences of floats.
+    geometrically, and the finest level reached is the one returned.  One
+    (rows x 128) evaluation of every pair (row) gives, in its even and odd
+    halves, the mean of 64 nodes and its first refinement; each later level
+    doubles the nodes of every row still open, all of them in one (rows x n)
+    evaluation at the midpoints (``_level_sums``).  Terms are taken relative
+    to the largest, at phi = 0; if it underflows, so does the mass.  Each
+    term's exponent, near that peak's log, carries |peak| eps of rounding, so
+    a row is done, and leaves the array, when two means agree to
+    4 max(1, |peak|) ulps.  No row's terms or sums depend on another's, so
+    each row is bit for bit its own one-row call.  ``lam_lo`` and ``lam_hi``
+    are sequences of floats.
     """
     e2 = eps * eps
     log_tail = family.log_tail
@@ -477,28 +463,10 @@ def _angular_mass(family: RadialFamily, lam_lo, lam_hi, eps: float) -> np.ndarra
     if not rows:
         return np.array(masses)
     cols = _columns(rows)
-    head = _level_sums(log_tail, e2, cols, len(rows), _HEAD_NODES, 0.0, _HEAD_SLICES)
-    # The levels (n, 1/2) whose sums the head holds, n = 8, 16, 32 and 64, short of the cap.
-    levels = [n for n in (8, 16, 32, 64) if n < _MAX_ANGULAR_NODES]
-    still, means = [], []
-    for row, first, *sums in zip(rows, *head):
-        mean = first / 8
-        for n, s in zip(levels, sums):
-            refined = 0.5 * (mean + s / n)
-            if abs(refined - mean) <= row[4] * math.ulp(refined):
-                masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
-                break
-            mean = refined
-        else:
-            still.append(row)
-            means.append(mean)
-    n = _HEAD_NODES
-    while still:
-        if n >= _MAX_ANGULAR_NODES:
-            raise NumericalError(f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes")
-        if len(still) < len(rows):
-            rows, cols = still, _columns(still)
-        (sums,) = _level_sums(log_tail, e2, cols, len(rows), n, 0.5)
+    n = _HEAD_NODES // 2
+    even, sums = _level_sums(log_tail, e2, cols, len(rows), _HEAD_NODES, 0.0, (slice(0, None, 2), slice(1, None, 2)))
+    means = [s / n for s in even]
+    while True:
         still, open_means, means = [], means, []
         for row, mean, s in zip(rows, open_means, sums):
             refined = 0.5 * (mean + s / n)
@@ -507,8 +475,14 @@ def _angular_mass(family: RadialFamily, lam_lo, lam_hi, eps: float) -> np.ndarra
             else:
                 still.append(row)
                 means.append(refined)
+        if not still:
+            return np.array(masses)
         n *= 2
-    return np.array(masses)
+        if n >= _MAX_ANGULAR_NODES:
+            raise NumericalError(f"p=2 mass outside the ball did not converge in {_MAX_ANGULAR_NODES} angular nodes")
+        if len(still) < len(rows):
+            rows, cols = still, _columns(still)
+        (sums,) = _level_sums(log_tail, e2, cols, len(rows), n, 0.5)
 
 
 def _columns(rows: list) -> tuple:
@@ -525,7 +499,7 @@ def _terms(log_tail, e2: float, lo, span, peak, cos2) -> np.ndarray:
 def _level_sums(log_tail, e2: float, cols: tuple, r: int, n: int, offset: float, slices=(slice(None),)) -> list:
     """Each of r open rows' sums of terms at phi = pi (j + offset) / n over each slice of j = 0, ..., n - 1.
 
-    At most ``_ANGULAR_CHUNK`` terms at once, in blocks of rows and, for a whole level of more
+    At most ``_ANGULAR_CHUNK`` terms at once, in blocks of rows and, for a level of more
     than max(``_ANGULAR_CHUNK``, ``_HEAD_NODES``) nodes (one slice of all j), chunks of nodes.
     """
     if n * r <= _ANGULAR_CHUNK:

@@ -78,6 +78,8 @@ class RadialFamily:
         x^a (1 - x)^b / (b B(a, b)) (DLMF §8.8(i), §8.17(iv)), summed in logs
         relative to the lead e^-y or x^a: term b + 1 is term b times
         y x (1 + b/a) / (b + 1), with x = 1 and a = inf for the normal family.
+        Where the normal family's tail at k > 2 is above 1/2 it is
+        log1p(-P(k/2, y)), SciPy's ``gammainc``.
         """
         if not self.proper:
             raise ImproperPriorError(f"{self.spec_string()} prior has no tail probability")
@@ -115,6 +117,12 @@ class RadialFamily:
                 term = term + np.add(log_sx, math.log1p(b / self._a) - math.log1p(b) - _LOG_2)
                 b += 1.0
             out = np.minimum(lead + acc, 0.0)  # rounding can lift a tail near 1 above it
+            # -y + log(sum) cancels near 1: above 1/2 the normal family's tail is 1 - P(k/2, y).
+            if self._a == math.inf and max(out.tolist(), default=-math.inf) > -_LOG_2:
+                import scipy.special
+
+                near = out > -_LOG_2
+                out[near] = np.log1p(-scipy.special.gammainc(0.5 * k, 0.5 * inner[near]))
         if inner is not flat:  # the tail is 1 at s = 0 and 0 at s = inf
             out = np.where(flat == 0.0, 0.0, np.where(flat == math.inf, -math.inf, out))
             out[np.isnan(flat)] = math.nan

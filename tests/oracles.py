@@ -6,9 +6,9 @@ those quadrature CDFs, and normalizers from radial integrals.  Expected
 values frozen in the tests were produced by these routines.  The
 exceptions are kept so that the package's faster routes can be checked bit
 for bit against its earlier ones: ``t_cdf_reference``, the t CDF in its
-general form, and the sweeps' array formulas (``largest_sd_array``,
-``mass_outside_interval_array``, ``angular_mass_array``), which the sweeps
-now evaluate on Python floats.
+general form, and the sweeps' array formulas (``largest_sd_array`` and
+``mass_outside_interval_array``), which the sweeps now evaluate on Python
+floats.
 
 The reference estimands are definitions the package computes another way or
 not at all: the split of the whitened residual, the pivotal t statistic, the
@@ -121,62 +121,6 @@ def mass_outside_interval_array(dof, m: float, var: np.ndarray, lo: float, hi: f
         cdf = t_cdf_reference(StudentT(float(dof)), x)
     n = s.shape[0]
     return np.minimum(np.maximum(cdf[:n] + cdf[n:], 0.0), 1.0)
-
-
-def angular_mass_array(family, lam_lo: np.ndarray, lam_hi: np.ndarray, eps: float) -> np.ndarray:
-    """``posteriors._angular_mass`` with every level's open rows kept as arrays and per-row dicts.
-
-    The same trapezoid levels, level sums (``posteriors._level_sums``) and
-    stop rule, driven level by level over every open row: the first five
-    levels from the sums of one 128-node evaluation, each later one from a
-    (rows x nodes) evaluation, a row leaving once two means agree to
-    4 max(1, |peak|) ulps.
-    """
-    from misspec import posteriors
-    from misspec.errors import NumericalError
-
-    e2 = eps * eps
-    log_tail = family.log_tail
-    peaks = log_tail(np.array([e2 / hi for hi in lam_hi.tolist()]), 2).tolist()
-    masses = [0.0] * len(peaks)
-    rows = [
-        (i, lo, hi - lo, peak, 4.0 * max(1.0, abs(peak)))
-        for i, (lo, hi, peak) in enumerate(zip(lam_lo.tolist(), lam_hi.tolist(), peaks))
-        if math.exp(peak) > 0.0
-    ]
-    if not rows:
-        return np.array(masses)
-
-    def columns(rows):
-        return rows[0][1:4] if len(rows) == 1 else tuple(np.array(v)[:, None] for v in list(zip(*rows))[1:4])
-
-    cols = columns(rows)
-    first, *halves = posteriors._level_sums(
-        log_tail, e2, cols, len(rows), posteriors._HEAD_NODES, 0.0, posteriors._HEAD_SLICES
-    )
-    rows = [(*row, dict(zip((8, 16, 32, 64), sums))) for row, *sums in zip(rows, *halves)]
-    n = 8
-    means = [s / n for s in first]
-    while n < posteriors._MAX_ANGULAR_NODES:
-        if n < posteriors._HEAD_NODES:
-            sums = [row[5][n] for row in rows]
-        else:
-            (sums,) = posteriors._level_sums(log_tail, e2, cols, len(rows), n, 0.5)
-        still, still_means = [], []
-        for row, mean, s in zip(rows, means, sums):
-            refined = 0.5 * (mean + s / n)
-            if abs(refined - mean) <= row[4] * math.ulp(refined):
-                masses[row[0]] = min(math.exp(row[3] + math.log(refined)), 1.0)
-            else:
-                still.append(row)
-                still_means.append(refined)
-        n *= 2
-        if not still:
-            return np.array(masses)
-        if len(still) < len(rows):
-            rows, cols = still, columns(still)
-        means = still_means
-    raise NumericalError("p=2 mass outside the ball did not converge")
 
 
 def t_quantile_quad(q: float, dof: float) -> float:

@@ -337,26 +337,30 @@ class TestMassOutsideBall:
         with pytest.raises(NumericalError, match="did not converge"):
             mass_outside_ball(post, post.center, 1.0)
 
-    def test_node_cache_stays_bounded(self, monkeypatch):
-        # A scale of condition number 1e9 takes the integral to 2^19 nodes; only
-        # the levels of at most 2^12 nodes are kept, 64 KB in all.
+    def test_head_nodes_are_read_only_and_deep_levels_come_in_chunks(self, monkeypatch):
+        # The head's 128 cos^2 nodes are one read-only module array, the same for every
+        # posterior.  A scale of condition number 1e9 takes the integral past 2^19 nodes,
+        # computed at most _ANGULAR_CHUNK at a time.
         from misspec import posteriors
 
-        monkeypatch.setattr(posteriors, "_COS2_NODES", {})
-        levels = []
+        head = posteriors._HEAD_COS2
+        assert not head.flags.writeable
+        assert_array_equal(head, np.cos(np.pi / 128 * np.arange(128)) ** 2)
+        levels, widths = [], []
         nodes = posteriors._cos2_nodes
-        monkeypatch.setattr(
-            posteriors, "_cos2_nodes", lambda n, *rest: levels.append(n) or nodes(n, *rest)
-        )
+
+        def record(n, *rest):
+            out = nodes(n, *rest)
+            levels.append(n)
+            widths.append(out.size)
+            return out
+
+        monkeypatch.setattr(posteriors, "_cos2_nodes", record)
         post = ClosedFormPosterior(center=[0.0, 0.0], scale=np.diag([1.0, 1e-9]), dof=0.5)
-        mass_outside_ball(post, post.center, 0.1)
+        mass = mass_outside_ball(post, post.center, 0.1)
+        assert 0.0 < mass < 1.0
         assert max(levels) >= 2**19
-        cached = posteriors._COS2_NODES
-        assert max(n for n, _ in cached) == 2**12
-        assert sum(a.nbytes for a in cached.values()) <= 64 * 1024
-        for (n, offset), level in cached.items():
-            assert not level.flags.writeable
-            assert_array_equal(level, np.cos(np.pi / n * (np.arange(n) + offset)) ** 2)
+        assert max(widths) == posteriors._ANGULAR_CHUNK
 
     def test_far_tail_stops_at_its_terms_rounding(self, monkeypatch):
         # At a peak log tail of -305.26 each term's exponent carries about 305 eps of

@@ -13,7 +13,7 @@ import pytest
 import scipy.special
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -52,7 +52,7 @@ from misspec.priors import (
 )
 from misspec.special import StudentT, t_cdf, t_cdf_floats, t_quantile
 from oracles import (
-    angular_mass_array,
+    ball_mass_trapezoid_mp,
     bisect_sign_change,
     grid_posterior,
     ks_statistic_full,
@@ -867,6 +867,29 @@ def test_each_angular_mass_row_is_its_one_row_call(family, rows, eps, chunk):
     assert np.all((got >= 0.0) & (got <= 1.0))
 
 
+@settings(max_examples=30)
+@given(
+    st.sampled_from([None, 0.7, 5.0, 30.0]),
+    st.floats(0.0, 3.0).map(lambda e: 10.0**e),
+    st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-2.0, 0.0).map(lambda e: 10.0**e),
+)
+@example(None, 1.0, 1e-320, 0.1)  # eps^2 / lam_hi overflows: mass 0
+def test_p2_masses_within_4_eps_of_mpmath(dof, kappa, lam_hi, eps):
+    # Against the 40-digit trapezoid rule, where its 512 and 1024 nodes agree,
+    # within 4 eps max(1, |log m|): each term's exponent carries |log m| eps.
+    pytest.importorskip("mpmath")
+    lam_lo = lam_hi / kappa
+    want = ball_mass_trapezoid_mp(lam_lo, lam_hi, eps, dof, 1024)
+    assume(want == ball_mass_trapezoid_mp(lam_lo, lam_hi, eps, dof, 512))
+    family = NormalRadial() if dof is None else StudentTRadial(dof)
+    (got,) = posteriors._angular_mass(family, [lam_lo], [lam_hi], eps).tolist()
+    if want < sys.float_info.min:  # below the normal floats only the absolute error is bounded
+        assert got < sys.float_info.min
+    else:
+        assert abs(got - want) <= 4 * sys.float_info.epsilon * max(1.0, abs(math.log(want))) * want
+
+
 @given(
     st.integers(1, 3),
     st.lists(
@@ -1013,21 +1036,6 @@ def test_p1_masses_are_the_array_formula(dof, var, m, shift, eps):
     got = posteriors._mass_outside_interval(dof, m, var, at - eps, at + eps)
     want = mass_outside_interval_array(dof, m, np.array(var), at - eps, at + eps)
     assert np.array(got).tobytes() == want.tobytes()
-
-
-@given(
-    st.one_of(st.just(NormalRadial()), st.floats(0.5, 30.0).map(StudentTRadial)),
-    st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(-320.0, 2.0)), min_size=1, max_size=6),
-    st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
-)
-@example(NormalRadial(), [(0.0, -310.0), (3.0, -2.0)], 0.1)  # eps^2 / lam_hi overflows: mass 0
-def test_p2_masses_are_the_array_formula(family, rows, eps):
-    # Rows of condition number 10^a and largest eigenvalue 10^b, down to where it underflows.
-    lam_hi = [10.0**b for _, b in rows]
-    lam_lo = [hi / 10.0**a for (a, _), hi in zip(rows, lam_hi)]
-    assume(all(lo > 0.0 for lo in lam_lo))
-    got = posteriors._angular_mass(family, lam_lo, lam_hi, eps)
-    assert got.tobytes() == angular_mass_array(family, np.array(lam_lo), np.array(lam_hi), eps).tobytes()
 
 
 @given(

@@ -311,6 +311,22 @@ class TestLogIncomplete:
                     assert abs(value - float(ref)) <= 16 * EPS * max(1.0, abs(float(ref))), (k, cut)
         assert checked >= 8 * (len(s) - 1)
 
+    @pytest.mark.parametrize("k", [3, 5, 8, 33, 1024, 2**14, 10**6, 2**20])
+    def test_normal_tail_near_1_within_16_eps_of_mpmath(self, k):
+        # Above 1/2 the tail is 1 - P(k/2, s/2); -y + log(sum) cancelled there, to
+        # [-1.18e-11, -4.73e-11] at k = 1e6, s = 1e4 and 4e4, where the tail is 1 - 1e-200000.
+        # s runs from the median down by z sds of chi-square_k, z up to 9.
+        s = [k - 2.0 / 3.0 - z * math.sqrt(2.0 * k) for z in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0, 6.0, 9.0)]
+        s = [v for v in s if v > 0.0] + [1e-6, 0.01, 1.0] + ([1e4, 4e4] if k == 10**6 else [])
+        got = NormalRadial().log_tail(np.array(s), k)
+        checked = 0
+        for value, cut in zip(got, s):
+            ref = float(_mp_log_tail(NormalRadial(), cut, k))
+            if ref > -math.log(2.0):
+                checked += 1
+                assert abs(value - ref) <= 16 * EPS * max(1.0, abs(ref)), (k, cut)
+        assert checked >= 4
+
     @pytest.mark.parametrize("dof", [0.2, 3.0, 1e3])
     def test_sums_are_the_incomplete_beta(self, dof):
         # The start and the positive terms against mpmath's I_x(dof/2, k/2) itself.
