@@ -57,7 +57,8 @@ class SpdFactor:
 
     ``values`` (ascending) and ``vectors`` are M's eigenvalues and vectors;
     ``eigenvalues`` are the matrix's own.  ``root`` is the unique symmetric PSD
-    square root, ``inv_root`` its inverse; the factors are cached on first use.
+    square root, ``inv_root`` its inverse; the factors are cached on first use,
+    and so is ``float_summary``.
     """
 
     matrix: np.ndarray
@@ -84,6 +85,12 @@ class SpdFactor:
     @cached_property
     def log_det(self) -> float:
         return float(np.sum(np.log(self.eigenvalues)))
+
+    @cached_property
+    def float_summary(self) -> tuple[float, float, float, list[float]]:
+        """The smallest and largest eigenvalue, the largest |entry| and the diagonal, as Python floats."""
+        lo, hi = self.eigenvalues[[0, -1]].tolist()
+        return lo, hi, max(map(abs, self.matrix.ravel().tolist())), self.matrix.diagonal().tolist()
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:

@@ -160,7 +160,7 @@ def confidence_interval(model: ModelInstance, cfg: InferenceConfig) -> Interval:
 
 def _confidence_interval(model: ModelInstance, cfg: InferenceConfig, pt, sv: float) -> Interval:
     center = float(np.vdot(cfg.v, pt.theta_w))  # inf, which Interval refuses, where it overflows
-    if pt.j_stat <= pt.noise_floor:
+    if pt.exact_fit:
         return Interval.point(center)
     kp = model.k - model.p
     tstar = t_quantile(StudentT(kp), 0.5 * (1.0 + cfg.level))
@@ -188,8 +188,8 @@ def _projection(pt, cfg: InferenceConfig, sv: float, d: float) -> Interval:
     if not (d >= 0.0 and math.isfinite(d)):
         raise InputError(f"norm bound d must be nonnegative and finite, got {d}")
     center = float(np.vdot(cfg.v, pt.theta_w))
-    # A J within float noise of 0 is 0 here, so that an exact fit's set at d = 0 is its point.
-    j = pt.j_stat if pt.j_stat > pt.noise_floor else 0.0
+    # An exact fit's J is 0 here, so that its set at d = 0 is its point.
+    j = 0.0 if pt.exact_fit else pt.j_stat
     # d^2 and J scaled by 2^-2e for d = m 2^e, m in [1/2, 1): d^2 cannot over- or underflow.
     e = math.frexp(d)[1]
     m2 = math.ldexp(d, -e) ** 2

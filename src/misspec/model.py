@@ -64,7 +64,8 @@ class Design:
     and W = 2^e W_s scaled exactly (``x_exponent`` a, ``w_factor.exponent``
     e), ``w_root`` is R = L^{1/2} Q' for W_s = Q L Q' (R'R = W_s), and R X_s
     has the thin SVD U S V' (``u``, ``s`` descending, ``vt``): H = X'WX =
-    2^(2a + e) V S^2 V'.  Every fit quantity reads this SVD.
+    2^(2a + e) V S^2 V'.  Every fit quantity reads this SVD, and so does
+    ``hessian_inv``, H^{-1} as one ``_linalg.SpdFactor``.
     """
 
     X: np.ndarray
@@ -108,26 +109,15 @@ class Design:
         return float((self.s[0] / self.s[-1]) ** 2)
 
     @cached_property
-    def hessian_inv_eigenvalues(self) -> np.ndarray:
-        """H^{-1}'s eigenvalues, ascending: 2^-(2a + e) / S^2, read-only; inf where one overflows."""
+    def hessian_inv(self) -> _linalg.SpdFactor:
+        """H^{-1} = 2^-(2a + e) V S^-2 V', read-only: the matrix, its upper triangle mirrored,
+        the eigenvalues 2^-(2a + e) / S^2, ascending, and the vectors V; inf where one overflows."""
+        n = -2 * self.x_exponent - self.w_factor.exponent
         with np.errstate(over="ignore"):
-            vals = np.ldexp(1.0 / self.s**2, -2 * self.x_exponent - self.w_factor.exponent)
+            inv = np.ldexp((self.vt.T / self.s**2) @ self.vt, n)
+            vals = np.ldexp(1.0 / self.s**2, n)
         vals.setflags(write=False)
-        return vals
-
-    @cached_property
-    def hessian_inv(self) -> np.ndarray:
-        """H^{-1} = 2^-(2a + e) V S^-2 V', its upper triangle mirrored; inf where it overflows."""
-        with np.errstate(over="ignore"):
-            inv = np.ldexp((self.vt.T / self.s**2) @ self.vt, -2 * self.x_exponent - self.w_factor.exponent)
-        return _readonly(np.triu(inv) + np.triu(inv, 1).T)
-
-    @cached_property
-    def hessian_inv_floats(self) -> tuple[float, float, float, list[float]]:
-        """H^{-1}'s smallest and largest eigenvalue, largest |entry| and diagonal, as Python floats."""
-        inv = self.hessian_inv
-        lo, hi = self.hessian_inv_eigenvalues[[0, -1]].tolist()
-        return lo, hi, max(map(abs, inv.ravel().tolist())), inv.diagonal().tolist()
+        return _linalg.SpdFactor(matrix=_readonly(np.triu(inv) + np.triu(inv, 1).T), values=vals, vectors=self.vt.T)
 
 
 @dataclass(frozen=True)
@@ -181,12 +171,17 @@ class PseudoTrueResult:
     """Minimizer and minimized value of the objective for one Y on a design.
 
     ``noise_floor``, ``J_NOISE_RTOL`` Y'WY, is the scale at or below which J
-    is float noise: the fit is exact.
+    is float noise: the fit is exact (``exact_fit``), and J is read as 0.
     """
 
     theta_w: np.ndarray
     j_stat: float
     noise_floor: float
+
+    @property
+    def exact_fit(self) -> bool:
+        """Whether J is at or below the noise floor: float noise about an exact fit."""
+        return self.j_stat <= self.noise_floor
 
 
 def implied_eta(model: ModelInstance, theta) -> np.ndarray:

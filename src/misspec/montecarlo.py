@@ -32,7 +32,7 @@ from misspec import _kernels, _linalg, _rng
 from misspec.errors import ImproperPriorError, InputError, JustIdentifiedError
 from misspec.inference import InferenceConfig
 from misspec.model import ModelInstance, sigma_v
-from misspec.posteriors import ThetaPrior, _mixture, _mixture_mass, _PosteriorPath
+from misspec.posteriors import ThetaPrior, _MixturePath, _PosteriorPath
 from misspec.priors import (
     RadialFamily,
     ScaledPrior,
@@ -419,10 +419,10 @@ def run_contamination(
     contaminated posterior collapses onto the contaminant posterior as c
     shrinks, its base weight falling as e^(-J/(2c)) for the normal family;
     with J = 0 it keeps concentrating at the pseudo-true value instead.
-    The contaminant is a one-c ``_PosteriorPath`` and the base posteriors
-    one over the whole c axis, whose weights, masses and TV distances take
-    ``MixturePosterior``'s own route.  ``grid_points`` sizes
-    nothing (``_check_grid_points``).  p is at most 2.
+    The contaminant is a one-c ``_PosteriorPath``, the base posteriors one
+    over the whole c axis, and their mixtures one ``_MixturePath``, whose
+    weights, masses and TV distances take ``MixturePosterior``'s own route.
+    ``grid_points`` sizes nothing (``_check_grid_points``).  p is at most 2.
     """
     if model.p > 2:
         raise InputError(f"contamination sweeps support p <= 2, got p = {model.p}")
@@ -434,10 +434,10 @@ def run_contamination(
     _linalg.check_same_weight(contaminant.W, model.W, "contaminant", "model")
     pure = _PosteriorPath(model, contaminant.family, (contaminant.c,))
     path = _PosteriorPath(model, base_family, c_grid.tolist())
-    _, w_base, w_pure = _mixture(phi, path, pure)
-    metrics = {"tv_to_contaminant": [w * tv for w, tv in zip(w_base, path.tv_to(pure))]}
+    mixture = _MixturePath(phi, path, pure)
+    metrics = {"tv_to_contaminant": [w * tv for w, tv in zip(mixture.w_base, path.tv_to(pure))]}
     for name, eps in eps_names.items():
-        metrics[name] = _mixture_mass(path, w_base, pure, w_pure, eps)
+        metrics[name] = mixture.mass_outside(eps)
     return SweepTrace._along_c(c_grid, metrics)
 
 
@@ -449,11 +449,13 @@ _MAX_TAIL_K = 2**20
 def run_tails(family: RadialFamily, a_list, tau_list, c_list, k: int = 2) -> np.ndarray:
     """Tabulate conditional radial tail ratios over (a, tau, c) in dimension k.
 
-    The ratio does not depend on W, so no weight matrix is formed.  Returns
-    an array with columns (a, tau, c, ratio).
+    The ratio does not depend on W, so no weight matrix is formed.  k is a
+    positive integer, at most ``_MAX_TAIL_K``.  Returns an array with columns
+    (a, tau, c, ratio).
     """
-    if k < 1:
+    if isinstance(k, (int, np.integer)) and k < 1:  # before the type check: its own message
         raise InputError(f"dimension k must be positive, got {k}")
+    _rng.check_positive_int(k, "dimension k")
     if k > _MAX_TAIL_K:
         raise InputError(f"dimension k must be at most {_MAX_TAIL_K}, got {k}")
     c_list, a_list, tau_list = (

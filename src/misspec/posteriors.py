@@ -13,12 +13,12 @@ grid.  Radial tails are the families' ``RadialFamily.log_tail`` in dimension
 p.  The TV distance holds at any p, the mass outside a ball at p <= 2.
 
 A bare ``ClosedFormPosterior(center, scale, dof)`` validates its scale with
-``_linalg.spd_factor``, one eigensolve.  Every metric has one route, a
-``_PosteriorPath``: a model's closed forms along prior scales c, each scale
-m(c) H^{-1}, H = X'WX, held as m(c) over c with H^{-1} and its spectrum from
-the design's SVD.  ``closed_form_posterior`` is its one-c case, and closed
-forms and mixtures read their metrics off the one-c path of their own scale
-as the sweeps do, so a sweep's values are the per-c ones bit for bit.
+``_linalg.spd_factor``, one eigensolve.  Every metric has one route per
+posterior kind: a ``_PosteriorPath`` of a model's closed forms along prior
+scales c, each scale m(c) H^{-1}, H = X'WX, held as m(c) over c and the
+design's one factor of H^{-1}, and a ``_MixturePath`` of their mixtures.  A
+closed form or a mixture reads its metrics off its own one-c path as the
+sweeps do, so a sweep's values are the per-c ones bit for bit.
 
 Every closed form in m(c) runs on Python floats, a list over c: the
 multipliers, scale entries and eigenvalues, the marginal sds (``_sds``, the
@@ -96,12 +96,12 @@ class ClosedFormPosterior:
     marginal likelihood of the data under the prior that gave the posterior,
     up to a term its model fixes (``RadialFamily.log_evidence``).
 
-    The scale's eigenvalues are carried with it (``_scale_factor``).  A scale
-    given as a matrix is validated by ``_linalg.spd_factor``, which computes
-    them; ``closed_form_posterior`` passes a ``_linalg.SpdFactor`` whose
-    eigenvalues it has read off the model's design and checked by the same
-    ``_linalg.check_spd_spectrum``, and that is taken as it is.  Its metrics
-    are read off the one-c path of that factor (``_path``).
+    The scale's eigenvalues are carried with it, in its one-c path's shape
+    factor (``_path``).  A scale given as a matrix is validated by
+    ``_linalg.spd_factor``, which computes them; ``closed_form_posterior``
+    passes a ``_linalg.SpdFactor`` whose eigenvalues it has read off the
+    model's design and checked by the same ``_linalg.check_spd_spectrum``,
+    and that is taken as it is.  Its metrics are read off that path.
     """
 
     center: np.ndarray
@@ -116,12 +116,9 @@ class ClosedFormPosterior:
             sf = _linalg.spd_factor(sf, "scale")
         if sf.matrix.shape[0] != center.shape[0]:
             raise InputError("posterior center and scale dimensions disagree")
-        path = _ClosedFormPath(center, sf, self.dof, self.log_evidence)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "scale", sf.matrix)
-        object.__setattr__(self, "_family", path.family)
-        object.__setattr__(self, "_scale_factor", sf)
-        object.__setattr__(self, "_path", path)
+        object.__setattr__(self, "_path", _PosteriorPath.of_scale(center, sf, self.dof, self.log_evidence))
 
     @property
     def p(self) -> int:
@@ -132,7 +129,7 @@ class ClosedFormPosterior:
         pts = np.asarray(points, dtype=np.float64)
         single = pts.ndim == 1
         pts = pts[None, :] if single else pts
-        sf, family = self.__dict__["_scale_factor"], self.__dict__["_family"]
+        sf, family = self._path.shape, self._path.family
         d = pts - self.center[None, :]
         q = np.einsum("ni,ij,nj->n", d, sf.inverse, d)
         logdens = family.log_f(q, self.p) - family.log_ball_integral(self.p) - 0.5 * sf.log_det
@@ -168,6 +165,11 @@ def _check_prior_scale(c) -> None:
         raise InputError(f"prior scale c must be nonnegative and finite, got {c}")
 
 
+def _log_evidence(family: RadialFamily, cs: list, j: float, k: int, p: int, i: int) -> float | None:
+    """The log evidence at the i-th c of ``cs``; None where there is none (an improper family, or c = 0)."""
+    return family.log_evidence(cs[i], j, k, p) if family.proper and cs[i] > 0.0 else None
+
+
 def _unrepresentable(c, exc: ModelValidationError) -> InputError:
     return InputError(f"posterior at prior scale c = {c:g} is unrepresentable: {exc}")
 
@@ -177,17 +179,19 @@ class _PosteriorPath:
 
     Along c every closed form shares theta_W (``center``), its dof and the
     shape H^{-1}; only the multiplier m(c) of its scale m(c) H^{-1} moves.  So
-    the path holds m(c) over c (``multiplier``, a list of Python floats), the
-    dof, the centre and H^{-1} with its spectrum, and reads every metric off
-    m(c) times H^{-1}'s diagonal, [0, 0] entry or extreme eigenvalues, taken
-    once as Python floats: the metrics are lists of floats, one per c.  Only
-    ``posterior(i)`` forms a scale matrix, and a log evidence is computed only
-    where read.  Every c passes ``closed_form_posterior``'s checks, in order:
-    c, the fit and X'WX's condition number (model-wide, made once), the
-    family's shape, the scale's spectrum and entries (m(c) max |H^{-1}|
-    finite); the first c refused is the one named.  ``c_grid`` is a nonempty
-    sequence.  Closed forms and mixtures read their one-c paths
-    (``_ClosedFormPath``) alike.
+    the path holds the centre, the shape (``shape``, the design's
+    ``hessian_inv``), the dof, m(c) over c (``multiplier``, a list of Python
+    floats) and a log-evidence reader (``log_evidence(i)``, None where the
+    i-th c has none: an improper family, or c = 0), and reads every
+    metric off m(c) times the shape's diagonal, [0, 0] entry or extreme
+    eigenvalues, taken once as Python floats (``float_summary``): the metrics
+    are lists of floats, one per c.  Only ``posterior(i)`` forms a scale
+    matrix, and a log evidence is computed only where read.  Every c passes
+    ``closed_form_posterior``'s checks, in order: c, the fit and X'WX's
+    condition number (model-wide, made once), the family's shape, the scale's
+    spectrum and entries (m(c) max |H^{-1}| finite); the first c refused is
+    the one named.  ``c_grid`` is a nonempty sequence.  A bare closed form's
+    path is ``of_scale``, its own scale factor at multiplier 1.
     """
 
     def __init__(self, model: ModelInstance, family: RadialFamily, c_grid):
@@ -201,7 +205,7 @@ class _PosteriorPath:
             )
         k, p = model.k, model.p
         # Python floats, whose products overflow to inf silently.
-        inv_lo, inv_hi, h_max, diag = design.hessian_inv_floats
+        inv_lo, inv_hi, h_max, _ = design.hessian_inv.float_summary
         mults = []
         for c in cs:
             _check_prior_scale(c)
@@ -210,7 +214,7 @@ class _PosteriorPath:
                 if not spread > 0.0:
                     raise InputError(f"prior scale c must be positive, got {c}")
                 mult = spread
-            elif (not family.proper or c == 0.0) and fit.j_stat <= fit.noise_floor:
+            elif (not family.proper or c == 0.0) and fit.exact_fit:
                 raise DegenerateLimitError(
                     f"{family.spec_string()} posterior at c = {c:g} requires a positive "
                     "J-statistic (its scale is J alone)"
@@ -224,36 +228,39 @@ class _PosteriorPath:
             except ModelValidationError as exc:
                 raise _unrepresentable(c, exc) from None
             mults.append(mult)
-        self.multiplier, self.center, self.p, self.dof = mults, fit.theta_w, p, dof
-        self.family = _posterior_family(dof)
-        self._h_inv, self._inv_vals, self._vectors = design.hessian_inv, design.hessian_inv_eigenvalues, design.vt.T
-        self._extremes, self._diag = (inv_lo, inv_hi), diag
-        # A J within float noise of 0 is 0 here, or it would decide the evidence at tiny c.
-        self._evidence_args = (family, cs, fit.j_stat if fit.j_stat > fit.noise_floor else 0.0, k, p)
+        # An exact fit's J is 0 here, or its float noise would decide the evidence at tiny c.
+        evidence = functools.partial(_log_evidence, family, cs, 0.0 if fit.exact_fit else fit.j_stat, k, p)
+        self._hold(fit.theta_w, design.hessian_inv, dof, mults, evidence)
 
-    def log_evidence(self, i: int) -> float | None:
-        """The log evidence at the i-th c; None where there is none (an improper family, or c = 0)."""
-        family, cs, j, k, p = self._evidence_args
-        return family.log_evidence(cs[i], j, k, p) if family.proper and cs[i] > 0.0 else None
+    @classmethod
+    def of_scale(cls, center: np.ndarray, shape: _linalg.SpdFactor, dof: float | None, log_evidence):
+        """A closed form's one-c path: its validated scale factor ``shape`` at multiplier 1, and its log evidence."""
+        path = cls.__new__(cls)
+        path._hold(center, shape, dof, [1.0], [log_evidence].__getitem__)  # read at its one c, i = 0
+        return path
+
+    def _hold(self, center: np.ndarray, shape: _linalg.SpdFactor, dof: float | None, multiplier, log_evidence):
+        self.center, self.shape, self.dof, self.multiplier = center, shape, dof, multiplier
+        self.log_evidence, self.p, self.family = log_evidence, center.shape[0], _posterior_family(dof)
 
     def scale00(self) -> list[float]:
         """The scale's [0, 0] entry at each c."""
-        h00 = self._diag[0]
+        h00 = self.shape.float_summary[3][0]
         return [m * h00 for m in self.multiplier]
 
     def posterior(self, i: int) -> ClosedFormPosterior:
         """The closed form at the i-th c, carrying its eigenvalues."""
-        m = self.multiplier[i]
+        m, shape = self.multiplier[i], self.shape
         return ClosedFormPosterior(
             center=self.center,
-            scale=_linalg.SpdFactor(m * self._h_inv, m * self._inv_vals, self._vectors),
+            scale=_linalg.SpdFactor(m * shape.matrix, m * shape.eigenvalues, shape.vectors),
             dof=self.dof,
             log_evidence=self.log_evidence(i),
         )
 
     def marginal_sds(self, diag: list[float] | None = None) -> list[float]:
-        """The sds (``_sds``) of the scale entries m(c) h, h in ``diag`` (None: H^{-1}'s diagonal), c by c."""
-        diag = self._diag if diag is None else diag
+        """The sds (``_sds``) of the scale entries m(c) h, h in ``diag`` (None: the shape's diagonal), c by c."""
+        diag = self.shape.float_summary[3] if diag is None else diag
         return _sds([m * h for m in self.multiplier for h in diag], self.dof)
 
     def largest_sd(self) -> list[float]:
@@ -264,7 +271,7 @@ class _PosteriorPath:
         which only an sd near 2^512 takes, may put a smaller entry's above it:
         there every entry is read.
         """
-        top = self.marginal_sds([max(self._diag)])
+        top = self.marginal_sds([max(self.shape.float_summary[3])])
         if max(top) < 2.0**511:
             return top
         sds, p = self.marginal_sds(), self.p
@@ -283,7 +290,7 @@ class _PosteriorPath:
             raise InputError(
                 "mass_outside_ball for p=2 closed forms requires the ball centred at the posterior centre"
             )
-        (lam_lo, lam_hi), mults = self._extremes, self.multiplier
+        (lam_lo, lam_hi, _, _), mults = self.shape.float_summary, self.multiplier
         return _angular_mass(self.family, [m * lam_lo for m in mults], [m * lam_hi for m in mults], eps).tolist()
 
     def tv_to(self, other: "_PosteriorPath") -> list[float]:
@@ -292,20 +299,6 @@ class _PosteriorPath:
         if self.dof is None and other.dof is None:
             return _normal_tvs(self.p, vas, vb)
         return [_radial_tv(self.p, self, va, other, vb) for va in vas]
-
-
-class _ClosedFormPath(_PosteriorPath):
-    """A closed form's one-c path: its validated scale factor at multiplier 1, and its log evidence."""
-
-    def __init__(self, center: np.ndarray, sf: _linalg.SpdFactor, dof: float | None, log_evidence):
-        self.multiplier, self.center, self.p, self.dof = [1.0], center, center.shape[0], dof
-        self._evidence = log_evidence
-        self.family = _posterior_family(dof)
-        self._h_inv, self._inv_vals, self._vectors = sf.matrix, sf.eigenvalues, sf.vectors
-        self._extremes, self._diag = tuple(sf.eigenvalues[[0, -1]].tolist()), sf.matrix.diagonal().tolist()
-
-    def log_evidence(self, i: int) -> float | None:
-        return self._evidence
 
 
 def _sds(variances: list[float], dof: float | None) -> list[float]:
@@ -340,36 +333,39 @@ def _expit(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _mixture(phi: float, base: _PosteriorPath, pure: _PosteriorPath) -> tuple[list, list, list]:
-    """(log odds, 1 - w, w) at each c of ``base`` for the mixture (1 - phi) base + phi pure, w pure's weight.
+class _MixturePath:
+    """The mixtures (1 - phi) base + phi pure along ``base``'s c, for a one-c path ``pure``.
 
-    ``pure`` is a one-c path; phi and both components' log evidences are checked first.
+    Holds, as lists of floats over c, the log odds of pure's weight w and the
+    weights 1 - w and w (``w_base``, ``w_pure``).  phi and both components'
+    log evidences are checked first.
     """
-    evidences = [base.log_evidence(i) for i in range(len(base.multiplier))]
-    pure_evidence = pure.log_evidence(0)
-    if not (0.0 < phi < 1.0):
-        raise InputError(f"contamination weight phi must be in (0, 1), got {phi}")
-    if pure_evidence is None or None in evidences:
-        raise InputError("mixture components need the log evidence of a proper prior")
-    prior_odds, (pure_var,) = math.log(phi) - math.log1p(-phi), pure.scale00()
-    odds, w_base, w_pure = [], [], []
-    for evidence, var in zip(evidences, base.scale00()):
-        log_odds = prior_odds + pure_evidence - evidence
-        if math.isnan(log_odds):
-            # Both evidences underflow, which only normal ones do (J / c overflows).
-            # The wider, larger-c one has the larger evidence; equal ones agree.
-            log_odds = math.copysign(math.inf, pure_var - var)
-        odds.append(log_odds)
-        w_base.append(_expit(-log_odds))
-        w_pure.append(_expit(log_odds))
-    return odds, w_base, w_pure
 
+    def __init__(self, phi: float, base: _PosteriorPath, pure: _PosteriorPath):
+        evidences = [base.log_evidence(i) for i in range(len(base.multiplier))]
+        pure_evidence = pure.log_evidence(0)
+        if not (0.0 < phi < 1.0):
+            raise InputError(f"contamination weight phi must be in (0, 1), got {phi}")
+        if pure_evidence is None or None in evidences:
+            raise InputError("mixture components need the log evidence of a proper prior")
+        prior_odds, (pure_var,) = math.log(phi) - math.log1p(-phi), pure.scale00()
+        odds, w_base, w_pure = [], [], []
+        for evidence, var in zip(evidences, base.scale00()):
+            log_odds = prior_odds + pure_evidence - evidence
+            if math.isnan(log_odds):
+                # Both evidences underflow, which only normal ones do (J / c overflows).
+                # The wider, larger-c one has the larger evidence; equal ones agree.
+                log_odds = math.copysign(math.inf, pure_var - var)
+            odds.append(log_odds)
+            w_base.append(_expit(-log_odds))
+            w_pure.append(_expit(log_odds))
+        self.base, self.pure, self.log_odds, self.w_base, self.w_pure = base, pure, odds, w_base, w_pure
 
-def _mixture_mass(base: _PosteriorPath, w_base, pure: _PosteriorPath, w_pure, eps: float, center=None) -> list:
-    """The mass outside the ball of ``_mixture``'s mixtures: the weighted sum of the components' masses."""
-    (pure_mass,) = pure.mass_outside(eps, center)
-    masses = zip(w_base, base.mass_outside(eps, center), w_pure)
-    return [min(wb * mass + wp * pure_mass, 1.0) for wb, mass, wp in masses]
+    def mass_outside(self, eps: float, center: np.ndarray | None = None) -> list[float]:
+        """The mixtures' mass outside the ball, the weighted sum of the components' ``mass_outside``, at each c."""
+        (pure_mass,) = self.pure.mass_outside(eps, center)
+        masses = zip(self.w_base, self.base.mass_outside(eps, center), self.w_pure)
+        return [min(wb * mass + wp * pure_mass, 1.0) for wb, mass, wp in masses]
 
 
 @dataclass(frozen=True)
@@ -390,12 +386,11 @@ class MixturePosterior:
     phi: float
 
     def __post_init__(self):
-        base, cont = self.base, self.contaminant
-        (log_odds,), (w_base,), (w_pure,) = _mixture(self.phi, base._path, cont._path)
-        if not np.array_equal(base.center, cont.center):
+        path = _MixturePath(self.phi, self.base._path, self.contaminant._path)
+        if not np.array_equal(self.base.center, self.contaminant.center):
             raise InputError("mixture components must share their centre")
-        object.__setattr__(self, "log_odds", log_odds)
-        object.__setattr__(self, "_weights", (w_base, w_pure))
+        object.__setattr__(self, "log_odds", path.log_odds[0])
+        object.__setattr__(self, "_path", path)
 
     @property
     def p(self) -> int:
@@ -403,7 +398,7 @@ class MixturePosterior:
 
     def weights(self) -> tuple[float, float]:
         """(1 - w, w): the base's and the contaminant's posterior weights."""
-        return self._weights
+        return self._path.w_base[0], self._path.w_pure[0]
 
     def tv_to_contaminant(self) -> float:
         """TV distance to the pure contaminant posterior: (1 - w) TV(base, contaminant)."""
@@ -544,8 +539,8 @@ def _mass_outside_interval(dof: float | None, m: float, var: list[float], lo: fl
 def mass_outside_ball(post: ClosedFormPosterior | MixturePosterior, center, eps: float) -> float:
     """Posterior probability of {theta : ||theta - center|| > eps}, in the Euclidean norm.
 
-    Read off the one-c ``_PosteriorPath.mass_outside`` of the closed form, or
-    of a mixture's components (``_mixture_mass``), as the sweeps read theirs.
+    Read off the one-c path's ``mass_outside`` of the closed form
+    (``_PosteriorPath``) or the mixture (``_MixturePath``), as the sweeps read theirs.
     Exact: at p = 1 from the CDF, in both lower tails; at p = 2 by the angular
     integral of ``_angular_mass``, which needs the ball centred at the
     posterior centre (an off-centre ball is an InputError).
@@ -553,9 +548,6 @@ def mass_outside_ball(post: ClosedFormPosterior | MixturePosterior, center, eps:
     if not eps > 0.0:
         raise InputError(f"ball radius must be positive, got {eps}")
     center = _linalg.as_vector(center, post.p, "center")
-    if isinstance(post, MixturePosterior):
-        w_base, w_pure = post.weights()
-        return _mixture_mass(post.base._path, [w_base], post.contaminant._path, [w_pure], eps, center)[0]
     return post._path.mass_outside(eps, center)[0]
 
 

@@ -102,9 +102,10 @@ def iv_sample(
     X_i = 1{c0 + c'Z_i + U_i > 0}, the unit effect is theta_bar + delta U_i,
     and the outcome is X_i times the unit effect plus standard normal noise.
     Returns Yn = mean(Z_i Y_i), Xn = mean(Z_i X_i) as a k-by-1 matrix, and
-    Wn = inverse of mean(Z_i Z_i').  Deterministic given the seed, an integer
-    in [0, 2**64).
+    Wn = inverse of mean(Z_i Z_i').  n is an integer of at least k + 2.
+    Deterministic given the seed, an integer in [0, 2**64).
     """
+    _rng.check_positive_int(n, "sample size")
     if n < s.k + 2:
         raise InputError(f"sample size must be at least k+2={s.k + 2}, got {n}")
     # At most n (2k + 2) float64 values are held at once: the k standard normal

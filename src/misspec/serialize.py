@@ -8,6 +8,7 @@ json module controls neither, hence the small emitter here.  NaN and infinity
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -153,14 +154,7 @@ def report_to_dict(report: InferenceReport) -> dict:
 
 
 def coverage_to_dict(result: CoverageResult) -> dict:
-    return {
-        "reps": result.reps,
-        "hits": result.hits,
-        "coverage": result.coverage,
-        "std_err": result.std_err,
-        "seed": result.seed,
-        "config": result.config,
-    }
+    return dataclasses.asdict(result)
 
 
 def trace_to_csv(trace: SweepTrace) -> str:

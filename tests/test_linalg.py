@@ -95,7 +95,7 @@ class TestHessianInverse:
                 _, x, _ = random_model_arrays(rng, k, p)
                 w = random_spd(rng, k, spread=spread)
                 h = x.T @ w @ x
-                got = ModelInstance(Y=np.zeros(k), X=x, W=w).design.hessian_inv
+                got = ModelInstance(Y=np.zeros(k), X=x, W=w).design.hessian_inv.matrix
                 ref = np.linalg.solve(h, np.eye(p))
                 tol = 50.0 * p * np.linalg.cond(h) * eps
                 assert np.linalg.norm(got - ref) <= tol * np.linalg.norm(ref)

@@ -32,7 +32,7 @@ class TestPseudoTrue:
         pt = pseudo_true(canon_model)
         assert_allclose(pt.theta_w, [1.0])
         assert_allclose(pt.j_stat, 2.0)
-        assert_allclose(canon_model.design.hessian_inv, [[0.5]])
+        assert_allclose(canon_model.design.hessian_inv.matrix, [[0.5]])
 
     def test_just_identified_exact_fit(self):
         m = ModelInstance(Y=[3.0, 5.0], X=np.eye(2), W=np.eye(2))
@@ -194,7 +194,7 @@ class TestValidation:
         d = ModelInstance(Y=np.zeros(3), X=x, W=w).design
         x[0, 0], w[0, 0] = 7.0, 7.0
         assert d.X[0, 0] == 1.0 and d.W[0, 0] == 1.0
-        for arr in (d.X, d.W, d.w_root, d.u, d.s, d.vt, d.hessian_inv, d.hessian_inv_eigenvalues):
+        for arr in (d.X, d.W, d.w_root, d.u, d.s, d.vt, d.hessian_inv.matrix, d.hessian_inv.values):
             assert arr.flags.c_contiguous and not arr.flags.writeable
 
 

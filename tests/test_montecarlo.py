@@ -582,6 +582,14 @@ class TestSweeps:
         with pytest.raises(ImproperPriorError):
             run_tails(PowerLawRadial(2.0), [2.0], [1.0], [1.0])
 
+    @pytest.mark.parametrize("k", [2.5, 1.5, 2.0, 0.5, -1.0, math.nan, True, "2"])
+    def test_tails_refuse_a_dimension_that_is_not_an_integer(self, k):
+        # A float or bool k is no dimension: 2.5 would give a ratio between dimensions,
+        # and 1.5 and True the k = 1 one.  A nonpositive integer keeps "must be positive".
+        with pytest.raises(InputError, match="dimension k must be a positive integer"):
+            run_tails(NormalRadial(), [2.0], [1.0], [1.0], k=k)
+        assert run_tails(NormalRadial(), [2.0], [1.0], [1.0], k=np.int64(2))[0, 3] == pytest.approx(math.exp(-1.5))
+
     @pytest.mark.parametrize(
         "axis",
         [[], [math.nan], [1.0, math.nan], [math.nan, 1.0], [math.inf], [1.0, math.inf], [-math.inf, 1.0],

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -538,6 +539,14 @@ class TestMixturePosterior:
         parts = [mass_outside_ball(q, [1.0], 0.5) for q in (post.base, post.contaminant)]
         assert_allclose(mass_outside_ball(post, [1.0], 0.5), w_base * parts[0] + w_cont * parts[1])
         assert_allclose(post.tv_to_contaminant(), w_base * tv_distance(post.base, post.contaminant))
+
+    def test_pickled_posteriors_read_the_same_metrics(self, canon_model):
+        # A closed form and a mixture each carry their path, log-evidence reader included.
+        post = _mixture(canon_model, StudentTRadial(3.0), 0.3, NormalRadial(), 4.0, 0.2)
+        back = pickle.loads(pickle.dumps(post))
+        assert back.weights() == post.weights() and back.base.log_evidence == post.base.log_evidence
+        assert mass_outside_ball(back, [1.0], 0.5) == mass_outside_ball(post, [1.0], 0.5)
+        assert back.tv_to_contaminant() == post.tv_to_contaminant()
 
     def test_evidences_that_both_underflow(self, canon_model):
         # J / c overflows at both scales, so both normal evidences are -inf; the

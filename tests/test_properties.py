@@ -603,7 +603,7 @@ def test_model_and_bare_closed_forms_agree(seed, shape, e, family, c, z):
     dof, spread = family.posterior_shape(c, pt.j_stat, *shape)
     mult = spread if dof is None else spread / dof
     with np.errstate(over="ignore"):
-        scale = _linalg._symmetrize(mult * m.design.hessian_inv)
+        scale = _linalg._symmetrize(mult * m.design.hessian_inv.matrix)
     try:
         bare = ClosedFormPosterior(pt.theta_w, scale, dof)
     except ModelValidationError as exc:
@@ -616,7 +616,7 @@ def test_model_and_bare_closed_forms_agree(seed, shape, e, family, c, z):
     # A symmetric eigensolver is accurate to a few ulps of the largest
     # eigenvalue, not of each: c eigvalsh(H^-1) and eigvalsh(c H^-1) differ by
     # up to 3 ulps of the largest in 20000 random cases.
-    got, want = cf._scale_factor.eigenvalues, bare._scale_factor.eigenvalues
+    got, want = cf._path.shape.eigenvalues, bare._path.shape.eigenvalues
     assert np.all(np.abs(got - want) <= 4.0 * math.ulp(want[-1]))
     eps = z * math.sqrt(want[-1])
     mass, bare_mass = (mass_outside_ball(q, q.center, eps) for q in (cf, bare))
@@ -635,7 +635,7 @@ def _tail_rounding(q: ClosedFormPosterior, rho: float) -> float:
     That term dominates near S = 1 at p = 1, where x is close to 1.
     """
     u = rho / math.sqrt(q.scale[0, 0])
-    out = math.ulp(math.exp(q._family.log_tail(u * u, q.p)))
+    out = math.ulp(math.exp(q._path.family.log_tail(u * u, q.p)))
     if q.dof is None or q.p == 2:
         return out
     a, b = 0.5 * q.dof, 0.5 * q.p
@@ -1001,7 +1001,7 @@ def test_largest_sd_is_the_array_formula(seed, shape, e, dof, c_axis):
     family = NormalRadial() if dof is None else PowerLawRadial(0.5 * (dof + p))
     path = _refusal_or(lambda: posteriors._PosteriorPath(m, family, c_axis))
     assume(not isinstance(path, tuple))
-    want = largest_sd_array(np.array(path.multiplier), np.diag(m.design.hessian_inv), path.dof)
+    want = largest_sd_array(np.array(path.multiplier), np.diag(m.design.hessian_inv.matrix), path.dof)
     assert np.array(path.largest_sd()).tobytes() == want.tobytes()
 
 

@@ -185,6 +185,12 @@ class TestIVSample:
         with pytest.raises(InputError):
             iv_sample(_iv_scenario(), 4)
 
+    @pytest.mark.parametrize("n", [100.5, 50.0, True, 0, -5, "100"])
+    def test_sample_size_must_be_a_positive_integer(self, n):
+        # Refused by name, not by a TypeError from numpy, and True is no count of 1.
+        with pytest.raises(InputError, match="sample size must be a positive integer"):
+            iv_sample(_iv_scenario(), n)
+
     def test_oversized_sample_rejected_before_drawing(self, monkeypatch):
         # 10**11 draws would need about 8 TB; the cap is checked before numpy is asked.
         monkeypatch.setattr(np.random, "default_rng", None)
